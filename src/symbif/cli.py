@@ -150,9 +150,8 @@ def cmd_levels(args):
     spec = _potential(opts)
     cutoff = float(opts.get("beta_cutoff", 10.0))
     eps = opts.get("epsilon")
-    rng = np.random.default_rng(_seed(opts))
     cands = predictor.predict(
-        spec, domain, cutoff, epsilon=float(eps) if eps is not None else None, rng=rng
+        spec, domain, cutoff, epsilon=float(eps) if eps is not None else None
     )
     levels = predictor.lambda_set(spec, domain, cutoff)
     if domain.kind == "sphere":
@@ -189,8 +188,7 @@ def cmd_jump(args):
     eps = opts.get("epsilon")
     if eps is None:
         eps = predictor.default_epsilon(lam0, predictor.lambda_set(spec, domain, cutoff))
-    rng = np.random.default_rng(_seed(opts))
-    cand = predictor.degree_jump(spec, domain, lam0, float(eps), beta_cutoff=cutoff, rng=rng)
+    cand = predictor.degree_jump(spec, domain, lam0, float(eps), beta_cutoff=cutoff)
     return {
         "command": "jump",
         "domain": domain.kind,
@@ -228,7 +226,6 @@ def cmd_verify(args):
     cutoff = float(opts.get("beta_cutoff", 10.0))
     window = _window(opts)
     steps = int(opts.get("steps", 200))
-    rng = np.random.default_rng(_seed(opts))
     truncation = opts.get("truncation")
     # the Galerkin basis uses its own (denser) default truncation; the
     # prediction cutoff only bounds the candidate search
@@ -237,7 +234,7 @@ def cmd_verify(args):
         spec,
         truncation=int(truncation) if truncation is not None else None,
     )
-    cands = predictor.predict(spec, domain, cutoff, rng=rng)
+    cands = predictor.predict(spec, domain, cutoff)
     detected = continuation.detect_bifurcation(problem, window, steps=steps)
     doc = {
         "command": "verify",
@@ -464,8 +461,10 @@ _COMPUTATIONAL = (
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # Hold no reference to the parser past parsing: its actions and groups
+    # point at each other, and a parser kept alive through a long command
+    # reaches the oldest GC generation and outlives the call as garbage.
+    args = build_parser().parse_args(argv)
     try:
         doc = args.fn(args)
     except _COMPUTATIONAL as err:

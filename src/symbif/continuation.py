@@ -242,23 +242,17 @@ def _angular_pairs(problem):
     pairs = []
     row = 0
     for eig in problem.eigens:
-        if problem.domain.kind == "sphere" and problem.domain.dim == 2:
-            l = eig.angular_degree
+        l = eig.angular_degree
+        if problem.domain.kind == "ball" or problem.domain.dim == 2:
+            # circle and disk: one (cos, sin) pair per eigenvalue
             if l > 0:
                 pairs.append((row, row + 1, l))
-            row += eig.multiplicity
-        elif problem.domain.kind == "ball":
-            l = eig.angular_degree
-            if l > 0:
-                pairs.append((row, row + 1, l))
-            row += eig.multiplicity
         else:  # 2-sphere: ordering m = 0, (1, cos), (1, sin), (2, cos), ...
-            l = eig.angular_degree
             base = row + 1
             for m in range(1, l + 1):
                 pairs.append((base, base + 1, m))
                 base += 2
-            row += eig.multiplicity
+        row += eig.multiplicity
     return pairs
 
 

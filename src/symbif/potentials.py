@@ -459,7 +459,8 @@ def slice_brouwer_degree(
     """Brouwer degree of the gradient restricted to the normal slice at u0.
 
     The region is a box of the given half-width in slice coordinates, halved
-    on admissibility failures.  Returns (degree, half_width_used).
+    on admissibility failures.  Returns (degree, half_width_used).  Every
+    degree is deterministic; rng is accepted for compatibility and ignored.
     """
     sl = normal_slice(spec)
     d = sl.dimension
@@ -482,7 +483,7 @@ def slice_brouwer_degree(
             elif d == 2:
                 deg = brouwer.degree_2d(f, brouwer.Box((-w, -w), (w, w)))
             else:
-                deg = brouwer.degree_nd(f, brouwer.Box((-w,) * 3, (w,) * 3), rng=rng)
+                deg = brouwer.degree_nd(f, brouwer.Box((-w,) * 3, (w,) * 3))
             return deg, w
         except (brouwer.AdmissibilityError, brouwer.InconclusiveDegreeError) as err:
             last_error = err
@@ -597,7 +598,7 @@ def check_assumptions(
         if l == 0:
             continue
         try:
-            deg, used = slice_brouwer_degree(spec, l, rng=rng)
+            deg, used = slice_brouwer_degree(spec, l)
             degrees[repr(l)] = {"degree": deg, "half_width": used}
             if deg == 0:
                 status = "fail"

@@ -284,7 +284,6 @@ def degree_jump(
     lam0: float,
     eps: float,
     beta_cutoff: Optional[float] = None,
-    rng=None,
 ) -> BifurcationCandidate:
     """Degree-jump decision at a candidate level.
 
@@ -322,8 +321,8 @@ def degree_jump(
         V = zero_eigenspace(spec, domain, lam0, beta_cutoff)
     else:
         V = window_eigenspace(spec, domain, lam0 - eps, lam0 + eps, beta_cutoff)
-    b_minus, _ = potentials.slice_brouwer_degree(spec, lam0 - eps, rng=rng)
-    b_plus, _ = potentials.slice_brouwer_degree(spec, lam0 + eps, rng=rng)
+    b_minus, _ = potentials.slice_brouwer_degree(spec, lam0 - eps)
+    b_plus, _ = potentials.slice_brouwer_degree(spec, lam0 + eps)
     D = euler_ring.deg_minus_id(V)
     side = ATOM_ON_PLUS if lam0 > 0 else ATOM_ON_MINUS
     jump = euler_ring.product_decision(b_plus, b_minus, D, side)
@@ -364,7 +363,6 @@ def predict(
     domain: DomainId,
     beta_cutoff: float,
     epsilon: Optional[float] = None,
-    rng=None,
 ) -> list[BifurcationCandidate]:
     """All bifurcation candidates below the cutoff, ascending in level.
 
@@ -378,7 +376,7 @@ def predict(
     if domain.kind == "sphere":
         for lam0 in levels:
             eps = epsilon if epsilon is not None else default_epsilon(lam0, levels)
-            out.append(degree_jump(spec, domain, lam0, eps, beta_cutoff=beta_cutoff, rng=rng))
+            out.append(degree_jump(spec, domain, lam0, eps, beta_cutoff=beta_cutoff))
         return out
     catalog = eigen_catalog(domain, beta_cutoff)
     pairs = []
@@ -392,7 +390,7 @@ def predict(
     pairs.sort()
     for lam0, alpha, beta in pairs:
         eps = epsilon if epsilon is not None else default_epsilon(lam0, levels)
-        out.append(degree_jump(spec, domain, lam0, eps, beta_cutoff=beta_cutoff, rng=rng))
+        out.append(degree_jump(spec, domain, lam0, eps, beta_cutoff=beta_cutoff))
     return out
 
 

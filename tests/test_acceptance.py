@@ -157,7 +157,7 @@ def test_criterion_4_ball_alternative():
 
 
 def test_criterion_5_degree_properties():
-    with criterion(5, "Brouwer degree properties", 60.0):
+    with criterion(5, "Brouwer degree properties", 10.0):
         rng = np.random.default_rng(0)
         assert degree_1d(lambda x: x, Interval(-1, 1)) == 1
         assert degree_1d(lambda x: -x, Interval(-1, 1)) == -1

@@ -106,6 +106,55 @@ class TestDegreeND:
         with pytest.raises(ValueError):
             degree_nd(lambda x: x, Box((-1, -1), (1, 1)))
 
+    @pytest.mark.parametrize(
+        "f, expected",
+        [
+            (lambda x: np.array([x[0] ** 2 - x[1] ** 2, 2 * x[0] * x[1], x[2]]), 2),
+            (
+                lambda x: np.array(
+                    [x[0] ** 3 - 3 * x[0] * x[1] ** 2, 3 * x[0] ** 2 * x[1] - x[1] ** 3, -x[2]]
+                ),
+                -3,
+            ),
+            (lambda x: x + np.array([3.0, 0.0, 0.0]), 0),
+        ],
+        ids=["z^2", "-z^3", "shifted"],
+    )
+    @pytest.mark.parametrize(
+        "region", [Box((-1,) * 3, (1,) * 3), BallRegion((0.0, 0.0, 0.0), 1.0)], ids=["box", "ball"]
+    )
+    def test_degrees_beyond_plus_minus_one(self, f, expected, region):
+        assert degree_nd(f, region) == expected
+
+    @pytest.mark.parametrize("region", [Box((0,) * 3, (1,) * 3), Box((-1,) * 3, (1,) * 3)])
+    def test_zero_on_boundary_vertex_is_inadmissible(self, region):
+        # (1, 0, 0) is a corner of the first box and a face centre of the second
+        with pytest.raises(AdmissibilityError):
+            degree_nd(lambda x: x - np.array([1.0, 0.0, 0.0]), region)
+
+    def test_inconclusive_past_max_points(self):
+        # z^2 is certified on the 98-vertex mesh, not on the 26-vertex one
+        f = lambda x: np.array([x[0] ** 2 - x[1] ** 2, 2 * x[0] * x[1], x[2]])
+        with pytest.raises(InconclusiveDegreeError):
+            degree_nd(f, Box((-1,) * 3, (1,) * 3), max_points=50)
+
+    def test_same_result_whatever_rng(self):
+        A = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, -1.0], [1.0, 0.0, 3.0]])
+        results = []
+        for seed in (0, 1):
+            calls = []
+            f = lambda x: calls.append(1) or A @ x
+            deg = degree_nd(f, Box((-1,) * 3, (1,) * 3), rng=np.random.default_rng(seed))
+            results.append((deg, len(calls)))
+        assert results[0] == results[1]
+        assert results[0][0] == 1
+
+    def test_identity_within_evaluation_budget(self):
+        calls = []
+        f = lambda x: calls.append(1) or x
+        assert degree_nd(f, Box((-1,) * 3, (1,) * 3)) == 1
+        assert len(calls) <= 100
+
 
 def random_poly_map_2d(rng):
     """Random polynomial map of degree <= 3 in two variables."""
