@@ -461,10 +461,8 @@ _COMPUTATIONAL = (
 
 
 def main(argv=None) -> int:
-    # Hold no reference to the parser past parsing: its actions and groups
-    # point at each other, and a parser kept alive through a long command
-    # reaches the oldest GC generation and outlives the call as garbage.
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         doc = args.fn(args)
     except _COMPUTATIONAL as err:

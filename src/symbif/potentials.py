@@ -454,13 +454,11 @@ def slice_brouwer_degree(
     lam: float,
     half_width: float = 0.5,
     max_halvings: int = 6,
-    rng=None,
 ):
     """Brouwer degree of the gradient restricted to the normal slice at u0.
 
     The region is a box of the given half-width in slice coordinates, halved
-    on admissibility failures.  Returns (degree, half_width_used).  Every
-    degree is deterministic; rng is accepted for compatibility and ignored.
+    on admissibility failures.  Returns (degree, half_width_used).
     """
     sl = normal_slice(spec)
     d = sl.dimension

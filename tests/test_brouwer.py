@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from symbif import brouwer
 from symbif.brouwer import (
     AdmissibilityError,
     BallRegion,
@@ -89,7 +91,7 @@ class TestDegreeND:
     def test_product_with_pitchfork(self):
         lam = 1.0
         f = lambda x: np.array([lam * x[0] - x[0] ** 3, x[1], x[2]])
-        deg3 = degree_nd(f, Box((-2,) * 3, (2,) * 3), rng=np.random.default_rng(0))
+        deg3 = degree_nd(f, Box((-2,) * 3, (2,) * 3))
         deg1 = degree_1d(lambda t: lam * t - t**3, Interval(-2, 2))
         assert deg3 == deg1 == -1
 
@@ -99,7 +101,7 @@ class TestDegreeND:
                 A = RNG.normal(size=(3, 3))
                 if abs(np.linalg.det(A)) > 0.3:
                     break
-            deg = degree_nd(lambda x: A @ x, Box((-1,) * 3, (1,) * 3), rng=np.random.default_rng(1))
+            deg = degree_nd(lambda x: A @ x, Box((-1,) * 3, (1,) * 3))
             assert deg == (1 if np.linalg.det(A) > 0 else -1)
 
     def test_rejects_wrong_dimension(self):
@@ -132,24 +134,66 @@ class TestDegreeND:
         with pytest.raises(AdmissibilityError):
             degree_nd(lambda x: x - np.array([1.0, 0.0, 0.0]), region)
 
-    def test_inconclusive_past_max_points(self):
-        # z^2 is certified on the 98-vertex mesh, not on the 26-vertex one
-        f = lambda x: np.array([x[0] ** 2 - x[1] ** 2, 2 * x[0] * x[1], x[2]])
+    def test_zero_on_boundary_between_vertices_is_inconclusive(self):
+        # refinement closes in on (1, 1/3, 1/3) but no dyadic vertex reaches it
+        p = np.array([1.0, 1.0 / 3.0, 1.0 / 3.0])
         with pytest.raises(InconclusiveDegreeError):
-            degree_nd(f, Box((-1,) * 3, (1,) * 3), max_points=50)
+            degree_nd(lambda x: x - p, Box((-1,) * 3, (1,) * 3))
 
-    def test_same_result_whatever_rng(self):
+    def test_inconclusive_past_max_points(self, monkeypatch):
+        # z^2 passes the angle test on the 98-vertex mesh, not on the 26-vertex
+        # one, so the pair (26, 98) disagrees and no larger mesh is allowed
+        f = lambda x: np.array([x[0] ** 2 - x[1] ** 2, 2 * x[0] * x[1], x[2]])
+        monkeypatch.setattr(brouwer, "_MAX_POINTS_ND", 100)
+        with pytest.raises(InconclusiveDegreeError):
+            degree_nd(f, Box((-1,) * 3, (1,) * 3))
+        monkeypatch.setattr(brouwer, "_MAX_POINTS_ND", 400)
+        assert degree_nd(f, Box((-1,) * 3, (1,) * 3)) == 2
+
+    def test_coarse_mesh_passing_the_angle_test_is_not_trusted(self):
+        # This planar cubic has degree 1 on the unit disk.  Embedded in 3-D,
+        # its images at the 8 corners of the coarsest ball mesh are pairwise
+        # less than pi/2 apart on every triangle, yet sum to degree 0.
+        f = random_poly_map_2d(np.random.default_rng(125))
+        g = lambda x: np.array([*f(x[:2]), x[2]])
+        ball = BallRegion((0.0, 0.0, 0.0), 1.0)
+        assert degree_2d(f, BallRegion((0.0, 0.0), 1.0)) == 1
+        assert brouwer._mesh_degree(g, ball, brouwer._uniform_cells(1), {}) == (0, [])
+        assert degree_nd(g, ball) == 1
+
+    @pytest.mark.parametrize("x0, expected", [(0.995, 1), (1.005, 0)])
+    def test_zero_just_inside_or_outside_a_face(self, x0, expected):
+        # only the cells near the zero are refined: a uniform mesh would need
+        # well over 1 << 16 vertices here
+        p = np.array([x0, 0.3, -0.2])
+        calls = []
+        f = lambda x: calls.append(1) or x - p
+        assert degree_nd(f, Box((-1,) * 3, (1,) * 3)) == expected
+        assert len(calls) < 1000
+
+    def test_mixed_cell_sizes_close_the_surface(self):
+        cells = brouwer._uniform_cells(2)
+        for _ in range(6):  # nest splits around one cell and its neighbours
+            cells = cells[1:] + brouwer._split(cells[0])
+        cells = [c for cell in cells for c in (brouwer._split(cell) if cell[:2] == (2, 0) else [cell])]
+        tris, _ = brouwer._triangles(cells)
+        edges = Counter((t[i], t[(i + 1) % 3]) for t in tris for i in range(3))
+        assert set(edges.values()) == {1}
+        assert all(edges[(q, p)] == 1 for p, q in edges)
+        assert brouwer._mesh_degree(lambda x: x, Box((-1,) * 3, (1,) * 3), cells, {}) == (1, [])
+
+    def test_deterministic_evaluation_count(self):
         A = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, -1.0], [1.0, 0.0, 3.0]])
         results = []
-        for seed in (0, 1):
+        for _ in range(2):
             calls = []
             f = lambda x: calls.append(1) or A @ x
-            deg = degree_nd(f, Box((-1,) * 3, (1,) * 3), rng=np.random.default_rng(seed))
-            results.append((deg, len(calls)))
+            results.append((degree_nd(f, Box((-1,) * 3, (1,) * 3)), len(calls)))
         assert results[0] == results[1]
         assert results[0][0] == 1
 
     def test_identity_within_evaluation_budget(self):
+        # meshes of 26 and 98 vertices, each vertex evaluated once
         calls = []
         f = lambda x: calls.append(1) or x
         assert degree_nd(f, Box((-1,) * 3, (1,) * 3)) == 1
@@ -186,7 +230,7 @@ class TestCrossChecks:
             except InconclusiveDegreeError:
                 continue
             g = lambda x: np.array([*f(x[:2]), x[2]])
-            d3 = degree_nd(g, BallRegion((0.0, 0.0, 0.0), 1.0), rng=np.random.default_rng(found))
+            d3 = degree_nd(g, BallRegion((0.0, 0.0, 0.0), 1.0))
             assert d2 == d3
             found += 1
         assert found == 20

@@ -264,7 +264,7 @@ class TestSliceDegree:
                 "f": "lambda*(u1^2 + u2^2 + u3^2)/2 - (u1^4 + u2^4 + u3^4)/4",
             }
         )
-        deg, w = slice_brouwer_degree(spec, 0.1, rng=np.random.default_rng(0))
+        deg, w = slice_brouwer_degree(spec, 0.1)
         f = lambda t: 0.1 * t - t**3
         per_axis = int(np.sign(f(w)) - np.sign(f(-w))) // 2
         assert deg == per_axis**3 == -1
