@@ -200,11 +200,12 @@ def cmd_jump(args):
 
 
 def _verify_branch(problem, lam_star, window):
+    """(report record, followed branch or None if no branch was captured)."""
     lo, hi = window
     try:
         seed = continuation.switch_branch(problem, lam_star)
     except (continuation.NoBranchError, continuation.NewtonError) as err:
-        return {"captured": False, "error": str(err)}
+        return {"captured": False, "error": str(err)}, None
     span = max(0.25 * max(1.0, abs(lam_star)), 10.0 * abs(seed.points[0].lam - lam_star))
     limits = (max(lo, lam_star - span), min(hi, lam_star + span))
     branch = continuation.continue_branch(problem, seed, limits, max_steps=80, ds_max=0.05)
@@ -215,8 +216,7 @@ def _verify_branch(problem, lam_star, window):
         "lambda_range": [min(bp.lam for bp in branch.points), max(bp.lam for bp in branch.points)],
         "max_sup_norm": max(sups),
         "termination": branch.termination,
-        "branch": branch,
-    }
+    }, branch
 
 
 def cmd_verify(args):
@@ -255,8 +255,7 @@ def cmd_verify(args):
             hit = [d for d in detected if abs(d - lam0) <= 1e-6]
             rec = {"lambda0": lam0, "detected_match": hit[0] if hit else None}
             if hit:
-                res = _verify_branch(problem, hit[0], window)
-                branch = res.pop("branch", None)
+                res, branch = _verify_branch(problem, hit[0], window)
                 if branch is not None:
                     branches.append((lam0, branch))
                 rec["branch"] = res
@@ -285,8 +284,7 @@ def cmd_verify(args):
             }
             if inside:
                 target = min(inside, key=lambda d: abs(d - cand.lambda0))
-                res = _verify_branch(problem, target, window)
-                branch = res.pop("branch", None)
+                res, branch = _verify_branch(problem, target, window)
                 if branch is not None:
                     branches.append((cand.lambda0, branch))
                 rec["branch"] = res

@@ -10,9 +10,21 @@ eigenvalue beta_b and component i,
 
 with u = u0 + sum c[b, :] e_b.  Nonlinear terms are evaluated pseudo-
 spectrally on a quadrature dense enough to kill aliasing for the declared
-polynomial degree of the gradient.  Continuous symmetries (component
-rotations and domain rotations) are pinned by orthogonality rows appended to
-the Newton systems.
+polynomial degree of the gradient.
+
+Solutions come in orbits of the continuous symmetries (component rotations
+and domain rotations), so every Newton system pins the orbit: one
+orthogonality row per symmetry tangent P is appended to the Jacobian J.  The
+solves that free lambda (the amplitude-pinned branch switch, the
+pseudo-arclength tangent and corrector) add the lambda column r_lambda and one
+border row b over (c, lambda):
+
+    [J  r_lambda]
+    [P  0       ]
+    [b          ]
+
+_newton_system builds this matrix, with or without the border, and all
+systems are solved in the least-squares sense.
 """
 
 from __future__ import annotations
@@ -49,6 +61,10 @@ __all__ = [
 ]
 
 NEWTON_TOL = 1e-10
+# off-symmetry eigenvalues below -_MORSE_ZERO_TOL count in the Morse index;
+# crossings are bisected to brackets narrower than _REFINE_TOL
+_MORSE_ZERO_TOL = 1e-10
+_REFINE_TOL = 1e-9
 
 
 class NewtonError(RuntimeError):
@@ -59,7 +75,7 @@ class NoBranchError(RuntimeError):
     """Branch switching collapsed back to the trivial family on both sides."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class GalerkinProblem:
     """Immutable discretization data for one (domain, potential) pair.
 
@@ -303,12 +319,18 @@ def _offsym_complement(problem, c):
     return u[:, rank:]
 
 
+def _offsym_block(problem, c, lam):
+    """(M, Q): the Jacobian restricted off symmetry directions, M = Q^T J Q,
+    and the orthonormal complement Q of the symmetry tangents."""
+    J = jacobian(problem, c, lam)
+    Q = _offsym_complement(problem, c)
+    return Q.T @ J @ Q, Q
+
+
 def min_offsym_singular(problem: GalerkinProblem, c, lam: float) -> float:
     """Smallest singular value of the Jacobian restricted off symmetry
     directions."""
-    J = jacobian(problem, c, lam)
-    Q = _offsym_complement(problem, c)
-    M = Q.T @ J @ Q
+    M, _ = _offsym_block(problem, c, lam)
     if M.size == 0:
         return 0.0
     return float(np.linalg.svd(M, compute_uv=False)[-1])
@@ -349,65 +371,79 @@ def _make_point(problem, c, lam, residual_norm):
     )
 
 
-def newton_solve(
-    problem: GalerkinProblem,
-    c0,
-    lam: float,
-    tol: float = NEWTON_TOL,
-    maxit: int = 25,
-    pin: bool = True,
-) -> BranchPoint:
+def _newton_system(problem, c, lam, border=None):
+    """Newton matrix at (c, lam): [J; P] with the pinning rows P, or, given a
+    border row over (c, lam), the lambda-free [J r_lambda; P 0; border]."""
+    J = jacobian(problem, c, lam)
+    rows = _pinning_rows(problem, c)
+    if border is None:
+        return np.vstack([J, rows])
+    rl = _residual_lambda_derivative(problem, c, lam)
+    return np.block([[J, rl[:, None]], [rows, np.zeros((rows.shape[0], 1))], [border]])
+
+
+def newton_solve(problem: GalerkinProblem, c0, lam: float) -> BranchPoint:
     """Newton iteration at fixed lambda with symmetry pinning rows appended."""
     c = np.asarray(c0, float).copy()
     if not np.all(np.isfinite(c)):
         raise ValueError("initial guess must be finite")
-    for _ in range(maxit):
+    for _ in range(25):
         r = assemble_residual(problem, c, lam)
         rn = float(np.linalg.norm(r))
-        J = jacobian(problem, c, lam)
-        if pin:
-            rows = _pinning_rows(problem, c)
-            A = np.vstack([J, rows])
-            b = np.concatenate([-r, np.zeros(rows.shape[0])])
-        else:
-            A, b = J, -r
-        svals = np.linalg.svd(A, compute_uv=False)
+        A = _newton_system(problem, c, lam)
+        b = np.concatenate([-r, np.zeros(A.shape[0] - r.size)])
+        delta, _, _, svals = np.linalg.lstsq(A, b, rcond=None)
         if svals[-1] < 1e-12 * svals[0]:
-            raise NewtonError(
-                f"singular Jacobian beyond pinning rank at lambda={lam}"
-            )
-        if rn <= tol:
+            raise NewtonError(f"singular Jacobian beyond pinning rank at lambda={lam}")
+        if rn <= NEWTON_TOL:
             return _make_point(problem, c, lam, rn)
-        delta, *_ = np.linalg.lstsq(A, b, rcond=None)
         if not np.all(np.isfinite(delta)) or np.linalg.norm(delta) > 1e8 * (1.0 + np.linalg.norm(c)):
             raise NewtonError(f"Newton step diverged at lambda={lam}")
         c = c + delta
     r = assemble_residual(problem, c, lam)
     rn = float(np.linalg.norm(r))
-    if rn <= tol:
+    if rn <= NEWTON_TOL:
         return _make_point(problem, c, lam, rn)
     raise NewtonError(f"Newton did not converge at lambda={lam} (residual {rn:.3e})")
+
+
+def _bordered_newton(problem, c, lam, border, base, offset, border_tol, maxit):
+    """Newton with lambda free on [J r_lambda; P 0; border] that holds
+    border . ((c, lam) - base) - offset at zero.  Returns (c, lam, residual
+    norm) once the residual norm is at most NEWTON_TOL and the border residual
+    at most border_tol; raises NewtonError on a non-finite step or after maxit
+    steps."""
+    n = problem.n_dof
+    lam = float(lam)
+    for _ in range(maxit):
+        r = assemble_residual(problem, c, lam)
+        rn = float(np.linalg.norm(r))
+        # the c part and the lambda term are summed apart, so the rounding does
+        # not depend on how the BLAS dot kernel splits n + 1 terms
+        g = float(np.dot(border[:n], c - base[:n]) + border[n] * (lam - base[n]) - offset)
+        if rn <= NEWTON_TOL and abs(g) <= border_tol:
+            return c, lam, rn
+        A = _newton_system(problem, c, lam, border)
+        b = np.concatenate([-r, np.zeros(A.shape[0] - n - 1), [-g]])
+        delta, *_ = np.linalg.lstsq(A, b, rcond=None)
+        if not np.all(np.isfinite(delta)):
+            raise NewtonError(f"bordered Newton step diverged at lambda={lam}")
+        c = c + delta[:n]
+        lam = lam + delta[n]
+    raise NewtonError(f"bordered Newton did not converge near lambda={lam}")
 
 
 # --------------------------------------------------------------------------
 # bifurcation detection on the trivial branch
 
 
-def _morse_index(problem, lam, zero_tol):
-    J = jacobian(problem, np.zeros(problem.n_dof), lam)
-    Q = _offsym_complement(problem, np.zeros(problem.n_dof))
-    M = Q.T @ J @ Q
+def _morse_index(problem, lam):
+    M, _ = _offsym_block(problem, np.zeros(problem.n_dof), lam)
     vals = np.linalg.eigvalsh(0.5 * (M + M.T))
-    return int(np.sum(vals < -zero_tol))
+    return int(np.sum(vals < -_MORSE_ZERO_TOL))
 
 
-def detect_bifurcation(
-    problem: GalerkinProblem,
-    window,
-    steps: int = 200,
-    zero_tol: float = 1e-10,
-    refine_tol: float = 1e-9,
-) -> list[float]:
+def detect_bifurcation(problem: GalerkinProblem, window, steps: int = 200) -> list[float]:
     """Levels in the window where an off-symmetry eigenvalue of the
     trivial-branch Jacobian crosses zero, refined by bisection.
 
@@ -423,16 +459,16 @@ def detect_bifurcation(
         raise ValueError("need at least 2 steps")
     grid = list(np.linspace(lo, hi, steps + 1))
     grid = [g if abs(g) > 1e-12 else 1e-12 for g in grid]
-    morse = [_morse_index(problem, g, zero_tol) for g in grid]
+    morse = [_morse_index(problem, g) for g in grid]
 
     found = []
 
     def refine(a, ma, b, mb):
-        if b - a < refine_tol:
+        if b - a < _REFINE_TOL:
             found.append(0.5 * (a + b))
             return
         mid = 0.5 * (a + b)
-        mm = _morse_index(problem, mid, zero_tol)
+        mm = _morse_index(problem, mid)
         if mm != ma:
             refine(a, ma, mid, mm)
         if mb != mm:
@@ -452,9 +488,7 @@ def detect_bifurcation(
 
 
 def _kernel_direction(problem, lam_star):
-    J = jacobian(problem, np.zeros(problem.n_dof), lam_star)
-    Q = _offsym_complement(problem, np.zeros(problem.n_dof))
-    M = Q.T @ J @ Q
+    M, Q = _offsym_block(problem, np.zeros(problem.n_dof), lam_star)
     vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
     idx = int(np.argmin(np.abs(vals)))
     v = Q @ vecs[:, idx]
@@ -465,70 +499,27 @@ def _kernel_direction(problem, lam_star):
     return v / amp
 
 
-def _amplitude_pinned_solve(problem, v, amplitude, lam_star, tol=NEWTON_TOL, maxit=30):
-    """Bordered Newton with the kernel-direction amplitude held fixed and
-    lambda free; regular at pitchforks where fixed-lambda iterations bounce
-    between the mirror branches."""
-    vhat = v / np.linalg.norm(v)
-    c = amplitude * v
-    lam = float(lam_star)
-    target = float(np.dot(vhat, c))
-    n = problem.n_dof
-    for _ in range(maxit):
-        r = assemble_residual(problem, c, lam)
-        border = float(np.dot(vhat, c)) - target
-        if np.linalg.norm(r) <= tol and abs(border) <= tol:
-            return _make_point(problem, c, lam, float(np.linalg.norm(r)))
-        J = jacobian(problem, c, lam)
-        rl = _residual_lambda_derivative(problem, c, lam)
-        rows = _pinning_rows(problem, c)
-        A = np.zeros((n + rows.shape[0] + 1, n + 1))
-        A[:n, :n] = J
-        A[:n, n] = rl
-        if rows.shape[0]:
-            A[n:-1, :n] = rows
-        A[-1, :n] = vhat
-        b = np.zeros(A.shape[0])
-        b[:n] = -r
-        b[-1] = -border
-        delta, *_ = np.linalg.lstsq(A, b, rcond=None)
-        if not np.all(np.isfinite(delta)):
-            return None
-        c = c + delta[:n]
-        lam = lam + delta[n]
-        if abs(lam - lam_star) > 0.5 * max(1.0, abs(lam_star)):
-            return None
-    return None
-
-
-def switch_branch(
-    problem: GalerkinProblem,
-    lam_star: float,
-    amplitude: float = 0.05,
-    offset: Optional[float] = None,
-) -> Branch:
+def switch_branch(problem: GalerkinProblem, lam_star: float, amplitude: float = 0.05) -> Branch:
     """Seed a bifurcated branch near a detected level.
 
     The initial guess is amplitude times the normalized kernel direction; a
-    Newton correction is attempted at lambda offset on both sides, and the
-    side that converges to a nontrivial solution wins.  If both fixed-lambda
-    probes collapse to the trivial family (degenerate kernels make them
-    fragile), an amplitude-pinned bordered solve locates the branch with
-    lambda free.
+    Newton correction is attempted at the first-order branch location on
+    both sides of lam_star, and the side that converges to a nontrivial
+    solution wins.  If both fixed-lambda probes collapse to the trivial
+    family (degenerate kernels make them fragile), an amplitude-pinned
+    bordered solve locates the branch with lambda free.
     """
     if amplitude <= 0.0:
         raise ValueError("amplitude must be positive")
     v = _kernel_direction(problem, lam_star)
     seed = amplitude * v
-    if offset is None:
-        # first-order location of the branch at the seed amplitude: shift
-        # lambda to zero the kernel-direction residual
-        r0 = assemble_residual(problem, seed, lam_star)
-        rl = _residual_lambda_derivative(problem, seed, lam_star)
-        vhat = v / np.linalg.norm(v)
-        den = float(np.dot(rl, vhat))
-        delta = -float(np.dot(r0, vhat)) / den if abs(den) > 1e-14 else 0.0
-        offset = math.copysign(max(abs(delta), 1e-4), delta if delta else 1.0)
+    # shift lambda to zero the kernel-direction residual at the seed
+    r0 = assemble_residual(problem, seed, lam_star)
+    rl = _residual_lambda_derivative(problem, seed, lam_star)
+    vhat = v / np.linalg.norm(v)
+    den = float(np.dot(rl, vhat))
+    delta = -float(np.dot(r0, vhat)) / den if abs(den) > 1e-14 else 0.0
+    offset = math.copysign(max(abs(delta), 1e-4), delta if delta else 1.0)
     for lam in (lam_star + offset, lam_star - offset):
         try:
             bp = newton_solve(problem, seed, lam)
@@ -536,9 +527,22 @@ def switch_branch(
             continue
         if bp.sup_norm > 0.05 * amplitude:
             return Branch(points=[bp], origin=("bifurcated", float(lam_star)))
-    bp = _amplitude_pinned_solve(problem, v, amplitude, lam_star)
-    if bp is not None and bp.sup_norm > 0.05 * amplitude and abs(bp.lam - lam_star) > 1e-13:
-        return Branch(points=[bp], origin=("bifurcated", float(lam_star)))
+    # the border (vhat, 0) holds the kernel amplitude vhat . c at its seed
+    # value; regular at pitchforks, where fixed-lambda iterations bounce
+    # between the mirror branches
+    border = np.append(vhat, 0.0)
+    target = float(np.dot(vhat, seed))
+    try:
+        c, lam, rn = _bordered_newton(
+            problem, seed, lam_star, border, np.zeros_like(border), target, NEWTON_TOL, 30
+        )
+    except NewtonError:
+        pass
+    else:
+        bp = _make_point(problem, c, lam, rn)
+        drift = abs(bp.lam - lam_star)
+        if bp.sup_norm > 0.05 * amplitude and 1e-13 < drift <= 0.5 * max(1.0, abs(lam_star)):
+            return Branch(points=[bp], origin=("bifurcated", float(lam_star)))
     raise NoBranchError(f"no branch captured at lambda_star={lam_star}")
 
 
@@ -547,16 +551,7 @@ def switch_branch(
 
 
 def _tangent(problem, c, lam, t_prev):
-    J = jacobian(problem, c, lam)
-    rl = _residual_lambda_derivative(problem, c, lam)
-    rows = _pinning_rows(problem, c)
-    n = problem.n_dof
-    A = np.zeros((n + rows.shape[0] + 1, n + 1))
-    A[:n, :n] = J
-    A[:n, n] = rl
-    if rows.shape[0]:
-        A[n:-1, :n] = rows
-    A[-1, :] = t_prev
+    A = _newton_system(problem, c, lam, t_prev)
     b = np.zeros(A.shape[0])
     b[-1] = 1.0
     t, *_ = np.linalg.lstsq(A, b, rcond=None)
@@ -569,35 +564,6 @@ def _tangent(problem, c, lam, t_prev):
     return t
 
 
-def _corrector(problem, c_pred, lam_pred, t, ds, base, tol, maxit=12):
-    c = c_pred.copy()
-    lam = float(lam_pred)
-    n = problem.n_dof
-    for _ in range(maxit):
-        r = assemble_residual(problem, c, lam)
-        arc = float(np.dot(t[:n], c - base[0]) + t[n] * (lam - base[1]) - ds)
-        if np.linalg.norm(r) <= tol and abs(arc) <= tol * 10:
-            return c, lam, float(np.linalg.norm(r))
-        J = jacobian(problem, c, lam)
-        rl = _residual_lambda_derivative(problem, c, lam)
-        rows = _pinning_rows(problem, c)
-        A = np.zeros((n + rows.shape[0] + 1, n + 1))
-        A[:n, :n] = J
-        A[:n, n] = rl
-        if rows.shape[0]:
-            A[n:-1, :n] = rows
-        A[-1, :] = t
-        b = np.zeros(A.shape[0])
-        b[:n] = -r
-        b[-1] = -arc
-        delta, *_ = np.linalg.lstsq(A, b, rcond=None)
-        if not np.all(np.isfinite(delta)):
-            raise NewtonError("corrector step diverged")
-        c = c + delta[:n]
-        lam = lam + delta[n]
-    raise NewtonError("corrector did not converge")
-
-
 def continue_branch(
     problem: GalerkinProblem,
     seed: Branch,
@@ -606,7 +572,6 @@ def continue_branch(
     ds0: float = 0.02,
     ds_min: float = 1e-4,
     ds_max: float = 0.2,
-    tol: float = NEWTON_TOL,
 ) -> Branch:
     """Pseudo-arclength continuation from a seed branch.
 
@@ -642,8 +607,9 @@ def continue_branch(
             c_pred = c + ds * t[:n]
             lam_pred = lam + ds * t[n]
             try:
-                c_new, lam_new, rn = _corrector(
-                    problem, c_pred, lam_pred, t, ds, (c, lam), tol
+                # the border t holds the arclength from (c, lam) at ds
+                c_new, lam_new, rn = _bordered_newton(
+                    problem, c_pred, lam_pred, t, np.append(c, lam), ds, 10 * NEWTON_TOL, 12
                 )
                 accepted = True
                 break

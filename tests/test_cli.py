@@ -1,6 +1,7 @@
 import csv
 import json
 
+from symbif import cli, continuation, potentials, spectral
 from symbif.cli import main
 
 
@@ -233,6 +234,19 @@ class TestVerifyCommand:
         branch_json = json.loads((tmp_path / "report.json.branch-1.json").read_text())
         assert branch_json["origin"]["kind"] == "bifurcated"
         assert "coefficients" not in branch_json["points"][0]
+
+    def test_verify_branch_returns_record_and_branch(self, monkeypatch):
+        problem = continuation.build_problem(spectral.sphere(2), potentials.builtin("pitchfork-scalar"))
+        rec, branch = cli._verify_branch(problem, 1.0, (0.5, 1.5))
+        assert rec["captured"] and "branch" not in rec
+        assert rec["points"] == len(branch.points) > 1
+
+        def no_branch(problem, lam_star):
+            raise continuation.NoBranchError("no branch captured")
+
+        monkeypatch.setattr(continuation, "switch_branch", no_branch)
+        rec, branch = cli._verify_branch(problem, 1.0, (0.5, 1.5))
+        assert rec == {"captured": False, "error": "no branch captured"} and branch is None
 
     def test_branch_coefficients_flag(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -268,22 +269,76 @@ class TestSwitchAndContinue:
         svals0 = np.linalg.svd(J0, compute_uv=False)
         assert int(np.sum(svals0 < 1e-6)) == 1
 
-    def test_sphere2_branches(self, sphere_ring):
+    def test_sphere2_branches(self, sphere_ring, monkeypatch):
         # three-dimensional kernel: the amplitude-pinned fallback must engage
         prob = sphere_ring
         det = detect_bifurcation(prob, (1.0, 7.0), steps=60)
         np.testing.assert_allclose(det, [2.0, 6.0], atol=1e-7)
-        seed = switch_branch(prob, det[0])
-        assert seed.points[0].sup_norm > 1e-3
+        solves = []
+        bordered = continuation._bordered_newton
+
+        def spy(*args):
+            out = bordered(*args)
+            solves.append((args, out))
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(continuation, "_bordered_newton", spy)
+            seed = switch_branch(prob, det[0])
+        assert len(solves) == 1
+        args, (c, lam, _) = solves[0]
+        bp = seed.points[0]
+        assert bp.lam == lam and np.array_equal(bp.c, c)
+        assert bp.sup_norm > 1e-3
+        # the border is (vhat, 0) for the kernel direction v, and the seed
+        # keeps the amplitude it started from: vhat . c = 0.05 |v|
+        v = continuation._kernel_direction(prob, det[0])
+        vhat = v / np.linalg.norm(v)
+        np.testing.assert_array_equal(args[3], np.append(vhat, 0.0))
+        assert abs(float(np.dot(vhat, bp.c)) - 0.05 * np.linalg.norm(v)) <= 1e-10
         branch = continue_branch(prob, seed, (1.7, 2.2), max_steps=20)
         assert all(bp.residual_norm <= 1e-10 for bp in branch.points)
         assert max(bp.sup_norm for bp in branch.points) > 0.1
 
-    def test_no_branch_error_message(self, circle_pitchfork):
+    def test_no_branch_error_message(self, circle_pitchfork, monkeypatch):
         # a level that is not a bifurcation point has no kernel direction to
-        # follow; the probe collapses back to the trivial family
-        with pytest.raises((NoBranchError, NewtonError)):
+        # follow; the probes collapse back to the trivial family, and the
+        # amplitude-pinned fallback converges only at the level lambda = 1,
+        # too far from 2.5 to count
+        solves = []
+        bordered = continuation._bordered_newton
+
+        def spy(*args):
+            out = bordered(*args)
+            solves.append(out)
+            return out
+
+        monkeypatch.setattr(continuation, "_bordered_newton", spy)
+        with pytest.raises(NoBranchError, match="no branch captured"):
             switch_branch(circle_pitchfork, 2.5, amplitude=1e-8)
+        assert len(solves) == 1 and abs(solves[0][1] - 1.0) < 1e-6
+
+    @pytest.mark.parametrize("failure", ["not-converged", "diverged"])
+    def test_fallback_failure_is_no_branch(self, circle_pitchfork, monkeypatch, failure):
+        # a fallback that stops short of convergence (one step allowed) or
+        # takes a non-finite step ends as NoBranchError, not an escaped error
+        bordered = continuation._bordered_newton
+        raised = []
+
+        def failing(*args):
+            try:
+                if failure == "diverged":
+                    raise NewtonError("bordered Newton step diverged")
+                return bordered(*args[:-1], 1)
+            except NewtonError as err:
+                raised.append(str(err))
+                raise
+
+        monkeypatch.setattr(continuation, "_bordered_newton", failing)
+        with pytest.raises(NoBranchError, match="no branch captured"):
+            switch_branch(circle_pitchfork, 2.5, amplitude=1e-8)
+        assert len(raised) == 1
+        assert ("diverged" if failure == "diverged" else "did not converge") in raised[0]
 
 
 class TestEquivariance:
@@ -399,3 +454,7 @@ class TestProblemQuadrature:
     def test_dof_count(self, circle_ring):
         expected = circle_ring.p * sum(e.multiplicity for e in circle_ring.eigens)
         assert circle_ring.n_dof == expected
+
+    def test_problem_is_frozen(self, circle_ring):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            circle_ring.beta = np.zeros(circle_ring.n_funcs)
