@@ -1,21 +1,22 @@
-"""Brouwer degree of continuous maps on intervals, planar regions, and 3-D
-boxes/balls.
+"""Brouwer degree of continuous maps on intervals and on 2-D or 3-D boxes and
+balls.
 
-The 1-D degree is an endpoint-sign formula, the 2-D degree is a certified
-winding number (adaptive boundary subdivision until consecutive image points
-subtend less than pi/2), and the 3-D degree is the signed solid angle swept
-by the normalized boundary image over 4 pi (Stenger, "Computing the
-topological degree of a mapping in R^n", Numer. Math. 1975), summed with
-the triangle solid-angle formula of Van Oosterom & Strackee (IEEE TBME 1983)
-over a boundary triangulation refined where image triangles have vertices
-pi/2 or more apart, and accepted when one more refinement of every cell
-gives the same integer.  All three are deterministic.  Inconclusive
+The 1-D degree is an endpoint-sign formula.  In dimensions 2 and 3 one
+boundary method computes the degree: the signed measure swept by the
+normalized boundary image over that of the unit sphere (Stenger, "Computing
+the topological degree of a mapping in R^n", Numer. Math. 1975), summed over
+a boundary mesh refined where image simplices have vertices pi/2 or more
+apart, and accepted when one more refinement of every cell gives the same
+integer.  A simplex is a segment in 2-D, measured by its signed angle, and a
+triangle in 3-D, measured by the solid-angle formula of Van Oosterom &
+Strackee (IEEE TBME 1983).  Every degree here is deterministic.  Inconclusive
 outcomes raise; they are never silently reported as 0.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,7 +29,6 @@ __all__ = [
     "Box",
     "BallRegion",
     "degree_1d",
-    "degree_2d",
     "degree_nd",
 ]
 
@@ -93,125 +93,62 @@ def degree_1d(f, interval: Interval) -> int:
 
 
 # --------------------------------------------------------------------------
-# 2-D winding number
-
-
-def _boundary_point(region, s):
-    """Positively oriented boundary parameterization over s in [0, 1)."""
-    if isinstance(region, BallRegion):
-        ang = 2.0 * math.pi * s
-        cx, cy = region.center
-        return np.array([cx + region.radius * math.cos(ang), cy + region.radius * math.sin(ang)])
-    lo, hi = region.lo, region.hi
-    wx = hi[0] - lo[0]
-    wy = hi[1] - lo[1]
-    per = 2.0 * (wx + wy)
-    d = (s % 1.0) * per
-    if d < wx:
-        return np.array([lo[0] + d, lo[1]])
-    d -= wx
-    if d < wy:
-        return np.array([hi[0], lo[1] + d])
-    d -= wy
-    if d < wx:
-        return np.array([hi[0] - d, hi[1]])
-    d -= wx
-    return np.array([lo[0], hi[1] - d])
-
-
-def degree_2d(f, region, boundary_resolution: int = 64, max_points: int = 1 << 16) -> int:
-    """Winding number of f along the positively oriented region boundary."""
-    if isinstance(region, Box) and region.dim != 2:
-        raise ValueError("degree_2d needs a two-dimensional region")
-    if isinstance(region, BallRegion) and region.dim != 2:
-        raise ValueError("degree_2d needs a two-dimensional region")
-    if boundary_resolution < 4:
-        raise ValueError("boundary_resolution must be at least 4")
-
-    params = list(np.linspace(0.0, 1.0, boundary_resolution, endpoint=False))
-    angles = {}
-
-    def angle_at(s):
-        if s not in angles:
-            v = np.asarray(f(_boundary_point(region, s)), float)
-            n = math.hypot(v[0], v[1])
-            if n == 0.0:
-                raise AdmissibilityError(f"map vanishes on the boundary (s={s})")
-            angles[s] = math.atan2(v[1], v[0])
-        return angles[s]
-
-    for s in params:
-        angle_at(s)
-
-    while True:
-        refined = []
-        ok = True
-        for i, s in enumerate(params):
-            s_next = params[(i + 1) % len(params)]
-            refined.append(s)
-            d = _wrap_angle(angle_at(s_next) - angle_at(s))
-            if abs(d) >= 0.5 * math.pi:
-                mid = s + (((s_next - s) % 1.0) / 2.0)
-                refined.append(mid % 1.0)
-                ok = False
-        if ok:
-            break
-        if len(refined) > max_points:
-            raise InconclusiveDegreeError(
-                "boundary angle condition not certified at maximum refinement"
-            )
-        params = refined
-
-    total = 0.0
-    for i, s in enumerate(params):
-        s_next = params[(i + 1) % len(params)]
-        total += _wrap_angle(angle_at(s_next) - angle_at(s))
-    winding = total / (2.0 * math.pi)
-    nearest = round(winding)
-    if abs(winding - nearest) > 1e-6:
-        raise InconclusiveDegreeError(f"winding number {winding} is not close to an integer")
-    return int(nearest)
-
-
-def _wrap_angle(d):
-    while d > math.pi:
-        d -= 2.0 * math.pi
-    while d <= -math.pi:
-        d += 2.0 * math.pi
-    return d
-
-
-# --------------------------------------------------------------------------
-# 3-D degree via signed solid angles of the boundary image
+# 2-D and 3-D degree via signed angles of the boundary image
 
 # Most boundary vertices degree_nd evaluates.
 _MAX_POINTS_ND = 1 << 16
-# Mesh vertices have integer coordinates on the boundary of [0, _SCALE]^3.
+# Mesh vertices have integer coordinates on the boundary of [0, _SCALE]^dim.
 _SCALE = 1 << 40
+# Cells per side of a face in the starting mesh.  In 2-D, 16 per side gives
+# 64 vertices: with 2 per side the first mesh that passes the angle test can
+# alias and its confirmation then agrees, e.g. 3 for a product of six factors
+# z - r whose degree on [-1, 1]^2 is 4 (a test).  In 3-D, 2 x 2 per face starts
+# at 26 vertices, so a map that turns little is decided in 98 evaluations; a
+# finer start would multiply the cost of every slice degree.
+_START_CELLS = {2: 16, 3: 2}
 
 
-def _uniform_cells(m):
-    """Square cells (a, side, i, j, s) cutting each face of the cube into m x m.
+def _uniform_cells(dim, m):
+    """Cells cutting each face of the unit cube [0, 1]^dim (scaled) into m^(dim-1).
 
-    A cell lies in the face x_a = side and spans [i, i + s] x [j, j + s] in
-    the coordinates (x_b, x_c), b = a + 1 and c = a + 2 mod 3.
+    A 3-D cell (a, side, i, j, s) is the square in the face x_a = side that
+    spans [i, i + s] x [j, j + s] in the coordinates (x_b, x_c), b = a + 1 and
+    c = a + 2 mod 3.  A 2-D cell (a, side, i, s) is the segment in the face
+    x_a = side that spans [i, i + s] in x_(1 - a).
     """
     s = _SCALE // m
     return [
-        (a, side, i * s, j * s, s)
-        for a in range(3)
+        (a, side, *(k * s for k in ks), s)
+        for a in range(dim)
         for side in (0, _SCALE)
-        for i in range(m)
-        for j in range(m)
+        for ks in itertools.product(range(m), repeat=dim - 1)
     ]
 
 
 def _split(cell):
-    a, side, i, j, s = cell
+    s = cell[-1]
     if s < 2:
         raise InconclusiveDegreeError("boundary mesh reached its finest resolution")
     h = s // 2
+    if len(cell) == 4:
+        a, side, i, _ = cell
+        return [(a, side, i, h), (a, side, i + h, h)]
+    a, side, i, j, _ = cell
     return [(a, side, i + di, j + dj, h) for di in (0, h) for dj in (0, h)]
+
+
+def _segments(cells):
+    """Counterclockwise segments of 2-D cells, as vertex pairs.
+
+    Neighbouring segments meet only at their end points, so the boundary is
+    closed whatever the cell sizes.
+    """
+    segs = []
+    for a, side, i, s in cells:
+        p, q = ((side, i), (side, i + s)) if a == 0 else ((i, side), (i + s, side))
+        # p -> q runs up the right side and along the bottom: reverse on the left and top
+        segs.append((q, p) if (side == 0) != (a == 1) else (p, q))
+    return segs, np.arange(len(cells))
 
 
 def _point(a, side, u, v):
@@ -221,7 +158,7 @@ def _point(a, side, u, v):
 
 
 def _triangles(cells):
-    """Outward-oriented triangles of the cells, as vertex triples.
+    """Outward-oriented triangles of 3-D cells, as vertex triples.
 
     A cell is the polygon of its corners and of every finer cell's corner on
     its sides, fanned from its corner (i, j).  A cell with no such extra
@@ -276,15 +213,15 @@ def _surface_points(region, t):
 
 
 def _mesh_degree(f, region, cells, images):
-    """Solid-angle degree on the mesh of the given cells.
+    """Degree on the mesh of the given cells.
 
     Returns (degree, failing) where failing lists the cells having an image
-    triangle with two vertices at least pi/2 apart; degree is None unless
+    simplex with two vertices at least pi/2 apart; degree is None unless
     failing is empty.  images caches normalized values of f by vertex, so
     successive meshes evaluate a shared vertex once.
     """
-    tris, owner = _triangles(cells)
-    verts = list({p for tri in tris for p in tri})
+    simplices, owner = (_segments if region.dim == 2 else _triangles)(cells)
+    verts = list({p for simplex in simplices for p in simplex})
     if len(verts) > _MAX_POINTS_ND:
         raise InconclusiveDegreeError(
             f"boundary mesh would need more than {_MAX_POINTS_ND} vertices"
@@ -298,50 +235,61 @@ def _mesh_degree(f, region, cells, images):
             if n == 0.0:
                 raise AdmissibilityError(f"map vanishes on the boundary (x={x})")
             images[p] = v / n
-    u = np.array([[images[p] for p in tri] for tri in tris])
-    a, b, c = u[:, 0], u[:, 1], u[:, 2]
+    u = np.array([[images[p] for p in simplex] for simplex in simplices])
+    a, b = u[:, 0], u[:, 1]
     ab = np.sum(a * b, axis=1)
-    bc = np.sum(b * c, axis=1)
-    ca = np.sum(c * a, axis=1)
-    bad = (ab <= 0.0) | (bc <= 0.0) | (ca <= 0.0)
+    if region.dim == 2:  # signed angle of each image segment
+        bad = ab <= 0.0
+        angles = np.arctan2(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0], ab)
+        full = 2.0 * math.pi
+    else:  # signed solid angle of each image triangle
+        c = u[:, 2]
+        bc = np.sum(b * c, axis=1)
+        ca = np.sum(c * a, axis=1)
+        bad = (ab <= 0.0) | (bc <= 0.0) | (ca <= 0.0)
+        triple = np.sum(a * np.cross(b, c), axis=1)
+        angles = 2.0 * np.arctan2(triple, 1.0 + ab + bc + ca)
+        full = 4.0 * math.pi
     if bad.any():
         return None, sorted(set(owner[bad].tolist()))
-    triple = np.sum(a * np.cross(b, c), axis=1)
-    total = float(np.sum(2.0 * np.arctan2(triple, 1.0 + ab + bc + ca))) / (4.0 * math.pi)
+    total = float(np.sum(angles)) / full
     if not math.isfinite(total) or abs(total - round(total)) > 1e-6:
-        raise InconclusiveDegreeError(f"solid-angle degree {total} is not close to an integer")
+        raise InconclusiveDegreeError(f"boundary degree {total} is not close to an integer")
     return int(round(total)), []
 
 
 def degree_nd(f, region) -> int:
-    """Degree of a 3-D map from the signed solid angle of its boundary image.
+    """Degree of a 2-D or 3-D map from the signed measure of its boundary image.
 
     The boundary of the box (or, projected radially, of the ball) is cut
-    into square cells, starting from 2 x 2 per face, each cell into
-    outward-oriented triangles, and f is evaluated once at each vertex.  On
-    a mesh whose image triangles have vertices pairwise less than pi/2
-    apart (positive dot products, the test degree_2d applies to consecutive
-    boundary points), the degree is the sum of the signed solid angles of
-    the image triangles over 4 pi (Stenger, Numer. Math. 24, 1975), each
-    angle by the formula of Van Oosterom & Strackee (IEEE Trans. Biomed.
-    Eng. 30, 1983).  Cells with a failing triangle are split into four
-    until the test passes.  The test alone does not rule out a map that
-    turns between vertices, so a degree is returned only when the mesh
-    with every cell split once more also passes and gives the same integer.
-    The refinement is conforming: a cell's triangles use the vertices of
-    finer neighbours on its sides, so the image surface stays closed.
+    into cells, starting from 16 per side in 2-D and 2 x 2 per face in 3-D.
+    A 2-D cell is one counterclockwise segment; a 3-D cell is a square cut
+    into outward-oriented triangles.  f is evaluated once at each vertex.
+    On a mesh whose image simplices have vertices pairwise less than pi/2
+    apart (positive dot products), the degree is the sum of the signed
+    measures of the image simplices over that of the unit sphere (Stenger,
+    Numer. Math. 24, 1975): segment angles over 2 pi, or solid angles over
+    4 pi by the formula of Van Oosterom & Strackee (IEEE Trans. Biomed.
+    Eng. 30, 1983).  Cells with a failing simplex are split in two (2-D) or
+    four (3-D) until the test passes.  The test alone does not rule out a
+    map that turns between vertices, so a degree is returned only when the
+    mesh with every cell split once more also passes and gives the same
+    integer.  The 3-D refinement is conforming: a cell's triangles use the
+    vertices of finer neighbours on its sides, so the image surface stays
+    closed.
 
-    f takes a point of shape (3,).  Raises AdmissibilityError when f
-    vanishes at a mesh vertex and InconclusiveDegreeError when the mesh
-    would need more than 1 << 16 vertices or a sum is not within 1e-6 of an
-    integer.  The result is deterministic.
+    f takes a point of shape (dim,) and returns a vector of the same shape.
+    Raises AdmissibilityError when f vanishes at a mesh vertex and
+    InconclusiveDegreeError when the mesh would need more than 1 << 16
+    vertices or cells finer than the dyadic limit, or a sum is not within
+    1e-6 of an integer.  The result is deterministic.
     """
     if not isinstance(region, (Box, BallRegion)):
         raise ValueError("degree_nd needs a box or ball region")
-    if region.dim != 3:
-        raise ValueError("degree_nd supports dimension 3 only")
+    if region.dim not in _START_CELLS:
+        raise ValueError("degree_nd supports dimensions 2 and 3 only")
 
-    cells = _uniform_cells(2)
+    cells = _uniform_cells(region.dim, _START_CELLS[region.dim])
     images = {}
     previous = None  # degree of the mesh whose cells were all just split
     while True:

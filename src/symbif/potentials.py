@@ -478,10 +478,8 @@ def slice_brouwer_degree(
         try:
             if d == 1:
                 deg = brouwer.degree_1d(lambda t: float(f(np.array([t]))[0]), brouwer.Interval(-w, w))
-            elif d == 2:
-                deg = brouwer.degree_2d(f, brouwer.Box((-w, -w), (w, w)))
             else:
-                deg = brouwer.degree_nd(f, brouwer.Box((-w,) * 3, (w,) * 3))
+                deg = brouwer.degree_nd(f, brouwer.Box((-w,) * d, (w,) * d))
             return deg, w
         except (brouwer.AdmissibilityError, brouwer.InconclusiveDegreeError) as err:
             last_error = err

@@ -12,7 +12,6 @@ from symbif.brouwer import (
     InconclusiveDegreeError,
     Interval,
     degree_1d,
-    degree_2d,
     degree_nd,
 )
 
@@ -56,29 +55,43 @@ class TestDegree1D:
 
 class TestDegree2D:
     def test_identity_disk(self):
-        assert degree_2d(lambda x: x, BallRegion((0.0, 0.0), 1.0)) == 1
+        assert degree_nd(lambda x: x, BallRegion((0.0, 0.0), 1.0)) == 1
 
     def test_squaring_map(self):
         f = lambda x: np.array([x[0] ** 2 - x[1] ** 2, 2 * x[0] * x[1]])
-        assert degree_2d(f, BallRegion((0.0, 0.0), 1.0)) == 2
+        assert degree_nd(f, BallRegion((0.0, 0.0), 1.0)) == 2
         assert brute_force_winding(f) == 2
 
     def test_minus_identity(self):
-        assert degree_2d(lambda x: -x, BallRegion((0.0, 0.0), 1.0)) == 1
+        assert degree_nd(lambda x: -x, BallRegion((0.0, 0.0), 1.0)) == 1
 
     def test_box_region(self):
-        assert degree_2d(lambda x: x, Box((-1, -1), (1, 1))) == 1
+        assert degree_nd(lambda x: x, Box((-1, -1), (1, 1))) == 1
 
     def test_cubic_winding_matches_oracle(self):
         f = lambda x: np.array(
             [x[0] ** 3 - 3 * x[0] * x[1] ** 2, 3 * x[0] ** 2 * x[1] - x[1] ** 3]
         )
-        assert degree_2d(f, BallRegion((0.0, 0.0), 1.0)) == 3 == brute_force_winding(f)
+        assert degree_nd(f, BallRegion((0.0, 0.0), 1.0)) == 3 == brute_force_winding(f)
 
     def test_boundary_zero_rejected(self):
         f = lambda x: np.array([x[0] - 1.0, x[1]])
         with pytest.raises((AdmissibilityError, InconclusiveDegreeError)):
-            degree_2d(f, BallRegion((0.0, 0.0), 1.0))
+            degree_nd(f, BallRegion((0.0, 0.0), 1.0))
+
+    def test_zero_near_an_edge_survives_the_starting_mesh(self):
+        # Four of the six roots lie in the square, one 0.011 from x = 1.  A
+        # start of 2 cells per side passes the angle test with an aliased sum
+        # and confirms it, returning 3; the 16-per-side start returns 4.
+        roots = np.array([-0.3392 + 0.0255j, -1.2903 + 0.9026j, 0.8581 + 0.3633j,
+                          -0.8984 + 0.6286j, -0.6042 - 1.0621j, 0.9889 + 0.107j])
+        inside = int(np.sum((abs(roots.real) < 1) & (abs(roots.imag) < 1)))
+
+        def p(x):
+            w = np.prod(complex(x[0], x[1]) - roots)
+            return np.array([w.real, w.imag])
+
+        assert degree_nd(p, Box((-1, -1), (1, 1))) == inside == 4
 
 
 class TestDegreeND:
@@ -105,8 +118,9 @@ class TestDegreeND:
             assert deg == (1 if np.linalg.det(A) > 0 else -1)
 
     def test_rejects_wrong_dimension(self):
-        with pytest.raises(ValueError):
-            degree_nd(lambda x: x, Box((-1, -1), (1, 1)))
+        for dim in (1, 4):
+            with pytest.raises(ValueError):
+                degree_nd(lambda x: x, Box((-1,) * dim, (1,) * dim))
 
     @pytest.mark.parametrize(
         "f, expected",
@@ -128,17 +142,24 @@ class TestDegreeND:
     def test_degrees_beyond_plus_minus_one(self, f, expected, region):
         assert degree_nd(f, region) == expected
 
-    @pytest.mark.parametrize("region", [Box((0,) * 3, (1,) * 3), Box((-1,) * 3, (1,) * 3)])
+    @pytest.mark.parametrize(
+        "region",
+        [Box((0,) * 3, (1,) * 3), Box((-1,) * 3, (1,) * 3), Box((0, 0), (1, 1)), Box((-1, -1), (1, 1))],
+    )
     def test_zero_on_boundary_vertex_is_inadmissible(self, region):
-        # (1, 0, 0) is a corner of the first box and a face centre of the second
+        # (1, 0, ...) is a corner of [0, 1]^dim and a face centre of [-1, 1]^dim
+        p = np.eye(region.dim)[0]
         with pytest.raises(AdmissibilityError):
-            degree_nd(lambda x: x - np.array([1.0, 0.0, 0.0]), region)
+            degree_nd(lambda x: x - p, region)
 
-    def test_zero_on_boundary_between_vertices_is_inconclusive(self):
-        # refinement closes in on (1, 1/3, 1/3) but no dyadic vertex reaches it
-        p = np.array([1.0, 1.0 / 3.0, 1.0 / 3.0])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_zero_on_boundary_between_vertices_is_inconclusive(self, dim):
+        # refinement closes in on (1, 1/3, ...) but no dyadic vertex reaches it
+        p = np.array([1.0] + [1.0 / 3.0] * (dim - 1))
+        calls = []
         with pytest.raises(InconclusiveDegreeError):
-            degree_nd(lambda x: x - p, Box((-1,) * 3, (1,) * 3))
+            degree_nd(lambda x: calls.append(1) or x - p, Box((-1,) * dim, (1,) * dim))
+        assert len(calls) < 1000
 
     def test_inconclusive_past_max_points(self, monkeypatch):
         # z^2 passes the angle test on the 98-vertex mesh, not on the 26-vertex
@@ -157,22 +178,47 @@ class TestDegreeND:
         f = random_poly_map_2d(np.random.default_rng(125))
         g = lambda x: np.array([*f(x[:2]), x[2]])
         ball = BallRegion((0.0, 0.0, 0.0), 1.0)
-        assert degree_2d(f, BallRegion((0.0, 0.0), 1.0)) == 1
-        assert brouwer._mesh_degree(g, ball, brouwer._uniform_cells(1), {}) == (0, [])
+        assert degree_nd(f, BallRegion((0.0, 0.0), 1.0)) == 1
+        assert brouwer._mesh_degree(g, ball, brouwer._uniform_cells(3, 1), {}) == (0, [])
         assert degree_nd(g, ball) == 1
 
-    @pytest.mark.parametrize("x0, expected", [(0.995, 1), (1.005, 0)])
-    def test_zero_just_inside_or_outside_a_face(self, x0, expected):
-        # only the cells near the zero are refined: a uniform mesh would need
-        # well over 1 << 16 vertices here
-        p = np.array([x0, 0.3, -0.2])
+    @pytest.mark.parametrize(
+        "p, expected",
+        [
+            pytest.param((0.995, 0.3, -0.2), 1, id="0.995-1"),
+            pytest.param((1.005, 0.3, -0.2), 0, id="1.005-0"),
+            pytest.param((0.995, 0.3), 1, id="2d-0.995-1"),
+            pytest.param((1.005, 0.3), 0, id="2d-1.005-0"),
+        ],
+    )
+    def test_zero_just_inside_or_outside_a_face(self, p, expected):
+        # only the cells near the zero are refined: in 3-D a uniform mesh
+        # would need well over 1 << 16 vertices here
+        dim = len(p)
         calls = []
-        f = lambda x: calls.append(1) or x - p
-        assert degree_nd(f, Box((-1,) * 3, (1,) * 3)) == expected
+        f = lambda x: calls.append(1) or x - np.array(p)
+        assert degree_nd(f, Box((-1,) * dim, (1,) * dim)) == expected
         assert len(calls) < 1000
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known wrong answer: a zero 0.00056 from the face x1 = 1 is missed by "
+        "the 2 x 2 per face start and its confirmation; the result is 4, not 5",
+    )
+    def test_zero_very_near_a_face(self):
+        roots = np.array([0.9994 - 0.0142j, -0.016 - 0.7851j, 0.4824 - 0.2074j,
+                          -1.1094 + 0.8529j, 0.9531 + 0.8517j, -0.4863 - 0.0685j])
+        inside = int(np.sum((abs(roots.real) < 1) & (abs(roots.imag) < 1)))
+
+        def f(x):
+            w = np.prod(complex(x[0], x[1]) - roots)
+            return np.array([w.real, w.imag, x[2]])
+
+        assert inside == 5
+        assert degree_nd(f, Box((-1,) * 3, (1,) * 3)) == inside
+
     def test_mixed_cell_sizes_close_the_surface(self):
-        cells = brouwer._uniform_cells(2)
+        cells = brouwer._uniform_cells(3, 2)
         for _ in range(6):  # nest splits around one cell and its neighbours
             cells = cells[1:] + brouwer._split(cells[0])
         cells = [c for cell in cells for c in (brouwer._split(cell) if cell[:2] == (2, 0) else [cell])]
@@ -182,22 +228,25 @@ class TestDegreeND:
         assert all(edges[(q, p)] == 1 for p, q in edges)
         assert brouwer._mesh_degree(lambda x: x, Box((-1,) * 3, (1,) * 3), cells, {}) == (1, [])
 
-    def test_deterministic_evaluation_count(self):
-        A = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, -1.0], [1.0, 0.0, 3.0]])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_deterministic_evaluation_count(self, dim):
+        A = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, -1.0], [1.0, 0.0, 3.0]])[:dim, :dim]
         results = []
         for _ in range(2):
             calls = []
             f = lambda x: calls.append(1) or A @ x
-            results.append((degree_nd(f, Box((-1,) * 3, (1,) * 3)), len(calls)))
+            results.append((degree_nd(f, Box((-1,) * dim, (1,) * dim)), len(calls)))
         assert results[0] == results[1]
         assert results[0][0] == 1
 
-    def test_identity_within_evaluation_budget(self):
-        # meshes of 26 and 98 vertices, each vertex evaluated once
+    @pytest.mark.parametrize("dim, budget", [(2, 128), (3, 100)])
+    def test_identity_within_evaluation_budget(self, dim, budget):
+        # meshes of 64 and 128 vertices in 2-D, 26 and 98 in 3-D, each
+        # vertex evaluated once
         calls = []
         f = lambda x: calls.append(1) or x
-        assert degree_nd(f, Box((-1,) * 3, (1,) * 3)) == 1
-        assert len(calls) <= 100
+        assert degree_nd(f, Box((-1,) * dim, (1,) * dim)) == 1
+        assert len(calls) <= budget
 
 
 def random_poly_map_2d(rng):
@@ -226,7 +275,7 @@ class TestCrossChecks:
             if margin < 0.2:
                 continue
             try:
-                d2 = degree_2d(f, BallRegion((0.0, 0.0), 1.0))
+                d2 = degree_nd(f, BallRegion((0.0, 0.0), 1.0))
             except InconclusiveDegreeError:
                 continue
             g = lambda x: np.array([*f(x[:2]), x[2]])
@@ -257,8 +306,8 @@ class TestCrossChecks:
                 if margin < 0.2:
                     continue
                 try:
-                    base = degree_2d(f, BallRegion((0.0, 0.0), 1.0))
-                    scaled = degree_2d(lambda x: c * f(x), BallRegion((0.0, 0.0), 1.0))
+                    base = degree_nd(f, BallRegion((0.0, 0.0), 1.0))
+                    scaled = degree_nd(lambda x: c * f(x), BallRegion((0.0, 0.0), 1.0))
                 except InconclusiveDegreeError:
                     continue
                 assert scaled == base
@@ -275,7 +324,7 @@ class TestCrossChecks:
                 continue
             pair = lambda x: np.array([f(x[0]), g(x[1])])
             try:
-                d2 = degree_2d(pair, Box((-1.5, -1.5), (1.5, 1.5)))
+                d2 = degree_nd(pair, Box((-1.5, -1.5), (1.5, 1.5)))
             except (InconclusiveDegreeError, AdmissibilityError):
                 continue
             d1a = degree_1d(f, Interval(-1.5, 1.5))
