@@ -204,7 +204,7 @@ def _verify_branch(problem, lam_star, window):
     lo, hi = window
     try:
         seed = continuation.switch_branch(problem, lam_star)
-    except (continuation.NoBranchError, continuation.NewtonError) as err:
+    except continuation.NoBranchError as err:
         return {"captured": False, "error": str(err)}, None
     span = max(0.25 * max(1.0, abs(lam_star)), 10.0 * abs(seed.points[0].lam - lam_star))
     limits = (max(lo, lam_star - span), min(hi, lam_star + span))

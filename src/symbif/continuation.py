@@ -24,7 +24,18 @@ border row b over (c, lambda):
     [b          ]
 
 _newton_system builds this matrix, with or without the border, and all
-systems are solved in the least-squares sense.
+systems are solved in the least-squares sense.  Continuation assembles J once
+per accepted point: the same J gives the point's smallest off-symmetry
+singular value and the next tangent.
+
+On the trivial branch c = 0 every quadrature node sees u0, so the Hessian is
+one p x p matrix H0(lambda) = hess(u0, lambda) and, in the layout above,
+
+    J(0, lambda) = diag(beta) - G kron H0(lambda),   G = (E w) E^T,
+
+with G the assembled quadrature Gram matrix.  The pinning rows at c = 0 do
+not depend on lambda, so the Morse sweep builds G and the symmetry
+complement once and assembles no Jacobian.
 """
 
 from __future__ import annotations
@@ -319,21 +330,24 @@ def _offsym_complement(problem, c):
     return u[:, rank:]
 
 
-def _offsym_block(problem, c, lam):
-    """(M, Q): the Jacobian restricted off symmetry directions, M = Q^T J Q,
-    and the orthonormal complement Q of the symmetry tangents."""
-    J = jacobian(problem, c, lam)
+def _offsym_block(problem, c, J):
+    """(M, Q): the Jacobian J at c restricted off symmetry directions,
+    M = Q^T J Q, and the orthonormal complement Q of the symmetry tangents."""
     Q = _offsym_complement(problem, c)
     return Q.T @ J @ Q, Q
+
+
+def _min_offsym_singular(problem, c, J):
+    M, _ = _offsym_block(problem, c, J)
+    if M.size == 0:
+        return 0.0
+    return float(np.linalg.svd(M, compute_uv=False)[-1])
 
 
 def min_offsym_singular(problem: GalerkinProblem, c, lam: float) -> float:
     """Smallest singular value of the Jacobian restricted off symmetry
     directions."""
-    M, _ = _offsym_block(problem, c, lam)
-    if M.size == 0:
-        return 0.0
-    return float(np.linalg.svd(M, compute_uv=False)[-1])
+    return _min_offsym_singular(problem, c, jacobian(problem, c, lam))
 
 
 # --------------------------------------------------------------------------
@@ -361,20 +375,21 @@ class Branch:
     termination: Optional[str] = None
 
 
-def _make_point(problem, c, lam, residual_norm):
+def _make_point(problem, c, lam, residual_norm, J):
+    """Branch point at (c, lam) with the Jacobian J there."""
     return BranchPoint(
         lam=float(lam),
         c=np.asarray(c, float).copy(),
         residual_norm=float(residual_norm),
-        min_offsym_singular=min_offsym_singular(problem, c, lam),
+        min_offsym_singular=_min_offsym_singular(problem, c, J),
         sup_norm=problem.sup_deviation(c),
     )
 
 
-def _newton_system(problem, c, lam, border=None):
-    """Newton matrix at (c, lam): [J; P] with the pinning rows P, or, given a
-    border row over (c, lam), the lambda-free [J r_lambda; P 0; border]."""
-    J = jacobian(problem, c, lam)
+def _newton_system(problem, c, lam, J, border=None):
+    """Newton matrix at (c, lam) from the Jacobian J there: [J; P] with the
+    pinning rows P, or, given a border row over (c, lam), the lambda-free
+    [J r_lambda; P 0; border]."""
     rows = _pinning_rows(problem, c)
     if border is None:
         return np.vstack([J, rows])
@@ -390,20 +405,21 @@ def newton_solve(problem: GalerkinProblem, c0, lam: float) -> BranchPoint:
     for _ in range(25):
         r = assemble_residual(problem, c, lam)
         rn = float(np.linalg.norm(r))
-        A = _newton_system(problem, c, lam)
+        A = _newton_system(problem, c, lam, jacobian(problem, c, lam))
         b = np.concatenate([-r, np.zeros(A.shape[0] - r.size)])
         delta, _, _, svals = np.linalg.lstsq(A, b, rcond=None)
         if svals[-1] < 1e-12 * svals[0]:
             raise NewtonError(f"singular Jacobian beyond pinning rank at lambda={lam}")
         if rn <= NEWTON_TOL:
-            return _make_point(problem, c, lam, rn)
+            # the first n_dof rows of A are J at (c, lam)
+            return _make_point(problem, c, lam, rn, A[: problem.n_dof])
         if not np.all(np.isfinite(delta)) or np.linalg.norm(delta) > 1e8 * (1.0 + np.linalg.norm(c)):
             raise NewtonError(f"Newton step diverged at lambda={lam}")
         c = c + delta
     r = assemble_residual(problem, c, lam)
     rn = float(np.linalg.norm(r))
     if rn <= NEWTON_TOL:
-        return _make_point(problem, c, lam, rn)
+        return _make_point(problem, c, lam, rn, jacobian(problem, c, lam))
     raise NewtonError(f"Newton did not converge at lambda={lam} (residual {rn:.3e})")
 
 
@@ -423,7 +439,7 @@ def _bordered_newton(problem, c, lam, border, base, offset, border_tol, maxit):
         g = float(np.dot(border[:n], c - base[:n]) + border[n] * (lam - base[n]) - offset)
         if rn <= NEWTON_TOL and abs(g) <= border_tol:
             return c, lam, rn
-        A = _newton_system(problem, c, lam, border)
+        A = _newton_system(problem, c, lam, jacobian(problem, c, lam), border)
         b = np.concatenate([-r, np.zeros(A.shape[0] - n - 1), [-g]])
         delta, *_ = np.linalg.lstsq(A, b, rcond=None)
         if not np.all(np.isfinite(delta)):
@@ -437,8 +453,26 @@ def _bordered_newton(problem, c, lam, border, base, offset, border_tol, maxit):
 # bifurcation detection on the trivial branch
 
 
-def _morse_index(problem, lam):
-    M, _ = _offsym_block(problem, np.zeros(problem.n_dof), lam)
+def _trivial_offsym_block(problem):
+    """lam -> Q^T J(0, lam) Q, without assembling J: J(0, lam) is
+    diag(beta) - G kron H0(lam) with the Gram matrix G = (E w) E^T and the
+    Hessian H0 at u0 (module docstring); G and the complement Q are built
+    once."""
+    G = (problem.E * problem.quad.weights[None, :]) @ problem.E.T
+    Q = _offsym_complement(problem, np.zeros(problem.n_dof))
+    diag = np.repeat(problem.beta, problem.p)
+    u0 = problem.spec.u0[None, :]
+
+    def block(lam):
+        H0 = np.asarray(problem.spec.hess(u0, lam), float).reshape(problem.p, problem.p)
+        J = -np.kron(G, H0)
+        J[np.diag_indices_from(J)] += diag
+        return Q.T @ J @ Q
+
+    return block
+
+
+def _morse_index(M):
     vals = np.linalg.eigvalsh(0.5 * (M + M.T))
     return int(np.sum(vals < -_MORSE_ZERO_TOL))
 
@@ -459,24 +493,29 @@ def detect_bifurcation(problem: GalerkinProblem, window, steps: int = 200) -> li
         raise ValueError("need at least 2 steps")
     grid = list(np.linspace(lo, hi, steps + 1))
     grid = [g if abs(g) > 1e-12 else 1e-12 for g in grid]
-    morse = [_morse_index(problem, g) for g in grid]
+    block = _trivial_offsym_block(problem)
+    morse = [_morse_index(block(g)) for g in grid]
 
+    # brackets of a count change, bisected until narrower than _REFINE_TOL;
+    # a stack rather than a recursive closure, whose reference cycle would
+    # keep the sweep's arrays alive until the next garbage collection
+    brackets = [
+        (grid[i], morse[i], grid[i + 1], morse[i + 1])
+        for i in range(len(grid) - 1)
+        if morse[i + 1] != morse[i]
+    ]
     found = []
-
-    def refine(a, ma, b, mb):
+    while brackets:
+        a, ma, b, mb = brackets.pop()
         if b - a < _REFINE_TOL:
             found.append(0.5 * (a + b))
-            return
+            continue
         mid = 0.5 * (a + b)
-        mm = _morse_index(problem, mid)
+        mm = _morse_index(block(mid))
         if mm != ma:
-            refine(a, ma, mid, mm)
+            brackets.append((a, ma, mid, mm))
         if mb != mm:
-            refine(mid, mm, b, mb)
-
-    for i in range(len(grid) - 1):
-        if morse[i + 1] != morse[i]:
-            refine(grid[i], morse[i], grid[i + 1], morse[i + 1])
+            brackets.append((mid, mm, b, mb))
 
     out = []
     for lam in sorted(found):
@@ -488,7 +527,8 @@ def detect_bifurcation(problem: GalerkinProblem, window, steps: int = 200) -> li
 
 
 def _kernel_direction(problem, lam_star):
-    M, Q = _offsym_block(problem, np.zeros(problem.n_dof), lam_star)
+    zero = np.zeros(problem.n_dof)
+    M, Q = _offsym_block(problem, zero, jacobian(problem, zero, lam_star))
     vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
     idx = int(np.argmin(np.abs(vals)))
     v = Q @ vecs[:, idx]
@@ -539,7 +579,7 @@ def switch_branch(problem: GalerkinProblem, lam_star: float, amplitude: float = 
     except NewtonError:
         pass
     else:
-        bp = _make_point(problem, c, lam, rn)
+        bp = _make_point(problem, c, lam, rn, jacobian(problem, c, lam))
         drift = abs(bp.lam - lam_star)
         if bp.sup_norm > 0.05 * amplitude and 1e-13 < drift <= 0.5 * max(1.0, abs(lam_star)):
             return Branch(points=[bp], origin=("bifurcated", float(lam_star)))
@@ -550,8 +590,8 @@ def switch_branch(problem: GalerkinProblem, lam_star: float, amplitude: float = 
 # pseudo-arclength continuation
 
 
-def _tangent(problem, c, lam, t_prev):
-    A = _newton_system(problem, c, lam, t_prev)
+def _tangent(problem, c, lam, J, t_prev):
+    A = _newton_system(problem, c, lam, J, t_prev)
     b = np.zeros(A.shape[0])
     b[-1] = 1.0
     t, *_ = np.linalg.lstsq(A, b, rcond=None)
@@ -596,12 +636,16 @@ def continue_branch(
     else:
         t_prev = np.concatenate([np.zeros(n), [1.0]])
     ds = ds0
+    # the Jacobian at the last accepted point serves its branch point and the
+    # next tangent, and is dropped before the corrector runs
+    J = jacobian(problem, c, lam)
     for _ in range(max_steps):
         try:
-            t = _tangent(problem, c, lam, t_prev)
+            t = _tangent(problem, c, lam, J, t_prev)
         except NewtonError:
             branch.termination = "tangent-failure"
             return branch
+        J = None
         accepted = False
         while ds >= ds_min:
             c_pred = c + ds * t[:n]
@@ -620,7 +664,8 @@ def continue_branch(
             return branch
         c, lam = c_new, lam_new
         t_prev = t
-        bp = _make_point(problem, c, lam, rn)
+        J = jacobian(problem, c, lam)
+        bp = _make_point(problem, c, lam, rn, J)
         branch.points.append(bp)
         ds = min(ds * 1.4, ds_max)
         if lam < lo or lam > hi:

@@ -210,6 +210,123 @@ class TestDetection:
             detect_bifurcation(circle_pitchfork, (2.0, 1.0))
 
 
+def coupled_potential():
+    # p = 2 with a non-diagonal Hessian at u0 that is not affine in lambda
+    return from_config_dict(
+        {
+            "name": "coupled",
+            "p": "2",
+            "action": "trivial",
+            "u0": "0, 0",
+            "a": "2 1; 1 3",
+            "f": "lambda*(2*u1^2 + 2*u1*u2 + 3*u2^2)/2 + lambda^2*u1*u2/4"
+            " - (u1^4 + u2^4)/4 + u1^2*u2",
+        }
+    )
+
+
+def _assembled_trivial_block(prob, lam):
+    zero = np.zeros(prob.n_dof)
+    Q = continuation._offsym_complement(prob, zero)
+    return Q.T @ jacobian(prob, zero, lam) @ Q
+
+
+TRIVIAL_CASES = {
+    # domain, build options, Morse-sweep window
+    "circle": (sphere(2), {}, (0.5, 9.5)),
+    "sphere2": (sphere(3), {"truncation": 12}, (0.5, 8.0)),
+    "disk": (ball(2), {"beta_cutoff": 200.0}, (0.5, 10.0)),
+}
+
+
+@pytest.fixture(scope="module", params=list(TRIVIAL_CASES))
+def trivial_case(request):
+    domain, options, window = TRIVIAL_CASES[request.param]
+    specs = [builtin("pitchfork-scalar"), builtin("so2-ring"), coupled_potential()]
+    return [build_problem(domain, spec, **options) for spec in specs], window
+
+
+class TestTrivialBranchBlock:
+    """The Morse sweep's Kronecker block diag(beta) - G kron H0(lambda)
+    against the assembled Jacobian at c = 0."""
+
+    def test_matches_assembled_jacobian(self, trivial_case):
+        problems, (lo, hi) = trivial_case
+        for prob in problems:
+            block = continuation._trivial_offsym_block(prob)
+            for lam in np.linspace(-lo, hi, 5):
+                M = _assembled_trivial_block(prob, lam)
+                err = np.max(np.abs(block(lam) - M))
+                assert err <= 1e-12 * np.max(np.abs(M)), (prob.spec.name, lam, err)
+
+    def test_morse_counts_match_assembled_path(self, trivial_case):
+        problems, (lo, hi) = trivial_case
+        for prob in problems:
+            block = continuation._trivial_offsym_block(prob)
+            grid = np.linspace(lo, hi, 41)
+            fast = [continuation._morse_index(block(lam)) for lam in grid]
+            slow = [continuation._morse_index(_assembled_trivial_block(prob, lam)) for lam in grid]
+            assert fast == slow, prob.spec.name
+            # the window holds crossings, so the comparison is not vacuous
+            assert len(set(fast)) > 1, prob.spec.name
+
+
+class TestJacobianReuse:
+    def test_morse_sweep_assembles_no_jacobian(self, circle_ring, monkeypatch):
+        calls = {"jacobian": 0, "complement": 0}
+
+        def counting(key, fn):
+            def wrapped(*args):
+                calls[key] += 1
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(continuation, "jacobian", counting("jacobian", jacobian))
+        monkeypatch.setattr(
+            continuation,
+            "_offsym_complement",
+            counting("complement", continuation._offsym_complement),
+        )
+        det = detect_bifurcation(circle_ring, (0.5, 4.5), steps=40)
+        np.testing.assert_allclose(det, [1.0, 4.0], atol=1e-7)
+        assert calls == {"jacobian": 0, "complement": 1}
+
+    @pytest.mark.parametrize("fixture,lam_star", [("circle_pitchfork", 1.0), ("circle_ring", 1.0)])
+    def test_continuation_assembles_each_point_once(self, fixture, lam_star, request, monkeypatch):
+        prob = request.getfixturevalue(fixture)
+        seed = switch_branch(prob, lam_star)
+        seen = []
+
+        def spy(problem, c, lam):
+            seen.append((np.asarray(c, float).tobytes(), float(lam)))
+            return jacobian(problem, c, lam)
+
+        monkeypatch.setattr(continuation, "jacobian", spy)
+        branch = continue_branch(prob, seed, (0.9, 1.3), max_steps=40)
+        assert len(branch.points) > 5
+        assert len(seen) == len(set(seen))
+        for bp in branch.points:
+            assert (bp.c.tobytes(), bp.lam) in seen
+
+    @pytest.mark.parametrize(
+        "fixture,lam_star,limits",
+        [
+            ("circle_pitchfork", 1.0, (0.9, 1.2)),
+            ("circle_ring", 1.0, (0.9, 1.3)),
+            ("sphere_ring", 2.0, (1.7, 2.2)),
+        ],
+    )
+    def test_point_singular_values_match_fresh_assembly(self, fixture, lam_star, limits, request):
+        # the reused Jacobian is the one at the point itself: bit-identical
+        # to assembling it from scratch
+        prob = request.getfixturevalue(fixture)
+        branch = continue_branch(prob, switch_branch(prob, lam_star), limits, max_steps=20)
+        points = branch.points + [newton_solve(prob, np.zeros(prob.n_dof), 0.6)]
+        for bp in points:
+            assert bp.min_offsym_singular == continuation.min_offsym_singular(prob, bp.c, bp.lam)
+
+
 class TestSwitchAndContinue:
     def test_supercritical_side(self, circle_pitchfork):
         seed = switch_branch(circle_pitchfork, 1.0)
