@@ -1,196 +1,204 @@
 """Bessel functions of integer order, spherical Bessel functions, and the
 radial Neumann condition on the disk and the 3-ball.
 
-Everything is self-contained: ascending series for small argument, Miller-style
-downward recurrence for large argument.  Roots of the Neumann condition are
-bracketed on a coarse grid and refined by bisection.
+Everything is self-contained and array-native: each function evaluates over
+numpy arrays, with `order` broadcasting against `x`, and returns a float for
+scalar input.  Each entry is summed by the ascending series for |x| <=
+SERIES_CUTOFF and by Miller's downward recurrence above it (DLMF §10.74(i)
+and (iii), §3.6(iii)); the series stops entry by entry.  The Neumann roots of all
+angular orders are bracketed on one grid and refined by bisection together.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 SERIES_CUTOFF = 12.0
 ROOT_GRID_STEP = 0.1
 ROOT_TOL = 1e-12
 
 
-def besselj(order: int, x: float) -> float:
+def besselj(order, x):
     """Bessel function J_order(x) for integer order >= 0."""
-    if order < 0:
+    return _evaluate(order, x, _besselj_series, _besselj_miller)
+
+
+def sphericalj(order, x):
+    """Spherical Bessel function j_order(x) for integer order >= 0."""
+    return _evaluate(order, x, _sphericalj_series, _sphericalj_miller)
+
+
+def besseljp(order, x):
+    """Derivative J_order'(x), with J_{-1} = -J_1."""
+    order, x = np.broadcast_arrays(np.asarray(order), np.asarray(x, float))
+    vals = besselj(np.stack([np.where(order == 0, 1, order - 1), order + 1]), x)
+    lower = np.where(order == 0, -vals[0], vals[0])
+    return _out(0.5 * (lower - vals[1]))
+
+
+def sphericaljp(order, x):
+    """Derivative j_order'(x); j_0' = -j_1."""
+    order, x = np.broadcast_arrays(np.asarray(order), np.asarray(x, float))
+    vals = sphericalj(np.stack([np.where(order == 0, 1, order - 1), order]), x)
+    return _out(np.where(order == 0, -vals[0], vals[0] - (order + 1.0) / x * vals[1]))
+
+
+def _out(values):
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def _evaluate(order, x, series, miller):
+    """Broadcast, check the order, reflect negative x, route each entry."""
+    order, x = np.broadcast_arrays(np.asarray(order), np.asarray(x, float))
+    if order.dtype.kind not in "iu" or np.any(order < 0):
         raise ValueError("order must be a nonnegative integer")
-    x = float(x)
-    if x < 0.0:
-        val = besselj(order, -x)
-        return -val if order % 2 else val
-    if x == 0.0:
-        return 1.0 if order == 0 else 0.0
-    if x <= SERIES_CUTOFF:
-        return _besselj_series(order, x)
-    return _besselj_miller(order, x)
+    ax = np.abs(x)
+    out = np.array(order == 0, float)  # the value at x = 0
+    for mask, method in ((ax > 0.0) & (ax <= SERIES_CUTOFF), series), (ax > SERIES_CUTOFF, miller):
+        if mask.any():
+            out[mask] = method(order[mask].astype(int), ax[mask])
+    return _out(np.where((x < 0.0) & (order % 2 == 1), -out, out))
+
+
+def _series(term, hh, order, denom):
+    """Sum of term_m = term_{m-1} * (-hh / denom(m, order)) over m >= 0, per entry,
+    until the last added term is below 1e-18 of the sum (at most 401 terms)."""
+    total = term.copy()
+    live = np.arange(term.size)
+    m = 0
+    while live.size and m <= 400:
+        m += 1
+        term = term * (-hh / denom(m, order))
+        total[live] += term
+        keep = np.abs(term) >= 1e-18 * (np.abs(total[live]) + 1e-300)
+        live, term, hh, order = live[keep], term[keep], hh[keep], order[keep]
+    return total
 
 
 def _besselj_series(order, x):
+    # (x/2)^l / l! and the term ratio of DLMF 10.2.2
     half = 0.5 * x
-    term = half**order / math.factorial(order)
-    total = term
-    m = 0
-    hh = half * half
-    while True:
-        m += 1
-        term *= -hh / (m * (m + order))
-        total += term
-        if abs(term) < 1e-18 * (abs(total) + 1e-300):
-            return total
-        if m > 400:
-            return total
-
-
-def _besselj_miller(order, x):
-    # downward recurrence, normalized with J0 + 2*sum J_{2k} = 1
-    start = max(order, int(x)) + 20 + int(8.0 * math.sqrt(max(1.0, x)))
-    if start % 2:
-        start += 1
-    jp1 = 0.0
-    j = 1e-30
-    norm = 0.0
-    wanted = 0.0
-    for n in range(start, 0, -1):
-        jm1 = (2.0 * n / x) * j - jp1
-        jp1 = j
-        j = jm1
-        if n - 1 == order:
-            wanted = j
-        if (n - 1) % 2 == 0:
-            norm += 2.0 * j
-        if abs(j) > 1e250:
-            j *= 1e-250
-            jp1 *= 1e-250
-            norm *= 1e-250
-            wanted *= 1e-250
-    norm -= j  # the n=0 term was added twice
-    return wanted / norm
-
-
-def besseljp(order: int, x: float) -> float:
-    """Derivative J_order'(x)."""
-    if order == 0:
-        return -besselj(1, x)
-    return 0.5 * (besselj(order - 1, x) - besselj(order + 1, x))
-
-
-def sphericalj(order: int, x: float) -> float:
-    """Spherical Bessel function j_order(x), order >= 0."""
-    if order < 0:
-        raise ValueError("order must be a nonnegative integer")
-    x = float(x)
-    if x < 0.0:
-        val = sphericalj(order, -x)
-        return -val if order % 2 else val
-    if x == 0.0:
-        return 1.0 if order == 0 else 0.0
-    if x <= SERIES_CUTOFF:
-        return _sphericalj_series(order, x)
-    return _sphericalj_miller(order, x)
-
-
-def _dfact(n):
-    # (2n+1)!! for the series prefactor
-    out = 1.0
-    for k in range(1, 2 * n + 2, 2):
-        out *= k
-    return out
+    term = _leading_term(order, half, lambda k: k)
+    return _series(term, half * half, order, lambda m, l: m * (m + l))
 
 
 def _sphericalj_series(order, x):
-    term = x**order / _dfact(order)
-    total = term
-    m = 0
-    hh = 0.5 * x * x
-    while True:
-        m += 1
-        term *= -hh / (m * (2 * (m + order) + 1))
-        total += term
-        if abs(term) < 1e-18 * (abs(total) + 1e-300):
-            return total
-        if m > 400:
-            return total
+    # x^l / (2l + 1)!! and the term ratio of DLMF 10.53.1
+    term = _leading_term(order, x, lambda k: 2 * k + 1)
+    return _series(term, 0.5 * x * x, order, lambda m, l: m * (2 * (m + l) + 1))
+
+
+def _leading_term(order, z, denom):
+    """prod_{k=1..order} z / denom(k) by multiplication alone, so the result
+    does not depend on the platform's pow."""
+    term = np.ones_like(z)
+    for k in range(1, int(order.max()) + 1):
+        term = np.where(order >= k, term * (z / denom(k)), term)
+    return term
+
+
+def _miller_start(order, x):
+    return np.maximum(order, x.astype(int)) + 20 + (8.0 * np.sqrt(np.maximum(1.0, x))).astype(int)
+
+
+def _downward(order, x, start, shift2):
+    """Miller's recurrence f_{n-1} = ((2n + shift2) / x) f_n - f_{n+1}, started
+    per entry at f_start = 1e-30, f_{start+1} = 0.
+
+    Returns f_order, f_0, f_1 and f_0 + 2 (f_2 + f_4 + ...), all in one
+    arbitrary scale per entry.
+    """
+    f_next = np.zeros_like(x)
+    f = np.full_like(x, 1e-30)
+    wanted = np.zeros_like(x)
+    f1 = np.zeros_like(x)
+    norm = np.zeros_like(x)
+    orders, first = set(order.tolist()), int(start.min())
+    for n in range(int(start.max()), 0, -1):
+        f_prev = ((2.0 * n + shift2) / x) * f - f_next
+        waiting = n > first  # entries that start below n keep their initial values
+        if waiting:
+            on = start >= n
+            f_next, f = np.where(on, f, f_next), np.where(on, f_prev, f)
+        else:
+            f_next, f = f, f_prev
+        if n - 1 in orders:  # start > order, so the entry is running
+            wanted = np.where(order == n - 1, f, wanted)
+        if n == 2:
+            f1 = f.copy()
+        if (n - 1) % 2 == 0:
+            norm = np.where(on, norm + 2.0 * f, norm) if waiting else norm + 2.0 * f
+        big = np.abs(f) > 1e250
+        if big.any():
+            for arr in (f, f_next, norm, wanted, f1):
+                arr[big] *= 1e-250
+    return wanted, f, f1, norm - f  # the f_0 term was added twice
+
+
+def _besselj_miller(order, x):
+    # normalized with J_0 + 2 (J_2 + J_4 + ...) = 1, from an even start
+    start = _miller_start(order, x)
+    start += start % 2
+    wanted, _, _, norm = _downward(order, x, start, 0.0)
+    return wanted / norm
 
 
 def _sphericalj_miller(order, x):
-    start = max(order, int(x)) + 20 + int(8.0 * math.sqrt(max(1.0, x)))
-    jp1 = 0.0
-    j = 1e-30
-    vals = {}
-    for n in range(start, 0, -1):
-        jm1 = ((2.0 * n + 1.0) / x) * j - jp1
-        jp1 = j
-        j = jm1
-        if n - 1 in (order, 0, 1):
-            vals[n - 1] = j
-        if abs(j) > 1e250:
-            j *= 1e-250
-            jp1 *= 1e-250
-            vals = {k: v * 1e-250 for k, v in vals.items()}
-    j0 = math.sin(x) / x
-    j1 = math.sin(x) / (x * x) - math.cos(x) / x
+    wanted, f0, f1, _ = _downward(order, x, _miller_start(order, x), 1.0)
+    j0 = np.sin(x) / x
+    j1 = np.sin(x) / (x * x) - np.cos(x) / x
     # normalize against whichever reference value is better conditioned
-    if abs(j0) >= abs(j1):
-        scale = j0 / vals[0]
-    else:
-        scale = j1 / vals[1]
-    return vals[order] * scale
+    return wanted * np.where(np.abs(j0) >= np.abs(j1), j0 / f0, j1 / f1)
 
 
-def sphericaljp(order: int, x: float) -> float:
-    """Derivative j_order'(x)."""
-    if order == 0:
-        return -sphericalj(1, x)
-    return sphericalj(order - 1, x) - (order + 1.0) / x * sphericalj(order, x)
-
-
-def neumann_condition(ambient_dim: int, angular_degree: int):
-    """Radial Neumann boundary function g with g(x) = 0 at sqrt(eigenvalue).
+def neumann_roots(ambient_dim: int, x_max: float) -> list[list[float]]:
+    """Positive roots x <= x_max of the radial Neumann condition, per order.
 
     The eigenfunctions of the unit ball in dimension N are
     r^((2-N)/2) J_{l+(N-2)/2}(x r) times a spherical harmonic; the zero-normal-
     derivative condition at r = 1 reduces to J_l'(x) = 0 for N = 2 and
-    j_l'(x) = 0 for N = 3.
+    j_l'(x) = 0 for N = 3.  Entry l of the result lists the roots of order l,
+    ascending; the list ends before the first order l > 0 with no root.
     """
     if ambient_dim == 2:
-        return lambda x: besseljp(angular_degree, x)
-    if ambient_dim == 3:
-        return lambda x: sphericaljp(angular_degree, x)
-    raise ValueError("ball domains are supported for N in {2, 3}")
+        g = besseljp
+    elif ambient_dim == 3:
+        g = sphericaljp
+    else:
+        raise ValueError("ball domains are supported for N in {2, 3}")
+    # the grid 0.05, 0.15, ... accumulates like a running sum and ends at x_max
+    steps = int(max(x_max, 0.0) / ROOT_GRID_STEP) + 2
+    grid = np.cumsum(np.r_[0.5 * ROOT_GRID_STEP, np.full(steps, ROOT_GRID_STEP)])
+    grid = grid[grid < x_max]
+    if grid.size:
+        grid = np.r_[grid, x_max]
+    # the first root of order l >= 1 exceeds l, so orders above x_max have none
+    orders = np.arange(int(max(x_max, 0.0)) + 2)
+    vals = g(orders[:, None], grid[None, :])
+    fa, fb = vals[:, :-1], vals[:, 1:]
+    # an exact grid zero is underflow (x^(l-1) tail), not a root bracket
+    l_idx, k_idx = np.nonzero((fa != 0.0) & (fb != 0.0) & (fa * fb < 0.0))
+    roots = _bisect(g, l_idx, grid[k_idx], grid[k_idx + 1], fa[l_idx, k_idx])
+    out = [roots[l_idx == l].tolist() for l in orders]
+    top = next(l for l in range(1, len(out)) if not out[l])
+    return out[:top]
 
 
-def neumann_roots(ambient_dim: int, angular_degree: int, x_max: float):
-    """Positive roots x <= x_max of the radial Neumann condition, ascending."""
-    if x_max <= 0.0:
-        return []
-    g = neumann_condition(ambient_dim, angular_degree)
-    roots = []
-    a = 0.5 * ROOT_GRID_STEP
-    fa = g(a)
-    x = a
-    while x < x_max:
-        b = min(x + ROOT_GRID_STEP, x_max)
-        fb = g(b)
-        # an exact grid zero is underflow (x^(l-1) tail), not a root bracket
-        if fa != 0.0 and fb != 0.0 and fa * fb < 0.0:
-            roots.append(_bisect(g, x, b, fa, fb))
-        x, fa = b, fb
-    return roots
-
-
-def _bisect(g, a, b, fa, fb):
-    while b - a > ROOT_TOL:
-        mid = 0.5 * (a + b)
-        fm = g(mid)
-        if fm == 0.0:
-            return mid
-        if fa * fm < 0.0:
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
+def _bisect(g, order, a, b, fa):
+    """Bisect every bracket [a, b] of g(order, .) together down to ROOT_TOL."""
+    exact = np.full(a.size, np.nan)  # a midpoint where g is exactly 0
+    while True:
+        live = np.nonzero(np.isnan(exact) & (b - a > ROOT_TOL))[0]
+        if not live.size:
+            return np.where(np.isnan(exact), 0.5 * (a + b), exact)
+        mid = 0.5 * (a[live] + b[live])
+        fm = g(order[live], mid)
+        hit = fm == 0.0
+        exact[live[hit]] = mid[hit]
+        left = ~hit & (fa[live] * fm < 0.0)
+        right = ~hit & ~left
+        b[live[left]] = mid[left]
+        a[live[right]] = mid[right]
+        fa[live[right]] = fm[right]

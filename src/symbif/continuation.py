@@ -160,7 +160,7 @@ def build_problem(
     quad = spectral.default_quadrature(domain, (gd + 1) * max_l)
     funcs = []
     for eig in eigens:
-        funcs.extend(spectral.basis(domain, eig.index))
+        funcs.extend(spectral.basis(domain, eig))
     E = np.stack([f.evaluator(*quad.points) for f in funcs])
     beta = np.array([f.beta for f in funcs])
     extra = ()

@@ -203,10 +203,6 @@ class MatrixSpectrum:
     def values(self):
         return tuple(g.value for g in self.eigenpairs)
 
-    @property
-    def slice_values(self):
-        return tuple(g.value for g in self.slice_eigenpairs)
-
 
 def normal_slice(spec: PotentialSpec) -> NormalSlice:
     """Orthonormal basis of the orthogonal complement of T_{u0} Gamma(u0)."""

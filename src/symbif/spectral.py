@@ -26,7 +26,6 @@ __all__ = [
     "harmonic_dimension",
     "sphere_spectrum",
     "ball_neumann_spectrum",
-    "ball_neumann_spectrum_count",
     "basis",
     "circle_quadrature",
     "sphere2_quadrature",
@@ -151,17 +150,11 @@ def ball_neumann_spectrum(ambient_dim: int, beta_cutoff: float) -> list[LaplaceE
         raise ValueError("ball domains are supported for N in {2, 3}")
     if beta_cutoff <= 0.0:
         raise ValueError("beta_cutoff must be positive")
-    x_max = math.sqrt(beta_cutoff)
     entries = [(0.0, 0, 1)]  # (beta, l, radial_index)
-    l = 0
-    while True:
-        roots = bessel.neumann_roots(ambient_dim, l, x_max)
-        if not roots and l > 0:
-            break
+    for l, roots in enumerate(bessel.neumann_roots(ambient_dim, math.sqrt(beta_cutoff))):
         base = 2 if l == 0 else 1  # the constant mode occupies radial_index 1
         for i, r in enumerate(roots):
             entries.append((r * r, l, base + i))
-        l += 1
     entries.sort(key=lambda t: (t[0], t[1]))
     out = []
     for k, (beta, deg, ridx) in enumerate(entries, start=1):
@@ -178,32 +171,21 @@ def ball_neumann_spectrum(ambient_dim: int, beta_cutoff: float) -> list[LaplaceE
     return out
 
 
-def ball_neumann_spectrum_count(ambient_dim: int, count: int) -> list[LaplaceEigenvalue]:
-    """First `count` distinct Neumann eigenvalues on B^N."""
-    if count < 1:
-        raise ValueError("count must be positive")
-    cutoff = 10.0
-    while True:
-        entries = ball_neumann_spectrum(ambient_dim, cutoff)
-        if len(entries) >= count:
-            return entries[:count]
-        cutoff *= 2.0
-
-
 # --------------------------------------------------------------------------
 # eigenfunction bases
 
 
-def basis(domain: DomainId, index: int) -> list[BasisFunction]:
-    """L2-orthonormal evaluators spanning the eigenspace of beta_index."""
-    if index < 1:
+def basis(domain: DomainId, eig: LaplaceEigenvalue) -> list[BasisFunction]:
+    """L2-orthonormal evaluators spanning the eigenspace of a catalog entry
+    (from `sphere_spectrum` or `ball_neumann_spectrum` for the domain)."""
+    if eig.index < 1:
         raise ValueError("eigenvalue index must be positive")
     if domain.kind == "sphere" and domain.dim == 2:
-        return _circle_basis(domain, index)
+        return _circle_basis(domain, eig.index)
     if domain.kind == "sphere" and domain.dim == 3:
-        return _sphere2_basis(domain, index)
+        return _sphere2_basis(domain, eig.index)
     if domain.kind == "ball" and domain.dim == 2:
-        return _disk_basis(domain, index)
+        return _disk_basis(domain, eig)
     raise ValueError(f"basis evaluation is not supported on {domain.label}")
 
 
@@ -281,18 +263,15 @@ def _sphere2_basis(domain, index):
     return funcs
 
 
-def _besselj_array(order, xs):
-    xs = np.asarray(xs, float)
-    flat = xs.ravel()
-    out = np.array([bessel.besselj(order, float(v)) for v in flat])
-    return out.reshape(xs.shape)
+def _radial(l, x, r):
+    """J_l(x r), evaluated once per distinct radius: a disk quadrature
+    repeats each radius at every angle."""
+    radii, inverse = np.unique(r, return_inverse=True)
+    return bessel.besselj(l, x * radii)[inverse].reshape(r.shape)
 
 
-def _disk_basis(domain, index):
-    entries = ball_neumann_spectrum_count(2, index)
-    eig = entries[index - 1]
-    l = eig.angular_degree
-    beta = eig.value
+def _disk_basis(domain, eig):
+    index, l, beta = eig.index, eig.angular_degree, eig.value
     if beta == 0.0:
         c = 1.0 / math.sqrt(math.pi)
         ev = lambda r, theta: np.full_like(np.asarray(r, float), c)
@@ -302,7 +281,7 @@ def _disk_basis(domain, index):
     if l == 0:
         radial_norm = 0.5 * jl * jl
         c = 1.0 / math.sqrt(2.0 * math.pi * radial_norm)
-        ev = lambda r, theta: c * _besselj_array(0, x * np.asarray(r, float))
+        ev = lambda r, theta: c * _radial(0, x, np.asarray(r, float))
         return [BasisFunction(domain, index, 1, beta, ev)]
     # at a Neumann root, int_0^1 J_l(x r)^2 r dr = (1 - l^2/x^2) J_l(x)^2 / 2
     radial_norm = 0.5 * (1.0 - l * l / (x * x)) * jl * jl
@@ -312,7 +291,7 @@ def _disk_basis(domain, index):
         def ev(r, theta):
             r = np.asarray(r, float)
             theta = np.asarray(theta, float)
-            return c * _besselj_array(l, x * r) * trig(l * theta)
+            return c * _radial(l, x, r) * trig(l * theta)
 
         return ev
 

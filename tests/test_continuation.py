@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from symbif import continuation, potentials, predictor
+from symbif import bessel, continuation, potentials, predictor, spectral
 from symbif.continuation import (
     Branch,
     NewtonError,
@@ -559,6 +559,30 @@ class TestExport:
     def test_build_problem_validation(self):
         with pytest.raises(ValueError):
             build_problem(ball(3), builtin("pitchfork-scalar"))
+
+
+class TestDiskBuild:
+    def test_one_catalog_and_no_per_node_bessel_calls(self, monkeypatch):
+        calls = {"ball_neumann_spectrum": 0, "neumann_roots": 0, "besselj": 0}
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        count(spectral, "ball_neumann_spectrum")
+        count(bessel, "neumann_roots")
+        count(bessel, "besselj")
+        prob = build_problem(ball(2), builtin("so2-ring"), beta_cutoff=200.0)
+        assert calls["ball_neumann_spectrum"] == 1
+        assert calls["neumann_roots"] == 1
+        # the root bisection makes about 40 calls, the basis one per
+        # eigenvalue and one per function; never one per quadrature node
+        assert calls["besselj"] <= 3 * prob.n_funcs < prob.quad.weights.size
 
 
 class TestProblemQuadrature:

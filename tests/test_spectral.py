@@ -113,21 +113,44 @@ class TestBallSpectrum:
         assert entries[0].is_radial
 
     def test_roots_match_scipy_oracle(self):
+        roots = bessel.neumann_roots(2, 12.0)
         for l in range(0, 4):
-            mine = bessel.neumann_roots(2, l, 12.0)
+            mine = roots[l]
             oracle = scipy_neumann_roots(2, l, 12.0)
             for a, b in zip(mine[:3], oracle[:3]):
                 assert abs(a - b) < 1e-10
 
     def test_root_residuals_and_spacing(self):
+        all_roots = bessel.neumann_roots(2, 14.0)
         for l in range(0, 4):
-            roots = bessel.neumann_roots(2, l, 14.0)
+            roots = all_roots[l]
             for r in roots:
                 assert abs(special.jvp(l, r)) < 1e-10
             for a, b in zip(roots, roots[1:]):
                 assert b - a > 1.0
 
+    def test_all_orders_match_jnp_zeros(self):
+        x_max = 30.0
+        roots = bessel.neumann_roots(2, x_max)
+        for l, mine in enumerate(roots):
+            oracle = special.jnp_zeros(l, 12)
+            oracle = oracle[oracle <= x_max]
+            assert len(mine) == len(oracle)
+            np.testing.assert_allclose(mine, oracle, rtol=0, atol=1e-10)
+        # the list ends before the first order without a root
+        assert special.jnp_zeros(len(roots), 1)[0] > x_max
+
+    def test_no_root_below_the_order(self):
+        # neumann_roots scans the orders l <= x_max + 1 only: for l >= 1 the
+        # radial Neumann condition has no root in (0, l]
+        for l in range(1, 40):
+            assert special.jnp_zeros(l, 1)[0] > l
+            x = np.linspace(1e-3, l, 400)
+            assert np.all(special.spherical_jn(l, x, derivative=True) > 0)
+
     def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            bessel.neumann_roots(4, 10.0)
         with pytest.raises(ValueError):
             spectral.ball_neumann_spectrum(4, 10.0)
         with pytest.raises(ValueError):
@@ -142,32 +165,120 @@ class TestBallSpectrum:
         assert all((e.multiplicity == 1) == (e.angular_degree == 0) for e in entries)
 
 
+class TestBesselArrays:
+    # a grid over [0, 40] that crosses SERIES_CUTOFF, so both methods run
+    X = np.linspace(0.0, 40.0, 801)
+    ORDERS = np.arange(26)[:, None]
+
+    def test_grid_crosses_series_cutoff(self):
+        assert self.X.min() < bessel.SERIES_CUTOFF < self.X.max()
+
+    def test_besselj_matches_scipy(self):
+        np.testing.assert_allclose(
+            bessel.besselj(self.ORDERS, self.X), special.jv(self.ORDERS, self.X), rtol=0, atol=1e-11
+        )
+
+    def test_sphericalj_matches_scipy(self):
+        np.testing.assert_allclose(
+            bessel.sphericalj(self.ORDERS, self.X),
+            special.spherical_jn(self.ORDERS, self.X),
+            rtol=0,
+            atol=1e-11,
+        )
+
+    def test_derivatives_match_scipy(self):
+        x = self.X[1:]
+        np.testing.assert_allclose(
+            bessel.besseljp(self.ORDERS, x), special.jvp(self.ORDERS, x), rtol=0, atol=1e-11
+        )
+        np.testing.assert_allclose(
+            bessel.sphericaljp(self.ORDERS, x),
+            special.spherical_jn(self.ORDERS, x, derivative=True),
+            rtol=0,
+            atol=1e-11,
+        )
+
+    def test_value_at_zero(self):
+        for fn in (bessel.besselj, bessel.sphericalj):
+            assert fn(0, 0.0) == 1.0
+            assert np.all(fn(np.arange(1, 8), 0.0) == 0.0)
+
+    def test_negative_argument_parity(self):
+        x = np.linspace(0.1, 30.0, 60)
+        for fn in (bessel.besselj, bessel.sphericalj):
+            for l in range(6):
+                np.testing.assert_array_equal(fn(l, -x), (-1) ** l * fn(l, x))
+
+    def test_order_broadcasts_against_x(self):
+        x = np.linspace(0.0, 20.0, 7)
+        table = bessel.besselj(np.arange(4)[:, None], x[None, :])
+        assert table.shape == (4, 7)
+        for l in range(4):
+            np.testing.assert_array_equal(table[l], bessel.besselj(l, x))
+        by_order = bessel.besselj([0, 1, 2], 3.0)
+        assert by_order.shape == (3,)
+        assert by_order[2] == bessel.besselj(2, 3.0)
+        for fn in (bessel.besseljp, bessel.sphericaljp):
+            assert fn(2, x[1:]).shape == (6,)
+            assert fn(np.arange(4)[:, None], x[None, 1:]).shape == (4, 6)
+            assert fn(2, x[3]) == fn(np.arange(4)[:, None], x[None, 1:])[2, 2]
+
+    def test_scalar_in_float_out(self):
+        for fn in (bessel.besselj, bessel.sphericalj, bessel.besseljp, bessel.sphericaljp):
+            for x in (0.5, 13.0, np.float64(3.5)):
+                assert type(fn(np.int64(2), x)) is float
+        assert bessel.besselj(1, 2.0) == pytest.approx(special.jv(1, 2.0), abs=1e-15)
+
+    def test_rejects_bad_orders(self):
+        with pytest.raises(ValueError):
+            bessel.besselj(-1, 1.0)
+        with pytest.raises(ValueError):
+            bessel.sphericalj(np.array([0, -2]), 1.0)
+        with pytest.raises(ValueError):
+            bessel.besselj(1.5, 1.0)
+        for fn in (bessel.besseljp, bessel.sphericaljp):
+            with pytest.raises(ValueError):
+                fn(-1, 1.0)
+
+
+def catalog(domain, count):
+    """The first `count` entries of the domain's spectrum."""
+    if domain.kind == "sphere":
+        return spectral.sphere_spectrum(domain.dim, count)
+    return spectral.ball_neumann_spectrum(domain.dim, 200.0)[:count]
+
+
+def entry(domain, k):
+    """Catalog entry k (1-based) of the domain's spectrum."""
+    return catalog(domain, k)[k - 1]
+
+
 def gram_matrix(domain, k_max, quad):
     funcs = []
-    for k in range(1, k_max + 1):
-        funcs.extend(spectral.basis(domain, k))
+    for eig in catalog(domain, k_max):
+        funcs.extend(spectral.basis(domain, eig))
     E = np.stack([f.evaluator(*quad.points) for f in funcs])
     return E @ (quad.weights[:, None] * E.T), funcs
 
 
 class TestBases:
     def test_circle_mode_two(self):
-        funcs = spectral.basis(sphere(2), 2)
+        funcs = spectral.basis(sphere(2), entry(sphere(2), 2))
         theta = np.linspace(0, 2 * np.pi, 17)
         c = math.sqrt(1.0 / math.pi)
         np.testing.assert_allclose(funcs[0].evaluator(theta), c * np.cos(theta), atol=1e-14)
         np.testing.assert_allclose(funcs[1].evaluator(theta), c * np.sin(theta), atol=1e-14)
 
     def test_sphere_constant(self):
-        funcs = spectral.basis(sphere(3), 1)
+        funcs = spectral.basis(sphere(3), entry(sphere(3), 1))
         assert len(funcs) == 1
         val = funcs[0].evaluator(np.array([0.3]), np.array([1.0]))
         assert abs(val[0] - 1.0 / math.sqrt(4 * math.pi)) < 1e-14
 
     def test_disk_first_angular_mode(self):
         entries = spectral.ball_neumann_spectrum(2, 10.0)
-        idx = next(e.index for e in entries if e.angular_degree == 1)
-        funcs = spectral.basis(ball(2), idx)
+        eig = next(e for e in entries if e.angular_degree == 1)
+        funcs = spectral.basis(ball(2), eig)
         assert len(funcs) == 2
         x = math.sqrt(funcs[0].beta)
         r = np.array([0.2, 0.5, 0.9])
@@ -195,13 +306,22 @@ class TestBases:
         G, funcs = gram_matrix(domain, k_max, quad)
         assert np.max(np.abs(G - np.eye(len(funcs)))) < 1e-8
 
+    def test_full_disk_basis_is_orthonormal(self):
+        # every basis function of a beta <= 200 build, on the quadrature the
+        # build uses for a cubic potential
+        entries = spectral.ball_neumann_spectrum(2, 200.0)
+        quad = spectral.default_quadrature(ball(2), 4 * max(e.angular_degree for e in entries))
+        G, funcs = gram_matrix(ball(2), len(entries), quad)
+        assert len(funcs) == 59
+        assert np.max(np.abs(G - np.eye(len(funcs)))) < 1e-10
+
     def test_circle_spectral_eigenrelation(self):
         # sampled basis functions carry exactly one Fourier frequency f with
         # f^2 = beta; this pins the eigenrelation to near machine precision
         n = 256
         theta = 2 * np.pi * np.arange(n) / n
         for k in range(1, 10):
-            for f in spectral.basis(sphere(2), k):
+            for f in spectral.basis(sphere(2), entry(sphere(2), k)):
                 coeffs = np.fft.rfft(f.evaluator(theta)) / n
                 mags = np.abs(coeffs)
                 freq = int(np.argmax(mags))
@@ -213,7 +333,7 @@ class TestBases:
         theta = np.linspace(0, 2 * np.pi, 9)
         h = 1e-3
         for k in range(1, 9):
-            for f in spectral.basis(sphere(2), k):
+            for f in spectral.basis(sphere(2), entry(sphere(2), k)):
                 lap = (f.evaluator(theta + h) - 2 * f.evaluator(theta) + f.evaluator(theta - h)) / h**2
                 np.testing.assert_allclose(-lap, f.beta * f.evaluator(theta), atol=1e-4 * (1 + f.beta))
 
@@ -239,11 +359,11 @@ class TestBases:
         quad = spectral.sphere2_quadrature(24, 48)
         funcs = []
         for k in range(1, 6):
-            funcs.extend(spectral.basis(sphere(3), k))
+            funcs.extend(spectral.basis(sphere(3), entry(sphere(3), k)))
         E = np.stack([f.evaluator(*quad.points) for f in funcs])
         beta = np.array([f.beta for f in funcs])
         # surface FD Laplacian in theta/phi at interior nodes for one harmonic
-        f = spectral.basis(sphere(3), 3)[2]
+        f = spectral.basis(sphere(3), entry(sphere(3), 3))[2]
         th = np.array([0.7, 1.1, 2.0])
         ph = np.array([0.4, 2.2, 5.0])
         h = 1e-4
@@ -257,11 +377,11 @@ class TestBases:
 
     def test_unsupported_domains(self):
         with pytest.raises(ValueError):
-            spectral.basis(ball(3), 2)
+            spectral.basis(ball(3), entry(ball(3), 2))
         with pytest.raises(ValueError):
-            spectral.basis(sphere(4), 2)
+            spectral.basis(sphere(4), entry(sphere(4), 2))
         with pytest.raises(ValueError):
-            spectral.basis(sphere(2), 0)
+            spectral.basis(sphere(2), spectral.LaplaceEigenvalue(0, 0.0, 1, 0))
 
 
 class TestSerialization:
