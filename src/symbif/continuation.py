@@ -13,20 +13,37 @@ spectrally on a quadrature dense enough to kill aliasing for the declared
 polynomial degree of the gradient.
 
 Solutions come in orbits of the continuous symmetries (component rotations
-and domain rotations), so every Newton system pins the orbit: one
-orthogonality row per symmetry tangent P is appended to the Jacobian J.  The
-solves that free lambda (the amplitude-pinned branch switch, the
-pseudo-arclength tangent and corrector) add the lambda column r_lambda and one
-border row b over (c, lambda):
+and domain rotations), and the residual is the gradient of an invariant
+functional: J is symmetric, the orbit tangents lie in its kernel at a
+solution, and the residual is orthogonal to them.  So every Newton system is
+square and bordered (Keller 1977; Govaerts, Numerical Methods for
+Bifurcations of Dynamical Equilibria, 2000).  B holds orthonormal rows
+spanning the symmetry tangents P, and each row of B brings one Lagrange
+multiplier mu, which is zero at a solution.  The solves that free lambda (the
+amplitude-pinned branch switch, the pseudo-arclength tangent and corrector)
+add the lambda column r_lambda and one border row b over (c, lambda):
 
-    [J  r_lambda]
-    [P  0       ]
-    [b          ]
+    [J  B^T] [dc]        [J  r_lambda  B^T] [dc     ]
+    [B  0  ] [mu]        [B  0         0  ] [dlambda]
+                         [b            0  ] [mu     ]
 
-_newton_system builds this matrix, with or without the border, and all
-systems are solved in the least-squares sense.  Continuation assembles J once
+_newton_system builds either matrix and every system is solved by LU
+(np.linalg.solve).  B comes from a thin SVD of the unit pinning rows, whose
+rank counts singular values above _PIN_RANK_TOL = 1e-6.  On the 2-sphere at
+truncation 12 the genuine ones are at least 0.65 at every branch point of
+both builtins, while the finite-difference off-axis generators leave a
+spurious one of 2.6e-12 to 5.6e-9; a basis that kept that direction would
+pin a direction that is not a symmetry.  A singular LU factorization raises
+NewtonError.
+newton_solve also tests the point it converged to: an off-symmetry
+eigenvalue of J below 1e-12 ||J||_1 means a kernel beyond the symmetry
+directions, and the point is refused with NewtonError.
+
+jacobian assembles the p(p+1)/2 blocks i <= j from the symmetrized nodal
+Hessian and copies block (i, j) into (j, i).  Continuation assembles J once
 per accepted point: the same J gives the point's smallest off-symmetry
-singular value and the next tangent.
+singular value and the next tangent, and the seed from switch_branch carries
+its J into continue_branch.
 
 On the trivial branch c = 0 every quadrature node sees u0, so the Hessian is
 one p x p matrix H0(lambda) = hess(u0, lambda) and, in the layout above,
@@ -42,7 +59,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -76,6 +93,9 @@ NEWTON_TOL = 1e-10
 # crossings are bisected to brackets narrower than _REFINE_TOL
 _MORSE_ZERO_TOL = 1e-10
 _REFINE_TOL = 1e-9
+# singular values of the unit pinning rows at most this are rounding, not
+# symmetry directions (module docstring)
+_PIN_RANK_TOL = 1e-6
 
 
 class NewtonError(RuntimeError):
@@ -234,9 +254,16 @@ def jacobian(problem: GalerkinProblem, c, lam: float) -> np.ndarray:
     Ew = problem.E * problem.quad.weights[None, :]
     nf, p = problem.n_funcs, problem.p
     J = np.zeros((nf, p, nf, p))
+    # block (i, j) depends on the nodal values H_ij alone, so with the
+    # symmetrized h it equals block (j, i) entry for entry; for a bitwise
+    # symmetric Hessian h = H_ij exactly, and the sign in the weight rounds
+    # like a negated product
     for i in range(p):
-        for j in range(p):
-            J[:, i, :, j] = -Ew @ (H[:, i, j][:, None] * problem.E.T)
+        for j in range(i, p):
+            h = 0.5 * (H[:, i, j] + H[:, j, i])
+            J[:, i, :, j] = Ew @ ((-h)[:, None] * problem.E.T)
+            if j != i:
+                J[:, j, :, i] = J[:, i, :, j]
     J = J.reshape(problem.n_dof, problem.n_dof)
     J[np.diag_indices_from(J)] += np.repeat(problem.beta, p)
     return J
@@ -341,7 +368,9 @@ def _min_offsym_singular(problem, c, J):
     M, _ = _offsym_block(problem, c, J)
     if M.size == 0:
         return 0.0
-    return float(np.linalg.svd(M, compute_uv=False)[-1])
+    # M is symmetric up to rounding: its singular values are the moduli of
+    # its eigenvalues
+    return float(np.min(np.abs(np.linalg.eigvalsh(0.5 * (M + M.T)))))
 
 
 def min_offsym_singular(problem: GalerkinProblem, c, lam: float) -> float:
@@ -373,6 +402,9 @@ class Branch:
     points: list
     origin: tuple  # ("trivial", None) or ("bifurcated", lambda_star)
     termination: Optional[str] = None
+    # (point, J at that point) from switch_branch, taken by the first
+    # continue_branch from this seed so the seed's J is assembled once
+    _jacobian: Optional[tuple] = field(default=None, repr=False, compare=False)
 
 
 def _make_point(problem, c, lam, residual_norm, J):
@@ -387,44 +419,80 @@ def _make_point(problem, c, lam, residual_norm, J):
 
 
 def _newton_system(problem, c, lam, J, border=None):
-    """Newton matrix at (c, lam) from the Jacobian J there: [J; P] with the
-    pinning rows P, or, given a border row over (c, lam), the lambda-free
-    [J r_lambda; P 0; border]."""
-    rows = _pinning_rows(problem, c)
+    """Square Newton matrix at (c, lam) from the Jacobian J there: [J B^T;
+    B 0] with B an orthonormal basis of the pinning rows' span, or, given a
+    border row over (c, lam), the lambda-free [J r_lambda B^T; B 0 0;
+    border 0].  The unknowns are the step (in c, then lambda) followed by
+    one multiplier per row of B."""
+    _, s, vt = np.linalg.svd(_pinning_rows(problem, c), full_matrices=False)
+    B = vt[: int(np.sum(s > _PIN_RANK_TOL))]
+    k = B.shape[0]
     if border is None:
-        return np.vstack([J, rows])
+        return np.block([[J, B.T], [B, np.zeros((k, k))]])
     rl = _residual_lambda_derivative(problem, c, lam)
-    return np.block([[J, rl[:, None]], [rows, np.zeros((rows.shape[0], 1))], [border]])
+    return np.block(
+        [
+            [J, rl[:, None], B.T],
+            [B, np.zeros((k, 1 + k))],
+            [border[None, :], np.zeros((1, k))],
+        ]
+    )
 
 
-def newton_solve(problem: GalerkinProblem, c0, lam: float) -> BranchPoint:
-    """Newton iteration at fixed lambda with symmetry pinning rows appended."""
+def _solve(A, b, lam):
+    """Solution of the square Newton system A x = b (LU)."""
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as err:
+        raise NewtonError(f"singular Newton system at lambda={lam}") from err
+
+
+def _regular_point(problem, c, lam, residual_norm, J):
+    """Branch point at a converged (c, lam), or NewtonError when J is
+    singular beyond the symmetry directions there."""
+    bp = _make_point(problem, c, lam, residual_norm, J)
+    if bp.min_offsym_singular < 1e-12 * np.linalg.norm(J, 1):
+        raise NewtonError(f"singular Jacobian beyond pinning rank at lambda={lam}")
+    return bp
+
+
+def _newton(problem, c0, lam):
+    """newton_solve's iteration: the point and the Jacobian J there."""
     c = np.asarray(c0, float).copy()
     if not np.all(np.isfinite(c)):
         raise ValueError("initial guess must be finite")
+    n = problem.n_dof
     for _ in range(25):
         r = assemble_residual(problem, c, lam)
         rn = float(np.linalg.norm(r))
-        A = _newton_system(problem, c, lam, jacobian(problem, c, lam))
-        b = np.concatenate([-r, np.zeros(A.shape[0] - r.size)])
-        delta, _, _, svals = np.linalg.lstsq(A, b, rcond=None)
-        if svals[-1] < 1e-12 * svals[0]:
-            raise NewtonError(f"singular Jacobian beyond pinning rank at lambda={lam}")
+        J = jacobian(problem, c, lam)
         if rn <= NEWTON_TOL:
-            # the first n_dof rows of A are J at (c, lam)
-            return _make_point(problem, c, lam, rn, A[: problem.n_dof])
+            return _regular_point(problem, c, lam, rn, J), J
+        A = _newton_system(problem, c, lam, J)
+        # neither is held through the next assembly (peak memory)
+        del J
+        delta = _solve(A, np.concatenate([-r, np.zeros(A.shape[0] - n)]), lam)[:n]
+        del A
         if not np.all(np.isfinite(delta)) or np.linalg.norm(delta) > 1e8 * (1.0 + np.linalg.norm(c)):
             raise NewtonError(f"Newton step diverged at lambda={lam}")
         c = c + delta
     r = assemble_residual(problem, c, lam)
     rn = float(np.linalg.norm(r))
     if rn <= NEWTON_TOL:
-        return _make_point(problem, c, lam, rn, jacobian(problem, c, lam))
+        J = jacobian(problem, c, lam)
+        return _regular_point(problem, c, lam, rn, J), J
     raise NewtonError(f"Newton did not converge at lambda={lam} (residual {rn:.3e})")
 
 
+def newton_solve(problem: GalerkinProblem, c0, lam: float) -> BranchPoint:
+    """Newton iteration at fixed lambda on the square system bordered by the
+    symmetry pin basis; raises NewtonError if it does not converge or if the
+    Jacobian at the solution is singular beyond the symmetry directions."""
+    return _newton(problem, c0, lam)[0]
+
+
 def _bordered_newton(problem, c, lam, border, base, offset, border_tol, maxit):
-    """Newton with lambda free on [J r_lambda; P 0; border] that holds
+    """Newton with lambda free on [J r_lambda B^T; B 0 0; border 0] that holds
     border . ((c, lam) - base) - offset at zero.  Returns (c, lam, residual
     norm) once the residual norm is at most NEWTON_TOL and the border residual
     at most border_tol; raises NewtonError on a non-finite step or after maxit
@@ -440,8 +508,7 @@ def _bordered_newton(problem, c, lam, border, base, offset, border_tol, maxit):
         if rn <= NEWTON_TOL and abs(g) <= border_tol:
             return c, lam, rn
         A = _newton_system(problem, c, lam, jacobian(problem, c, lam), border)
-        b = np.concatenate([-r, np.zeros(A.shape[0] - n - 1), [-g]])
-        delta, *_ = np.linalg.lstsq(A, b, rcond=None)
+        delta = _solve(A, np.concatenate([-r, np.zeros(A.shape[0] - n - 1), [-g]]), lam)
         if not np.all(np.isfinite(delta)):
             raise NewtonError(f"bordered Newton step diverged at lambda={lam}")
         c = c + delta[:n]
@@ -562,11 +629,11 @@ def switch_branch(problem: GalerkinProblem, lam_star: float, amplitude: float = 
     offset = math.copysign(max(abs(delta), 1e-4), delta if delta else 1.0)
     for lam in (lam_star + offset, lam_star - offset):
         try:
-            bp = newton_solve(problem, seed, lam)
+            bp, J = _newton(problem, seed, lam)
         except NewtonError:
             continue
         if bp.sup_norm > 0.05 * amplitude:
-            return Branch(points=[bp], origin=("bifurcated", float(lam_star)))
+            return Branch(points=[bp], origin=("bifurcated", float(lam_star)), _jacobian=(bp, J))
     # the border (vhat, 0) holds the kernel amplitude vhat . c at its seed
     # value; regular at pitchforks, where fixed-lambda iterations bounce
     # between the mirror branches
@@ -579,10 +646,11 @@ def switch_branch(problem: GalerkinProblem, lam_star: float, amplitude: float = 
     except NewtonError:
         pass
     else:
-        bp = _make_point(problem, c, lam, rn, jacobian(problem, c, lam))
+        J = jacobian(problem, c, lam)
+        bp = _make_point(problem, c, lam, rn, J)
         drift = abs(bp.lam - lam_star)
         if bp.sup_norm > 0.05 * amplitude and 1e-13 < drift <= 0.5 * max(1.0, abs(lam_star)):
-            return Branch(points=[bp], origin=("bifurcated", float(lam_star)))
+            return Branch(points=[bp], origin=("bifurcated", float(lam_star)), _jacobian=(bp, J))
     raise NoBranchError(f"no branch captured at lambda_star={lam_star}")
 
 
@@ -594,7 +662,7 @@ def _tangent(problem, c, lam, J, t_prev):
     A = _newton_system(problem, c, lam, J, t_prev)
     b = np.zeros(A.shape[0])
     b[-1] = 1.0
-    t, *_ = np.linalg.lstsq(A, b, rcond=None)
+    t = _solve(A, b, lam)[: problem.n_dof + 1]
     nt = np.linalg.norm(t)
     if nt == 0 or not np.all(np.isfinite(t)):
         raise NewtonError("tangent computation failed")
@@ -637,8 +705,12 @@ def continue_branch(
         t_prev = np.concatenate([np.zeros(n), [1.0]])
     ds = ds0
     # the Jacobian at the last accepted point serves its branch point and the
-    # next tangent, and is dropped before the corrector runs
-    J = jacobian(problem, c, lam)
+    # next tangent, and is dropped before the corrector runs; a seed from
+    # switch_branch hands over the one it assembled for its point
+    point, J = seed._jacobian or (None, None)
+    seed._jacobian = None
+    if point is not points[-1]:
+        J = jacobian(problem, c, lam)
     for _ in range(max_steps):
         try:
             t = _tangent(problem, c, lam, J, t_prev)

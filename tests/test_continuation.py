@@ -45,6 +45,25 @@ def disk_pitchfork():
     return build_problem(ball(2), builtin("pitchfork-scalar"))
 
 
+@pytest.fixture(scope="module")
+def sphere12_ring():
+    return build_problem(sphere(3), builtin("so2-ring"), truncation=12)
+
+
+def _block_loop_jacobian(prob, c, lam):
+    """Reference Jacobian: all p^2 component blocks, each a negated product."""
+    U = prob.evaluate(c)
+    H = np.asarray(prob.spec.hess(U, lam), float).reshape(U.shape[0], prob.p, prob.p)
+    Ew = prob.E * prob.quad.weights[None, :]
+    J = np.zeros((prob.n_funcs, prob.p, prob.n_funcs, prob.p))
+    for i in range(prob.p):
+        for j in range(prob.p):
+            J[:, i, :, j] = -Ew @ (H[:, i, j][:, None] * prob.E.T)
+    J = J.reshape(prob.n_dof, prob.n_dof)
+    J[np.diag_indices_from(J)] += np.repeat(prob.beta, prob.p)
+    return J
+
+
 def linear_potential():
     return from_config_dict(
         {"name": "linear", "p": "1", "action": "trivial", "u0": "0", "a": "1", "f": "lambda*u1^2/2"}
@@ -149,6 +168,38 @@ class TestJacobian:
         c = 0.2 * RNG.normal(size=prob.n_dof)
         J = jacobian(prob, c, 1.1)
         assert np.max(np.abs(J - J.T)) < 1e-10
+
+    @pytest.mark.parametrize("domain", ["sphere12", "disk"])
+    def test_half_block_assembly_is_bit_identical(self, domain, sphere12_ring):
+        # the builtin Hessians are bitwise symmetric, so assembling the
+        # blocks i <= j changes no bit
+        if domain == "sphere12":
+            prob = sphere12_ring
+        else:
+            prob = build_problem(ball(2), builtin("so2-ring"))
+        rng = np.random.default_rng(41)
+        for c, lam in ((np.zeros(prob.n_dof), 2.0), (0.1 * rng.normal(size=prob.n_dof), 2.3)):
+            assert np.array_equal(jacobian(prob, c, lam), _block_loop_jacobian(prob, c, lam))
+
+    def test_mixed_blocks_equal_for_a_config_potential(self):
+        spec = coupled_potential()
+        H = spec.hess
+        # a Hessian that is symmetric only to rounding, as a polynomial's
+        # d1 d2 F and d2 d1 F can be
+        skewed = dataclasses.replace(
+            spec, hess=lambda u, lam: H(u, lam) + 1e-13 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        )
+        rng = np.random.default_rng(42)
+        for s in (spec, skewed):
+            prob = build_problem(sphere(2), s, truncation=8)
+            c = 0.3 * rng.normal(size=prob.n_dof)
+            J = jacobian(prob, c, 1.4).reshape(prob.n_funcs, 2, prob.n_funcs, 2)
+            assert np.array_equal(J[:, 0, :, 1], J[:, 1, :, 0])
+            # the mixed block is the one of the averaged Hessian
+            Hs = np.asarray(s.hess(prob.evaluate(c), 1.4), float)
+            h = 0.5 * (Hs[:, 0, 1] + Hs[:, 1, 0])
+            Ew = prob.E * prob.quad.weights[None, :]
+            assert np.max(np.abs(J[:, 0, :, 1] + Ew @ (h[:, None] * prob.E.T))) <= 1e-15
 
 
 class TestNewton:
@@ -292,10 +343,21 @@ class TestJacobianReuse:
         np.testing.assert_allclose(det, [1.0, 4.0], atol=1e-7)
         assert calls == {"jacobian": 0, "complement": 1}
 
-    @pytest.mark.parametrize("fixture,lam_star", [("circle_pitchfork", 1.0), ("circle_ring", 1.0)])
-    def test_continuation_assembles_each_point_once(self, fixture, lam_star, request, monkeypatch):
+    @pytest.mark.parametrize(
+        "fixture,lam_star,limits",
+        [
+            pytest.param("circle_pitchfork", 1.0, (0.9, 1.3), id="circle_pitchfork-1.0"),
+            pytest.param("circle_ring", 1.0, (0.9, 1.3), id="circle_ring-1.0"),
+            # the seed comes from the amplitude-pinned fallback
+            pytest.param("sphere_ring", 2.0, (1.7, 2.2), id="sphere_ring-2.0"),
+        ],
+    )
+    def test_continuation_assembles_each_point_once(
+        self, fixture, lam_star, limits, request, monkeypatch
+    ):
+        # over switch plus continuation: the seed's J is handed over, not
+        # assembled again
         prob = request.getfixturevalue(fixture)
-        seed = switch_branch(prob, lam_star)
         seen = []
 
         def spy(problem, c, lam):
@@ -303,7 +365,8 @@ class TestJacobianReuse:
             return jacobian(problem, c, lam)
 
         monkeypatch.setattr(continuation, "jacobian", spy)
-        branch = continue_branch(prob, seed, (0.9, 1.3), max_steps=40)
+        seed = switch_branch(prob, lam_star)
+        branch = continue_branch(prob, seed, limits, max_steps=40)
         assert len(branch.points) > 5
         assert len(seen) == len(set(seen))
         for bp in branch.points:
@@ -325,6 +388,105 @@ class TestJacobianReuse:
         points = branch.points + [newton_solve(prob, np.zeros(prob.n_dof), 0.6)]
         for bp in points:
             assert bp.min_offsym_singular == continuation.min_offsym_singular(prob, bp.c, bp.lam)
+
+
+# the level-2 so2-ring branch on the 2-sphere at truncation 6, switched at
+# the detected level and continued to (1.7, 2.6) with ds_max = 0.05: lambda
+# and sup_norm per point as the least-squares solver computed them (33
+# points, terminated at the lambda limit)
+RECORDED_S2_LAMBDA = [
+    2.00303792504, 2.0043291471, 2.00651739875, 2.01032250086, 2.0164190884,
+    2.02388789609, 2.03270324811, 2.04283638522, 2.05425615558, 2.06692968221,
+    2.08082297958, 2.09590150019, 2.1121306002, 2.1294759203, 2.14790368379,
+    2.1673809178, 2.18787560628, 2.20935678479, 2.23179458704, 2.25516025335,
+    2.27942610984, 2.30456552626, 2.33055285936, 2.35736338722, 2.38497323918,
+    2.41335932471, 2.44249926401, 2.47237132232, 2.5029543491, 2.53422772314,
+    2.56617130395, 2.59876538963, 2.63199068124,
+]
+RECORDED_S2_SUP = [
+    0.0500455387568, 0.0597241473806, 0.0732419468237, 0.0920890049363,
+    0.115962714806, 0.139603048663, 0.162967761856, 0.186018639816,
+    0.20872173362, 0.231047447248, 0.252970495637, 0.274469757209,
+    0.295528046172, 0.316131829072, 0.336270907569, 0.355938086009,
+    0.37512883852, 0.393840986663, 0.412074395306, 0.429830691555,
+    0.44711300931, 0.463925760257, 0.480274430871, 0.496165404159,
+    0.511605804314, 0.526603362196, 0.541166299428, 0.555303228928,
+    0.569023069792, 0.582334974607, 0.595248267447, 0.60777239099,
+    0.619916861404,
+]
+
+
+class TestBorderedSolves:
+    """The square systems [J B^T; B 0] and [J r_lambda B^T; B 0 0; border 0]
+    with the orthonormal pin basis B."""
+
+    @staticmethod
+    def _steps(prob, c, lam, border):
+        n = prob.n_dof
+        J = jacobian(prob, c, lam)
+        r = assemble_residual(prob, c, lam)
+        A = continuation._newton_system(prob, c, lam, J)
+        fixed = continuation._solve(A, np.concatenate([-r, np.zeros(A.shape[0] - n)]), lam)
+        A = continuation._newton_system(prob, c, lam, J, border)
+        free = continuation._solve(
+            A, np.concatenate([-r, np.zeros(A.shape[0] - n - 1), [0.0]]), lam
+        )
+        return fixed[:n], free[: n + 1]
+
+    def test_step_depends_only_on_the_span_of_the_pinning_rows(self, sphere_ring, monkeypatch):
+        prob = sphere_ring
+        bp = switch_branch(prob, 2.0).points[0]
+        rng = np.random.default_rng(43)
+        c = bp.c + 1e-3 * rng.normal(size=prob.n_dof)
+        border = np.append(bp.c / np.linalg.norm(bp.c), 0.0)
+        reference = self._steps(prob, c, bp.lam, border)
+        d = rng.normal(size=prob.n_dof)
+        d /= np.linalg.norm(d)
+        rows = continuation._pinning_rows
+        variants = {
+            "duplicated": lambda pr, x: np.vstack([rows(pr, x), rows(pr, x)[1:2]]),
+            "perturbed": lambda pr, x: np.vstack([rows(pr, x)[:-1], rows(pr, x)[-1] + 1e-9 * d]),
+            "near-duplicate": lambda pr, x: np.vstack([rows(pr, x), rows(pr, x)[-1] + 1e-9 * d]),
+        }
+        for name, pinning in variants.items():
+            monkeypatch.setattr(continuation, "_pinning_rows", pinning)
+            for step, ref in zip(self._steps(prob, c, bp.lam, border), reference):
+                assert np.max(np.abs(step - ref)) <= 1e-8 * np.linalg.norm(ref), name
+        # a rank tolerance at the rounding level would take the near-duplicate
+        # row's 1e-9 direction in as a constraint and move the step
+        monkeypatch.setattr(continuation, "_PIN_RANK_TOL", 1e-10)
+        step = self._steps(prob, c, bp.lam, border)[0]
+        assert np.max(np.abs(step - reference[0])) > 1e-3 * np.linalg.norm(reference[0])
+
+    def test_sphere_branch_matches_recorded_values(self, sphere_ring):
+        prob = sphere_ring
+        det = detect_bifurcation(prob, (1.0, 7.0), steps=60)
+        seed = switch_branch(prob, det[0])
+        branch = continue_branch(prob, seed, (1.7, 2.6), max_steps=80, ds_max=0.05)
+        assert branch.termination == "lambda-limit"
+        assert len(branch.points) == len(RECORDED_S2_LAMBDA)
+        for bp, lam, sup in zip(branch.points, RECORDED_S2_LAMBDA, RECORDED_S2_SUP):
+            assert abs(bp.lam - lam) <= 1e-9
+            assert abs(bp.sup_norm - sup) <= 1e-9
+
+    def test_no_least_squares_solve(self, sphere_ring, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.linalg.lstsq called")
+
+        monkeypatch.setattr(np.linalg, "lstsq", forbidden)
+        seed = switch_branch(sphere_ring, 2.0)
+        branch = continue_branch(sphere_ring, seed, (1.7, 2.2), max_steps=20)
+        assert len(branch.points) > 5
+
+    def test_singular_factorization_is_newton_error(self, circle_pitchfork, monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        c0 = np.zeros(circle_pitchfork.n_dof)
+        c0[1] = 0.4 * math.sqrt(math.pi)
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(NewtonError, match="singular Newton system"):
+            newton_solve(circle_pitchfork, c0, 1.12)
 
 
 class TestSwitchAndContinue:
