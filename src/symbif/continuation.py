@@ -28,13 +28,17 @@ add the lambda column r_lambda and one border row b over (c, lambda):
                          [b            0  ] [mu     ]
 
 _newton_system builds either matrix and every system is solved by LU
-(np.linalg.solve).  B comes from a thin SVD of the unit pinning rows, whose
-rank counts singular values above _PIN_RANK_TOL = 1e-6.  On the 2-sphere at
-truncation 12 the genuine ones are at least 0.65 at every branch point of
-both builtins, while the finite-difference off-axis generators leave a
-spurious one of 2.6e-12 to 5.6e-9; a basis that kept that direction would
-pin a direction that is not a symmetry.  A singular LU factorization raises
-NewtonError.
+(np.linalg.solve); a singular factorization raises NewtonError.  The
+domain-rotation tangents are T C for exact generator matrices T: T_z from
+the (cos, sin) pairs, and on the 2-sphere T_x and T_y from the ladder
+relations, so the residual is orthogonal to every tangent to rounding.  One
+cutoff, _PIN_RANK_TOL = 1e-6 on the singular values of the unit pinning
+rows, sets the rank of both the pin basis B and the off-symmetry complement
+Q.  A dropped value is a combination of group generators that fixes the
+solution (an isotropy direction, such as the twisted one of so2-ring on the
+2-sphere).  At the truncation-12 2-sphere branch points of both builtins
+the dropped ones are at most 5.3e-10 (the level-6 so2-ring seed) and the
+kept ones at least 0.65.
 newton_solve also tests the point it converged to: an off-symmetry
 eigenvalue of J below 1e-12 ||J||_1 means a kernel beyond the symmetry
 directions, and the point is refused with NewtonError.
@@ -93,8 +97,9 @@ NEWTON_TOL = 1e-10
 # crossings are bisected to brackets narrower than _REFINE_TOL
 _MORSE_ZERO_TOL = 1e-10
 _REFINE_TOL = 1e-9
-# singular values of the unit pinning rows at most this are rounding, not
-# symmetry directions (module docstring)
+# singular values of the unit pinning rows at most this are dependencies
+# among the rows, not symmetry directions; the one rank cutoff for both the
+# pin basis and the off-symmetry complement (module docstring)
 _PIN_RANK_TOL = 1e-6
 
 
@@ -112,9 +117,12 @@ class GalerkinProblem:
 
     Coefficient layout: c.reshape(n_funcs, p), basis functions ordered
     eigenvalue-major (k ascending, component index j inside), potential
-    components innermost.  extra_rotation_generators hold the off-axis
-    rotation generators on the 2-sphere (empty on the circle and the disk,
-    whose full rotation group is the reference axis).
+    components innermost.  rotation_generators hold the exact n_funcs x
+    n_funcs generators of the domain rotations acting on the rows of C,
+    built from eigens alone: T_z about the reference axis on every domain,
+    then T_x and T_y on the 2-sphere (the circle's and the disk's full
+    rotation group is the reference axis).  Their tangents T C are pinned at
+    the one rank cutoff _PIN_RANK_TOL.
     """
 
     domain: DomainId
@@ -125,7 +133,7 @@ class GalerkinProblem:
     E: np.ndarray  # (n_funcs, n_quad) basis values at quadrature nodes
     quad: Quadrature
     measure: float
-    extra_rotation_generators: tuple = ()
+    rotation_generators: tuple  # (T_z,) or (T_z, T_x, T_y), (n_funcs, n_funcs) each
 
     @property
     def n_funcs(self) -> int:
@@ -183,9 +191,6 @@ def build_problem(
         funcs.extend(spectral.basis(domain, eig))
     E = np.stack([f.evaluator(*quad.points) for f in funcs])
     beta = np.array([f.beta for f in funcs])
-    extra = ()
-    if domain.kind == "sphere" and domain.dim == 3:
-        extra = tuple(_sphere_offaxis_generators(funcs, E, quad))
     return GalerkinProblem(
         domain=domain,
         spec=spec,
@@ -195,41 +200,8 @@ def build_problem(
         E=E,
         quad=quad,
         measure=domain.measure,
-        extra_rotation_generators=extra,
+        rotation_generators=_rotation_generators(domain, eigens),
     )
-
-
-def _sphere_offaxis_generators(funcs, E, quad):
-    """Generator matrices of the x- and y-axis rotations on the 2-sphere.
-
-    Rotation of a band-limited state stays band-limited, so the projection of
-    the rotated state onto the basis is quadrature-exact; the generator is a
-    central difference of these exact rotation matrices.
-    """
-    theta, phi = quad.points
-    pts = np.stack(
-        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=1
-    )
-    Ew = E * quad.weights[None, :]
-    h = 1e-4
-    gens = []
-    for axis in (0, 1):
-        mats = []
-        for s in (h, -h):
-            R = np.eye(3)
-            c, sn = math.cos(s), math.sin(s)
-            i, j = (1, 2) if axis == 0 else (2, 0)
-            R[i, i] = c
-            R[i, j] = -sn
-            R[j, i] = sn
-            R[j, j] = c
-            rot = pts @ R  # R^{-1} x per row
-            th2 = np.arccos(np.clip(rot[:, 2], -1.0, 1.0))
-            ph2 = np.arctan2(rot[:, 1], rot[:, 0])
-            E2 = np.stack([f.evaluator(th2, ph2) for f in funcs])
-            mats.append(Ew @ E2.T)
-        gens.append((mats[0] - mats[1]) / (2.0 * h))
-    return gens
 
 
 # --------------------------------------------------------------------------
@@ -290,14 +262,14 @@ def discrete_energy(problem: GalerkinProblem, c, lam: float) -> float:
 # symmetry machinery
 
 
-def _angular_pairs(problem):
+def _angular_pairs(domain, eigens):
     """(cos_row, sin_row, frequency) triples of basis functions that rotate
     into each other under the domain rotation about the reference axis."""
     pairs = []
     row = 0
-    for eig in problem.eigens:
+    for eig in eigens:
         l = eig.angular_degree
-        if problem.domain.kind == "ball" or problem.domain.dim == 2:
+        if domain.kind == "ball" or domain.dim == 2:
             # circle and disk: one (cos, sin) pair per eigenvalue
             if l > 0:
                 pairs.append((row, row + 1, l))
@@ -310,12 +282,38 @@ def _angular_pairs(problem):
     return pairs
 
 
-def _domain_generator(problem, C):
-    out = np.zeros_like(C)
-    for cos_row, sin_row, freq in _angular_pairs(problem):
-        out[cos_row, :] = -freq * C[sin_row, :]
-        out[sin_row, :] = freq * C[cos_row, :]
-    return out
+def _rotation_generators(domain, eigens):
+    """Exact rotation generators on the basis rows: T_z from the angular
+    pairs on every domain, and on the 2-sphere T_x and T_y from the ladder
+    relations in the real basis (zonal, (1, cos), (1, sin), ... with the
+    Condon-Shortley phase).  Each is antisymmetric and keeps every
+    eigenspace, and on the 2-sphere [T_x, T_y] = T_z cyclically."""
+    n = sum(e.multiplicity for e in eigens)
+    Tz = np.zeros((n, n))
+    for cos_row, sin_row, freq in _angular_pairs(domain, eigens):
+        Tz[cos_row, sin_row] = -freq
+        Tz[sin_row, cos_row] = freq
+    if domain.kind != "sphere" or domain.dim != 3:
+        return (Tz,)
+    # upper triangles; row z is Y_l^0 and rows z + 2m - 1, z + 2m are the
+    # (m, cos), (m, sin) pair
+    Tx, Ty = np.zeros((n, n)), np.zeros((n, n))
+    z = 0
+    for eig in eigens:
+        l = eig.angular_degree
+        if l > 0:
+            k0 = math.sqrt(l * (l + 1) / 2.0)
+            Tx[z, z + 2] = -k0
+            Ty[z, z + 1] = k0
+            for m in range(1, l):
+                k = 0.5 * math.sqrt((l - m) * (l + m + 1))
+                cm, sm = z + 2 * m - 1, z + 2 * m
+                Tx[cm, sm + 2] = -k
+                Tx[sm, cm + 2] = k
+                Ty[cm, cm + 2] = k
+                Ty[sm, sm + 2] = k
+        z += eig.multiplicity
+    return (Tz, Tx - Tx.T, Ty - Ty.T)
 
 
 def symmetry_vectors(problem: GalerkinProblem, c) -> list[np.ndarray]:
@@ -323,10 +321,10 @@ def symmetry_vectors(problem: GalerkinProblem, c) -> list[np.ndarray]:
 
     Component rotations act on the full state u = u0 + v, so their generator
     contributes a constant-block offset for u0 on top of the blockwise
-    rotation of v; domain rotations fix constants.  On the 2-sphere the
-    off-axis rotation generators are included, so the full rotation group is
-    pinned on every supported domain.  Near-zero vectors (directions the
-    symmetry fixes) are dropped.
+    rotation of v; domain rotations fix constants and act through the exact
+    generators T as T C, so the full rotation group is pinned on every
+    supported domain.  Near-zero vectors (directions the symmetry fixes) are
+    dropped.
     """
     C = np.asarray(c, float).reshape(problem.n_funcs, problem.p)
     vecs = []
@@ -334,8 +332,7 @@ def symmetry_vectors(problem: GalerkinProblem, c) -> list[np.ndarray]:
         v = C @ g.T
         v[0, :] += math.sqrt(problem.measure) * (g @ problem.spec.u0)
         vecs.append(v.ravel())
-    vecs.append(_domain_generator(problem, C).ravel())
-    for T in problem.extra_rotation_generators:
+    for T in problem.rotation_generators:
         vecs.append((T @ C).ravel())
     return [v for v in vecs if np.linalg.norm(v) > 1e-12]
 
@@ -353,7 +350,7 @@ def _offsym_complement(problem, c):
     if rows.shape[0] == 0:
         return np.eye(problem.n_dof)
     u, s, _ = np.linalg.svd(rows.T, full_matrices=True)
-    rank = int(np.sum(s > 1e-10))
+    rank = int(np.sum(s > _PIN_RANK_TOL))
     return u[:, rank:]
 
 
@@ -371,12 +368,6 @@ def _min_offsym_singular(problem, c, J):
     # M is symmetric up to rounding: its singular values are the moduli of
     # its eigenvalues
     return float(np.min(np.abs(np.linalg.eigvalsh(0.5 * (M + M.T)))))
-
-
-def min_offsym_singular(problem: GalerkinProblem, c, lam: float) -> float:
-    """Smallest singular value of the Jacobian restricted off symmetry
-    directions."""
-    return _min_offsym_singular(problem, c, jacobian(problem, c, lam))
 
 
 # --------------------------------------------------------------------------
@@ -770,7 +761,7 @@ def apply_group_element(
     C = np.asarray(c, float).reshape(problem.n_funcs, problem.p).copy()
     if domain_angle != 0.0:
         out = C.copy()
-        for cos_row, sin_row, freq in _angular_pairs(problem):
+        for cos_row, sin_row, freq in _angular_pairs(problem.domain, problem.eigens):
             ang = freq * domain_angle
             ca, sa = math.cos(ang), math.sin(ang)
             out[cos_row, :] = ca * C[cos_row, :] - sa * C[sin_row, :]

@@ -1,8 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from symbif import cli, continuation, potentials, spectral
 from symbif.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -450,3 +458,34 @@ class TestConfigHandling:
     def test_missing_config_file(self, capsys):
         code, _, _ = run(capsys, "levels", "--config", "/does/not/exist.cfg")
         assert code == 2
+
+
+class TestVerifyDeterminism:
+    """Identical configs give byte-identical verify output whatever the BLAS
+    thread count.  The 2-sphere is left out: its branch seed is whatever
+    eigh returns from a degenerate kernel, and its JSON still differs between
+    one and two threads (ROADMAP item 1, symmetry-adapted branch seeds)."""
+
+    @pytest.mark.parametrize(
+        "potential,domain,window",
+        [("pitchfork-scalar", "sphere", "0.5:9.5"), ("so2-ring", "ball", "0.5:10")],
+        ids=["circle-pitchfork-scalar", "disk-so2-ring"],
+    )
+    def test_output_does_not_depend_on_blas_threads(self, potential, domain, window, tmp_path):
+        argv = ["--potential", potential, "--domain", domain, "--dim", "2"]
+        argv += ["--beta-cutoff", "10", "--window", window]
+        outputs = []
+        for threads in ("1", "2"):
+            out_dir = tmp_path / threads
+            out_dir.mkdir()
+            env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "symbif.cli", "verify", *argv, "--out", str(out_dir / "r")],
+                env=env,
+                capture_output=True,
+                timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr.decode()
+            outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
+        assert len(outputs[0]) > 1  # the report and the branch files
+        assert outputs[0] == outputs[1]

@@ -387,7 +387,8 @@ class TestJacobianReuse:
         branch = continue_branch(prob, switch_branch(prob, lam_star), limits, max_steps=20)
         points = branch.points + [newton_solve(prob, np.zeros(prob.n_dof), 0.6)]
         for bp in points:
-            assert bp.min_offsym_singular == continuation.min_offsym_singular(prob, bp.c, bp.lam)
+            J = jacobian(prob, bp.c, bp.lam)
+            assert bp.min_offsym_singular == continuation._min_offsym_singular(prob, bp.c, J)
 
 
 # the level-2 so2-ring branch on the 2-sphere at truncation 6, switched at
@@ -525,8 +526,9 @@ class TestSwitchAndContinue:
         assert max(bp.lam for bp in branch.points) > 1.0
         # the smallest off-symmetry singular value of the trivial-branch
         # Jacobian touches zero at the level
-        s_away = continuation.min_offsym_singular(prob, np.zeros(prob.n_dof), 0.6)
-        s_at = continuation.min_offsym_singular(prob, np.zeros(prob.n_dof), 1.0)
+        zero = np.zeros(prob.n_dof)
+        s_away = continuation._min_offsym_singular(prob, zero, jacobian(prob, zero, 0.6))
+        s_at = continuation._min_offsym_singular(prob, zero, jacobian(prob, zero, 1.0))
         assert s_away > 0.1
         assert s_at < 1e-10
 
@@ -672,6 +674,47 @@ class TestEquivariance:
                 include_shift=False,
             )
             assert np.max(np.abs(lhs - rhs)) <= 1e-9
+
+
+class TestRotationGenerators:
+    """The exact generator table: T_z on every domain, T_x and T_y on the
+    2-sphere from the ladder relations."""
+
+    def test_sphere_table_is_an_exact_so3_representation(self, sphere12_ring):
+        prob = sphere12_ring
+        Tz, Tx, Ty = prob.rotation_generators
+        B = np.diag(prob.beta)
+        for T in (Tz, Tx, Ty):
+            assert np.array_equal(T, -T.T)
+            assert np.array_equal(T @ B, B @ T)
+        for A, Bm, C in ((Tx, Ty, Tz), (Ty, Tz, Tx), (Tz, Tx, Ty)):
+            assert np.max(np.abs(A @ Bm - Bm @ A - C)) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["so2-ring", "pitchfork-scalar"])
+    def test_residual_is_orthogonal_to_every_tangent(self, name):
+        # the functional is invariant under every rotation and the quadrature
+        # integrates it exactly, so r(c) . t vanishes to rounding
+        prob = build_problem(sphere(3), builtin(name), truncation=6)
+        rng = np.random.default_rng(29)
+        for _ in range(5):
+            c = 0.3 * rng.normal(size=prob.n_dof)
+            r = assemble_residual(prob, c, 2.5)
+            tangents = continuation.symmetry_vectors(prob, c)
+            assert len(tangents) >= 3
+            for t in tangents:
+                assert abs(np.dot(r, t)) <= 1e-13 * np.linalg.norm(r) * np.linalg.norm(t)
+
+    @pytest.mark.parametrize("fixture", ["circle_pitchfork", "disk_pitchfork", "sphere_ring"])
+    def test_axial_generator_is_the_derivative_of_the_rotation(self, fixture, request):
+        prob = request.getfixturevalue(fixture)
+        c = np.random.default_rng(31).normal(size=prob.n_dof)
+        h = 1e-5
+        diff = (
+            apply_group_element(prob, c, domain_angle=h)
+            - apply_group_element(prob, c, domain_angle=-h)
+        ) / (2.0 * h)
+        Tz_c = (prob.rotation_generators[0] @ c.reshape(prob.n_funcs, prob.p)).ravel()
+        assert np.linalg.norm(Tz_c - diff) <= 1e-6 * np.linalg.norm(Tz_c)
 
 
 class TestEnergy:
