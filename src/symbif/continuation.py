@@ -54,9 +54,17 @@ one p x p matrix H0(lambda) = hess(u0, lambda) and, in the layout above,
 
     J(0, lambda) = diag(beta) - G kron H0(lambda),   G = (E w) E^T,
 
-with G the assembled quadrature Gram matrix.  The pinning rows at c = 0 do
-not depend on lambda, so the Morse sweep builds G and the symmetry
-complement once and assembles no Jacobian.
+with G the assembled quadrature Gram matrix.  With sym(H0) = V diag(mu) V^T,
+J(0, lambda) is orthogonally similar (by I kron V) to the direct sum over k
+of diag(beta) - mu_k G, and with G = L L^T each block is congruent to
+diag(theta) - mu_k I, where theta are the eigenvalues of L^-1 diag(beta)
+L^-T.  By Sylvester's law of inertia the Morse index of J(0, lambda) is
+sum_k #{b : theta_b < mu_k} (Parlett, The Symmetric Eigenvalue Problem,
+1998, ch. 15), and lambda enters only through the p values mu_k.  The
+pinning rows at c = 0 are e_0 kron g u0 for the component generators g,
+with beta_0 = 0 and H0 g u0 = 0: zero modes of J(0, lambda) that never
+enter the count, so the Morse sweep needs no off-symmetry complement.  It
+computes theta once, from G, and assembles no Jacobian.
 """
 
 from __future__ import annotations
@@ -511,38 +519,36 @@ def _bordered_newton(problem, c, lam, border, base, offset, border_tol, maxit):
 # bifurcation detection on the trivial branch
 
 
-def _trivial_offsym_block(problem):
-    """lam -> Q^T J(0, lam) Q, without assembling J: J(0, lam) is
-    diag(beta) - G kron H0(lam) with the Gram matrix G = (E w) E^T and the
-    Hessian H0 at u0 (module docstring); G and the complement Q are built
-    once."""
+def _trivial_spectrum(problem):
+    """Sorted generalized eigenvalues theta of (diag(beta), G), with the
+    quadrature Gram matrix G = (E w) E^T = L L^T: the eigenvalues of
+    L^-1 diag(beta) L^-T, the discrete Laplacian spectrum of the basis."""
     G = (problem.E * problem.quad.weights[None, :]) @ problem.E.T
-    Q = _offsym_complement(problem, np.zeros(problem.n_dof))
-    diag = np.repeat(problem.beta, problem.p)
-    u0 = problem.spec.u0[None, :]
-
-    def block(lam):
-        H0 = np.asarray(problem.spec.hess(u0, lam), float).reshape(problem.p, problem.p)
-        J = -np.kron(G, H0)
-        J[np.diag_indices_from(J)] += diag
-        return Q.T @ J @ Q
-
-    return block
+    Linv = np.linalg.inv(np.linalg.cholesky(G))
+    return np.linalg.eigvalsh((Linv * problem.beta[None, :]) @ Linv.T)
 
 
-def _morse_index(M):
-    vals = np.linalg.eigvalsh(0.5 * (M + M.T))
-    return int(np.sum(vals < -_MORSE_ZERO_TOL))
+def _trivial_morse_index(problem, theta, lam):
+    """Morse index of J(0, lam) from the discrete spectrum theta and the p
+    eigenvalues mu_k of the symmetrized H0(lam): the number of pairs with
+    theta_b - mu_k < -_MORSE_ZERO_TOL (module docstring)."""
+    p = problem.p
+    H0 = np.asarray(problem.spec.hess(problem.spec.u0[None, :], lam), float).reshape(p, p)
+    mu = np.linalg.eigvalsh(0.5 * (H0 + H0.T))
+    return int(np.count_nonzero(theta[None, :] - mu[:, None] < -_MORSE_ZERO_TOL))
 
 
 def detect_bifurcation(problem: GalerkinProblem, window, steps: int = 200) -> list[float]:
     """Levels in the window where an off-symmetry eigenvalue of the
     trivial-branch Jacobian crosses zero, refined by bisection.
 
-    The crossing test is a change of the count of negative eigenvalues, which
-    is robust for even-multiplicity crossings; persistent zero modes stay
-    outside the count.  Crossings at lambda = 0 are not bifurcation levels and
-    are dropped.
+    The crossing test is a change of the Morse index of J(0, lambda), which
+    is robust for even-multiplicity crossings.  It is counted from the
+    discrete spectrum theta, computed once, and the p eigenvalues mu_k of
+    the symmetrized H0(lambda): sum_k #{b : theta_b - mu_k < -tol} (module
+    docstring), so no Jacobian is assembled and the persistent zero modes
+    of the pinning directions stay outside the count.  Crossings at
+    lambda = 0 are not bifurcation levels and are dropped.
     """
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
@@ -551,8 +557,8 @@ def detect_bifurcation(problem: GalerkinProblem, window, steps: int = 200) -> li
         raise ValueError("need at least 2 steps")
     grid = list(np.linspace(lo, hi, steps + 1))
     grid = [g if abs(g) > 1e-12 else 1e-12 for g in grid]
-    block = _trivial_offsym_block(problem)
-    morse = [_morse_index(block(g)) for g in grid]
+    theta = _trivial_spectrum(problem)
+    morse = [_trivial_morse_index(problem, theta, g) for g in grid]
 
     # brackets of a count change, bisected until narrower than _REFINE_TOL;
     # a stack rather than a recursive closure, whose reference cycle would
@@ -569,7 +575,7 @@ def detect_bifurcation(problem: GalerkinProblem, window, steps: int = 200) -> li
             found.append(0.5 * (a + b))
             continue
         mid = 0.5 * (a + b)
-        mm = _morse_index(block(mid))
+        mm = _trivial_morse_index(problem, theta, mid)
         if mm != ma:
             brackets.append((a, ma, mid, mm))
         if mb != mm:

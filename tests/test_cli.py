@@ -489,3 +489,30 @@ class TestVerifyDeterminism:
             outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
         assert len(outputs[0]) > 1  # the report and the branch files
         assert outputs[0] == outputs[1]
+
+
+class TestSweepGoldenBits:
+    """The 2-sphere levels of the Morse sweep, bit for bit, under one and
+    two BLAS threads.  The S^2 branch seed is taken from the trivial-branch
+    kernel at these levels, so a sweep change that moves them moves the
+    branches."""
+
+    LEVELS = ["0x1.000000009999ap+1", "0x1.7fffffffe6667p+2"]
+    SCRIPT = (
+        "from symbif.continuation import build_problem, detect_bifurcation\n"
+        "from symbif.potentials import builtin\n"
+        "from symbif.spectral import sphere\n"
+        "for name in ('so2-ring', 'pitchfork-scalar'):\n"
+        "    prob = build_problem(sphere(3), builtin(name), truncation=12)\n"
+        "    print(' '.join(x.hex() for x in detect_bifurcation(prob, (0.5, 8.0), steps=200)))\n"
+    )
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_sphere_levels(self, threads):
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT], env=env, capture_output=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        lines = proc.stdout.decode().splitlines()
+        assert lines == [" ".join(self.LEVELS)] * 2

@@ -297,29 +297,100 @@ def trivial_case(request):
     return [build_problem(domain, spec, **options) for spec in specs], window
 
 
-class TestTrivialBranchBlock:
-    """The Morse sweep's Kronecker block diag(beta) - G kron H0(lambda)
-    against the assembled Jacobian at c = 0."""
+def _dense_detect(prob, window, steps):
+    """Reference Morse sweep: the count below -_MORSE_ZERO_TOL of eigvalsh of
+    Q^T J(0, lam) Q at every grid and bisection point, with J(0, lam) =
+    diag(beta) - G kron H0(lam) and the off-symmetry complement Q, on
+    detect_bifurcation's grid, bisection stack and tolerances."""
+    G = (prob.E * prob.quad.weights[None, :]) @ prob.E.T
+    Q = continuation._offsym_complement(prob, np.zeros(prob.n_dof))
+    diag = np.repeat(prob.beta, prob.p)
+    u0 = prob.spec.u0[None, :]
 
-    def test_matches_assembled_jacobian(self, trivial_case):
-        problems, (lo, hi) = trivial_case
-        for prob in problems:
-            block = continuation._trivial_offsym_block(prob)
-            for lam in np.linspace(-lo, hi, 5):
-                M = _assembled_trivial_block(prob, lam)
-                err = np.max(np.abs(block(lam) - M))
-                assert err <= 1e-12 * np.max(np.abs(M)), (prob.spec.name, lam, err)
+    def morse(lam):
+        H0 = np.asarray(prob.spec.hess(u0, lam), float).reshape(prob.p, prob.p)
+        J = -np.kron(G, H0)
+        J[np.diag_indices_from(J)] += diag
+        M = Q.T @ J @ Q
+        return int(np.sum(np.linalg.eigvalsh(0.5 * (M + M.T)) < -continuation._MORSE_ZERO_TOL))
+
+    grid = [g if abs(g) > 1e-12 else 1e-12 for g in np.linspace(window[0], window[1], steps + 1)]
+    counts = [morse(g) for g in grid]
+    brackets = [
+        (grid[i], counts[i], grid[i + 1], counts[i + 1])
+        for i in range(len(grid) - 1)
+        if counts[i + 1] != counts[i]
+    ]
+    found = []
+    while brackets:
+        a, ma, b, mb = brackets.pop()
+        if b - a < continuation._REFINE_TOL:
+            found.append(0.5 * (a + b))
+            continue
+        mid = 0.5 * (a + b)
+        mm = morse(mid)
+        if mm != ma:
+            brackets.append((a, ma, mid, mm))
+        if mb != mm:
+            brackets.append((mid, mm, b, mb))
+    out = []
+    for lam in sorted(found):
+        if abs(lam) >= 1e-6 and (not out or abs(lam - out[-1]) > 1e-8):
+            out.append(lam)
+    return out
+
+
+class TestTrivialBranchBlock:
+    """The Morse sweep's count from the discrete spectrum theta against the
+    assembled Jacobian at c = 0, and its levels against a dense sweep."""
 
     def test_morse_counts_match_assembled_path(self, trivial_case):
         problems, (lo, hi) = trivial_case
         for prob in problems:
-            block = continuation._trivial_offsym_block(prob)
-            grid = np.linspace(lo, hi, 41)
-            fast = [continuation._morse_index(block(lam)) for lam in grid]
-            slow = [continuation._morse_index(_assembled_trivial_block(prob, lam)) for lam in grid]
-            assert fast == slow, prob.spec.name
+            theta = continuation._trivial_spectrum(prob)
+            levels = detect_bifurcation(prob, (lo, hi), steps=120)
+            near = [lv + d for lv in levels for d in (-1e-9, -1e-11, 1e-11, 1e-9)]
+            counts, dense = [], []
+            for lam in list(np.linspace(lo, hi, 41)) + near:
+                counts.append(continuation._trivial_morse_index(prob, theta, lam))
+                M = _assembled_trivial_block(prob, lam)
+                vals = np.linalg.eigvalsh(0.5 * (M + M.T))
+                dense.append(int(np.sum(vals < -continuation._MORSE_ZERO_TOL)))
+            assert counts == dense, prob.spec.name
             # the window holds crossings, so the comparison is not vacuous
-            assert len(set(fast)) > 1, prob.spec.name
+            assert len(set(counts)) > 1 and levels, prob.spec.name
+
+    @pytest.mark.parametrize(
+        "domain,options",
+        [(sphere(2), {}), (sphere(3), {"truncation": 8}), (ball(2), {"beta_cutoff": 60.0})],
+        ids=["circle", "sphere2-8", "disk-60"],
+    )
+    def test_levels_bitwise_equal_to_dense_sweep(self, domain, options):
+        specs = [builtin(name) for name in potentials.builtin_names()] + [coupled_potential()]
+        for spec in specs:
+            prob = build_problem(domain, spec, **options)
+            for window in ((0.1, 20.0), (-10.0, 10.0)):
+                det = detect_bifurcation(prob, window, steps=120)
+                assert det == _dense_detect(prob, window, 120), (spec.name, window)
+                if spec.name == "so2-ring-degenerate":
+                    assert det == []
+
+    @pytest.mark.parametrize(
+        "domain,options,tol",
+        [
+            (sphere(2), {}, 1e-13),
+            (sphere(3), {"truncation": 12}, 1e-13),
+            (ball(2), {"beta_cutoff": 200.0}, 1e-10),
+        ],
+        ids=["circle", "sphere2-12", "disk-200"],
+    )
+    def test_discrete_spectrum_is_the_laplacian_spectrum(self, domain, options, tol):
+        # the dealiased quadrature keeps the basis orthonormal, so the
+        # generalized eigenvalues of (diag(beta), G) are the betas
+        prob = build_problem(domain, builtin("pitchfork-scalar"), **options)
+        theta = continuation._trivial_spectrum(prob)
+        beta = np.sort(prob.beta)
+        assert np.max(np.abs(theta - beta)) <= tol * np.max(beta)
 
 
 class TestJacobianReuse:
@@ -341,7 +412,24 @@ class TestJacobianReuse:
         )
         det = detect_bifurcation(circle_ring, (0.5, 4.5), steps=40)
         np.testing.assert_allclose(det, [1.0, 4.0], atol=1e-7)
-        assert calls == {"jacobian": 0, "complement": 1}
+        assert calls == {"jacobian": 0, "complement": 0}
+
+    @pytest.mark.parametrize("steps", [40, 400])
+    def test_morse_sweep_runs_one_large_eigensolve(self, circle_ring, steps, monkeypatch):
+        # the discrete spectrum is computed once; every grid and bisection
+        # point solves only the p x p eigenproblem of H0
+        eigvalsh = np.linalg.eigvalsh
+        sizes = []
+
+        def spy(a, *args, **kwargs):
+            sizes.append(np.shape(a)[0])
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(continuation.np.linalg, "eigvalsh", spy)
+        det = detect_bifurcation(circle_ring, (0.5, 4.5), steps=steps)
+        np.testing.assert_allclose(det, [1.0, 4.0], atol=1e-7)
+        assert sum(n > circle_ring.p for n in sizes) == 1
+        assert len(sizes) > steps
 
     @pytest.mark.parametrize(
         "fixture,lam_star,limits",
