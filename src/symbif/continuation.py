@@ -47,7 +47,17 @@ jacobian assembles the p(p+1)/2 blocks i <= j from the symmetrized nodal
 Hessian and copies block (i, j) into (j, i).  Continuation assembles J once
 per accepted point: the same J gives the point's smallest off-symmetry
 singular value and the next tangent, and the seed from switch_branch carries
-its J into continue_branch.
+its J into continue_branch.  The corrector then assembles none while it can:
+it takes chord (simplified Newton) steps on the tangent's bordered matrix,
+whose J, r_lambda and B are those of the last accepted point, with the
+border row replaced by the new tangent; each step is one residual and one LU
+solve (Allgower & Georg, Introduction to Numerical Continuation Methods,
+2003).  It keeps that matrix while every step cuts the residual norm at
+least fourfold (_CHORD_BAR).  On the first step that does not (a
+contraction monitor in the sense of Deuflhard, Newton Methods for Nonlinear
+Problems, 2004), it restarts from the same predictor with full Newton, one
+J per step.  A stalled chord costs a few residuals and solves, and the step
+is then accepted or halved exactly as full Newton decides.
 
 On the trivial branch c = 0 every quadrature node sees u0, so the Hessian is
 one p x p matrix H0(lambda) = hess(u0, lambda) and, in the layout above,
@@ -109,6 +119,11 @@ _REFINE_TOL = 1e-9
 # among the rows, not symmetry directions; the one rank cutoff for both the
 # pin basis and the off-symmetry complement (module docstring)
 _PIN_RANK_TOL = 1e-6
+# a chord corrector step must cut the residual norm at least fourfold, or the
+# corrector falls back to full Newton; a bar of 1 (chord until the residual
+# grows) lets slowly contracting correctors near a level run on and then
+# fall back anyway, which made disk continuation slower
+_CHORD_BAR = 0.25
 
 
 class NewtonError(RuntimeError):
@@ -490,23 +505,34 @@ def newton_solve(problem: GalerkinProblem, c0, lam: float) -> BranchPoint:
     return _newton(problem, c0, lam)[0]
 
 
-def _bordered_newton(problem, c, lam, border, base, offset, border_tol, maxit):
+def _bordered_newton(problem, c, lam, border, base, offset, border_tol, maxit, frozen=None):
     """Newton with lambda free on [J r_lambda B^T; B 0 0; border 0] that holds
     border . ((c, lam) - base) - offset at zero.  Returns (c, lam, residual
     norm) once the residual norm is at most NEWTON_TOL and the border residual
-    at most border_tol; raises NewtonError on a non-finite step or after maxit
-    steps."""
+    at most border_tol; raises NewtonError on a non-finite step or a singular
+    matrix, or after maxit steps.
+
+    Given a frozen matrix of that form, the steps are chord steps on it (no
+    Jacobian), and the first step that leaves the residual norm above
+    _CHORD_BAR times the previous one raises NewtonError as well."""
     n = problem.n_dof
     lam = float(lam)
+    rn_prev = None
     for _ in range(maxit):
         r = assemble_residual(problem, c, lam)
         rn = float(np.linalg.norm(r))
+        if frozen is not None and rn_prev is not None and not rn <= _CHORD_BAR * rn_prev:
+            raise NewtonError(f"chord corrector stalled near lambda={lam}")
+        rn_prev = rn
         # the c part and the lambda term are summed apart, so the rounding does
         # not depend on how the BLAS dot kernel splits n + 1 terms
         g = float(np.dot(border[:n], c - base[:n]) + border[n] * (lam - base[n]) - offset)
         if rn <= NEWTON_TOL and abs(g) <= border_tol:
             return c, lam, rn
-        A = _newton_system(problem, c, lam, jacobian(problem, c, lam), border)
+        if frozen is None:
+            A = _newton_system(problem, c, lam, jacobian(problem, c, lam), border)
+        else:
+            A = frozen
         delta = _solve(A, np.concatenate([-r, np.zeros(A.shape[0] - n - 1), [-g]]), lam)
         if not np.all(np.isfinite(delta)):
             raise NewtonError(f"bordered Newton step diverged at lambda={lam}")
@@ -656,6 +682,8 @@ def switch_branch(problem: GalerkinProblem, lam_star: float, amplitude: float = 
 
 
 def _tangent(problem, c, lam, J, t_prev):
+    """Unit tangent t at (c, lam), oriented along t_prev, and the bordered
+    matrix [J r_lambda B^T; B 0 0; t_prev 0] it was solved with."""
     A = _newton_system(problem, c, lam, J, t_prev)
     b = np.zeros(A.shape[0])
     b[-1] = 1.0
@@ -666,7 +694,7 @@ def _tangent(problem, c, lam, J, t_prev):
     t = t / nt
     if np.dot(t, t_prev) < 0:
         t = -t
-    return t
+    return t, A
 
 
 def continue_branch(
@@ -702,28 +730,33 @@ def continue_branch(
         t_prev = np.concatenate([np.zeros(n), [1.0]])
     ds = ds0
     # the Jacobian at the last accepted point serves its branch point and the
-    # next tangent, and is dropped before the corrector runs; a seed from
-    # switch_branch hands over the one it assembled for its point
+    # next tangent, and is dropped before the corrector runs, which keeps
+    # only the tangent's bordered matrix; a seed from switch_branch hands
+    # over the one it assembled for its point
     point, J = seed._jacobian or (None, None)
     seed._jacobian = None
     if point is not points[-1]:
         J = jacobian(problem, c, lam)
     for _ in range(max_steps):
         try:
-            t = _tangent(problem, c, lam, J, t_prev)
+            t, A = _tangent(problem, c, lam, J, t_prev)
         except NewtonError:
             branch.termination = "tangent-failure"
             return branch
         J = None
+        # the chord matrix: the tangent's, bordered by t instead of t_prev
+        A[-1, : n + 1] = t
         accepted = False
         while ds >= ds_min:
-            c_pred = c + ds * t[:n]
-            lam_pred = lam + ds * t[n]
+            # the border t holds the arclength from (c, lam) at ds; chord steps
+            # first, and on a stall full Newton from the same predictor
+            pred = (c + ds * t[:n], lam + ds * t[n])
+            args = (problem, *pred, t, np.append(c, lam), ds, 10 * NEWTON_TOL, 12)
             try:
-                # the border t holds the arclength from (c, lam) at ds
-                c_new, lam_new, rn = _bordered_newton(
-                    problem, c_pred, lam_pred, t, np.append(c, lam), ds, 10 * NEWTON_TOL, 12
-                )
+                try:
+                    c_new, lam_new, rn = _bordered_newton(*args, frozen=A)
+                except NewtonError:
+                    c_new, lam_new, rn = _bordered_newton(*args)
                 accepted = True
                 break
             except NewtonError:
@@ -733,6 +766,7 @@ def continue_branch(
             return branch
         c, lam = c_new, lam_new
         t_prev = t
+        A = None
         J = jacobian(problem, c, lam)
         bp = _make_point(problem, c, lam, rn, J)
         branch.points.append(bp)

@@ -133,16 +133,10 @@ def eigen_catalog(domain: DomainId, beta_cutoff: float) -> list[LaplaceEigenvalu
     if beta_cutoff <= 0:
         raise ValueError("beta_cutoff must be positive")
     if domain.kind == "sphere":
-        out = []
-        k = 1
-        while True:
-            l = k - 1
-            beta = l * (l + domain.dim - 2)
-            if beta > beta_cutoff:
-                break
-            out.append(spectral.sphere_spectrum(domain.dim, k)[-1])
-            k += 1
-        return out
+        count = 0
+        while count * (count + domain.dim - 2) <= beta_cutoff:
+            count += 1
+        return spectral.sphere_spectrum(domain.dim, count)
     return spectral.ball_neumann_spectrum(domain.dim, beta_cutoff)
 
 
@@ -166,9 +160,10 @@ def slice_spectrum(
     catalog = eigen_catalog(domain, beta_cutoff)
     if not catalog:
         raise ValueError("empty spectrum request")
+    groups = _alpha_groups(spec)
     entries = []
     for eig in catalog:
-        for alpha, mult in _alpha_groups(spec):
+        for alpha, mult in groups:
             value = (eig.value - lam * alpha) / (1.0 + eig.value)
             entries.append(
                 SpectrumEntry(
@@ -184,11 +179,19 @@ def slice_spectrum(
 
 def lambda_set(spec: PotentialSpec, domain: DomainId, beta_cutoff: float) -> list[float]:
     """Sorted candidate levels beta_k / alpha_j over nonzero alpha and beta."""
+    return _levels(eigen_catalog(domain, beta_cutoff), _alpha_groups(spec))
+
+
+# the private helpers below take the eigen catalog and the alpha groups,
+# built once by their caller
+
+
+def _levels(catalog, groups):
     levels = []
-    for eig in eigen_catalog(domain, beta_cutoff):
+    for eig in catalog:
         if eig.value == 0.0:
             continue
-        for alpha, _ in _alpha_groups(spec):
+        for alpha, _ in groups:
             if abs(alpha) <= RESONANCE_TOL:
                 continue
             levels.append(eig.value / alpha)
@@ -200,13 +203,13 @@ def lambda_set(spec: PotentialSpec, domain: DomainId, beta_cutoff: float) -> lis
     return out
 
 
-def _resonant_blocks(spec, domain, predicate, beta_cutoff):
+def _resonant_blocks(catalog, groups, predicate):
     """Blocks (alpha, eig) with beta != 0 selected by predicate(beta, alpha)."""
     hits = []
-    for eig in eigen_catalog(domain, beta_cutoff):
+    for eig in catalog:
         if eig.value == 0.0:
             continue
-        for alpha, mult in _alpha_groups(spec):
+        for alpha, mult in groups:
             if predicate(eig.value, alpha):
                 hits.append((alpha, mult, eig))
     return hits
@@ -225,15 +228,28 @@ def _descriptor(domain, hits) -> RepresentationDescriptor:
     return RepresentationDescriptor(blocks=tuple(blocks))
 
 
+def _resonant_at(lam0):
+    def hit(beta, alpha):
+        return abs(beta - lam0 * alpha) <= RESONANCE_TOL * max(1.0, abs(beta))
+
+    return hit
+
+
+def _in_window(lo, hi):
+    def hit(beta, alpha):
+        if abs(alpha) <= RESONANCE_TOL:
+            return False
+        return lo < beta / alpha < hi
+
+    return hit
+
+
 def zero_eigenspace(
     spec: PotentialSpec, domain: DomainId, lam0: float, beta_cutoff: float
 ) -> RepresentationDescriptor:
     """Resonant eigenspace at lam0: blocks with beta = lam0 * alpha, beta != 0."""
-
-    def hit(beta, alpha):
-        return abs(beta - lam0 * alpha) <= RESONANCE_TOL * max(1.0, abs(beta))
-
-    return _descriptor(domain, _resonant_blocks(spec, domain, hit, beta_cutoff))
+    catalog = eigen_catalog(domain, beta_cutoff)
+    return _descriptor(domain, _resonant_blocks(catalog, _alpha_groups(spec), _resonant_at(lam0)))
 
 
 def negative_eigenspace(
@@ -244,20 +260,16 @@ def negative_eigenspace(
     def hit(beta, alpha):
         return beta < lam * alpha - RESONANCE_TOL * max(1.0, abs(beta))
 
-    return _descriptor(domain, _resonant_blocks(spec, domain, hit, beta_cutoff))
+    catalog = eigen_catalog(domain, beta_cutoff)
+    return _descriptor(domain, _resonant_blocks(catalog, _alpha_groups(spec), hit))
 
 
 def window_eigenspace(
     spec: PotentialSpec, domain: DomainId, lo: float, hi: float, beta_cutoff: float
 ) -> RepresentationDescriptor:
     """Union of resonant eigenspaces over all levels inside (lo, hi)."""
-
-    def hit(beta, alpha):
-        if abs(alpha) <= RESONANCE_TOL:
-            return False
-        return lo < beta / alpha < hi
-
-    return _descriptor(domain, _resonant_blocks(spec, domain, hit, beta_cutoff))
+    catalog = eigen_catalog(domain, beta_cutoff)
+    return _descriptor(domain, _resonant_blocks(catalog, _alpha_groups(spec), _in_window(lo, hi)))
 
 
 def default_epsilon(lam0: float, levels) -> float:
@@ -270,11 +282,8 @@ def default_epsilon(lam0: float, levels) -> float:
     return min(gap / 2.0, abs(lam0) / 2.0)
 
 
-def _witnesses(spec, domain, lam0, beta_cutoff):
-    def hit(beta, alpha):
-        return abs(beta - lam0 * alpha) <= RESONANCE_TOL * max(1.0, abs(beta))
-
-    hits = _resonant_blocks(spec, domain, hit, beta_cutoff)
+def _witnesses(catalog, groups, lam0):
+    hits = _resonant_blocks(catalog, groups, _resonant_at(lam0))
     return tuple(sorted((alpha, eig.value) for alpha, _, eig in hits))
 
 
@@ -292,17 +301,22 @@ def degree_jump(
     (the jump).  The window (lam0 - eps, lam0 + eps) must not contain zero,
     and on the sphere it must contain no other candidate level.
     """
+    groups = _alpha_groups(spec)
+    if beta_cutoff is None:
+        max_alpha = max((abs(a) for a, _ in groups), default=0.0)
+        beta_cutoff = max(1.0, (abs(lam0) + eps) * max_alpha * 1.5 + 1.0)
+    catalog = eigen_catalog(domain, beta_cutoff)
+    return _degree_jump(spec, domain, lam0, eps, catalog, groups, _levels(catalog, groups))
+
+
+def _degree_jump(spec, domain, lam0, eps, catalog, groups, levels):
+    """degree_jump on a catalog with its alpha groups and candidate levels."""
     if lam0 == 0.0:
         raise ValueError("lambda0 must be nonzero")
     if eps <= 0.0:
         raise ValueError("epsilon must be positive")
     if abs(lam0) < eps:
         raise ValueError("window (lambda0 - eps, lambda0 + eps) must not contain 0")
-    alphas = [a for a, _ in _alpha_groups(spec)]
-    max_alpha = max((abs(a) for a in alphas), default=0.0)
-    if beta_cutoff is None:
-        beta_cutoff = max(1.0, (abs(lam0) + eps) * max_alpha * 1.5 + 1.0)
-    levels = lambda_set(spec, domain, beta_cutoff)
     if domain.kind == "sphere":
         inside = [
             lv
@@ -314,13 +328,14 @@ def degree_jump(
             raise ValueError(
                 f"window around lambda0={lam0} contains other candidate levels {inside}"
             )
-    witnesses = _witnesses(spec, domain, lam0, beta_cutoff)
+    witnesses = _witnesses(catalog, groups, lam0)
     if not witnesses:
         raise ValueError(f"no resonant eigenvalue blocks at lambda0={lam0}")
     if domain.kind == "sphere":
-        V = zero_eigenspace(spec, domain, lam0, beta_cutoff)
+        hit = _resonant_at(lam0)
     else:
-        V = window_eigenspace(spec, domain, lam0 - eps, lam0 + eps, beta_cutoff)
+        hit = _in_window(lam0 - eps, lam0 + eps)
+    V = _descriptor(domain, _resonant_blocks(catalog, groups, hit))
     b_minus, _ = potentials.slice_brouwer_degree(spec, lam0 - eps)
     b_plus, _ = potentials.slice_brouwer_degree(spec, lam0 + eps)
     D = euler_ring.deg_minus_id(V)
@@ -371,26 +386,25 @@ def predict(
     eigenspace has dimension greater than one, with an interval guarantee.
     """
     _validate_basics(spec)
-    levels = lambda_set(spec, domain, beta_cutoff)
-    out = []
-    if domain.kind == "sphere":
-        for lam0 in levels:
-            eps = epsilon if epsilon is not None else default_epsilon(lam0, levels)
-            out.append(degree_jump(spec, domain, lam0, eps, beta_cutoff=beta_cutoff))
-        return out
     catalog = eigen_catalog(domain, beta_cutoff)
-    pairs = []
-    for eig in catalog:
-        if eig.value == 0.0 or eig.multiplicity <= 1:
-            continue
-        for alpha, _ in _alpha_groups(spec):
-            if abs(alpha) <= RESONANCE_TOL:
+    groups = _alpha_groups(spec)
+    levels = _levels(catalog, groups)
+    if domain.kind == "sphere":
+        lams = levels
+    else:
+        pairs = []
+        for eig in catalog:
+            if eig.value == 0.0 or eig.multiplicity <= 1:
                 continue
-            pairs.append((eig.value / alpha, alpha, eig.value))
-    pairs.sort()
-    for lam0, alpha, beta in pairs:
+            for alpha, _ in groups:
+                if abs(alpha) <= RESONANCE_TOL:
+                    continue
+                pairs.append((eig.value / alpha, alpha, eig.value))
+        lams = [lam0 for lam0, _, _ in sorted(pairs)]
+    out = []
+    for lam0 in lams:
         eps = epsilon if epsilon is not None else default_epsilon(lam0, levels)
-        out.append(degree_jump(spec, domain, lam0, eps, beta_cutoff=beta_cutoff))
+        out.append(_degree_jump(spec, domain, lam0, eps, catalog, groups, levels))
     return out
 
 

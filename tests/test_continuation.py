@@ -578,6 +578,111 @@ class TestBorderedSolves:
             newton_solve(circle_pitchfork, c0, 1.12)
 
 
+# lambda of every point, as float.hex, of the circle pitchfork branch from
+# lambda* = 1 to (0.9, 1.3) and of the disk (beta <= 60) pitchfork branch
+# from the first detected level to (lambda* - 0.3, lambda* + 0.6), both with
+# max_steps=40, as full Newton correctors computed them before the chord
+# corrector (12 points each, terminated at the lambda limit)
+RECORDED_NEWTON_HEX = {
+    "circle_pitchfork": [
+        "0x1.007b198358025p+0", "0x1.00b8c8f7aecccp+0", "0x1.01240a2d91f31p+0",
+        "0x1.01e2ffee83223p+0", "0x1.033dcb29f7f3ep+0", "0x1.05bd2eeb985d9p+0",
+        "0x1.0a636f3d1d9aap+0", "0x1.131199253c03ap+0", "0x1.223ef6cd2d993p+0",
+        "0x1.352936296ada0p+0", "0x1.4b587827132aap+0", "0x1.645afe3ad0bdep+0",
+    ],
+    "disk_pitchfork": [
+        "0x1.b21cbc0a0e464p+1", "0x1.b24a6121c82d4p+1", "0x1.b2a27e8672653p+1",
+        "0x1.b34cb19a2f968p+1", "0x1.b49482cb42e82p+1", "0x1.b706dd5466c56p+1",
+        "0x1.bba09dd93404bp+1", "0x1.c40bb5025a143p+1", "0x1.d203e9b03896cp+1",
+        "0x1.e248199d86533p+1", "0x1.f42dcde0f3db1p+1", "0x1.03a17aec7fb3ep+2",
+    ],
+}
+
+
+def _first_level_branch(prob, window, limits=None, **kwargs):
+    """Branch from the first level detected in window (lambda* = 1 when
+    window is None), continued to limits (default (lambda* - 0.3,
+    lambda* + 0.6))."""
+    lam_star = 1.0 if window is None else detect_bifurcation(prob, window, steps=60)[0]
+    if limits is None:
+        limits = (lam_star - 0.3, lam_star + 0.6)
+    return continue_branch(prob, switch_branch(prob, lam_star), limits, **kwargs)
+
+
+class TestChordCorrector:
+    """Chord steps on the tangent's bordered matrix, with full Newton from
+    the same predictor when a step cuts the residual less than _CHORD_BAR."""
+
+    @pytest.mark.parametrize(
+        "fixture,window,limits",
+        [
+            ("circle_pitchfork", None, (0.9, 1.3)),
+            ("disk_pitchfork", (0.5, 12.0), None),
+        ],
+    )
+    def test_stalled_chord_is_the_full_newton_corrector(
+        self, fixture, window, limits, request, monkeypatch
+    ):
+        # with a bar of 0 every chord stalls at its first step, and the
+        # branch is bit for bit what full Newton correctors computed
+        prob = request.getfixturevalue(fixture)
+        chords = []
+        bordered = continuation._bordered_newton
+
+        def spy(*args, frozen=None):
+            if frozen is not None:
+                chords.append(args[2])
+            return bordered(*args, frozen=frozen)
+
+        monkeypatch.setattr(continuation, "_CHORD_BAR", 0.0)
+        monkeypatch.setattr(continuation, "_bordered_newton", spy)
+        branch = _first_level_branch(prob, window, limits, max_steps=40)
+        assert branch.termination == "lambda-limit"
+        assert len(chords) >= len(branch.points) - 1
+        assert [bp.lam.hex() for bp in branch.points] == RECORDED_NEWTON_HEX[fixture]
+
+    @pytest.mark.parametrize(
+        "fixture,window,limits",
+        [
+            # the level-2 branch of test_sphere_branch_matches_recorded_values
+            ("sphere_ring", (1.0, 7.0), (1.7, 2.6)),
+            ("disk_pitchfork", (0.5, 12.0), None),
+        ],
+    )
+    def test_chord_moves_points_only_within_tolerance(
+        self, fixture, window, limits, request, monkeypatch
+    ):
+        prob = request.getfixturevalue(fixture)
+        kwargs = dict(max_steps=80, ds_max=0.05)
+        chord = _first_level_branch(prob, window, limits, **kwargs)
+        monkeypatch.setattr(continuation, "_CHORD_BAR", 0.0)
+        newton = _first_level_branch(prob, window, limits, **kwargs)
+        assert chord.termination == newton.termination == "lambda-limit"
+        assert len(chord.points) == len(newton.points) > 20
+        for a, b in zip(chord.points, newton.points):
+            assert abs(a.lam - b.lam) <= 1e-9
+            assert abs(a.sup_norm - b.sup_norm) <= 1e-9
+
+    def test_at_most_two_jacobians_per_accepted_point(self, sphere_ring, monkeypatch):
+        # the branch of test_sphere_branch_matches_recorded_values; full
+        # Newton correctors assembled 96 Jacobians for its 32 accepted points
+        # (3.0 per point), the chord corrector 36
+        prob = sphere_ring
+        det = detect_bifurcation(prob, (1.0, 7.0), steps=60)
+        seed = switch_branch(prob, det[0])
+        calls = []
+
+        def spy(*args):
+            calls.append(args[2])
+            return jacobian(*args)
+
+        monkeypatch.setattr(continuation, "jacobian", spy)
+        branch = continue_branch(prob, seed, (1.7, 2.6), max_steps=80, ds_max=0.05)
+        accepted = len(branch.points) - 1
+        assert accepted == 32
+        assert len(calls) <= 2 * accepted
+
+
 class TestSwitchAndContinue:
     def test_supercritical_side(self, circle_pitchfork):
         seed = switch_branch(circle_pitchfork, 1.0)

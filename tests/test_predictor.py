@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from symbif import predictor
+from symbif import predictor, spectral
 from symbif.potentials import builtin, from_config_dict
 from symbif.predictor import (
     BallAlternative,
@@ -237,6 +237,24 @@ class TestPredict:
         assert default_epsilon(4.0, levels) == 1.5
         assert default_epsilon(9.0, levels) == 2.5
         assert default_epsilon(3.0, [3.0]) == 1.5
+
+    @pytest.mark.parametrize(
+        "domain,cutoff,builder",
+        [(ball(2), 20.0, "ball_neumann_spectrum"), (sphere(3), 40.0, "sphere_spectrum")],
+        ids=["disk", "2-sphere"],
+    )
+    def test_one_catalog_per_predict(self, domain, cutoff, builder, monkeypatch):
+        calls = []
+        build = getattr(spectral, builder)
+
+        def spy(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(spectral, builder, spy)
+        cands = predict(builtin("pitchfork-scalar"), domain, cutoff)
+        assert len(cands) >= 2
+        assert len(calls) == 1
 
     def test_invalid_spec_rejected(self):
         spec = builtin("pitchfork-scalar")
