@@ -35,10 +35,14 @@ relations, so the residual is orthogonal to every tangent to rounding.  One
 cutoff, _PIN_RANK_TOL = 1e-6 on the singular values of the unit pinning
 rows, sets the rank of both the pin basis B and the off-symmetry complement
 Q.  A dropped value is a combination of group generators that fixes the
-solution (an isotropy direction, such as the twisted one of so2-ring on the
-2-sphere).  At the truncation-12 2-sphere branch points of both builtins
-the dropped ones are at most 5.3e-10 (the level-6 so2-ring seed) and the
-kept ones at least 0.65.
+solution (an isotropy direction, such as the twisted one of so2-ring on a
+non-zonal 2-sphere branch).  The axial seeds give zonal 2-sphere branches,
+which the rotation about the axis fixes: T_z C vanishes there up to
+rounding and a drift of at most 1.8e-8 |C| (next to pitchfork-scalar level
+6), so it is either cut by the 1e-12 norm test of symmetry_vectors or kept
+as a unit row nearly orthogonal to the others.  At the truncation-12
+2-sphere branch points of both builtins, under one and two BLAS threads, no
+singular value is dropped and the kept ones are at least 0.99999.
 newton_solve also tests the point it converged to: an off-symmetry
 eigenvalue of J below 1e-12 ||J||_1 means a kernel beyond the symmetry
 directions, and the point is refused with NewtonError.
@@ -155,7 +159,6 @@ class GalerkinProblem:
     beta: np.ndarray  # per basis function
     E: np.ndarray  # (n_funcs, n_quad) basis values at quadrature nodes
     quad: Quadrature
-    measure: float
     rotation_generators: tuple  # (T_z,) or (T_z, T_x, T_y), (n_funcs, n_funcs) each
 
     @property
@@ -222,7 +225,6 @@ def build_problem(
         beta=beta,
         E=E,
         quad=quad,
-        measure=domain.measure,
         rotation_generators=_rotation_generators(domain, eigens),
     )
 
@@ -353,7 +355,7 @@ def symmetry_vectors(problem: GalerkinProblem, c) -> list[np.ndarray]:
     vecs = []
     for g in problem.spec.action.generators():
         v = C @ g.T
-        v[0, :] += math.sqrt(problem.measure) * (g @ problem.spec.u0)
+        v[0, :] += math.sqrt(problem.domain.measure) * (g @ problem.spec.u0)
         vecs.append(v.ravel())
     for T in problem.rotation_generators:
         vecs.append((T @ C).ravel())
@@ -368,24 +370,24 @@ def _pinning_rows(problem, c):
     return rows
 
 
-def _offsym_complement(problem, c):
-    rows = _pinning_rows(problem, c)
+def _complement(rows):
+    """Orthonormal basis (columns) of the complement of the span of rows,
+    whose rank is set by the cutoff _PIN_RANK_TOL."""
     if rows.shape[0] == 0:
-        return np.eye(problem.n_dof)
+        return np.eye(rows.shape[1])
     u, s, _ = np.linalg.svd(rows.T, full_matrices=True)
-    rank = int(np.sum(s > _PIN_RANK_TOL))
-    return u[:, rank:]
+    return u[:, int(np.sum(s > _PIN_RANK_TOL)) :]
 
 
-def _offsym_block(problem, c, J):
-    """(M, Q): the Jacobian J at c restricted off symmetry directions,
-    M = Q^T J Q, and the orthonormal complement Q of the symmetry tangents."""
-    Q = _offsym_complement(problem, c)
-    return Q.T @ J @ Q, Q
+def _offsym_complement(problem, c):
+    return _complement(_pinning_rows(problem, c))
 
 
 def _min_offsym_singular(problem, c, J):
-    M, _ = _offsym_block(problem, c, J)
+    """Smallest singular value of J at c off the symmetry directions: of
+    M = Q^T J Q with Q the orthonormal complement of the symmetry tangents."""
+    Q = _offsym_complement(problem, c)
+    M = Q.T @ J @ Q
     if M.size == 0:
         return 0.0
     # M is symmetric up to rounding: its singular values are the moduli of
@@ -559,7 +561,7 @@ def _trivial_morse_index(problem, theta, lam):
     eigenvalues mu_k of the symmetrized H0(lam): the number of pairs with
     theta_b - mu_k < -_MORSE_ZERO_TOL (module docstring)."""
     p = problem.p
-    H0 = np.asarray(problem.spec.hess(problem.spec.u0[None, :], lam), float).reshape(p, p)
+    H0 = np.asarray(problem.spec.hess(problem.spec.u0, lam), float).reshape(p, p)
     mu = np.linalg.eigvalsh(0.5 * (H0 + H0.T))
     return int(np.count_nonzero(theta[None, :] - mu[:, None] < -_MORSE_ZERO_TOL))
 
@@ -617,11 +619,35 @@ def detect_bifurcation(problem: GalerkinProblem, window, steps: int = 200) -> li
 
 
 def _kernel_direction(problem, lam_star):
+    """Branch seed at a detected level: the kernel vector of J(0, lam_star)
+    in the fixed-point space of an axial subgroup of the domain's orthogonal
+    group (equivariant branching lemma; Golubitsky, Stewart & Schaeffer,
+    Singularities and Groups in Bifurcation Theory II, 1988, ch. XIII), off
+    the pinning rows, with its largest-magnitude entry positive and unit sup
+    deviation.  That space is spanned by the basis rows the subgroup fixes:
+    on the 2-sphere the zonal (m = 0) rows, fixed by O(2) about the
+    reference axis; on the circle and the disk every row but the sin rows,
+    fixed by the reflection y -> -y.  When exactly one eigenvalue mu of A,
+    a simple one, puts lam_star mu on the Laplacian spectrum (as for every
+    builtin), the kernel there is simple, so the seed does not depend on the
+    last bits of J."""
+    pairs = _angular_pairs(problem.domain, problem.eigens)
+    moved = {sin_row for _, sin_row, _ in pairs}
+    if problem.domain.kind == "sphere" and problem.domain.dim == 3:
+        moved.update(cos_row for cos_row, _, _ in pairs)
+    rows = [r for r in range(problem.n_funcs) if r not in moved]
+    idx = (np.array(rows)[:, None] * problem.p + np.arange(problem.p)).ravel()
     zero = np.zeros(problem.n_dof)
-    M, Q = _offsym_block(problem, zero, jacobian(problem, zero, lam_star))
+    Ja = jacobian(problem, zero, lam_star)[np.ix_(idx, idx)]
+    # at c = 0 the pinning rows (component generators on the constant row)
+    # lie in the subspace
+    Q = _complement(_pinning_rows(problem, zero)[:, idx])
+    M = Q.T @ Ja @ Q
     vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
-    idx = int(np.argmin(np.abs(vals)))
-    v = Q @ vecs[:, idx]
+    v = np.zeros(problem.n_dof)
+    v[idx] = Q @ vecs[:, int(np.argmin(np.abs(vals)))]
+    if v[np.argmax(np.abs(v))] < 0:
+        v = -v
     # scale so the seed function has unit sup deviation
     amp = problem.sup_deviation(v)
     if amp <= 0:
@@ -632,12 +658,15 @@ def _kernel_direction(problem, lam_star):
 def switch_branch(problem: GalerkinProblem, lam_star: float, amplitude: float = 0.05) -> Branch:
     """Seed a bifurcated branch near a detected level.
 
-    The initial guess is amplitude times the normalized kernel direction; a
-    Newton correction is attempted at the first-order branch location on
-    both sides of lam_star, and the side that converges to a nontrivial
-    solution wins.  If both fixed-lambda probes collapse to the trivial
-    family (degenerate kernels make them fragile), an amplitude-pinned
-    bordered solve locates the branch with lambda free.
+    The initial guess is amplitude times the axial kernel direction
+    (_kernel_direction: zonal on the 2-sphere, a cos mode on the circle and
+    the disk, with a fixed sign), so the branch followed does not depend on
+    the last bits of J; a Newton correction is attempted at the first-order
+    branch location on both sides of lam_star, and the side that converges
+    to a nontrivial solution wins.  If both fixed-lambda probes collapse to
+    the trivial family (among the builtins on the circle, the disk and the
+    2-sphere, only so2-ring at level 2 on the 2-sphere at truncation 12), an
+    amplitude-pinned bordered solve locates the branch with lambda free.
     """
     if amplitude <= 0.0:
         raise ValueError("amplitude must be positive")
@@ -811,7 +840,7 @@ def apply_group_element(
         gamma = np.asarray(gamma, float)
         C = C @ gamma.T
         if include_shift:
-            C[0, :] += math.sqrt(problem.measure) * (gamma @ problem.spec.u0 - problem.spec.u0)
+            C[0, :] += math.sqrt(problem.domain.measure) * (gamma @ problem.spec.u0 - problem.spec.u0)
     return C.ravel()
 
 

@@ -1,8 +1,9 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-Used for user-defined potentials: a small expression parser (+, -, *, /, ^
-with nonnegative integer powers; division only by constants) plus symbolic
-differentiation.  Evaluation broadcasts over numpy arrays.
+Every potential, builtin or user-defined, is one of these: a small
+expression parser (+, -, *, /, ^ with nonnegative integer powers; division
+only by constants) plus symbolic differentiation.  Evaluation broadcasts
+over numpy arrays.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 class Polynomial:
     """Mapping from exponent tuples to Fraction coefficients."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_plan")
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
@@ -29,6 +30,7 @@ class Polynomial:
                     raise ValueError("monomial length does not match nvars")
                 clean[tuple(mono)] = clean.get(tuple(mono), Fraction(0)) + coeff
         self.terms = {m: c for m, c in clean.items() if c != 0}
+        self._plan = None
 
     @classmethod
     def constant(cls, nvars, value):
@@ -125,17 +127,38 @@ class Polynomial:
         return max(sum(m[i] for i in variables) for m in self.terms)
 
     def __call__(self, *args):
+        """Value at the broadcast arguments.  Each variable's powers are built
+        once per call by repeated multiplication; each term multiplies its
+        coefficient by the scalar (0-d) arguments' powers first, as floats,
+        and by the array arguments' powers after."""
         if len(args) != self.nvars:
             raise ValueError(f"expected {self.nvars} arguments")
+        if self._plan is None:
+            # float coefficients and each variable's top power, made once
+            self._plan = (
+                [(float(c), m) for m, c in self.terms.items()],
+                [max((m[i] for m in self.terms), default=0) for i in range(self.nvars)],
+            )
+        terms, tops = self._plan
         args = [np.asarray(a, float) for a in args]
-        shape = np.broadcast_shapes(*(a.shape for a in args))
-        total = np.zeros(shape)
-        for m, c in self.terms.items():
-            term = np.full(shape, float(c))
-            for a, e in zip(args, m):
-                if e:
-                    term = term * a**e
-            total = total + term
+        shape = np.broadcast(*args).shape
+        scalars = [i for i, a in enumerate(args) if a.ndim == 0]
+        arrays = [i for i, a in enumerate(args) if a.ndim]
+        powers = []
+        for a, top in zip(args, tops):
+            a = a if a.ndim else float(a)
+            pw = [1.0, a]
+            for _ in range(1, top):
+                pw.append(pw[-1] * a)
+            powers.append(pw)
+        total = np.zeros(shape) if shape else 0.0
+        for c, m in terms:
+            for i in scalars:
+                c *= powers[i][m[i]]
+            for i in arrays:
+                if m[i]:
+                    c = c * powers[i][m[i]]
+            total = total + c
         return total
 
     def __eq__(self, other):

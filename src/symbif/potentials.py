@@ -2,10 +2,12 @@
 base critical point u0, the linearization matrix A, and a checker for the
 standing assumptions on these objects.
 
-Builtin potentials cover the scalar pitchfork, a rotation-invariant ring
-minimum, and degenerate variants of both.  User potentials are polynomials
-parsed from a config file; their gradients and Hessians come from symbolic
-differentiation.
+Every potential is a polynomial F in u1..up and lambda, given as config
+data (a [potential] section or the same mapping): its gradient, its Hessian
+and the degree that sizes the Galerkin quadrature come from exact symbolic
+differentiation, and one evaluator computes them.  The builtins are such
+mappings too, parsed when requested: the scalar pitchfork, a
+rotation-invariant ring minimum, and degenerate variants of both.
 """
 
 from __future__ import annotations
@@ -155,8 +157,8 @@ class PotentialSpec:
     """The potential, its symmetry, the base point, and the matrix A with
     Hessian(u0, lambda) = lambda * A.
 
-    value/grad/hess broadcast over batches: u of shape (..., p) yields grad of
-    shape (..., p) and hess of shape (..., p, p).  growth_exponent is metadata
+    value/grad/hess broadcast over batches at a scalar lambda: u of shape
+    (..., p) yields grad of shape (..., p) and hess of shape (..., p, p).  growth_exponent is metadata
     only; grad_degree (max polynomial degree of the gradient in u) sizes the
     dealiased quadrature for the Galerkin solver.
     """
@@ -273,133 +275,24 @@ def matrix_spectrum(A, slice: Optional[NormalSlice] = None, group_tol: float = 1
 # builtin potentials
 
 
-def _pitchfork_scalar():
-    def value(u, lam):
-        u = np.asarray(u, float)[..., 0]
-        return lam * u**2 / 2.0 - u**4 / 4.0
-
-    def grad(u, lam):
-        u = np.asarray(u, float)
-        return lam * u - u**3
-
-    def hess(u, lam):
-        u = np.asarray(u, float)[..., 0]
-        return (lam - 3.0 * u**2)[..., None, None]
-
-    return PotentialSpec(
-        name="pitchfork-scalar",
-        p=1,
-        action=trivial_action(1),
-        u0=np.zeros(1),
-        value=value,
-        grad=grad,
-        hess=hess,
-        A=np.array([[1.0]]),
-        growth_exponent=3.0,
-        grad_degree=3,
-    )
-
-
-def _pitchfork_degenerate():
-    def value(u, lam):
-        u = np.asarray(u, float)[..., 0]
-        return lam * u**2 / 2.0 - u**6 / 6.0
-
-    def grad(u, lam):
-        u = np.asarray(u, float)
-        return lam * u - u**5
-
-    def hess(u, lam):
-        u = np.asarray(u, float)[..., 0]
-        return (lam - 5.0 * u**4)[..., None, None]
-
-    return PotentialSpec(
-        name="pitchfork-degenerate",
-        p=1,
-        action=trivial_action(1),
-        u0=np.zeros(1),
-        value=value,
-        grad=grad,
-        hess=hess,
-        A=np.array([[1.0]]),
-        growth_exponent=5.0,
-        grad_degree=5,
-    )
-
-
-def _so2_ring():
-    u0 = np.array([1.0, 0.0])
-
-    def value(u, lam):
-        u = np.asarray(u, float)
-        s = np.sum(u * u, axis=-1) - 1.0
-        return lam * s**2 / 8.0
-
-    def grad(u, lam):
-        u = np.asarray(u, float)
-        s = np.sum(u * u, axis=-1) - 1.0
-        return 0.5 * lam * s[..., None] * u
-
-    def hess(u, lam):
-        u = np.asarray(u, float)
-        s = np.sum(u * u, axis=-1) - 1.0
-        eye = np.eye(2)
-        outer = u[..., :, None] * u[..., None, :]
-        return lam * (0.5 * s[..., None, None] * eye + outer)
-
-    return PotentialSpec(
-        name="so2-ring",
-        p=2,
-        action=so2_action(2),
-        u0=u0,
-        value=value,
-        grad=grad,
-        hess=hess,
-        A=np.outer(u0, u0),
-        growth_exponent=3.0,
-        grad_degree=3,
-    )
-
-
-def _so2_ring_degenerate():
-    u0 = np.array([1.0, 0.0])
-
-    def value(u, lam):
-        u = np.asarray(u, float)
-        s = np.sum(u * u, axis=-1) - 1.0
-        return lam * s**4 / 16.0
-
-    def grad(u, lam):
-        u = np.asarray(u, float)
-        s = np.sum(u * u, axis=-1) - 1.0
-        return 0.5 * lam * (s**3)[..., None] * u
-
-    def hess(u, lam):
-        u = np.asarray(u, float)
-        s = np.sum(u * u, axis=-1) - 1.0
-        eye = np.eye(2)
-        outer = u[..., :, None] * u[..., None, :]
-        return lam * (0.5 * (s**3)[..., None, None] * eye + 3.0 * (s**2)[..., None, None] * outer)
-
-    return PotentialSpec(
-        name="so2-ring-degenerate",
-        p=2,
-        action=so2_action(2),
-        u0=u0,
-        value=value,
-        grad=grad,
-        hess=hess,
-        A=np.zeros((2, 2)),
-        growth_exponent=7.0,
-        grad_degree=7,
-    )
-
-
+# Each builtin is the mapping a [potential] config section would hold; builtin
+# parses it with from_config_dict when called, so builtin and user potentials
+# share one symbolic path.
 _BUILTINS = {
-    "pitchfork-scalar": _pitchfork_scalar,
-    "pitchfork-degenerate": _pitchfork_degenerate,
-    "so2-ring": _so2_ring,
-    "so2-ring-degenerate": _so2_ring_degenerate,
+    "pitchfork-scalar": dict(
+        p="1", u0="0", a="1", f="lambda*u1^2/2 - u1^4/4", growth_exponent="3"
+    ),
+    "pitchfork-degenerate": dict(
+        p="1", u0="0", a="1", f="lambda*u1^2/2 - u1^6/6", growth_exponent="5"
+    ),
+    "so2-ring": dict(
+        p="2", action="so2(1,2)", u0="1 0", a="1 0; 0 0",
+        f="lambda*(u1^2 + u2^2 - 1)^2/8", growth_exponent="3",
+    ),
+    "so2-ring-degenerate": dict(
+        p="2", action="so2(1,2)", u0="1 0", a="0 0; 0 0",
+        f="lambda*(u1^2 + u2^2 - 1)^4/16", growth_exponent="7",
+    ),
 }
 
 
@@ -411,7 +304,7 @@ def builtin(name: str) -> PotentialSpec:
     """A fully populated builtin potential by catalog name."""
     if name not in _BUILTINS:
         raise ValueError(f"unknown builtin potential {name!r}; have {builtin_names()}")
-    return _BUILTINS[name]()
+    return from_config_dict({"name": name, **_BUILTINS[name]})
 
 
 # --------------------------------------------------------------------------
@@ -650,23 +543,30 @@ def from_config_dict(cfg: dict) -> PotentialSpec:
     names = [f"u{i + 1}" for i in range(p)] + ["lambda"]
     F = parse_polynomial(f_text, names)
     grads = [F.diff(i) for i in range(p)]
-    hesses = [[g.diff(j) for j in range(p)] for g in grads]
+    # the upper triangle; hess mirrors it, bitwise symmetric at half the cost
+    hesses = {(i, j): grads[i].diff(j) for i in range(p) for j in range(i, p)}
+
+    def split(u):
+        return [u[..., i] for i in range(p)]
 
     def value(u, lam):
-        u = np.asarray(u, float)
-        args = [u[..., i] for i in range(p)] + [np.asarray(lam, float)]
-        return F(*args)
+        return F(*split(np.asarray(u, float)), lam)
 
     def grad(u, lam):
         u = np.asarray(u, float)
-        args = [u[..., i] for i in range(p)] + [np.asarray(lam, float)]
-        return np.stack([g(*args) for g in grads], axis=-1)
+        args = split(u) + [lam]
+        G = np.empty(u.shape)
+        for i, g in enumerate(grads):
+            G[..., i] = g(*args)
+        return G
 
     def hess(u, lam):
         u = np.asarray(u, float)
-        args = [u[..., i] for i in range(p)] + [np.asarray(lam, float)]
-        rows = [np.stack([h(*args) for h in row], axis=-1) for row in hesses]
-        return np.stack(rows, axis=-2)
+        args = split(u) + [lam]
+        H = np.empty(u.shape + (p,))
+        for (i, j), h in hesses.items():
+            H[..., i, j] = H[..., j, i] = h(*args)
+        return H
 
     grad_degree = max((g.degree(variables=range(p)) for g in grads), default=0)
     growth = cfg.get("growth_exponent")

@@ -436,8 +436,9 @@ class TestJacobianReuse:
         [
             pytest.param("circle_pitchfork", 1.0, (0.9, 1.3), id="circle_pitchfork-1.0"),
             pytest.param("circle_ring", 1.0, (0.9, 1.3), id="circle_ring-1.0"),
-            # the seed comes from the amplitude-pinned fallback
             pytest.param("sphere_ring", 2.0, (1.7, 2.2), id="sphere_ring-2.0"),
+            # the seed comes from the amplitude-pinned fallback
+            pytest.param("sphere12_ring", 2.0, (1.7, 2.2), id="sphere12_ring-2.0"),
         ],
     )
     def test_continuation_assembles_each_point_once(
@@ -480,28 +481,29 @@ class TestJacobianReuse:
 
 
 # the level-2 so2-ring branch on the 2-sphere at truncation 6, switched at
-# the detected level and continued to (1.7, 2.6) with ds_max = 0.05: lambda
-# and sup_norm per point as the least-squares solver computed them (33
-# points, terminated at the lambda limit)
+# the detected level from the zonal (axial) seed and continued to (1.7, 2.6)
+# with ds_max = 0.05: lambda and sup_norm per point (33 points, terminated at
+# the lambda limit); every point is zonal, T_z C = 0, with residual norm at
+# most 1e-10
 RECORDED_S2_LAMBDA = [
-    2.00303792504, 2.0043291471, 2.00651739875, 2.01032250086, 2.0164190884,
-    2.02388789609, 2.03270324811, 2.04283638522, 2.05425615558, 2.06692968221,
-    2.08082297958, 2.09590150019, 2.1121306002, 2.1294759203, 2.14790368379,
-    2.1673809178, 2.18787560628, 2.20935678479, 2.23179458704, 2.25516025335,
-    2.27942610984, 2.30456552626, 2.33055285936, 2.35736338722, 2.38497323918,
-    2.41335932471, 2.44249926401, 2.47237132232, 2.5029543491, 2.53422772314,
-    2.56617130395, 2.59876538963, 2.63199068124,
+    2.00154082369, 2.00249443345, 2.0042119309, 2.00736260488, 2.01263427535,
+    2.01929166538, 2.0273112519, 2.03666602264, 2.04732616204, 2.05925973946,
+    2.07243335598, 2.08681273622, 2.10236324184, 2.11905030374, 2.13683976803,
+    2.15569816221, 2.17559288751, 2.19649234695, 2.21836601942, 2.24118448933,
+    2.26491944238, 2.28954363504, 2.31503084584, 2.34135581438, 2.36849417346,
+    2.39642237813, 2.42511763503, 2.45455783432, 2.48472148579, 2.51558766038,
+    2.54713593784, 2.57934636073, 2.61219939493,
 ]
 RECORDED_S2_SUP = [
-    0.0500455387568, 0.0597241473806, 0.0732419468237, 0.0920890049363,
-    0.115962714806, 0.139603048663, 0.162967761856, 0.186018639816,
-    0.20872173362, 0.231047447248, 0.252970495637, 0.274469757209,
-    0.295528046172, 0.316131829072, 0.336270907569, 0.355938086009,
-    0.37512883852, 0.393840986663, 0.412074395306, 0.429830691555,
-    0.44711300931, 0.463925760257, 0.480274430871, 0.496165404159,
-    0.511605804314, 0.526603362196, 0.541166299428, 0.555303228928,
-    0.569023069792, 0.582334974607, 0.595248267447, 0.60777239099,
-    0.619916861404,
+    0.0353520732808, 0.0449770923369, 0.0584320856444, 0.0772146384745,
+    0.10104427941, 0.124681007725, 0.148079738798, 0.17119916961,
+    0.194002117882, 0.216455704365, 0.238531393706, 0.26020491408,
+    0.281456080849, 0.30226854888, 0.322629517573, 0.342529409022,
+    0.36196153656, 0.380921776992, 0.399408256147, 0.417421054534,
+    0.434961936749, 0.452034106753, 0.468641989261, 0.484791036507,
+    0.500487558899, 0.515738577664, 0.530551697343, 0.54493499596,
+    0.558896930732, 0.572446257302, 0.585591960661, 0.598343196082,
+    0.610709238606,
 ]
 
 
@@ -554,9 +556,13 @@ class TestBorderedSolves:
         branch = continue_branch(prob, seed, (1.7, 2.6), max_steps=80, ds_max=0.05)
         assert branch.termination == "lambda-limit"
         assert len(branch.points) == len(RECORDED_S2_LAMBDA)
+        Tz = prob.rotation_generators[0]
         for bp, lam, sup in zip(branch.points, RECORDED_S2_LAMBDA, RECORDED_S2_SUP):
             assert abs(bp.lam - lam) <= 1e-9
             assert abs(bp.sup_norm - sup) <= 1e-9
+            C = bp.c.reshape(prob.n_funcs, prob.p)
+            assert np.max(np.abs(Tz @ C)) <= 1e-14 * np.max(np.abs(C))
+            assert bp.residual_norm <= 1e-10
 
     def test_no_least_squares_solve(self, sphere_ring, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -581,20 +587,20 @@ class TestBorderedSolves:
 # lambda of every point, as float.hex, of the circle pitchfork branch from
 # lambda* = 1 to (0.9, 1.3) and of the disk (beta <= 60) pitchfork branch
 # from the first detected level to (lambda* - 0.3, lambda* + 0.6), both with
-# max_steps=40, as full Newton correctors computed them before the chord
-# corrector (12 points each, terminated at the lambda limit)
+# max_steps=40 and the cos-mode seed, as full Newton correctors compute them
+# with no chord attempt (12 points each, terminated at the lambda limit)
 RECORDED_NEWTON_HEX = {
     "circle_pitchfork": [
-        "0x1.007b198358025p+0", "0x1.00b8c8f7aecccp+0", "0x1.01240a2d91f31p+0",
-        "0x1.01e2ffee83223p+0", "0x1.033dcb29f7f3ep+0", "0x1.05bd2eeb985d9p+0",
-        "0x1.0a636f3d1d9aap+0", "0x1.131199253c03ap+0", "0x1.223ef6cd2d993p+0",
-        "0x1.352936296ada0p+0", "0x1.4b587827132aap+0", "0x1.645afe3ad0bdep+0",
+        "0x1.007ae147ae273p+0", "0x1.00b88419af028p+0", "0x1.0123b3abd51c2p+0",
+        "0x1.01e290d8fd74bp+0", "0x1.033d39f771e8fp+0", "0x1.05bc6eb5064c0p+0",
+        "0x1.0a626f119cf79p+0", "0x1.1310440530393p+0", "0x1.223d3aae07017p+0",
+        "0x1.35271f3398bcfp+0", "0x1.4b561250d6e90p+0", "0x1.64585483475bcp+0",
     ],
     "disk_pitchfork": [
-        "0x1.b21cbc0a0e464p+1", "0x1.b24a6121c82d4p+1", "0x1.b2a27e8672653p+1",
-        "0x1.b34cb19a2f968p+1", "0x1.b49482cb42e82p+1", "0x1.b706dd5466c56p+1",
-        "0x1.bba09dd93404bp+1", "0x1.c40bb5025a143p+1", "0x1.d203e9b03896cp+1",
-        "0x1.e248199d86533p+1", "0x1.f42dcde0f3db1p+1", "0x1.03a17aec7fb3ep+2",
+        "0x1.b21cbb83eb9b1p+1", "0x1.b24a606915fd0p+1", "0x1.b2a27d879d18bp+1",
+        "0x1.b34cb03ae0b22p+1", "0x1.b49480e95a4aep+1", "0x1.b706dac6d0a8ep+1",
+        "0x1.bba09a753d4d0p+1", "0x1.c40bb0a7cecf6p+1", "0x1.d203e46353a3ap+1",
+        "0x1.e24813a5cf653p+1", "0x1.f42dc76e9c94fp+1", "0x1.03a177861ef46p+2",
     ],
 }
 
@@ -743,11 +749,10 @@ class TestSwitchAndContinue:
         svals0 = np.linalg.svd(J0, compute_uv=False)
         assert int(np.sum(svals0 < 1e-6)) == 1
 
-    def test_sphere2_branches(self, sphere_ring, monkeypatch):
-        # three-dimensional kernel: the amplitude-pinned fallback must engage
-        prob = sphere_ring
-        det = detect_bifurcation(prob, (1.0, 7.0), steps=60)
-        np.testing.assert_allclose(det, [2.0, 6.0], atol=1e-7)
+    def test_sphere2_branches(self, sphere_ring, sphere12_ring, monkeypatch):
+        # from the zonal seed the fixed-lambda probes capture the level-2
+        # so2-ring branch at truncation 6; at truncation 12 they collapse to
+        # the trivial family, and the amplitude-pinned fallback must engage
         solves = []
         bordered = continuation._bordered_newton
 
@@ -756,10 +761,13 @@ class TestSwitchAndContinue:
             solves.append((args, out))
             return out
 
-        with monkeypatch.context() as m:
-            m.setattr(continuation, "_bordered_newton", spy)
-            seed = switch_branch(prob, det[0])
-        assert len(solves) == 1
+        for prob in (sphere_ring, sphere12_ring):
+            det = detect_bifurcation(prob, (1.0, 7.0), steps=60)
+            np.testing.assert_allclose(det, [2.0, 6.0], atol=1e-7)
+            with monkeypatch.context() as m:
+                m.setattr(continuation, "_bordered_newton", spy)
+                seed = switch_branch(prob, det[0])
+            assert len(solves) == (prob is sphere12_ring)
         args, (c, lam, _) = solves[0]
         bp = seed.points[0]
         assert bp.lam == lam and np.array_equal(bp.c, c)
@@ -813,6 +821,57 @@ class TestSwitchAndContinue:
             switch_branch(circle_pitchfork, 2.5, amplitude=1e-8)
         assert len(raised) == 1
         assert ("diverged" if failure == "diverged" else "did not converge") in raised[0]
+
+
+SEED_CASES = {
+    # domain, build options, detection window
+    "circle": (sphere(2), {}, (0.5, 9.5)),
+    "disk": (ball(2), {"beta_cutoff": 60.0}, (0.5, 12.0)),
+    "sphere2-12": (sphere(3), {"truncation": 12}, (0.5, 8.0)),
+}
+
+
+@pytest.fixture(scope="module", params=list(SEED_CASES))
+def seed_case(request):
+    """(problem, detected levels) for both builtins on one domain."""
+    domain, options, window = SEED_CASES[request.param]
+    cases = []
+    for name in ("pitchfork-scalar", "so2-ring"):
+        prob = build_problem(domain, builtin(name), **options)
+        cases.append((prob, detect_bifurcation(prob, window)))
+    return cases
+
+
+class TestAxialSeed:
+    """The branch seed lies in the fixed-point space of an axial isotropy
+    subgroup, where the kernel of J(0, lambda*) is simple."""
+
+    def test_seed_is_fixed_by_the_axial_subgroup(self, seed_case):
+        for prob, levels in seed_case:
+            assert levels
+            sin_rows = [s for _, s, _ in continuation._angular_pairs(prob.domain, prob.eigens)]
+            Tz = prob.rotation_generators[0]
+            for lam in levels:
+                v = continuation._kernel_direction(prob, lam)
+                V = v.reshape(prob.n_funcs, prob.p)
+                assert np.all(V[sin_rows] == 0)
+                if len(prob.rotation_generators) == 3:
+                    # the 2-sphere: zonal, so fixed by every rotation about z
+                    assert np.all(Tz @ V == 0)
+                assert v[np.argmax(np.abs(v))] > 0
+                assert abs(prob.sup_deviation(v) - 1.0) <= 1e-12
+                J = jacobian(prob, np.zeros(prob.n_dof), lam)
+                assert np.linalg.norm(J @ v) <= 1e-7 * np.linalg.norm(v)
+
+    def test_seed_ignores_the_last_bit_of_the_hessian(self, seed_case):
+        for prob, levels in seed_case:
+            hess = prob.spec.hess
+            spec = dataclasses.replace(prob.spec, hess=lambda u, lam: hess(u, lam) * (1 + 2**-52))
+            bumped = dataclasses.replace(prob, spec=spec)
+            for lam in levels:
+                v = continuation._kernel_direction(prob, lam)
+                w = continuation._kernel_direction(bumped, lam)
+                assert np.max(np.abs(v - w)) <= 1e-12, (prob.spec.name, lam)
 
 
 class TestEquivariance:

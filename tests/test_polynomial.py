@@ -68,3 +68,35 @@ def test_power_of_zero_and_constants():
     assert p.is_constant() and p.constant_value() == 3
     q = Polynomial.variable(1, 0) ** 0
     assert q.constant_value() == 1
+
+
+def _reference(poly, args, absolute=False):
+    """sum(c * prod(a**e)) term by term; with absolute, of |c| and |a|."""
+    total = 0.0
+    for m, c in poly.terms.items():
+        term = abs(float(c)) if absolute else float(c)
+        for a, e in zip(args, m):
+            a = np.asarray(a, float)
+            term = term * (np.abs(a) if absolute else a) ** e
+        total = total + term
+    return total
+
+
+def test_evaluator_matches_reference_on_random_polynomials():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        terms = {}
+        for _ in range(int(rng.integers(1, 9))):
+            mono = tuple(int(e) for e in rng.integers(0, 6, size=3))
+            terms[mono] = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7)))
+        poly = Polynomial(3, terms)
+        for args in (
+            (rng.normal(size=(4, 1)), rng.normal(size=(1, 5)), np.float64(rng.normal())),
+            (rng.normal(size=7), 0.8, rng.normal(size=7)),
+            (np.array(rng.normal()), -1.3, 0.4),
+        ):
+            got = poly(*args)
+            ref = _reference(poly, args)
+            assert np.shape(got) == np.broadcast_shapes(*(np.shape(a) for a in args))
+            scale = _reference(poly, args, absolute=True)
+            assert np.all(np.abs(got - ref) <= 1e-13 * scale)

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,75 @@ class TestBuiltins:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             builtin("does-not-exist")
+
+
+def _ring_forms(u, lam, k):
+    """F, grad F and Hess F of lam * s^k / (4k), s = |u|^2 - 1, in closed form."""
+    s = np.sum(u * u, axis=-1) - 1.0
+    eye = np.eye(u.shape[-1])
+    outer = u[..., :, None] * u[..., None, :]
+    value = lam * s**k / (4.0 * k)
+    grad = 0.5 * lam * (s ** (k - 1))[..., None] * u
+    hess = lam * (0.5 * s ** (k - 1))[..., None, None] * eye
+    hess = hess + lam * (k - 1) * (s ** (k - 2))[..., None, None] * outer
+    return value, grad, hess
+
+
+def _pitchfork_forms(u, lam, k):
+    """F, grad F and Hess F of lam u^2 / 2 - u^k / k."""
+    x = u[..., 0]
+    hess = (lam - (k - 1) * x ** (k - 2))[..., None, None]
+    return lam * x**2 / 2.0 - x**k / k, lam * u - u ** (k - 1), hess
+
+
+CLOSED_FORMS = {
+    "pitchfork-scalar": lambda u, lam: _pitchfork_forms(u, lam, 4),
+    "pitchfork-degenerate": lambda u, lam: _pitchfork_forms(u, lam, 6),
+    "so2-ring": lambda u, lam: _ring_forms(u, lam, 2),
+    "so2-ring-degenerate": lambda u, lam: _ring_forms(u, lam, 4),
+}
+
+
+class TestBuiltinData:
+    """The builtins are config data on the symbolic path: their values,
+    gradients and Hessians against closed forms written out here."""
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_matches_closed_forms(self, name):
+        spec = builtin(name)
+        rng = np.random.default_rng(11)
+        d = rng.normal(size=(400, spec.p))
+        d *= (4.0 * rng.random((400, 1))) / np.linalg.norm(d, axis=1, keepdims=True)
+        u = spec.u0 + d
+        for lam in (-2.7, 0.3, 1.9):
+            got = (spec.value(u, lam), spec.grad(u, lam), spec.hess(u, lam))
+            for a, b in zip(got, CLOSED_FORMS[name](u, lam)):
+                assert a.shape == b.shape
+                assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b)), name
+
+    def test_gradient_degrees(self):
+        names = ["pitchfork-scalar", "pitchfork-degenerate", "so2-ring", "so2-ring-degenerate"]
+        assert [builtin(n).grad_degree for n in names] == [3, 5, 3, 7]
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_hessian_at_u0_is_lambda_a(self, name):
+        spec = builtin(name)
+        for lam in (-2.7, 0.3, 1.0, 1.9, 6.0):
+            H = spec.hess(spec.u0, lam)
+            assert np.max(np.abs(H - lam * spec.A)) <= 1e-15 * max(1.0, abs(lam))
+
+    def test_gradient_calls_leave_no_reference_cycles(self):
+        # a cycle would keep node-sized arrays alive until the next collection
+        spec = builtin("so2-ring")
+        U = np.random.default_rng(3).normal(size=(1352, 2))
+        gc.disable()
+        try:
+            gc.collect()
+            for _ in range(100):
+                spec.grad(U, 2.0)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestNormalSlice:
