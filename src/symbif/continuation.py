@@ -19,49 +19,52 @@ solution, and the residual is orthogonal to them.  So every Newton system is
 square and bordered (Keller 1977; Govaerts, Numerical Methods for
 Bifurcations of Dynamical Equilibria, 2000).  B holds orthonormal rows
 spanning the symmetry tangents P, and each row of B brings one Lagrange
-multiplier mu, which is zero at a solution.  The solves that free lambda (the
-amplitude-pinned branch switch, the pseudo-arclength tangent and corrector)
+multiplier mu, which is zero at a solution.  The solves that free lambda
 add the lambda column r_lambda and one border row b over (c, lambda):
 
     [J  B^T] [dc]        [J  r_lambda  B^T] [dc     ]
     [B  0  ] [mu]        [B  0         0  ] [dlambda]
                          [b            0  ] [mu     ]
 
-_newton_system builds either matrix and every system is solved by LU
-(np.linalg.solve); a singular factorization raises NewtonError.  The
-domain-rotation tangents are T C for exact generator matrices T: T_z from
-the (cos, sin) pairs, and on the 2-sphere T_x and T_y from the ladder
-relations, so the residual is orthogonal to every tangent to rounding.  One
-cutoff, _PIN_RANK_TOL = 1e-6 on the singular values of the unit pinning
-rows, sets the rank of both the pin basis B and the off-symmetry complement
-Q.  A dropped value is a combination of group generators that fixes the
-solution (an isotropy direction, such as the twisted one of so2-ring on a
-non-zonal 2-sphere branch).  The axial seeds give zonal 2-sphere branches,
-which the rotation about the axis fixes: T_z C vanishes there up to
-rounding and a drift of at most 1.8e-8 |C| (next to pitchfork-scalar level
-6), so it is either cut by the 1e-12 norm test of symmetry_vectors or kept
-as a unit row nearly orthogonal to the others.  At the truncation-12
-2-sphere branch points of both builtins, under one and two BLAS threads, no
-singular value is dropped and the kept ones are at least 0.99999.
+The border b is (vhat, 0) in the branch switch, with vhat the unit kernel
+direction, so one solve holds the kernel amplitude and finds lambda; it is
+the previous tangent for the pseudo-arclength tangent and the new tangent
+in the corrector.  _newton_system builds either matrix and every system is
+solved by LU (np.linalg.solve); a singular factorization raises
+NewtonError.  The domain-rotation tangents are T C for exact generator
+matrices T: T_z from the (cos, sin) pairs, and on the 2-sphere T_x and T_y
+from the ladder relations, so the residual is orthogonal to every tangent
+to rounding.  One cutoff, _PIN_RANK_TOL = 1e-6 on the singular values of
+the unit pinning rows, sets the rank of both the pin basis B and the
+off-symmetry complement Q.  A dropped value is a combination of group
+generators that fixes the solution (an isotropy direction, such as the
+twisted one of so2-ring on a non-zonal 2-sphere branch).  The axial seeds
+give zonal 2-sphere branches, which the rotation about the axis fixes: T_z
+C vanishes there up to rounding and a drift of at most 1.8e-8 |C| (next to
+pitchfork-scalar level 6), so it is either cut by the 1e-12 norm test of
+symmetry_vectors or kept as a unit row nearly orthogonal to the others.
+At the truncation-12 2-sphere branch points of both builtins, under one
+and two BLAS threads, no singular value is dropped and the kept ones are at
+least 0.99999.
 newton_solve also tests the point it converged to: an off-symmetry
 eigenvalue of J below 1e-12 ||J||_1 means a kernel beyond the symmetry
 directions, and the point is refused with NewtonError.
 
 jacobian assembles the p(p+1)/2 blocks i <= j from the symmetrized nodal
 Hessian and copies block (i, j) into (j, i).  Continuation assembles J once
-per accepted point: the same J gives the point's smallest off-symmetry
-singular value and the next tangent, and the seed from switch_branch carries
-its J into continue_branch.  The corrector then assembles none while it can:
-it takes chord (simplified Newton) steps on the tangent's bordered matrix,
-whose J, r_lambda and B are those of the last accepted point, with the
-border row replaced by the new tangent; each step is one residual and one LU
-solve (Allgower & Georg, Introduction to Numerical Continuation Methods,
-2003).  It keeps that matrix while every step cuts the residual norm at
-least fourfold (_CHORD_BAR).  On the first step that does not (a
-contraction monitor in the sense of Deuflhard, Newton Methods for Nonlinear
-Problems, 2004), it restarts from the same predictor with full Newton, one
-J per step.  A stalled chord costs a few residuals and solves, and the step
-is then accepted or halved exactly as full Newton decides.
+per point, its start point included: the same J gives the point's smallest
+off-symmetry singular value and the next tangent.  The corrector then
+assembles none while it can: it takes chord (simplified Newton) steps on
+the tangent's bordered matrix, whose J, r_lambda and B are those of the
+last accepted point, with the border row replaced by the new tangent; each
+step is one residual and one LU solve (Allgower & Georg, Introduction to
+Numerical Continuation Methods, 2003).  It keeps that matrix while every
+step cuts the residual norm at least fourfold (_CHORD_BAR).  On the first
+step that does not (a contraction monitor in the sense of Deuflhard, Newton
+Methods for Nonlinear Problems, 2004), it restarts from the same predictor
+with full Newton, one J per step.  A stalled chord costs a few residuals
+and solves, and the step is then accepted or halved exactly as full Newton
+decides.
 
 On the trivial branch c = 0 every quadrature node sees u0, so the Hessian is
 one p x p matrix H0(lambda) = hess(u0, lambda) and, in the layout above,
@@ -85,7 +88,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -135,7 +138,9 @@ class NewtonError(RuntimeError):
 
 
 class NoBranchError(RuntimeError):
-    """Branch switching collapsed back to the trivial family on both sides."""
+    """The amplitude-pinned branch switch failed: its Newton solve did not
+    converge, or its point is not a nontrivial branch point near the level.
+    The message names the cause."""
 
 
 @dataclass(frozen=True)
@@ -194,18 +199,20 @@ def build_problem(
     """Assemble basis and quadrature for a domain/potential pair.
 
     Defaults: 16 distinct eigenvalues on the circle, spherical-harmonic degree
-    8 on the 2-sphere, beta <= 60 on the disk.
+    8 on the 2-sphere, beta <= 60 on the disk.  A truncation below 1 or a
+    beta_cutoff that is not positive raises ValueError.
     """
+    if truncation is not None and truncation < 1:
+        raise ValueError(f"truncation must be at least 1, got {truncation}")
+    if beta_cutoff is not None and not beta_cutoff > 0:
+        raise ValueError(f"beta_cutoff must be positive, got {beta_cutoff}")
     gd = spec.grad_degree or 3
     if domain.kind == "sphere" and domain.dim == 2:
-        n = truncation or 16
-        eigens = spectral.sphere_spectrum(2, n)
+        eigens = spectral.sphere_spectrum(2, 16 if truncation is None else truncation)
     elif domain.kind == "sphere" and domain.dim == 3:
-        n = truncation or 9
-        eigens = spectral.sphere_spectrum(3, n)
+        eigens = spectral.sphere_spectrum(3, 9 if truncation is None else truncation)
     elif domain.kind == "ball" and domain.dim == 2:
-        cutoff = beta_cutoff or 60.0
-        eigens = spectral.ball_neumann_spectrum(2, cutoff)
+        eigens = spectral.ball_neumann_spectrum(2, 60.0 if beta_cutoff is None else beta_cutoff)
         if truncation is not None:
             eigens = eigens[:truncation]
     else:
@@ -418,9 +425,6 @@ class Branch:
     points: list
     origin: tuple  # ("trivial", None) or ("bifurcated", lambda_star)
     termination: Optional[str] = None
-    # (point, J at that point) from switch_branch, taken by the first
-    # continue_branch from this seed so the seed's J is assembled once
-    _jacobian: Optional[tuple] = field(default=None, repr=False, compare=False)
 
 
 def _make_point(problem, c, lam, residual_norm, J):
@@ -472,8 +476,10 @@ def _regular_point(problem, c, lam, residual_norm, J):
     return bp
 
 
-def _newton(problem, c0, lam):
-    """newton_solve's iteration: the point and the Jacobian J there."""
+def newton_solve(problem: GalerkinProblem, c0, lam: float) -> BranchPoint:
+    """Newton iteration at fixed lambda on the square system bordered by the
+    symmetry pin basis; raises NewtonError if it does not converge or if the
+    Jacobian at the solution is singular beyond the symmetry directions."""
     c = np.asarray(c0, float).copy()
     if not np.all(np.isfinite(c)):
         raise ValueError("initial guess must be finite")
@@ -483,7 +489,7 @@ def _newton(problem, c0, lam):
         rn = float(np.linalg.norm(r))
         J = jacobian(problem, c, lam)
         if rn <= NEWTON_TOL:
-            return _regular_point(problem, c, lam, rn, J), J
+            return _regular_point(problem, c, lam, rn, J)
         A = _newton_system(problem, c, lam, J)
         # neither is held through the next assembly (peak memory)
         del J
@@ -495,16 +501,8 @@ def _newton(problem, c0, lam):
     r = assemble_residual(problem, c, lam)
     rn = float(np.linalg.norm(r))
     if rn <= NEWTON_TOL:
-        J = jacobian(problem, c, lam)
-        return _regular_point(problem, c, lam, rn, J), J
+        return _regular_point(problem, c, lam, rn, jacobian(problem, c, lam))
     raise NewtonError(f"Newton did not converge at lambda={lam} (residual {rn:.3e})")
-
-
-def newton_solve(problem: GalerkinProblem, c0, lam: float) -> BranchPoint:
-    """Newton iteration at fixed lambda on the square system bordered by the
-    symmetry pin basis; raises NewtonError if it does not converge or if the
-    Jacobian at the solution is singular beyond the symmetry directions."""
-    return _newton(problem, c0, lam)[0]
 
 
 def _bordered_newton(problem, c, lam, border, base, offset, border_tol, maxit, frozen=None):
@@ -658,52 +656,40 @@ def _kernel_direction(problem, lam_star):
 def switch_branch(problem: GalerkinProblem, lam_star: float, amplitude: float = 0.05) -> Branch:
     """Seed a bifurcated branch near a detected level.
 
-    The initial guess is amplitude times the axial kernel direction
+    The seed is amplitude times the axial kernel direction v
     (_kernel_direction: zonal on the 2-sphere, a cos mode on the circle and
     the disk, with a fixed sign), so the branch followed does not depend on
-    the last bits of J; a Newton correction is attempted at the first-order
-    branch location on both sides of lam_star, and the side that converges
-    to a nontrivial solution wins.  If both fixed-lambda probes collapse to
-    the trivial family (among the builtins on the circle, the disk and the
-    2-sphere, only so2-ring at level 2 on the 2-sphere at truncation 12), an
-    amplitude-pinned bordered solve locates the branch with lambda free.
+    the last bits of J.  One bordered Newton solve with lambda free, from
+    (seed, lam_star), holds the kernel amplitude vhat . c at its seed value
+    (vhat = v / |v|): the border (vhat, 0) is regular at a pitchfork, where
+    fixed-lambda iterations bounce between the mirror branches (Keller
+    1977).  The converged point seeds the branch when its sup deviation
+    exceeds 0.05 amplitude and its lambda moved from lam_star by more than
+    1e-13 and at most half of max(1, |lam_star|); otherwise NoBranchError
+    names the test that failed, or chains the NewtonError.
     """
     if amplitude <= 0.0:
         raise ValueError("amplitude must be positive")
     v = _kernel_direction(problem, lam_star)
     seed = amplitude * v
-    # shift lambda to zero the kernel-direction residual at the seed
-    r0 = assemble_residual(problem, seed, lam_star)
-    rl = _residual_lambda_derivative(problem, seed, lam_star)
     vhat = v / np.linalg.norm(v)
-    den = float(np.dot(rl, vhat))
-    delta = -float(np.dot(r0, vhat)) / den if abs(den) > 1e-14 else 0.0
-    offset = math.copysign(max(abs(delta), 1e-4), delta if delta else 1.0)
-    for lam in (lam_star + offset, lam_star - offset):
-        try:
-            bp, J = _newton(problem, seed, lam)
-        except NewtonError:
-            continue
-        if bp.sup_norm > 0.05 * amplitude:
-            return Branch(points=[bp], origin=("bifurcated", float(lam_star)), _jacobian=(bp, J))
-    # the border (vhat, 0) holds the kernel amplitude vhat . c at its seed
-    # value; regular at pitchforks, where fixed-lambda iterations bounce
-    # between the mirror branches
     border = np.append(vhat, 0.0)
     target = float(np.dot(vhat, seed))
+    fail = f"no branch captured at lambda_star={lam_star}"
     try:
         c, lam, rn = _bordered_newton(
             problem, seed, lam_star, border, np.zeros_like(border), target, NEWTON_TOL, 30
         )
-    except NewtonError:
-        pass
-    else:
-        J = jacobian(problem, c, lam)
-        bp = _make_point(problem, c, lam, rn, J)
-        drift = abs(bp.lam - lam_star)
-        if bp.sup_norm > 0.05 * amplitude and 1e-13 < drift <= 0.5 * max(1.0, abs(lam_star)):
-            return Branch(points=[bp], origin=("bifurcated", float(lam_star)), _jacobian=(bp, J))
-    raise NoBranchError(f"no branch captured at lambda_star={lam_star}")
+    except NewtonError as err:
+        raise NoBranchError(f"{fail}: {err}") from err
+    bp = _make_point(problem, c, lam, rn, jacobian(problem, c, lam))
+    drift = abs(bp.lam - lam_star)
+    max_drift = 0.5 * max(1.0, abs(lam_star))
+    if not bp.sup_norm > 0.05 * amplitude:
+        raise NoBranchError(f"{fail}: sup_norm {bp.sup_norm:.3e} <= 0.05 * amplitude")
+    if not 1e-13 < drift <= max_drift:
+        raise NoBranchError(f"{fail}: lambda drift {drift:.3e} outside (1e-13, {max_drift}]")
+    return Branch(points=[bp], origin=("bifurcated", float(lam_star)))
 
 
 # --------------------------------------------------------------------------
@@ -760,12 +746,8 @@ def continue_branch(
     ds = ds0
     # the Jacobian at the last accepted point serves its branch point and the
     # next tangent, and is dropped before the corrector runs, which keeps
-    # only the tangent's bordered matrix; a seed from switch_branch hands
-    # over the one it assembled for its point
-    point, J = seed._jacobian or (None, None)
-    seed._jacobian = None
-    if point is not points[-1]:
-        J = jacobian(problem, c, lam)
+    # only the tangent's bordered matrix
+    J = jacobian(problem, c, lam)
     for _ in range(max_steps):
         try:
             t, A = _tangent(problem, c, lam, J, t_prev)

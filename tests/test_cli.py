@@ -459,6 +459,26 @@ class TestConfigHandling:
         code, _, _ = run(capsys, "levels", "--config", "/does/not/exist.cfg")
         assert code == 2
 
+    def test_bad_truncation_is_config_error(self, capsys):
+        code, out, err = run(
+            capsys,
+            "verify",
+            "--potential",
+            "pitchfork-scalar",
+            "--domain",
+            "ball",
+            "--dim",
+            "2",
+            "--beta-cutoff",
+            "10",
+            "--window",
+            "0.5:10",
+            "--truncation=-3",
+        )
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError" and "truncation" in error["message"]
+
 
 def _verify_outputs(argv, out_dir, threads):
     """Files that `symbif verify` writes under one BLAS thread count."""

@@ -437,16 +437,16 @@ class TestJacobianReuse:
             pytest.param("circle_pitchfork", 1.0, (0.9, 1.3), id="circle_pitchfork-1.0"),
             pytest.param("circle_ring", 1.0, (0.9, 1.3), id="circle_ring-1.0"),
             pytest.param("sphere_ring", 2.0, (1.7, 2.2), id="sphere_ring-2.0"),
-            # the seed comes from the amplitude-pinned fallback
             pytest.param("sphere12_ring", 2.0, (1.7, 2.2), id="sphere12_ring-2.0"),
         ],
     )
     def test_continuation_assembles_each_point_once(
         self, fixture, lam_star, limits, request, monkeypatch
     ):
-        # over switch plus continuation: the seed's J is handed over, not
-        # assembled again
+        # continue_branch assembles J once at its start point (the seed) and
+        # once at every point it accepts, and never twice at one (c, lambda)
         prob = request.getfixturevalue(fixture)
+        seed = switch_branch(prob, lam_star)
         seen = []
 
         def spy(problem, c, lam):
@@ -454,12 +454,12 @@ class TestJacobianReuse:
             return jacobian(problem, c, lam)
 
         monkeypatch.setattr(continuation, "jacobian", spy)
-        seed = switch_branch(prob, lam_star)
         branch = continue_branch(prob, seed, limits, max_steps=40)
         assert len(branch.points) > 5
+        assert branch.points[0] is seed.points[0]
         assert len(seen) == len(set(seen))
         for bp in branch.points:
-            assert (bp.c.tobytes(), bp.lam) in seen
+            assert seen.count((bp.c.tobytes(), bp.lam)) == 1
 
     @pytest.mark.parametrize(
         "fixture,lam_star,limits",
@@ -481,29 +481,29 @@ class TestJacobianReuse:
 
 
 # the level-2 so2-ring branch on the 2-sphere at truncation 6, switched at
-# the detected level from the zonal (axial) seed and continued to (1.7, 2.6)
-# with ds_max = 0.05: lambda and sup_norm per point (33 points, terminated at
-# the lambda limit); every point is zonal, T_z C = 0, with residual norm at
-# most 1e-10
+# the detected level by the amplitude-pinned solve from the zonal (axial)
+# seed and continued to (1.7, 2.6) with ds_max = 0.05: lambda and sup_norm
+# per point (33 points, terminated at the lambda limit); every point is
+# zonal, T_z C = 0, with residual norm at most 1e-10
 RECORDED_S2_LAMBDA = [
-    2.00154082369, 2.00249443345, 2.0042119309, 2.00736260488, 2.01263427535,
-    2.01929166538, 2.0273112519, 2.03666602264, 2.04732616204, 2.05925973946,
-    2.07243335598, 2.08681273622, 2.10236324184, 2.11905030374, 2.13683976803,
-    2.15569816221, 2.17559288751, 2.19649234695, 2.21836601942, 2.24118448933,
-    2.26491944238, 2.28954363504, 2.31503084584, 2.34135581438, 2.36849417346,
-    2.39642237813, 2.42511763503, 2.45455783432, 2.48472148579, 2.51558766038,
-    2.54713593784, 2.57934636073, 2.61219939493,
+    2.00309285171, 2.00439460974, 2.00659754546, 2.01042304544, 2.01654532073,
+    2.02403937157, 2.03287945923, 2.0430367729, 2.05448012316, 2.06717660722,
+    2.08109222429, 2.09619242077, 2.11244255517, 2.1298082765, 2.14825582119,
+    2.16775223291, 2.18826551447, 2.20976472148, 2.23222000827, 2.25560263557,
+    2.2798849493, 2.30504033808, 2.33104317639, 2.35786875877, 2.38549322968,
+    2.4138935124, 2.44304723971, 2.47293268823, 2.50352871772, 2.53481471631,
+    2.56677055203, 2.59937653077, 2.63261336076,
 ]
 RECORDED_S2_SUP = [
-    0.0353520732808, 0.0449770923369, 0.0584320856444, 0.0772146384745,
-    0.10104427941, 0.124681007725, 0.148079738798, 0.17119916961,
-    0.194002117882, 0.216455704365, 0.238531393706, 0.26020491408,
-    0.281456080849, 0.30226854888, 0.322629517573, 0.342529409022,
-    0.36196153656, 0.380921776992, 0.399408256147, 0.417421054534,
-    0.434961936749, 0.452034106753, 0.468641989261, 0.484791036507,
-    0.500487558899, 0.515738577664, 0.530551697343, 0.54493499596,
-    0.558896930732, 0.572446257302, 0.585591960661, 0.598343196082,
-    0.610709238606,
+    0.0500790104577, 0.0596841846655, 0.0731028344581, 0.0918180989816,
+    0.11553522817, 0.139031428996, 0.162263881947, 0.185193775805,
+    0.207786549424, 0.230011985296, 0.251844173463, 0.273261369425,
+    0.294245771109, 0.314783239719, 0.334862986022, 0.354477240849,
+    0.373620924547, 0.392291326456, 0.410487802093, 0.42821149309,
+    0.445465072283, 0.462252515015, 0.478578896195, 0.494450211898,
+    0.509873223716, 0.524855323811, 0.539404418488, 0.553528828118,
+    0.567237201351, 0.580538441715, 0.593441644843, 0.605956044815,
+    0.618090968216,
 ]
 
 
@@ -587,20 +587,21 @@ class TestBorderedSolves:
 # lambda of every point, as float.hex, of the circle pitchfork branch from
 # lambda* = 1 to (0.9, 1.3) and of the disk (beta <= 60) pitchfork branch
 # from the first detected level to (lambda* - 0.3, lambda* + 0.6), both with
-# max_steps=40 and the cos-mode seed, as full Newton correctors compute them
-# with no chord attempt (12 points each, terminated at the lambda limit)
+# max_steps=40 and the amplitude-pinned switch from the cos-mode seed, as full
+# Newton correctors compute them with no chord attempt (12 points each,
+# terminated at the lambda limit)
 RECORDED_NEWTON_HEX = {
     "circle_pitchfork": [
-        "0x1.007ae147ae273p+0", "0x1.00b88419af028p+0", "0x1.0123b3abd51c2p+0",
-        "0x1.01e290d8fd74bp+0", "0x1.033d39f771e8fp+0", "0x1.05bc6eb5064c0p+0",
-        "0x1.0a626f119cf79p+0", "0x1.1310440530393p+0", "0x1.223d3aae07017p+0",
-        "0x1.35271f3398bcfp+0", "0x1.4b561250d6e90p+0", "0x1.64585483475bcp+0",
+        "0x1.007aded2c7b2dp+0", "0x1.00b8811750720p+0", "0x1.0123afe410b30p+0",
+        "0x1.01e28bfe30120p+0", "0x1.033d339ee4a12p+0", "0x1.05bc664e55920p+0",
+        "0x1.0a6263df33809p+0", "0x1.1310351c1008ep+0", "0x1.223d27444985bp+0",
+        "0x1.352707d14b998p+0", "0x1.4b55f77bd6d14p+0", "0x1.645836b6a39e7p+0",
     ],
     "disk_pitchfork": [
-        "0x1.b21cbb83eb9b1p+1", "0x1.b24a606915fd0p+1", "0x1.b2a27d879d18bp+1",
-        "0x1.b34cb03ae0b22p+1", "0x1.b49480e95a4aep+1", "0x1.b706dac6d0a8ep+1",
-        "0x1.bba09a753d4d0p+1", "0x1.c40bb0a7cecf6p+1", "0x1.d203e46353a3ap+1",
-        "0x1.e24813a5cf653p+1", "0x1.f42dc76e9c94fp+1", "0x1.03a177861ef46p+2",
+        "0x1.b21cbae002156p+1", "0x1.b24a5f875f61ep+1", "0x1.b2a27c502f8cep+1",
+        "0x1.b34cae8d8c37dp+1", "0x1.b4947e9c6a760p+1", "0x1.b706d7a81203bp+1",
+        "0x1.bba0965080d93p+1", "0x1.c40bab55b9055p+1", "0x1.d203dde912c8bp+1",
+        "0x1.e2480c5ac9fecp+1", "0x1.f42dbf8dbaf28p+1", "0x1.03a1735e6e7d0p+2",
     ],
 }
 
@@ -750,43 +751,41 @@ class TestSwitchAndContinue:
         assert int(np.sum(svals0 < 1e-6)) == 1
 
     def test_sphere2_branches(self, sphere_ring, sphere12_ring, monkeypatch):
-        # from the zonal seed the fixed-lambda probes capture the level-2
-        # so2-ring branch at truncation 6; at truncation 12 they collapse to
-        # the trivial family, and the amplitude-pinned fallback must engage
-        solves = []
+        # at truncations 6 and 12 the level-2 so2-ring seed is the point of
+        # the one amplitude-pinned bordered solve from the zonal seed
         bordered = continuation._bordered_newton
-
-        def spy(*args):
-            out = bordered(*args)
-            solves.append((args, out))
-            return out
-
         for prob in (sphere_ring, sphere12_ring):
             det = detect_bifurcation(prob, (1.0, 7.0), steps=60)
             np.testing.assert_allclose(det, [2.0, 6.0], atol=1e-7)
+            solves = []
+
+            def spy(*args):
+                out = bordered(*args)
+                solves.append((args, out))
+                return out
+
             with monkeypatch.context() as m:
                 m.setattr(continuation, "_bordered_newton", spy)
                 seed = switch_branch(prob, det[0])
-            assert len(solves) == (prob is sphere12_ring)
-        args, (c, lam, _) = solves[0]
-        bp = seed.points[0]
-        assert bp.lam == lam and np.array_equal(bp.c, c)
-        assert bp.sup_norm > 1e-3
-        # the border is (vhat, 0) for the kernel direction v, and the seed
-        # keeps the amplitude it started from: vhat . c = 0.05 |v|
-        v = continuation._kernel_direction(prob, det[0])
-        vhat = v / np.linalg.norm(v)
-        np.testing.assert_array_equal(args[3], np.append(vhat, 0.0))
-        assert abs(float(np.dot(vhat, bp.c)) - 0.05 * np.linalg.norm(v)) <= 1e-10
-        branch = continue_branch(prob, seed, (1.7, 2.2), max_steps=20)
-        assert all(bp.residual_norm <= 1e-10 for bp in branch.points)
-        assert max(bp.sup_norm for bp in branch.points) > 0.1
+            assert len(solves) == 1
+            args, (c, lam, _) = solves[0]
+            bp = seed.points[0]
+            assert bp.lam == lam and np.array_equal(bp.c, c)
+            assert bp.sup_norm > 1e-3
+            # the border is (vhat, 0) for the kernel direction v, and the seed
+            # keeps the amplitude it started from: vhat . c = 0.05 |v|
+            v = continuation._kernel_direction(prob, det[0])
+            vhat = v / np.linalg.norm(v)
+            np.testing.assert_array_equal(args[3], np.append(vhat, 0.0))
+            assert abs(float(np.dot(vhat, bp.c)) - 0.05 * np.linalg.norm(v)) <= 1e-10
+            branch = continue_branch(prob, seed, (1.7, 2.2), max_steps=20)
+            assert all(bp.residual_norm <= 1e-10 for bp in branch.points)
+            assert max(bp.sup_norm for bp in branch.points) > 0.1
 
     def test_no_branch_error_message(self, circle_pitchfork, monkeypatch):
         # a level that is not a bifurcation point has no kernel direction to
-        # follow; the probes collapse back to the trivial family, and the
-        # amplitude-pinned fallback converges only at the level lambda = 1,
-        # too far from 2.5 to count
+        # follow; the amplitude-pinned solve converges only at the level
+        # lambda = 1, too far from 2.5 to count, and the message says so
         solves = []
         bordered = continuation._bordered_newton
 
@@ -796,14 +795,16 @@ class TestSwitchAndContinue:
             return out
 
         monkeypatch.setattr(continuation, "_bordered_newton", spy)
-        with pytest.raises(NoBranchError, match="no branch captured"):
+        message = r"^no branch captured at lambda_star=2\.5: lambda drift 1\.500e\+00 outside"
+        with pytest.raises(NoBranchError, match=message + r" \(1e-13, 1\.25\]$"):
             switch_branch(circle_pitchfork, 2.5, amplitude=1e-8)
         assert len(solves) == 1 and abs(solves[0][1] - 1.0) < 1e-6
 
     @pytest.mark.parametrize("failure", ["not-converged", "diverged"])
     def test_fallback_failure_is_no_branch(self, circle_pitchfork, monkeypatch, failure):
-        # a fallback that stops short of convergence (one step allowed) or
-        # takes a non-finite step ends as NoBranchError, not an escaped error
+        # a pinned solve that stops short of convergence (one step allowed)
+        # or takes a non-finite step ends as NoBranchError, not an escaped
+        # error, with the NewtonError chained and its text in the message
         bordered = continuation._bordered_newton
         raised = []
 
@@ -813,14 +814,18 @@ class TestSwitchAndContinue:
                     raise NewtonError("bordered Newton step diverged")
                 return bordered(*args[:-1], 1)
             except NewtonError as err:
-                raised.append(str(err))
+                raised.append(err)
                 raise
 
         monkeypatch.setattr(continuation, "_bordered_newton", failing)
-        with pytest.raises(NoBranchError, match="no branch captured"):
+        cause = "diverged" if failure == "diverged" else "did not converge"
+        message = f"^no branch captured at lambda_star=2.5: .*{cause}"
+        with pytest.raises(NoBranchError, match=message) as info:
             switch_branch(circle_pitchfork, 2.5, amplitude=1e-8)
         assert len(raised) == 1
-        assert ("diverged" if failure == "diverged" else "did not converge") in raised[0]
+        assert cause in str(raised[0])
+        assert info.value.__cause__ is raised[0]
+        assert str(info.value).endswith(str(raised[0]))
 
 
 SEED_CASES = {
@@ -872,6 +877,33 @@ class TestAxialSeed:
                 v = continuation._kernel_direction(prob, lam)
                 w = continuation._kernel_direction(bumped, lam)
                 assert np.max(np.abs(v - w)) <= 1e-12, (prob.spec.name, lam)
+
+
+class TestPinnedSwitch:
+    """switch_branch seeds every branch by one bordered solve that holds the
+    kernel amplitude vhat . c at its starting value amplitude |v|."""
+
+    def test_every_seed_holds_its_amplitude(self, seed_case, monkeypatch):
+        bordered = continuation._bordered_newton
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return bordered(*args)
+
+        monkeypatch.setattr(continuation, "_bordered_newton", spy)
+        for prob, levels in seed_case:
+            assert levels
+            for lam_star in levels:
+                calls.clear()
+                bp = switch_branch(prob, lam_star).points[0]
+                assert len(calls) == 1, (prob.spec.name, lam_star)
+                v = continuation._kernel_direction(prob, lam_star)
+                target = 0.05 * np.linalg.norm(v)
+                vhat = v / np.linalg.norm(v)
+                assert abs(float(np.dot(vhat, bp.c)) - target) <= 1e-10 * target
+                r = assemble_residual(prob, bp.c, bp.lam)
+                assert bp.residual_norm == np.linalg.norm(r) <= continuation.NEWTON_TOL
 
 
 class TestEquivariance:
@@ -1016,6 +1048,26 @@ class TestExport:
     def test_build_problem_validation(self):
         with pytest.raises(ValueError):
             build_problem(ball(3), builtin("pitchfork-scalar"))
+
+    @pytest.mark.parametrize("domain", [sphere(2), sphere(3), ball(2)], ids=lambda d: d.label)
+    @pytest.mark.parametrize(
+        "options,name",
+        [
+            ({"truncation": 0}, "truncation"),
+            ({"truncation": -3}, "truncation"),
+            ({"beta_cutoff": 0.0}, "beta_cutoff"),
+            ({"beta_cutoff": -10.0}, "beta_cutoff"),
+        ],
+    )
+    def test_build_problem_rejects_bad_sizes(self, domain, options, name):
+        # neither falls back to a default nor trims the basis from its top
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            build_problem(domain, builtin("pitchfork-scalar"), **options)
+
+    @pytest.mark.parametrize("domain", [sphere(2), sphere(3), ball(2)], ids=lambda d: d.label)
+    def test_build_problem_smallest_truncation(self, domain):
+        prob = build_problem(domain, builtin("pitchfork-scalar"), truncation=1)
+        assert prob.n_funcs == 1 and prob.beta.tolist() == [0.0]
 
 
 class TestDiskBuild:
