@@ -36,34 +36,53 @@ matrices T: T_z from the (cos, sin) pairs, and on the 2-sphere T_x and T_y
 from the ladder relations, so the residual is orthogonal to every tangent
 to rounding.  One cutoff, _PIN_RANK_TOL = 1e-6 on the singular values of
 the unit pinning rows, sets the rank of both the pin basis B and the
-off-symmetry complement Q.  A dropped value is a combination of group
-generators that fixes the solution (an isotropy direction, such as the
-twisted one of so2-ring on a non-zonal 2-sphere branch).  The axial seeds
-give zonal 2-sphere branches, which the rotation about the axis fixes: T_z
-C vanishes there up to rounding and a drift of at most 1.8e-8 |C| (next to
-pitchfork-scalar level 6), so it is either cut by the 1e-12 norm test of
-symmetry_vectors or kept as a unit row nearly orthogonal to the others.
-At the truncation-12 2-sphere branch points of both builtins, under one
-and two BLAS threads, no singular value is dropped and the kept ones are at
-least 0.99999.
+off-symmetry complement Q.
+
+Branches are followed in a fixed-point subspace.  Every branch seed lies in
+Fix(Sigma) of an axial subgroup Sigma (_kernel_direction): the zonal rows on
+the 2-sphere, every row but the sin rows on the circle and the disk.  The
+residual maps Fix(Sigma) into itself, so switch_branch and continue_branch
+solve on the Galerkin problem restricted to those rows (Healey, Comput.
+Methods Appl. Mech. Eng. 67, 1988; Gatermann & Hohmann, IMPACT Comput. Sci.
+Eng. 3, 1991).  The domain-rotation tangents leave Fix(Sigma), so only the
+component generators are pinned there; row 0, the constant row, stays first.
+continue_branch takes all rows instead when its seed has a nonzero
+coefficient off Fix(Sigma).  BranchPoint.c is the full coefficient vector,
+zero off the rows followed.
+
+At a Sigma-fixed point the full-space J commutes with Sigma and is
+block-diagonal by isotypic component (Faessler & Stiefel, Group Theoretical
+Methods and Their Applications, 1992): on the 2-sphere one block per
+azimuthal index m, the cos and the sin rows of m giving equal blocks; on the
+circle and the disk the reflection-even rows and the sin rows.  Each symmetry
+tangent lies in one block (the component generators in the first, T_x C and
+T_y C in the m = 1 sin and cos blocks, T_z C in the sin rows of the circle
+and the disk, while T_z C = 0 on the 2-sphere), so the full-space
+off-symmetry spectrum is the union of the block spectra, each taken off the
+tangents that fall in the block.  The first block is the Jacobian the
+continuation assembles anyway; the others come from the same nodal Hessian.
+A point's min_offsym_singular is the smallest modulus over the blocks, and
+block_morse_index counts each block's negative eigenvalues.  With all rows
+in one block (continuation off Fix(Sigma), and newton_solve) this is the
+dense value of Q^T J Q.
 newton_solve also tests the point it converged to: an off-symmetry
 eigenvalue of J below 1e-12 ||J||_1 means a kernel beyond the symmetry
 directions, and the point is refused with NewtonError.
 
 jacobian assembles the p(p+1)/2 blocks i <= j from the symmetrized nodal
-Hessian and copies block (i, j) into (j, i).  Continuation assembles J once
-per point, its start point included: the same J gives the point's smallest
-off-symmetry singular value and the next tangent.  The corrector then
-assembles none while it can: it takes chord (simplified Newton) steps on
-the tangent's bordered matrix, whose J, r_lambda and B are those of the
+Hessian and copies block (i, j) into (j, i).  Continuation assembles the
+reduced J once per point, its start point included: the same J is the
+point's first diagnostic block and gives the next tangent.  The corrector
+then assembles none while it can: it takes chord (simplified Newton) steps
+on the tangent's bordered matrix, whose J, r_lambda and B are those of the
 last accepted point, with the border row replaced by the new tangent; each
 step is one residual and one LU solve (Allgower & Georg, Introduction to
 Numerical Continuation Methods, 2003).  It keeps that matrix while every
 step cuts the residual norm at least fourfold (_CHORD_BAR).  On the first
 step that does not (a contraction monitor in the sense of Deuflhard, Newton
 Methods for Nonlinear Problems, 2004), it restarts from the same predictor
-with full Newton, one J per step.  A stalled chord costs a few residuals
-and solves, and the step is then accepted or halved exactly as full Newton
+with full Newton, one J per step.  A stalled chord costs a few residuals and
+solves, and the step is then accepted or halved exactly as full Newton
 decides.
 
 On the trivial branch c = 0 every quadrature node sees u0, so the Hessian is
@@ -88,6 +107,7 @@ from __future__ import annotations
 
 import csv
 import math
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
@@ -124,7 +144,7 @@ _MORSE_ZERO_TOL = 1e-10
 _REFINE_TOL = 1e-9
 # singular values of the unit pinning rows at most this are dependencies
 # among the rows, not symmetry directions; the one rank cutoff for both the
-# pin basis and the off-symmetry complement (module docstring)
+# pin basis and the off-symmetry complement of every block (module docstring)
 _PIN_RANK_TOL = 1e-6
 # a chord corrector step must cut the residual norm at least fourfold, or the
 # corrector falls back to full Newton; a bar of 1 (chord until the residual
@@ -155,6 +175,13 @@ class GalerkinProblem:
     then T_x and T_y on the 2-sphere (the circle's and the disk's full
     rotation group is the reference axis).  Their tangents T C are pinned at
     the one rank cutoff _PIN_RANK_TOL.
+
+    Branch switching and continuation solve on a private copy restricted to
+    the rows of an axial fixed-point subspace (_subspace): funcs, E and beta
+    are row subsets, rotation_generators is empty and eigens is the full
+    problem's.  The full problem's Jacobian at a point of that subspace is
+    block-diagonal by isotypic component (_isotypic_rows), and the
+    diagnostics of every branch point come from those blocks.
     """
 
     domain: DomainId
@@ -252,11 +279,21 @@ def assemble_residual(problem: GalerkinProblem, c, lam: float) -> np.ndarray:
 
 
 def jacobian(problem: GalerkinProblem, c, lam: float) -> np.ndarray:
-    c = np.asarray(c, float)
+    H = _nodal_hessian(problem, c, lam)
+    return _assemble_jacobian(problem.E, problem.quad.weights, problem.beta, H)
+
+
+def _nodal_hessian(problem, c, lam):
+    """Hessian of F at the quadrature nodes, (nq, p, p)."""
     U = problem.evaluate(c)
-    H = np.asarray(problem.spec.hess(U, lam), float).reshape(U.shape[0], problem.p, problem.p)
-    Ew = problem.E * problem.quad.weights[None, :]
-    nf, p = problem.n_funcs, problem.p
+    return np.asarray(problem.spec.hess(U, lam), float).reshape(U.shape[0], problem.p, problem.p)
+
+
+def _assemble_jacobian(E, weights, beta, H):
+    """Jacobian on the basis rows E (eigenvalues beta) from the nodal Hessian
+    H: diag(beta) kron I - int e_a e_b H, in the coefficient layout."""
+    Ew = E * weights[None, :]
+    nf, p = E.shape[0], H.shape[1]
     J = np.zeros((nf, p, nf, p))
     # block (i, j) depends on the nodal values H_ij alone, so with the
     # symmetrized h it equals block (j, i) entry for entry; for a bitwise
@@ -265,11 +302,11 @@ def jacobian(problem: GalerkinProblem, c, lam: float) -> np.ndarray:
     for i in range(p):
         for j in range(i, p):
             h = 0.5 * (H[:, i, j] + H[:, j, i])
-            J[:, i, :, j] = Ew @ ((-h)[:, None] * problem.E.T)
+            J[:, i, :, j] = Ew @ ((-h)[:, None] * E.T)
             if j != i:
                 J[:, j, :, i] = J[:, i, :, j]
-    J = J.reshape(problem.n_dof, problem.n_dof)
-    J[np.diag_indices_from(J)] += np.repeat(problem.beta, p)
+    J = J.reshape(nf * p, nf * p)
+    J[np.diag_indices_from(J)] += np.repeat(beta, p)
     return J
 
 
@@ -386,20 +423,81 @@ def _complement(rows):
     return u[:, int(np.sum(s > _PIN_RANK_TOL)) :]
 
 
-def _offsym_complement(problem, c):
-    return _complement(_pinning_rows(problem, c))
+def _offsym_eigenvalues(rows, J):
+    """Eigenvalues of Q^T J Q, with Q the orthonormal complement of the
+    pinning rows restricted to J's block (rows that vanish there are not
+    in the block); J is symmetric up to rounding."""
+    rows = rows[np.any(rows != 0, axis=1)]
+    if rows.shape[0]:
+        Q = _complement(rows)
+        J = Q.T @ J @ Q
+    return np.linalg.eigvalsh(0.5 * (J + J.T))
 
 
-def _min_offsym_singular(problem, c, J):
-    """Smallest singular value of J at c off the symmetry directions: of
-    M = Q^T J Q with Q the orthonormal complement of the symmetry tangents."""
-    Q = _offsym_complement(problem, c)
-    M = Q.T @ J @ Q
-    if M.size == 0:
-        return 0.0
-    # M is symmetric up to rounding: its singular values are the moduli of
-    # its eigenvalues
-    return float(np.min(np.abs(np.linalg.eigvalsh(0.5 * (M + M.T)))))
+def _isotypic_rows(problem):
+    """Basis rows of the isotypic blocks of the Jacobian at a point fixed by
+    the axial subgroup of _kernel_direction, first the rows it fixes.  On
+    the 2-sphere: the zonal rows, then the cos rows of m = 1, 2, ..., each
+    block equal to that of the sin rows of the same m.  On the circle and
+    the disk: the reflection-even rows, then the sin rows."""
+    pairs = _angular_pairs(problem.domain, problem.eigens)
+    if problem.domain.kind == "sphere" and problem.domain.dim == 3:
+        moved = {row for cos_row, sin_row, _ in pairs for row in (cos_row, sin_row)}
+        orders = sorted({m for _, _, m in pairs})
+        others = [[cos_row for cos_row, _, m in pairs if m == order] for order in orders]
+    else:
+        moved = {sin_row for _, sin_row, _ in pairs}
+        others = [sorted(moved)] if moved else []
+    fixed = [r for r in range(problem.n_funcs) if r not in moved]
+    return [np.array(rows) for rows in [fixed, *others]]
+
+
+@dataclass(frozen=True)
+class _Subspace:
+    """The rows of full that a branch is followed on: problem is full
+    restricted to blocks[0] (full itself when that is every row), idx the
+    coefficient indices of those rows in full, and blocks the isotypic
+    blocks of full's Jacobian at the points followed."""
+
+    full: GalerkinProblem
+    problem: GalerkinProblem
+    idx: np.ndarray
+    blocks: tuple
+
+    def lift(self, c) -> np.ndarray:
+        out = np.zeros(self.full.n_dof)
+        out[self.idx] = c
+        return out
+
+
+def _coefficient_indices(rows, p):
+    return (rows[:, None] * p + np.arange(p)).ravel()
+
+
+def _subspace(problem, blocks):
+    """The _Subspace on the rows blocks[0] of problem."""
+    rows = blocks[0]
+    sub = problem
+    if rows.size < problem.n_funcs:
+        sub = dataclasses.replace(
+            problem,
+            funcs=[problem.funcs[r] for r in rows],
+            E=problem.E[rows],
+            beta=problem.beta[rows],
+            rotation_generators=(),
+        )
+    return _Subspace(problem, sub, _coefficient_indices(rows, problem.p), tuple(blocks))
+
+
+def _branch_space(problem, c):
+    """Fix(Sigma) with its isotypic blocks when c vanishes exactly off it,
+    otherwise every row in one block."""
+    blocks = _isotypic_rows(problem)
+    off = np.ones(problem.n_funcs, bool)
+    off[blocks[0]] = False
+    if np.any(np.asarray(c, float).reshape(problem.n_funcs, problem.p)[off] != 0):
+        blocks = [np.arange(problem.n_funcs)]
+    return _subspace(problem, blocks)
 
 
 # --------------------------------------------------------------------------
@@ -408,14 +506,24 @@ def _min_offsym_singular(problem, c, J):
 
 @dataclass(frozen=True)
 class BranchPoint:
-    """One converged solution: sup_norm is the max deviation |u - u0| over
-    quadrature nodes."""
+    """One converged solution: c is the full coefficient vector,
+    residual_norm the residual norm in the space the point was solved in,
+    and sup_norm the max deviation |u - u0| over quadrature nodes.
+
+    min_offsym_singular is the smallest singular value of the full-space J
+    off the symmetry tangents, and block_morse_index the number of its
+    off-symmetry eigenvalues below -_MORSE_ZERO_TOL per isotypic block
+    (_isotypic_rows): on the 2-sphere m = 0, 1, ..., where each m >= 1
+    block counts twice in the full-space index (its cos and sin rows); on
+    the circle and the disk the reflection-even rows, then the sin rows.  A
+    point solved on every row has one block."""
 
     lam: float
     c: np.ndarray
     residual_norm: float
     min_offsym_singular: float
     sup_norm: float
+    block_morse_index: tuple
 
 
 @dataclass
@@ -427,14 +535,26 @@ class Branch:
     termination: Optional[str] = None
 
 
-def _make_point(problem, c, lam, residual_norm, J):
-    """Branch point at (c, lam) with the Jacobian J there."""
+def _make_point(space, c, lam, residual_norm, J):
+    """Branch point at the coefficients c of space.problem, with J the
+    Jacobian there: the first isotypic block.  The other blocks are
+    assembled from the nodal Hessian at c on the full problem's rows."""
+    full, lifted = space.full, space.lift(c)
+    pins = _pinning_rows(full, lifted)
+    H = _nodal_hessian(space.problem, c, lam) if len(space.blocks) > 1 else None
+    spectra = []
+    for k, rows in enumerate(space.blocks):
+        if k:
+            J = _assemble_jacobian(full.E[rows], full.quad.weights, full.beta[rows], H)
+        spectra.append(_offsym_eigenvalues(pins[:, _coefficient_indices(rows, full.p)], J))
+    moduli = [float(np.min(np.abs(ev))) for ev in spectra if ev.size]
     return BranchPoint(
         lam=float(lam),
-        c=np.asarray(c, float).copy(),
+        c=lifted,
         residual_norm=float(residual_norm),
-        min_offsym_singular=_min_offsym_singular(problem, c, J),
-        sup_norm=problem.sup_deviation(c),
+        min_offsym_singular=min(moduli, default=0.0),
+        sup_norm=space.problem.sup_deviation(c),
+        block_morse_index=tuple(int(np.count_nonzero(ev < -_MORSE_ZERO_TOL)) for ev in spectra),
     )
 
 
@@ -470,7 +590,8 @@ def _solve(A, b, lam):
 def _regular_point(problem, c, lam, residual_norm, J):
     """Branch point at a converged (c, lam), or NewtonError when J is
     singular beyond the symmetry directions there."""
-    bp = _make_point(problem, c, lam, residual_norm, J)
+    space = _subspace(problem, [np.arange(problem.n_funcs)])
+    bp = _make_point(space, c, lam, residual_norm, J)
     if bp.min_offsym_singular < 1e-12 * np.linalg.norm(J, 1):
         raise NewtonError(f"singular Jacobian beyond pinning rank at lambda={lam}")
     return bp
@@ -628,22 +749,15 @@ def _kernel_direction(problem, lam_star):
     fixed by the reflection y -> -y.  When exactly one eigenvalue mu of A,
     a simple one, puts lam_star mu on the Laplacian spectrum (as for every
     builtin), the kernel there is simple, so the seed does not depend on the
-    last bits of J."""
-    pairs = _angular_pairs(problem.domain, problem.eigens)
-    moved = {sin_row for _, sin_row, _ in pairs}
-    if problem.domain.kind == "sphere" and problem.domain.dim == 3:
-        moved.update(cos_row for cos_row, _, _ in pairs)
-    rows = [r for r in range(problem.n_funcs) if r not in moved]
-    idx = (np.array(rows)[:, None] * problem.p + np.arange(problem.p)).ravel()
-    zero = np.zeros(problem.n_dof)
-    Ja = jacobian(problem, zero, lam_star)[np.ix_(idx, idx)]
-    # at c = 0 the pinning rows (component generators on the constant row)
-    # lie in the subspace
-    Q = _complement(_pinning_rows(problem, zero)[:, idx])
-    M = Q.T @ Ja @ Q
+    last bits of J.  J is assembled on those rows alone."""
+    space = _subspace(problem, _isotypic_rows(problem))
+    zero = np.zeros(space.problem.n_dof)
+    # at c = 0 the pinning rows are the component generators on the constant
+    # row, which lies in the subspace
+    Q = _complement(_pinning_rows(space.problem, zero))
+    M = Q.T @ jacobian(space.problem, zero, lam_star) @ Q
     vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
-    v = np.zeros(problem.n_dof)
-    v[idx] = Q @ vecs[:, int(np.argmin(np.abs(vals)))]
+    v = space.lift(Q @ vecs[:, int(np.argmin(np.abs(vals)))])
     if v[np.argmax(np.abs(v))] < 0:
         v = -v
     # scale so the seed function has unit sup deviation
@@ -659,7 +773,9 @@ def switch_branch(problem: GalerkinProblem, lam_star: float, amplitude: float = 
     The seed is amplitude times the axial kernel direction v
     (_kernel_direction: zonal on the 2-sphere, a cos mode on the circle and
     the disk, with a fixed sign), so the branch followed does not depend on
-    the last bits of J.  One bordered Newton solve with lambda free, from
+    the last bits of J.  It lies in the fixed-point subspace of v's axial
+    subgroup, which the solve keeps to (module docstring): one bordered
+    Newton solve with lambda free, from
     (seed, lam_star), holds the kernel amplitude vhat . c at its seed value
     (vhat = v / |v|): the border (vhat, 0) is regular at a pitchfork, where
     fixed-lambda iterations bounce between the mirror branches (Keller
@@ -670,7 +786,8 @@ def switch_branch(problem: GalerkinProblem, lam_star: float, amplitude: float = 
     """
     if amplitude <= 0.0:
         raise ValueError("amplitude must be positive")
-    v = _kernel_direction(problem, lam_star)
+    space = _subspace(problem, _isotypic_rows(problem))
+    v = _kernel_direction(problem, lam_star)[space.idx]
     seed = amplitude * v
     vhat = v / np.linalg.norm(v)
     border = np.append(vhat, 0.0)
@@ -678,11 +795,11 @@ def switch_branch(problem: GalerkinProblem, lam_star: float, amplitude: float = 
     fail = f"no branch captured at lambda_star={lam_star}"
     try:
         c, lam, rn = _bordered_newton(
-            problem, seed, lam_star, border, np.zeros_like(border), target, NEWTON_TOL, 30
+            space.problem, seed, lam_star, border, np.zeros_like(border), target, NEWTON_TOL, 30
         )
     except NewtonError as err:
         raise NoBranchError(f"{fail}: {err}") from err
-    bp = _make_point(problem, c, lam, rn, jacobian(problem, c, lam))
+    bp = _make_point(space, c, lam, rn, jacobian(space.problem, c, lam))
     drift = abs(bp.lam - lam_star)
     max_drift = 0.5 * max(1.0, abs(lam_star))
     if not bp.sup_norm > 0.05 * amplitude:
@@ -723,8 +840,11 @@ def continue_branch(
 ) -> Branch:
     """Pseudo-arclength continuation from a seed branch.
 
-    Steps adapt by halving on corrector failure and growing on fast
-    convergence; the run stops at the lambda limits, on step underflow, after
+    The branch is followed on the rows of the axial fixed-point subspace
+    when the last seed point's coefficients vanish exactly off them, and on
+    every row otherwise (module docstring).  The step halves when the
+    corrector fails and grows by 1.4 after every accepted step, up to
+    ds_max; the run stops at the lambda limits, on step underflow, after
     max_steps, or when the branch returns to the trivial family away from its
     origin level ("reconnects-to-trivial").
     """
@@ -734,9 +854,11 @@ def continue_branch(
         raise ValueError("seed branch has no points")
     origin = seed.origin
     branch = Branch(points=points, origin=origin)
-    c = points[-1].c.copy()
+    space = _branch_space(problem, points[-1].c)
+    sub = space.problem
+    c = points[-1].c[space.idx]
     lam = points[-1].lam
-    n = problem.n_dof
+    n = sub.n_dof
     if origin[0] == "bifurcated" and origin[1] is not None:
         t_prev = np.concatenate([c, [lam - origin[1]]])
         nt = np.linalg.norm(t_prev)
@@ -747,10 +869,10 @@ def continue_branch(
     # the Jacobian at the last accepted point serves its branch point and the
     # next tangent, and is dropped before the corrector runs, which keeps
     # only the tangent's bordered matrix
-    J = jacobian(problem, c, lam)
+    J = jacobian(sub, c, lam)
     for _ in range(max_steps):
         try:
-            t, A = _tangent(problem, c, lam, J, t_prev)
+            t, A = _tangent(sub, c, lam, J, t_prev)
         except NewtonError:
             branch.termination = "tangent-failure"
             return branch
@@ -762,7 +884,7 @@ def continue_branch(
             # the border t holds the arclength from (c, lam) at ds; chord steps
             # first, and on a stall full Newton from the same predictor
             pred = (c + ds * t[:n], lam + ds * t[n])
-            args = (problem, *pred, t, np.append(c, lam), ds, 10 * NEWTON_TOL, 12)
+            args = (sub, *pred, t, np.append(c, lam), ds, 10 * NEWTON_TOL, 12)
             try:
                 try:
                     c_new, lam_new, rn = _bordered_newton(*args, frozen=A)
@@ -778,8 +900,8 @@ def continue_branch(
         c, lam = c_new, lam_new
         t_prev = t
         A = None
-        J = jacobian(problem, c, lam)
-        bp = _make_point(problem, c, lam, rn, J)
+        J = jacobian(sub, c, lam)
+        bp = _make_point(space, c, lam, rn, J)
         branch.points.append(bp)
         ds = min(ds * 1.4, ds_max)
         if lam < lo or lam > hi:
@@ -848,6 +970,7 @@ def branch_to_json(branch: Branch, include_coefficients: bool = False) -> dict:
                 "sup_norm": bp.sup_norm,
                 "residual_norm": bp.residual_norm,
                 "min_offsym_singular": bp.min_offsym_singular,
+                "block_morse_index": list(bp.block_morse_index),
             }
             for bp in branch.points
         ],

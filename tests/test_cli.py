@@ -496,51 +496,30 @@ def _verify_outputs(argv, out_dir, threads):
 
 class TestVerifyDeterminism:
     """Identical configs give byte-identical verify output whatever the BLAS
-    thread count.  The 2-sphere is checked apart (TestSphereVerifyThreads):
-    its full-space Jacobian products and LU solves round differently under
-    one and two threads."""
+    thread count, the 2-sphere included: branches are followed in the
+    fixed-point subspace, whose products and LU solves are small enough to
+    round alike under one and two threads."""
 
     @pytest.mark.parametrize(
-        "potential,domain,window",
-        [("pitchfork-scalar", "sphere", "0.5:9.5"), ("so2-ring", "ball", "0.5:10")],
-        ids=["circle-pitchfork-scalar", "disk-so2-ring"],
+        "potential,options",
+        [
+            ("pitchfork-scalar", "--domain sphere --dim 2 --beta-cutoff 10 --window 0.5:9.5"),
+            ("so2-ring", "--domain ball --dim 2 --beta-cutoff 10 --window 0.5:10"),
+            ("pitchfork-scalar", "--domain sphere --dim 3 --truncation 12 --window 0.5:8"),
+            ("so2-ring", "--domain sphere --dim 3 --truncation 12 --window 0.5:8"),
+        ],
+        ids=[
+            "circle-pitchfork-scalar",
+            "disk-so2-ring",
+            "sphere2-12-pitchfork-scalar",
+            "sphere2-12-so2-ring",
+        ],
     )
-    def test_output_does_not_depend_on_blas_threads(self, potential, domain, window, tmp_path):
-        argv = ["--potential", potential, "--domain", domain, "--dim", "2"]
-        argv += ["--beta-cutoff", "10", "--window", window]
+    def test_output_does_not_depend_on_blas_threads(self, potential, options, tmp_path):
+        argv = ["--potential", potential, *options.split()]
         outputs = [_verify_outputs(argv, tmp_path / t, t) for t in ("1", "2")]
         assert len(outputs[0]) > 1  # the report and the branch files
         assert outputs[0] == outputs[1]
-
-
-class TestSphereVerifyThreads:
-    """verify on the 2-sphere at truncation 12 under one and two BLAS
-    threads: the zonal seeds make the same branches, equal in everything
-    but the last bits of their floats."""
-
-    @pytest.mark.parametrize("potential", ["pitchfork-scalar", "so2-ring"])
-    def test_same_branches_under_one_and_two_threads(self, potential, tmp_path):
-        argv = ["--potential", potential, "--domain", "sphere", "--dim", "3"]
-        argv += ["--truncation", "12", "--window", "0.5:8"]
-        one, two = (_verify_outputs(argv, tmp_path / t, t) for t in ("1", "2"))
-        assert sorted(one) == sorted(two) and len(one) == 5  # report, 2 x (csv, json)
-        report, other = json.loads(one["r"]), json.loads(two["r"])
-        assert report["verdict"] == other["verdict"] == "CONSISTENT"
-        assert report["detected"] == other["detected"]
-        assert len(report["levels"]) == len(other["levels"]) == 2
-        for a, b in zip(report["levels"], other["levels"]):
-            assert a["lambda0"] == b["lambda0"]
-            assert a["detected_match"] == b["detected_match"]
-            for key in ("captured", "points", "termination"):
-                assert a["branch"][key] == b["branch"][key]
-        for name in one:
-            if name.endswith(".json"):
-                a, b = json.loads(one[name]), json.loads(two[name])
-                assert a["termination"] == b["termination"]
-                assert len(a["points"]) == len(b["points"])
-                for x, y in zip(a["points"], b["points"]):
-                    assert abs(x["lambda"] - y["lambda"]) <= 1e-9
-                    assert abs(x["sup_norm"] - y["sup_norm"]) <= 1e-9
 
 
 class TestSweepGoldenBits:

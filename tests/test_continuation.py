@@ -64,6 +64,21 @@ def _block_loop_jacobian(prob, c, lam):
     return J
 
 
+def _dense_offsym_complement(prob, c):
+    """Orthonormal complement of every full-space symmetry tangent at c."""
+    return continuation._complement(continuation._pinning_rows(prob, c))
+
+
+def _dense_min_offsym_singular(prob, c, J):
+    """Reference value: the smallest singular value of Q^T J Q on the full
+    space, with Q the complement of every symmetry tangent at c."""
+    Q = _dense_offsym_complement(prob, c)
+    M = Q.T @ J @ Q
+    if M.size == 0:
+        return 0.0
+    return float(np.min(np.abs(np.linalg.eigvalsh(0.5 * (M + M.T)))))
+
+
 def linear_potential():
     return from_config_dict(
         {"name": "linear", "p": "1", "action": "trivial", "u0": "0", "a": "1", "f": "lambda*u1^2/2"}
@@ -278,7 +293,7 @@ def coupled_potential():
 
 def _assembled_trivial_block(prob, lam):
     zero = np.zeros(prob.n_dof)
-    Q = continuation._offsym_complement(prob, zero)
+    Q = _dense_offsym_complement(prob, zero)
     return Q.T @ jacobian(prob, zero, lam) @ Q
 
 
@@ -303,7 +318,7 @@ def _dense_detect(prob, window, steps):
     diag(beta) - G kron H0(lam) and the off-symmetry complement Q, on
     detect_bifurcation's grid, bisection stack and tolerances."""
     G = (prob.E * prob.quad.weights[None, :]) @ prob.E.T
-    Q = continuation._offsym_complement(prob, np.zeros(prob.n_dof))
+    Q = _dense_offsym_complement(prob, np.zeros(prob.n_dof))
     diag = np.repeat(prob.beta, prob.p)
     u0 = prob.spec.u0[None, :]
 
@@ -406,9 +421,7 @@ class TestJacobianReuse:
 
         monkeypatch.setattr(continuation, "jacobian", counting("jacobian", jacobian))
         monkeypatch.setattr(
-            continuation,
-            "_offsym_complement",
-            counting("complement", continuation._offsym_complement),
+            continuation, "_complement", counting("complement", continuation._complement)
         )
         det = detect_bifurcation(circle_ring, (0.5, 4.5), steps=40)
         np.testing.assert_allclose(det, [1.0, 4.0], atol=1e-7)
@@ -443,13 +456,17 @@ class TestJacobianReuse:
     def test_continuation_assembles_each_point_once(
         self, fixture, lam_star, limits, request, monkeypatch
     ):
-        # continue_branch assembles J once at its start point (the seed) and
-        # once at every point it accepts, and never twice at one (c, lambda)
+        # continue_branch assembles the Jacobian of the fixed-point subspace
+        # once at its start point (the seed) and once at every point it
+        # accepts, never twice at one (c, lambda), and never a full-space one
         prob = request.getfixturevalue(fixture)
         seed = switch_branch(prob, lam_star)
+        space = continuation._branch_space(prob, seed.points[0].c)
+        assert space.problem.n_dof < prob.n_dof
         seen = []
 
         def spy(problem, c, lam):
+            assert problem.n_dof == space.problem.n_dof
             seen.append((np.asarray(c, float).tobytes(), float(lam)))
             return jacobian(problem, c, lam)
 
@@ -459,7 +476,7 @@ class TestJacobianReuse:
         assert branch.points[0] is seed.points[0]
         assert len(seen) == len(set(seen))
         for bp in branch.points:
-            assert seen.count((bp.c.tobytes(), bp.lam)) == 1
+            assert seen.count((bp.c[space.idx].tobytes(), bp.lam)) == 1
 
     @pytest.mark.parametrize(
         "fixture,lam_star,limits",
@@ -470,14 +487,20 @@ class TestJacobianReuse:
         ],
     )
     def test_point_singular_values_match_fresh_assembly(self, fixture, lam_star, limits, request):
-        # the reused Jacobian is the one at the point itself: bit-identical
-        # to assembling it from scratch
+        # the block value of a branch point is the dense value of a full
+        # Jacobian assembled from scratch at the point, to rounding; a
+        # newton_solve point has one block, its reused full Jacobian, and
+        # the dense value bit for bit
         prob = request.getfixturevalue(fixture)
         branch = continue_branch(prob, switch_branch(prob, lam_star), limits, max_steps=20)
-        points = branch.points + [newton_solve(prob, np.zeros(prob.n_dof), 0.6)]
-        for bp in points:
+        for bp in branch.points:
             J = jacobian(prob, bp.c, bp.lam)
-            assert bp.min_offsym_singular == continuation._min_offsym_singular(prob, bp.c, J)
+            dense = _dense_min_offsym_singular(prob, bp.c, J)
+            assert abs(bp.min_offsym_singular - dense) <= 1e-12 * np.linalg.norm(J, 1)
+        bp = newton_solve(prob, np.zeros(prob.n_dof), 0.6)
+        J = jacobian(prob, bp.c, bp.lam)
+        assert bp.min_offsym_singular == _dense_min_offsym_singular(prob, bp.c, J)
+        assert len(bp.block_morse_index) == 1
 
 
 # the level-2 so2-ring branch on the 2-sphere at truncation 6, switched at
@@ -588,20 +611,20 @@ class TestBorderedSolves:
 # lambda* = 1 to (0.9, 1.3) and of the disk (beta <= 60) pitchfork branch
 # from the first detected level to (lambda* - 0.3, lambda* + 0.6), both with
 # max_steps=40 and the amplitude-pinned switch from the cos-mode seed, as full
-# Newton correctors compute them with no chord attempt (12 points each,
-# terminated at the lambda limit)
+# Newton correctors on the reflection-even rows compute them with no chord
+# attempt (12 points each, terminated at the lambda limit)
 RECORDED_NEWTON_HEX = {
     "circle_pitchfork": [
         "0x1.007aded2c7b2dp+0", "0x1.00b8811750720p+0", "0x1.0123afe410b30p+0",
-        "0x1.01e28bfe30120p+0", "0x1.033d339ee4a12p+0", "0x1.05bc664e55920p+0",
-        "0x1.0a6263df33809p+0", "0x1.1310351c1008ep+0", "0x1.223d27444985bp+0",
-        "0x1.352707d14b998p+0", "0x1.4b55f77bd6d14p+0", "0x1.645836b6a39e7p+0",
+        "0x1.01e28bfe30120p+0", "0x1.033d339ee4a10p+0", "0x1.05bc664e55914p+0",
+        "0x1.0a6263df33808p+0", "0x1.1310351c1006ap+0", "0x1.223d27444982dp+0",
+        "0x1.352707d14b9f5p+0", "0x1.4b55f77bd6e08p+0", "0x1.645836b6a39ffp+0",
     ],
     "disk_pitchfork": [
-        "0x1.b21cbae002156p+1", "0x1.b24a5f875f61ep+1", "0x1.b2a27c502f8cep+1",
-        "0x1.b34cae8d8c37dp+1", "0x1.b4947e9c6a760p+1", "0x1.b706d7a81203bp+1",
-        "0x1.bba0965080d93p+1", "0x1.c40bab55b9055p+1", "0x1.d203dde912c8bp+1",
-        "0x1.e2480c5ac9fecp+1", "0x1.f42dbf8dbaf28p+1", "0x1.03a1735e6e7d0p+2",
+        "0x1.b21cbae002159p+1", "0x1.b24a5f875f620p+1", "0x1.b2a27c502f8cbp+1",
+        "0x1.b34cae8d8c380p+1", "0x1.b4947e9c6a74cp+1", "0x1.b706d7a811fe2p+1",
+        "0x1.bba0965080fb7p+1", "0x1.c40bab55b9f79p+1", "0x1.d203dde91403bp+1",
+        "0x1.e2480c5acb3edp+1", "0x1.f42dbf8dbbf00p+1", "0x1.03a1735e6f484p+2",
     ],
 }
 
@@ -727,8 +750,8 @@ class TestSwitchAndContinue:
         # the smallest off-symmetry singular value of the trivial-branch
         # Jacobian touches zero at the level
         zero = np.zeros(prob.n_dof)
-        s_away = continuation._min_offsym_singular(prob, zero, jacobian(prob, zero, 0.6))
-        s_at = continuation._min_offsym_singular(prob, zero, jacobian(prob, zero, 1.0))
+        s_away = _dense_min_offsym_singular(prob, zero, jacobian(prob, zero, 0.6))
+        s_at = _dense_min_offsym_singular(prob, zero, jacobian(prob, zero, 1.0))
         assert s_away > 0.1
         assert s_at < 1e-10
 
@@ -770,14 +793,19 @@ class TestSwitchAndContinue:
             assert len(solves) == 1
             args, (c, lam, _) = solves[0]
             bp = seed.points[0]
-            assert bp.lam == lam and np.array_equal(bp.c, c)
+            # the solve runs on the zonal rows, and the point is its lift
+            idx = continuation._subspace(prob, continuation._isotypic_rows(prob)).idx
+            assert args[0].n_dof == idx.size < prob.n_dof
+            assert bp.lam == lam and np.array_equal(bp.c[idx], c)
+            assert np.count_nonzero(bp.c) == np.count_nonzero(c)
             assert bp.sup_norm > 1e-3
-            # the border is (vhat, 0) for the kernel direction v, and the seed
-            # keeps the amplitude it started from: vhat . c = 0.05 |v|
-            v = continuation._kernel_direction(prob, det[0])
+            # the border is (vhat, 0) for the kernel direction v on those
+            # rows, and the seed keeps the amplitude it started from:
+            # vhat . c = 0.05 |v|
+            v = continuation._kernel_direction(prob, det[0])[idx]
             vhat = v / np.linalg.norm(v)
             np.testing.assert_array_equal(args[3], np.append(vhat, 0.0))
-            assert abs(float(np.dot(vhat, bp.c)) - 0.05 * np.linalg.norm(v)) <= 1e-10
+            assert abs(float(np.dot(vhat, c)) - 0.05 * np.linalg.norm(v)) <= 1e-10
             branch = continue_branch(prob, seed, (1.7, 2.2), max_steps=20)
             assert all(bp.residual_norm <= 1e-10 for bp in branch.points)
             assert max(bp.sup_norm for bp in branch.points) > 0.1
@@ -902,8 +930,141 @@ class TestPinnedSwitch:
                 target = 0.05 * np.linalg.norm(v)
                 vhat = v / np.linalg.norm(v)
                 assert abs(float(np.dot(vhat, bp.c)) - target) <= 1e-10 * target
-                r = assemble_residual(prob, bp.c, bp.lam)
+                # the residual norm is the one of the solve on the axial
+                # rows; the full-space residual at the lifted point is as small
+                space = continuation._branch_space(prob, bp.c)
+                r = assemble_residual(space.problem, bp.c[space.idx], bp.lam)
                 assert bp.residual_norm == np.linalg.norm(r) <= continuation.NEWTON_TOL
+                r = assemble_residual(prob, bp.c, bp.lam)
+                assert np.linalg.norm(r) <= 10 * continuation.NEWTON_TOL
+
+
+BRANCH_CASES = {
+    # domain, build options, detection window
+    "circle": (sphere(2), {}, (0.5, 9.5)),
+    "disk": (ball(2), {"beta_cutoff": 60.0}, (0.5, 12.0)),
+    "sphere2-6": (sphere(3), {"truncation": 6}, (0.5, 8.0)),
+    "sphere2-12": (sphere(3), {"truncation": 12}, (0.5, 8.0)),
+}
+
+
+@pytest.fixture(scope="module", params=list(BRANCH_CASES))
+def branch_case(request):
+    """(problem, branch) for the first 12 steps from every detected level of
+    both builtins on one domain."""
+    domain, options, window = BRANCH_CASES[request.param]
+    cases = []
+    for name in ("pitchfork-scalar", "so2-ring"):
+        prob = build_problem(domain, builtin(name), **options)
+        levels = detect_bifurcation(prob, window)
+        assert levels
+        for lam in levels:
+            half = 0.25 * max(1.0, lam)
+            seed = switch_branch(prob, lam)
+            cases.append((prob, continue_branch(prob, seed, (lam - half, lam + half), max_steps=12)))
+    return cases
+
+
+def _block_weights(prob):
+    """How often each isotypic block occurs in the full space: twice for the
+    m >= 1 blocks of the 2-sphere (cos and sin rows), once otherwise."""
+    blocks = continuation._isotypic_rows(prob)
+    twice = prob.domain.kind == "sphere" and prob.domain.dim == 3
+    return [1] + [2 if twice else 1] * (len(blocks) - 1)
+
+
+class TestFixedSpace:
+    """Branches are followed on the rows of the axial fixed-point subspace,
+    and their full-space diagnostics come from the isotypic blocks."""
+
+    def test_block_diagnostics_match_the_dense_jacobian(self, branch_case):
+        for prob, branch in branch_case:
+            weights = _block_weights(prob)
+            assert len(branch.points) > 5
+            for bp in branch.points:
+                J = jacobian(prob, bp.c, bp.lam)
+                dense = _dense_min_offsym_singular(prob, bp.c, J)
+                assert abs(bp.min_offsym_singular - dense) <= 1e-12 * np.linalg.norm(J, 1)
+                # the block counts add up to the full-space Morse index
+                Q = _dense_offsym_complement(prob, bp.c)
+                M = Q.T @ J @ Q
+                vals = np.linalg.eigvalsh(0.5 * (M + M.T))
+                morse = int(np.sum(vals < -continuation._MORSE_ZERO_TOL))
+                assert len(bp.block_morse_index) == len(weights)
+                assert np.dot(weights, bp.block_morse_index) == morse
+
+    def test_points_solve_the_full_problem_off_the_subspace(self, branch_case):
+        for prob, branch in branch_case:
+            fixed = continuation._isotypic_rows(prob)[0]
+            off = np.ones(prob.n_funcs, bool)
+            off[fixed] = False
+            for bp in branch.points:
+                assert bp.c.size == prob.n_dof
+                assert np.all(bp.c.reshape(prob.n_funcs, prob.p)[off] == 0)
+                r = assemble_residual(prob, bp.c, bp.lam)
+                assert np.linalg.norm(r) <= 10 * continuation.NEWTON_TOL
+
+    def test_no_full_space_matrix_in_switch_or_continue(self, sphere12_ring, monkeypatch):
+        prob = sphere12_ring
+        levels = detect_bifurcation(prob, (0.5, 8.0))
+        largest = max(rows.size for rows in continuation._isotypic_rows(prob)) * prob.p
+        assert largest == 24 < prob.n_dof == 288
+        widths = {"jacobian": [], "solve": [], "svd": [], "eigvalsh": [], "eigh": []}
+
+        def spy(key, fn):
+            def wrapped(*args, **kwargs):
+                if key == "jacobian":
+                    out = fn(*args, **kwargs)
+                    widths[key].append(out.shape[1])
+                    return out
+                widths[key].append(max(np.shape(args[0])))
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(
+            continuation, "_assemble_jacobian", spy("jacobian", continuation._assemble_jacobian)
+        )
+        for key in ("solve", "svd", "eigvalsh", "eigh"):
+            monkeypatch.setattr(continuation.np.linalg, key, spy(key, getattr(np.linalg, key)))
+        for lam in levels:
+            seed = switch_branch(prob, lam)
+            continue_branch(prob, seed, (lam - 0.5, lam + 0.5), max_steps=20)
+        assert all(widths.values())
+        # the bordered systems add the lambda column and one multiplier per
+        # pinned component generator to the zonal block
+        borders = 1 + len(prob.spec.action.generators())
+        assert max(widths.pop("solve")) <= largest + borders
+        assert max(max(w) for w in widths.values()) <= largest
+
+    def test_seed_off_the_subspace_is_followed_on_every_row(self, circle_ring, monkeypatch):
+        # a seed rotated off the reflection-even rows is continued on the
+        # full problem, with one diagnostic block: the dense value
+        prob = circle_ring
+        seed = switch_branch(prob, 1.0)
+        axial = continue_branch(prob, seed, (0.9, 1.3), max_steps=8)
+        bp = seed.points[0]
+        turned = dataclasses.replace(bp, c=apply_group_element(prob, bp.c, domain_angle=0.3))
+        sizes = []
+
+        def spy(problem, c, lam):
+            sizes.append(problem.n_dof)
+            return jacobian(problem, c, lam)
+
+        monkeypatch.setattr(continuation, "jacobian", spy)
+        branch = continue_branch(
+            prob, Branch(points=[turned], origin=seed.origin), (0.9, 1.3), max_steps=8
+        )
+        assert set(sizes) == {prob.n_dof}
+        assert len(branch.points) == len(axial.points)
+        for a, b in zip(branch.points[1:], axial.points[1:]):
+            assert len(a.block_morse_index) == 1 and len(b.block_morse_index) == 2
+            J = jacobian(prob, a.c, a.lam)
+            assert a.min_offsym_singular == _dense_min_offsym_singular(prob, a.c, J)
+            # the same branch turned: lambda and the rotation-invariant
+            # coefficient norm agree (sup_norm over the nodes need not)
+            assert abs(a.lam - b.lam) <= 1e-8
+            assert abs(np.linalg.norm(a.c) - np.linalg.norm(b.c)) <= 1e-8
 
 
 class TestEquivariance:
@@ -1042,6 +1203,9 @@ class TestExport:
         doc = continuation.branch_to_json(seed)
         assert doc["origin"] == {"kind": "bifurcated", "lambda_star": 1.0}
         assert "coefficients" not in doc["points"][0]
+        # reflection-even rows, then sin rows: the cos mode of the seed is
+        # the one negative direction
+        assert doc["points"][0]["block_morse_index"] == [1, 0]
         doc = continuation.branch_to_json(seed, include_coefficients=True)
         assert len(doc["points"][0]["coefficients"]) == circle_pitchfork.n_dof
 
