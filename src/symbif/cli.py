@@ -3,7 +3,9 @@
 Subcommands: spectrum, check, levels, jump, verify, euler.  Every command
 emits JSON on stdout (or to --out); branch data is written as CSV next to the
 JSON report.  Exit codes: 0 success, 1 computational failure (inconclusive
-degree, Newton failure, incomplete table), 2 configuration errors.
+degree, Newton failure, incomplete table), 2 configuration errors, a command
+line that does not parse included.  Each command takes the flags of the
+settings it reads (_COMMANDS) and no others.
 """
 
 from __future__ import annotations
@@ -15,23 +17,6 @@ import sys
 import numpy as np
 
 from . import brouwer, continuation, euler_ring, potentials, predictor, spectral
-
-_CONFIG_KEYS = (
-    "domain",
-    "dim",
-    "potential",
-    "potential_file",
-    "beta_cutoff",
-    "truncation",
-    "window",
-    "epsilon",
-    "seed",
-    "lambda0",
-    "steps",
-    "count",
-    "lambda_samples",
-)
-
 
 def _load_config(path):
     import configparser
@@ -48,15 +33,10 @@ def _load_config(path):
 
 
 def _merged(args):
-    """Config-file values with CLI flags winning."""
-    cfg = {}
-    if getattr(args, "config", None):
-        cfg = _load_config(args.config)
-    merged = dict(cfg)
-    for key in _CONFIG_KEYS:
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
+    """Config-file values with the command's explicit flags winning.  A
+    config file may hold keys the command does not read; they are ignored."""
+    merged = _load_config(args.config) if args.config else {}
+    merged.update((key, val) for key, val in vars(args).items() if val is not None)
     return merged
 
 
@@ -92,11 +72,9 @@ def _seed(opts) -> int:
 
 
 def _emit(doc, args) -> None:
-    pretty = bool(getattr(args, "json_pretty", False))
-    text = json.dumps(doc, indent=2 if pretty else None, sort_keys=True)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
+    text = json.dumps(doc, indent=2 if args.json_pretty else None, sort_keys=True)
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
@@ -109,19 +87,15 @@ def _emit(doc, args) -> None:
 def cmd_spectrum(args):
     opts = _merged(args)
     domain = _domain(opts)
-    cutoff = opts.get("beta_cutoff")
-    if domain.kind == "sphere":
-        count = opts.get("count")
-        if count is not None:
-            entries = spectral.sphere_spectrum(domain.dim, int(count))
-        elif cutoff is not None:
-            entries = predictor.eigen_catalog(domain, float(cutoff))
-        else:
-            raise ValueError("need --count or --beta-cutoff for sphere spectra")
+    count, cutoff = opts.get("count"), opts.get("beta_cutoff")
+    if (count is None) == (cutoff is None):
+        raise ValueError("need exactly one of --count and --beta-cutoff")
+    if cutoff is not None:
+        entries = predictor.eigen_catalog(domain, float(cutoff))
+    elif domain.kind == "sphere":
+        entries = spectral.sphere_spectrum(domain.dim, int(count))
     else:
-        if cutoff is None:
-            raise ValueError("need --beta-cutoff for ball spectra")
-        entries = spectral.ball_neumann_spectrum(domain.dim, float(cutoff))
+        raise ValueError("--count lists sphere spectra only; give --beta-cutoff for a ball")
     return {
         "command": "spectrum",
         "domain": domain.kind,
@@ -308,15 +282,15 @@ def cmd_verify(args):
         doc["candidates"] = records
         doc["detected_outside_candidates"] = outside
         doc["verdict"] = "CONSISTENT" if all_ok else "INCONSISTENT"
-    out = getattr(args, "out", None)
-    if out and branches:
-        include_coeffs = bool(getattr(args, "branch_coefficients", False))
+    if args.out and branches:
         for lam0, branch in branches:
-            stem = f"{out}.branch-{lam0:.6g}"
+            stem = f"{args.out}.branch-{lam0:.6g}"
             continuation.branch_to_csv(branch, stem + ".csv")
             with open(stem + ".json", "w") as fh:
                 json.dump(
-                    continuation.branch_to_json(branch, include_coefficients=include_coeffs),
+                    continuation.branch_to_json(
+                        branch, include_coefficients=args.branch_coefficients
+                    ),
                     fh,
                     sort_keys=True,
                 )
@@ -330,13 +304,13 @@ def _element_from_json(doc):
 
 def cmd_euler(args):
     opts = _merged(args)
-    if not getattr(args, "input", None):
+    if not opts.get("input"):
         raise ValueError("need --input with an operation document")
-    with open(args.input) as fh:
+    with open(opts["input"]) as fh:
         doc = json.load(fh)
     table = None
-    if getattr(args, "table", None):
-        with open(args.table) as fh:
+    if opts.get("table"):
+        with open(opts["table"]) as fh:
             table = euler_ring.MultiplicationTable.from_json(json.load(fh))
     op = doc.get("op")
     if op == "add":
@@ -396,56 +370,66 @@ def cmd_euler(args):
 # argument parsing
 
 
-def _add_common(sp):
-    sp.add_argument("--config", help="config file with key = value sections")
-    sp.add_argument("--domain", help="sphere or ball")
-    sp.add_argument("--dim", type=int, help="ambient dimension N")
-    sp.add_argument("--potential", help="builtin potential name")
-    sp.add_argument("--potential-file", dest="potential_file", help="user potential config")
-    sp.add_argument("--beta-cutoff", dest="beta_cutoff", type=float)
-    sp.add_argument("--truncation", type=int)
-    sp.add_argument("--window", help="a:b")
-    sp.add_argument("--epsilon", type=float)
-    sp.add_argument("--out", help="write JSON here instead of stdout")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--json-pretty", dest="json_pretty", action="store_true")
+# every setting once, by config key: the keyword arguments of its flag
+# --key-name; a command reads the keys _COMMANDS lists, and every command
+# also reads _SHARED.  Config files may set any key but the store-true
+# switches and --config and --out, which are flags only.
+_FLAGS = {
+    "config": {"help": "config file with key = value sections"},
+    "out": {"help": "write JSON here instead of stdout"},
+    "seed": {"type": int},
+    "json_pretty": {"action": "store_true"},
+    "domain": {"help": "sphere or ball"},
+    "dim": {"type": int, "help": "ambient dimension N"},
+    "potential": {"help": "builtin potential name"},
+    "potential_file": {"help": "user potential config"},
+    "beta_cutoff": {"type": float},
+    "count": {"type": int, "help": "number of distinct eigenvalues"},
+    "lambda_samples": {"help": "comma-separated"},
+    "lambda0": {"type": float},
+    "epsilon": {"type": float},
+    "truncation": {"type": int},
+    "window": {"help": "a:b"},
+    "steps": {"type": int},
+    "branch_coefficients": {
+        "action": "store_true",
+        "help": "include full coefficient vectors in branch JSON files",
+    },
+    "input": {"help": "JSON operation document"},
+    "table": {"help": "JSON multiplication table"},
+}
+_SHARED = ("config", "out", "seed", "json_pretty")
+_PROBLEM = ("domain", "dim", "potential", "potential_file", "beta_cutoff")
+_COMMANDS = {
+    "spectrum": (cmd_spectrum, ("domain", "dim", "beta_cutoff", "count")),
+    "check": (cmd_check, ("potential", "potential_file", "lambda_samples")),
+    "levels": (cmd_levels, (*_PROBLEM, "epsilon")),
+    "jump": (cmd_jump, (*_PROBLEM, "lambda0", "epsilon")),
+    "verify": (cmd_verify, (*_PROBLEM, "truncation", "window", "steps", "branch_coefficients")),
+    "euler": (cmd_euler, ("input", "table")),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises on a usage error instead of exiting, so that main reports it
+    as a JSON configuration error; subparsers inherit the class."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="symbif",
         description="Symmetry-breaking bifurcation levels for elliptic systems "
         "on spheres and balls, with numerical branch verification.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-    for name, fn in (
-        ("spectrum", cmd_spectrum),
-        ("check", cmd_check),
-        ("levels", cmd_levels),
-        ("jump", cmd_jump),
-        ("verify", cmd_verify),
-        ("euler", cmd_euler),
-    ):
+    for name, (fn, keys) in _COMMANDS.items():
         sp = sub.add_parser(name)
-        _add_common(sp)
         sp.set_defaults(fn=fn)
-        if name == "spectrum":
-            sp.add_argument("--count", type=int, help="number of distinct eigenvalues")
-        if name == "check":
-            sp.add_argument("--lambda-samples", dest="lambda_samples", help="comma-separated")
-        if name == "jump":
-            sp.add_argument("--lambda0", type=float)
-        if name == "verify":
-            sp.add_argument("--steps", type=int)
-            sp.add_argument(
-                "--branch-coefficients",
-                dest="branch_coefficients",
-                action="store_true",
-                help="include full coefficient vectors in branch JSON files",
-            )
-        if name == "euler":
-            sp.add_argument("--input", help="JSON operation document")
-            sp.add_argument("--table", help="JSON multiplication table")
+        for key in (*_SHARED, *keys):
+            sp.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])
     return parser
 
 
@@ -459,16 +443,15 @@ _COMPUTATIONAL = (
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         doc = args.fn(args)
     except _COMPUTATIONAL as err:
         sys.stderr.write(
             json.dumps({"error": {"type": type(err).__name__, "message": str(err)}}) + "\n"
         )
         return 1
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as err:
+    except (argparse.ArgumentError, ValueError, KeyError, OSError, json.JSONDecodeError) as err:
         sys.stderr.write(
             json.dumps({"error": {"type": type(err).__name__, "message": str(err)}}) + "\n"
         )

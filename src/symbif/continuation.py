@@ -151,6 +151,12 @@ _PIN_RANK_TOL = 1e-6
 # grows) lets slowly contracting correctors near a level run on and then
 # fall back anyway, which made disk continuation slower
 _CHORD_BAR = 0.25
+# switch_branch seeds at this multiple of the unit axial kernel direction;
+# continue_branch starts at step _DS0 and stops when the step halves below
+# _DS_MIN
+_SEED_AMPLITUDE = 0.05
+_DS0 = 0.02
+_DS_MIN = 1e-4
 
 
 class NewtonError(RuntimeError):
@@ -177,8 +183,8 @@ class GalerkinProblem:
     the one rank cutoff _PIN_RANK_TOL.
 
     Branch switching and continuation solve on a private copy restricted to
-    the rows of an axial fixed-point subspace (_subspace): funcs, E and beta
-    are row subsets, rotation_generators is empty and eigens is the full
+    the rows of an axial fixed-point subspace (_subspace): E and beta are
+    row subsets, rotation_generators is empty and eigens is the full
     problem's.  The full problem's Jacobian at a point of that subspace is
     block-diagonal by isotypic component (_isotypic_rows), and the
     diagnostics of every branch point come from those blocks.
@@ -187,15 +193,14 @@ class GalerkinProblem:
     domain: DomainId
     spec: PotentialSpec
     eigens: list
-    funcs: list  # BasisFunction, flattened over (k, j)
-    beta: np.ndarray  # per basis function
+    beta: np.ndarray  # per basis function, flattened over (k, j)
     E: np.ndarray  # (n_funcs, n_quad) basis values at quadrature nodes
     quad: Quadrature
     rotation_generators: tuple  # (T_z,) or (T_z, T_x, T_y), (n_funcs, n_funcs) each
 
     @property
     def n_funcs(self) -> int:
-        return len(self.funcs)
+        return self.beta.size
 
     @property
     def p(self) -> int:
@@ -246,16 +251,13 @@ def build_problem(
         raise ValueError(f"no Galerkin support on {domain.label}")
     max_l = max(e.angular_degree for e in eigens)
     quad = spectral.default_quadrature(domain, (gd + 1) * max_l)
-    funcs = []
-    for eig in eigens:
-        funcs.extend(spectral.basis(domain, eig))
+    funcs = [f for eig in eigens for f in spectral.basis(domain, eig)]
     E = np.stack([f.evaluator(*quad.points) for f in funcs])
     beta = np.array([f.beta for f in funcs])
     return GalerkinProblem(
         domain=domain,
         spec=spec,
         eigens=eigens,
-        funcs=funcs,
         beta=beta,
         E=E,
         quad=quad,
@@ -481,7 +483,6 @@ def _subspace(problem, blocks):
     if rows.size < problem.n_funcs:
         sub = dataclasses.replace(
             problem,
-            funcs=[problem.funcs[r] for r in rows],
             E=problem.E[rows],
             beta=problem.beta[rows],
             rotation_generators=(),
@@ -767,10 +768,10 @@ def _kernel_direction(problem, lam_star):
     return v / amp
 
 
-def switch_branch(problem: GalerkinProblem, lam_star: float, amplitude: float = 0.05) -> Branch:
+def switch_branch(problem: GalerkinProblem, lam_star: float) -> Branch:
     """Seed a bifurcated branch near a detected level.
 
-    The seed is amplitude times the axial kernel direction v
+    The seed is _SEED_AMPLITUDE times the axial kernel direction v
     (_kernel_direction: zonal on the 2-sphere, a cos mode on the circle and
     the disk, with a fixed sign), so the branch followed does not depend on
     the last bits of J.  It lies in the fixed-point subspace of v's axial
@@ -780,15 +781,13 @@ def switch_branch(problem: GalerkinProblem, lam_star: float, amplitude: float = 
     (vhat = v / |v|): the border (vhat, 0) is regular at a pitchfork, where
     fixed-lambda iterations bounce between the mirror branches (Keller
     1977).  The converged point seeds the branch when its sup deviation
-    exceeds 0.05 amplitude and its lambda moved from lam_star by more than
+    exceeds 0.05 times that amplitude and its lambda moved from lam_star by more than
     1e-13 and at most half of max(1, |lam_star|); otherwise NoBranchError
     names the test that failed, or chains the NewtonError.
     """
-    if amplitude <= 0.0:
-        raise ValueError("amplitude must be positive")
     space = _subspace(problem, _isotypic_rows(problem))
     v = _kernel_direction(problem, lam_star)[space.idx]
-    seed = amplitude * v
+    seed = _SEED_AMPLITUDE * v
     vhat = v / np.linalg.norm(v)
     border = np.append(vhat, 0.0)
     target = float(np.dot(vhat, seed))
@@ -802,7 +801,7 @@ def switch_branch(problem: GalerkinProblem, lam_star: float, amplitude: float = 
     bp = _make_point(space, c, lam, rn, jacobian(space.problem, c, lam))
     drift = abs(bp.lam - lam_star)
     max_drift = 0.5 * max(1.0, abs(lam_star))
-    if not bp.sup_norm > 0.05 * amplitude:
+    if not bp.sup_norm > 0.05 * _SEED_AMPLITUDE:
         raise NoBranchError(f"{fail}: sup_norm {bp.sup_norm:.3e} <= 0.05 * amplitude")
     if not 1e-13 < drift <= max_drift:
         raise NoBranchError(f"{fail}: lambda drift {drift:.3e} outside (1e-13, {max_drift}]")
@@ -834,8 +833,6 @@ def continue_branch(
     seed: Branch,
     lam_limits,
     max_steps: int = 200,
-    ds0: float = 0.02,
-    ds_min: float = 1e-4,
     ds_max: float = 0.2,
 ) -> Branch:
     """Pseudo-arclength continuation from a seed branch.
@@ -843,8 +840,8 @@ def continue_branch(
     The branch is followed on the rows of the axial fixed-point subspace
     when the last seed point's coefficients vanish exactly off them, and on
     every row otherwise (module docstring).  The step halves when the
-    corrector fails and grows by 1.4 after every accepted step, up to
-    ds_max; the run stops at the lambda limits, on step underflow, after
+    corrector fails and grows by 1.4 after every accepted step, from _DS0
+    up to ds_max; the run stops at the lambda limits, on step underflow, after
     max_steps, or when the branch returns to the trivial family away from its
     origin level ("reconnects-to-trivial").
     """
@@ -865,7 +862,7 @@ def continue_branch(
         t_prev = t_prev / nt if nt > 0 else np.concatenate([np.zeros(n), [1.0]])
     else:
         t_prev = np.concatenate([np.zeros(n), [1.0]])
-    ds = ds0
+    ds = _DS0
     # the Jacobian at the last accepted point serves its branch point and the
     # next tangent, and is dropped before the corrector runs, which keeps
     # only the tangent's bordered matrix
@@ -880,7 +877,7 @@ def continue_branch(
         # the chord matrix: the tangent's, bordered by t instead of t_prev
         A[-1, : n + 1] = t
         accepted = False
-        while ds >= ds_min:
+        while ds >= _DS_MIN:
             # the border t holds the arclength from (c, lam) at ds; chord steps
             # first, and on a stall full Newton from the same predictor
             pred = (c + ds * t[:n], lam + ds * t[n])

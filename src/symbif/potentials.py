@@ -44,6 +44,15 @@ __all__ = [
     "from_config_dict",
 ]
 
+# eigenvalues of A closer than _GROUP_TOL form one multiplicity group
+_GROUP_TOL = 1e-9
+# slice_brouwer_degree's starting box half-width and its number of halvings
+_SLICE_HALF_WIDTH = 0.5
+_SLICE_MAX_HALVINGS = 6
+# check_assumptions passes B3 when grad(u0) and hess(u0) - lambda A are
+# within this of zero
+_B3_TOL = 1e-10
+
 
 def _plane_generator(p, i, j):
     g = np.zeros((p, p))
@@ -232,11 +241,11 @@ def normal_slice(spec: PotentialSpec) -> NormalSlice:
     return NormalSlice(basis=comp, dimension=spec.p - rank)
 
 
-def _group_eigenpairs(values, vectors, tol):
+def _group_eigenpairs(values, vectors):
     groups = []
     start = 0
     for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[start] > tol:
+        if i == len(values) or values[i] - values[start] > _GROUP_TOL:
             groups.append(
                 EigenGroup(
                     value=float(np.mean(values[start:i])),
@@ -248,7 +257,7 @@ def _group_eigenpairs(values, vectors, tol):
     return tuple(groups)
 
 
-def matrix_spectrum(A, slice: Optional[NormalSlice] = None, group_tol: float = 1e-9) -> MatrixSpectrum:
+def matrix_spectrum(A, slice: Optional[NormalSlice] = None) -> MatrixSpectrum:
     """Eigenvalues of a symmetric matrix grouped by multiplicity, plus the
     spectrum of the restriction to the normal slice."""
     A = np.asarray(A, float)
@@ -257,7 +266,7 @@ def matrix_spectrum(A, slice: Optional[NormalSlice] = None, group_tol: float = 1
     if np.max(np.abs(A - A.T)) > 1e-12:
         raise ValueError("A is not symmetric within 1e-12")
     vals, vecs = np.linalg.eigh(A)
-    full = _group_eigenpairs(vals, vecs, group_tol)
+    full = _group_eigenpairs(vals, vecs)
     if slice is None:
         restricted = full
     else:
@@ -265,7 +274,7 @@ def matrix_spectrum(A, slice: Optional[NormalSlice] = None, group_tol: float = 1
         B = S.T @ A @ S
         if B.size:
             svals, svecs = np.linalg.eigh(0.5 * (B + B.T))
-            restricted = _group_eigenpairs(svals, svecs, group_tol)
+            restricted = _group_eigenpairs(svals, svecs)
         else:
             restricted = tuple()
     return MatrixSpectrum(eigenpairs=full, slice_eigenpairs=restricted)
@@ -338,16 +347,12 @@ class AssumptionReport:
         }
 
 
-def slice_brouwer_degree(
-    spec: PotentialSpec,
-    lam: float,
-    half_width: float = 0.5,
-    max_halvings: int = 6,
-):
+def slice_brouwer_degree(spec: PotentialSpec, lam: float):
     """Brouwer degree of the gradient restricted to the normal slice at u0.
 
-    The region is a box of the given half-width in slice coordinates, halved
-    on admissibility failures.  Returns (degree, half_width_used).
+    The region is a box of half-width _SLICE_HALF_WIDTH in slice coordinates,
+    halved on admissibility failures at most _SLICE_MAX_HALVINGS times.
+    Returns (degree, half_width_used).
     """
     sl = normal_slice(spec)
     d = sl.dimension
@@ -361,9 +366,9 @@ def slice_brouwer_degree(
         v = np.asarray(v, float)
         return S.T @ np.asarray(spec.grad(spec.u0 + S @ v, lam), float)
 
-    w = float(half_width)
+    w = _SLICE_HALF_WIDTH
     last_error = None
-    for _ in range(max_halvings + 1):
+    for _ in range(_SLICE_MAX_HALVINGS + 1):
         try:
             if d == 1:
                 deg = brouwer.degree_1d(lambda t: float(f(np.array([t]))[0]), brouwer.Interval(-w, w))
@@ -374,14 +379,13 @@ def slice_brouwer_degree(
             last_error = err
             w *= 0.5
     raise brouwer.InconclusiveDegreeError(
-        f"slice degree at lambda={lam} failed after {max_halvings} shrinks: {last_error}"
+        f"slice degree at lambda={lam} failed after {_SLICE_MAX_HALVINGS} shrinks: {last_error}"
     )
 
 
 def check_assumptions(
     spec: PotentialSpec,
     lambda_samples=(-0.1, 0.1),
-    tol: float = 1e-10,
     rng=None,
 ) -> AssumptionReport:
     """Check the standing assumptions on a potential, to the extent decidable.
@@ -437,7 +441,7 @@ def check_assumptions(
         for l in lambda_samples
     )
     results["B3"] = AssumptionResult(
-        "pass" if grad_res <= tol and hess_res <= tol else "fail",
+        "pass" if grad_res <= _B3_TOL and hess_res <= _B3_TOL else "fail",
         {"max_grad_residual": grad_res, "max_hessian_residual": hess_res},
     )
 

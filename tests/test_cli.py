@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -40,6 +41,22 @@ class TestSpectrumCommand:
         code, _, err = run(capsys, "spectrum", "--domain", "sphere", "--dim", "3")
         assert code == 2
         assert "error" in json.loads(err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--domain", "ball", "--dim", "2", "--count", "2", "--beta-cutoff", "10"],
+            ["--domain", "sphere", "--dim", "3", "--count", "4", "--beta-cutoff", "10"],
+            ["--domain", "ball", "--dim", "2", "--count", "2"],
+        ],
+        ids=["ball-both", "sphere-both", "ball-count"],
+    )
+    def test_count_and_cutoff_exclusive(self, capsys, argv):
+        # --count lists sphere spectra only, and a cutoff given with it is
+        # an error instead of a setting one of them silently drops
+        code, out, err = run(capsys, "spectrum", *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "ValueError"
 
     def test_seed_echoed_and_pretty_printing(self, capsys):
         code, out, _ = run(
@@ -459,6 +476,36 @@ class TestConfigHandling:
         code, _, _ = run(capsys, "levels", "--config", "/does/not/exist.cfg")
         assert code == 2
 
+    def test_shared_config_for_levels_and_verify(self, capsys, tmp_path):
+        # one run.cfg serves both commands: each reads its own keys and
+        # ignores the rest, so verify predicts with the default epsilon
+        common = "[run]\ndomain = sphere\ndim = 2\npotential = pitchfork-scalar\nbeta-cutoff = 2\n"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(common + "window = 0.5:1.5\ntruncation = 6\nepsilon = 0.25\nsteps = 40\n")
+        bare = tmp_path / "bare.cfg"
+        bare.write_text(common)
+        code, out, _ = run(capsys, "levels", "--config", str(cfg))
+        assert code == 0
+        assert [c["epsilon"] for c in json.loads(out)["candidates"]] == [0.25]
+        assert run(capsys, "levels", "--config", str(bare), "--epsilon", "0.25")[1] == out
+        code, out, _ = run(capsys, "verify", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out)["verdict"] == "CONSISTENT"
+        flags = ["--window", "0.5:1.5", "--truncation", "6", "--steps", "40"]
+        assert run(capsys, "verify", "--config", str(bare), *flags)[1] == out
+
+    def test_config_sets_euler_input(self, capsys, tmp_path):
+        op = tmp_path / "op.json"
+        op.write_text(
+            json.dumps({"op": "deg_minus_id", "blocks": [{"dimension": 3, "nontrivial": False}]})
+        )
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[euler]\ninput = {op}\n")
+        code, out, _ = run(capsys, "euler", "--config", str(cfg))
+        assert code == 0
+        assert out == run(capsys, "euler", "--input", str(op))[1]
+        assert json.loads(out)["result"] == {"kind": "exact", "coefficients": {"G": -1}}
+
     def test_bad_truncation_is_config_error(self, capsys):
         code, out, err = run(
             capsys,
@@ -478,6 +525,66 @@ class TestConfigHandling:
         assert code == 2 and out == ""
         error = json.loads(err)["error"]
         assert error["type"] == "ValueError" and "truncation" in error["message"]
+
+
+class TestFlagTable:
+    """Each command registers the flags of the settings it reads, plus the
+    four every command reads; any other flag is a configuration error."""
+
+    SHARED = {"config", "out", "seed", "json_pretty"}
+    PROBLEM = {"domain", "dim", "potential", "potential_file", "beta_cutoff"}
+    DESTS = {
+        "spectrum": SHARED | {"domain", "dim", "beta_cutoff", "count"},
+        "check": SHARED | {"potential", "potential_file", "lambda_samples"},
+        "levels": SHARED | PROBLEM | {"epsilon"},
+        "jump": SHARED | PROBLEM | {"lambda0", "epsilon"},
+        "verify": SHARED | PROBLEM | {"truncation", "window", "steps", "branch_coefficients"},
+        "euler": SHARED | {"input", "table"},
+    }
+
+    def test_option_dests_per_command(self):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        dests = {
+            name: {a.dest for a in sp._actions if a.option_strings and a.dest != "help"}
+            for name, sp in sub.choices.items()
+        }
+        assert dests == self.DESTS
+        assert sum(len(d) for d in dests.values()) == 55
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--potential", "pitchfork-scalar", "--domain", "sphere", "--dim", "2",
+             "--window", "0.5:1.5", "--epsilon", "0.01"],
+            ["levels", "--potential", "pitchfork-scalar", "--domain", "sphere", "--dim", "2",
+             "--window", "3:4"],
+            ["jump", "--potential", "pitchfork-scalar", "--domain", "sphere", "--dim", "2",
+             "--lambda0", "1", "--truncation", "9"],
+            ["spectrum", "--domain", "sphere", "--dim", "3", "--count", "4", "--potential", "foo"],
+            ["check", "--potential", "pitchfork-scalar", "--domain", "sphere"],
+            ["euler", "--input", "op.json", "--window", "3:4"],
+            ["levels", "--bogus", "1"],
+        ],
+        ids=lambda argv: " ".join(argv[:1] + [a for a in argv[-2:] if a.startswith("--")]),
+    )
+    def test_unread_flag_is_config_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ArgumentError"
+        assert error["message"].startswith("unrecognized arguments: " + argv[-2])
+
+    def test_missing_command_is_config_error(self, capsys):
+        code, out, err = run(capsys)
+        assert code == 2 and out == ""
+        assert "required" in json.loads(err)["error"]["message"]
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--help"])
+        assert info.value.code == 0
+        assert "--branch-coefficients" in capsys.readouterr().out
 
 
 def _verify_outputs(argv, out_dir, threads):
