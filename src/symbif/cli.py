@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -412,7 +413,13 @@ _COMMANDS = {
 
 class _Parser(argparse.ArgumentParser):
     """Raises on a usage error instead of exiting, so that main reports it
-    as a JSON configuration error; subparsers inherit the class."""
+    as a JSON configuration error; subparsers inherit the class.  A value
+    that starts with a negative number, lists such as -0.5,0.5 and windows
+    such as -1:2 included, is a value and not an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d[\d.eE+\-,:]*$")
 
     def error(self, message):
         raise argparse.ArgumentError(None, message)

@@ -50,6 +50,14 @@ continue_branch takes all rows instead when its seed has a nonzero
 coefficient off Fix(Sigma).  BranchPoint.c is the full coefficient vector,
 zero off the rows followed.
 
+On the 2-sphere the zonal rows are functions of theta alone, so the
+restricted problem is integrated on one longitude column of the theta-major
+rule, the nodes at phi = 0, with each theta row's weights summed over phi:
+n_theta nodes instead of n_theta * n_phi (26 against 1352 at degree 12).
+That is Gauss-Legendre in cos(theta), which integrates every zonal product
+as the full rule does, and the sup deviation over the column is the one
+over every node.  The circle and the disk keep the full rule.
+
 At a Sigma-fixed point the full-space J commutes with Sigma and is
 block-diagonal by isotypic component (Faessler & Stiefel, Group Theoretical
 Methods and Their Applications, 1992): on the 2-sphere one block per
@@ -60,7 +68,13 @@ T_y C in the m = 1 sin and cos blocks, T_z C in the sin rows of the circle
 and the disk, while T_z C = 0 on the 2-sphere), so the full-space
 off-symmetry spectrum is the union of the block spectra, each taken off the
 tangents that fall in the block.  The first block is the Jacobian the
-continuation assembles anyway; the others come from the same nodal Hessian.
+continuation assembles anyway; the others come from the same nodal Hessian,
+each from a table of its rows built once per subspace.  On the 2-sphere the
+Hessian at a zonal point depends on theta alone, and a cos-row block of
+m >= 1 is assembled on the column rule with half the summed weights: the
+uniform rule sums cos^2(m phi) over n_phi longitudes to n_phi / 2 while
+2m < n_phi, which default_quadrature keeps (n_phi >= 2L + 8 at degree L).
+This is the Fourier-in-phi block-diagonalization of the cited references.
 A point's min_offsym_singular is the smallest modulus over the blocks, and
 block_morse_index counts each block's negative eigenvalues.  With all rows
 in one block (continuation off Fix(Sigma), and newton_solve) this is the
@@ -132,7 +146,6 @@ __all__ = [
     "continue_branch",
     "symmetry_vectors",
     "apply_group_element",
-    "discrete_energy",
     "branch_to_csv",
     "branch_to_json",
 ]
@@ -185,9 +198,13 @@ class GalerkinProblem:
     Branch switching and continuation solve on a private copy restricted to
     the rows of an axial fixed-point subspace (_subspace): E and beta are
     row subsets, rotation_generators is empty and eigens is the full
-    problem's.  The full problem's Jacobian at a point of that subspace is
-    block-diagonal by isotypic component (_isotypic_rows), and the
-    diagnostics of every branch point come from those blocks.
+    problem's.  On the 2-sphere E and quad are also cut to one longitude
+    column of the rule, with the weights summed over phi (the theta rule of
+    the zonal rows), so evaluate and sup_deviation see those nodes only; on
+    the circle and the disk quad is the full problem's.  The full problem's
+    Jacobian at a point of that subspace is block-diagonal by isotypic
+    component (_isotypic_rows), and the diagnostics of every branch point
+    come from those blocks.
     """
 
     domain: DomainId
@@ -307,8 +324,9 @@ def _assemble_jacobian(E, weights, beta, H):
             J[:, i, :, j] = Ew @ ((-h)[:, None] * E.T)
             if j != i:
                 J[:, j, :, i] = J[:, i, :, j]
-    J = J.reshape(nf * p, nf * p)
-    J[np.diag_indices_from(J)] += np.repeat(beta, p)
+    n = nf * p
+    J = J.reshape(n, n)
+    J.reshape(-1)[:: n + 1] += np.repeat(beta, p)
     return J
 
 
@@ -317,16 +335,6 @@ def _residual_lambda_derivative(problem, c, lam):
     rp = assemble_residual(problem, c, lam + h)
     rm = assemble_residual(problem, c, lam - h)
     return (rp - rm) / (2.0 * h)
-
-
-def discrete_energy(problem: GalerkinProblem, c, lam: float) -> float:
-    """Discretized functional: quadratic Dirichlet part minus the potential."""
-    c = np.asarray(c, float)
-    C = c.reshape(problem.n_funcs, problem.p)
-    dirichlet = 0.5 * float(np.sum(problem.beta[:, None] * C * C))
-    U = problem.evaluate(c)
-    Fv = np.asarray(problem.spec.value(U, lam), float)
-    return dirichlet - float(np.dot(problem.quad.weights, Fv))
 
 
 # --------------------------------------------------------------------------
@@ -457,14 +465,25 @@ def _isotypic_rows(problem):
 @dataclass(frozen=True)
 class _Subspace:
     """The rows of full that a branch is followed on: problem is full
-    restricted to blocks[0] (full itself when that is every row), idx the
-    coefficient indices of those rows in full, and blocks the isotypic
-    blocks of full's Jacobian at the points followed."""
+    restricted to the rows of the first isotypic block (full itself when
+    that is every row), and blocks the isotypic blocks of full's Jacobian at
+    the points followed (_isotypic_rows), each as the table it is assembled
+    from, built once: (coefficient indices of its rows in full, E on its
+    rows, quadrature weights, beta on its rows).  The first table is
+    problem's own.
+
+    On the 2-sphere every table is on the longitude-column rule
+    (_longitude_column), with the theta-rule weights for the zonal rows and
+    half of them for the cos rows of m >= 1, exact while 2m < n_phi (module
+    docstring)."""
 
     full: GalerkinProblem
     problem: GalerkinProblem
-    idx: np.ndarray
     blocks: tuple
+
+    @property
+    def idx(self) -> np.ndarray:
+        return self.blocks[0][0]
 
     def lift(self, c) -> np.ndarray:
         out = np.zeros(self.full.n_dof)
@@ -476,18 +495,40 @@ def _coefficient_indices(rows, p):
     return (rows[:, None] * p + np.arange(p)).ravel()
 
 
+def _longitude_column(quad):
+    """Node indices of the phi = 0 column of a theta-major 2-sphere rule,
+    and the theta rule on them: the weights of each theta row summed over
+    phi, which integrates a function of theta alone as the full rule does."""
+    theta, phi = quad.points
+    n_phi = int(np.count_nonzero(theta == theta[0]))
+    cols = np.arange(0, theta.size, n_phi)
+    weights = quad.weights.reshape(-1, n_phi).sum(axis=1)
+    return cols, Quadrature(quad.domain, (theta[cols], phi[cols]), weights)
+
+
 def _subspace(problem, blocks):
-    """The _Subspace on the rows blocks[0] of problem."""
+    """The _Subspace on the rows blocks[0] of problem: on the 2-sphere on
+    the longitude-column rule, on the circle and the disk on problem's."""
     rows = blocks[0]
-    sub = problem
-    if rows.size < problem.n_funcs:
-        sub = dataclasses.replace(
-            problem,
-            E=problem.E[rows],
-            beta=problem.beta[rows],
-            rotation_generators=(),
-        )
-    return _Subspace(problem, sub, _coefficient_indices(rows, problem.p), tuple(blocks))
+    idx = _coefficient_indices(rows, problem.p)
+    if rows.size == problem.n_funcs:
+        return _Subspace(problem, problem, ((idx, problem.E, problem.quad.weights, problem.beta),))
+    quad, cols, block_weights = problem.quad, slice(None), problem.quad.weights
+    if problem.domain.kind == "sphere" and problem.domain.dim == 3:
+        cols, quad = _longitude_column(quad)
+        block_weights = 0.5 * quad.weights
+    sub = dataclasses.replace(
+        problem,
+        E=problem.E[rows][:, cols],
+        beta=problem.beta[rows],
+        quad=quad,
+        rotation_generators=(),
+    )
+    tables = [(idx, sub.E, quad.weights, sub.beta)]
+    for rows in blocks[1:]:
+        E = problem.E[rows][:, cols]
+        tables.append((_coefficient_indices(rows, problem.p), E, block_weights, problem.beta[rows]))
+    return _Subspace(problem, sub, tuple(tables))
 
 
 def _branch_space(problem, c):
@@ -539,15 +580,16 @@ class Branch:
 def _make_point(space, c, lam, residual_norm, J):
     """Branch point at the coefficients c of space.problem, with J the
     Jacobian there: the first isotypic block.  The other blocks are
-    assembled from the nodal Hessian at c on the full problem's rows."""
+    assembled from their tables (_Subspace) and the nodal Hessian at c on
+    space.problem's rule."""
     full, lifted = space.full, space.lift(c)
     pins = _pinning_rows(full, lifted)
     H = _nodal_hessian(space.problem, c, lam) if len(space.blocks) > 1 else None
     spectra = []
-    for k, rows in enumerate(space.blocks):
+    for k, (idx, E, weights, beta) in enumerate(space.blocks):
         if k:
-            J = _assemble_jacobian(full.E[rows], full.quad.weights, full.beta[rows], H)
-        spectra.append(_offsym_eigenvalues(pins[:, _coefficient_indices(rows, full.p)], J))
+            J = _assemble_jacobian(E, weights, beta, H)
+        spectra.append(_offsym_eigenvalues(pins[:, idx], J))
     moduli = [float(np.min(np.abs(ev))) for ev in spectra if ev.size]
     return BranchPoint(
         lam=float(lam),
@@ -785,8 +827,11 @@ def switch_branch(problem: GalerkinProblem, lam_star: float) -> Branch:
     1e-13 and at most half of max(1, |lam_star|); otherwise NoBranchError
     names the test that failed, or chains the NewtonError.
     """
+    # the kernel direction first, so its subspace's tables are freed before
+    # this one's are built (peak memory)
+    v = _kernel_direction(problem, lam_star)
     space = _subspace(problem, _isotypic_rows(problem))
-    v = _kernel_direction(problem, lam_star)[space.idx]
+    v = v[space.idx]
     seed = _SEED_AMPLITUDE * v
     vhat = v / np.linalg.norm(v)
     border = np.append(vhat, 0.0)

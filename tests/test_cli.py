@@ -575,6 +575,43 @@ class TestFlagTable:
         assert error["type"] == "ArgumentError"
         assert error["message"].startswith("unrecognized arguments: " + argv[-2])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--potential", "pitchfork-scalar", "--lambda-samples", "-0.5,0.5"],
+            ["verify", "--potential", "pitchfork-scalar", "--domain", "sphere", "--dim", "2",
+             "--beta-cutoff", "2", "--truncation", "6", "--steps", "40", "--window", "-1:2"],
+        ],
+        ids=["check-lambda-samples", "verify-window"],
+    )
+    def test_negative_value_after_a_space(self, capsys, argv):
+        # a value that starts with a negative number is taken after a space
+        # as after "=", lists and windows included
+        spaced = run(capsys, *argv)
+        joined = run(capsys, *argv[:-2], f"{argv[-2]}={argv[-1]}")
+        assert spaced[0] == 0, spaced[2]
+        assert spaced == joined
+        doc = json.loads(spaced[1])
+        if argv[0] == "check":
+            assert doc["assumptions"]["B6"]["degrees"].keys() == {"-0.5", "0.5"}
+        else:
+            assert doc["window"] == [-1.0, 2.0]
+            assert doc["detected"] == pytest.approx([1.0])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--potential", "pitchfork-scalar", "--lambda-samples", "--window", "1:2"],
+            ["verify", "--potential", "pitchfork-scalar", "--window", "--steps", "40"],
+        ],
+        ids=["check", "verify"],
+    )
+    def test_option_after_a_valued_flag_is_config_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ArgumentError" and "expected one argument" in error["message"]
+
     def test_missing_command_is_config_error(self, capsys):
         code, out, err = run(capsys)
         assert code == 2 and out == ""

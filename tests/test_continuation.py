@@ -14,7 +14,6 @@ from symbif.continuation import (
     build_problem,
     continue_branch,
     detect_bifurcation,
-    discrete_energy,
     jacobian,
     newton_solve,
     switch_branch,
@@ -77,6 +76,14 @@ def _dense_min_offsym_singular(prob, c, J):
     if M.size == 0:
         return 0.0
     return float(np.min(np.abs(np.linalg.eigvalsh(0.5 * (M + M.T)))))
+
+
+def discrete_energy(problem, c, lam):
+    """Discretized functional: quadratic Dirichlet part minus the potential."""
+    C = np.asarray(c, float).reshape(problem.n_funcs, problem.p)
+    dirichlet = 0.5 * float(np.sum(problem.beta[:, None] * C * C))
+    Fv = np.asarray(problem.spec.value(problem.evaluate(c), lam), float)
+    return dirichlet - float(np.dot(problem.quad.weights, Fv))
 
 
 def linear_potential():
@@ -1064,6 +1071,79 @@ class TestFixedSpace:
             # coefficient norm agree (sup_norm over the nodes need not)
             assert abs(a.lam - b.lam) <= 1e-8
             assert abs(np.linalg.norm(a.c) - np.linalg.norm(b.c)) <= 1e-8
+
+
+class TestReducedRule:
+    """On the 2-sphere the branch problem and every isotypic block are
+    integrated on one longitude column of the rule; on the circle and the
+    disk the subspace keeps the full rule."""
+
+    def test_column_rule_matches_the_full_rule(self, sphere12_ring):
+        prob = sphere12_ring
+        space = continuation._subspace(prob, continuation._isotypic_rows(prob))
+        sub = space.problem
+        n_theta = np.unique(prob.quad.points[0]).size
+        assert sub.quad.weights.size == n_theta == 26 < prob.quad.weights.size
+        zonal = continuation._isotypic_rows(prob)[0]
+        # the zonal rows on the full rule
+        ref = dataclasses.replace(
+            prob, E=prob.E[zonal], beta=prob.beta[zonal], rotation_generators=()
+        )
+        branch = continue_branch(prob, switch_branch(prob, 2.0), (1.7, 2.2), max_steps=8)
+        rng = np.random.default_rng(5)
+        assert len(branch.points) > 5
+        for bp in branch.points:
+            c = bp.c[space.idx]
+            for x in (c, c + 0.05 * rng.normal(size=c.size)):
+                r = assemble_residual(sub, x, bp.lam)
+                assert np.max(np.abs(r - assemble_residual(ref, x, bp.lam))) <= 1e-13
+                J = jacobian(sub, x, bp.lam)
+                J_ref = jacobian(ref, x, bp.lam)
+                assert np.max(np.abs(J - J_ref)) <= 1e-12 * np.linalg.norm(J_ref, 1)
+                assert sub.sup_deviation(x) == ref.sup_deviation(x)
+            # the m >= 1 blocks from their column tables, half weight, against
+            # the full-space Jacobian on their rows
+            H = continuation._nodal_hessian(sub, c, bp.lam)
+            J_full = jacobian(prob, bp.c, bp.lam)
+            for idx, E, weights, beta in space.blocks[1:]:
+                assert E.shape[1] == 26
+                block = continuation._assemble_jacobian(E, weights, beta, H)
+                dense = J_full[np.ix_(idx, idx)]
+                assert np.max(np.abs(block - dense)) <= 1e-12 * np.linalg.norm(J_full, 1)
+
+    def test_circle_and_disk_keep_the_full_rule(self, circle_ring, disk_pitchfork):
+        for prob in (circle_ring, disk_pitchfork):
+            blocks = continuation._isotypic_rows(prob)
+            space = continuation._subspace(prob, blocks)
+            assert space.problem.n_funcs < prob.n_funcs
+            assert space.problem.quad is prob.quad
+            for idx, E, weights, beta in space.blocks:
+                assert weights is prob.quad.weights
+                assert E.shape[1] == prob.quad.weights.size
+
+    def test_switch_and_continue_evaluate_one_column(self, sphere12_ring):
+        # every grad and hess call of the branch switch and the continuation
+        # sees the 26 nodes of the column rule, not the 1352 of the full one
+        prob = sphere12_ring
+        levels = detect_bifurcation(prob, (0.5, 8.0))
+        nodes = {"grad": [], "hess": []}
+
+        def spy(key, fn):
+            def wrapped(u, lam):
+                nodes[key].append(np.asarray(u).size // prob.p)
+                return fn(u, lam)
+
+            return wrapped
+
+        spec = dataclasses.replace(
+            prob.spec, grad=spy("grad", prob.spec.grad), hess=spy("hess", prob.spec.hess)
+        )
+        spied = dataclasses.replace(prob, spec=spec)
+        for lam in levels:
+            seed = switch_branch(spied, lam)
+            continue_branch(spied, seed, (lam - 0.5, lam + 0.5), max_steps=20)
+        assert nodes["grad"] and nodes["hess"]
+        assert max(nodes["grad"] + nodes["hess"]) == 26
 
 
 class TestEquivariance:
