@@ -19,17 +19,17 @@ solution, and the residual is orthogonal to them.  So every Newton system is
 square and bordered (Keller 1977; Govaerts, Numerical Methods for
 Bifurcations of Dynamical Equilibria, 2000).  B holds orthonormal rows
 spanning the symmetry tangents P, and each row of B brings one Lagrange
-multiplier mu, which is zero at a solution.  The solves that free lambda
-add the lambda column r_lambda and one border row b over (c, lambda):
+multiplier mu, which is zero at a solution.  Every solve frees lambda: it
+adds the lambda column r_lambda and one border row b over (c, lambda):
 
-    [J  B^T] [dc]        [J  r_lambda  B^T] [dc     ]
-    [B  0  ] [mu]        [B  0         0  ] [dlambda]
-                         [b            0  ] [mu     ]
+    [J  r_lambda  B^T] [dc     ]
+    [B  0         0  ] [dlambda]
+    [b            0  ] [mu     ]
 
 The border b is (vhat, 0) in the branch switch, with vhat the unit kernel
 direction, so one solve holds the kernel amplitude and finds lambda; it is
 the previous tangent for the pseudo-arclength tangent and the new tangent
-in the corrector.  _newton_system builds either matrix and every system is
+in the corrector.  _newton_system builds the matrix and every system is
 solved by LU (np.linalg.solve); a singular factorization raises
 NewtonError.  The domain-rotation tangents are T C for exact generator
 matrices T: T_z from the (cos, sin) pairs, and on the 2-sphere T_x and T_y
@@ -46,9 +46,7 @@ solve on the Galerkin problem restricted to those rows (Healey, Comput.
 Methods Appl. Mech. Eng. 67, 1988; Gatermann & Hohmann, IMPACT Comput. Sci.
 Eng. 3, 1991).  The domain-rotation tangents leave Fix(Sigma), so only the
 component generators are pinned there; row 0, the constant row, stays first.
-continue_branch takes all rows instead when its seed has a nonzero
-coefficient off Fix(Sigma).  BranchPoint.c is the full coefficient vector,
-zero off the rows followed.
+BranchPoint.c is the full coefficient vector, zero off the rows followed.
 
 On the 2-sphere the zonal rows are functions of theta alone, so the
 restricted problem is integrated on one longitude column of the theta-major
@@ -76,12 +74,7 @@ uniform rule sums cos^2(m phi) over n_phi longitudes to n_phi / 2 while
 2m < n_phi, which default_quadrature keeps (n_phi >= 2L + 8 at degree L).
 This is the Fourier-in-phi block-diagonalization of the cited references.
 A point's min_offsym_singular is the smallest modulus over the blocks, and
-block_morse_index counts each block's negative eigenvalues.  With all rows
-in one block (continuation off Fix(Sigma), and newton_solve) this is the
-dense value of Q^T J Q.
-newton_solve also tests the point it converged to: an off-symmetry
-eigenvalue of J below 1e-12 ||J||_1 means a kernel beyond the symmetry
-directions, and the point is refused with NewtonError.
+block_morse_index counts each block's negative eigenvalues.
 
 jacobian assembles the p(p+1)/2 blocks i <= j from the symmetrized nodal
 Hessian and copies block (i, j) into (j, i).  Continuation assembles the
@@ -140,12 +133,10 @@ __all__ = [
     "build_problem",
     "assemble_residual",
     "jacobian",
-    "newton_solve",
     "detect_bifurcation",
     "switch_branch",
     "continue_branch",
     "symmetry_vectors",
-    "apply_group_element",
     "branch_to_csv",
     "branch_to_json",
 ]
@@ -249,12 +240,12 @@ def build_problem(
 
     Defaults: 16 distinct eigenvalues on the circle, spherical-harmonic degree
     8 on the 2-sphere, beta <= 60 on the disk.  A truncation below 1 or a
-    beta_cutoff that is not positive raises ValueError.
+    beta_cutoff that is not positive and finite raises ValueError.
     """
     if truncation is not None and truncation < 1:
         raise ValueError(f"truncation must be at least 1, got {truncation}")
-    if beta_cutoff is not None and not beta_cutoff > 0:
-        raise ValueError(f"beta_cutoff must be positive, got {beta_cutoff}")
+    if beta_cutoff is not None and not 0 < beta_cutoff < math.inf:
+        raise ValueError(f"beta_cutoff must be positive and finite, got {beta_cutoff}")
     gd = spec.grad_degree or 3
     if domain.kind == "sphere" and domain.dim == 2:
         eigens = spectral.sphere_spectrum(2, 16 if truncation is None else truncation)
@@ -465,12 +456,11 @@ def _isotypic_rows(problem):
 @dataclass(frozen=True)
 class _Subspace:
     """The rows of full that a branch is followed on: problem is full
-    restricted to the rows of the first isotypic block (full itself when
-    that is every row), and blocks the isotypic blocks of full's Jacobian at
-    the points followed (_isotypic_rows), each as the table it is assembled
-    from, built once: (coefficient indices of its rows in full, E on its
-    rows, quadrature weights, beta on its rows).  The first table is
-    problem's own.
+    restricted to the rows of the first isotypic block, and blocks the
+    isotypic blocks of full's Jacobian at the points followed
+    (_isotypic_rows), each as the table it is assembled from, built once:
+    (coefficient indices of its rows in full, E on its rows, quadrature
+    weights, beta on its rows).  The first table is problem's own.
 
     On the 2-sphere every table is on the longitude-column rule
     (_longitude_column), with the theta-rule weights for the zonal rows and
@@ -511,8 +501,6 @@ def _subspace(problem, blocks):
     the longitude-column rule, on the circle and the disk on problem's."""
     rows = blocks[0]
     idx = _coefficient_indices(rows, problem.p)
-    if rows.size == problem.n_funcs:
-        return _Subspace(problem, problem, ((idx, problem.E, problem.quad.weights, problem.beta),))
     quad, cols, block_weights = problem.quad, slice(None), problem.quad.weights
     if problem.domain.kind == "sphere" and problem.domain.dim == 3:
         cols, quad = _longitude_column(quad)
@@ -531,17 +519,6 @@ def _subspace(problem, blocks):
     return _Subspace(problem, sub, tuple(tables))
 
 
-def _branch_space(problem, c):
-    """Fix(Sigma) with its isotypic blocks when c vanishes exactly off it,
-    otherwise every row in one block."""
-    blocks = _isotypic_rows(problem)
-    off = np.ones(problem.n_funcs, bool)
-    off[blocks[0]] = False
-    if np.any(np.asarray(c, float).reshape(problem.n_funcs, problem.p)[off] != 0):
-        blocks = [np.arange(problem.n_funcs)]
-    return _subspace(problem, blocks)
-
-
 # --------------------------------------------------------------------------
 # Newton and branch data
 
@@ -557,8 +534,7 @@ class BranchPoint:
     off-symmetry eigenvalues below -_MORSE_ZERO_TOL per isotypic block
     (_isotypic_rows): on the 2-sphere m = 0, 1, ..., where each m >= 1
     block counts twice in the full-space index (its cos and sin rows); on
-    the circle and the disk the reflection-even rows, then the sin rows.  A
-    point solved on every row has one block."""
+    the circle and the disk the reflection-even rows, then the sin rows."""
 
     lam: float
     c: np.ndarray
@@ -573,7 +549,7 @@ class Branch:
     """A continuation path with its origin and the observed stopping reason."""
 
     points: list
-    origin: tuple  # ("trivial", None) or ("bifurcated", lambda_star)
+    origin: tuple  # ("bifurcated", lambda_star), the level switch_branch seeded it at
     termination: Optional[str] = None
 
 
@@ -601,17 +577,14 @@ def _make_point(space, c, lam, residual_norm, J):
     )
 
 
-def _newton_system(problem, c, lam, J, border=None):
-    """Square Newton matrix at (c, lam) from the Jacobian J there: [J B^T;
-    B 0] with B an orthonormal basis of the pinning rows' span, or, given a
-    border row over (c, lam), the lambda-free [J r_lambda B^T; B 0 0;
-    border 0].  The unknowns are the step (in c, then lambda) followed by
-    one multiplier per row of B."""
+def _newton_system(problem, c, lam, J, border):
+    """Square Newton matrix at (c, lam) from the Jacobian J there and a
+    border row over (c, lam): [J r_lambda B^T; B 0 0; border 0] with B an
+    orthonormal basis of the pinning rows' span.  The unknowns are the step
+    in c, then in lambda, followed by one multiplier per row of B."""
     _, s, vt = np.linalg.svd(_pinning_rows(problem, c), full_matrices=False)
     B = vt[: int(np.sum(s > _PIN_RANK_TOL))]
     k = B.shape[0]
-    if border is None:
-        return np.block([[J, B.T], [B, np.zeros((k, k))]])
     rl = _residual_lambda_derivative(problem, c, lam)
     return np.block(
         [
@@ -628,45 +601,6 @@ def _solve(A, b, lam):
         return np.linalg.solve(A, b)
     except np.linalg.LinAlgError as err:
         raise NewtonError(f"singular Newton system at lambda={lam}") from err
-
-
-def _regular_point(problem, c, lam, residual_norm, J):
-    """Branch point at a converged (c, lam), or NewtonError when J is
-    singular beyond the symmetry directions there."""
-    space = _subspace(problem, [np.arange(problem.n_funcs)])
-    bp = _make_point(space, c, lam, residual_norm, J)
-    if bp.min_offsym_singular < 1e-12 * np.linalg.norm(J, 1):
-        raise NewtonError(f"singular Jacobian beyond pinning rank at lambda={lam}")
-    return bp
-
-
-def newton_solve(problem: GalerkinProblem, c0, lam: float) -> BranchPoint:
-    """Newton iteration at fixed lambda on the square system bordered by the
-    symmetry pin basis; raises NewtonError if it does not converge or if the
-    Jacobian at the solution is singular beyond the symmetry directions."""
-    c = np.asarray(c0, float).copy()
-    if not np.all(np.isfinite(c)):
-        raise ValueError("initial guess must be finite")
-    n = problem.n_dof
-    for _ in range(25):
-        r = assemble_residual(problem, c, lam)
-        rn = float(np.linalg.norm(r))
-        J = jacobian(problem, c, lam)
-        if rn <= NEWTON_TOL:
-            return _regular_point(problem, c, lam, rn, J)
-        A = _newton_system(problem, c, lam, J)
-        # neither is held through the next assembly (peak memory)
-        del J
-        delta = _solve(A, np.concatenate([-r, np.zeros(A.shape[0] - n)]), lam)[:n]
-        del A
-        if not np.all(np.isfinite(delta)) or np.linalg.norm(delta) > 1e8 * (1.0 + np.linalg.norm(c)):
-            raise NewtonError(f"Newton step diverged at lambda={lam}")
-        c = c + delta
-    r = assemble_residual(problem, c, lam)
-    rn = float(np.linalg.norm(r))
-    if rn <= NEWTON_TOL:
-        return _regular_point(problem, c, lam, rn, jacobian(problem, c, lam))
-    raise NewtonError(f"Newton did not converge at lambda={lam} (residual {rn:.3e})")
 
 
 def _bordered_newton(problem, c, lam, border, base, offset, border_tol, maxit, frozen=None):
@@ -738,11 +672,12 @@ def detect_bifurcation(problem: GalerkinProblem, window, steps: int = 200) -> li
     the symmetrized H0(lambda): sum_k #{b : theta_b - mu_k < -tol} (module
     docstring), so no Jacobian is assembled and the persistent zero modes
     of the pinning directions stay outside the count.  Crossings at
-    lambda = 0 are not bifurcation levels and are dropped.
+    lambda = 0 are not bifurcation levels and are dropped.  A window that
+    is not finite or not of positive length raises ValueError.
     """
     lo, hi = float(window[0]), float(window[1])
-    if not hi > lo:
-        raise ValueError("window must have positive length")
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise ValueError(f"window must be finite and of positive length, got ({lo}, {hi})")
     if steps < 2:
         raise ValueError("need at least 2 steps")
     grid = list(np.linspace(lo, hi, steps + 1))
@@ -880,33 +815,36 @@ def continue_branch(
     max_steps: int = 200,
     ds_max: float = 0.2,
 ) -> Branch:
-    """Pseudo-arclength continuation from a seed branch.
+    """Pseudo-arclength continuation from a seed branch of switch_branch.
 
     The branch is followed on the rows of the axial fixed-point subspace
-    when the last seed point's coefficients vanish exactly off them, and on
-    every row otherwise (module docstring).  The step halves when the
-    corrector fails and grows by 1.4 after every accepted step, from _DS0
-    up to ds_max; the run stops at the lambda limits, on step underflow, after
-    max_steps, or when the branch returns to the trivial family away from its
-    origin level ("reconnects-to-trivial").
+    (module docstring), from the last seed point along the secant from
+    (0, lambda_star).  A seed whose origin is not ("bifurcated",
+    lambda_star), or whose last point has a nonzero coefficient off that
+    subspace, raises ValueError.  The step halves when the corrector fails
+    and grows by 1.4 after every accepted step, from _DS0 up to ds_max; the
+    run stops at the lambda limits, on step underflow, after max_steps, or
+    when the branch returns to the trivial family away from its origin level
+    ("reconnects-to-trivial").
     """
     lo, hi = float(lam_limits[0]), float(lam_limits[1])
     points = list(seed.points)
     if not points:
         raise ValueError("seed branch has no points")
-    origin = seed.origin
-    branch = Branch(points=points, origin=origin)
-    space = _branch_space(problem, points[-1].c)
+    kind, lam_star = seed.origin
+    if kind != "bifurcated" or lam_star is None:
+        raise ValueError(f"seed origin must be ('bifurcated', lambda_star), got {seed.origin}")
+    space = _subspace(problem, _isotypic_rows(problem))
+    if np.any(np.delete(points[-1].c, space.idx) != 0):
+        raise ValueError("seed point has coefficients off the axial fixed-point subspace")
+    branch = Branch(points=points, origin=seed.origin)
     sub = space.problem
     c = points[-1].c[space.idx]
     lam = points[-1].lam
     n = sub.n_dof
-    if origin[0] == "bifurcated" and origin[1] is not None:
-        t_prev = np.concatenate([c, [lam - origin[1]]])
-        nt = np.linalg.norm(t_prev)
-        t_prev = t_prev / nt if nt > 0 else np.concatenate([np.zeros(n), [1.0]])
-    else:
-        t_prev = np.concatenate([np.zeros(n), [1.0]])
+    t_prev = np.concatenate([c, [lam - lam_star]])
+    nt = np.linalg.norm(t_prev)
+    t_prev = t_prev / nt if nt > 0 else np.concatenate([np.zeros(n), [1.0]])
     ds = _DS0
     # the Jacobian at the last accepted point serves its branch point and the
     # next tangent, and is dropped before the corrector runs, which keeps
@@ -949,45 +887,11 @@ def continue_branch(
         if lam < lo or lam > hi:
             branch.termination = "lambda-limit"
             return branch
-        if origin[0] == "bifurcated" and bp.sup_norm < 1e-7 and abs(lam - origin[1]) > 1e-3:
+        if bp.sup_norm < 1e-7 and abs(lam - lam_star) > 1e-3:
             branch.termination = "reconnects-to-trivial"
             return branch
     branch.termination = "max-steps"
     return branch
-
-
-# --------------------------------------------------------------------------
-# group action on coefficient vectors (exact, for equivariance checks)
-
-
-def apply_group_element(
-    problem: GalerkinProblem,
-    c,
-    domain_angle: float = 0.0,
-    gamma: Optional[np.ndarray] = None,
-    include_shift: bool = True,
-) -> np.ndarray:
-    """Coefficients of (gamma, rotation) applied to the state u = u0 + v.
-
-    Domain rotation is about the reference axis (the full rotation group on
-    the circle and the disk).  With include_shift=False only the linear part
-    acts, which is how the residual transforms.
-    """
-    C = np.asarray(c, float).reshape(problem.n_funcs, problem.p).copy()
-    if domain_angle != 0.0:
-        out = C.copy()
-        for cos_row, sin_row, freq in _angular_pairs(problem.domain, problem.eigens):
-            ang = freq * domain_angle
-            ca, sa = math.cos(ang), math.sin(ang)
-            out[cos_row, :] = ca * C[cos_row, :] - sa * C[sin_row, :]
-            out[sin_row, :] = sa * C[cos_row, :] + ca * C[sin_row, :]
-        C = out
-    if gamma is not None:
-        gamma = np.asarray(gamma, float)
-        C = C @ gamma.T
-        if include_shift:
-            C[0, :] += math.sqrt(problem.domain.measure) * (gamma @ problem.spec.u0 - problem.spec.u0)
-    return C.ravel()
 
 
 # --------------------------------------------------------------------------

@@ -395,7 +395,10 @@ def check_assumptions(
     growth bound and the global isolation of the critical orbit are not
     decidable from point samples and come back "undecidable" with evidence;
     the slice-degree condition is evaluated at every nonzero lambda sample.
+    Samples must be finite, and one must be nonzero; otherwise ValueError.
     """
+    if not all(np.isfinite(lambda_samples)):
+        raise ValueError(f"lambda samples must be finite, got {tuple(lambda_samples)}")
     if not any(abs(l) > 0 for l in lambda_samples):
         raise ValueError("need at least one nonzero lambda sample")
     if rng is None:

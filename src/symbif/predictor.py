@@ -26,42 +26,18 @@ from .spectral import DomainId, LaplaceEigenvalue
 RESONANCE_TOL = 1e-9
 
 __all__ = [
-    "SpectrumEntry",
-    "SliceOperatorSpectrum",
     "RepresentationBlock",
     "RepresentationDescriptor",
     "SphereGlobal",
     "BallAlternative",
     "BifurcationCandidate",
     "eigen_catalog",
-    "slice_spectrum",
     "lambda_set",
-    "zero_eigenspace",
-    "negative_eigenspace",
-    "window_eigenspace",
     "default_epsilon",
     "degree_jump",
     "predict",
     "candidate_to_json",
 ]
-
-
-@dataclass(frozen=True)
-class SpectrumEntry:
-    beta: float
-    alpha: float
-    eigenvalue: float
-    dimension: int
-    nontrivial: bool
-
-
-@dataclass(frozen=True)
-class SliceOperatorSpectrum:
-    """Blocks of the linearized operator at the constant state."""
-
-    domain: DomainId
-    lam: float
-    entries: tuple
 
 
 @dataclass(frozen=True)
@@ -129,9 +105,10 @@ class BifurcationCandidate:
 
 
 def eigen_catalog(domain: DomainId, beta_cutoff: float) -> list[LaplaceEigenvalue]:
-    """Distinct Laplacian eigenvalues up to beta_cutoff on the domain."""
-    if beta_cutoff <= 0:
-        raise ValueError("beta_cutoff must be positive")
+    """Distinct Laplacian eigenvalues up to beta_cutoff on the domain; a
+    cutoff that is not positive and finite raises ValueError."""
+    if not 0 < beta_cutoff < math.inf:
+        raise ValueError(f"beta_cutoff must be positive and finite, got {beta_cutoff}")
     if domain.kind == "sphere":
         count = 0
         while count * (count + domain.dim - 2) <= beta_cutoff:
@@ -151,30 +128,6 @@ def _block_nontrivial(domain: DomainId, eig: LaplaceEigenvalue) -> bool:
 def _alpha_groups(spec: PotentialSpec):
     ms = potentials.matrix_spectrum(spec.A)
     return [(g.value, g.multiplicity) for g in ms.eigenpairs]
-
-
-def slice_spectrum(
-    spec: PotentialSpec, domain: DomainId, lam: float, beta_cutoff: float
-) -> SliceOperatorSpectrum:
-    """All eigenvalue blocks (beta_k - lambda alpha_j) / (1 + beta_k)."""
-    catalog = eigen_catalog(domain, beta_cutoff)
-    if not catalog:
-        raise ValueError("empty spectrum request")
-    groups = _alpha_groups(spec)
-    entries = []
-    for eig in catalog:
-        for alpha, mult in groups:
-            value = (eig.value - lam * alpha) / (1.0 + eig.value)
-            entries.append(
-                SpectrumEntry(
-                    beta=eig.value,
-                    alpha=alpha,
-                    eigenvalue=value,
-                    dimension=eig.multiplicity * mult,
-                    nontrivial=_block_nontrivial(domain, eig),
-                )
-            )
-    return SliceOperatorSpectrum(domain=domain, lam=lam, entries=tuple(entries))
 
 
 def lambda_set(spec: PotentialSpec, domain: DomainId, beta_cutoff: float) -> list[float]:
@@ -244,34 +197,6 @@ def _in_window(lo, hi):
     return hit
 
 
-def zero_eigenspace(
-    spec: PotentialSpec, domain: DomainId, lam0: float, beta_cutoff: float
-) -> RepresentationDescriptor:
-    """Resonant eigenspace at lam0: blocks with beta = lam0 * alpha, beta != 0."""
-    catalog = eigen_catalog(domain, beta_cutoff)
-    return _descriptor(domain, _resonant_blocks(catalog, _alpha_groups(spec), _resonant_at(lam0)))
-
-
-def negative_eigenspace(
-    spec: PotentialSpec, domain: DomainId, lam: float, beta_cutoff: float
-) -> RepresentationDescriptor:
-    """Blocks with 0 < beta < lam * alpha."""
-
-    def hit(beta, alpha):
-        return beta < lam * alpha - RESONANCE_TOL * max(1.0, abs(beta))
-
-    catalog = eigen_catalog(domain, beta_cutoff)
-    return _descriptor(domain, _resonant_blocks(catalog, _alpha_groups(spec), hit))
-
-
-def window_eigenspace(
-    spec: PotentialSpec, domain: DomainId, lo: float, hi: float, beta_cutoff: float
-) -> RepresentationDescriptor:
-    """Union of resonant eigenspaces over all levels inside (lo, hi)."""
-    catalog = eigen_catalog(domain, beta_cutoff)
-    return _descriptor(domain, _resonant_blocks(catalog, _alpha_groups(spec), _in_window(lo, hi)))
-
-
 def default_epsilon(lam0: float, levels) -> float:
     """Half the gap to the nearest other level, capped at half the distance
     to zero."""
@@ -298,9 +223,11 @@ def degree_jump(
 
     Computes the slice Brouwer degrees b_minus / b_plus at lam0 -/+ eps, the
     resonant eigenspace descriptor, and whether the two-sided degrees differ
-    (the jump).  The window (lam0 - eps, lam0 + eps) must not contain zero,
-    and on the sphere it must contain no other candidate level.
+    (the jump).  lam0 and eps must be finite, the window (lam0 - eps,
+    lam0 + eps) must not contain zero, and on the sphere it must contain no
+    other candidate level; otherwise ValueError.
     """
+    _check_window(lam0, eps)
     groups = _alpha_groups(spec)
     if beta_cutoff is None:
         max_alpha = max((abs(a) for a, _ in groups), default=0.0)
@@ -309,14 +236,19 @@ def degree_jump(
     return _degree_jump(spec, domain, lam0, eps, catalog, groups, _levels(catalog, groups))
 
 
-def _degree_jump(spec, domain, lam0, eps, catalog, groups, levels):
-    """degree_jump on a catalog with its alpha groups and candidate levels."""
+def _check_window(lam0, eps):
+    if not (math.isfinite(lam0) and math.isfinite(eps)):
+        raise ValueError(f"lambda0 and epsilon must be finite, got {lam0} and {eps}")
     if lam0 == 0.0:
         raise ValueError("lambda0 must be nonzero")
     if eps <= 0.0:
         raise ValueError("epsilon must be positive")
     if abs(lam0) < eps:
         raise ValueError("window (lambda0 - eps, lambda0 + eps) must not contain 0")
+
+
+def _degree_jump(spec, domain, lam0, eps, catalog, groups, levels):
+    """degree_jump on a catalog with its alpha groups and candidate levels."""
     if domain.kind == "sphere":
         inside = [
             lv
@@ -404,6 +336,7 @@ def predict(
     out = []
     for lam0 in lams:
         eps = epsilon if epsilon is not None else default_epsilon(lam0, levels)
+        _check_window(lam0, eps)
         out.append(_degree_jump(spec, domain, lam0, eps, catalog, groups, levels))
     return out
 

@@ -18,6 +18,8 @@ from symbif.potentials import builtin
 from symbif.predictor import BallAlternative, RepresentationBlock, RepresentationDescriptor
 from symbif.spectral import ball, sphere
 
+from group_action import apply_group_element
+
 
 @contextmanager
 def criterion(number, label, budget_seconds):
@@ -302,11 +304,11 @@ def test_criterion_8_equivariance():
                 gam = np.array(
                     [[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]]
                 )
-                moved = continuation.apply_group_element(
+                moved = apply_group_element(
                     prob, c, domain_angle=alpha, gamma=gam
                 )
                 lhs = continuation.assemble_residual(prob, moved, lam)
-                rhs = continuation.apply_group_element(
+                rhs = apply_group_element(
                     prob,
                     continuation.assemble_residual(prob, c, lam),
                     domain_angle=alpha,

@@ -624,6 +624,44 @@ class TestFlagTable:
         assert "--branch-coefficients" in capsys.readouterr().out
 
 
+class TestNonFiniteSettings:
+    """A non-finite numeric setting is a configuration error: exit 2 with
+    the JSON error document, never a hang or a traceback.  Each case runs in
+    a subprocess with a timeout, so a hang fails the test instead of the
+    suite."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--domain", "sphere", "--dim", "2", "--potential", "pitchfork-scalar",
+             "--window", "0:inf"],
+            ["verify", "--domain", "sphere", "--dim", "2", "--potential", "pitchfork-scalar",
+             "--window=-inf:3"],
+            ["levels", "--domain", "sphere", "--dim", "2", "--potential", "pitchfork-scalar",
+             "--beta-cutoff", "inf"],
+            ["jump", "--domain", "sphere", "--dim", "2", "--potential", "pitchfork-scalar",
+             "--lambda0", "inf"],
+            ["spectrum", "--domain", "ball", "--dim", "2", "--beta-cutoff", "inf"],
+            ["check", "--potential", "pitchfork-scalar", "--lambda-samples=nan,0.1"],
+        ],
+        ids=["verify-window-inf", "verify-window-minus-inf", "levels-cutoff", "jump-lambda0",
+             "spectrum-ball-cutoff", "check-lambda-samples"],
+    )
+    def test_exits_2_with_json_error(self, argv):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "symbif.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr[-2000:]
+        assert proc.stdout == ""
+        error = json.loads(proc.stderr)["error"]
+        assert error["type"] == "ValueError" and "finite" in error["message"]
+
+
 def _verify_outputs(argv, out_dir, threads):
     """Files that `symbif verify` writes under one BLAS thread count."""
     out_dir.mkdir()

@@ -9,17 +9,17 @@ from symbif.continuation import (
     Branch,
     NewtonError,
     NoBranchError,
-    apply_group_element,
     assemble_residual,
     build_problem,
     continue_branch,
     detect_bifurcation,
     jacobian,
-    newton_solve,
     switch_branch,
 )
 from symbif.potentials import builtin, from_config_dict
 from symbif.spectral import ball, sphere
+
+from group_action import apply_group_element
 
 RNG = np.random.default_rng(17)
 
@@ -225,31 +225,6 @@ class TestJacobian:
             assert np.max(np.abs(J[:, 0, :, 1] + Ew @ (h[:, None] * prob.E.T))) <= 1e-15
 
 
-class TestNewton:
-    def test_trivial_converges_off_levels(self, circle_pitchfork):
-        bp = newton_solve(circle_pitchfork, np.zeros(circle_pitchfork.n_dof), 2.5)
-        assert bp.residual_norm <= 1e-10
-        assert bp.sup_norm < 1e-12
-
-    def test_amplitude_at_fixed_lambda(self, circle_pitchfork):
-        prob = circle_pitchfork
-        c0 = np.zeros(prob.n_dof)
-        c0[1] = 0.4 * math.sqrt(math.pi)  # seed with sup deviation 0.4
-        bp = newton_solve(prob, c0, 1.12)
-        law = math.sqrt(4 * (1.12 - 1.0) / 3.0)
-        assert abs(bp.sup_norm - law) / law < 0.05
-
-    def test_singular_at_level_without_kernel_pinning(self, circle_pitchfork):
-        with pytest.raises(NewtonError, match="singular"):
-            newton_solve(circle_pitchfork, np.zeros(circle_pitchfork.n_dof), 1.0)
-
-    def test_rejects_nonfinite_guess(self, circle_pitchfork):
-        c = np.zeros(circle_pitchfork.n_dof)
-        c[0] = np.nan
-        with pytest.raises(ValueError):
-            newton_solve(circle_pitchfork, c, 0.5)
-
-
 class TestDetection:
     def test_pitchfork_circle(self, circle_pitchfork):
         det = detect_bifurcation(circle_pitchfork, (0.5, 9.5), steps=200)
@@ -282,6 +257,12 @@ class TestDetection:
     def test_window_validation(self, circle_pitchfork):
         with pytest.raises(ValueError):
             detect_bifurcation(circle_pitchfork, (2.0, 1.0))
+
+    @pytest.mark.parametrize("window", [(0.0, math.inf), (-math.inf, 3.0), (math.nan, 1.0)])
+    def test_nonfinite_window_is_rejected(self, circle_pitchfork, window):
+        # a bracket of infinite width would be bisected forever
+        with pytest.raises(ValueError, match="window must be finite"):
+            detect_bifurcation(circle_pitchfork, window)
 
 
 def coupled_potential():
@@ -469,7 +450,7 @@ class TestJacobianReuse:
         # accepts, never twice at one (c, lambda), and never a full-space one
         prob = request.getfixturevalue(fixture)
         seed = switch_branch(prob, lam_star)
-        space = continuation._branch_space(prob, seed.points[0].c)
+        space = continuation._subspace(prob, continuation._isotypic_rows(prob))
         assert space.problem.n_dof < prob.n_dof
         seen = []
 
@@ -496,19 +477,13 @@ class TestJacobianReuse:
     )
     def test_point_singular_values_match_fresh_assembly(self, fixture, lam_star, limits, request):
         # the block value of a branch point is the dense value of a full
-        # Jacobian assembled from scratch at the point, to rounding; a
-        # newton_solve point has one block, its reused full Jacobian, and
-        # the dense value bit for bit
+        # Jacobian assembled from scratch at the point, to rounding
         prob = request.getfixturevalue(fixture)
         branch = continue_branch(prob, switch_branch(prob, lam_star), limits, max_steps=20)
         for bp in branch.points:
             J = jacobian(prob, bp.c, bp.lam)
             dense = _dense_min_offsym_singular(prob, bp.c, J)
             assert abs(bp.min_offsym_singular - dense) <= 1e-12 * np.linalg.norm(J, 1)
-        bp = newton_solve(prob, np.zeros(prob.n_dof), 0.6)
-        J = jacobian(prob, bp.c, bp.lam)
-        assert bp.min_offsym_singular == _dense_min_offsym_singular(prob, bp.c, J)
-        assert len(bp.block_morse_index) == 1
 
 
 # the level-2 so2-ring branch on the 2-sphere at truncation 6, switched at
@@ -539,21 +514,18 @@ RECORDED_S2_SUP = [
 
 
 class TestBorderedSolves:
-    """The square systems [J B^T; B 0] and [J r_lambda B^T; B 0 0; border 0]
-    with the orthonormal pin basis B."""
+    """The square system [J r_lambda B^T; B 0 0; border 0] with the
+    orthonormal pin basis B."""
 
     @staticmethod
-    def _steps(prob, c, lam, border):
+    def _step(prob, c, lam, border):
+        """The Newton step in (c, lambda) that keeps the border residual."""
         n = prob.n_dof
         J = jacobian(prob, c, lam)
         r = assemble_residual(prob, c, lam)
-        A = continuation._newton_system(prob, c, lam, J)
-        fixed = continuation._solve(A, np.concatenate([-r, np.zeros(A.shape[0] - n)]), lam)
         A = continuation._newton_system(prob, c, lam, J, border)
-        free = continuation._solve(
-            A, np.concatenate([-r, np.zeros(A.shape[0] - n - 1), [0.0]]), lam
-        )
-        return fixed[:n], free[: n + 1]
+        step = continuation._solve(A, np.concatenate([-r, np.zeros(A.shape[0] - n - 1), [0.0]]), lam)
+        return step[: n + 1]
 
     def test_step_depends_only_on_the_span_of_the_pinning_rows(self, sphere_ring, monkeypatch):
         prob = sphere_ring
@@ -561,7 +533,7 @@ class TestBorderedSolves:
         rng = np.random.default_rng(43)
         c = bp.c + 1e-3 * rng.normal(size=prob.n_dof)
         border = np.append(bp.c / np.linalg.norm(bp.c), 0.0)
-        reference = self._steps(prob, c, bp.lam, border)
+        reference = self._step(prob, c, bp.lam, border)
         d = rng.normal(size=prob.n_dof)
         d /= np.linalg.norm(d)
         rows = continuation._pinning_rows
@@ -572,13 +544,13 @@ class TestBorderedSolves:
         }
         for name, pinning in variants.items():
             monkeypatch.setattr(continuation, "_pinning_rows", pinning)
-            for step, ref in zip(self._steps(prob, c, bp.lam, border), reference):
-                assert np.max(np.abs(step - ref)) <= 1e-8 * np.linalg.norm(ref), name
+            step = self._step(prob, c, bp.lam, border)
+            assert np.max(np.abs(step - reference)) <= 1e-8 * np.linalg.norm(reference), name
         # a rank tolerance at the rounding level would take the near-duplicate
         # row's 1e-9 direction in as a constraint and move the step
         monkeypatch.setattr(continuation, "_PIN_RANK_TOL", 1e-10)
-        step = self._steps(prob, c, bp.lam, border)[0]
-        assert np.max(np.abs(step - reference[0])) > 1e-3 * np.linalg.norm(reference[0])
+        step = self._step(prob, c, bp.lam, border)
+        assert np.max(np.abs(step - reference)) > 1e-3 * np.linalg.norm(reference)
 
     def test_sphere_branch_matches_recorded_values(self, sphere_ring):
         prob = sphere_ring
@@ -605,14 +577,17 @@ class TestBorderedSolves:
         assert len(branch.points) > 5
 
     def test_singular_factorization_is_newton_error(self, circle_pitchfork, monkeypatch):
+        # the branch switch's bordered solve fails on the singular LU, and
+        # the NoBranchError chains the NewtonError that names it
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        c0 = np.zeros(circle_pitchfork.n_dof)
-        c0[1] = 0.4 * math.sqrt(math.pi)
         monkeypatch.setattr(np.linalg, "solve", singular)
-        with pytest.raises(NewtonError, match="singular Newton system"):
-            newton_solve(circle_pitchfork, c0, 1.12)
+        with pytest.raises(NoBranchError, match="singular Newton system") as info:
+            switch_branch(circle_pitchfork, 1.0)
+        assert isinstance(info.value.__cause__, NewtonError)
+        assert "singular Newton system" in str(info.value.__cause__)
+        assert isinstance(info.value.__cause__.__cause__, np.linalg.LinAlgError)
 
 
 # lambda of every point, as float.hex, of the circle pitchfork branch from
@@ -744,15 +719,9 @@ class TestSwitchAndContinue:
         assert branch.termination in ("lambda-limit", "max-steps")
 
     def test_trivial_branch_crosses_level(self, circle_pitchfork):
-        prob = circle_pitchfork
-        start = newton_solve(prob, np.zeros(prob.n_dof), 0.6)
-        branch = continue_branch(
-            prob, Branch(points=[start], origin=("trivial", None)), (0.5, 1.4), max_steps=40
-        )
-        assert all(bp.sup_norm < 1e-9 for bp in branch.points)
-        assert max(bp.lam for bp in branch.points) > 1.0
         # the smallest off-symmetry singular value of the trivial-branch
         # Jacobian touches zero at the level
+        prob = circle_pitchfork
         zero = np.zeros(prob.n_dof)
         s_away = _dense_min_offsym_singular(prob, zero, jacobian(prob, zero, 0.6))
         s_at = _dense_min_offsym_singular(prob, zero, jacobian(prob, zero, 1.0))
@@ -938,7 +907,7 @@ class TestPinnedSwitch:
                 assert abs(float(np.dot(vhat, bp.c)) - target) <= 1e-10 * target
                 # the residual norm is the one of the solve on the axial
                 # rows; the full-space residual at the lifted point is as small
-                space = continuation._branch_space(prob, bp.c)
+                space = continuation._subspace(prob, continuation._isotypic_rows(prob))
                 r = assemble_residual(space.problem, bp.c[space.idx], bp.lam)
                 assert bp.residual_norm == np.linalg.norm(r) <= continuation.NEWTON_TOL
                 r = assemble_residual(prob, bp.c, bp.lam)
@@ -1043,34 +1012,19 @@ class TestFixedSpace:
         assert max(widths.pop("solve")) <= largest + borders
         assert max(max(w) for w in widths.values()) <= largest
 
-    def test_seed_off_the_subspace_is_followed_on_every_row(self, circle_ring, monkeypatch):
-        # a seed rotated off the reflection-even rows is continued on the
-        # full problem, with one diagnostic block: the dense value
+    def test_rotated_or_trivial_seed_is_rejected(self, circle_ring):
+        # continue_branch follows switch_branch seeds: a seed rotated off the
+        # reflection-even rows, or one without a bifurcation level, is an
+        # input error and no continuation runs
         prob = circle_ring
         seed = switch_branch(prob, 1.0)
-        axial = continue_branch(prob, seed, (0.9, 1.3), max_steps=8)
         bp = seed.points[0]
         turned = dataclasses.replace(bp, c=apply_group_element(prob, bp.c, domain_angle=0.3))
-        sizes = []
-
-        def spy(problem, c, lam):
-            sizes.append(problem.n_dof)
-            return jacobian(problem, c, lam)
-
-        monkeypatch.setattr(continuation, "jacobian", spy)
-        branch = continue_branch(
-            prob, Branch(points=[turned], origin=seed.origin), (0.9, 1.3), max_steps=8
-        )
-        assert set(sizes) == {prob.n_dof}
-        assert len(branch.points) == len(axial.points)
-        for a, b in zip(branch.points[1:], axial.points[1:]):
-            assert len(a.block_morse_index) == 1 and len(b.block_morse_index) == 2
-            J = jacobian(prob, a.c, a.lam)
-            assert a.min_offsym_singular == _dense_min_offsym_singular(prob, a.c, J)
-            # the same branch turned: lambda and the rotation-invariant
-            # coefficient norm agree (sup_norm over the nodes need not)
-            assert abs(a.lam - b.lam) <= 1e-8
-            assert abs(np.linalg.norm(a.c) - np.linalg.norm(b.c)) <= 1e-8
+        with pytest.raises(ValueError, match="off the axial fixed-point subspace"):
+            continue_branch(prob, Branch(points=[turned], origin=seed.origin), (0.9, 1.3))
+        with pytest.raises(ValueError, match="origin must be"):
+            continue_branch(prob, Branch(points=[bp], origin=("trivial", None)), (0.9, 1.3))
+        assert len(continue_branch(prob, seed, (0.9, 1.3), max_steps=8).points) > 1
 
 
 class TestReducedRule:
@@ -1300,6 +1254,8 @@ class TestExport:
             ({"truncation": -3}, "truncation"),
             ({"beta_cutoff": 0.0}, "beta_cutoff"),
             ({"beta_cutoff": -10.0}, "beta_cutoff"),
+            ({"beta_cutoff": math.inf}, "beta_cutoff"),
+            ({"beta_cutoff": math.nan}, "beta_cutoff"),
         ],
     )
     def test_build_problem_rejects_bad_sizes(self, domain, options, name):

@@ -290,6 +290,12 @@ class TestAssumptionChecks:
         with pytest.raises(ValueError):
             check_assumptions(builtin("pitchfork-scalar"), lambda_samples=(0.0,))
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_samples_must_be_finite(self, bad):
+        # a non-finite sample made NaN residuals, and a report that is not JSON
+        with pytest.raises(ValueError, match="must be finite"):
+            check_assumptions(builtin("pitchfork-scalar"), lambda_samples=(bad, 0.1))
+
     def test_growth_exponent_estimate(self):
         report = check_assumptions(builtin("pitchfork-scalar"))
         fitted = report.results["B2"].details["fitted_growth_exponent"]

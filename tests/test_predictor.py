@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,59 +11,21 @@ from symbif.predictor import (
     degree_jump,
     default_epsilon,
     lambda_set,
-    negative_eigenspace,
     predict,
-    slice_spectrum,
-    window_eigenspace,
-    zero_eigenspace,
 )
 from symbif.spectral import ball, sphere
 
 RNG = np.random.default_rng(5)
 
 
-class TestSliceSpectrum:
-    def test_pitchfork_circle_at_zero(self):
-        sp = slice_spectrum(builtin("pitchfork-scalar"), sphere(2), 0.0, 5.0)
-        vals = sorted({e.eigenvalue for e in sp.entries})
-        np.testing.assert_allclose(vals, [0.0, 0.5, 0.8], atol=1e-15)
-
-    def test_ring_on_sphere_resonance(self):
-        sp = slice_spectrum(builtin("so2-ring"), sphere(3), 2.0, 7.0)
-        hits = [e for e in sp.entries if e.beta == 2.0 and e.alpha == 1.0]
-        assert len(hits) == 1
-        assert hits[0].eigenvalue == 0.0
-        assert hits[0].dimension == 3
-        assert hits[0].nontrivial
-
-    def test_constant_tangent_block(self):
-        sp = slice_spectrum(builtin("so2-ring"), sphere(2), 1.7, 5.0)
-        hits = [e for e in sp.entries if e.beta == 0.0 and e.alpha == 0.0]
-        assert len(hits) == 1
-        assert hits[0].eigenvalue == 0.0
-        assert not hits[0].nontrivial
-
-    def test_formula_holds_entrywise(self):
-        for lam in (-2.3, 0.0, 1.7):
-            sp = slice_spectrum(builtin("so2-ring"), ball(2), lam, 20.0)
-            for e in sp.entries:
-                expected = (e.beta - lam * e.alpha) / (1.0 + e.beta)
-                assert e.eigenvalue == expected
-                assert e.dimension > 0
-
-    def test_zero_block_present_exactly_at_levels(self):
-        spec = builtin("pitchfork-scalar")
-        for lam in lambda_set(spec, sphere(2), 20.0):
-            sp = slice_spectrum(spec, sphere(2), lam, 20.0)
-            assert any(
-                abs(e.eigenvalue) <= 1e-9 and e.beta > 0 for e in sp.entries
-            )
-        sp = slice_spectrum(spec, sphere(2), 2.5, 20.0)
-        assert all(abs(e.eigenvalue) > 1e-9 for e in sp.entries if e.beta > 0)
-
-    def test_empty_request_rejected(self):
-        with pytest.raises(ValueError):
-            slice_spectrum(builtin("pitchfork-scalar"), sphere(2), 0.0, -1.0)
+class TestEigenCatalog:
+    @pytest.mark.parametrize("domain", [sphere(2), sphere(3), ball(2)], ids=lambda d: d.label)
+    @pytest.mark.parametrize("cutoff", [math.inf, math.nan, 0.0, -1.0])
+    def test_cutoff_must_be_positive_and_finite(self, domain, cutoff):
+        # an infinite cutoff would list the sphere spectrum forever and
+        # overflow the ball's Bessel root search
+        with pytest.raises(ValueError, match="beta_cutoff must be positive and finite"):
+            predictor.eigen_catalog(domain, cutoff)
 
 
 class TestLambdaSet:
@@ -92,51 +56,36 @@ class TestLambdaSet:
 
 
 class TestEigenspaces:
+    """The descriptor V of degree_jump: the resonant eigenspace at lambda0 on
+    the sphere, the union of those over the levels in the window on the
+    ball."""
+
     def test_zero_space_circle(self):
-        V = zero_eigenspace(builtin("pitchfork-scalar"), sphere(2), 1.0, 10.0)
+        V = degree_jump(builtin("pitchfork-scalar"), sphere(2), 1.0, 0.5, beta_cutoff=10.0).V
         assert len(V.blocks) == 1
         b = V.blocks[0]
         assert (b.beta, b.copies, b.dimension, b.nontrivial) == (1.0, 1, 2, True)
         assert V.total_dimension == 2
 
     def test_zero_space_ring_sphere(self):
-        V = zero_eigenspace(builtin("so2-ring"), sphere(3), 2.0, 13.0)
+        V = degree_jump(builtin("so2-ring"), sphere(3), 2.0, 1.0, beta_cutoff=13.0).V
         assert len(V.blocks) == 1
         assert (V.blocks[0].beta, V.blocks[0].copies, V.blocks[0].dimension) == (2.0, 1, 3)
 
     def test_between_levels_empty(self):
-        V = zero_eigenspace(builtin("pitchfork-scalar"), sphere(2), 2.5, 10.0)
-        assert V.blocks == ()
-        assert V.total_dimension == 0
-
-    def test_negative_space(self):
-        W = negative_eigenspace(builtin("pitchfork-scalar"), sphere(2), 1.5, 10.0)
-        assert [(b.beta, b.dimension) for b in W.blocks] == [(1.0, 2)]
-        W = negative_eigenspace(builtin("pitchfork-scalar"), sphere(2), 0.5, 10.0)
-        assert W.blocks == ()
-        W = negative_eigenspace(builtin("so2-ring"), sphere(3), 7.0, 13.0)
-        assert [(b.beta, b.dimension) for b in W.blocks] == [(2.0, 3), (6.0, 5)]
-
-    def test_partition_of_truncated_spectrum(self):
-        spec = builtin("so2-ring")
-        dom = sphere(3)
-        cutoff = 21.0
-        for lam0 in lambda_set(spec, dom, cutoff):
-            sp = slice_spectrum(spec, dom, lam0, cutoff)
-            nonconstant = [e for e in sp.entries if e.beta > 0]
-            neg = sum(e.dimension for e in nonconstant if e.eigenvalue < -1e-9)
-            zero = sum(e.dimension for e in nonconstant if abs(e.eigenvalue) <= 1e-9)
-            pos = sum(e.dimension for e in nonconstant if e.eigenvalue > 1e-9)
-            V = zero_eigenspace(spec, dom, lam0, cutoff)
-            W = negative_eigenspace(spec, dom, lam0, cutoff)
-            assert V.total_dimension == zero
-            assert W.total_dimension == neg
-            assert neg + zero + pos == sum(e.dimension for e in nonconstant)
+        # no block is resonant between the levels 1 and 4, so there is no
+        # candidate to decide
+        with pytest.raises(ValueError, match="no resonant eigenvalue blocks"):
+            degree_jump(builtin("pitchfork-scalar"), sphere(2), 2.5, 0.5, beta_cutoff=10.0)
 
     def test_window_union(self):
+        # the window (9.33 - 6, 9.33 + 6) holds the disk levels 3.39 and 9.33
+        # (multiplicity 2) and the radial 14.68 (multiplicity 1, trivial)
         spec = builtin("pitchfork-scalar")
-        V = window_eigenspace(spec, sphere(2), 0.5, 4.5, 10.0)
-        assert [b.beta for b in V.blocks] == [1.0, 4.0]
+        betas = [e.value for e in predictor.eigen_catalog(ball(2), 20.0)]
+        V = degree_jump(spec, ball(2), betas[2], 6.0, beta_cutoff=20.0).V
+        assert [b.beta for b in V.blocks] == betas[1:4]
+        assert [(b.dimension, b.nontrivial) for b in V.blocks] == [(2, True), (2, True), (1, False)]
 
 
 class TestDegreeJump:
@@ -167,6 +116,19 @@ class TestDegreeJump:
             degree_jump(spec, sphere(2), 1.0, 0.0)
         with pytest.raises(ValueError):
             degree_jump(spec, sphere(2), 0.0, 0.1)
+
+    @pytest.mark.parametrize(
+        "lam0,eps", [(math.inf, 0.5), (-math.inf, 0.5), (math.nan, 0.5), (1.0, math.inf), (1.0, math.nan)]
+    )
+    def test_nonfinite_level_or_epsilon_is_rejected(self, lam0, eps):
+        # checked before the default cutoff, which an infinite lambda0 would
+        # make infinite
+        with pytest.raises(ValueError, match="must be finite"):
+            degree_jump(builtin("pitchfork-scalar"), sphere(2), lam0, eps)
+
+    def test_predict_rejects_a_nonfinite_epsilon(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            predict(builtin("pitchfork-scalar"), sphere(2), 10.0, epsilon=math.nan)
 
     def test_ball_uses_window_resonances(self):
         cand = degree_jump(builtin("pitchfork-scalar"), ball(2), 3.3899577166710888, 1.5)
