@@ -6,7 +6,8 @@ numpy arrays, with `order` broadcasting against `x`, and returns a float for
 scalar input.  Each entry is summed by the ascending series for |x| <=
 SERIES_CUTOFF and by Miller's downward recurrence above it (DLMF §10.74(i)
 and (iii), §3.6(iii)); the series stops entry by entry.  The Neumann roots of all
-angular orders are bracketed on one grid and refined by bisection together.
+angular orders are bracketed on one grid and refined by bisection together,
+several bisection levels per call with the bits of one level per call.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 SERIES_CUTOFF = 12.0
 ROOT_GRID_STEP = 0.1
 ROOT_TOL = 1e-12
+_LEVELS = 4  # bisection levels of every bracket per call of the function
 
 
 def besselj(order, x):
@@ -187,18 +189,34 @@ def neumann_roots(ambient_dim: int, x_max: float) -> list[list[float]]:
 
 
 def _bisect(g, order, a, b, fa):
-    """Bisect every bracket [a, b] of g(order, .) together down to ROOT_TOL."""
+    """Bisect every bracket [a, b] of g(order, .) together down to ROOT_TOL.
+
+    Each call of g takes every midpoint of the next _LEVELS bisection levels
+    of each live bracket, 2^_LEVELS - 1 of them in heap order (the children
+    of node i are 2i + 1, left, and 2i + 2).  The levels are then replayed one
+    at a time with the tests of one-level bisection, so the roots are the
+    same bits as bisecting one level per call."""
     exact = np.full(a.size, np.nan)  # a midpoint where g is exactly 0
-    while True:
-        live = np.nonzero(np.isnan(exact) & (b - a > ROOT_TOL))[0]
-        if not live.size:
-            return np.where(np.isnan(exact), 0.5 * (a + b), exact)
-        mid = 0.5 * (a[live] + b[live])
-        fm = g(order[live], mid)
-        hit = fm == 0.0
-        exact[live[hit]] = mid[hit]
-        left = ~hit & (fa[live] * fm < 0.0)
-        right = ~hit & ~left
-        b[live[left]] = mid[left]
-        a[live[right]] = mid[right]
-        fa[live[right]] = fm[right]
+    live = np.nonzero(b - a > ROOT_TOL)[0]
+    while live.size:
+        lo, hi, mids = a[live][None, :], b[live][None, :], []
+        for _ in range(_LEVELS):
+            mid = 0.5 * (lo + hi)
+            mids.append(mid)
+            lo = np.stack([lo, mid], axis=1).reshape(-1, live.size)
+            hi = np.stack([mid, hi], axis=1).reshape(-1, live.size)
+        mids = np.concatenate(mids)
+        vals = g(np.broadcast_to(order[live], mids.shape), mids)
+        col, node = np.arange(live.size), np.zeros(live.size, int)
+        for _ in range(_LEVELS):
+            mid, fm = mids[node, col], vals[node, col]
+            hit = fm == 0.0
+            exact[live[hit]] = mid[hit]
+            left = ~hit & (fa[live] * fm < 0.0)
+            right = ~hit & ~left
+            b[live[left]] = mid[left]
+            a[live[right]] = mid[right]
+            fa[live[right]] = fm[right]
+            keep = np.isnan(exact[live]) & (b[live] - a[live] > ROOT_TOL)
+            live, col, node = live[keep], col[keep], (2 * node + np.where(left, 1, 2))[keep]
+    return np.where(np.isnan(exact), 0.5 * (a + b), exact)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -159,6 +160,9 @@ def cmd_jump(args):
     if lam0 is None:
         raise ValueError("need --lambda0 for the jump command")
     lam0 = float(lam0)
+    # the default cutoff is derived from lam0, so lam0 is checked first
+    if not (math.isfinite(lam0) and lam0 != 0.0):
+        raise ValueError(f"lambda0 must be finite and nonzero, got {lam0}")
     cutoff = float(opts.get("beta_cutoff", max(10.0, 2.0 * abs(lam0))))
     eps = opts.get("epsilon")
     if eps is None:

@@ -259,15 +259,12 @@ def build_problem(
         raise ValueError(f"no Galerkin support on {domain.label}")
     max_l = max(e.angular_degree for e in eigens)
     quad = spectral.default_quadrature(domain, (gd + 1) * max_l)
-    funcs = [f for eig in eigens for f in spectral.basis(domain, eig)]
-    E = np.stack([f.evaluator(*quad.points) for f in funcs])
-    beta = np.array([f.beta for f in funcs])
     return GalerkinProblem(
         domain=domain,
         spec=spec,
         eigens=eigens,
-        beta=beta,
-        E=E,
+        beta=np.repeat([e.value for e in eigens], [e.multiplicity for e in eigens]),
+        E=spectral.basis(domain, eigens, quad.points),
         quad=quad,
         rotation_generators=_rotation_generators(domain, eigens),
     )

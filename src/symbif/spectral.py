@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from . import bessel
 __all__ = [
     "DomainId",
     "LaplaceEigenvalue",
-    "BasisFunction",
     "Quadrature",
     "sphere",
     "ball",
@@ -93,17 +92,6 @@ class LaplaceEigenvalue:
     is_radial: Optional[bool] = None
 
 
-@dataclass(frozen=True)
-class BasisFunction:
-    """An L2-orthonormal eigenfunction; evaluator takes coordinate arrays."""
-
-    domain: DomainId
-    eigenvalue_index: int
-    component_index: int
-    beta: float
-    evaluator: Callable
-
-
 def harmonic_dimension(ambient_dim: int, degree: int) -> int:
     """Dimension of degree-l spherical harmonics on S^{N-1}."""
     if ambient_dim < 2:
@@ -175,130 +163,105 @@ def ball_neumann_spectrum(ambient_dim: int, beta_cutoff: float) -> list[LaplaceE
 # eigenfunction bases
 
 
-def basis(domain: DomainId, eig: LaplaceEigenvalue) -> list[BasisFunction]:
-    """L2-orthonormal evaluators spanning the eigenspace of a catalog entry
-    (from `sphere_spectrum` or `ball_neumann_spectrum` for the domain)."""
-    if eig.index < 1:
+def basis(domain: DomainId, eigens: list[LaplaceEigenvalue], points) -> np.ndarray:
+    """Values of L2-orthonormal functions spanning the eigenspaces of catalog
+    entries (from `sphere_spectrum` or `ball_neumann_spectrum` for the domain)
+    at the nodes of 1-D coordinate arrays: (theta,) on the circle, (theta, phi)
+    on the 2-sphere, (r, theta) on the disk.
+
+    One row per function, eigenvalue-major with `multiplicity` rows per entry:
+    cos before sin, and on the 2-sphere the zonal function first, then the cos
+    and sin of each order m = 1..l.  The radial factors J_l(x r) come from one
+    Bessel call over the distinct radii, the polar factors P_l^m(cos theta)
+    from one recurrence over the distinct cos(theta).
+    """
+    if any(e.index < 1 for e in eigens):
         raise ValueError("eigenvalue index must be positive")
     if domain.kind == "sphere" and domain.dim == 2:
-        return _circle_basis(domain, eig.index)
-    if domain.kind == "sphere" and domain.dim == 3:
-        return _sphere2_basis(domain, eig.index)
-    if domain.kind == "ball" and domain.dim == 2:
-        return _disk_basis(domain, eig)
-    raise ValueError(f"basis evaluation is not supported on {domain.label}")
+        rows = _circle_rows
+    elif domain.kind == "sphere" and domain.dim == 3:
+        rows = _sphere2_rows
+    elif domain.kind == "ball" and domain.dim == 2:
+        rows = _disk_rows
+    else:
+        raise ValueError(f"basis evaluation is not supported on {domain.label}")
+    points = [np.asarray(x, float) for x in points]
+    E = np.empty((sum(e.multiplicity for e in eigens), points[0].size))
+    for i, row in enumerate(rows(eigens, *points)):
+        E[i] = row
+    return E
 
 
-def _circle_basis(domain, index):
-    freq = index - 1
-    beta = float(freq * freq)
-    if freq == 0:
-        c = 1.0 / math.sqrt(2.0 * math.pi)
-        ev = lambda theta: np.full_like(np.asarray(theta, float), c)
-        return [BasisFunction(domain, index, 1, beta, ev)]
-    c = 1.0 / math.sqrt(math.pi)
-
-    def make(trig):
-        return lambda theta: c * trig(freq * np.asarray(theta, float))
-
-    return [
-        BasisFunction(domain, index, 1, beta, make(np.cos)),
-        BasisFunction(domain, index, 2, beta, make(np.sin)),
-    ]
+def _circle_rows(eigens, theta):
+    for e in eigens:
+        freq = e.angular_degree
+        if freq == 0:
+            yield np.full_like(theta, 1.0 / math.sqrt(2.0 * math.pi))
+        else:
+            c = 1.0 / math.sqrt(math.pi)
+            yield c * np.cos(freq * theta)
+            yield c * np.sin(freq * theta)
 
 
-def _assoc_legendre(l, m, x):
-    """Associated Legendre P_l^m on arrays, Condon-Shortley phase included."""
-    x = np.asarray(x, float)
+def _assoc_legendre(l_max, x):
+    """Associated Legendre functions on an array, Condon-Shortley phase
+    included: entry [m][l - m] is P_l^m(x) for 0 <= m <= l <= l_max."""
     somx2 = np.sqrt(np.maximum(0.0, (1.0 - x) * (1.0 + x)))
     pmm = np.ones_like(x)
     fact = 1.0
-    for _ in range(m):
-        pmm = pmm * (-fact) * somx2
-        fact += 2.0
-    if l == m:
-        return pmm
-    pmmp1 = x * (2.0 * m + 1.0) * pmm
-    if l == m + 1:
-        return pmmp1
-    for ll in range(m + 2, l + 1):
-        pll = (x * (2.0 * ll - 1.0) * pmmp1 - (ll + m - 1.0) * pmm) / (ll - m)
-        pmm = pmmp1
-        pmmp1 = pll
-    return pmmp1
+    table = []
+    for m in range(l_max + 1):
+        if m:
+            pmm = pmm * (-fact) * somx2
+            fact += 2.0
+        column = [pmm]
+        if m < l_max:
+            column.append(x * (2.0 * m + 1.0) * pmm)
+        for ll in range(m + 2, l_max + 1):
+            pll = x * (2.0 * ll - 1.0) * column[-1] - (ll + m - 1.0) * column[-2]
+            column.append(pll / (ll - m))
+        table.append(column)
+    return table
 
 
-def _sphere2_basis(domain, index):
-    l = index - 1
-    beta = float(l * (l + 1))
-    funcs = []
-    j = 1
-
-    def norm_const(m):
-        return math.sqrt(
-            (2 * l + 1) / (4.0 * math.pi) * math.factorial(l - m) / math.factorial(l + m)
-        )
-
-    n0 = norm_const(0)
-
-    def make_zonal():
-        return lambda theta, phi: n0 * _assoc_legendre(l, 0, np.cos(np.asarray(theta, float)))
-
-    funcs.append(BasisFunction(domain, index, j, beta, make_zonal()))
-    j += 1
-    for m in range(1, l + 1):
-        nm = math.sqrt(2.0) * norm_const(m)
-
-        def make(trig, m=m, nm=nm):
-            def ev(theta, phi):
-                theta = np.asarray(theta, float)
-                phi = np.asarray(phi, float)
-                return nm * _assoc_legendre(l, m, np.cos(theta)) * trig(m * phi)
-
-            return ev
-
-        funcs.append(BasisFunction(domain, index, j, beta, make(np.cos)))
-        funcs.append(BasisFunction(domain, index, j + 1, beta, make(np.sin)))
-        j += 2
-    return funcs
+def _sphere2_rows(eigens, theta, phi):
+    x, inverse = np.unique(np.cos(theta), return_inverse=True)
+    l_max = max(e.angular_degree for e in eigens)
+    legendre = _assoc_legendre(l_max, x)
+    trig = {m: (np.cos(m * phi), np.sin(m * phi)) for m in range(1, l_max + 1)}
+    for e in eigens:
+        l = e.angular_degree
+        for m in range(l + 1):
+            norm = math.sqrt(
+                (2 * l + 1) / (4.0 * math.pi) * math.factorial(l - m) / math.factorial(l + m)
+            )
+            if m == 0:
+                yield (norm * legendre[0][l])[inverse]
+            else:
+                polar = (math.sqrt(2.0) * norm * legendre[m][l - m])[inverse]
+                yield from (polar * t for t in trig[m])
 
 
-def _radial(l, x, r):
-    """J_l(x r), evaluated once per distinct radius: a disk quadrature
-    repeats each radius at every angle."""
+def _disk_rows(eigens, r, theta):
     radii, inverse = np.unique(r, return_inverse=True)
-    return bessel.besselj(l, x * radii)[inverse].reshape(r.shape)
-
-
-def _disk_basis(domain, eig):
-    index, l, beta = eig.index, eig.angular_degree, eig.value
-    if beta == 0.0:
-        c = 1.0 / math.sqrt(math.pi)
-        ev = lambda r, theta: np.full_like(np.asarray(r, float), c)
-        return [BasisFunction(domain, index, 1, beta, ev)]
-    x = math.sqrt(beta)
+    waves = [e for e in eigens if e.value != 0.0]
+    l = np.array([e.angular_degree for e in waves], int)
+    x = np.sqrt([e.value for e in waves])
     jl = bessel.besselj(l, x)
-    if l == 0:
-        radial_norm = 0.5 * jl * jl
-        c = 1.0 / math.sqrt(2.0 * math.pi * radial_norm)
-        ev = lambda r, theta: c * _radial(0, x, np.asarray(r, float))
-        return [BasisFunction(domain, index, 1, beta, ev)]
     # at a Neumann root, int_0^1 J_l(x r)^2 r dr = (1 - l^2/x^2) J_l(x)^2 / 2
     radial_norm = 0.5 * (1.0 - l * l / (x * x)) * jl * jl
-    c = 1.0 / math.sqrt(math.pi * radial_norm)
-
-    def make(trig):
-        def ev(r, theta):
-            r = np.asarray(r, float)
-            theta = np.asarray(theta, float)
-            return c * _radial(l, x, r) * trig(l * theta)
-
-        return ev
-
-    return [
-        BasisFunction(domain, index, 1, beta, make(np.cos)),
-        BasisFunction(domain, index, 2, beta, make(np.sin)),
-    ]
+    c = 1.0 / np.sqrt(np.where(l == 0, 2.0, 1.0) * math.pi * radial_norm)
+    radial = iter(c[:, None] * bessel.besselj(l[:, None], x[:, None] * radii[None, :]))
+    trig = {k: (np.cos(k * theta), np.sin(k * theta)) for k in set(l.tolist()) - {0}}
+    for e in eigens:
+        if e.value == 0.0:
+            yield np.full_like(r, 1.0 / math.sqrt(math.pi))
+            continue
+        row = next(radial)[inverse]
+        if e.angular_degree:
+            yield from (row * t for t in trig[e.angular_degree])
+        else:
+            yield row
 
 
 # --------------------------------------------------------------------------

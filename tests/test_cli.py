@@ -163,6 +163,18 @@ class TestJumpCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0"])
+    def test_bad_lambda0_is_named_before_the_default_cutoff(self, capsys, value):
+        # the default --beta-cutoff is derived from lambda0; the error names
+        # lambda0, not the cutoff derived from it
+        code, out, err = run(
+            capsys, "jump", "--potential", "pitchfork-scalar", "--domain", "sphere", "--dim", "2",
+            f"--lambda0={value}",
+        )
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError" and error["message"].startswith("lambda0 ")
+
     def test_deterministic(self, capsys):
         argv = [
             "jump",

@@ -127,9 +127,8 @@ class TestResidual:
         w = 2 * np.pi / 8192
         u = a * np.cos(theta) / math.sqrt(math.pi)
         g = lam * u - u**3
-        funcs = [f for eig in prob.eigens for f in spectral.basis(prob.domain, eig)]
-        for row, f in enumerate(funcs[:8]):
-            e = f.evaluator(theta)
+        E = spectral.basis(prob.domain, prob.eigens, (theta,))
+        for row, e in enumerate(E[:8]):
             expected = prob.beta[row] * c[row] - w * np.dot(g, e)
             assert abs(r[row] - expected) < 1e-10
         # closed forms: (1 - lam) a + (3/4) a^3 / pi on cos, a^3/(4 pi) on cos 3
@@ -1269,6 +1268,17 @@ class TestExport:
         assert prob.n_funcs == 1 and prob.beta.tolist() == [0.0]
 
 
+RECORDED_DISK200_HEX = {
+    "level": ["0x1.b1ea226b51ebap+1"],
+    "branch": [
+        "0x1.b2a45921903bfp+1", "0x1.b346934e0aac5p+1", "0x1.b475492f54c0cp+1",
+        "0x1.b69de30172367p+1", "0x1.ba6bf514ffcd8p+1", "0x1.c0d505570ba56p+1",
+        "0x1.cb21af220332fp+1", "0x1.db034148cf62bp+1", "0x1.f180e8feaf62ep+1",
+        "0x1.046e07cfc48b1p+2", "0x1.105f41fd1614fp+2",
+    ],
+}
+
+
 class TestDiskBuild:
     def test_one_catalog_and_no_per_node_bessel_calls(self, monkeypatch):
         calls = {"ball_neumann_spectrum": 0, "neumann_roots": 0, "besselj": 0}
@@ -1285,12 +1295,30 @@ class TestDiskBuild:
         count(spectral, "ball_neumann_spectrum")
         count(bessel, "neumann_roots")
         count(bessel, "besselj")
-        prob = build_problem(ball(2), builtin("so2-ring"), beta_cutoff=200.0)
+        build_problem(ball(2), builtin("so2-ring"), beta_cutoff=200.0)
         assert calls["ball_neumann_spectrum"] == 1
         assert calls["neumann_roots"] == 1
-        # the root bisection makes about 40 calls, the basis one per
-        # eigenvalue and one per function; never one per quadrature node
-        assert calls["besselj"] <= 3 * prob.n_funcs < prob.quad.weights.size
+        # one call on the root grid, one per _LEVELS of the bisection from
+        # the grid step down to ROOT_TOL, then one for the basis norms and
+        # one for the radial table
+        levels = math.ceil(math.log2(bessel.ROOT_GRID_STEP / bessel.ROOT_TOL))
+        assert levels == 37
+        assert calls["besselj"] <= 1 + math.ceil(levels / bessel._LEVELS) + 2
+
+    def test_so2_ring_beta_200_branch_matches_recorded_bits(self):
+        # the disk workload's so2-ring pipeline at beta <= 200: the level
+        # detected in (0.5, 6.25), then the branch from it to lambda* -/+
+        # lambda*/4 (11 points, terminated at the lambda limit), as float.hex,
+        # recorded with one bisection level per Bessel call and one Bessel
+        # call per basis function
+        prob = build_problem(ball(2), builtin("so2-ring"), beta_cutoff=200.0)
+        detected = detect_bifurcation(prob, (0.5, 6.25))
+        assert [d.hex() for d in detected] == RECORDED_DISK200_HEX["level"]
+        lam = detected[0]
+        limits = (lam - 0.25 * lam, lam + 0.25 * lam)
+        branch = continue_branch(prob, switch_branch(prob, lam), limits)
+        assert branch.termination == "lambda-limit"
+        assert [bp.lam.hex() for bp in branch.points] == RECORDED_DISK200_HEX["branch"]
 
 
 class TestProblemQuadrature:

@@ -85,7 +85,48 @@ def scipy_neumann_roots(ambient_dim, l, x_max):
     return roots
 
 
+def bisect_one_level_per_call(g, order, a, b, fa):
+    """Reference bisection: one midpoint of every live bracket per call of g."""
+    exact = np.full(a.size, np.nan)
+    while True:
+        live = np.nonzero(np.isnan(exact) & (b - a > bessel.ROOT_TOL))[0]
+        if not live.size:
+            return np.where(np.isnan(exact), 0.5 * (a + b), exact)
+        mid = 0.5 * (a[live] + b[live])
+        fm = g(order[live], mid)
+        hit = fm == 0.0
+        exact[live[hit]] = mid[hit]
+        left = ~hit & (fa[live] * fm < 0.0)
+        right = ~hit & ~left
+        b[live[left]] = mid[left]
+        a[live[right]] = mid[right]
+        fa[live[right]] = fm[right]
+
+
 class TestBallSpectrum:
+    @pytest.mark.parametrize("ambient_dim", [2, 3])
+    @pytest.mark.parametrize(
+        "x_max", [math.sqrt(20.0), math.sqrt(60.0), math.sqrt(200.0), 30.0],
+        ids=["sqrt20", "sqrt60", "sqrt200", "30"],
+    )
+    def test_roots_are_bit_for_bit_those_of_one_level_per_call(
+        self, ambient_dim, x_max, monkeypatch
+    ):
+        roots = bessel.neumann_roots(ambient_dim, x_max)
+        monkeypatch.setattr(bessel, "_bisect", bisect_one_level_per_call)
+        assert roots == bessel.neumann_roots(ambient_dim, x_max)
+
+    def test_bisection_keeps_exact_zeros_at_midpoints(self):
+        # zeros at the first midpoint (0.5) and at a third-level one (0.375)
+        # end their brackets there, beside a bracket that runs to ROOT_TOL
+        zeros = np.array([0.5, 0.375, 1.0 / 3.0])
+        g = lambda order, x: x - zeros[order]
+        order = np.arange(3)
+        args = lambda: (order, np.zeros(3), np.ones(3), -zeros.copy())
+        got = bessel._bisect(g, *args())
+        np.testing.assert_array_equal(got, bisect_one_level_per_call(g, *args()))
+        assert got[0] == 0.5 and got[1] == 0.375 and abs(got[2] - 1.0 / 3.0) <= bessel.ROOT_TOL
+
     def test_disk_catalog(self):
         entries = spectral.ball_neumann_spectrum(2, 10.0)
         by_l = {(e.angular_degree, e.radial_index): e for e in entries}
@@ -254,44 +295,59 @@ def entry(domain, k):
 
 
 def gram_matrix(domain, k_max, quad):
-    funcs = []
-    for eig in catalog(domain, k_max):
-        funcs.extend(spectral.basis(domain, eig))
-    E = np.stack([f.evaluator(*quad.points) for f in funcs])
-    return E @ (quad.weights[:, None] * E.T), funcs
+    E = spectral.basis(domain, catalog(domain, k_max), quad.points)
+    return E @ (quad.weights[:, None] * E.T)
 
 
 class TestBases:
     def test_circle_mode_two(self):
-        funcs = spectral.basis(sphere(2), entry(sphere(2), 2))
         theta = np.linspace(0, 2 * np.pi, 17)
+        E = spectral.basis(sphere(2), [entry(sphere(2), 2)], (theta,))
         c = math.sqrt(1.0 / math.pi)
-        np.testing.assert_allclose(funcs[0].evaluator(theta), c * np.cos(theta), atol=1e-14)
-        np.testing.assert_allclose(funcs[1].evaluator(theta), c * np.sin(theta), atol=1e-14)
+        np.testing.assert_allclose(E[0], c * np.cos(theta), atol=1e-14)
+        np.testing.assert_allclose(E[1], c * np.sin(theta), atol=1e-14)
 
     def test_sphere_constant(self):
-        funcs = spectral.basis(sphere(3), entry(sphere(3), 1))
-        assert len(funcs) == 1
-        val = funcs[0].evaluator(np.array([0.3]), np.array([1.0]))
-        assert abs(val[0] - 1.0 / math.sqrt(4 * math.pi)) < 1e-14
+        E = spectral.basis(sphere(3), [entry(sphere(3), 1)], (np.array([0.3]), np.array([1.0])))
+        assert E.shape == (1, 1)
+        assert abs(E[0, 0] - 1.0 / math.sqrt(4 * math.pi)) < 1e-14
 
     def test_disk_first_angular_mode(self):
         entries = spectral.ball_neumann_spectrum(2, 10.0)
         eig = next(e for e in entries if e.angular_degree == 1)
-        funcs = spectral.basis(ball(2), eig)
-        assert len(funcs) == 2
-        x = math.sqrt(funcs[0].beta)
+        x = math.sqrt(eig.value)
         r = np.array([0.2, 0.5, 0.9])
         theta = np.array([0.3, 1.2, 2.5])
-        vals = funcs[0].evaluator(r, theta)
+        E = spectral.basis(ball(2), [eig], (r, theta))
+        assert E.shape == (2, 3)
         ref = np.array([special.jv(1, x * ri) for ri in r]) * np.cos(theta)
-        ratio = vals / ref
+        ratio = E[0] / ref
         np.testing.assert_allclose(ratio, ratio[0], rtol=1e-10)
         # quadrature normalization oracle
         quad = spectral.disk_quadrature(64, 64)
-        for f in funcs:
-            v = f.evaluator(*quad.points)
+        for v in spectral.basis(ball(2), [eig], quad.points):
             assert abs(np.dot(quad.weights, v * v) - 1.0) < 1e-10
+
+    @pytest.mark.parametrize(
+        "domain,points",
+        [
+            (sphere(2), (np.linspace(0.0, 6.0, 7),)),
+            (
+                sphere(3),
+                (np.arccos(np.linspace(-0.9, 0.9, 5)).repeat(3), np.tile([0.0, 1.0, 2.5], 5)),
+            ),
+            (ball(2), (np.linspace(0.1, 1.0, 4).repeat(3), np.tile([0.0, 1.0, 2.5], 4))),
+        ],
+        ids=["circle", "sphere2", "disk"],
+    )
+    def test_table_rows_are_those_of_each_entry_alone(self, domain, points):
+        # one table over many entries, its factors shared across rows and
+        # nodes, equals the entries' own tables stacked, bit for bit
+        entries = catalog(domain, 8)
+        E = spectral.basis(domain, entries, points)
+        alone = np.concatenate([spectral.basis(domain, [e], points) for e in entries])
+        assert E.shape == (sum(e.multiplicity for e in entries), points[0].size)
+        np.testing.assert_array_equal(E, alone)
 
     @pytest.mark.parametrize(
         "domain,k_max,quad",
@@ -303,17 +359,17 @@ class TestBases:
         ids=["circle", "sphere2", "disk"],
     )
     def test_gram_identity(self, domain, k_max, quad):
-        G, funcs = gram_matrix(domain, k_max, quad)
-        assert np.max(np.abs(G - np.eye(len(funcs)))) < 1e-8
+        G = gram_matrix(domain, k_max, quad)
+        assert np.max(np.abs(G - np.eye(len(G)))) < 1e-8
 
     def test_full_disk_basis_is_orthonormal(self):
         # every basis function of a beta <= 200 build, on the quadrature the
         # build uses for a cubic potential
         entries = spectral.ball_neumann_spectrum(2, 200.0)
         quad = spectral.default_quadrature(ball(2), 4 * max(e.angular_degree for e in entries))
-        G, funcs = gram_matrix(ball(2), len(entries), quad)
-        assert len(funcs) == 59
-        assert np.max(np.abs(G - np.eye(len(funcs)))) < 1e-10
+        G = gram_matrix(ball(2), len(entries), quad)
+        assert len(G) == 59
+        assert np.max(np.abs(G - np.eye(len(G)))) < 1e-10
 
     def test_circle_spectral_eigenrelation(self):
         # sampled basis functions carry exactly one Fourier frequency f with
@@ -321,11 +377,12 @@ class TestBases:
         n = 256
         theta = 2 * np.pi * np.arange(n) / n
         for k in range(1, 10):
-            for f in spectral.basis(sphere(2), entry(sphere(2), k)):
-                coeffs = np.fft.rfft(f.evaluator(theta)) / n
+            eig = entry(sphere(2), k)
+            for row in spectral.basis(sphere(2), [eig], (theta,)):
+                coeffs = np.fft.rfft(row) / n
                 mags = np.abs(coeffs)
                 freq = int(np.argmax(mags))
-                assert abs(freq * freq - f.beta) < 1e-6
+                assert abs(freq * freq - eig.value) < 1e-6
                 mags[freq] = 0.0
                 assert np.max(mags) < 1e-12
 
@@ -333,9 +390,10 @@ class TestBases:
         theta = np.linspace(0, 2 * np.pi, 9)
         h = 1e-3
         for k in range(1, 9):
-            for f in spectral.basis(sphere(2), entry(sphere(2), k)):
-                lap = (f.evaluator(theta + h) - 2 * f.evaluator(theta) + f.evaluator(theta - h)) / h**2
-                np.testing.assert_allclose(-lap, f.beta * f.evaluator(theta), atol=1e-4 * (1 + f.beta))
+            eig = entry(sphere(2), k)
+            f = lambda t: spectral.basis(sphere(2), [eig], (t,))
+            lap = (f(theta + h) - 2 * f(theta) + f(theta - h)) / h**2
+            np.testing.assert_allclose(-lap, eig.value * f(theta), atol=1e-4 * (1 + eig.value))
 
     def test_disk_radial_ode(self):
         # J_l(x r) solves g'' + g'/r - l^2 g / r^2 + x^2 g = 0
@@ -354,34 +412,27 @@ class TestBases:
                 assert abs(resid) < 1e-4 * (1 + x * x)
 
     def test_sphere2_eigenrelation_by_quadrature(self):
-        # project -Laplace e against the basis: gradient form via the exact
-        # eigenvalue identity on the Gram matrix of a finer eigenspace split
-        quad = spectral.sphere2_quadrature(24, 48)
-        funcs = []
-        for k in range(1, 6):
-            funcs.extend(spectral.basis(sphere(3), entry(sphere(3), k)))
-        E = np.stack([f.evaluator(*quad.points) for f in funcs])
-        beta = np.array([f.beta for f in funcs])
         # surface FD Laplacian in theta/phi at interior nodes for one harmonic
-        f = spectral.basis(sphere(3), entry(sphere(3), 3))[2]
+        eig = entry(sphere(3), 3)
+        f = lambda th, ph: spectral.basis(sphere(3), [eig], (th, ph))[2]
         th = np.array([0.7, 1.1, 2.0])
         ph = np.array([0.4, 2.2, 5.0])
         h = 1e-4
         lap = (
-            (f.evaluator(th + h, ph) - 2 * f.evaluator(th, ph) + f.evaluator(th - h, ph)) / h**2
-            + np.cos(th) / np.sin(th) * (f.evaluator(th + h, ph) - f.evaluator(th - h, ph)) / (2 * h)
-            + (f.evaluator(th, ph + h) - 2 * f.evaluator(th, ph) + f.evaluator(th, ph - h))
-            / (h**2 * np.sin(th) ** 2)
+            (f(th + h, ph) - 2 * f(th, ph) + f(th - h, ph)) / h**2
+            + np.cos(th) / np.sin(th) * (f(th + h, ph) - f(th - h, ph)) / (2 * h)
+            + (f(th, ph + h) - 2 * f(th, ph) + f(th, ph - h)) / (h**2 * np.sin(th) ** 2)
         )
-        np.testing.assert_allclose(-lap, f.beta * f.evaluator(th, ph), atol=1e-3 * (1 + f.beta))
+        np.testing.assert_allclose(-lap, eig.value * f(th, ph), atol=1e-3 * (1 + eig.value))
 
     def test_unsupported_domains(self):
+        points = (np.full(2, 0.5), np.zeros(2))
         with pytest.raises(ValueError):
-            spectral.basis(ball(3), entry(ball(3), 2))
+            spectral.basis(ball(3), [entry(ball(3), 2)], points)
         with pytest.raises(ValueError):
-            spectral.basis(sphere(4), entry(sphere(4), 2))
+            spectral.basis(sphere(4), [entry(sphere(4), 2)], points)
         with pytest.raises(ValueError):
-            spectral.basis(sphere(2), spectral.LaplaceEigenvalue(0, 0.0, 1, 0))
+            spectral.basis(sphere(2), [spectral.LaplaceEigenvalue(0, 0.0, 1, 0)], points[:1])
 
 
 class TestSerialization:
