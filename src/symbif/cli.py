@@ -275,7 +275,10 @@ def cmd_verify(args):
             else:
                 rec["observed_alternative"] = "undetermined"
                 rec["heuristic"] = True
-                all_ok = False
+                if window[0] <= lo and hi <= window[1]:
+                    all_ok = False
+                else:
+                    rec["window_covers_interval"] = False
             records.append(rec)
         outside = [
             d

@@ -54,7 +54,11 @@ rule, the nodes at phi = 0, with each theta row's weights summed over phi:
 n_theta nodes instead of n_theta * n_phi (26 against 1352 at degree 12).
 That is Gauss-Legendre in cos(theta), which integrates every zonal product
 as the full rule does, and the sup deviation over the column is the one
-over every node.  The circle and the disk keep the full rule.
+over every node.  On the circle and the disk the reflection-even rows are
+even in the angle theta, so the restricted problem is integrated on the
+half-turn theta in [0, pi] of the uniform rule, each weight doubled for its
+mirror -theta but at 0 and pi (64 x 29 of the disk's 64 x 56 nodes at
+beta <= 200), with the full rule's sup deviation to rounding.
 
 At a Sigma-fixed point the full-space J commutes with Sigma and is
 block-diagonal by isotypic component (Faessler & Stiefel, Group Theoretical
@@ -67,7 +71,8 @@ and the disk, while T_z C = 0 on the 2-sphere), so the full-space
 off-symmetry spectrum is the union of the block spectra, each taken off the
 tangents that fall in the block.  The first block is the Jacobian the
 continuation assembles anyway; the others come from the same nodal Hessian,
-each from a table of its rows built once per subspace.  On the 2-sphere the
+each from a table of its rows built once per subspace (the sin rows on the
+half-turn too, sin * sin * h being even in theta).  On the 2-sphere the
 Hessian at a zonal point depends on theta alone, and a cos-row block of
 m >= 1 is assembled on the column rule with half the summed weights: the
 uniform rule sums cos^2(m phi) over n_phi longitudes to n_phi / 2 while
@@ -189,10 +194,10 @@ class GalerkinProblem:
     Branch switching and continuation solve on a private copy restricted to
     the rows of an axial fixed-point subspace (_subspace): E and beta are
     row subsets, rotation_generators is empty and eigens is the full
-    problem's.  On the 2-sphere E and quad are also cut to one longitude
-    column of the rule, with the weights summed over phi (the theta rule of
-    the zonal rows), so evaluate and sup_deviation see those nodes only; on
-    the circle and the disk quad is the full problem's.  The full problem's
+    problem's.  E and quad are also cut to a reduced rule, the nodes that
+    evaluate and sup_deviation see: on the 2-sphere one longitude column,
+    weights summed over phi; on the circle and the disk the half-turn theta
+    in [0, pi], inner weights doubled for their mirrors.  The full problem's
     Jacobian at a point of that subspace is block-diagonal by isotypic
     component (_isotypic_rows), and the diagnostics of every branch point
     come from those blocks.
@@ -461,8 +466,8 @@ class _Subspace:
 
     On the 2-sphere every table is on the longitude-column rule
     (_longitude_column), with the theta-rule weights for the zonal rows and
-    half of them for the cos rows of m >= 1, exact while 2m < n_phi (module
-    docstring)."""
+    half of them for the cos rows of m >= 1, exact while 2m < n_phi; on the
+    circle and the disk on the half-turn rule (_half_turn) (module docstring)."""
 
     full: GalerkinProblem
     problem: GalerkinProblem
@@ -493,15 +498,26 @@ def _longitude_column(quad):
     return cols, Quadrature(quad.domain, (theta[cols], phi[cols]), weights)
 
 
+def _half_turn(quad):
+    """Node indices of theta in [0, pi] in the circle's or the disk's rule (n
+    uniform angles, n even), and the rule there, exact for functions even in
+    theta: weights doubled for the mirror -theta but at 0 and pi."""
+    theta = quad.points[-1]
+    n = theta.size // int(np.count_nonzero(theta == 0.0))
+    j = np.arange(theta.size) % n
+    cols = np.flatnonzero(j <= n // 2)
+    weights = np.where(j[cols] % (n // 2) == 0, 1.0, 2.0) * quad.weights[cols]
+    return cols, Quadrature(quad.domain, tuple(x[cols] for x in quad.points), weights)
+
+
 def _subspace(problem, blocks):
     """The _Subspace on the rows blocks[0] of problem: on the 2-sphere on
-    the longitude-column rule, on the circle and the disk on problem's."""
+    the longitude-column rule, on the circle and the disk on the half-turn."""
     rows = blocks[0]
     idx = _coefficient_indices(rows, problem.p)
-    quad, cols, block_weights = problem.quad, slice(None), problem.quad.weights
-    if problem.domain.kind == "sphere" and problem.domain.dim == 3:
-        cols, quad = _longitude_column(quad)
-        block_weights = 0.5 * quad.weights
+    sphere2 = problem.domain.kind == "sphere" and problem.domain.dim == 3
+    cols, quad = (_longitude_column if sphere2 else _half_turn)(problem.quad)
+    block_weights = 0.5 * quad.weights if sphere2 else quad.weights
     sub = dataclasses.replace(
         problem,
         E=problem.E[rows][:, cols],

@@ -365,6 +365,57 @@ class TestVerifyCommand:
         assert abs(outside[0] - 14.682) < 1e-3
 
 
+    @pytest.mark.parametrize("window", ["20:30", "0.5:2", "0.5:6.25"])
+    def test_ball_verify_judges_only_intervals_the_window_covers(self, capsys, window):
+        # candidate intervals [1.695, 5.085] and [6.359, 12.298]: a window
+        # that misses one in full or in part cannot fail it, and says so
+        code, out, _ = run(
+            capsys,
+            "verify",
+            "--potential",
+            "pitchfork-scalar",
+            "--domain",
+            "ball",
+            "--dim",
+            "2",
+            "--beta-cutoff",
+            "10",
+            "--window",
+            window,
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["verdict"] == "CONSISTENT"
+        lo, hi = doc["window"]
+        uncovered = [rec for rec in doc["candidates"] if not rec["detected_inside"]]
+        assert uncovered
+        for rec in uncovered:
+            assert not lo <= rec["interval"][0] < rec["interval"][1] <= hi
+            assert rec["observed_alternative"] == "undetermined"
+            assert rec["window_covers_interval"] is False
+
+    def test_ball_verify_fails_a_covered_interval_with_no_level(self, capsys, monkeypatch):
+        monkeypatch.setattr(continuation, "detect_bifurcation", lambda *args, **kwargs: [])
+        code, out, _ = run(
+            capsys,
+            "verify",
+            "--potential",
+            "pitchfork-scalar",
+            "--domain",
+            "ball",
+            "--dim",
+            "2",
+            "--beta-cutoff",
+            "10",
+            "--window",
+            "1:16",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["verdict"] == "INCONSISTENT"
+        assert all("window_covers_interval" not in rec for rec in doc["candidates"])
+
+
 class TestEulerCommand:
     def test_add(self, capsys, tmp_path):
         op = tmp_path / "op.json"
@@ -713,6 +764,37 @@ class TestVerifyDeterminism:
         argv = ["--potential", potential, *options.split()]
         outputs = [_verify_outputs(argv, tmp_path / t, t) for t in ("1", "2")]
         assert len(outputs[0]) > 1  # the report and the branch files
+        assert outputs[0] == outputs[1]
+
+    # the benchmark's disk pipeline at beta <= 200 (59 functions, 64 x 56
+    # nodes): CLI --truncation only cuts verify's beta <= 60 catalog, so the
+    # library is called as the benchmark calls it
+    DISK200_SCRIPT = (
+        "import json\n"
+        "from symbif.continuation import (\n"
+        "    branch_to_json, build_problem, continue_branch, detect_bifurcation, switch_branch)\n"
+        "from symbif.potentials import builtin\n"
+        "from symbif.spectral import ball\n"
+        "prob = build_problem(ball(2), builtin('so2-ring'), beta_cutoff=200.0)\n"
+        "for lam in detect_bifurcation(prob, (0.5, 6.25)):\n"
+        "    branch = continue_branch(prob, switch_branch(prob, lam), (0.75 * lam, 1.25 * lam))\n"
+        "    doc = branch_to_json(branch, include_coefficients=True)\n"
+        "    print(lam.hex(), json.dumps(doc, sort_keys=True))\n"
+    )
+
+    def test_disk_beta_200_branch_does_not_depend_on_blas_threads(self):
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-c", self.DISK200_SCRIPT],
+                env=env,
+                capture_output=True,
+                timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr.decode()
+            outputs.append(proc.stdout)
+        assert outputs[0].count(b"\n") == 1 and b"coefficients" in outputs[0]
         assert outputs[0] == outputs[1]
 
 

@@ -45,6 +45,17 @@ def disk_pitchfork():
 
 
 @pytest.fixture(scope="module")
+def disk_ring():
+    return build_problem(ball(2), builtin("so2-ring"))
+
+
+@pytest.fixture(scope="module")
+def disk200_ring():
+    # the disk workload's so2-ring problem, 64 x 56 quadrature nodes
+    return build_problem(ball(2), builtin("so2-ring"), beta_cutoff=200.0)
+
+
+@pytest.fixture(scope="module")
 def sphere12_ring():
     return build_problem(sphere(3), builtin("so2-ring"), truncation=12)
 
@@ -594,8 +605,26 @@ class TestBorderedSolves:
 # from the first detected level to (lambda* - 0.3, lambda* + 0.6), both with
 # max_steps=40 and the amplitude-pinned switch from the cos-mode seed, as full
 # Newton correctors on the reflection-even rows compute them with no chord
-# attempt (12 points each, terminated at the lambda limit)
+# attempt (12 points each, terminated at the lambda limit), on the half-turn
+# of the angular rule
 RECORDED_NEWTON_HEX = {
+    "circle_pitchfork": [
+        "0x1.007aded2c7b2dp+0", "0x1.00b881175071fp+0", "0x1.0123afe410b30p+0",
+        "0x1.01e28bfe3011fp+0", "0x1.033d339ee4a12p+0", "0x1.05bc664e55920p+0",
+        "0x1.0a6263df337fap+0", "0x1.1310351c1009dp+0", "0x1.223d2744497ddp+0",
+        "0x1.352707d14b900p+0", "0x1.4b55f77bd6e07p+0", "0x1.645836b6a3af2p+0",
+    ],
+    "disk_pitchfork": [
+        "0x1.b21cbae002155p+1", "0x1.b24a5f875f61dp+1", "0x1.b2a27c502f8cbp+1",
+        "0x1.b34cae8d8c37ep+1", "0x1.b4947e9c6a763p+1", "0x1.b706d7a8120bcp+1",
+        "0x1.bba0965081113p+1", "0x1.c40bab55b96b4p+1", "0x1.d203dde912b7ep+1",
+        "0x1.e2480c5acab0ep+1", "0x1.f42dbf8dbb2a0p+1", "0x1.03a1735e6edfdp+2",
+    ],
+}
+
+# the same branches as recorded on the full angular rule, before the
+# reflection-even rows were integrated on its half-turn
+FULL_RULE_NEWTON_HEX = {
     "circle_pitchfork": [
         "0x1.007aded2c7b2dp+0", "0x1.00b8811750720p+0", "0x1.0123afe410b30p+0",
         "0x1.01e28bfe30120p+0", "0x1.033d339ee4a10p+0", "0x1.05bc664e55914p+0",
@@ -609,6 +638,15 @@ RECORDED_NEWTON_HEX = {
         "0x1.e2480c5acb3edp+1", "0x1.f42dbf8dbbf00p+1", "0x1.03a1735e6f484p+2",
     ],
 }
+
+
+def _assert_near_full_rule(branch, full_rule_hex):
+    """The half-turn rule moves every point of a recorded branch by at most
+    1e-11 |lambda| from its full-rule value, and keeps the point count."""
+    full = [float.fromhex(h) for h in full_rule_hex]
+    assert len(branch.points) == len(full)
+    for bp, lam in zip(branch.points, full):
+        assert abs(bp.lam - lam) <= 1e-11 * abs(lam)
 
 
 def _first_level_branch(prob, window, limits=None, **kwargs):
@@ -651,6 +689,7 @@ class TestChordCorrector:
         branch = _first_level_branch(prob, window, limits, max_steps=40)
         assert branch.termination == "lambda-limit"
         assert len(chords) >= len(branch.points) - 1
+        _assert_near_full_rule(branch, FULL_RULE_NEWTON_HEX[fixture])
         assert [bp.lam.hex() for bp in branch.points] == RECORDED_NEWTON_HEX[fixture]
 
     @pytest.mark.parametrize(
@@ -1026,64 +1065,95 @@ class TestFixedSpace:
         assert len(continue_branch(prob, seed, (0.9, 1.3), max_steps=8).points) > 1
 
 
+def _assert_reduced_rule_matches_the_full_rule(prob, branch, sup_rtol):
+    """At every point of a branch and at a perturbed point of the same
+    fixed-point rows, the restricted problem on its reduced rule against the
+    same rows on the full rule: residual, Jacobian and sup deviation, and
+    every other isotypic block from its table against the full-space
+    Jacobian on its rows."""
+    blocks = continuation._isotypic_rows(prob)
+    space = continuation._subspace(prob, blocks)
+    sub = space.problem
+    fixed = blocks[0]
+    ref = dataclasses.replace(prob, E=prob.E[fixed], beta=prob.beta[fixed], rotation_generators=())
+    rng = np.random.default_rng(5)
+    assert len(branch.points) > 5
+    for bp in branch.points:
+        c = bp.c[space.idx]
+        for x in (c, c + 0.05 * rng.normal(size=c.size)):
+            r = assemble_residual(sub, x, bp.lam)
+            assert np.max(np.abs(r - assemble_residual(ref, x, bp.lam))) <= 1e-13
+            J = jacobian(sub, x, bp.lam)
+            J_ref = jacobian(ref, x, bp.lam)
+            assert np.max(np.abs(J - J_ref)) <= 1e-12 * np.linalg.norm(J_ref, 1)
+            sup = ref.sup_deviation(x)
+            assert abs(sub.sup_deviation(x) - sup) <= sup_rtol * sup
+        H = continuation._nodal_hessian(sub, c, bp.lam)
+        J_full = jacobian(prob, bp.c, bp.lam)
+        assert len(space.blocks) > 1
+        for idx, E, weights, beta in space.blocks[1:]:
+            assert E.shape[1] == sub.quad.weights.size
+            block = continuation._assemble_jacobian(E, weights, beta, H)
+            dense = J_full[np.ix_(idx, idx)]
+            assert np.max(np.abs(block - dense)) <= 1e-12 * np.linalg.norm(J_full, 1)
+
+
 class TestReducedRule:
     """On the 2-sphere the branch problem and every isotypic block are
     integrated on one longitude column of the rule; on the circle and the
-    disk the subspace keeps the full rule."""
+    disk on the half-turn theta in [0, pi] of the angular rule."""
 
     def test_column_rule_matches_the_full_rule(self, sphere12_ring):
+        # the m >= 1 blocks from their column tables have half weight; the
+        # sup deviation over the column is the full rule's bit for bit
         prob = sphere12_ring
         space = continuation._subspace(prob, continuation._isotypic_rows(prob))
-        sub = space.problem
         n_theta = np.unique(prob.quad.points[0]).size
-        assert sub.quad.weights.size == n_theta == 26 < prob.quad.weights.size
-        zonal = continuation._isotypic_rows(prob)[0]
-        # the zonal rows on the full rule
-        ref = dataclasses.replace(
-            prob, E=prob.E[zonal], beta=prob.beta[zonal], rotation_generators=()
-        )
+        assert space.problem.quad.weights.size == n_theta == 26 < prob.quad.weights.size
         branch = continue_branch(prob, switch_branch(prob, 2.0), (1.7, 2.2), max_steps=8)
-        rng = np.random.default_rng(5)
-        assert len(branch.points) > 5
-        for bp in branch.points:
-            c = bp.c[space.idx]
-            for x in (c, c + 0.05 * rng.normal(size=c.size)):
-                r = assemble_residual(sub, x, bp.lam)
-                assert np.max(np.abs(r - assemble_residual(ref, x, bp.lam))) <= 1e-13
-                J = jacobian(sub, x, bp.lam)
-                J_ref = jacobian(ref, x, bp.lam)
-                assert np.max(np.abs(J - J_ref)) <= 1e-12 * np.linalg.norm(J_ref, 1)
-                assert sub.sup_deviation(x) == ref.sup_deviation(x)
-            # the m >= 1 blocks from their column tables, half weight, against
-            # the full-space Jacobian on their rows
-            H = continuation._nodal_hessian(sub, c, bp.lam)
-            J_full = jacobian(prob, bp.c, bp.lam)
-            for idx, E, weights, beta in space.blocks[1:]:
-                assert E.shape[1] == 26
-                block = continuation._assemble_jacobian(E, weights, beta, H)
-                dense = J_full[np.ix_(idx, idx)]
-                assert np.max(np.abs(block - dense)) <= 1e-12 * np.linalg.norm(J_full, 1)
+        _assert_reduced_rule_matches_the_full_rule(prob, branch, 0.0)
 
-    def test_circle_and_disk_keep_the_full_rule(self, circle_ring, disk_pitchfork):
-        for prob in (circle_ring, disk_pitchfork):
-            blocks = continuation._isotypic_rows(prob)
-            space = continuation._subspace(prob, blocks)
-            assert space.problem.n_funcs < prob.n_funcs
-            assert space.problem.quad is prob.quad
-            for idx, E, weights, beta in space.blocks:
-                assert weights is prob.quad.weights
-                assert E.shape[1] == prob.quad.weights.size
+    @pytest.mark.parametrize(
+        "fixture,window",
+        [
+            ("circle_ring", (0.5, 4.0)),
+            ("disk_pitchfork", (0.5, 12.0)),
+            # p = 2: the off-diagonal component blocks are symmetrized
+            ("disk_ring", (0.5, 12.0)),
+        ],
+    )
+    def test_half_turn_rule_matches_the_full_rule(self, fixture, window, request):
+        # the sin-row block is even in theta too; mirror nodes round apart,
+        # so the sup deviation matches to rounding
+        prob = request.getfixturevalue(fixture)
+        space = continuation._subspace(prob, continuation._isotypic_rows(prob))
+        theta = prob.quad.points[-1]
+        rings = np.count_nonzero(theta == 0.0)
+        n_theta = theta.size // rings
+        assert space.problem.quad.weights.size == rings * (n_theta // 2 + 1)
+        assert np.all(space.problem.quad.points[-1] <= math.pi)
+        lam_star = detect_bifurcation(prob, window, steps=60)[0]
+        limits = (lam_star - 0.3, lam_star + 0.6)
+        branch = continue_branch(prob, switch_branch(prob, lam_star), limits, max_steps=8)
+        _assert_reduced_rule_matches_the_full_rule(prob, branch, 1e-14)
 
-    def test_switch_and_continue_evaluate_one_column(self, sphere12_ring):
+    @pytest.mark.parametrize(
+        "fixture,window,nodes",
+        [("sphere12_ring", (0.5, 8.0), 26), ("disk200_ring", (0.5, 6.25), 1856)],
+    )
+    def test_switch_and_continue_evaluate_one_column(self, fixture, window, nodes, request):
         # every grad and hess call of the branch switch and the continuation
-        # sees the 26 nodes of the column rule, not the 1352 of the full one
-        prob = sphere12_ring
-        levels = detect_bifurcation(prob, (0.5, 8.0))
-        nodes = {"grad": [], "hess": []}
+        # sees the nodes of the reduced rule: on S^2 truncation 12 the 26 of
+        # the column rule, not the 1352 of the full one; on the disk at
+        # beta <= 200 the 64 x 29 of the half-turn, not the 64 x 56
+        prob = request.getfixturevalue(fixture)
+        assert nodes < prob.quad.weights.size
+        levels = detect_bifurcation(prob, window)
+        nodes_seen = {"grad": [], "hess": []}
 
         def spy(key, fn):
             def wrapped(u, lam):
-                nodes[key].append(np.asarray(u).size // prob.p)
+                nodes_seen[key].append(np.asarray(u).size // prob.p)
                 return fn(u, lam)
 
             return wrapped
@@ -1092,11 +1162,12 @@ class TestReducedRule:
             prob.spec, grad=spy("grad", prob.spec.grad), hess=spy("hess", prob.spec.hess)
         )
         spied = dataclasses.replace(prob, spec=spec)
+        assert levels
         for lam in levels:
             seed = switch_branch(spied, lam)
             continue_branch(spied, seed, (lam - 0.5, lam + 0.5), max_steps=20)
-        assert nodes["grad"] and nodes["hess"]
-        assert max(nodes["grad"] + nodes["hess"]) == 26
+        assert nodes_seen["grad"] and nodes_seen["hess"]
+        assert set(nodes_seen["grad"] + nodes_seen["hess"]) == {nodes}
 
 
 class TestEquivariance:
@@ -1271,12 +1342,20 @@ class TestExport:
 RECORDED_DISK200_HEX = {
     "level": ["0x1.b1ea226b51ebap+1"],
     "branch": [
-        "0x1.b2a45921903bfp+1", "0x1.b346934e0aac5p+1", "0x1.b475492f54c0cp+1",
-        "0x1.b69de30172367p+1", "0x1.ba6bf514ffcd8p+1", "0x1.c0d505570ba56p+1",
-        "0x1.cb21af220332fp+1", "0x1.db034148cf62bp+1", "0x1.f180e8feaf62ep+1",
-        "0x1.046e07cfc48b1p+2", "0x1.105f41fd1614fp+2",
+        "0x1.b2a45921903f8p+1", "0x1.b346934e0aa8cp+1", "0x1.b475492f54b3dp+1",
+        "0x1.b69de30172309p+1", "0x1.ba6bf514ffab3p+1", "0x1.c0d505570b3f1p+1",
+        "0x1.cb21af2202a39p+1", "0x1.db034148cdf6fp+1", "0x1.f180e8feaf5e6p+1",
+        "0x1.046e07cfc4db4p+2", "0x1.105f41fd166a4p+2",
     ],
 }
+
+# the branch as recorded on the full angular rule (FULL_RULE_NEWTON_HEX)
+FULL_RULE_DISK200_BRANCH_HEX = [
+    "0x1.b2a45921903bfp+1", "0x1.b346934e0aac5p+1", "0x1.b475492f54c0cp+1",
+    "0x1.b69de30172367p+1", "0x1.ba6bf514ffcd8p+1", "0x1.c0d505570ba56p+1",
+    "0x1.cb21af220332fp+1", "0x1.db034148cf62bp+1", "0x1.f180e8feaf62ep+1",
+    "0x1.046e07cfc48b1p+2", "0x1.105f41fd1614fp+2",
+]
 
 
 class TestDiskBuild:
@@ -1308,9 +1387,9 @@ class TestDiskBuild:
     def test_so2_ring_beta_200_branch_matches_recorded_bits(self):
         # the disk workload's so2-ring pipeline at beta <= 200: the level
         # detected in (0.5, 6.25), then the branch from it to lambda* -/+
-        # lambda*/4 (11 points, terminated at the lambda limit), as float.hex,
-        # recorded with one bisection level per Bessel call and one Bessel
-        # call per basis function
+        # lambda*/4 (11 points, terminated at the lambda limit), as float.hex:
+        # the level as recorded with one bisection level per Bessel call and
+        # one Bessel call per basis function, the branch on the half-turn rule
         prob = build_problem(ball(2), builtin("so2-ring"), beta_cutoff=200.0)
         detected = detect_bifurcation(prob, (0.5, 6.25))
         assert [d.hex() for d in detected] == RECORDED_DISK200_HEX["level"]
@@ -1318,6 +1397,7 @@ class TestDiskBuild:
         limits = (lam - 0.25 * lam, lam + 0.25 * lam)
         branch = continue_branch(prob, switch_branch(prob, lam), limits)
         assert branch.termination == "lambda-limit"
+        _assert_near_full_rule(branch, FULL_RULE_DISK200_BRANCH_HEX)
         assert [bp.lam.hex() for bp in branch.points] == RECORDED_DISK200_HEX["branch"]
 
 
