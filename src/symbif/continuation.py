@@ -84,18 +84,18 @@ block_morse_index counts each block's negative eigenvalues.
 jacobian assembles the p(p+1)/2 blocks i <= j from the symmetrized nodal
 Hessian and copies block (i, j) into (j, i).  Continuation assembles the
 reduced J once per point, its start point included: the same J is the
-point's first diagnostic block and gives the next tangent.  The corrector
-then assembles none while it can: it takes chord (simplified Newton) steps
-on the tangent's bordered matrix, whose J, r_lambda and B are those of the
-last accepted point, with the border row replaced by the new tangent; each
-step is one residual and one LU solve (Allgower & Georg, Introduction to
-Numerical Continuation Methods, 2003).  It keeps that matrix while every
-step cuts the residual norm at least fourfold (_CHORD_BAR).  On the first
-step that does not (a contraction monitor in the sense of Deuflhard, Newton
-Methods for Nonlinear Problems, 2004), it restarts from the same predictor
-with full Newton, one J per step.  A stalled chord costs a few residuals and
-solves, and the step is then accepted or halved exactly as full Newton
-decides.
+point's first diagnostic block and gives the next tangent.  One corrector,
+_bordered_newton, serves the switch and the continuation.  It reuses its
+bordered matrix for chord (simplified Newton) steps, one residual and one
+LU solve each, while each cuts the residual norm at least fourfold
+(_CHORD_BAR); a step on a reused matrix that does not (the contraction
+monitor of Deuflhard, Newton Methods for Nonlinear Problems, 2004) is
+retaken from the iterate before it on a matrix built there, and a step on
+a fresh matrix is kept.  The continuation's first matrix is the tangent's,
+with the J, r_lambda and B of the last accepted point and the new tangent
+as border row (Allgower & Georg, Introduction to Numerical Continuation
+Methods, 2003, ch. 6); the switch builds its first at the seed.  A stall
+costs one J at the iterate and keeps the chord's progress.
 
 On the trivial branch c = 0 every quadrature node sees u0, so the Hessian is
 one p x p matrix H0(lambda) = hess(u0, lambda) and, in the layout above,
@@ -155,10 +155,9 @@ _REFINE_TOL = 1e-9
 # among the rows, not symmetry directions; the one rank cutoff for both the
 # pin basis and the off-symmetry complement of every block (module docstring)
 _PIN_RANK_TOL = 1e-6
-# a chord corrector step must cut the residual norm at least fourfold, or the
-# corrector falls back to full Newton; a bar of 1 (chord until the residual
-# grows) lets slowly contracting correctors near a level run on and then
-# fall back anyway, which made disk continuation slower
+# a corrector step on a reused matrix must cut the residual norm at least
+# fourfold, or it is retaken on a matrix built at its iterate; a bar of 0
+# makes the corrector full Newton
 _CHORD_BAR = 0.25
 # switch_branch seeds at this multiple of the unit axial kernel direction;
 # continue_branch starts at step _DS0 and stops when the step halves below
@@ -244,8 +243,9 @@ def build_problem(
     """Assemble basis and quadrature for a domain/potential pair.
 
     Defaults: 16 distinct eigenvalues on the circle, spherical-harmonic degree
-    8 on the 2-sphere, beta <= 60 on the disk.  A truncation below 1 or a
-    beta_cutoff that is not positive and finite raises ValueError.
+    8 on the 2-sphere, beta <= 60 on the disk.  A truncation below 1 or above
+    the disk catalog's entry count, or a beta_cutoff that is not positive and
+    finite, raises ValueError.
     """
     if truncation is not None and truncation < 1:
         raise ValueError(f"truncation must be at least 1, got {truncation}")
@@ -257,9 +257,12 @@ def build_problem(
     elif domain.kind == "sphere" and domain.dim == 3:
         eigens = spectral.sphere_spectrum(3, 9 if truncation is None else truncation)
     elif domain.kind == "ball" and domain.dim == 2:
-        eigens = spectral.ball_neumann_spectrum(2, 60.0 if beta_cutoff is None else beta_cutoff)
-        if truncation is not None:
-            eigens = eigens[:truncation]
+        cutoff = 60.0 if beta_cutoff is None else beta_cutoff
+        eigens = spectral.ball_neumann_spectrum(2, cutoff)
+        if truncation is not None and truncation > len(eigens):
+            most = f"at most {len(eigens)}, the entries of the disk catalog beta <= {cutoff:g}"
+            raise ValueError(f"truncation must be {most}, got {truncation}")
+        eigens = eigens[:truncation]
     else:
         raise ValueError(f"no Galerkin support on {domain.label}")
     max_l = max(e.angular_degree for e in eigens)
@@ -413,8 +416,7 @@ def _pinning_rows(problem, c):
     vecs = symmetry_vectors(problem, c)
     if not vecs:
         return np.zeros((0, problem.n_dof))
-    rows = np.stack([v / np.linalg.norm(v) for v in vecs])
-    return rows
+    return np.stack([v / np.linalg.norm(v) for v in vecs])
 
 
 def _complement(rows):
@@ -616,39 +618,40 @@ def _solve(A, b, lam):
         raise NewtonError(f"singular Newton system at lambda={lam}") from err
 
 
-def _bordered_newton(problem, c, lam, border, base, offset, border_tol, maxit, frozen=None):
+def _bordered_newton(problem, c, lam, border, base, offset, border_tol, maxit, A=None):
     """Newton with lambda free on [J r_lambda B^T; B 0 0; border 0] that holds
     border . ((c, lam) - base) - offset at zero.  Returns (c, lam, residual
     norm) once the residual norm is at most NEWTON_TOL and the border residual
     at most border_tol; raises NewtonError on a non-finite step or a singular
-    matrix, or after maxit steps.
+    matrix, or after maxit steps, retaken ones included.
 
-    Given a frozen matrix of that form, the steps are chord steps on it (no
-    Jacobian), and the first step that leaves the residual norm above
-    _CHORD_BAR times the previous one raises NewtonError as well."""
+    Each step solves with the current matrix A of that form (a given A is
+    the first), built at the iterate when there is none.  A step on a reused
+    A that cuts the residual norm by less than _CHORD_BAR is retaken from the
+    iterate before it on a matrix built there; one on a fresh A is kept."""
     n = problem.n_dof
     lam = float(lam)
-    rn_prev = None
+    r = assemble_residual(problem, c, lam)
+    rn = float(np.linalg.norm(r))
     for _ in range(maxit):
-        r = assemble_residual(problem, c, lam)
-        rn = float(np.linalg.norm(r))
-        if frozen is not None and rn_prev is not None and not rn <= _CHORD_BAR * rn_prev:
-            raise NewtonError(f"chord corrector stalled near lambda={lam}")
-        rn_prev = rn
         # the c part and the lambda term are summed apart, so the rounding does
         # not depend on how the BLAS dot kernel splits n + 1 terms
         g = float(np.dot(border[:n], c - base[:n]) + border[n] * (lam - base[n]) - offset)
         if rn <= NEWTON_TOL and abs(g) <= border_tol:
             return c, lam, rn
-        if frozen is None:
+        fresh = A is None
+        if fresh:
             A = _newton_system(problem, c, lam, jacobian(problem, c, lam), border)
-        else:
-            A = frozen
         delta = _solve(A, np.concatenate([-r, np.zeros(A.shape[0] - n - 1), [-g]]), lam)
         if not np.all(np.isfinite(delta)):
             raise NewtonError(f"bordered Newton step diverged at lambda={lam}")
-        c = c + delta[:n]
-        lam = lam + delta[n]
+        c_new, lam_new = c + delta[:n], lam + delta[n]
+        r_new = assemble_residual(problem, c_new, lam_new)
+        rn_new = float(np.linalg.norm(r_new))
+        if fresh or rn_new <= _CHORD_BAR * rn:
+            c, lam, r, rn = c_new, lam_new, r_new, rn_new
+        else:
+            A = None  # a stall: retake the step from (c, lam)
     raise NewtonError(f"bordered Newton did not converge near lambda={lam}")
 
 
@@ -834,11 +837,13 @@ def continue_branch(
     (module docstring), from the last seed point along the secant from
     (0, lambda_star).  A seed whose origin is not ("bifurcated",
     lambda_star), or whose last point has a nonzero coefficient off that
-    subspace, raises ValueError.  The step halves when the corrector fails
-    and grows by 1.4 after every accepted step, from _DS0 up to ds_max; the
-    run stops at the lambda limits, on step underflow, after max_steps, or
-    when the branch returns to the trivial family away from its origin level
-    ("reconnects-to-trivial").
+    subspace, raises ValueError.  The corrector starts on the tangent's
+    matrix and may take 20 steps, retaken ones included, so that a chord
+    contracting just within _CHORD_BAR can finish.  The step halves when
+    the corrector fails and grows by 1.4 after every accepted step, from
+    _DS0 up to ds_max; the run stops at the lambda limits, on step
+    underflow, after max_steps, or when the branch returns to the trivial
+    family away from its origin level ("reconnects-to-trivial").
     """
     lo, hi = float(lam_limits[0]), float(lam_limits[1])
     points = list(seed.points)
@@ -870,24 +875,19 @@ def continue_branch(
             branch.termination = "tangent-failure"
             return branch
         J = None
-        # the chord matrix: the tangent's, bordered by t instead of t_prev
+        # the corrector's first matrix: the tangent's, bordered by t, not t_prev
         A[-1, : n + 1] = t
-        accepted = False
         while ds >= _DS_MIN:
-            # the border t holds the arclength from (c, lam) at ds; chord steps
-            # first, and on a stall full Newton from the same predictor
+            # the border t holds the arclength from (c, lam) at ds
             pred = (c + ds * t[:n], lam + ds * t[n])
-            args = (sub, *pred, t, np.append(c, lam), ds, 10 * NEWTON_TOL, 12)
             try:
-                try:
-                    c_new, lam_new, rn = _bordered_newton(*args, frozen=A)
-                except NewtonError:
-                    c_new, lam_new, rn = _bordered_newton(*args)
-                accepted = True
+                c_new, lam_new, rn = _bordered_newton(
+                    sub, *pred, t, np.append(c, lam), ds, 10 * NEWTON_TOL, 20, A
+                )
                 break
             except NewtonError:
                 ds *= 0.5
-        if not accepted:
+        else:
             branch.termination = "step-underflow"
             return branch
         c, lam = c_new, lam_new

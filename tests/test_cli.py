@@ -394,6 +394,18 @@ class TestVerifyCommand:
             assert rec["observed_alternative"] == "undetermined"
             assert rec["window_covers_interval"] is False
 
+    def test_ball_truncation_past_the_catalog_exits_2(self, capsys):
+        # the disk's verify basis is the beta <= 60 catalog, 11 entries; a
+        # larger truncation used to build those 11 and exit 0
+        argv = ["verify", "--potential", "so2-ring", "--domain", "ball", "--dim", "2"]
+        code, out, err = run(capsys, *argv, "--window", "0.5:6", "--truncation", "12")
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"] == (
+            "truncation must be at most 11, the entries of the disk catalog beta <= 60, got 12"
+        )
+
     def test_ball_verify_fails_a_covered_interval_with_no_level(self, capsys, monkeypatch):
         monkeypatch.setattr(continuation, "detect_bifurcation", lambda *args, **kwargs: [])
         code, out, _ = run(

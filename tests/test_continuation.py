@@ -50,6 +50,11 @@ def disk_ring():
 
 
 @pytest.fixture(scope="module")
+def disk200_pitchfork():
+    return build_problem(ball(2), builtin("pitchfork-scalar"), beta_cutoff=200.0)
+
+
+@pytest.fixture(scope="module")
 def disk200_ring():
     # the disk workload's so2-ring problem, 64 x 56 quadrature nodes
     return build_problem(ball(2), builtin("so2-ring"), beta_cutoff=200.0)
@@ -643,10 +648,16 @@ FULL_RULE_NEWTON_HEX = {
 def _assert_near_full_rule(branch, full_rule_hex):
     """The half-turn rule moves every point of a recorded branch by at most
     1e-11 |lambda| from its full-rule value, and keeps the point count."""
-    full = [float.fromhex(h) for h in full_rule_hex]
-    assert len(branch.points) == len(full)
-    for bp, lam in zip(branch.points, full):
-        assert abs(bp.lam - lam) <= 1e-11 * abs(lam)
+    _assert_near_recorded([bp.lam for bp in branch.points], full_rule_hex, 1e-11)
+
+
+def _assert_near_recorded(lams, recorded_hex, rtol):
+    """Every lambda within rtol |lambda| of its recorded value, and as many
+    lambdas as recorded."""
+    recorded = [float.fromhex(h) for h in recorded_hex]
+    assert len(lams) == len(recorded)
+    for lam, rec in zip(lams, recorded):
+        assert abs(lam - rec) <= rtol * abs(rec)
 
 
 def _first_level_branch(prob, window, limits=None, **kwargs):
@@ -660,8 +671,9 @@ def _first_level_branch(prob, window, limits=None, **kwargs):
 
 
 class TestChordCorrector:
-    """Chord steps on the tangent's bordered matrix, with full Newton from
-    the same predictor when a step cuts the residual less than _CHORD_BAR."""
+    """One corrector: steps on a reused bordered matrix while each cuts the
+    residual norm by _CHORD_BAR, and a step that does not retaken from the
+    iterate before it on a matrix built there."""
 
     @pytest.mark.parametrize(
         "fixture,window,limits",
@@ -673,16 +685,18 @@ class TestChordCorrector:
     def test_stalled_chord_is_the_full_newton_corrector(
         self, fixture, window, limits, request, monkeypatch
     ):
-        # with a bar of 0 every chord stalls at its first step, and the
-        # branch is bit for bit what full Newton correctors computed
+        # with a bar of 0 every step on a reused matrix stalls and is retaken
+        # on one built at its iterate, the first step on the tangent's matrix
+        # too, so every kept step is a Newton step and the branch is bit for
+        # bit what full Newton correctors computed
         prob = request.getfixturevalue(fixture)
         chords = []
         bordered = continuation._bordered_newton
 
-        def spy(*args, frozen=None):
-            if frozen is not None:
+        def spy(*args):
+            if len(args) > 8 and args[8] is not None:
                 chords.append(args[2])
-            return bordered(*args, frozen=frozen)
+            return bordered(*args)
 
         monkeypatch.setattr(continuation, "_CHORD_BAR", 0.0)
         monkeypatch.setattr(continuation, "_bordered_newton", spy)
@@ -691,6 +705,115 @@ class TestChordCorrector:
         assert len(chords) >= len(branch.points) - 1
         _assert_near_full_rule(branch, FULL_RULE_NEWTON_HEX[fixture])
         assert [bp.lam.hex() for bp in branch.points] == RECORDED_NEWTON_HEX[fixture]
+
+    @staticmethod
+    def _corrector_steps(prob, ds, monkeypatch):
+        """Run _bordered_newton from the predictor at arclength ds past the
+        seed at lambda* = 1, on the tangent's matrix at the seed (stale at
+        the predictor), and return its steps and its iterates.  A step is
+        (start, end, fresh): indices into the iterates, whose residuals it
+        solved with and evaluated, and whether its matrix was built at its
+        start.  The iterates are (c, lambda, residual norm), the returned
+        point last."""
+        space = continuation._subspace(prob, continuation._isotypic_rows(prob))
+        sub, n = space.problem, space.problem.n_dof
+        bp = switch_branch(prob, 1.0).points[0]
+        c0, lam0 = bp.c[space.idx], bp.lam
+        t_prev = np.append(c0, lam0 - 1.0)
+        t_prev /= np.linalg.norm(t_prev)
+        t, A = continuation._tangent(sub, c0, lam0, jacobian(sub, c0, lam0), t_prev)
+        A[-1, : n + 1] = t
+        iterates, residuals, builds, solves, building = [], [], [], [], []
+        residual, system, solve = (
+            continuation.assemble_residual,
+            continuation._newton_system,
+            continuation._solve,
+        )
+
+        def residual_spy(problem, c, lam):
+            r = residual(problem, c, lam)
+            if not building:  # not the lambda difference of a build
+                iterates.append((np.array(c), float(lam), float(np.linalg.norm(r))))
+                residuals.append(r)
+            return r
+
+        def system_spy(problem, c, lam, J, border):
+            building.append(True)
+            M = system(problem, c, lam, J, border)
+            building.pop()
+            builds.append((M, np.array(c), float(lam)))
+            return M
+
+        def solve_spy(M, b, lam):
+            solves.append((M, b[:n], len(iterates)))
+            return solve(M, b, lam)
+
+        pred = (c0 + ds * t[:n], lam0 + ds * t[n])
+        with monkeypatch.context() as m:
+            m.setattr(continuation, "assemble_residual", residual_spy)
+            m.setattr(continuation, "_newton_system", system_spy)
+            m.setattr(continuation, "_solve", solve_spy)
+            c, lam, rn = continuation._bordered_newton(
+                sub, *pred, t, np.append(c0, lam0), ds, 10 * continuation.NEWTON_TOL, 20, A
+            )
+        assert rn <= continuation.NEWTON_TOL
+        steps = []
+        for M, b, end in solves:
+            # the step solved with the residual of its start, negated
+            start = max(i for i in range(end) if np.array_equal(residuals[i], -b))
+            c_s, lam_s, _ = iterates[start]
+            fresh = any(M is B and np.array_equal(x, c_s) and y == lam_s for B, x, y in builds)
+            steps.append((start, end, fresh))
+        return steps, iterates + [(c, lam, rn)]
+
+    @staticmethod
+    def _kept(steps, iterates):
+        """Per step, whether the corrector went on from the iterate it
+        reached (kept) rather than from the one it started at (retaken)."""
+        def same(i, j):
+            return np.array_equal(iterates[i][0], iterates[j][0]) and iterates[i][1] == iterates[j][1]
+
+        following = [s for s, _, _ in steps[1:]] + [len(iterates) - 1]
+        kept = []
+        for (start, end, _), nxt in zip(steps, following):
+            kept.append(same(nxt, end))
+            assert kept[-1] or same(nxt, start)
+        return kept
+
+    @pytest.mark.parametrize("ds,kept_before_stall", [(0.024, 1), (0.5, 0)])
+    def test_retake_rule(self, circle_pitchfork, ds, kept_before_stall, monkeypatch):
+        # at ds = 0.024 the chord on the stale matrix keeps one step and
+        # stalls on the next, at ds = 0.5 it stalls on its first
+        steps, iterates = self._corrector_steps(circle_pitchfork, ds, monkeypatch)
+        kept = self._kept(steps, iterates)
+        bar = continuation._CHORD_BAR
+        retaken = [k for k, keep in enumerate(kept) if not keep]
+        assert retaken == [kept_before_stall]
+        for k, (start, end, fresh) in enumerate(steps):
+            rn_start, rn_end = iterates[start][2], iterates[end][2]
+            if kept[k]:
+                assert fresh or rn_end <= bar * rn_start
+            else:
+                # a stall on a reused matrix, retaken from the iterate before
+                # it (_kept) on a matrix built there
+                assert not fresh and rn_end > bar * rn_start
+                assert steps[k + 1][2]
+        # the first step is on the stale matrix, and some step on a reused
+        # matrix is kept: at ds = 0.024 the one before the stall, at ds = 0.5
+        # those after the rebuild
+        assert not steps[0][2]
+        assert any(keep and not fresh for keep, (_, _, fresh) in zip(kept, steps))
+
+    @pytest.mark.parametrize("ds", [0.024, 0.5])
+    def test_bar_zero_keeps_only_newton_steps(self, circle_pitchfork, ds, monkeypatch):
+        # with a bar of 0 every kept step is a Newton step from its own
+        # iterate, and every step on a reused matrix is retaken
+        monkeypatch.setattr(continuation, "_CHORD_BAR", 0.0)
+        steps, iterates = self._corrector_steps(circle_pitchfork, ds, monkeypatch)
+        kept = self._kept(steps, iterates)
+        assert len(steps) > sum(kept) >= 2
+        for keep, (_, _, fresh) in zip(kept, steps):
+            assert keep == fresh
 
     @pytest.mark.parametrize(
         "fixture,window,limits",
@@ -732,6 +855,31 @@ class TestChordCorrector:
         accepted = len(branch.points) - 1
         assert accepted == 32
         assert len(calls) <= 2 * accepted
+
+    @pytest.mark.parametrize("fixture", ["disk200_pitchfork", "disk200_ring"])
+    def test_disk_jacobians_per_accepted_point_at_default_ds_max(
+        self, fixture, request, monkeypatch
+    ):
+        # the disk workload's branches from the level in (0.5, 6.25) to
+        # lambda* -/+ lambda*/4 under the library default ds_max = 0.2, where
+        # the chord on the tangent's matrix stalls at nearly every step;
+        # restarting full Newton from the predictor on a stall took 3.46
+        # (pitchfork-scalar) and 3.80 (so2-ring) Jacobians per accepted point
+        prob = request.getfixturevalue(fixture)
+        lam = detect_bifurcation(prob, (0.5, 6.25))[0]
+        seed = switch_branch(prob, lam)
+        calls = []
+
+        def spy(*args):
+            calls.append(args[2])
+            return jacobian(*args)
+
+        monkeypatch.setattr(continuation, "jacobian", spy)
+        branch = continue_branch(prob, seed, (lam - 0.25 * lam, lam + 0.25 * lam))
+        assert branch.termination == "lambda-limit"
+        accepted = len(branch.points) - 1
+        assert accepted >= 10
+        assert len(calls) <= 2.5 * accepted
 
 
 class TestSwitchAndContinue:
@@ -1338,18 +1486,64 @@ class TestExport:
         prob = build_problem(domain, builtin("pitchfork-scalar"), truncation=1)
         assert prob.n_funcs == 1 and prob.beta.tolist() == [0.0]
 
+    @pytest.mark.parametrize(
+        "options,message",
+        [
+            ({"truncation": 12}, "at most 11, the entries of the disk catalog beta <= 60, got 12"),
+            (
+                {"truncation": 33, "beta_cutoff": 200.0},
+                "at most 32, the entries of the disk catalog beta <= 200, got 33",
+            ),
+        ],
+        ids=["beta-60", "beta-200"],
+    )
+    def test_ball_truncation_past_the_catalog_is_rejected(self, options, message):
+        # it used to build the whole catalog, the same problem for every N
+        with pytest.raises(ValueError, match=f"^truncation must be {message}$"):
+            build_problem(ball(2), builtin("so2-ring"), **options)
+
+    @pytest.mark.parametrize("truncation", [1, 6, 11])
+    def test_ball_truncation_cuts_the_default_catalog(self, truncation):
+        # the first N entries of the beta <= 60 catalog on the quadrature
+        # of their largest angular degree, as before the bound
+        spec = builtin("so2-ring")
+        prob = build_problem(ball(2), spec, truncation=truncation)
+        catalog = spectral.ball_neumann_spectrum(2, 60.0)
+        assert len(catalog) == 11
+        eigens = catalog[:truncation]
+        max_l = max(e.angular_degree for e in eigens)
+        quad = spectral.default_quadrature(ball(2), (spec.grad_degree + 1) * max_l)
+        assert prob.eigens == eigens
+        beta = np.repeat([e.value for e in eigens], [e.multiplicity for e in eigens])
+        assert np.array_equal(prob.beta, beta)
+        assert np.array_equal(prob.E, spectral.basis(ball(2), eigens, quad.points))
+        assert np.array_equal(prob.quad.weights, quad.weights)
+        if truncation == len(catalog):
+            whole = build_problem(ball(2), spec)
+            assert np.array_equal(prob.E, whole.E) and np.array_equal(prob.beta, whole.beta)
+
 
 RECORDED_DISK200_HEX = {
     "level": ["0x1.b1ea226b51ebap+1"],
     "branch": [
-        "0x1.b2a45921903f8p+1", "0x1.b346934e0aa8cp+1", "0x1.b475492f54b3dp+1",
-        "0x1.b69de30172309p+1", "0x1.ba6bf514ffab3p+1", "0x1.c0d505570b3f1p+1",
-        "0x1.cb21af2202a39p+1", "0x1.db034148cdf6fp+1", "0x1.f180e8feaf5e6p+1",
-        "0x1.046e07cfc4db4p+2", "0x1.105f41fd166a4p+2",
+        "0x1.b2a4592237203p+1", "0x1.b346934e170ddp+1", "0x1.b475492f71755p+1",
+        "0x1.b69de301e0335p+1", "0x1.ba6bf5151f9bfp+1", "0x1.c0d505572fc1fp+1",
+        "0x1.cb21af222af86p+1", "0x1.db034148fa998p+1", "0x1.f180e8fedadc6p+1",
+        "0x1.046e07cfdc614p+2", "0x1.105f41fd2e9edp+2",
     ],
 }
 
-# the branch as recorded on the full angular rule (FULL_RULE_NEWTON_HEX)
+# the branch on the half-turn rule as recorded when the switch took full
+# Newton steps and a stalled chord restarted full Newton from the predictor
+RESTART_DISK200_BRANCH_HEX = [
+    "0x1.b2a45921903f8p+1", "0x1.b346934e0aa8cp+1", "0x1.b475492f54b3dp+1",
+    "0x1.b69de30172309p+1", "0x1.ba6bf514ffab3p+1", "0x1.c0d505570b3f1p+1",
+    "0x1.cb21af2202a39p+1", "0x1.db034148cdf6fp+1", "0x1.f180e8feaf5e6p+1",
+    "0x1.046e07cfc4db4p+2", "0x1.105f41fd166a4p+2",
+]
+
+# the branch as recorded on the full angular rule (FULL_RULE_NEWTON_HEX),
+# with that restarting corrector
 FULL_RULE_DISK200_BRANCH_HEX = [
     "0x1.b2a45921903bfp+1", "0x1.b346934e0aac5p+1", "0x1.b475492f54c0cp+1",
     "0x1.b69de30172367p+1", "0x1.ba6bf514ffcd8p+1", "0x1.c0d505570ba56p+1",
@@ -1390,6 +1584,9 @@ class TestDiskBuild:
         # lambda*/4 (11 points, terminated at the lambda limit), as float.hex:
         # the level as recorded with one bisection level per Bessel call and
         # one Bessel call per basis function, the branch on the half-turn rule
+        # with the retaking corrector, within 1e-9 |lambda| of the branch its
+        # restarting predecessor computed, which was within 1e-11 |lambda| of
+        # the full-rule branch
         prob = build_problem(ball(2), builtin("so2-ring"), beta_cutoff=200.0)
         detected = detect_bifurcation(prob, (0.5, 6.25))
         assert [d.hex() for d in detected] == RECORDED_DISK200_HEX["level"]
@@ -1397,7 +1594,9 @@ class TestDiskBuild:
         limits = (lam - 0.25 * lam, lam + 0.25 * lam)
         branch = continue_branch(prob, switch_branch(prob, lam), limits)
         assert branch.termination == "lambda-limit"
-        _assert_near_full_rule(branch, FULL_RULE_DISK200_BRANCH_HEX)
+        _assert_near_recorded([bp.lam for bp in branch.points], RESTART_DISK200_BRANCH_HEX, 1e-9)
+        restart = [float.fromhex(h) for h in RESTART_DISK200_BRANCH_HEX]
+        _assert_near_recorded(restart, FULL_RULE_DISK200_BRANCH_HEX, 1e-11)
         assert [bp.lam.hex() for bp in branch.points] == RECORDED_DISK200_HEX["branch"]
 
 
