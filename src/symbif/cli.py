@@ -202,8 +202,11 @@ def cmd_verify(args):
     opts = _merged(args)
     domain = _domain(opts)
     spec = _potential(opts)
-    cutoff = float(opts.get("beta_cutoff", 10.0))
     window = _window(opts)
+    # a level beta / alpha in the window has beta <= max(|lo|, |hi|) max|alpha|
+    alphas = [abs(g.value) for g in potentials.matrix_spectrum(spec.A).eigenpairs]
+    covering = max(abs(window[0]), abs(window[1])) * max(alphas, default=0.0)
+    cutoff = float(opts.get("beta_cutoff", max(10.0, covering)))
     steps = int(opts.get("steps", 200))
     truncation = opts.get("truncation")
     # the Galerkin basis uses its own (denser) default truncation; the
@@ -226,6 +229,8 @@ def cmd_verify(args):
         "detected": detected,
         "seed": _seed(opts),
     }
+    if cutoff < covering:
+        doc["cutoff_covers_window"] = False
     branches = []
     if domain.kind == "sphere":
         in_window = [c.lambda0 for c in cands if window[0] <= c.lambda0 <= window[1]]

@@ -79,7 +79,18 @@ uniform rule sums cos^2(m phi) over n_phi longitudes to n_phi / 2 while
 2m < n_phi, which default_quadrature keeps (n_phi >= 2L + 8 at degree L).
 This is the Fourier-in-phi block-diagonalization of the cited references.
 A point's min_offsym_singular is the smallest modulus over the blocks, and
-block_morse_index counts each block's negative eigenvalues.
+block_morse_index counts each block's negative eigenvalues.  A block need
+not be assembled to know that it adds to neither: block k is diag(beta_k)
+kron I minus a Gram-weighted sum of the nodal Hessians H(x), so by Weyl's
+inequality, and by Cauchy interlacing off the tangents, its eigenvalues are
+at least L_k = min beta_k - h g_k, with h = max_x |H(x)|_F and g_k the
+largest eigenvalue of its table's Gram matrix, computed once per table
+(Parlett, The Symmetric Eigenvalue Problem, 1998, ch. 10 and 15).  The
+first block is always computed; block k >= 1 is skipped when L_k - tau_k
+exceeds max(0, mu), with mu the smallest modulus of the blocks computed so
+far and tau_k = 1e-9 (1 + max beta_k + h g_k) for rounding.  On the
+2-sphere that certifies most blocks of large m, where beta >= m(m + 1)
+exceeds the Hessian's reach; the diagnostics do not change by a bit.
 
 jacobian assembles the p(p+1)/2 blocks i <= j from the symmetrized nodal
 Hessian and copies block (i, j) into (j, i).  Continuation assembles the
@@ -465,6 +476,10 @@ class _Subspace:
     (_isotypic_rows), each as the table it is assembled from, built once:
     (coefficient indices of its rows in full, E on its rows, quadrature
     weights, beta on its rows).  The first table is problem's own.
+    weyl holds, for each table after the first, the constants of its
+    Weyl bound (_make_point): min beta, max beta and the largest eigenvalue
+    g of its Gram matrix E diag(|w|) E^T, which bounds how far the nodal
+    Hessian can move the block's spectrum.
 
     On the 2-sphere every table is on the longitude-column rule
     (_longitude_column), with the theta-rule weights for the zonal rows and
@@ -474,6 +489,7 @@ class _Subspace:
     full: GalerkinProblem
     problem: GalerkinProblem
     blocks: tuple
+    weyl: tuple
 
     @property
     def idx(self) -> np.ndarray:
@@ -528,10 +544,13 @@ def _subspace(problem, blocks):
         rotation_generators=(),
     )
     tables = [(idx, sub.E, quad.weights, sub.beta)]
+    weyl = []
     for rows in blocks[1:]:
-        E = problem.E[rows][:, cols]
-        tables.append((_coefficient_indices(rows, problem.p), E, block_weights, problem.beta[rows]))
-    return _Subspace(problem, sub, tuple(tables))
+        E, beta = problem.E[rows][:, cols], problem.beta[rows]
+        tables.append((_coefficient_indices(rows, problem.p), E, block_weights, beta))
+        gram = (E * np.abs(block_weights)[None, :]) @ E.T
+        weyl.append((float(beta.min()), float(beta.max()), float(np.linalg.eigvalsh(gram)[-1])))
+    return _Subspace(problem, sub, tuple(tables), tuple(weyl))
 
 
 # --------------------------------------------------------------------------
@@ -549,7 +568,10 @@ class BranchPoint:
     off-symmetry eigenvalues below -_MORSE_ZERO_TOL per isotypic block
     (_isotypic_rows): on the 2-sphere m = 0, 1, ..., where each m >= 1
     block counts twice in the full-space index (its cos and sin rows); on
-    the circle and the disk the reflection-even rows, then the sin rows."""
+    the circle and the disk the reflection-even rows, then the sin rows.
+    A block k >= 1 whose Weyl bound min beta_k - h g_k (_make_point) lies
+    above max(0, the smallest modulus so far) by a rounding margin is not
+    assembled: it counts 0 and cannot lower min_offsym_singular."""
 
     lam: float
     c: np.ndarray
@@ -571,24 +593,46 @@ class Branch:
 def _make_point(space, c, lam, residual_norm, J):
     """Branch point at the coefficients c of space.problem, with J the
     Jacobian there: the first isotypic block.  The other blocks are
-    assembled from their tables (_Subspace) and the nodal Hessian at c on
-    space.problem's rule."""
+    assembled from their tables (_Subspace) and the nodal Hessian H at c on
+    space.problem's rule, unless Weyl's bound certifies one.
+
+    Block k is J_k = diag(beta_k) kron I - sum_x w_x e_k(x) e_k(x)^T kron
+    H(x), so with h = max_x |H(x)|_F and g_k its table's Gram norm every
+    eigenvalue of J_k, and by Cauchy interlacing of its off-symmetry part,
+    is at least L_k = min beta_k - h g_k (Parlett, The Symmetric Eigenvalue
+    Problem, 1998, ch. 10 and 15).  Block k >= 1 is skipped when L_k - tau_k
+    exceeds max(0, mu), with mu the smallest eigenvalue modulus of the
+    blocks computed so far and tau_k = 1e-9 (1 + max beta_k + h g_k) for
+    rounding: it has no negative eigenvalue and none of smaller modulus, so
+    it counts 0 in block_morse_index and leaves min_offsym_singular as it
+    is, bit for bit."""
     full, lifted = space.full, space.lift(c)
     pins = _pinning_rows(full, lifted)
-    H = _nodal_hessian(space.problem, c, lam) if len(space.blocks) > 1 else None
-    spectra = []
+    if len(space.blocks) > 1:
+        H = _nodal_hessian(space.problem, c, lam)
+        Hf = H.reshape(H.shape[0], -1)
+        # max_x |H(x)|_F
+        h = math.sqrt(float(np.max(np.einsum("xi,xi->x", Hf, Hf))))
+    counts, mu = [], math.inf
     for k, (idx, E, weights, beta) in enumerate(space.blocks):
         if k:
+            beta_min, beta_max, g = space.weyl[k - 1]
+            spread = h * g
+            if beta_min - spread - 1e-9 * (1.0 + beta_max + spread) > max(0.0, mu):
+                counts.append(0)
+                continue
             J = _assemble_jacobian(E, weights, beta, H)
-        spectra.append(_offsym_eigenvalues(pins[:, idx], J))
-    moduli = [float(np.min(np.abs(ev))) for ev in spectra if ev.size]
+        ev = _offsym_eigenvalues(pins[:, idx], J)
+        counts.append(int(np.count_nonzero(ev < -_MORSE_ZERO_TOL)))
+        if ev.size:
+            mu = min(mu, float(np.min(np.abs(ev))))
     return BranchPoint(
         lam=float(lam),
         c=lifted,
         residual_norm=float(residual_norm),
-        min_offsym_singular=min(moduli, default=0.0),
+        min_offsym_singular=mu if mu < math.inf else 0.0,
         sup_norm=space.problem.sup_deviation(c),
-        block_morse_index=tuple(int(np.count_nonzero(ev < -_MORSE_ZERO_TOL)) for ev in spectra),
+        block_morse_index=tuple(counts),
     )
 
 
@@ -744,7 +788,8 @@ def _kernel_direction(problem, lam_star):
     a simple one, puts lam_star mu on the Laplacian spectrum (as for every
     builtin), the kernel there is simple, so the seed does not depend on the
     last bits of J.  J is assembled on those rows alone."""
-    space = _subspace(problem, _isotypic_rows(problem))
+    # the first block alone: the seed needs no diagnostic tables
+    space = _subspace(problem, _isotypic_rows(problem)[:1])
     zero = np.zeros(space.problem.n_dof)
     # at c = 0 the pinning rows are the component generators on the constant
     # row, which lies in the subspace

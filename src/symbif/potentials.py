@@ -30,10 +30,6 @@ __all__ = [
     "MatrixSpectrum",
     "AssumptionResult",
     "AssumptionReport",
-    "trivial_action",
-    "so2_action",
-    "cyclic_action",
-    "product_action",
     "normal_slice",
     "matrix_spectrum",
     "check_assumptions",
@@ -140,25 +136,6 @@ class GroupAction:
             if len(elems) > 4 * count:
                 elems = elems[:: max(1, len(elems) // (4 * count))]
         return elems
-
-
-def trivial_action(p: int) -> GroupAction:
-    return GroupAction(p, (("trivial",),))
-
-
-def so2_action(p: int, plane=(0, 1)) -> GroupAction:
-    return GroupAction(p, (("so2", plane[0], plane[1]),))
-
-
-def cyclic_action(p: int, n: int, plane=(0, 1)) -> GroupAction:
-    return GroupAction(p, (("zn", n, plane[0], plane[1]),))
-
-
-def product_action(p: int, factors) -> GroupAction:
-    flat = []
-    for a in factors:
-        flat.extend(a.factors)
-    return GroupAction(p, tuple(flat))
 
 
 @dataclass

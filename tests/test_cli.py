@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -406,6 +407,41 @@ class TestVerifyCommand:
             "truncation must be at most 11, the entries of the disk catalog beta <= 60, got 12"
         )
 
+    # p = 2, A = diag(1, 3): on S^2 the levels in 0.5:7 are 2/3, 2, 4, 6 and
+    # 20/3, and 4 = 12/3 and 20/3 need beta up to 20 = 7 * 3
+    DOUBLE_RESONANCE = (
+        "[potential]\nname = double-resonance\np = 2\naction = trivial\nu0 = 0, 0\n"
+        "a = 1 0; 0 3\nf = lambda*(u1^2/2 + 3*u2^2/2) - u1^4/4 - u2^4/4\n"
+    )
+
+    @pytest.mark.parametrize(
+        "cutoff,used,verdict",
+        [(None, 21.0, "CONSISTENT"), ("25", 25.0, "CONSISTENT"),
+         ("10", 10.0, "INCONSISTENT"), ("7", 7.0, "INCONSISTENT")],
+    )
+    def test_default_cutoff_covers_the_window(self, capsys, tmp_path, cutoff, used, verdict):
+        # the default prediction cutoff is max(10, max(|lo|, |hi|) max|alpha|),
+        # so every level in the window is predicted; a given cutoff short of
+        # max(|lo|, |hi|) max|alpha| leaves levels 4 and 20/3 detected but
+        # unpredicted, and the report says the cutoff does not cover the window
+        pot = tmp_path / "double.cfg"
+        pot.write_text(self.DOUBLE_RESONANCE)
+        argv = ["verify", "--potential-file", str(pot), "--domain", "sphere", "--dim", "3",
+                "--truncation", "8", "--window", "0.5:7"]
+        if cutoff is not None:
+            argv += ["--beta-cutoff", cutoff]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["beta_cutoff"] == used and doc["verdict"] == verdict
+        if verdict == "CONSISTENT":
+            assert "cutoff_covers_window" not in doc
+            assert [rec["lambda0"] for rec in doc["levels"]] == pytest.approx([2 / 3, 2, 4, 6, 20 / 3])
+            assert all(rec["branch"]["captured"] for rec in doc["levels"])
+        else:
+            assert doc["cutoff_covers_window"] is False
+            assert doc["unmatched_detected"] == pytest.approx([4, 20 / 3], abs=1e-6)
+
     def test_ball_verify_fails_a_covered_interval_with_no_level(self, capsys, monkeypatch):
         monkeypatch.setattr(continuation, "detect_bifurcation", lambda *args, **kwargs: [])
         code, out, _ = run(
@@ -808,6 +844,47 @@ class TestVerifyDeterminism:
             outputs.append(proc.stdout)
         assert outputs[0].count(b"\n") == 1 and b"coefficients" in outputs[0]
         assert outputs[0] == outputs[1]
+
+
+class TestVerifyGoldenDigests:
+    """sha256 of every file `symbif verify --out --branch-coefficients`
+    writes on the 2-sphere, recorded before the isotypic-block skip of the
+    branch-point diagnostics: the skip changes no byte, under one or two
+    BLAS threads."""
+
+    DIGESTS = {
+        ("pitchfork-scalar", "12"): {
+            "r": "2ea5d2b6c8925ca9d5230968a5a32269d6427191761313beda86143a0fb9b606",
+            "r.branch-2.csv": "eb2387b5d467df234bc54759b894d51f47b7d14a249fde993527bb86bf2eda48",
+            "r.branch-2.json": "28d7ce67c24d838f699af788f14db6d42d764b0c250055530eff0a2db4ec13b2",
+            "r.branch-6.csv": "3862525faa3f355d1a7a8eb47ddf37cc720f814c12043ecdfda1e2770bbfa0ca",
+            "r.branch-6.json": "1eda6036f2e49ac15d1de864860dcaac335c5cd506e836c0050633502c2baf1f",
+        },
+        ("so2-ring", "12"): {
+            "r": "eb52ee8b95d9463abca89e78e252373992ecba07f5388dcf5a7dac1d4de431a5",
+            "r.branch-2.csv": "bd9a879e7039e227c8dd176ddd9b39b1c9c2d597f9da9b6373629912faff6965",
+            "r.branch-2.json": "00b6dee0357ae16f81b2451bbfb908a1fcd321b568ceea16472817a3998ea77a",
+            "r.branch-6.csv": "496a1fd7e02044c4b4d116753356d5ffb7580d246886e75b7d6cde7af95393d2",
+            "r.branch-6.json": "16f073396473df4c36bd3ab791f4a331fecf22286055865d0eb44a4182d81333",
+        },
+        ("so2-ring", "24"): {
+            "r": "79970649b461b6791b19253bc07377a196f510766d00dd4909379a1433309e65",
+            "r.branch-2.csv": "29498731f6c002d7773e1b803cae2781e821007b321db0ce2045807d1f724f34",
+            "r.branch-2.json": "68850676adf5a1e40ff13d7f4e9aff0989a92886e6a3981f7eddf69b39661c4a",
+            "r.branch-6.csv": "bcee612b8d5650e25b8be8e6b97c6f378ac5c08ae3035cbd69330a8cab901dd2",
+            "r.branch-6.json": "203a46ffe92cf3247003f351a0b37130642e2ed8e44f0cfce8610b4b25ff0fc2",
+        },
+    }
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("case", list(DIGESTS), ids=lambda case: "-".join(case))
+    def test_sphere_outputs_match_recorded_digests(self, case, threads, tmp_path):
+        potential, truncation = case
+        argv = ["--potential", potential, "--domain", "sphere", "--dim", "3",
+                "--truncation", truncation, "--window", "0.5:8", "--branch-coefficients"]
+        outputs = _verify_outputs(argv, tmp_path / threads, threads)
+        digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+        assert digests == self.DIGESTS[case]
 
 
 class TestSweepGoldenBits:

@@ -1213,6 +1213,124 @@ class TestFixedSpace:
         assert len(continue_branch(prob, seed, (0.9, 1.3), max_steps=8).points) > 1
 
 
+def _record_blocks(monkeypatch):
+    """Spy on _make_point: one record (space, c, lam, point, assembled) per
+    branch point, with assembled the indices k >= 1 of the isotypic blocks
+    it assembled from their tables (_Subspace.blocks)."""
+    records, tables = [], []
+    make, assemble = continuation._make_point, continuation._assemble_jacobian
+
+    def spy_assemble(E, weights, beta, H):
+        tables.append(E)
+        return assemble(E, weights, beta, H)
+
+    def spy_make(space, c, lam, residual_norm, J):
+        tables.clear()
+        bp = make(space, c, lam, residual_norm, J)
+        assembled = {k for k, block in enumerate(space.blocks) if any(E is block[1] for E in tables)}
+        records.append((space, c, lam, bp, assembled))
+        return bp
+
+    monkeypatch.setattr(continuation, "_assemble_jacobian", spy_assemble)
+    monkeypatch.setattr(continuation, "_make_point", spy_make)
+    return records
+
+
+def _block_spectrum(space, c, lam, k):
+    """Off-symmetry eigenvalues of isotypic block k at the coefficients c of
+    space.problem, assembled from its table."""
+    idx, E, weights, beta = space.blocks[k]
+    H = continuation._nodal_hessian(space.problem, c, lam)
+    pins = continuation._pinning_rows(space.full, space.lift(c))
+    return continuation._offsym_eigenvalues(pins[:, idx], continuation._assemble_jacobian(E, weights, beta, H))
+
+
+class TestBlockSkip:
+    """_make_point skips an isotypic block k >= 1 when Weyl's bound
+    min beta_k - h g_k puts its whole spectrum above max(0, mu)."""
+
+    @pytest.mark.parametrize("name", ["pitchfork-scalar", "so2-ring"])
+    def test_skipped_blocks_are_certified(self, name, monkeypatch):
+        # every point of the verify branches on S^2 at truncation 12: each
+        # skipped block, assembled here, has no off-symmetry eigenvalue at or
+        # below max(0, min_offsym_singular), so it counts 0 and cannot lower
+        # the minimum
+        prob = build_problem(sphere(3), builtin(name), truncation=12)
+        records = _record_blocks(monkeypatch)
+        levels = detect_bifurcation(prob, (0.5, 8.0))
+        assert len(levels) == 2
+        for lam in levels:
+            limits = (0.75 * lam, 1.25 * lam)
+            continue_branch(prob, switch_branch(prob, lam), limits, max_steps=80, ds_max=0.05)
+        assert len(records) > 90
+        skipped = 0
+        for space, c, lam, bp, assembled in records:
+            assert len(space.blocks) == 12
+            for k in range(1, len(space.blocks)):
+                if k in assembled:
+                    continue
+                skipped += 1
+                ev = _block_spectrum(space, c, lam, k)
+                assert bp.block_morse_index[k] == 0
+                assert np.min(ev) > max(0.0, bp.min_offsym_singular)
+        # most m >= 1 blocks are certified, which is what the skip saves
+        assert skipped > 0.6 * 11 * len(records)
+
+    @pytest.mark.parametrize("shift", [0.0, 40.0, -40.0])
+    def test_point_equals_every_block_assembled(self, shift):
+        # the skip reads mu from the blocks computed before it: with the
+        # first block shifted far from zero, its smallest modulus is large and
+        # the m >= 1 blocks with a positive bound below it must still be
+        # assembled; the point's diagnostics equal those of every block, bit
+        # for bit
+        prob = build_problem(sphere(3), builtin("pitchfork-scalar"), truncation=12)
+        lam = 2.0
+        branch = continue_branch(prob, switch_branch(prob, lam), (1.5, 2.5), max_steps=12)
+        space = continuation._subspace(prob, continuation._isotypic_rows(prob))
+        for bp in branch.points[:: len(branch.points) // 4]:
+            c = bp.c[space.idx]
+            J = jacobian(space.problem, c, bp.lam) + shift * np.eye(space.problem.n_dof)
+            pins = continuation._pinning_rows(prob, bp.c)
+            spectra = [continuation._offsym_eigenvalues(pins[:, space.idx], J)]
+            spectra += [_block_spectrum(space, c, bp.lam, k) for k in range(1, len(space.blocks))]
+            point = continuation._make_point(space, c, bp.lam, 0.0, J)
+            assert point.min_offsym_singular == min(float(np.min(np.abs(ev))) for ev in spectra)
+            assert point.block_morse_index == tuple(
+                int(np.count_nonzero(ev < -continuation._MORSE_ZERO_TOL)) for ev in spectra
+            )
+
+    def test_blocks_with_negative_eigenvalues_are_computed(self, monkeypatch):
+        # pitchfork-scalar on S^2 from lambda = 12 up to 15: the m = 1, 2, 3
+        # blocks have beta = 2, 6, 12 < lambda and negative eigenvalues, so
+        # the bound cannot certify them; every block with a dense off-symmetry
+        # eigenvalue below zero is assembled, and the counts match the
+        # full-space Jacobian block by block and in the weighted sum
+        prob = build_problem(sphere(3), builtin("pitchfork-scalar"), truncation=12)
+        records = _record_blocks(monkeypatch)
+        (lam_star,) = detect_bifurcation(prob, (11.0, 13.0))
+        branch = continue_branch(prob, switch_branch(prob, lam_star), (9.0, 15.0), max_steps=40)
+        assert branch.termination == "lambda-limit" and branch.points[-1].lam > 14.5
+        weights = _block_weights(prob)
+        assert len(records) == len(branch.points) > 20
+        for space, c, lam, bp, assembled in records:
+            J = jacobian(prob, bp.c, bp.lam)
+            pins = continuation._pinning_rows(prob, bp.c)
+            dense = []
+            for idx, *_ in space.blocks:
+                ev = continuation._offsym_eigenvalues(pins[:, idx], J[np.ix_(idx, idx)])
+                dense.append(int(np.count_nonzero(ev < -continuation._MORSE_ZERO_TOL)))
+            assert dense[1:4] == [2, 1, 1] and not any(dense[4:])
+            assert {k for k in range(1, len(dense)) if dense[k]} <= assembled
+            assert list(bp.block_morse_index) == dense
+            Q = _dense_offsym_complement(prob, bp.c)
+            M = Q.T @ J @ Q
+            morse = int(np.sum(np.linalg.eigvalsh(0.5 * (M + M.T)) < -continuation._MORSE_ZERO_TOL))
+            assert np.dot(weights, bp.block_morse_index) == morse
+            assert abs(bp.min_offsym_singular - _dense_min_offsym_singular(prob, bp.c, J)) <= (
+                1e-12 * np.linalg.norm(J, 1)
+            )
+
+
 def _assert_reduced_rule_matches_the_full_rule(prob, branch, sup_rtol):
     """At every point of a branch and at a perturbed point of the same
     fixed-point rows, the restricted problem on its reduced rule against the

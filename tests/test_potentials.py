@@ -9,14 +9,13 @@ from symbif.potentials import (
     builtin,
     builtin_names,
     check_assumptions,
-    cyclic_action,
     from_config_dict,
     matrix_spectrum,
     normal_slice,
     slice_brouwer_degree,
-    so2_action,
-    trivial_action,
 )
+
+from action_factories import cyclic_action, product_action, so2_action, trivial_action
 
 RNG = np.random.default_rng(7)
 
@@ -387,12 +386,12 @@ class TestActions:
         assert trivial_action(3).continuous_dimension == 0
         assert so2_action(2).continuous_dimension == 1
         assert cyclic_action(2, 5).continuous_dimension == 0
-        prod = potentials.product_action(4, [so2_action(4, (0, 1)), cyclic_action(4, 3, (2, 3))])
+        prod = product_action(4, [so2_action(4, (0, 1)), cyclic_action(4, 3, (2, 3))])
         assert prod.continuous_dimension == 1
 
     def test_disjoint_planes_required(self):
         with pytest.raises(ValueError):
-            potentials.product_action(3, [so2_action(3, (0, 1)), so2_action(3, (1, 2))])
+            product_action(3, [so2_action(3, (0, 1)), so2_action(3, (1, 2))])
 
     def test_cyclic_isotropy(self):
         action = cyclic_action(2, 4)
