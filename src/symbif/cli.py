@@ -152,6 +152,11 @@ def cmd_levels(args):
     }
 
 
+def _max_alpha(spec):
+    """The largest modulus of an eigenvalue alpha of A."""
+    return max((abs(g.value) for g in potentials.matrix_spectrum(spec.A).eigenpairs), default=0.0)
+
+
 def cmd_jump(args):
     opts = _merged(args)
     domain = _domain(opts)
@@ -163,7 +168,8 @@ def cmd_jump(args):
     # the default cutoff is derived from lam0, so lam0 is checked first
     if not (math.isfinite(lam0) and lam0 != 0.0):
         raise ValueError(f"lambda0 must be finite and nonzero, got {lam0}")
-    cutoff = float(opts.get("beta_cutoff", max(10.0, 2.0 * abs(lam0))))
+    # a level beta / alpha with |level| <= 2 |lam0| has beta <= 2 |lam0| max|alpha|
+    cutoff = float(opts.get("beta_cutoff", max(10.0, 2.0 * abs(lam0) * _max_alpha(spec))))
     eps = opts.get("epsilon")
     if eps is None:
         eps = predictor.default_epsilon(lam0, predictor.lambda_set(spec, domain, cutoff))
@@ -204,8 +210,7 @@ def cmd_verify(args):
     spec = _potential(opts)
     window = _window(opts)
     # a level beta / alpha in the window has beta <= max(|lo|, |hi|) max|alpha|
-    alphas = [abs(g.value) for g in potentials.matrix_spectrum(spec.A).eigenpairs]
-    covering = max(abs(window[0]), abs(window[1])) * max(alphas, default=0.0)
+    covering = max(abs(window[0]), abs(window[1])) * _max_alpha(spec)
     cutoff = float(opts.get("beta_cutoff", max(10.0, covering)))
     steps = int(opts.get("steps", 200))
     truncation = opts.get("truncation")

@@ -69,14 +69,15 @@ tangent lies in one block (the component generators in the first, T_x C and
 T_y C in the m = 1 sin and cos blocks, T_z C in the sin rows of the circle
 and the disk, while T_z C = 0 on the 2-sphere), so the full-space
 off-symmetry spectrum is the union of the block spectra, each taken off the
-tangents that fall in the block.  The first block is the Jacobian the
-continuation assembles anyway; the others come from the same nodal Hessian,
-each from a table of its rows built once per subspace (the sin rows on the
-half-turn too, sin * sin * h being even in theta).  On the 2-sphere the
-Hessian at a zonal point depends on theta alone, and a cos-row block of
-m >= 1 is assembled on the column rule with half the summed weights: the
-uniform rule sums cos^2(m phi) over n_phi longitudes to n_phi / 2 while
-2m < n_phi, which default_quadrature keeps (n_phi >= 2L + 8 at degree L).
+tangents that fall in the block.  Every block comes from one nodal Hessian
+per point, each from a table of its rows built once per subspace (the sin
+rows on the half-turn too, sin * sin * h being even in theta), and the first
+block is the Jacobian the continuation takes its next tangent from.  On the
+2-sphere the Hessian at a zonal point depends on theta alone, and a cos-row
+block of m >= 1 is assembled on the column rule with half the summed
+weights: the uniform rule sums cos^2(m phi) over n_phi longitudes to
+n_phi / 2 while 2m < n_phi, which default_quadrature keeps (n_phi >= 2L + 8
+at degree L).
 This is the Fourier-in-phi block-diagonalization of the cited references.
 A point's min_offsym_singular is the smallest modulus over the blocks, and
 block_morse_index counts each block's negative eigenvalues.  A block need
@@ -93,9 +94,9 @@ far and tau_k = 1e-9 (1 + max beta_k + h g_k) for rounding.  On the
 exceeds the Hessian's reach; the diagnostics do not change by a bit.
 
 jacobian assembles the p(p+1)/2 blocks i <= j from the symmetrized nodal
-Hessian and copies block (i, j) into (j, i).  Continuation assembles the
-reduced J once per point, its start point included: the same J is the
-point's first diagnostic block and gives the next tangent.  One corrector,
+Hessian and copies block (i, j) into (j, i).  Continuation evaluates the
+nodal Hessian once per accepted point (_make_point), whose first block is
+the J of the next tangent, and once at its start point.  One corrector,
 _bordered_newton, serves the switch and the continuation.  It reuses its
 bordered matrix for chord (simplified Newton) steps, one residual and one
 LU solve each, while each cuts the residual norm at least fourfold
@@ -528,10 +529,11 @@ def _half_turn(quad):
     return cols, Quadrature(quad.domain, tuple(x[cols] for x in quad.points), weights)
 
 
-def _subspace(problem, blocks):
-    """The _Subspace on the rows blocks[0] of problem: on the 2-sphere on
-    the longitude-column rule, on the circle and the disk on the half-turn."""
-    rows = blocks[0]
+def _subspace(problem):
+    """The _Subspace of problem's isotypic blocks (_isotypic_rows): on the
+    2-sphere on the longitude-column rule, on the circle and the disk on the
+    half-turn."""
+    rows, *others = _isotypic_rows(problem)
     idx = _coefficient_indices(rows, problem.p)
     sphere2 = problem.domain.kind == "sphere" and problem.domain.dim == 3
     cols, quad = (_longitude_column if sphere2 else _half_turn)(problem.quad)
@@ -545,7 +547,7 @@ def _subspace(problem, blocks):
     )
     tables = [(idx, sub.E, quad.weights, sub.beta)]
     weyl = []
-    for rows in blocks[1:]:
+    for rows in others:
         E, beta = problem.E[rows][:, cols], problem.beta[rows]
         tables.append((_coefficient_indices(rows, problem.p), E, block_weights, beta))
         gram = (E * np.abs(block_weights)[None, :]) @ E.T
@@ -590,11 +592,11 @@ class Branch:
     termination: Optional[str] = None
 
 
-def _make_point(space, c, lam, residual_norm, J):
-    """Branch point at the coefficients c of space.problem, with J the
-    Jacobian there: the first isotypic block.  The other blocks are
-    assembled from their tables (_Subspace) and the nodal Hessian H at c on
-    space.problem's rule, unless Weyl's bound certifies one.
+def _make_point(space, c, lam, residual_norm):
+    """Branch point at the coefficients c of space.problem, and the Jacobian
+    of space.problem there: its first isotypic block.  Every block is
+    assembled from its table (_Subspace) and the nodal Hessian H at c on
+    space.problem's rule, evaluated once, unless Weyl's bound certifies it.
 
     Block k is J_k = diag(beta_k) kron I - sum_x w_x e_k(x) e_k(x)^T kron
     H(x), so with h = max_x |H(x)|_F and g_k its table's Gram norm every
@@ -608,20 +610,21 @@ def _make_point(space, c, lam, residual_norm, J):
     is, bit for bit."""
     full, lifted = space.full, space.lift(c)
     pins = _pinning_rows(full, lifted)
-    if len(space.blocks) > 1:
-        H = _nodal_hessian(space.problem, c, lam)
-        Hf = H.reshape(H.shape[0], -1)
-        # max_x |H(x)|_F
-        h = math.sqrt(float(np.max(np.einsum("xi,xi->x", Hf, Hf))))
-    counts, mu = [], math.inf
-    for k, (idx, E, weights, beta) in enumerate(space.blocks):
-        if k:
-            beta_min, beta_max, g = space.weyl[k - 1]
-            spread = h * g
-            if beta_min - spread - 1e-9 * (1.0 + beta_max + spread) > max(0.0, mu):
-                counts.append(0)
-                continue
-            J = _assemble_jacobian(E, weights, beta, H)
+    H = _nodal_hessian(space.problem, c, lam)
+    Hf = H.reshape(H.shape[0], -1)
+    # max_x |H(x)|_F
+    h = math.sqrt(float(np.max(np.einsum("xi,xi->x", Hf, Hf))))
+    # the first block has no bound (min beta = -inf): it is always assembled
+    bounds = ((-math.inf, 0.0, 0.0), *space.weyl)
+    counts, mu, J0 = [], math.inf, None
+    for (idx, E, weights, beta), (beta_min, beta_max, g) in zip(space.blocks, bounds):
+        spread = h * g
+        if beta_min - spread - 1e-9 * (1.0 + beta_max + spread) > max(0.0, mu):
+            counts.append(0)
+            continue
+        J = _assemble_jacobian(E, weights, beta, H)
+        if J0 is None:
+            J0 = J
         ev = _offsym_eigenvalues(pins[:, idx], J)
         counts.append(int(np.count_nonzero(ev < -_MORSE_ZERO_TOL)))
         if ev.size:
@@ -633,7 +636,7 @@ def _make_point(space, c, lam, residual_norm, J):
         min_offsym_singular=mu if mu < math.inf else 0.0,
         sup_norm=space.problem.sup_deviation(c),
         block_morse_index=tuple(counts),
-    )
+    ), J0
 
 
 def _newton_system(problem, c, lam, J, border):
@@ -775,7 +778,7 @@ def detect_bifurcation(problem: GalerkinProblem, window, steps: int = 200) -> li
     return out
 
 
-def _kernel_direction(problem, lam_star):
+def _kernel_direction(space, lam_star):
     """Branch seed at a detected level: the kernel vector of J(0, lam_star)
     in the fixed-point space of an axial subgroup of the domain's orthogonal
     group (equivariant branching lemma; Golubitsky, Stewart & Schaeffer,
@@ -787,9 +790,8 @@ def _kernel_direction(problem, lam_star):
     fixed by the reflection y -> -y.  When exactly one eigenvalue mu of A,
     a simple one, puts lam_star mu on the Laplacian spectrum (as for every
     builtin), the kernel there is simple, so the seed does not depend on the
-    last bits of J.  J is assembled on those rows alone."""
-    # the first block alone: the seed needs no diagnostic tables
-    space = _subspace(problem, _isotypic_rows(problem)[:1])
+    last bits of J.  J is assembled on those rows alone, space.problem, and
+    the seed is lifted to every row of space.full."""
     zero = np.zeros(space.problem.n_dof)
     # at c = 0 the pinning rows are the component generators on the constant
     # row, which lies in the subspace
@@ -800,7 +802,7 @@ def _kernel_direction(problem, lam_star):
     if v[np.argmax(np.abs(v))] < 0:
         v = -v
     # scale so the seed function has unit sup deviation
-    amp = problem.sup_deviation(v)
+    amp = space.full.sup_deviation(v)
     if amp <= 0:
         raise NoBranchError(f"no kernel direction found at lambda={lam_star}")
     return v / amp
@@ -821,13 +823,11 @@ def switch_branch(problem: GalerkinProblem, lam_star: float) -> Branch:
     1977).  The converged point seeds the branch when its sup deviation
     exceeds 0.05 times that amplitude and its lambda moved from lam_star by more than
     1e-13 and at most half of max(1, |lam_star|); otherwise NoBranchError
-    names the test that failed, or chains the NewtonError.
+    names the test that failed, or chains the NewtonError.  The subspace
+    (_subspace) is built once and serves the seed, the solve and the point.
     """
-    # the kernel direction first, so its subspace's tables are freed before
-    # this one's are built (peak memory)
-    v = _kernel_direction(problem, lam_star)
-    space = _subspace(problem, _isotypic_rows(problem))
-    v = v[space.idx]
+    space = _subspace(problem)
+    v = _kernel_direction(space, lam_star)[space.idx]
     seed = _SEED_AMPLITUDE * v
     vhat = v / np.linalg.norm(v)
     border = np.append(vhat, 0.0)
@@ -839,7 +839,7 @@ def switch_branch(problem: GalerkinProblem, lam_star: float) -> Branch:
         )
     except NewtonError as err:
         raise NoBranchError(f"{fail}: {err}") from err
-    bp = _make_point(space, c, lam, rn, jacobian(space.problem, c, lam))
+    bp, _ = _make_point(space, c, lam, rn)
     drift = abs(bp.lam - lam_star)
     max_drift = 0.5 * max(1.0, abs(lam_star))
     if not bp.sup_norm > 0.05 * _SEED_AMPLITUDE:
@@ -897,7 +897,7 @@ def continue_branch(
     kind, lam_star = seed.origin
     if kind != "bifurcated" or lam_star is None:
         raise ValueError(f"seed origin must be ('bifurcated', lambda_star), got {seed.origin}")
-    space = _subspace(problem, _isotypic_rows(problem))
+    space = _subspace(problem)
     if np.any(np.delete(points[-1].c, space.idx) != 0):
         raise ValueError("seed point has coefficients off the axial fixed-point subspace")
     branch = Branch(points=points, origin=seed.origin)
@@ -909,9 +909,9 @@ def continue_branch(
     nt = np.linalg.norm(t_prev)
     t_prev = t_prev / nt if nt > 0 else np.concatenate([np.zeros(n), [1.0]])
     ds = _DS0
-    # the Jacobian at the last accepted point serves its branch point and the
-    # next tangent, and is dropped before the corrector runs, which keeps
-    # only the tangent's bordered matrix
+    # the Jacobian at the last accepted point gives the next tangent, and is
+    # dropped before the corrector runs, which keeps only the tangent's
+    # bordered matrix; at every accepted point it is the point's first block
     J = jacobian(sub, c, lam)
     for _ in range(max_steps):
         try:
@@ -938,8 +938,7 @@ def continue_branch(
         c, lam = c_new, lam_new
         t_prev = t
         A = None
-        J = jacobian(sub, c, lam)
-        bp = _make_point(space, c, lam, rn, J)
+        bp, J = _make_point(space, c, lam, rn)
         branch.points.append(bp)
         ds = min(ds * 1.4, ds_max)
         if lam < lo or lam > hi:

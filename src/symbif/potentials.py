@@ -143,7 +143,7 @@ class PotentialSpec:
     """The potential, its symmetry, the base point, and the matrix A with
     Hessian(u0, lambda) = lambda * A.
 
-    value/grad/hess broadcast over batches at a scalar lambda: u of shape
+    grad/hess broadcast over batches at a scalar lambda: u of shape
     (..., p) yields grad of shape (..., p) and hess of shape (..., p, p).  growth_exponent is metadata
     only; grad_degree (max polynomial degree of the gradient in u) sizes the
     dealiased quadrature for the Galerkin solver.
@@ -153,7 +153,6 @@ class PotentialSpec:
     p: int
     action: GroupAction
     u0: np.ndarray
-    value: Callable
     grad: Callable
     hess: Callable
     A: np.ndarray
@@ -533,9 +532,6 @@ def from_config_dict(cfg: dict) -> PotentialSpec:
     def split(u):
         return [u[..., i] for i in range(p)]
 
-    def value(u, lam):
-        return F(*split(np.asarray(u, float)), lam)
-
     def grad(u, lam):
         u = np.asarray(u, float)
         args = split(u) + [lam]
@@ -559,7 +555,6 @@ def from_config_dict(cfg: dict) -> PotentialSpec:
         p=p,
         action=action,
         u0=u0,
-        value=value,
         grad=grad,
         hess=hess,
         A=A,

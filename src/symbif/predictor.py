@@ -217,21 +217,19 @@ def degree_jump(
     domain: DomainId,
     lam0: float,
     eps: float,
-    beta_cutoff: Optional[float] = None,
+    beta_cutoff: float,
 ) -> BifurcationCandidate:
     """Degree-jump decision at a candidate level.
 
     Computes the slice Brouwer degrees b_minus / b_plus at lam0 -/+ eps, the
     resonant eigenspace descriptor, and whether the two-sided degrees differ
-    (the jump).  lam0 and eps must be finite, the window (lam0 - eps,
-    lam0 + eps) must not contain zero, and on the sphere it must contain no
-    other candidate level; otherwise ValueError.
+    (the jump), with the candidate levels beta / alpha of the catalog
+    beta <= beta_cutoff.  lam0 and eps must be finite, the window (lam0 -
+    eps, lam0 + eps) must not contain zero, and on the sphere it must
+    contain no other candidate level; otherwise ValueError.
     """
     _check_window(lam0, eps)
     groups = _alpha_groups(spec)
-    if beta_cutoff is None:
-        max_alpha = max((abs(a) for a, _ in groups), default=0.0)
-        beta_cutoff = max(1.0, (abs(lam0) + eps) * max_alpha * 1.5 + 1.0)
     catalog = eigen_catalog(domain, beta_cutoff)
     return _degree_jump(spec, domain, lam0, eps, catalog, groups, _levels(catalog, groups))
 

@@ -176,6 +176,23 @@ class TestJumpCommand:
         error = json.loads(err)["error"]
         assert error["type"] == "ValueError" and error["message"].startswith("lambda0 ")
 
+    @pytest.mark.parametrize("lam0,beta", [("6", 6.0), ("6.666666666666667", 20.0)])
+    def test_default_cutoff_scales_with_a(self, capsys, tmp_path, lam0, beta):
+        # A = diag(1, 3) on S^2: the levels near 6 are 6 = 6 / 1 and
+        # 20/3 = 20 / 3, so the default cutoff max(10, 2 |lambda0| max|alpha|)
+        # must reach beta = 20 for the level 20/3 to be seen, both as the
+        # neighbour that bounds the default epsilon and as a candidate
+        pot = tmp_path / "double.cfg"
+        pot.write_text(TestVerifyCommand.DOUBLE_RESONANCE)
+        code, out, err = run(
+            capsys, "jump", "--potential-file", str(pot), "--domain", "sphere", "--dim", "3",
+            "--lambda0", lam0,
+        )
+        assert code == 0, err
+        cand = json.loads(out)["candidate"]
+        assert cand["epsilon"] == pytest.approx(1 / 3)
+        assert [w["beta"] for w in cand["witnesses"]] == [beta]
+
     def test_deterministic(self, capsys):
         argv = [
             "jump",
@@ -848,9 +865,10 @@ class TestVerifyDeterminism:
 
 class TestVerifyGoldenDigests:
     """sha256 of every file `symbif verify --out --branch-coefficients`
-    writes on the 2-sphere, recorded before the isotypic-block skip of the
-    branch-point diagnostics: the skip changes no byte, under one or two
-    BLAS threads."""
+    writes, under one or two BLAS threads.  The 2-sphere digests were
+    recorded before the isotypic-block skip of the branch-point diagnostics,
+    the circle and disk digests before each branch point's blocks shared
+    one nodal Hessian: neither changes a byte."""
 
     DIGESTS = {
         ("pitchfork-scalar", "12"): {
@@ -876,6 +894,46 @@ class TestVerifyGoldenDigests:
         },
     }
 
+    PLANE_OPTIONS = {
+        "circle": ["--domain", "sphere", "--dim", "2", "--beta-cutoff", "10",
+                   "--window", "0.5:9.5"],
+        "disk": ["--domain", "ball", "--dim", "2", "--window", "0.5:10"],
+    }
+    PLANE_DIGESTS = {
+        ("pitchfork-scalar", "circle"): {
+            "r": "bafb494d6dc6a94c5912c5833037be9083f1010de3053e39f66af5979b8e33cd",
+            "r.branch-1.csv": "facb7ed9811477a69ebff61bdc8151ea14795916b60ac35b2562e99d43d53d2c",
+            "r.branch-1.json": "ae5fa0abae832cf9df610c9f5fdfed60a9d08fe2dd9fb7c8786c9e992a4142d4",
+            "r.branch-4.csv": "851eee84b5d4bf22926c08f5058978b57b4940dab48cc35912fc5a3ad42ae8d8",
+            "r.branch-4.json": "1aaef6df5c45512ef594d579ccc8816c2066fdc3080bcc2f81a71653a8fee3ef",
+            "r.branch-9.csv": "14c992393dfd66e3cefffb1d4b300913a501df544c15ef2450d408b4a15e681c",
+            "r.branch-9.json": "e5dccc14b21a38b3ec2541e37b0f13a7bf5a32454b0798e3ade1e9b3c0ba4b25",
+        },
+        ("so2-ring", "circle"): {
+            "r": "36dca525cb3a280f68882a4d0077b2fcce9b092a3beba2dcddd1da035df936e1",
+            "r.branch-1.csv": "3e5b3e522a0aabb4a596521bd9cb6cc57a1577f41689021f0fb219a94477006e",
+            "r.branch-1.json": "d542c37aa77070b0cec9fc435876d8fb073a83820e0c24b39b0b8e657d141636",
+            "r.branch-4.csv": "426062540a4c7ba2e11236581a9697d26375fa6b08e742f5b8cafae2b2966561",
+            "r.branch-4.json": "d930581c5231493137a9f3803f68abc81c9748db3015f97bdeca370931f5dc9f",
+            "r.branch-9.csv": "ecaac96f2d3cde895f90965043c18b734d9c84b6d7d130ba6defc470c4bd5538",
+            "r.branch-9.json": "34573d1666b997e0ffee2fcfe885e1f682c492f1303d50481fab14651a59d9c9",
+        },
+        ("pitchfork-scalar", "disk"): {
+            "r": "66e1b5a6af7a126c46ecb64c727d094c47ea5ddb1802a4b3f5797b32fe90f31d",
+            "r.branch-3.38996.csv": "6cf7effbfacb9838f170ac6978404452ffd9239eab6882dddedc3b205aa92943",
+            "r.branch-3.38996.json": "3e5f05063cb8d8aa04b8a808e103287c47189fe80ee95ffb24b05b37486bbfa6",
+            "r.branch-9.32836.csv": "e2858634ba19a8ca97d34add8ff6bf2d52a624b7e117ac9a455e2259a6677066",
+            "r.branch-9.32836.json": "807653b019537b0c38b34e980a036e88384348497f8b05704915c92052c10c7c",
+        },
+        ("so2-ring", "disk"): {
+            "r": "8ad9341cb473009788c3641d672e19c5e40b25c1035dcc1101eec6aed1e29350",
+            "r.branch-3.38996.csv": "9fb4b2258d8a98b6c7337e23d321cd2b812a68f95f776ad8291bbf15328d26c1",
+            "r.branch-3.38996.json": "2d17ed749bba2f67eb4d1c3748d28e4ec65cb311b01088a9590b86cdea3fc60d",
+            "r.branch-9.32836.csv": "b671ede4067ae6adae8da038847901899f79868bd48fb00ac4d1edc3daad85ea",
+            "r.branch-9.32836.json": "f1e966f493f8bea2036064d2762dd870212106afacfbcdb681b8ce4358fd4981",
+        },
+    }
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("case", list(DIGESTS), ids=lambda case: "-".join(case))
     def test_sphere_outputs_match_recorded_digests(self, case, threads, tmp_path):
@@ -885,6 +943,15 @@ class TestVerifyGoldenDigests:
         outputs = _verify_outputs(argv, tmp_path / threads, threads)
         digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
         assert digests == self.DIGESTS[case]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("case", list(PLANE_DIGESTS), ids=lambda case: "-".join(case))
+    def test_circle_and_disk_outputs_match_recorded_digests(self, case, threads, tmp_path):
+        potential, domain = case
+        argv = ["--potential", potential, *self.PLANE_OPTIONS[domain], "--branch-coefficients"]
+        outputs = _verify_outputs(argv, tmp_path / threads, threads)
+        digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+        assert digests == self.PLANE_DIGESTS[case]
 
 
 class TestSweepGoldenBits:

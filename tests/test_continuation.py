@@ -16,6 +16,7 @@ from symbif.continuation import (
     jacobian,
     switch_branch,
 )
+from symbif.polynomial import parse_polynomial
 from symbif.potentials import builtin, from_config_dict
 from symbif.spectral import ball, sphere
 
@@ -95,10 +96,13 @@ def _dense_min_offsym_singular(prob, c, J):
 
 
 def discrete_energy(problem, c, lam):
-    """Discretized functional: quadratic Dirichlet part minus the potential."""
+    """Discretized functional: quadratic Dirichlet part minus the potential
+    F, parsed from the builtin's polynomial text."""
     C = np.asarray(c, float).reshape(problem.n_funcs, problem.p)
     dirichlet = 0.5 * float(np.sum(problem.beta[:, None] * C * C))
-    Fv = np.asarray(problem.spec.value(problem.evaluate(c), lam), float)
+    names = [f"u{i + 1}" for i in range(problem.p)] + ["lambda"]
+    F = parse_polynomial(potentials._BUILTINS[problem.spec.name]["f"], names)
+    Fv = np.asarray(F(*problem.evaluate(c).T, lam), float)
     return dirichlet - float(np.dot(problem.quad.weights, Fv))
 
 
@@ -460,27 +464,47 @@ class TestJacobianReuse:
     def test_continuation_assembles_each_point_once(
         self, fixture, lam_star, limits, request, monkeypatch
     ):
-        # continue_branch assembles the Jacobian of the fixed-point subspace
-        # once at its start point (the seed) and once at every point it
-        # accepts, never twice at one (c, lambda), and never a full-space one
+        # continue_branch evaluates the nodal Hessian of the fixed-point
+        # subspace once at its start point (the seed) and once at every point
+        # it accepts, for the point's blocks and the next tangent alike, never
+        # twice at one (c, lambda), and never on the full space
         prob = request.getfixturevalue(fixture)
         seed = switch_branch(prob, lam_star)
-        space = continuation._subspace(prob, continuation._isotypic_rows(prob))
+        space = continuation._subspace(prob)
         assert space.problem.n_dof < prob.n_dof
         seen = []
+        hessian = continuation._nodal_hessian
 
         def spy(problem, c, lam):
             assert problem.n_dof == space.problem.n_dof
             seen.append((np.asarray(c, float).tobytes(), float(lam)))
-            return jacobian(problem, c, lam)
+            return hessian(problem, c, lam)
 
-        monkeypatch.setattr(continuation, "jacobian", spy)
+        monkeypatch.setattr(continuation, "_nodal_hessian", spy)
         branch = continue_branch(prob, seed, limits, max_steps=40)
         assert len(branch.points) > 5
         assert branch.points[0] is seed.points[0]
         assert len(seen) == len(set(seen))
         for bp in branch.points:
             assert seen.count((bp.c[space.idx].tobytes(), bp.lam)) == 1
+
+    @pytest.mark.parametrize("fixture", ["circle_pitchfork", "disk_ring", "sphere12_ring"])
+    def test_switch_and_continue_build_one_subspace_each(self, fixture, request, monkeypatch):
+        # switch_branch builds the subspace once for the kernel direction,
+        # the solve and the point, and continue_branch once for the branch
+        prob = request.getfixturevalue(fixture)
+        lam_star = detect_bifurcation(prob, (0.5, 4.0), steps=60)[0]
+        builds = []
+        subspace = continuation._subspace
+
+        def spy(*args):
+            builds.append(args[0])
+            return subspace(*args)
+
+        monkeypatch.setattr(continuation, "_subspace", spy)
+        seed = switch_branch(prob, lam_star)
+        continue_branch(prob, seed, (lam_star - 0.3, lam_star + 0.3), max_steps=4)
+        assert len(builds) == 2 and all(problem is prob for problem in builds)
 
     @pytest.mark.parametrize(
         "fixture,lam_star,limits",
@@ -715,7 +739,7 @@ class TestChordCorrector:
         solved with and evaluated, and whether its matrix was built at its
         start.  The iterates are (c, lambda, residual norm), the returned
         point last."""
-        space = continuation._subspace(prob, continuation._isotypic_rows(prob))
+        space = continuation._subspace(prob)
         sub, n = space.problem, space.problem.n_dof
         bp = switch_branch(prob, 1.0).points[0]
         c0, lam0 = bp.c[space.idx], bp.lam
@@ -840,17 +864,19 @@ class TestChordCorrector:
     def test_at_most_two_jacobians_per_accepted_point(self, sphere_ring, monkeypatch):
         # the branch of test_sphere_branch_matches_recorded_values; full
         # Newton correctors assembled 96 Jacobians for its 32 accepted points
-        # (3.0 per point), the chord corrector 36
+        # (3.0 per point), the chord corrector 36, and each accepted point's
+        # diagnostic blocks share its Jacobian's nodal Hessian
         prob = sphere_ring
         det = detect_bifurcation(prob, (1.0, 7.0), steps=60)
         seed = switch_branch(prob, det[0])
         calls = []
+        hessian = continuation._nodal_hessian
 
         def spy(*args):
             calls.append(args[2])
-            return jacobian(*args)
+            return hessian(*args)
 
-        monkeypatch.setattr(continuation, "jacobian", spy)
+        monkeypatch.setattr(continuation, "_nodal_hessian", spy)
         branch = continue_branch(prob, seed, (1.7, 2.6), max_steps=80, ds_max=0.05)
         accepted = len(branch.points) - 1
         assert accepted == 32
@@ -864,17 +890,19 @@ class TestChordCorrector:
         # lambda* -/+ lambda*/4 under the library default ds_max = 0.2, where
         # the chord on the tangent's matrix stalls at nearly every step;
         # restarting full Newton from the predictor on a stall took 3.46
-        # (pitchfork-scalar) and 3.80 (so2-ring) Jacobians per accepted point
+        # (pitchfork-scalar) and 3.80 (so2-ring) Jacobians per accepted point;
+        # nodal Hessians are counted, those of the diagnostic blocks included
         prob = request.getfixturevalue(fixture)
         lam = detect_bifurcation(prob, (0.5, 6.25))[0]
         seed = switch_branch(prob, lam)
         calls = []
+        hessian = continuation._nodal_hessian
 
         def spy(*args):
             calls.append(args[2])
-            return jacobian(*args)
+            return hessian(*args)
 
-        monkeypatch.setattr(continuation, "jacobian", spy)
+        monkeypatch.setattr(continuation, "_nodal_hessian", spy)
         branch = continue_branch(prob, seed, (lam - 0.25 * lam, lam + 0.25 * lam))
         assert branch.termination == "lambda-limit"
         accepted = len(branch.points) - 1
@@ -953,7 +981,7 @@ class TestSwitchAndContinue:
             args, (c, lam, _) = solves[0]
             bp = seed.points[0]
             # the solve runs on the zonal rows, and the point is its lift
-            idx = continuation._subspace(prob, continuation._isotypic_rows(prob)).idx
+            idx = continuation._subspace(prob).idx
             assert args[0].n_dof == idx.size < prob.n_dof
             assert bp.lam == lam and np.array_equal(bp.c[idx], c)
             assert np.count_nonzero(bp.c) == np.count_nonzero(c)
@@ -961,7 +989,7 @@ class TestSwitchAndContinue:
             # the border is (vhat, 0) for the kernel direction v on those
             # rows, and the seed keeps the amplitude it started from:
             # vhat . c = 0.05 |v|
-            v = continuation._kernel_direction(prob, det[0])[idx]
+            v = continuation._kernel_direction(continuation._subspace(prob), det[0])[idx]
             vhat = v / np.linalg.norm(v)
             np.testing.assert_array_equal(args[3], np.append(vhat, 0.0))
             assert abs(float(np.dot(vhat, c)) - 0.05 * np.linalg.norm(v)) <= 1e-10
@@ -1046,7 +1074,7 @@ class TestAxialSeed:
             sin_rows = [s for _, s, _ in continuation._angular_pairs(prob.domain, prob.eigens)]
             Tz = prob.rotation_generators[0]
             for lam in levels:
-                v = continuation._kernel_direction(prob, lam)
+                v = continuation._kernel_direction(continuation._subspace(prob), lam)
                 V = v.reshape(prob.n_funcs, prob.p)
                 assert np.all(V[sin_rows] == 0)
                 if len(prob.rotation_generators) == 3:
@@ -1063,8 +1091,8 @@ class TestAxialSeed:
             spec = dataclasses.replace(prob.spec, hess=lambda u, lam: hess(u, lam) * (1 + 2**-52))
             bumped = dataclasses.replace(prob, spec=spec)
             for lam in levels:
-                v = continuation._kernel_direction(prob, lam)
-                w = continuation._kernel_direction(bumped, lam)
+                v = continuation._kernel_direction(continuation._subspace(prob), lam)
+                w = continuation._kernel_direction(continuation._subspace(bumped), lam)
                 assert np.max(np.abs(v - w)) <= 1e-12, (prob.spec.name, lam)
 
 
@@ -1087,13 +1115,13 @@ class TestPinnedSwitch:
                 calls.clear()
                 bp = switch_branch(prob, lam_star).points[0]
                 assert len(calls) == 1, (prob.spec.name, lam_star)
-                v = continuation._kernel_direction(prob, lam_star)
+                v = continuation._kernel_direction(continuation._subspace(prob), lam_star)
                 target = 0.05 * np.linalg.norm(v)
                 vhat = v / np.linalg.norm(v)
                 assert abs(float(np.dot(vhat, bp.c)) - target) <= 1e-10 * target
                 # the residual norm is the one of the solve on the axial
                 # rows; the full-space residual at the lifted point is as small
-                space = continuation._subspace(prob, continuation._isotypic_rows(prob))
+                space = continuation._subspace(prob)
                 r = assemble_residual(space.problem, bp.c[space.idx], bp.lam)
                 assert bp.residual_norm == np.linalg.norm(r) <= continuation.NEWTON_TOL
                 r = assemble_residual(prob, bp.c, bp.lam)
@@ -1224,12 +1252,12 @@ def _record_blocks(monkeypatch):
         tables.append(E)
         return assemble(E, weights, beta, H)
 
-    def spy_make(space, c, lam, residual_norm, J):
+    def spy_make(space, c, lam, residual_norm):
         tables.clear()
-        bp = make(space, c, lam, residual_norm, J)
+        bp, J = make(space, c, lam, residual_norm)
         assembled = {k for k, block in enumerate(space.blocks) if any(E is block[1] for E in tables)}
         records.append((space, c, lam, bp, assembled))
-        return bp
+        return bp, J
 
     monkeypatch.setattr(continuation, "_assemble_jacobian", spy_assemble)
     monkeypatch.setattr(continuation, "_make_point", spy_make)
@@ -1277,23 +1305,32 @@ class TestBlockSkip:
         assert skipped > 0.6 * 11 * len(records)
 
     @pytest.mark.parametrize("shift", [0.0, 40.0, -40.0])
-    def test_point_equals_every_block_assembled(self, shift):
+    def test_point_equals_every_block_assembled(self, shift, monkeypatch):
         # the skip reads mu from the blocks computed before it: with the
         # first block shifted far from zero, its smallest modulus is large and
         # the m >= 1 blocks with a positive bound below it must still be
         # assembled; the point's diagnostics equal those of every block, bit
-        # for bit
+        # for bit, and the Jacobian it returns is the first block
         prob = build_problem(sphere(3), builtin("pitchfork-scalar"), truncation=12)
         lam = 2.0
         branch = continue_branch(prob, switch_branch(prob, lam), (1.5, 2.5), max_steps=12)
-        space = continuation._subspace(prob, continuation._isotypic_rows(prob))
+        space = continuation._subspace(prob)
+        assemble = continuation._assemble_jacobian
+
+        def shifted(E, weights, beta, H):
+            J = assemble(E, weights, beta, H)
+            return J + shift * np.eye(J.shape[0]) if E is space.blocks[0][1] else J
+
         for bp in branch.points[:: len(branch.points) // 4]:
             c = bp.c[space.idx]
             J = jacobian(space.problem, c, bp.lam) + shift * np.eye(space.problem.n_dof)
             pins = continuation._pinning_rows(prob, bp.c)
             spectra = [continuation._offsym_eigenvalues(pins[:, space.idx], J)]
             spectra += [_block_spectrum(space, c, bp.lam, k) for k in range(1, len(space.blocks))]
-            point = continuation._make_point(space, c, bp.lam, 0.0, J)
+            with monkeypatch.context() as m:
+                m.setattr(continuation, "_assemble_jacobian", shifted)
+                point, J0 = continuation._make_point(space, c, bp.lam, 0.0)
+            assert np.array_equal(J0, J)
             assert point.min_offsym_singular == min(float(np.min(np.abs(ev))) for ev in spectra)
             assert point.block_morse_index == tuple(
                 int(np.count_nonzero(ev < -continuation._MORSE_ZERO_TOL)) for ev in spectra
@@ -1337,10 +1374,9 @@ def _assert_reduced_rule_matches_the_full_rule(prob, branch, sup_rtol):
     same rows on the full rule: residual, Jacobian and sup deviation, and
     every other isotypic block from its table against the full-space
     Jacobian on its rows."""
-    blocks = continuation._isotypic_rows(prob)
-    space = continuation._subspace(prob, blocks)
+    space = continuation._subspace(prob)
     sub = space.problem
-    fixed = blocks[0]
+    fixed = continuation._isotypic_rows(prob)[0]
     ref = dataclasses.replace(prob, E=prob.E[fixed], beta=prob.beta[fixed], rotation_generators=())
     rng = np.random.default_rng(5)
     assert len(branch.points) > 5
@@ -1373,7 +1409,7 @@ class TestReducedRule:
         # the m >= 1 blocks from their column tables have half weight; the
         # sup deviation over the column is the full rule's bit for bit
         prob = sphere12_ring
-        space = continuation._subspace(prob, continuation._isotypic_rows(prob))
+        space = continuation._subspace(prob)
         n_theta = np.unique(prob.quad.points[0]).size
         assert space.problem.quad.weights.size == n_theta == 26 < prob.quad.weights.size
         branch = continue_branch(prob, switch_branch(prob, 2.0), (1.7, 2.2), max_steps=8)
@@ -1392,7 +1428,7 @@ class TestReducedRule:
         # the sin-row block is even in theta too; mirror nodes round apart,
         # so the sup deviation matches to rounding
         prob = request.getfixturevalue(fixture)
-        space = continuation._subspace(prob, continuation._isotypic_rows(prob))
+        space = continuation._subspace(prob)
         theta = prob.quad.points[-1]
         rings = np.count_nonzero(theta == 0.0)
         n_theta = theta.size // rings

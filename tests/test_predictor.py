@@ -104,7 +104,7 @@ class TestDegreeJump:
         spec = builtin("so2-ring-degenerate")
         for lam0 in (0.5, 1.0, 3.0):
             with pytest.raises(ValueError):
-                degree_jump(spec, sphere(2), lam0, 0.1)
+                degree_jump(spec, sphere(2), lam0, 0.1, beta_cutoff=10.0)
 
     def test_window_validation(self):
         spec = builtin("pitchfork-scalar")
@@ -113,25 +113,26 @@ class TestDegreeJump:
         with pytest.raises(ValueError):
             degree_jump(spec, sphere(2), 4.0, 3.5, beta_cutoff=10.0)  # 1.0 inside
         with pytest.raises(ValueError):
-            degree_jump(spec, sphere(2), 1.0, 0.0)
+            degree_jump(spec, sphere(2), 1.0, 0.0, beta_cutoff=10.0)
         with pytest.raises(ValueError):
-            degree_jump(spec, sphere(2), 0.0, 0.1)
+            degree_jump(spec, sphere(2), 0.0, 0.1, beta_cutoff=10.0)
 
     @pytest.mark.parametrize(
         "lam0,eps", [(math.inf, 0.5), (-math.inf, 0.5), (math.nan, 0.5), (1.0, math.inf), (1.0, math.nan)]
     )
     def test_nonfinite_level_or_epsilon_is_rejected(self, lam0, eps):
-        # checked before the default cutoff, which an infinite lambda0 would
-        # make infinite
+        # checked before the catalog is built
         with pytest.raises(ValueError, match="must be finite"):
-            degree_jump(builtin("pitchfork-scalar"), sphere(2), lam0, eps)
+            degree_jump(builtin("pitchfork-scalar"), sphere(2), lam0, eps, beta_cutoff=10.0)
 
     def test_predict_rejects_a_nonfinite_epsilon(self):
         with pytest.raises(ValueError, match="must be finite"):
             predict(builtin("pitchfork-scalar"), sphere(2), 10.0, epsilon=math.nan)
 
     def test_ball_uses_window_resonances(self):
-        cand = degree_jump(builtin("pitchfork-scalar"), ball(2), 3.3899577166710888, 1.5)
+        cand = degree_jump(
+            builtin("pitchfork-scalar"), ball(2), 3.3899577166710888, 1.5, beta_cutoff=10.0
+        )
         assert isinstance(cand.guarantee, BallAlternative)
         assert cand.V.total_dimension == 2
         assert cand.jump
