@@ -2,13 +2,18 @@
 
 Every potential, builtin or user-defined, is one of these: a small
 expression parser (+, -, *, /, ^ with nonnegative integer powers; division
-only by constants) plus symbolic differentiation.  Evaluation broadcasts
-over numpy arrays.
+only by nonzero constants) plus symbolic differentiation.  Arithmetic stays
+exact; only evaluation uses floats.  An Evaluator computes a group of
+polynomials in the same variables, such as the components of a gradient or
+the upper triangle of a Hessian, with one straight-line kernel per pattern
+of scalar and array arguments, compiled on first use and broadcasting over
+numpy arrays.  A single polynomial is evaluated as a group of one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 
@@ -16,7 +21,7 @@ import numpy as np
 class Polynomial:
     """Mapping from exponent tuples to Fraction coefficients."""
 
-    __slots__ = ("nvars", "terms", "_plan")
+    __slots__ = ("nvars", "terms", "_evaluator")
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
@@ -30,17 +35,28 @@ class Polynomial:
                     raise ValueError("monomial length does not match nvars")
                 clean[tuple(mono)] = clean.get(tuple(mono), Fraction(0)) + coeff
         self.terms = {m: c for m, c in clean.items() if c != 0}
-        self._plan = None
+        self._evaluator = None
+
+    @classmethod
+    def _exact(cls, nvars, terms):
+        """The polynomial of `terms`, a dict from nvars-tuples to exact
+        Fractions as arithmetic makes them: their order kept, zero
+        coefficients dropped, nothing validated or converted again."""
+        poly = cls.__new__(cls)
+        poly.nvars = nvars
+        poly.terms = {m: c for m, c in terms.items() if c}
+        poly._evaluator = None
+        return poly
 
     @classmethod
     def constant(cls, nvars, value):
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        return cls._exact(nvars, {(0,) * nvars: Fraction(value)})
 
     @classmethod
     def variable(cls, nvars, i):
         mono = [0] * nvars
         mono[i] = 1
-        return cls(nvars, {tuple(mono): Fraction(1)})
+        return cls._exact(nvars, {tuple(mono): Fraction(1)})
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
@@ -53,13 +69,13 @@ class Polynomial:
         other = self._coerce(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return Polynomial(self.nvars, terms)
+            terms[m] = terms[m] + c if m in terms else c
+        return Polynomial._exact(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.nvars, {m: -c for m, c in self.terms.items()})
+        return Polynomial._exact(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -72,23 +88,27 @@ class Polynomial:
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                terms[m] = terms.get(m, Fraction(0)) + c1 * c2
-        return Polynomial(self.nvars, terms)
+                m = tuple(map(add, m1, m2))
+                c = c1 * c2
+                terms[m] = terms[m] + c if m in terms else c
+        return Polynomial._exact(self.nvars, terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        """self^n by binary powering (Knuth, TAOCP vol. 2, 4.6.3): one product
+        per set bit of n, and a squaring only while bits remain, so
+        floor(log2 n) squarings."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("powers must be nonnegative integers")
         out = Polynomial.constant(self.nvars, 1)
         base = self
-        k = n
-        while k:
-            if k & 1:
+        while n:
+            if n & 1:
                 out = out * base
-            base = base * base
-            k >>= 1
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __truediv__(self, other):
@@ -97,8 +117,8 @@ class Polynomial:
             raise ValueError("division is supported only by constants")
         c = other.constant_value()
         if c == 0:
-            raise ZeroDivisionError("division by zero polynomial")
-        return Polynomial(self.nvars, {m: v / c for m, v in self.terms.items()})
+            raise ValueError("division by zero")
+        return Polynomial._exact(self.nvars, {m: v / c for m, v in self.terms.items()})
 
     def is_constant(self):
         return all(all(e == 0 for e in m) for m in self.terms)
@@ -111,12 +131,10 @@ class Polynomial:
     def diff(self, i):
         terms = {}
         for m, c in self.terms.items():
-            if m[i] == 0:
-                continue
-            mono = list(m)
-            mono[i] -= 1
-            terms[tuple(mono)] = terms.get(tuple(mono), Fraction(0)) + c * m[i]
-        return Polynomial(self.nvars, terms)
+            e = m[i]
+            if e:
+                terms[m[:i] + (e - 1,) + m[i + 1 :]] = c * e
+        return Polynomial._exact(self.nvars, terms)
 
     def degree(self, variables=None):
         """Max total degree; `variables` restricts which exponents count."""
@@ -127,39 +145,12 @@ class Polynomial:
         return max(sum(m[i] for i in variables) for m in self.terms)
 
     def __call__(self, *args):
-        """Value at the broadcast arguments.  Each variable's powers are built
-        once per call by repeated multiplication; each term multiplies its
-        coefficient by the scalar (0-d) arguments' powers first, as floats,
-        and by the array arguments' powers after."""
-        if len(args) != self.nvars:
-            raise ValueError(f"expected {self.nvars} arguments")
-        if self._plan is None:
-            # float coefficients and each variable's top power, made once
-            self._plan = (
-                [(float(c), m) for m, c in self.terms.items()],
-                [max((m[i] for m in self.terms), default=0) for i in range(self.nvars)],
-            )
-        terms, tops = self._plan
-        args = [np.asarray(a, float) for a in args]
-        shape = np.broadcast(*args).shape
-        scalars = [i for i, a in enumerate(args) if a.ndim == 0]
-        arrays = [i for i, a in enumerate(args) if a.ndim]
-        powers = []
-        for a, top in zip(args, tops):
-            a = a if a.ndim else float(a)
-            pw = [1.0, a]
-            for _ in range(1, top):
-                pw.append(pw[-1] * a)
-            powers.append(pw)
-        total = np.zeros(shape) if shape else 0.0
-        for c, m in terms:
-            for i in scalars:
-                c *= powers[i][m[i]]
-            for i in arrays:
-                if m[i]:
-                    c = c * powers[i][m[i]]
-            total = total + c
-        return total
+        """Value at the broadcast arguments, by the kernel of an Evaluator of
+        this polynomial alone (made on the first call): a float when every
+        argument is a scalar, else an array of the broadcast shape."""
+        if self._evaluator is None:
+            self._evaluator = Evaluator([self])
+        return self._evaluator(*args)[0]
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -176,6 +167,81 @@ class Polynomial:
             )
             bits.append(f"{c}*{vars_}" if vars_ else f"{c}")
         return "Polynomial(" + " + ".join(bits) + ")"
+
+
+# --------------------------------------------------------------------------
+# evaluation
+
+
+class Evaluator:
+    """Polynomials in the same variables, evaluated together: called with one
+    argument per variable, it returns the tuple of their values.
+
+    For each pattern of scalar (0-d) and array arguments it compiles, on
+    first use, one straight-line kernel that builds each variable's powers
+    once, by repeated multiplication, for every polynomial of the group.
+    Each polynomial's value starts from zeros of the broadcast shape (0.0
+    when every argument is a scalar) and adds its terms in dict order; a
+    term is its float coefficient times the scalar arguments' powers, as
+    floats, in variable order, then times the array arguments' powers, in
+    variable order.  The kernel's source holds only repr(float) coefficients
+    and integer indices.
+    """
+
+    __slots__ = ("nvars", "_terms", "_tops", "_kernels")
+
+    def __init__(self, polys):
+        self.nvars = polys[0].nvars
+        if any(poly.nvars != self.nvars for poly in polys):
+            raise ValueError("mixed variable counts")
+        self._terms = [[(float(c), m) for m, c in poly.terms.items()] for poly in polys]
+        self._tops = [
+            max((m[i] for terms in self._terms for _, m in terms), default=0)
+            for i in range(self.nvars)
+        ]
+        self._kernels = {}
+
+    def __call__(self, *args):
+        if len(args) != self.nvars:
+            raise ValueError(f"expected {self.nvars} arguments")
+        args = [np.asarray(a, float) for a in args]
+        pattern = tuple([a.ndim > 0 for a in args])
+        kernel = self._kernels.get(pattern)
+        if kernel is None:
+            kernel = self._kernels[pattern] = _compile(self._terms, self._tops, pattern)
+        return kernel(*args)
+
+
+def _compile(groups, tops, pattern):
+    """The kernel of an Evaluator for one pattern (True marks an array)."""
+    names = [f"x{i}" for i in range(len(tops))]
+    arrays = [i for i, is_array in enumerate(pattern) if is_array]
+    scalars = [i for i, is_array in enumerate(pattern) if not is_array]
+    # a term's factors: scalar powers first, then array powers
+    order = scalars + arrays
+
+    def power(i, k):
+        return names[i] if k == 1 and pattern[i] else f"{names[i]}_{k}"
+
+    lines = [f"def kernel({', '.join(names)}):"]
+    for i in scalars:
+        if tops[i]:
+            lines.append(f"    {power(i, 1)} = float({names[i]})")
+    for i, top in enumerate(tops):
+        for k in range(2, top + 1):
+            lines.append(f"    {power(i, k)} = {power(i, k - 1)} * {power(i, 1)}")
+    if arrays:
+        lines.append(f"    shape = broadcast({', '.join(names[i] for i in arrays)}).shape")
+    for g, terms in enumerate(groups):
+        lines.append(f"    t{g} = zeros(shape)" if arrays else f"    t{g} = 0.0")
+        for c, m in terms:
+            factors = [power(i, m[i]) for i in order if m[i]]
+            lines.append(f"    t{g} += {' * '.join([repr(c)] + factors)}")
+    lines.append(f"    return ({''.join(f't{g}, ' for g in range(len(groups)))})")
+    # the kernel leaves its namespace, so the two form no reference cycle
+    namespace = {"zeros": np.zeros, "broadcast": np.broadcast}
+    exec(compile("\n".join(lines), "<polynomial kernel>", "exec"), namespace)
+    return namespace.pop("kernel")
 
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import brouwer
-from .polynomial import parse_polynomial
+from .polynomial import Evaluator, parse_polynomial
 
 __all__ = [
     "GroupAction",
@@ -527,25 +527,25 @@ def from_config_dict(cfg: dict) -> PotentialSpec:
     F = parse_polynomial(f_text, names)
     grads = [F.diff(i) for i in range(p)]
     # the upper triangle; hess mirrors it, bitwise symmetric at half the cost
-    hesses = {(i, j): grads[i].diff(j) for i in range(p) for j in range(i, p)}
+    upper = [(i, j) for i in range(p) for j in range(i, p)]
+    grad_values = Evaluator(grads)
+    hess_values = Evaluator([grads[i].diff(j) for i, j in upper])
 
     def split(u):
         return [u[..., i] for i in range(p)]
 
     def grad(u, lam):
         u = np.asarray(u, float)
-        args = split(u) + [lam]
         G = np.empty(u.shape)
-        for i, g in enumerate(grads):
-            G[..., i] = g(*args)
+        for i, g in enumerate(grad_values(*split(u), lam)):
+            G[..., i] = g
         return G
 
     def hess(u, lam):
         u = np.asarray(u, float)
-        args = split(u) + [lam]
         H = np.empty(u.shape + (p,))
-        for (i, j), h in hesses.items():
-            H[..., i, j] = H[..., j, i] = h(*args)
+        for (i, j), h in zip(upper, hess_values(*split(u), lam)):
+            H[..., i, j] = H[..., j, i] = h
         return H
 
     grad_degree = max((g.degree(variables=range(p)) for g in grads), default=0)

@@ -234,6 +234,14 @@ class TestCheckCommand:
         assert doc["assumptions"]["B3"]["status"] == "pass"
         assert doc["assumptions"]["B4"]["status"] == "pass"
 
+    def test_division_by_zero_in_potential_file(self, capsys, tmp_path):
+        cfg = tmp_path / "z.cfg"
+        cfg.write_text("[potential]\np = 1\nu0 = 0\na = 1\nf = lambda*u1^2/2 - u1^4/(2-2)\n")
+        code, out, err = run(capsys, "check", "--potential-file", str(cfg))
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError" and "division by zero" in error["message"]
+
 
 class TestVerifyCommand:
     def test_degenerate_is_consistent(self, capsys):

@@ -163,6 +163,13 @@ class TestBuiltinData:
             for _ in range(100):
                 spec.grad(U, 2.0)
             assert gc.collect() == 0
+            # nor does a spec with its compiled kernels, once dropped
+            spec = builtin("so2-ring")
+            for u in (U, spec.u0):
+                spec.grad(u, 2.0)
+                spec.hess(u, 2.0)
+            del spec
+            assert gc.collect() == 0
         finally:
             gc.enable()
 
@@ -181,18 +188,15 @@ class TestNormalSlice:
         np.testing.assert_allclose(sl.basis[:, 0], [1.0, 0.0], atol=1e-14)
 
     def test_so2_in_three_dims(self):
-        spec = builtin("so2-ring")
-        spec3 = potentials.PotentialSpec(
-            name="ring3",
-            p=3,
-            action=so2_action(3, plane=(0, 1)),
-            u0=np.array([1.0, 0.0, 0.0]),
-            grad=lambda u, lam: np.concatenate(
-                [np.asarray(spec.grad(np.asarray(u)[..., :2], lam)), np.zeros_like(np.asarray(u)[..., :1])],
-                axis=-1,
-            ),
-            hess=lambda u, lam: np.zeros(np.asarray(u).shape[:-1] + (3, 3)),
-            A=np.zeros((3, 3)),
+        spec3 = from_config_dict(
+            {
+                "name": "ring3",
+                "p": "3",
+                "action": "so2(1,2)",
+                "u0": "1 0 0",
+                "a": "1 0 0; 0 0 0; 0 0 0",
+                "f": "lambda*(u1^2 + u2^2 - 1)^2/8",
+            }
         )
         sl = normal_slice(spec3)
         assert sl.dimension == 2
