@@ -6,20 +6,21 @@ numpy arrays, with `order` broadcasting against `x`, and returns a float for
 scalar input.  Each entry is summed by the ascending series for |x| <=
 SERIES_CUTOFF and by Miller's downward recurrence above it (DLMF §10.74(i)
 and (iii), §3.6(iii)); the series stops entry by entry.  The Neumann roots of all
-angular orders are bracketed on one grid and refined by bisection together,
-several bisection levels per call with the bits of one level per call.
+angular orders are bracketed on one grid and refined together by safeguarded
+Newton steps of one Bessel call each, J'' and j'' from DLMF §10.2.1, §10.47.1.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 SERIES_CUTOFF = 12.0
 ROOT_GRID_STEP = 0.1
-ROOT_TOL = 1e-12
-_LEVELS = 4  # bisection levels of every bracket per call of the function
+_NEWTON_RTOL = 1e-12  # a root is done when its Newton step is at most this times x
+_NEWTON_STEPS = 60  # more than the bisection levels from ROOT_GRID_STEP to _NEWTON_RTOL
 
 
 def besselj(order, x):
@@ -34,17 +35,29 @@ def sphericalj(order, x):
 
 def besseljp(order, x):
     """Derivative J_order'(x), with J_{-1} = -J_1."""
-    order, x = np.broadcast_arrays(np.asarray(order), np.asarray(x, float))
-    vals = besselj(np.stack([np.where(order == 0, 1, order - 1), order + 1]), x)
-    lower = np.where(order == 0, -vals[0], vals[0])
-    return _out(0.5 * (lower - vals[1]))
+    return _out(_radial(2, *np.broadcast_arrays(np.asarray(order), np.asarray(x, float)))[0])
 
 
 def sphericaljp(order, x):
     """Derivative j_order'(x); j_0' = -j_1."""
-    order, x = np.broadcast_arrays(np.asarray(order), np.asarray(x, float))
-    vals = sphericalj(np.stack([np.where(order == 0, 1, order - 1), order]), x)
-    return _out(np.where(order == 0, -vals[0], vals[0] - (order + 1.0) / x * vals[1]))
+    return _out(_radial(3, *np.broadcast_arrays(np.asarray(order), np.asarray(x, float)))[0])
+
+
+def _radial(ambient_dim, order, x):
+    """g = J_order' (N = 2) or j_order' (N = 3) from one Bessel call over the orders
+    (l - 1, l + 1) or (l - 1, l), (1, 0) at l = 0, and g' from x^2 f'' + (N - 1) x f'
+    + (x^2 - l (l + N - 2)) f = 0 for f = J_l = x (J_{l-1} + J_{l+1}) / 2l or j_l."""
+    zero = order == 0
+    if ambient_dim == 2:
+        vals = besselj(np.stack([np.where(zero, 1, order - 1), np.where(zero, 0, order + 1)]), x)
+        g = np.where(zero, -vals[0], 0.5 * (vals[0] - vals[1]))
+        f = np.where(zero, vals[1], x * (vals[0] + vals[1]) / (2 * np.maximum(order, 1)))
+    else:
+        vals = sphericalj(np.stack([np.where(zero, 1, order - 1), order]), x)
+        g, f = np.where(zero, -vals[0], vals[0] - (order + 1.0) / x * vals[1]), vals[1]
+    with np.errstate(divide="ignore", invalid="ignore"):  # g' is not wanted at x = 0
+        curvature = 1.0 - order * (order + ambient_dim - 2.0) / (x * x)
+        return g, -(ambient_dim - 1.0) * g / x - curvature * f
 
 
 def _out(values):
@@ -164,59 +177,46 @@ def neumann_roots(ambient_dim: int, x_max: float) -> list[list[float]]:
     j_l'(x) = 0 for N = 3.  Entry l of the result lists the roots of order l,
     ascending; the list ends before the first order l > 0 with no root.
     """
-    if ambient_dim == 2:
-        g = besseljp
-    elif ambient_dim == 3:
-        g = sphericaljp
-    else:
+    if ambient_dim not in (2, 3):
         raise ValueError("ball domains are supported for N in {2, 3}")
+    if not 0.0 < x_max < math.inf:
+        raise ValueError(f"x_max must be positive and finite, got {x_max}")
     # the grid 0.05, 0.15, ... accumulates like a running sum and ends at x_max
-    steps = int(max(x_max, 0.0) / ROOT_GRID_STEP) + 2
-    grid = np.cumsum(np.r_[0.5 * ROOT_GRID_STEP, np.full(steps, ROOT_GRID_STEP)])
-    grid = grid[grid < x_max]
-    if grid.size:
-        grid = np.r_[grid, x_max]
+    grid = np.cumsum(ROOT_GRID_STEP * np.r_[0.5, np.ones(int(x_max / ROOT_GRID_STEP) + 2)])
+    grid = np.r_[grid[grid < x_max], x_max]
     # the first root of order l >= 1 exceeds l, so orders above x_max have none
-    orders = np.arange(int(max(x_max, 0.0)) + 2)
-    vals = g(orders[:, None], grid[None, :])
+    orders = np.arange(int(x_max) + 2)
+    newton = functools.partial(_radial, ambient_dim)
+    vals = newton(orders[:, None], grid[None, :])[0]
     fa, fb = vals[:, :-1], vals[:, 1:]
     # an exact grid zero is underflow (x^(l-1) tail), not a root bracket
     l_idx, k_idx = np.nonzero((fa != 0.0) & (fb != 0.0) & (fa * fb < 0.0))
-    roots = _bisect(g, l_idx, grid[k_idx], grid[k_idx + 1], fa[l_idx, k_idx])
+    roots = _newton(newton, l_idx, grid[k_idx], grid[k_idx + 1], fa[l_idx, k_idx], fb[l_idx, k_idx])
     out = [roots[l_idx == l].tolist() for l in orders]
-    top = next(l for l in range(1, len(out)) if not out[l])
-    return out[:top]
+    return out[:next(l for l in range(1, len(out)) if not out[l])]
 
 
-def _bisect(g, order, a, b, fa):
-    """Bisect every bracket [a, b] of g(order, .) together down to ROOT_TOL.
-
-    Each call of g takes every midpoint of the next _LEVELS bisection levels
-    of each live bracket, 2^_LEVELS - 1 of them in heap order (the children
-    of node i are 2i + 1, left, and 2i + 2).  The levels are then replayed one
-    at a time with the tests of one-level bisection, so the roots are the
-    same bits as bisecting one level per call."""
-    exact = np.full(a.size, np.nan)  # a midpoint where g is exactly 0
-    live = np.nonzero(b - a > ROOT_TOL)[0]
-    while live.size:
-        lo, hi, mids = a[live][None, :], b[live][None, :], []
-        for _ in range(_LEVELS):
-            mid = 0.5 * (lo + hi)
-            mids.append(mid)
-            lo = np.stack([lo, mid], axis=1).reshape(-1, live.size)
-            hi = np.stack([mid, hi], axis=1).reshape(-1, live.size)
-        mids = np.concatenate(mids)
-        vals = g(np.broadcast_to(order[live], mids.shape), mids)
-        col, node = np.arange(live.size), np.zeros(live.size, int)
-        for _ in range(_LEVELS):
-            mid, fm = mids[node, col], vals[node, col]
-            hit = fm == 0.0
-            exact[live[hit]] = mid[hit]
-            left = ~hit & (fa[live] * fm < 0.0)
-            right = ~hit & ~left
-            b[live[left]] = mid[left]
-            a[live[right]] = mid[right]
-            fa[live[right]] = fm[right]
-            keep = np.isnan(exact[live]) & (b[live] - a[live] > ROOT_TOL)
-            live, col, node = live[keep], col[keep], (2 * node + np.where(left, 1, 2))[keep]
-    return np.where(np.isnan(exact), 0.5 * (a + b), exact)
+def _newton(newton, order, a, b, fa, fb):
+    """Roots of g(order, .) in brackets (a, b) with g(a) = fa, g(b) = fb of opposite
+    signs by safeguarded Newton, all together; newton(order, x) gives g and g'.  Each
+    step calls newton once at the live iterates (first the regula-falsi points), moves
+    the bracket end where g has its sign to the iterate, and takes the Newton point or,
+    if that is not inside, the midpoint.  A root is an iterate where g is exactly 0 or
+    the Newton point of a step <= _NEWTON_RTOL x; one live after _NEWTON_STEPS raises."""
+    x = a - fa * (b - a) / (fb - fa)
+    root, live = np.full(a.size, np.nan), np.arange(a.size)
+    for _ in range(_NEWTON_STEPS):
+        if not live.size:
+            return root
+        g, dg = newton(order, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = np.where(g == 0.0, x, x - g / dg)
+        left = fa * g < 0.0
+        a, b, fa = np.where(left, a, x), np.where(left, x, b), np.where(left, fa, g)
+        done = np.abs(new - x) <= _NEWTON_RTOL * x
+        root[live[done]] = new[done]
+        x = np.where((new > a) & (new < b), new, 0.5 * (a + b))
+        live, order, x, a, b, fa = (v[~done] for v in (live, order, x, a, b, fa))
+    if live.size:
+        raise RuntimeError(f"Neumann root of order {order[0]} not converged in ({a[0]}, {b[0]})")
+    return root

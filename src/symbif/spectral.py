@@ -136,8 +136,8 @@ def ball_neumann_spectrum(ambient_dim: int, beta_cutoff: float) -> list[LaplaceE
     """
     if ambient_dim not in (2, 3):
         raise ValueError("ball domains are supported for N in {2, 3}")
-    if beta_cutoff <= 0.0:
-        raise ValueError("beta_cutoff must be positive")
+    if not 0.0 < beta_cutoff < math.inf:
+        raise ValueError(f"beta_cutoff must be positive and finite, got {beta_cutoff}")
     entries = [(0.0, 0, 1)]  # (beta, l, radial_index)
     for l, roots in enumerate(bessel.neumann_roots(ambient_dim, math.sqrt(beta_cutoff))):
         base = 2 if l == 0 else 1  # the constant mode occupies radial_index 1

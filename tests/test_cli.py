@@ -876,7 +876,11 @@ class TestVerifyGoldenDigests:
     writes, under one or two BLAS threads.  The 2-sphere digests were
     recorded before the isotypic-block skip of the branch-point diagnostics,
     the circle and disk digests before each branch point's blocks shared
-    one nodal Hessian: neither changes a byte."""
+    one nodal Hessian: neither changes a byte.  The disk digests were
+    re-recorded when the Neumann roots went from bisection to 1e-12 to
+    Newton refinement to working precision, which moves the disk's beta and
+    branch values in their last bits (verdicts, detected levels, point counts
+    and terminations unchanged)."""
 
     DIGESTS = {
         ("pitchfork-scalar", "12"): {
@@ -927,18 +931,18 @@ class TestVerifyGoldenDigests:
             "r.branch-9.json": "34573d1666b997e0ffee2fcfe885e1f682c492f1303d50481fab14651a59d9c9",
         },
         ("pitchfork-scalar", "disk"): {
-            "r": "66e1b5a6af7a126c46ecb64c727d094c47ea5ddb1802a4b3f5797b32fe90f31d",
-            "r.branch-3.38996.csv": "6cf7effbfacb9838f170ac6978404452ffd9239eab6882dddedc3b205aa92943",
-            "r.branch-3.38996.json": "3e5f05063cb8d8aa04b8a808e103287c47189fe80ee95ffb24b05b37486bbfa6",
-            "r.branch-9.32836.csv": "e2858634ba19a8ca97d34add8ff6bf2d52a624b7e117ac9a455e2259a6677066",
-            "r.branch-9.32836.json": "807653b019537b0c38b34e980a036e88384348497f8b05704915c92052c10c7c",
+            "r": "b3e7f0089ec8c0053b44c83dd33afda67bfac8bc0fb4b2b47e9babc93c848055",
+            "r.branch-3.38996.csv": "809ac6c556082b0939a9c619295e5d15bb8ff1c50f1130ba46bdc77991d642f9",
+            "r.branch-3.38996.json": "8ece99685f702b7b0455a6711ea958108d10ee7277b129805d1606c11dbd3b9a",
+            "r.branch-9.32836.csv": "0f26d5c2a540069ef112ec9248920819c32875e522b670a24fb8649dad962784",
+            "r.branch-9.32836.json": "33f4ffea5914f4d9a19b6d3bb5f0d98ac0a4c85087e46fd41162c2be7300f684",
         },
         ("so2-ring", "disk"): {
-            "r": "8ad9341cb473009788c3641d672e19c5e40b25c1035dcc1101eec6aed1e29350",
-            "r.branch-3.38996.csv": "9fb4b2258d8a98b6c7337e23d321cd2b812a68f95f776ad8291bbf15328d26c1",
-            "r.branch-3.38996.json": "2d17ed749bba2f67eb4d1c3748d28e4ec65cb311b01088a9590b86cdea3fc60d",
-            "r.branch-9.32836.csv": "b671ede4067ae6adae8da038847901899f79868bd48fb00ac4d1edc3daad85ea",
-            "r.branch-9.32836.json": "f1e966f493f8bea2036064d2762dd870212106afacfbcdb681b8ce4358fd4981",
+            "r": "54ca555f1bcbbf54411a278e5fb56a8ba4d1655d063afa0048fa58e47f98f463",
+            "r.branch-3.38996.csv": "e0ff5e286d4a4555b670f406026be1fb6e4a8e22f84e2e54cdc5f0eb1d6b7411",
+            "r.branch-3.38996.json": "e3c84d79f5e60f4e816c6be85b61ab3f95eda0d451cf9d7f31af6b462a2ea97c",
+            "r.branch-9.32836.csv": "f38f90d9582eabbe977f75d06cf61afa3792266c8690ef66ceee461122ed158d",
+            "r.branch-9.32836.json": "ba9c85dd6abbe0ef522d3e4d04c3dd403bb3864a04cf47c9ce59615469f1ca54",
         },
     }
 

@@ -644,6 +644,17 @@ RECORDED_NEWTON_HEX = {
         "0x1.352707d14b900p+0", "0x1.4b55f77bd6e07p+0", "0x1.645836b6a3af2p+0",
     ],
     "disk_pitchfork": [
+        "0x1.b21cbae002863p+1", "0x1.b24a5f875fd2cp+1", "0x1.b2a27c502ffd6p+1",
+        "0x1.b34cae8d8ca88p+1", "0x1.b4947e9c6ae46p+1", "0x1.b706d7a8126f5p+1",
+        "0x1.bba09650816c6p+1", "0x1.c40bab55bac3cp+1", "0x1.d203dde913e2bp+1",
+        "0x1.e2480c5acbd0cp+1", "0x1.f42dbf8dbc9a9p+1", "0x1.03a1735e6f9ebp+2",
+    ],
+}
+
+# the disk branch as recorded when the Neumann roots were bisected to 1e-12
+# instead of refined by Newton to working precision
+BISECTION_NEWTON_HEX = {
+    "disk_pitchfork": [
         "0x1.b21cbae002155p+1", "0x1.b24a5f875f61dp+1", "0x1.b2a27c502f8cbp+1",
         "0x1.b34cae8d8c37ep+1", "0x1.b4947e9c6a763p+1", "0x1.b706d7a8120bcp+1",
         "0x1.bba0965081113p+1", "0x1.c40bab55b96b4p+1", "0x1.d203dde912b7ep+1",
@@ -728,6 +739,9 @@ class TestChordCorrector:
         assert branch.termination == "lambda-limit"
         assert len(chords) >= len(branch.points) - 1
         _assert_near_full_rule(branch, FULL_RULE_NEWTON_HEX[fixture])
+        if fixture in BISECTION_NEWTON_HEX:
+            lams = [bp.lam for bp in branch.points]
+            _assert_near_recorded(lams, BISECTION_NEWTON_HEX[fixture], 1e-11)
         assert [bp.lam.hex() for bp in branch.points] == RECORDED_NEWTON_HEX[fixture]
 
     @staticmethod
@@ -1680,12 +1694,20 @@ class TestExport:
 RECORDED_DISK200_HEX = {
     "level": ["0x1.b1ea226b51ebap+1"],
     "branch": [
-        "0x1.b2a4592237203p+1", "0x1.b346934e170ddp+1", "0x1.b475492f71755p+1",
-        "0x1.b69de301e0335p+1", "0x1.ba6bf5151f9bfp+1", "0x1.c0d505572fc1fp+1",
-        "0x1.cb21af222af86p+1", "0x1.db034148fa998p+1", "0x1.f180e8fedadc6p+1",
-        "0x1.046e07cfdc614p+2", "0x1.105f41fd2e9edp+2",
+        "0x1.b2a4592237911p+1", "0x1.b346934e17803p+1", "0x1.b475492f71e83p+1",
+        "0x1.b69de301e0907p+1", "0x1.ba6bf5151fbbdp+1", "0x1.c0d5055730a5bp+1",
+        "0x1.cb21af222b667p+1", "0x1.db034148faaddp+1", "0x1.f180e8fed8b7ap+1",
+        "0x1.046e07cfdb8eap+2", "0x1.105f41fd2d330p+2",
     ],
 }
+
+# the branch as recorded when the Neumann roots were bisected to 1e-12
+BISECTION_DISK200_BRANCH_HEX = [
+    "0x1.b2a4592237203p+1", "0x1.b346934e170ddp+1", "0x1.b475492f71755p+1",
+    "0x1.b69de301e0335p+1", "0x1.ba6bf5151f9bfp+1", "0x1.c0d505572fc1fp+1",
+    "0x1.cb21af222af86p+1", "0x1.db034148fa998p+1", "0x1.f180e8fedadc6p+1",
+    "0x1.046e07cfdc614p+2", "0x1.105f41fd2e9edp+2",
+]
 
 # the branch on the half-turn rule as recorded when the switch took full
 # Newton steps and a stalled chord restarted full Newton from the predictor
@@ -1725,12 +1747,10 @@ class TestDiskBuild:
         build_problem(ball(2), builtin("so2-ring"), beta_cutoff=200.0)
         assert calls["ball_neumann_spectrum"] == 1
         assert calls["neumann_roots"] == 1
-        # one call on the root grid, one per _LEVELS of the bisection from
-        # the grid step down to ROOT_TOL, then one for the basis norms and
-        # one for the radial table
-        levels = math.ceil(math.log2(bessel.ROOT_GRID_STEP / bessel.ROOT_TOL))
-        assert levels == 37
-        assert calls["besselj"] <= 1 + math.ceil(levels / bessel._LEVELS) + 2
+        # one call on the root grid, one per Newton step of the roots (three
+        # from the regula-falsi points; a bisection to 1e-12 takes 37 levels),
+        # then one for the basis norms and one for the radial table
+        assert calls["besselj"] == 1 + 3 + 2
 
     def test_so2_ring_beta_200_branch_matches_recorded_bits(self):
         # the disk workload's so2-ring pipeline at beta <= 200: the level
@@ -1738,9 +1758,10 @@ class TestDiskBuild:
         # lambda*/4 (11 points, terminated at the lambda limit), as float.hex:
         # the level as recorded with one bisection level per Bessel call and
         # one Bessel call per basis function, the branch on the half-turn rule
-        # with the retaking corrector, within 1e-9 |lambda| of the branch its
-        # restarting predecessor computed, which was within 1e-11 |lambda| of
-        # the full-rule branch
+        # with the retaking corrector and the Newton-refined Neumann roots,
+        # within 1e-11 |lambda| of the branch on the bisected roots and 1e-9
+        # |lambda| of the branch its restarting predecessor computed, which
+        # was within 1e-11 |lambda| of the full-rule branch
         prob = build_problem(ball(2), builtin("so2-ring"), beta_cutoff=200.0)
         detected = detect_bifurcation(prob, (0.5, 6.25))
         assert [d.hex() for d in detected] == RECORDED_DISK200_HEX["level"]
@@ -1748,6 +1769,7 @@ class TestDiskBuild:
         limits = (lam - 0.25 * lam, lam + 0.25 * lam)
         branch = continue_branch(prob, switch_branch(prob, lam), limits)
         assert branch.termination == "lambda-limit"
+        _assert_near_recorded([bp.lam for bp in branch.points], BISECTION_DISK200_BRANCH_HEX, 1e-11)
         _assert_near_recorded([bp.lam for bp in branch.points], RESTART_DISK200_BRANCH_HEX, 1e-9)
         restart = [float.fromhex(h) for h in RESTART_DISK200_BRANCH_HEX]
         _assert_near_recorded(restart, FULL_RULE_DISK200_BRANCH_HEX, 1e-11)

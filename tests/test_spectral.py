@@ -75,58 +75,73 @@ def scipy_neumann_roots(ambient_dim, l, x_max):
     else:
         g = lambda x: special.spherical_jn(l, x, derivative=True)
     xs = np.linspace(1e-3, x_max, 4 * int(x_max * 10))
-    vals = np.array([g(x) for x in xs])
+    vals = g(xs)
     roots = []
     for i in range(len(xs) - 1):
         if vals[i] == 0.0:
             roots.append(xs[i])
         elif vals[i] * vals[i + 1] < 0:
-            roots.append(optimize.brentq(g, xs[i], xs[i + 1], xtol=1e-14))
+            roots.append(optimize.brentq(g, xs[i], xs[i + 1], xtol=1e-15))
     return roots
 
 
-def bisect_one_level_per_call(g, order, a, b, fa):
-    """Reference bisection: one midpoint of every live bracket per call of g."""
-    exact = np.full(a.size, np.nan)
-    while True:
-        live = np.nonzero(np.isnan(exact) & (b - a > bessel.ROOT_TOL))[0]
-        if not live.size:
-            return np.where(np.isnan(exact), 0.5 * (a + b), exact)
-        mid = 0.5 * (a[live] + b[live])
-        fm = g(order[live], mid)
-        hit = fm == 0.0
-        exact[live[hit]] = mid[hit]
-        left = ~hit & (fa[live] * fm < 0.0)
-        right = ~hit & ~left
-        b[live[left]] = mid[left]
-        a[live[right]] = mid[right]
-        fa[live[right]] = fm[right]
+class Recorder:
+    """A newton callable for bessel._newton built from one (g, g') stub per
+    order, recording the points of every call."""
+
+    def __init__(self, *stubs):
+        self.stubs, self.calls = stubs, []
+
+    def __call__(self, order, x):
+        self.calls.append(x.copy())
+        out = np.array([self.stubs[l](xi) for l, xi in zip(order, x)]).reshape(-1, 2)
+        return out[:, 0], out[:, 1]
+
+
+def refine(newton, brackets):
+    """Run bessel._newton on brackets (a, b), order k for the k-th."""
+    a, b = (np.array(v, float) for v in zip(*brackets))
+    g = lambda x: np.array([newton.stubs[k](xk)[0] for k, xk in enumerate(x)])
+    return bessel._newton(newton, np.arange(a.size), a, b, g(a), g(b))
+
+
+class TestNewtonRefinement:
+    def test_a_step_that_leaves_the_bracket_falls_back_to_the_midpoint(self):
+        # atan(x - r): from the regula-falsi point, 7.5 left of r, the
+        # Newton step lands 75 right of it, outside the bracket, and
+        # unguarded Newton diverges from there; the midpoint is taken instead
+        r = 1.0 / 3.0
+        stub = lambda x: (math.atan(x - r), 1.0 / (1.0 + (x - r) ** 2))
+        newton = Recorder(stub)
+        root = refine(newton, [(-20.0, 3.0)])[0]
+        assert abs(root - r) <= 1e-15
+        x0, x1 = newton.calls[0][0], newton.calls[1][0]
+        assert x0 < r - 5.0 and x0 - stub(x0)[0] / stub(x0)[1] > 3.0
+        assert x1 == 0.5 * (x0 + 3.0)
+        assert len(newton.calls) < 15
+
+    def test_an_exact_zero_at_an_iterate_is_the_root(self):
+        # (x - 1/2)^3 is 0 at the regula-falsi point of (0, 1), where its
+        # derivative is 0 too, so only the exact-zero rule ends that bracket
+        # (on the first call); a second bracket converges beside it
+        cubic = lambda x: ((x - 0.5) ** 3, 3.0 * (x - 0.5) ** 2)
+        newton = Recorder(cubic, lambda x: (x * x - 2.0, 2.0 * x))
+        roots = refine(newton, [(0.0, 1.0), (1.0, 2.0)])
+        assert roots[0] == 0.5 and abs(roots[1] - math.sqrt(2.0)) <= 1e-15
+        assert newton.calls[0][0] == 0.5
+        assert all(c.size == 1 for c in newton.calls[1:])
+
+    def test_a_bracket_that_never_meets_the_step_test_raises(self):
+        # a jump, not a root: every Newton step is 1, so the bracket is
+        # bisected down to adjacent floats and never returned
+        jump = lambda x: (-1.0 if x < 1.0 / 3.0 else 1.0, 1.0)
+        newton = Recorder(jump)
+        with pytest.raises(RuntimeError, match=r"order 0 not converged in \(0\.33"):
+            refine(newton, [(0.0, 1.0)])
+        assert len(newton.calls) == bessel._NEWTON_STEPS
 
 
 class TestBallSpectrum:
-    @pytest.mark.parametrize("ambient_dim", [2, 3])
-    @pytest.mark.parametrize(
-        "x_max", [math.sqrt(20.0), math.sqrt(60.0), math.sqrt(200.0), 30.0],
-        ids=["sqrt20", "sqrt60", "sqrt200", "30"],
-    )
-    def test_roots_are_bit_for_bit_those_of_one_level_per_call(
-        self, ambient_dim, x_max, monkeypatch
-    ):
-        roots = bessel.neumann_roots(ambient_dim, x_max)
-        monkeypatch.setattr(bessel, "_bisect", bisect_one_level_per_call)
-        assert roots == bessel.neumann_roots(ambient_dim, x_max)
-
-    def test_bisection_keeps_exact_zeros_at_midpoints(self):
-        # zeros at the first midpoint (0.5) and at a third-level one (0.375)
-        # end their brackets there, beside a bracket that runs to ROOT_TOL
-        zeros = np.array([0.5, 0.375, 1.0 / 3.0])
-        g = lambda order, x: x - zeros[order]
-        order = np.arange(3)
-        args = lambda: (order, np.zeros(3), np.ones(3), -zeros.copy())
-        got = bessel._bisect(g, *args())
-        np.testing.assert_array_equal(got, bisect_one_level_per_call(g, *args()))
-        assert got[0] == 0.5 and got[1] == 0.375 and abs(got[2] - 1.0 / 3.0) <= bessel.ROOT_TOL
-
     def test_disk_catalog(self):
         entries = spectral.ball_neumann_spectrum(2, 10.0)
         by_l = {(e.angular_degree, e.radial_index): e for e in entries}
@@ -159,7 +174,7 @@ class TestBallSpectrum:
             mine = roots[l]
             oracle = scipy_neumann_roots(2, l, 12.0)
             for a, b in zip(mine[:3], oracle[:3]):
-                assert abs(a - b) < 1e-10
+                assert abs(a - b) < 1e-12
 
     def test_root_residuals_and_spacing(self):
         all_roots = bessel.neumann_roots(2, 14.0)
@@ -177,9 +192,32 @@ class TestBallSpectrum:
             oracle = special.jnp_zeros(l, 12)
             oracle = oracle[oracle <= x_max]
             assert len(mine) == len(oracle)
-            np.testing.assert_allclose(mine, oracle, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(mine, oracle, rtol=0, atol=1e-12)
         # the list ends before the first order without a root
         assert special.jnp_zeros(len(roots), 1)[0] > x_max
+
+    def test_ball3_all_orders_match_brentq(self):
+        x_max = 30.0
+        roots = bessel.neumann_roots(3, x_max)
+        for l, mine in enumerate(roots):
+            oracle = scipy_neumann_roots(3, l, x_max)
+            assert len(mine) == len(oracle) > 0
+            np.testing.assert_allclose(mine, oracle, rtol=0, atol=1e-12)
+        assert not scipy_neumann_roots(3, len(roots), x_max)
+
+    @pytest.mark.parametrize("ambient_dim", [2, 3])
+    def test_roots_below_8_to_working_precision(self, ambient_dim):
+        # below the series' rounding floor near x = 12 every root is within
+        # a few ulps of scipy's; a bisection to 1e-12 misses this by 2.6e-13
+        roots = bessel.neumann_roots(ambient_dim, 8.0)
+        for l, mine in enumerate(roots):
+            if ambient_dim == 2:
+                oracle = special.jnp_zeros(l, 4)
+                oracle = oracle[oracle <= 8.0]
+            else:
+                oracle = scipy_neumann_roots(3, l, 8.0)
+            assert len(mine) == len(oracle)
+            np.testing.assert_allclose(mine, oracle, rtol=0, atol=5e-14)
 
     def test_no_root_below_the_order(self):
         # neumann_roots scans the orders l <= x_max + 1 only: for l >= 1 the
@@ -196,6 +234,13 @@ class TestBallSpectrum:
             spectral.ball_neumann_spectrum(4, 10.0)
         with pytest.raises(ValueError):
             spectral.ball_neumann_spectrum(2, 0.0)
+
+    @pytest.mark.parametrize("cutoff", [math.inf, math.nan, -1.0, 0.0])
+    def test_cutoff_must_be_positive_and_finite(self, cutoff):
+        with pytest.raises(ValueError, match="beta_cutoff must be positive and finite"):
+            spectral.ball_neumann_spectrum(2, cutoff)
+        with pytest.raises(ValueError, match="x_max must be positive and finite"):
+            bessel.neumann_roots(3, cutoff)
 
     def test_sorted_with_positive_multiplicities(self):
         entries = spectral.ball_neumann_spectrum(2, 80.0)
