@@ -39,7 +39,8 @@ def besseljp(order, x):
 
 
 def sphericaljp(order, x):
-    """Derivative j_order'(x); j_0' = -j_1."""
+    """Derivative j_order'(x); j_0' = -j_1, and at x = 0 the limit: 1/3 for
+    order 1, 0 otherwise."""
     return _out(_radial(3, *np.broadcast_arrays(np.asarray(order), np.asarray(x, float)))[0])
 
 
@@ -54,7 +55,9 @@ def _radial(ambient_dim, order, x):
         f = np.where(zero, vals[1], x * (vals[0] + vals[1]) / (2 * np.maximum(order, 1)))
     else:
         vals = sphericalj(np.stack([np.where(zero, 1, order - 1), order]), x)
-        g, f = np.where(zero, -vals[0], vals[0] - (order + 1.0) / x * vals[1]), vals[1]
+        with np.errstate(divide="ignore", invalid="ignore"):  # j_l'(0) is its limit
+            g = np.where(zero, -vals[0], vals[0] - (order + 1.0) / x * vals[1])
+        g, f = np.where(x == 0.0, (order == 1) / 3.0, g), vals[1]
     with np.errstate(divide="ignore", invalid="ignore"):  # g' is not wanted at x = 0
         curvature = 1.0 - order * (order + ambient_dim - 2.0) / (x * x)
         return g, -(ambient_dim - 1.0) * g / x - curvature * f

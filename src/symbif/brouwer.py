@@ -1,5 +1,4 @@
-"""Brouwer degree of continuous maps on intervals and on 2-D or 3-D boxes and
-balls.
+"""Brouwer degree of continuous maps on intervals and on 2-D or 3-D boxes.
 
 The 1-D degree is an endpoint-sign formula.  In dimensions 2 and 3 one
 boundary method computes the degree: the signed measure swept by the
@@ -27,7 +26,6 @@ __all__ = [
     "InconclusiveDegreeError",
     "Interval",
     "Box",
-    "BallRegion",
     "degree_1d",
     "degree_nd",
 ]
@@ -65,20 +63,6 @@ class Box:
     @property
     def dim(self):
         return len(self.lo)
-
-
-@dataclass(frozen=True)
-class BallRegion:
-    center: tuple
-    radius: float
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-
-    @property
-    def dim(self):
-        return len(self.center)
 
 
 def degree_1d(f, interval: Interval) -> int:
@@ -201,15 +185,10 @@ def _triangles(cells):
     return tris, np.array(owner)
 
 
-def _surface_points(region, t):
-    """Map points t of the unit cube's boundary onto the region boundary:
-    affinely onto a box, radially projected onto a ball's sphere."""
-    if isinstance(region, Box):
-        lo = np.asarray(region.lo, float)
-        return lo + (np.asarray(region.hi, float) - lo) * t
-    x = 2.0 * t - 1.0
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    return np.asarray(region.center, float) + region.radius * x
+def _surface_points(box, t):
+    """Map points t of the unit cube's boundary affinely onto the box's."""
+    lo = np.asarray(box.lo, float)
+    return lo + (np.asarray(box.hi, float) - lo) * t
 
 
 def _mesh_degree(f, region, cells, images):
@@ -261,8 +240,8 @@ def _mesh_degree(f, region, cells, images):
 def degree_nd(f, region) -> int:
     """Degree of a 2-D or 3-D map from the signed measure of its boundary image.
 
-    The boundary of the box (or, projected radially, of the ball) is cut
-    into cells, starting from 16 per side in 2-D and 2 x 2 per face in 3-D.
+    The boundary of the box is cut into cells, starting from 16 per side in
+    2-D and 2 x 2 per face in 3-D.
     A 2-D cell is one counterclockwise segment; a 3-D cell is a square cut
     into outward-oriented triangles.  f is evaluated once at each vertex.
     On a mesh whose image simplices have vertices pairwise less than pi/2
@@ -284,8 +263,8 @@ def degree_nd(f, region) -> int:
     vertices or cells finer than the dyadic limit, or a sum is not within
     1e-6 of an integer.  The result is deterministic.
     """
-    if not isinstance(region, (Box, BallRegion)):
-        raise ValueError("degree_nd needs a box or ball region")
+    if not isinstance(region, Box):
+        raise ValueError("degree_nd needs a box region")
     if region.dim not in _START_CELLS:
         raise ValueError("degree_nd supports dimensions 2 and 3 only")
 

@@ -98,16 +98,21 @@ Hessian and copies block (i, j) into (j, i).  Continuation evaluates the
 nodal Hessian once per accepted point (_make_point), whose first block is
 the J of the next tangent, and once at its start point.  One corrector,
 _bordered_newton, serves the switch and the continuation.  It reuses its
-bordered matrix for chord (simplified Newton) steps, one residual and one
-LU solve each, while each cuts the residual norm at least fourfold
-(_CHORD_BAR); a step on a reused matrix that does not (the contraction
-monitor of Deuflhard, Newton Methods for Nonlinear Problems, 2004) is
-retaken from the iterate before it on a matrix built there, and a step on
-a fresh matrix is kept.  The continuation's first matrix is the tangent's,
-with the J, r_lambda and B of the last accepted point and the new tangent
-as border row (Allgower & Georg, Introduction to Numerical Continuation
-Methods, 2003, ch. 6); the switch builds its first at the seed.  A stall
-costs one J at the iterate and keeps the chord's progress.
+bordered matrix for quasi-Newton steps, one residual and one LU solve
+each: the error-oriented good-Broyden method QNERR of Deuflhard (Newton
+Methods for Nonlinear Problems, 2004, sec. 2.1.4; Allgower & Georg,
+Introduction to Numerical Continuation Methods, 2003, ch. 7) corrects the
+(c, lambda) part of each solve by rank-one updates from the steps taken on
+that matrix, so the LU of one matrix serves a whole correction.  A step on
+a reused matrix must cut the residual norm at least twofold (_CHORD_BAR,
+QNERR's contraction bound 1/2), and its last update must scale it by less
+than 2; one that does not is retaken from the iterate before it on a
+matrix built there, and a step on a fresh matrix is kept.  The
+continuation's first matrix is the tangent's, with the J, r_lambda and B
+of the last accepted point and the new tangent as border row (Allgower &
+Georg 2003, ch. 6); the switch builds its first at the seed.  On the
+benchmark branches at ds_max 0.2 no step is retaken, so each accepted
+point costs one bordered matrix, its tangent's.
 
 On the trivial branch c = 0 every quadrature node sees u0, so the Hessian is
 one p x p matrix H0(lambda) = hess(u0, lambda) and, in the layout above,
@@ -167,10 +172,10 @@ _REFINE_TOL = 1e-9
 # among the rows, not symmetry directions; the one rank cutoff for both the
 # pin basis and the off-symmetry complement of every block (module docstring)
 _PIN_RANK_TOL = 1e-6
-# a corrector step on a reused matrix must cut the residual norm at least
-# fourfold, or it is retaken on a matrix built at its iterate; a bar of 0
-# makes the corrector full Newton
-_CHORD_BAR = 0.25
+# a corrector step on a reused matrix must at least halve the residual norm
+# (QNERR's contraction bound 1/2), or it is retaken on a matrix built at its
+# iterate; a bar of 0 makes the corrector full Newton
+_CHORD_BAR = 0.5
 # switch_branch seeds at this multiple of the unit axial kernel direction;
 # continue_branch starts at step _DS0 and stops when the step halves below
 # _DS_MIN
@@ -665,21 +670,40 @@ def _solve(A, b, lam):
         raise NewtonError(f"singular Newton system at lambda={lam}") from err
 
 
+# an overflow ends the solve by the finiteness tests, not with a warning
+@np.errstate(all="ignore")
 def _bordered_newton(problem, c, lam, border, base, offset, border_tol, maxit, A=None):
     """Newton with lambda free on [J r_lambda B^T; B 0 0; border 0] that holds
     border . ((c, lam) - base) - offset at zero.  Returns (c, lam, residual
     norm) once the residual norm is at most NEWTON_TOL and the border residual
-    at most border_tol; raises NewtonError on a non-finite step or a singular
-    matrix, or after maxit steps, retaken ones included.
+    at most border_tol; raises NewtonError, naming lambda, on a non-finite
+    residual or step or a singular matrix, or after maxit steps, retaken ones
+    included.
 
     Each step solves with the current matrix A of that form (a given A is
-    the first), built at the iterate when there is none.  A step on a reused
-    A that cuts the residual norm by less than _CHORD_BAR is retaken from the
-    iterate before it on a matrix built there; one on a fresh A is kept."""
+    the first), built at the iterate when there is none, and is the
+    error-oriented good-Broyden step of QNERR (Deuflhard, Newton Methods for
+    Nonlinear Problems, 2004, sec. 2.1.4): the (c, lambda) part v of the
+    solve, updated by the steps s_0, s_1, ... kept on A since it was built or
+    given, v += (s_i . v / |s_i|^2) s_{i+1}, then v / (1 - alpha) with alpha
+    = s . v / |s|^2 for the last step s.  The pin rows keep every step in the
+    slice, so the multipliers are not carried.  A step on a reused A is
+    retaken from the iterate it starts at, on a matrix built there, when
+    alpha >= 1/2 (a guard on 1 - alpha, which QNERR's bound |alpha| <=
+    |v| / |s| < 1/2 keeps above 1/2) or when it cuts the residual norm by
+    less than _CHORD_BAR; a step on a fresh A is kept."""
     n = problem.n_dof
+
+    def residual(c, lam):
+        r = assemble_residual(problem, c, lam)
+        rn = float(np.linalg.norm(r))
+        if not math.isfinite(rn):
+            raise NewtonError(f"bordered Newton residual is not finite at lambda={lam}")
+        return r, rn
+
     lam = float(lam)
-    r = assemble_residual(problem, c, lam)
-    rn = float(np.linalg.norm(r))
+    r, rn = residual(c, lam)
+    steps = []
     for _ in range(maxit):
         # the c part and the lambda term are summed apart, so the rounding does
         # not depend on how the BLAS dot kernel splits n + 1 terms
@@ -688,14 +712,22 @@ def _bordered_newton(problem, c, lam, border, base, offset, border_tol, maxit, A
             return c, lam, rn
         fresh = A is None
         if fresh:
-            A = _newton_system(problem, c, lam, jacobian(problem, c, lam), border)
-        delta = _solve(A, np.concatenate([-r, np.zeros(A.shape[0] - n - 1), [-g]]), lam)
-        if not np.all(np.isfinite(delta)):
+            A, steps = _newton_system(problem, c, lam, jacobian(problem, c, lam), border), []
+        v = _solve(A, np.concatenate([-r, np.zeros(A.shape[0] - n - 1), [-g]]), lam)[: n + 1]
+        if not np.all(np.isfinite(v)):
             raise NewtonError(f"bordered Newton step diverged at lambda={lam}")
-        c_new, lam_new = c + delta[:n], lam + delta[n]
-        r_new = assemble_residual(problem, c_new, lam_new)
-        rn_new = float(np.linalg.norm(r_new))
+        for s, s_next in zip(steps, steps[1:]):
+            v += (np.dot(s, v) / np.dot(s, s)) * s_next
+        if steps:
+            alpha = np.dot(steps[-1], v) / np.dot(steps[-1], steps[-1])
+            if not alpha < 0.5:  # 1 / (1 - alpha) would be 2 or more
+                A = None  # retake the step from (c, lam)
+                continue
+            v /= 1.0 - alpha
+        c_new, lam_new = c + v[:n], lam + v[n]
+        r_new, rn_new = residual(c_new, lam_new)
         if fresh or rn_new <= _CHORD_BAR * rn:
+            steps.append(v)
             c, lam, r, rn = c_new, lam_new, r_new, rn_new
         else:
             A = None  # a stall: retake the step from (c, lam)
@@ -883,7 +915,7 @@ def continue_branch(
     (0, lambda_star).  A seed whose origin is not ("bifurcated",
     lambda_star), or whose last point has a nonzero coefficient off that
     subspace, raises ValueError.  The corrector starts on the tangent's
-    matrix and may take 20 steps, retaken ones included, so that a chord
+    matrix and may take 20 steps, retaken ones included, so that steps
     contracting just within _CHORD_BAR can finish.  The step halves when
     the corrector fails and grows by 1.4 after every accepted step, from
     _DS0 up to ds_max; the run stops at the lambda limits, on step

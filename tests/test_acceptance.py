@@ -12,13 +12,14 @@ import numpy as np
 from scipy import optimize, special
 
 from symbif import continuation, euler_ring as er, predictor, spectral
-from symbif.brouwer import BallRegion, Box, InconclusiveDegreeError, Interval, degree_1d, degree_nd
+from symbif.brouwer import Box, InconclusiveDegreeError, Interval, degree_1d, degree_nd
 from symbif.cli import main
 from symbif.potentials import builtin
 from symbif.predictor import BallAlternative, RepresentationBlock, RepresentationDescriptor
 from symbif.spectral import ball, sphere
 
 from group_action import apply_group_element
+from unit_ball import unit_ball
 
 
 @contextmanager
@@ -163,10 +164,10 @@ def test_criterion_5_degree_properties():
         rng = np.random.default_rng(0)
         assert degree_1d(lambda x: x, Interval(-1, 1)) == 1
         assert degree_1d(lambda x: -x, Interval(-1, 1)) == -1
-        assert degree_nd(lambda x: x, BallRegion((0, 0), 1.0)) == 1
-        assert degree_nd(lambda x: -x, BallRegion((0, 0), 1.0)) == 1
+        assert degree_nd(*unit_ball(lambda x: x, 2)) == 1
+        assert degree_nd(*unit_ball(lambda x: -x, 2)) == 1
         sq = lambda x: np.array([x[0] ** 2 - x[1] ** 2, 2 * x[0] * x[1]])
-        assert degree_nd(sq, BallRegion((0, 0), 1.0)) == 2
+        assert degree_nd(*unit_ball(sq, 2)) == 2
         assert degree_nd(lambda x: x, Box((-1,) * 3, (1,) * 3)) == 1
         assert degree_nd(lambda x: -x, Box((-1,) * 3, (1,) * 3)) == -1
         prod = lambda x: np.array([0.5 * x[0] - x[0] ** 3, x[1], x[2]])
@@ -191,11 +192,11 @@ def test_criterion_5_degree_properties():
             if margin < 0.2:
                 continue
             try:
-                d2 = degree_nd(f, BallRegion((0, 0), 1.0))
+                d2 = degree_nd(*unit_ball(f, 2))
             except InconclusiveDegreeError:
                 continue
             g = lambda x, f=f: np.array([*f(x[:2]), x[2]])
-            d3 = degree_nd(g, BallRegion((0, 0, 0), 1.0))
+            d3 = degree_nd(*unit_ball(g, 3))
             assert d2 == d3
             done += 1
 

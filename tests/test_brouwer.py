@@ -7,13 +7,14 @@ import pytest
 from symbif import brouwer
 from symbif.brouwer import (
     AdmissibilityError,
-    BallRegion,
     Box,
     InconclusiveDegreeError,
     Interval,
     degree_1d,
     degree_nd,
 )
+
+from unit_ball import unit_ball
 
 RNG = np.random.default_rng(3)
 
@@ -55,15 +56,15 @@ class TestDegree1D:
 
 class TestDegree2D:
     def test_identity_disk(self):
-        assert degree_nd(lambda x: x, BallRegion((0.0, 0.0), 1.0)) == 1
+        assert degree_nd(*unit_ball(lambda x: x, 2)) == 1
 
     def test_squaring_map(self):
         f = lambda x: np.array([x[0] ** 2 - x[1] ** 2, 2 * x[0] * x[1]])
-        assert degree_nd(f, BallRegion((0.0, 0.0), 1.0)) == 2
+        assert degree_nd(*unit_ball(f, 2)) == 2
         assert brute_force_winding(f) == 2
 
     def test_minus_identity(self):
-        assert degree_nd(lambda x: -x, BallRegion((0.0, 0.0), 1.0)) == 1
+        assert degree_nd(*unit_ball(lambda x: -x, 2)) == 1
 
     def test_box_region(self):
         assert degree_nd(lambda x: x, Box((-1, -1), (1, 1))) == 1
@@ -72,12 +73,12 @@ class TestDegree2D:
         f = lambda x: np.array(
             [x[0] ** 3 - 3 * x[0] * x[1] ** 2, 3 * x[0] ** 2 * x[1] - x[1] ** 3]
         )
-        assert degree_nd(f, BallRegion((0.0, 0.0), 1.0)) == 3 == brute_force_winding(f)
+        assert degree_nd(*unit_ball(f, 2)) == 3 == brute_force_winding(f)
 
     def test_boundary_zero_rejected(self):
         f = lambda x: np.array([x[0] - 1.0, x[1]])
         with pytest.raises((AdmissibilityError, InconclusiveDegreeError)):
-            degree_nd(f, BallRegion((0.0, 0.0), 1.0))
+            degree_nd(*unit_ball(f, 2))
 
     def test_zero_near_an_edge_survives_the_starting_mesh(self):
         # Four of the six roots lie in the square, one 0.011 from x = 1.  A
@@ -137,10 +138,12 @@ class TestDegreeND:
         ids=["z^2", "-z^3", "shifted"],
     )
     @pytest.mark.parametrize(
-        "region", [Box((-1,) * 3, (1,) * 3), BallRegion((0.0, 0.0, 0.0), 1.0)], ids=["box", "ball"]
+        "region",
+        [lambda f: (f, Box((-1,) * 3, (1,) * 3)), lambda f: unit_ball(f, 3)],
+        ids=["box", "ball"],
     )
     def test_degrees_beyond_plus_minus_one(self, f, expected, region):
-        assert degree_nd(f, region) == expected
+        assert degree_nd(*region(f)) == expected
 
     @pytest.mark.parametrize(
         "region",
@@ -177,10 +180,10 @@ class TestDegreeND:
         # less than pi/2 apart on every triangle, yet sum to degree 0.
         f = random_poly_map_2d(np.random.default_rng(125))
         g = lambda x: np.array([*f(x[:2]), x[2]])
-        ball = BallRegion((0.0, 0.0, 0.0), 1.0)
-        assert degree_nd(f, BallRegion((0.0, 0.0), 1.0)) == 1
-        assert brouwer._mesh_degree(g, ball, brouwer._uniform_cells(3, 1), {}) == (0, [])
-        assert degree_nd(g, ball) == 1
+        ball = unit_ball(g, 3)
+        assert degree_nd(*unit_ball(f, 2)) == 1
+        assert brouwer._mesh_degree(*ball, brouwer._uniform_cells(3, 1), {}) == (0, [])
+        assert degree_nd(*ball) == 1
 
     @pytest.mark.parametrize(
         "p, expected",
@@ -275,11 +278,11 @@ class TestCrossChecks:
             if margin < 0.2:
                 continue
             try:
-                d2 = degree_nd(f, BallRegion((0.0, 0.0), 1.0))
+                d2 = degree_nd(*unit_ball(f, 2))
             except InconclusiveDegreeError:
                 continue
             g = lambda x: np.array([*f(x[:2]), x[2]])
-            d3 = degree_nd(g, BallRegion((0.0, 0.0, 0.0), 1.0))
+            d3 = degree_nd(*unit_ball(g, 3))
             assert d2 == d3
             found += 1
         assert found == 20
@@ -306,8 +309,8 @@ class TestCrossChecks:
                 if margin < 0.2:
                     continue
                 try:
-                    base = degree_nd(f, BallRegion((0.0, 0.0), 1.0))
-                    scaled = degree_nd(lambda x: c * f(x), BallRegion((0.0, 0.0), 1.0))
+                    base = degree_nd(*unit_ball(f, 2))
+                    scaled = degree_nd(*unit_ball(lambda x: c * f(x), 2))
                 except InconclusiveDegreeError:
                     continue
                 assert scaled == base

@@ -467,6 +467,33 @@ class TestVerifyCommand:
             assert doc["cutoff_covers_window"] is False
             assert doc["unmatched_detected"] == pytest.approx([4, 20 / 3], abs=1e-6)
 
+    RING_TIMES_QUARTIC = (
+        "[potential]\nname = ring-times-quartic\np = 3\naction = so2(1,2)\nu0 = 1, 0, 0\n"
+        "a = 1 0 0; 0 0 0; 0 0 0\nf = lambda*(u1^2 + u2^2 - 1)^2 / 8 - u3^4 / 4\n"
+    )
+
+    def test_degenerate_orbit_on_the_disk_fails_its_switch_without_warnings(
+        self, capsys, tmp_path
+    ):
+        # ker A holds u3 off the orbit tangent, so the bordered matrix is
+        # singular along e0 x u3 and the switch's corrector runs away; a
+        # plain chord on this config overflowed in the residual and printed
+        # numpy RuntimeWarnings (errors under this suite's filters)
+        pot = tmp_path / "rtq.cfg"
+        pot.write_text(self.RING_TIMES_QUARTIC)
+        code, out, err = run(
+            capsys, "verify", "--potential-file", str(pot), "--domain", "ball", "--dim", "2",
+            "--window", "0.5:10",
+        )
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["detected"] == pytest.approx([3.38996, 9.32836], abs=1e-5)
+        for cand in doc["candidates"]:
+            branch = cand["branch"]
+            assert branch["captured"] is False
+            prefix = f"no branch captured at lambda_star={cand['detected_inside'][0]}: "
+            assert branch["error"].startswith(prefix) and len(branch["error"]) > len(prefix)
+
     def test_ball_verify_fails_a_covered_interval_with_no_level(self, capsys, monkeypatch):
         monkeypatch.setattr(continuation, "detect_bifurcation", lambda *args, **kwargs: [])
         code, out, _ = run(
@@ -871,6 +898,35 @@ class TestVerifyDeterminism:
         assert outputs[0] == outputs[1]
 
 
+# verify's output for each TestVerifyGoldenDigests case as the corrector
+# with plain chord steps computed it: the verdict and the detected levels,
+# and per branch file its termination, its block Morse indices (run-length
+# encoded) and its lambda, sup_norm and min_offsym_singular per point, to
+# 12 significant digits
+CHORD_BRANCHES = json.loads((Path(__file__).parent / "chord_corrector_branches.json").read_text())
+
+
+def _assert_near_chord_branches(outputs, key):
+    """The verdict, detected levels, branch files, terminations, point
+    counts and block Morse indices of CHORD_BRANCHES[key], and every lambda,
+    sup_norm and min_offsym_singular within 1e-9 (1 + |x|) of its x there."""
+    recorded = CHORD_BRANCHES[key]
+    report = json.loads(outputs["r"])
+    assert report["verdict"] == recorded["verdict"]
+    assert report["detected"] == recorded["detected"]
+    names = sorted(name for name in outputs if name.endswith(".json"))
+    assert names == sorted(recorded["branches"])
+    for name in names:
+        branch, rec = json.loads(outputs[name]), recorded["branches"][name]
+        assert branch["termination"] == rec["termination"]
+        morse = [index for count, index in rec["block_morse_index"] for _ in range(count)]
+        assert [p["block_morse_index"] for p in branch["points"]] == morse
+        for field in ("lambda", "sup_norm", "min_offsym_singular"):
+            values = [p[field] for p in branch["points"]]
+            assert len(values) == len(rec[field])
+            assert all(abs(v - x) <= 1e-9 * (1.0 + abs(x)) for v, x in zip(values, rec[field]))
+
+
 class TestVerifyGoldenDigests:
     """sha256 of every file `symbif verify --out --branch-coefficients`
     writes, under one or two BLAS threads.  The 2-sphere digests were
@@ -880,29 +936,32 @@ class TestVerifyGoldenDigests:
     re-recorded when the Neumann roots went from bisection to 1e-12 to
     Newton refinement to working precision, which moves the disk's beta and
     branch values in their last bits (verdicts, detected levels, point counts
-    and terminations unchanged)."""
+    and terminations unchanged).  Every digest was re-recorded when the
+    corrector's steps on a reused matrix took good-Broyden updates, which
+    moves branch values by at most 7.2e-10 (1 + |x|); the outputs of the
+    chord corrector before them are kept as CHORD_BRANCHES and checked."""
 
     DIGESTS = {
         ("pitchfork-scalar", "12"): {
-            "r": "2ea5d2b6c8925ca9d5230968a5a32269d6427191761313beda86143a0fb9b606",
-            "r.branch-2.csv": "eb2387b5d467df234bc54759b894d51f47b7d14a249fde993527bb86bf2eda48",
-            "r.branch-2.json": "28d7ce67c24d838f699af788f14db6d42d764b0c250055530eff0a2db4ec13b2",
-            "r.branch-6.csv": "3862525faa3f355d1a7a8eb47ddf37cc720f814c12043ecdfda1e2770bbfa0ca",
-            "r.branch-6.json": "1eda6036f2e49ac15d1de864860dcaac335c5cd506e836c0050633502c2baf1f",
+            "r": "0d48830edf5cc0b654b3312112cba889f91ea7e7f536a96d6068d8a37d5f7710",
+            "r.branch-2.csv": "706438ca0b4f4b9ffbff28a461147d5225fcfeeeb0afc0b60af1640430675adc",
+            "r.branch-2.json": "6d8a72d8b12d82ef8327dae76cb51e8e933fe7237d5833aa1e3620e5e64e7778",
+            "r.branch-6.csv": "e6e7da005d3f219035b68c34916a425e7e3ead3baaa1a8c78d8c51741e048668",
+            "r.branch-6.json": "c31f9791ff579e752061d3b7b1c7b0292ad8bdc338c45dd0997397726caef6d1",
         },
         ("so2-ring", "12"): {
-            "r": "eb52ee8b95d9463abca89e78e252373992ecba07f5388dcf5a7dac1d4de431a5",
-            "r.branch-2.csv": "bd9a879e7039e227c8dd176ddd9b39b1c9c2d597f9da9b6373629912faff6965",
-            "r.branch-2.json": "00b6dee0357ae16f81b2451bbfb908a1fcd321b568ceea16472817a3998ea77a",
-            "r.branch-6.csv": "496a1fd7e02044c4b4d116753356d5ffb7580d246886e75b7d6cde7af95393d2",
-            "r.branch-6.json": "16f073396473df4c36bd3ab791f4a331fecf22286055865d0eb44a4182d81333",
+            "r": "66946330760cb5027e082e065101076637e0bfdaa53725d680b0024afd84a456",
+            "r.branch-2.csv": "643dbfcfe3d632e404100dc424fd4123025d2f5cb5170baa80b44a3722f1bfc5",
+            "r.branch-2.json": "92b6daf7d53337f886bd6cd3793e3746fd5bc27bfc3fff028600dde61da99d91",
+            "r.branch-6.csv": "3d633ffc721fa1a8284aa4ec394a5b35e392965924de31c2f84bac054c8722a4",
+            "r.branch-6.json": "fd8659a032eff43aa8dc957824142516fc802deb159134809478c1424737cf8e",
         },
         ("so2-ring", "24"): {
-            "r": "79970649b461b6791b19253bc07377a196f510766d00dd4909379a1433309e65",
-            "r.branch-2.csv": "29498731f6c002d7773e1b803cae2781e821007b321db0ce2045807d1f724f34",
-            "r.branch-2.json": "68850676adf5a1e40ff13d7f4e9aff0989a92886e6a3981f7eddf69b39661c4a",
-            "r.branch-6.csv": "bcee612b8d5650e25b8be8e6b97c6f378ac5c08ae3035cbd69330a8cab901dd2",
-            "r.branch-6.json": "203a46ffe92cf3247003f351a0b37130642e2ed8e44f0cfce8610b4b25ff0fc2",
+            "r": "3e6a1a4eaf4ba7b3937148b1fffc04576891bcf999e79af03d3fbe815f3a407b",
+            "r.branch-2.csv": "2946853c18fbd818b99d44836a0b0a963e1f6bd28b00350849ed5bc5dc120f06",
+            "r.branch-2.json": "8528b032fbd365e01951eabf567dcd1b2f5a97800241d93f2d397e62c1c265b2",
+            "r.branch-6.csv": "27b53def4db6b893b0534ddc5b06b7a5c1f4234530a8e1ae81980dbcc5fdb23e",
+            "r.branch-6.json": "5e79b75ec1ebdd3881d21f0adbcbf0fca6dcf02fe73b4b73843de75ed5437962",
         },
     }
 
@@ -913,36 +972,36 @@ class TestVerifyGoldenDigests:
     }
     PLANE_DIGESTS = {
         ("pitchfork-scalar", "circle"): {
-            "r": "bafb494d6dc6a94c5912c5833037be9083f1010de3053e39f66af5979b8e33cd",
-            "r.branch-1.csv": "facb7ed9811477a69ebff61bdc8151ea14795916b60ac35b2562e99d43d53d2c",
-            "r.branch-1.json": "ae5fa0abae832cf9df610c9f5fdfed60a9d08fe2dd9fb7c8786c9e992a4142d4",
-            "r.branch-4.csv": "851eee84b5d4bf22926c08f5058978b57b4940dab48cc35912fc5a3ad42ae8d8",
-            "r.branch-4.json": "1aaef6df5c45512ef594d579ccc8816c2066fdc3080bcc2f81a71653a8fee3ef",
-            "r.branch-9.csv": "14c992393dfd66e3cefffb1d4b300913a501df544c15ef2450d408b4a15e681c",
-            "r.branch-9.json": "e5dccc14b21a38b3ec2541e37b0f13a7bf5a32454b0798e3ade1e9b3c0ba4b25",
+            "r": "00c33f96ff8a940a5c240ea9bd2e4496ff25b1beadd62e74e9affd3df7a3eb9d",
+            "r.branch-1.csv": "533fa7dbb5157f3c40960924d5a5e96c710a832405eb825e5f1647adceba7491",
+            "r.branch-1.json": "f393f3cb9bea296708297d3ce2daaaa9ea9ff24a2d20a1de1920ff524562db0a",
+            "r.branch-4.csv": "b8865fbada11a94b964c7d1be535b4ba2a8311439a732b6ec7dde66673fcfe12",
+            "r.branch-4.json": "54e429a13125ab36d46a6ea2cc14a1270f20d53a8d0151a0e3135751e91769b5",
+            "r.branch-9.csv": "a1fcafec6667401174c2669e2052a171d18f2831e505a31b9ea37ae417a61e2e",
+            "r.branch-9.json": "3397f159442656e1880b37ed66112410e0c6d6e064b31adf7db468eee63d3239",
         },
         ("so2-ring", "circle"): {
-            "r": "36dca525cb3a280f68882a4d0077b2fcce9b092a3beba2dcddd1da035df936e1",
-            "r.branch-1.csv": "3e5b3e522a0aabb4a596521bd9cb6cc57a1577f41689021f0fb219a94477006e",
-            "r.branch-1.json": "d542c37aa77070b0cec9fc435876d8fb073a83820e0c24b39b0b8e657d141636",
-            "r.branch-4.csv": "426062540a4c7ba2e11236581a9697d26375fa6b08e742f5b8cafae2b2966561",
-            "r.branch-4.json": "d930581c5231493137a9f3803f68abc81c9748db3015f97bdeca370931f5dc9f",
-            "r.branch-9.csv": "ecaac96f2d3cde895f90965043c18b734d9c84b6d7d130ba6defc470c4bd5538",
-            "r.branch-9.json": "34573d1666b997e0ffee2fcfe885e1f682c492f1303d50481fab14651a59d9c9",
+            "r": "e86afb235a196056c6461510fdeb6d538223456ae312829e8454c38bd6ac6467",
+            "r.branch-1.csv": "306231774801af9750ad305f9cb779a83704f99e93a4a100701cd5cb0103db1e",
+            "r.branch-1.json": "a5dba49777a9f0f90d19b2ed91bd833e663b5de050600ad0074d201c9cf85968",
+            "r.branch-4.csv": "0ee12811cb017081e9f455ca38ad6d8a6ec3126bcc3d6164ec2e2383caba992a",
+            "r.branch-4.json": "afefb67c2af1a2de85a7bef41508ed888b39e07ef4d30117b2a247b1bae828ed",
+            "r.branch-9.csv": "3ae0b4d6f4ec41be62478c30bd80db78be8d1a989fd5af7df584d910e9e1594d",
+            "r.branch-9.json": "b87800661b6fcdfd7e24cc8bfb45cb275c6190d3b0b6332550dce554aba144c0",
         },
         ("pitchfork-scalar", "disk"): {
-            "r": "b3e7f0089ec8c0053b44c83dd33afda67bfac8bc0fb4b2b47e9babc93c848055",
-            "r.branch-3.38996.csv": "809ac6c556082b0939a9c619295e5d15bb8ff1c50f1130ba46bdc77991d642f9",
-            "r.branch-3.38996.json": "8ece99685f702b7b0455a6711ea958108d10ee7277b129805d1606c11dbd3b9a",
-            "r.branch-9.32836.csv": "0f26d5c2a540069ef112ec9248920819c32875e522b670a24fb8649dad962784",
-            "r.branch-9.32836.json": "33f4ffea5914f4d9a19b6d3bb5f0d98ac0a4c85087e46fd41162c2be7300f684",
+            "r": "54e84d4dab7d953649da12c9433aa3533b53e9769790714a5218125dcaf4c16f",
+            "r.branch-3.38996.csv": "9b8d4216e2c6039ec1850cd3f481996bec1d3366e974a953901870b975c61bdb",
+            "r.branch-3.38996.json": "d67f31a7023ddddb0b600b0b90d19852b96a785ab60fb2eaf536b6f2935bc1a2",
+            "r.branch-9.32836.csv": "b2ba8f1db78d6c293f7db4980b8b85f33478b2b03beb509400a9b40fa7323426",
+            "r.branch-9.32836.json": "0915106f8c25965c50b5fdf308dd1307932e68bab43720e2fa78b63d67acc72e",
         },
         ("so2-ring", "disk"): {
-            "r": "54ca555f1bcbbf54411a278e5fb56a8ba4d1655d063afa0048fa58e47f98f463",
-            "r.branch-3.38996.csv": "e0ff5e286d4a4555b670f406026be1fb6e4a8e22f84e2e54cdc5f0eb1d6b7411",
-            "r.branch-3.38996.json": "e3c84d79f5e60f4e816c6be85b61ab3f95eda0d451cf9d7f31af6b462a2ea97c",
-            "r.branch-9.32836.csv": "f38f90d9582eabbe977f75d06cf61afa3792266c8690ef66ceee461122ed158d",
-            "r.branch-9.32836.json": "ba9c85dd6abbe0ef522d3e4d04c3dd403bb3864a04cf47c9ce59615469f1ca54",
+            "r": "57c6e283138809d0c4cc1615b5938b9e99a0a163566787557d2f7c0b7a9cb92e",
+            "r.branch-3.38996.csv": "5375ebcab0d2e301db66634da2216ba47a4bf53527934505374709238f84484e",
+            "r.branch-3.38996.json": "2fdeb642ada683b5d98b118b09453060e036041118e710e9bf651ad161d5421d",
+            "r.branch-9.32836.csv": "a2703cb2d8459a9300420a1b92c56c1d80aeff98a33b16dfb448adb1482dd20c",
+            "r.branch-9.32836.json": "609bf06b2c8344ad6d24cf33399d2193c379696c728442062496c21eee171b17",
         },
     }
 
@@ -953,6 +1012,7 @@ class TestVerifyGoldenDigests:
         argv = ["--potential", potential, "--domain", "sphere", "--dim", "3",
                 "--truncation", truncation, "--window", "0.5:8", "--branch-coefficients"]
         outputs = _verify_outputs(argv, tmp_path / threads, threads)
+        _assert_near_chord_branches(outputs, "/".join(case))
         digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
         assert digests == self.DIGESTS[case]
 
@@ -962,6 +1022,7 @@ class TestVerifyGoldenDigests:
         potential, domain = case
         argv = ["--potential", potential, *self.PLANE_OPTIONS[domain], "--branch-coefficients"]
         outputs = _verify_outputs(argv, tmp_path / threads, threads)
+        _assert_near_chord_branches(outputs, "/".join(case))
         digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
         assert digests == self.PLANE_DIGESTS[case]
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -706,9 +707,10 @@ def _first_level_branch(prob, window, limits=None, **kwargs):
 
 
 class TestChordCorrector:
-    """One corrector: steps on a reused bordered matrix while each cuts the
-    residual norm by _CHORD_BAR, and a step that does not retaken from the
-    iterate before it on a matrix built there."""
+    """One corrector: good-Broyden (QNERR) steps on a reused bordered matrix
+    while each cuts the residual norm by _CHORD_BAR and has alpha < 1/2; a
+    step that does not is retaken from the iterate before it on a matrix
+    built there."""
 
     @pytest.mark.parametrize(
         "fixture,window,limits",
@@ -748,10 +750,12 @@ class TestChordCorrector:
     def _corrector_steps(prob, ds, monkeypatch):
         """Run _bordered_newton from the predictor at arclength ds past the
         seed at lambda* = 1, on the tangent's matrix at the seed (stale at
-        the predictor), and return its steps and its iterates.  A step is
-        (start, end, fresh): indices into the iterates, whose residuals it
-        solved with and evaluated, and whether its matrix was built at its
-        start.  The iterates are (c, lambda, residual norm), the returned
+        the predictor), and return its steps and its iterates.  A step is one
+        solve, (start, end, fresh, raw): the index of the iterate whose
+        residual it solved with, the index of the iterate whose residual was
+        evaluated next (None when the step was retaken before that), whether
+        its matrix was built at its start, and the (c, lambda) part of the
+        solution.  The iterates are (c, lambda, residual norm), the returned
         point last."""
         space = continuation._subspace(prob)
         sub, n = space.problem, space.problem.n_dof
@@ -783,8 +787,9 @@ class TestChordCorrector:
             return M
 
         def solve_spy(M, b, lam):
-            solves.append((M, b[:n], len(iterates)))
-            return solve(M, b, lam)
+            x = solve(M, b, lam)
+            solves.append((M, b[:n], x[: n + 1].copy(), len(iterates)))
+            return x
 
         pred = (c0 + ds * t[:n], lam0 + ds * t[n])
         with monkeypatch.context() as m:
@@ -796,12 +801,13 @@ class TestChordCorrector:
             )
         assert rn <= continuation.NEWTON_TOL
         steps = []
-        for M, b, end in solves:
+        for k, (M, b, raw, count) in enumerate(solves):
             # the step solved with the residual of its start, negated
-            start = max(i for i in range(end) if np.array_equal(residuals[i], -b))
+            start = max(i for i in range(count) if np.array_equal(residuals[i], -b))
+            following = solves[k + 1][3] if k + 1 < len(solves) else len(iterates)
             c_s, lam_s, _ = iterates[start]
             fresh = any(M is B and np.array_equal(x, c_s) and y == lam_s for B, x, y in builds)
-            steps.append((start, end, fresh))
+            steps.append((start, count if following > count else None, fresh, raw))
         return steps, iterates + [(c, lam, rn)]
 
     @staticmethod
@@ -811,36 +817,69 @@ class TestChordCorrector:
         def same(i, j):
             return np.array_equal(iterates[i][0], iterates[j][0]) and iterates[i][1] == iterates[j][1]
 
-        following = [s for s, _, _ in steps[1:]] + [len(iterates) - 1]
+        following = [step[0] for step in steps[1:]] + [len(iterates) - 1]
         kept = []
-        for (start, end, _), nxt in zip(steps, following):
-            kept.append(same(nxt, end))
+        for (start, end, _, _), nxt in zip(steps, following):
+            kept.append(end is not None and same(nxt, end))
             assert kept[-1] or same(nxt, start)
         return kept
 
-    @pytest.mark.parametrize("ds,kept_before_stall", [(0.024, 1), (0.5, 0)])
-    def test_retake_rule(self, circle_pitchfork, ds, kept_before_stall, monkeypatch):
-        # at ds = 0.024 the chord on the stale matrix keeps one step and
-        # stalls on the next, at ds = 0.5 it stalls on its first
-        steps, iterates = self._corrector_steps(circle_pitchfork, ds, monkeypatch)
+    @staticmethod
+    def _qnerr(raw, earlier):
+        """QNERR's step from the raw solve and the steps kept on its matrix
+        before it, and its alpha (0 for the first step on a matrix)."""
+        v = raw.copy()
+        for s, s_next in zip(earlier, earlier[1:]):
+            v = v + (s @ v / (s @ s)) * s_next
+        if not earlier:
+            return v, 0.0
+        alpha = earlier[-1] @ v / (earlier[-1] @ earlier[-1])
+        return v / (1.0 - alpha), alpha
+
+    @pytest.mark.parametrize(
+        "fixture,ds,retaken,updated",
+        [
+            ("circle_ring", 0.024, [], 3),
+            ("circle_ring", 0.1, [1], 1),
+            ("circle_pitchfork", 0.5, [0], 3),
+        ],
+    )
+    def test_retake_rule(self, fixture, ds, retaken, updated, request, monkeypatch):
+        # on the circle ring at ds = 0.024 every step on the stale matrix
+        # halves the residual, three of them moved by the updates; at ds =
+        # 0.1 the updated second step stalls; on the circle pitchfork at ds =
+        # 0.5 the first step stalls, and three updated steps on the matrix
+        # built at the predictor follow
+        prob = request.getfixturevalue(fixture)
+        steps, iterates = self._corrector_steps(prob, ds, monkeypatch)
         kept = self._kept(steps, iterates)
         bar = continuation._CHORD_BAR
-        retaken = [k for k, keep in enumerate(kept) if not keep]
-        assert retaken == [kept_before_stall]
-        for k, (start, end, fresh) in enumerate(steps):
-            rn_start, rn_end = iterates[start][2], iterates[end][2]
-            if kept[k]:
-                assert fresh or rn_end <= bar * rn_start
+        assert [k for k, keep in enumerate(kept) if not keep] == retaken
+        on_matrix, moved = [], 0  # steps kept on the current matrix
+        for k, ((start, end, fresh, raw), keep) in enumerate(zip(steps, kept)):
+            if fresh:
+                on_matrix = []
+            v, alpha = self._qnerr(raw, on_matrix)
+            if keep:
+                # the step taken is QNERR's, to the rounding of c + v
+                c_s, lam_s, rn_start = iterates[start]
+                c_e, lam_e, rn_end = iterates[end]
+                scale = 1e-14 * max(1.0, np.max(np.abs(c_s)), abs(lam_s))
+                np.testing.assert_allclose(np.append(c_e - c_s, lam_e - lam_s), v, rtol=0, atol=scale)
+                assert fresh or (alpha < 0.5 and rn_end <= bar * rn_start)
+                moved += len(on_matrix) > 0 and np.linalg.norm(v - raw) > 1e-3 * np.linalg.norm(v)
+                on_matrix.append(v)
             else:
-                # a stall on a reused matrix, retaken from the iterate before
-                # it (_kept) on a matrix built there
-                assert not fresh and rn_end > bar * rn_start
+                # a stall or a guarded alpha on a reused matrix, retaken from
+                # the iterate before it (_kept) on a matrix built there
+                assert not fresh
+                assert alpha >= 0.5 or iterates[end][2] > bar * iterates[start][2]
                 assert steps[k + 1][2]
-        # the first step is on the stale matrix, and some step on a reused
-        # matrix is kept: at ds = 0.024 the one before the stall, at ds = 0.5
-        # those after the rebuild
+        # the first step is on the stale matrix; a kept step on a reused
+        # matrix is moved when its update changes the chord step by more
+        # than 1e-3 of its length
         assert not steps[0][2]
-        assert any(keep and not fresh for keep, (_, _, fresh) in zip(kept, steps))
+        assert moved == updated
 
     @pytest.mark.parametrize("ds", [0.024, 0.5])
     def test_bar_zero_keeps_only_newton_steps(self, circle_pitchfork, ds, monkeypatch):
@@ -850,8 +889,64 @@ class TestChordCorrector:
         steps, iterates = self._corrector_steps(circle_pitchfork, ds, monkeypatch)
         kept = self._kept(steps, iterates)
         assert len(steps) > sum(kept) >= 2
-        for keep, (_, _, fresh) in zip(kept, steps):
+        for keep, (_, _, fresh, _) in zip(kept, steps):
             assert keep == fresh
+
+    @staticmethod
+    def _affine_corrector(K, f, A, monkeypatch):
+        """_bordered_newton on the affine residual K c - f with lambda held
+        at 0 by the border, from c = 0 on the given matrix A: the returned
+        (c, lam, residual norm), every residual norm and the (c, lambda) of
+        every matrix built, whose J is K."""
+        norms, builds = [], []
+
+        def residual(problem, c, lam):
+            r = K @ c - f
+            norms.append(float(np.linalg.norm(r)))
+            return r
+
+        def system(problem, c, lam, J, border):
+            builds.append((np.array(c), lam))
+            return np.block([[K, np.zeros((2, 1))], [border[None, :]]])
+
+        monkeypatch.setattr(continuation, "assemble_residual", residual)
+        monkeypatch.setattr(continuation, "jacobian", lambda problem, c, lam: None)
+        monkeypatch.setattr(continuation, "_newton_system", system)
+        border = np.array([0.0, 0.0, 1.0])
+        out = continuation._bordered_newton(
+            SimpleNamespace(n_dof=2), np.zeros(2), 0.0, border, np.zeros(3), 0.0, 1e-12, 20, A
+        )
+        np.testing.assert_allclose(out[0], np.linalg.solve(K, f), rtol=1e-14)
+        assert out[1] == 0.0 and out[2] <= continuation.NEWTON_TOL
+        return out, norms, builds
+
+    def test_updates_converge_on_a_wrong_matrix_without_a_rebuild(self, monkeypatch):
+        # the reused matrix has K11 = 5 where the Jacobian has 2: a chord on
+        # it contracts by 0.61 per step, so a step after the first would
+        # stall and be retaken on a rebuilt matrix; the good-Broyden updates
+        # halve the residual at every step and end exactly, as the secant
+        # method does on an affine map (Gay, SIAM J. Numer. Anal. 16, 1979)
+        K = np.array([[2.0, -1.0], [-1.0, 10.0]])
+        A = np.block([[K, np.zeros((2, 1))], [np.array([[0.0, 0.0, 1.0]])]])
+        A[0, 0] = 5.0
+        chord = np.eye(3) - np.linalg.solve(A, np.block([[K, np.zeros((2, 1))], [A[2:]]]))
+        assert np.max(np.abs(np.linalg.eigvals(chord))) > 0.6
+        _, norms, builds = self._affine_corrector(K, np.array([3.0, 3.0]), A, monkeypatch)
+        assert builds == []
+        assert len(norms) == 4
+        assert all(b <= continuation._CHORD_BAR * a for a, b in zip(norms, norms[1:]))
+
+    def test_alpha_guard_retakes_before_the_residual(self, monkeypatch):
+        # on the reused matrix diag(7, 2) the first step cuts the residual to
+        # 0.36 of its norm, but the next has alpha = 0.62: it is retaken from
+        # the first step's iterate, with no residual evaluated at its end, on
+        # a matrix built there, whose Newton step ends exactly
+        K, f = np.array([[8.0, 1.0], [1.0, 1.0]]), np.array([2.0, -1.0])
+        A = np.diag([7.0, 2.0, 1.0])
+        _, norms, builds = self._affine_corrector(K, f, A, monkeypatch)
+        assert len(norms) == 3 and norms[1] <= 0.37 * norms[0]
+        c1 = np.linalg.solve(A[:2, :2], f)
+        assert len(builds) == 1 and np.array_equal(builds[0][0], c1)
 
     @pytest.mark.parametrize(
         "fixture,window,limits",
@@ -875,53 +970,78 @@ class TestChordCorrector:
             assert abs(a.lam - b.lam) <= 1e-9
             assert abs(a.sup_norm - b.sup_norm) <= 1e-9
 
-    def test_at_most_two_jacobians_per_accepted_point(self, sphere_ring, monkeypatch):
+    def test_non_finite_residual_names_lambda(self, monkeypatch):
+        # a residual that overflows at the first step's iterate ends the
+        # solve with a NewtonError naming lambda there; the overflow is
+        # evaluated under np.errstate, so no RuntimeWarning is raised (an
+        # error under this suite's filters)
+        K = np.array([[2.0, -1.0], [-1.0, 10.0]])
+        monkeypatch.setattr(
+            continuation, "assemble_residual", lambda problem, c, lam: K @ c - np.exp(1e4 * c)
+        )
+        A = np.block([[K, np.zeros((2, 1))], [np.array([[0.0, 0.0, 1.0]])]])
+        with pytest.raises(NewtonError, match=r"not finite at lambda=0\.25$"):
+            continuation._bordered_newton(
+                SimpleNamespace(n_dof=2), np.zeros(2), 0.25, A[2], np.zeros(3), 0.25, 1e-12, 20, A
+            )
+
+    def test_one_bordered_matrix_per_accepted_point(self, sphere_ring, monkeypatch):
         # the branch of test_sphere_branch_matches_recorded_values; full
         # Newton correctors assembled 96 Jacobians for its 32 accepted points
-        # (3.0 per point), the chord corrector 36, and each accepted point's
-        # diagnostic blocks share its Jacobian's nodal Hessian
+        # (3.0 per point), the chord corrector 36; with the Broyden updates
+        # no step is retaken, so every accepted point's one bordered matrix
+        # is its tangent's, and its diagnostic blocks share that Jacobian's
+        # nodal Hessian
         prob = sphere_ring
         det = detect_bifurcation(prob, (1.0, 7.0), steps=60)
         seed = switch_branch(prob, det[0])
-        calls = []
-        hessian = continuation._nodal_hessian
-
-        def spy(*args):
-            calls.append(args[2])
-            return hessian(*args)
-
-        monkeypatch.setattr(continuation, "_nodal_hessian", spy)
+        hessians, systems = self._count_builds(monkeypatch)
         branch = continue_branch(prob, seed, (1.7, 2.6), max_steps=80, ds_max=0.05)
         accepted = len(branch.points) - 1
         assert accepted == 32
-        assert len(calls) <= 2 * accepted
+        assert len(systems) == accepted
+        assert len(hessians) == accepted + 1
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        """Lists that collect the lambda of every nodal Hessian and of every
+        bordered matrix from now on."""
+        hessians, systems = [], []
+        hessian, system = continuation._nodal_hessian, continuation._newton_system
+
+        def hessian_spy(*args):
+            hessians.append(args[2])
+            return hessian(*args)
+
+        def system_spy(*args):
+            systems.append(args[2])
+            return system(*args)
+
+        monkeypatch.setattr(continuation, "_nodal_hessian", hessian_spy)
+        monkeypatch.setattr(continuation, "_newton_system", system_spy)
+        return hessians, systems
 
     @pytest.mark.parametrize("fixture", ["disk200_pitchfork", "disk200_ring"])
     def test_disk_jacobians_per_accepted_point_at_default_ds_max(
         self, fixture, request, monkeypatch
     ):
         # the disk workload's branches from the level in (0.5, 6.25) to
-        # lambda* -/+ lambda*/4 under the library default ds_max = 0.2, where
-        # the chord on the tangent's matrix stalls at nearly every step;
+        # lambda* -/+ lambda*/4 under the library default ds_max = 0.2;
         # restarting full Newton from the predictor on a stall took 3.46
-        # (pitchfork-scalar) and 3.80 (so2-ring) Jacobians per accepted point;
-        # nodal Hessians are counted, those of the diagnostic blocks included
+        # (pitchfork-scalar) and 3.80 (so2-ring) Jacobians per accepted
+        # point, retaking the stalled chord step 1.85 and 2.10; with the
+        # Broyden updates no step is retaken: one bordered matrix per
+        # accepted point, and one nodal Hessian per point and at the start
         prob = request.getfixturevalue(fixture)
         lam = detect_bifurcation(prob, (0.5, 6.25))[0]
         seed = switch_branch(prob, lam)
-        calls = []
-        hessian = continuation._nodal_hessian
-
-        def spy(*args):
-            calls.append(args[2])
-            return hessian(*args)
-
-        monkeypatch.setattr(continuation, "_nodal_hessian", spy)
+        hessians, systems = self._count_builds(monkeypatch)
         branch = continue_branch(prob, seed, (lam - 0.25 * lam, lam + 0.25 * lam))
         assert branch.termination == "lambda-limit"
         accepted = len(branch.points) - 1
         assert accepted >= 10
-        assert len(calls) <= 2.5 * accepted
+        assert len(systems) == accepted
+        assert len(hessians) <= accepted + 1
 
 
 class TestSwitchAndContinue:
@@ -1694,12 +1814,21 @@ class TestExport:
 RECORDED_DISK200_HEX = {
     "level": ["0x1.b1ea226b51ebap+1"],
     "branch": [
-        "0x1.b2a4592237911p+1", "0x1.b346934e17803p+1", "0x1.b475492f71e83p+1",
-        "0x1.b69de301e0907p+1", "0x1.ba6bf5151fbbdp+1", "0x1.c0d5055730a5bp+1",
-        "0x1.cb21af222b667p+1", "0x1.db034148faaddp+1", "0x1.f180e8fed8b7ap+1",
-        "0x1.046e07cfdb8eap+2", "0x1.105f41fd2d330p+2",
+        "0x1.b2a459223baaap+1", "0x1.b346934e04b8ep+1", "0x1.b475492f02754p+1",
+        "0x1.b69de301b5dc3p+1", "0x1.ba6bf5152bca7p+1", "0x1.c0d505572bdc8p+1",
+        "0x1.cb21af21f7b35p+1", "0x1.db034148e9680p+1", "0x1.f180e8fecb590p+1",
+        "0x1.046e07cfd1e56p+2", "0x1.105f41fd23c20p+2",
     ],
 }
+
+# the branch as recorded when the corrector took plain chord steps on its
+# reused matrix, each cutting the residual norm fourfold
+CHORD_DISK200_BRANCH_HEX = [
+    "0x1.b2a4592237911p+1", "0x1.b346934e17803p+1", "0x1.b475492f71e83p+1",
+    "0x1.b69de301e0907p+1", "0x1.ba6bf5151fbbdp+1", "0x1.c0d5055730a5bp+1",
+    "0x1.cb21af222b667p+1", "0x1.db034148faaddp+1", "0x1.f180e8fed8b7ap+1",
+    "0x1.046e07cfdb8eap+2", "0x1.105f41fd2d330p+2",
+]
 
 # the branch as recorded when the Neumann roots were bisected to 1e-12
 BISECTION_DISK200_BRANCH_HEX = [
@@ -1758,10 +1887,11 @@ class TestDiskBuild:
         # lambda*/4 (11 points, terminated at the lambda limit), as float.hex:
         # the level as recorded with one bisection level per Bessel call and
         # one Bessel call per basis function, the branch on the half-turn rule
-        # with the retaking corrector and the Newton-refined Neumann roots,
-        # within 1e-11 |lambda| of the branch on the bisected roots and 1e-9
-        # |lambda| of the branch its restarting predecessor computed, which
-        # was within 1e-11 |lambda| of the full-rule branch
+        # with the Broyden-updated corrector and the Newton-refined Neumann
+        # roots, within 1e-9 |lambda| of the branch the chord corrector
+        # computed and of the one its restarting predecessor computed; the
+        # chord branch was within 1e-11 |lambda| of the branch on the bisected
+        # roots, the restarting one within 1e-11 |lambda| of the full rule's
         prob = build_problem(ball(2), builtin("so2-ring"), beta_cutoff=200.0)
         detected = detect_bifurcation(prob, (0.5, 6.25))
         assert [d.hex() for d in detected] == RECORDED_DISK200_HEX["level"]
@@ -1769,8 +1899,10 @@ class TestDiskBuild:
         limits = (lam - 0.25 * lam, lam + 0.25 * lam)
         branch = continue_branch(prob, switch_branch(prob, lam), limits)
         assert branch.termination == "lambda-limit"
-        _assert_near_recorded([bp.lam for bp in branch.points], BISECTION_DISK200_BRANCH_HEX, 1e-11)
+        _assert_near_recorded([bp.lam for bp in branch.points], CHORD_DISK200_BRANCH_HEX, 1e-9)
         _assert_near_recorded([bp.lam for bp in branch.points], RESTART_DISK200_BRANCH_HEX, 1e-9)
+        chord = [float.fromhex(h) for h in CHORD_DISK200_BRANCH_HEX]
+        _assert_near_recorded(chord, BISECTION_DISK200_BRANCH_HEX, 1e-11)
         restart = [float.fromhex(h) for h in RESTART_DISK200_BRANCH_HEX]
         _assert_near_recorded(restart, FULL_RULE_DISK200_BRANCH_HEX, 1e-11)
         assert [bp.lam.hex() for bp in branch.points] == RECORDED_DISK200_HEX["branch"]

@@ -289,6 +289,16 @@ class TestBesselArrays:
             assert fn(0, 0.0) == 1.0
             assert np.all(fn(np.arange(1, 8), 0.0) == 0.0)
 
+    def test_derivatives_at_zero(self):
+        # the limits, with no divide-by-zero warning (an error under this
+        # suite's filters): j_1'(0) = 1/3, every other j_l'(0) and J_l'(0)
+        # but J_1'(0) = 1/2 is 0
+        orders = np.arange(6)
+        expected = special.spherical_jn(orders, 0.0, derivative=True)
+        np.testing.assert_array_equal(bessel.sphericaljp(orders, 0.0), expected)
+        assert [bessel.sphericaljp(l, 0.0) for l in orders] == list(expected)
+        np.testing.assert_array_equal(bessel.besseljp(orders, 0.0), special.jvp(orders, 0.0))
+
     def test_negative_argument_parity(self):
         x = np.linspace(0.1, 30.0, 60)
         for fn in (bessel.besselj, bessel.sphericalj):
