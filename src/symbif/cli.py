@@ -185,7 +185,11 @@ def cmd_jump(args):
 
 
 def _verify_branch(problem, lam_star, window):
-    """(report record, followed branch or None if no branch was captured)."""
+    """(report record, followed branch or None if no branch was captured).
+    The branch is followed at continue_branch's default step to the limits
+    lam_star -/+ max(0.25 max(1, |lam_star|), 10 |lam_seed - lam_star|), cut
+    to the window; its ends are the switch point, a limit hit exactly or a
+    located fold, whatever the step."""
     lo, hi = window
     try:
         seed = continuation.switch_branch(problem, lam_star)
@@ -193,7 +197,7 @@ def _verify_branch(problem, lam_star, window):
         return {"captured": False, "error": str(err)}, None
     span = max(0.25 * max(1.0, abs(lam_star)), 10.0 * abs(seed.points[0].lam - lam_star))
     limits = (max(lo, lam_star - span), min(hi, lam_star + span))
-    branch = continuation.continue_branch(problem, seed, limits, max_steps=80, ds_max=0.05)
+    branch = continuation.continue_branch(problem, seed, limits)
     sups = [bp.sup_norm for bp in branch.points]
     return {
         "captured": True,

@@ -96,7 +96,8 @@ exceeds the Hessian's reach; the diagnostics do not change by a bit.
 jacobian assembles the p(p+1)/2 blocks i <= j from the symmetrized nodal
 Hessian and copies block (i, j) into (j, i).  Continuation evaluates the
 nodal Hessian once per accepted point (_make_point), whose first block is
-the J of the next tangent, and once at its start point.  One corrector,
+the J of the next tangent, and once at its start point; a fold location
+evaluates it once at each trial point and again at the fold.  One corrector,
 _bordered_newton, serves the switch and the continuation.  It reuses its
 bordered matrix for quasi-Newton steps, one residual and one LU solve
 each: the error-oriented good-Broyden method QNERR of Deuflhard (Newton
@@ -113,6 +114,17 @@ of the last accepted point and the new tangent as border row (Allgower &
 Georg 2003, ch. 6); the switch builds its first at the seed.  On the
 benchmark branches at ds_max 0.2 no step is retaken, so each accepted
 point costs one bordered matrix, its tangent's.
+
+The ends of a branch are properties of the branch, not of the step
+(Allgower & Georg 2003, ch. 9; Govaerts 2000).  The step whose point would
+lie past a lambda limit is replaced by one bordered solve at lambda = limit
+with the natural border (0, ..., 0, 1), begun from the secant on the
+tangent's matrix with that border row, so the last point lies on the limit
+bit for bit.  A sign change of the tangent's lambda component between two
+accepted points is a fold: it is located by Illinois iteration on the
+arclength, each trial point corrected on the arclength border and its
+tangent taken from one Jacobian and one bordered matrix there, and inserted
+between the two points, from which the continuation goes on unchanged.
 
 On the trivial branch c = 0 every quadrature node sees u0, so the Hessian is
 one p x p matrix H0(lambda) = hess(u0, lambda) and, in the layout above,
@@ -177,11 +189,15 @@ _PIN_RANK_TOL = 1e-6
 # iterate; a bar of 0 makes the corrector full Newton
 _CHORD_BAR = 0.5
 # switch_branch seeds at this multiple of the unit axial kernel direction;
-# continue_branch starts at step _DS0 and stops when the step halves below
-# _DS_MIN
+# continue_branch starts at step min(_DS0, ds_max) and stops when the step
+# halves below _DS_MIN
 _SEED_AMPLITUDE = 0.05
 _DS0 = 0.02
 _DS_MIN = 1e-4
+# a fold is located when the lambda component of the unit tangent is at most
+# _FOLD_TOL, within _FOLD_MAXIT trial points
+_FOLD_TOL = 1e-8
+_FOLD_MAXIT = 30
 
 
 class NewtonError(RuntimeError):
@@ -901,6 +917,53 @@ def _tangent(problem, c, lam, J, t_prev):
     return t, A
 
 
+def _end_on_limit(problem, A, start, end, limit):
+    """(c, lam, residual norm) of the branch point at lam = limit, between
+    the accepted point start = (c, lam) and the corrector's point end past
+    the limit: one bordered solve with the natural border (0, ..., 0, 1)
+    from the secant between them at lam = limit, begun on A with that border
+    row.  Its border tolerance is 0, so lam is the limit bit for bit."""
+    n = problem.n_dof
+    (c0, lam0), (c1, lam1) = start, end
+    border = np.zeros(n + 1)
+    border[n] = 1.0
+    A = A.copy()
+    A[-1, : n + 1] = border
+    c = c0 + ((limit - lam0) / (lam1 - lam0)) * (c1 - c0)
+    return _bordered_newton(problem, c, limit, border, np.zeros(n + 1), limit, 0.0, 20, A)
+
+
+def _locate_fold(space, start, t0, step, f1, A):
+    """Branch point at the fold between the accepted point start = (c, lam),
+    whose unit tangent t0 has lambda component t0[-1], and the next one, at
+    arclength step along t0, whose tangent's lambda component f1 has the
+    other sign.  Illinois iteration on the arclength s for a zero of the
+    lambda component f(s) of the tangent at the point of arclength s, each
+    trial point corrected on the border t0 as the continuation corrects it,
+    from the last tangent's matrix, which is bordered by t0 too (Allgower &
+    Georg, Introduction to Numerical Continuation Methods, 2003, ch. 9).
+    The fold is the first trial point with |f| <= _FOLD_TOL; NewtonError
+    when a trial fails or none is found in _FOLD_MAXIT trials."""
+    sub = space.problem
+    n = sub.n_dof
+    c0, lam0 = start
+    base = np.append(c0, lam0)
+    a, fa, b, fb = 0.0, t0[n], step, f1
+    for _ in range(_FOLD_MAXIT):
+        s = (a * fb - b * fa) / (fb - fa)
+        pred = (c0 + s * t0[:n], lam0 + s * t0[n])
+        c, lam, rn = _bordered_newton(sub, *pred, t0, base, s, 10 * NEWTON_TOL, 20, A)
+        t, A = _tangent(sub, c, lam, jacobian(sub, c, lam), t0)
+        if abs(t[n]) <= _FOLD_TOL:
+            return _make_point(space, c, lam, rn)[0]
+        if t[n] * fb < 0:
+            a, fa = b, fb
+        else:
+            fa *= 0.5  # the Illinois halving of the end kept twice
+        b, fb = s, t[n]
+    raise NewtonError(f"fold not located near lambda={lam0}")
+
+
 def continue_branch(
     problem: GalerkinProblem,
     seed: Branch,
@@ -914,14 +977,30 @@ def continue_branch(
     (module docstring), from the last seed point along the secant from
     (0, lambda_star).  A seed whose origin is not ("bifurcated",
     lambda_star), or whose last point has a nonzero coefficient off that
-    subspace, raises ValueError.  The corrector starts on the tangent's
+    subspace, raises ValueError, and so do a ds_max that is not positive and
+    finite and a max_steps below 1.  The corrector starts on the tangent's
     matrix and may take 20 steps, retaken ones included, so that steps
-    contracting just within _CHORD_BAR can finish.  The step halves when
-    the corrector fails and grows by 1.4 after every accepted step, from
-    _DS0 up to ds_max; the run stops at the lambda limits, on step
-    underflow, after max_steps, or when the branch returns to the trivial
-    family away from its origin level ("reconnects-to-trivial").
+    contracting just within _CHORD_BAR can finish.  The step starts at
+    min(_DS0, ds_max), halves when the corrector fails and grows by 1.4
+    after every accepted step, up to ds_max; the run stops at the lambda
+    limits, on step underflow, after max_steps, or when the branch returns
+    to the trivial family away from its origin level
+    ("reconnects-to-trivial").
+
+    The ends of the branch do not depend on the step.  A step whose point
+    lies past a lambda limit is replaced by the point on the limit
+    (_end_on_limit), bit for bit, and the run stops there ("lambda-limit");
+    if that solve fails, the step halves as for a failed corrector.  When
+    the tangent's lambda component changes sign between two accepted
+    points, the fold between them is located (_locate_fold) and inserted
+    between them; the run goes on from the second point, so the accepted
+    points are those of a run without fold location.  A fold whose location
+    fails is left out.
     """
+    if not 0 < ds_max < math.inf:
+        raise ValueError(f"ds_max must be positive and finite, got {ds_max}")
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
     lo, hi = float(lam_limits[0]), float(lam_limits[1])
     points = list(seed.points)
     if not points:
@@ -940,7 +1019,10 @@ def continue_branch(
     t_prev = np.concatenate([c, [lam - lam_star]])
     nt = np.linalg.norm(t_prev)
     t_prev = t_prev / nt if nt > 0 else np.concatenate([np.zeros(n), [1.0]])
-    ds = _DS0
+    ds = min(_DS0, ds_max)
+    # the accepted point before (c, lam) and the arclength between them, once
+    # there is one: t_prev is then the tangent there
+    prev, step = None, None
     # the Jacobian at the last accepted point gives the next tangent, and is
     # dropped before the corrector runs, which keeps only the tangent's
     # bordered matrix; at every accepted point it is the point's first block
@@ -952,6 +1034,11 @@ def continue_branch(
             branch.termination = "tangent-failure"
             return branch
         J = None
+        if prev is not None and t[n] * t_prev[n] < 0:
+            try:
+                branch.points.insert(-1, _locate_fold(space, prev, t_prev, step, t[n], A))
+            except NewtonError:
+                pass
         # the corrector's first matrix: the tangent's, bordered by t, not t_prev
         A[-1, : n + 1] = t
         while ds >= _DS_MIN:
@@ -961,19 +1048,23 @@ def continue_branch(
                 c_new, lam_new, rn = _bordered_newton(
                     sub, *pred, t, np.append(c, lam), ds, 10 * NEWTON_TOL, 20, A
                 )
+                limit = lo if lam_new < lo else hi if lam_new > hi else None
+                if limit is not None and lo <= lam <= hi:
+                    c_new, lam_new, rn = _end_on_limit(sub, A, (c, lam), (c_new, lam_new), limit)
                 break
             except NewtonError:
                 ds *= 0.5
         else:
             branch.termination = "step-underflow"
             return branch
+        prev, step = (c, lam), ds
         c, lam = c_new, lam_new
         t_prev = t
         A = None
         bp, J = _make_point(space, c, lam, rn)
         branch.points.append(bp)
         ds = min(ds * 1.4, ds_max)
-        if lam < lo or lam > hi:
+        if limit is not None:
             branch.termination = "lambda-limit"
             return branch
         if bp.sup_norm < 1e-7 and abs(lam - lam_star) > 1e-3:

@@ -74,10 +74,6 @@ class EulerElement:
     def as_dict(self) -> dict:
         return {lab: c for lab, c in self.coefficients}
 
-    @property
-    def coefficient_sum(self) -> int:
-        return sum(c for _, c in self.coefficients)
-
     def is_zero(self) -> bool:
         return not self.coefficients
 
@@ -268,12 +264,6 @@ class SymbolicDegree:
         if self.is_exact and len(self.factors) == 1:
             return self.factors[0]
         return None
-
-    @property
-    def scalar_unit(self) -> bool:
-        if not self.is_exact:
-            return False
-        return all(scalar_unit_test(f) is not None for f in self.factors)
 
 
 def deg_minus_id(rep, context: str = "H") -> SymbolicDegree:

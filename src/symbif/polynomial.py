@@ -21,7 +21,7 @@ import numpy as np
 class Polynomial:
     """Mapping from exponent tuples to Fraction coefficients."""
 
-    __slots__ = ("nvars", "terms", "_evaluator")
+    __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
@@ -35,7 +35,6 @@ class Polynomial:
                     raise ValueError("monomial length does not match nvars")
                 clean[tuple(mono)] = clean.get(tuple(mono), Fraction(0)) + coeff
         self.terms = {m: c for m, c in clean.items() if c != 0}
-        self._evaluator = None
 
     @classmethod
     def _exact(cls, nvars, terms):
@@ -45,7 +44,6 @@ class Polynomial:
         poly = cls.__new__(cls)
         poly.nvars = nvars
         poly.terms = {m: c for m, c in terms.items() if c}
-        poly._evaluator = None
         return poly
 
     @classmethod
@@ -143,30 +141,6 @@ class Polynomial:
         if variables is None:
             variables = range(self.nvars)
         return max(sum(m[i] for i in variables) for m in self.terms)
-
-    def __call__(self, *args):
-        """Value at the broadcast arguments, by the kernel of an Evaluator of
-        this polynomial alone (made on the first call): a float when every
-        argument is a scalar, else an array of the broadcast shape."""
-        if self._evaluator is None:
-            self._evaluator = Evaluator([self])
-        return self._evaluator(*args)[0]
-
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "Polynomial(0)"
-        bits = []
-        for m, c in sorted(self.terms.items()):
-            vars_ = "*".join(
-                f"x{i}^{e}" if e > 1 else f"x{i}" for i, e in enumerate(m) if e
-            )
-            bits.append(f"{c}*{vars_}" if vars_ else f"{c}")
-        return "Polynomial(" + " + ".join(bits) + ")"
 
 
 # --------------------------------------------------------------------------

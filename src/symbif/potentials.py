@@ -95,22 +95,6 @@ class GroupAction:
             if f[0] == "zn" and f[1] < 2:
                 raise ValueError("cyclic order must be at least 2")
 
-    @property
-    def kind(self) -> str:
-        names = []
-        for f in self.factors:
-            if f[0] == "trivial":
-                names.append("trivial")
-            elif f[0] == "so2":
-                names.append(f"so2({f[1] + 1},{f[2] + 1})")
-            else:
-                names.append(f"zn({f[1]};{f[2] + 1},{f[3] + 1})")
-        return "*".join(names) if names else "trivial"
-
-    @property
-    def continuous_dimension(self) -> int:
-        return sum(1 for f in self.factors if f[0] == "so2")
-
     def generators(self) -> list[np.ndarray]:
         """Infinitesimal generators of the continuous factors."""
         return [_plane_generator(self.p, f[1], f[2]) for f in self.factors if f[0] == "so2"]

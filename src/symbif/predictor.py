@@ -58,10 +58,6 @@ class RepresentationDescriptor:
     def total_dimension(self) -> int:
         return sum(b.copies * b.dimension for b in self.blocks)
 
-    @property
-    def is_nontrivial(self) -> bool:
-        return any(b.nontrivial for b in self.blocks)
-
     def to_json(self) -> dict:
         return {
             "blocks": [

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from symbif import cli, continuation, potentials, spectral
@@ -467,6 +468,21 @@ class TestVerifyCommand:
             assert doc["cutoff_covers_window"] is False
             assert doc["unmatched_detected"] == pytest.approx([4, 20 / 3], abs=1e-6)
 
+    def test_double_resonance_branch_from_4_ends_on_its_limit(self, capsys, tmp_path):
+        # followed at ds_max 0.05 for at most 80 steps, the branch from the
+        # level 4 ended on max-steps at lambda 4.91; at the default step it
+        # reaches its limit lambda* + lambda*/4, bit for bit
+        pot = tmp_path / "double.cfg"
+        pot.write_text(self.DOUBLE_RESONANCE)
+        code, out, _ = run(capsys, "verify", "--potential-file", str(pot), "--domain", "sphere",
+                           "--dim", "3", "--truncation", "8", "--window", "0.5:7")
+        assert code == 0
+        (rec,) = [rec for rec in json.loads(out)["levels"] if abs(rec["lambda0"] - 4.0) < 1e-9]
+        level, branch = rec["detected_match"], rec["branch"]
+        assert branch["termination"] == "lambda-limit" and branch["points"] == 27
+        assert branch["lambda_range"][1] == level + 0.25 * level
+        assert abs(branch["lambda_range"][1] - 5.0) < 1e-9
+
     RING_TIMES_QUARTIC = (
         "[potential]\nname = ring-times-quartic\np = 3\naction = so2(1,2)\nu0 = 1, 0, 0\n"
         "a = 1 0 0; 0 0 0; 0 0 0\nf = lambda*(u1^2 + u2^2 - 1)^2 / 8 - u3^4 / 4\n"
@@ -825,12 +841,17 @@ class TestNonFiniteSettings:
         assert error["type"] == "ValueError" and "finite" in error["message"]
 
 
-def _verify_outputs(argv, out_dir, threads):
-    """Files that `symbif verify` writes under one BLAS thread count."""
+def _verify_outputs(argv, out_dir, threads, prelude=""):
+    """Files that `symbif verify` writes under one BLAS thread count, after
+    running the Python code prelude when one is given."""
     out_dir.mkdir()
     env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads)
+    if prelude:
+        command = ["-c", prelude + "import sys\nfrom symbif.cli import main\nsys.exit(main())\n"]
+    else:
+        command = ["-m", "symbif.cli"]
     proc = subprocess.run(
-        [sys.executable, "-m", "symbif.cli", "verify", *argv, "--out", str(out_dir / "r")],
+        [sys.executable, *command, "verify", *argv, "--out", str(out_dir / "r")],
         env=env,
         capture_output=True,
         timeout=300,
@@ -899,11 +920,40 @@ class TestVerifyDeterminism:
 
 
 # verify's output for each TestVerifyGoldenDigests case as the corrector
-# with plain chord steps computed it: the verdict and the detected levels,
-# and per branch file its termination, its block Morse indices (run-length
-# encoded) and its lambda, sup_norm and min_offsym_singular per point, to
-# 12 significant digits
+# with plain chord steps computed it, with every branch followed at ds_max
+# 0.05 for at most 80 steps and ended at its first point past a lambda limit:
+# the verdict and the detected levels, and per branch file its termination,
+# its block Morse indices (run-length encoded) and its lambda, sup_norm and
+# min_offsym_singular per point, to 12 significant digits
 CHORD_BRANCHES = json.loads((Path(__file__).parent / "chord_corrector_branches.json").read_text())
+
+# Python run before `symbif verify`: follow every branch at the step verify
+# took before it took continue_branch's default, ds_max 0.05 for at most 80
+# steps
+AT_OLD_STEP = (
+    "from symbif import continuation\n"
+    "follow = continuation.continue_branch\n"
+    "continuation.continue_branch = lambda *args: follow(*args, max_steps=80, ds_max=0.05)\n"
+)
+# ... and end every branch, as verify did before the ends of a branch were
+# located, at its first point past a lambda limit, with no fold inserted
+AT_OLD_STEP_AND_ENDS = AT_OLD_STEP + (
+    "import numpy as np\n"
+    "def past_limit(problem, A, start, end, limit):\n"
+    "    return (*end, float(np.linalg.norm(continuation.assemble_residual(problem, *end))))\n"
+    "def no_fold(*args):\n"
+    "    raise continuation.NewtonError('no fold located')\n"
+    "continuation._end_on_limit = past_limit\n"
+    "continuation._locate_fold = no_fold\n"
+)
+
+
+def _branch_files(outputs):
+    return sorted(name for name in outputs if name.endswith(".json"))
+
+
+def _expand(run_length):
+    return [index for count, index in run_length for _ in range(count)]
 
 
 def _assert_near_chord_branches(outputs, key):
@@ -914,17 +964,74 @@ def _assert_near_chord_branches(outputs, key):
     report = json.loads(outputs["r"])
     assert report["verdict"] == recorded["verdict"]
     assert report["detected"] == recorded["detected"]
-    names = sorted(name for name in outputs if name.endswith(".json"))
+    names = _branch_files(outputs)
     assert names == sorted(recorded["branches"])
     for name in names:
         branch, rec = json.loads(outputs[name]), recorded["branches"][name]
         assert branch["termination"] == rec["termination"]
-        morse = [index for count, index in rec["block_morse_index"] for _ in range(count)]
+        morse = _expand(rec["block_morse_index"])
         assert [p["block_morse_index"] for p in branch["points"]] == morse
         for field in ("lambda", "sup_norm", "min_offsym_singular"):
             values = [p[field] for p in branch["points"]]
             assert len(values) == len(rec[field])
             assert all(abs(v - x) <= 1e-9 * (1.0 + abs(x)) for v, x in zip(values, rec[field]))
+
+
+def _fold_indices(lams):
+    """Indices of the lambdas that lie beyond both neighbours."""
+    return [
+        i for i in range(1, len(lams) - 1) if (lams[i] - lams[i - 1]) * (lams[i + 1] - lams[i]) < 0
+    ]
+
+
+def _assert_keeps_chord_samples(outputs, key):
+    """The verdict, detected levels, branch files and terminations of
+    CHORD_BRANCHES[key], and every recorded point but the last, its block
+    Morse indices as recorded and its lambda, sup_norm and
+    min_offsym_singular within 1e-9 (1 + |x|); besides them only the fold
+    points, one at each turn of the recorded lambdas, and the last point,
+    on the limit between the last two recorded lambdas."""
+    recorded = CHORD_BRANCHES[key]
+    report = json.loads(outputs["r"])
+    assert report["verdict"] == recorded["verdict"]
+    assert report["detected"] == recorded["detected"]
+    names = _branch_files(outputs)
+    assert names == sorted(recorded["branches"])
+    for name in names:
+        branch, rec = json.loads(outputs[name]), recorded["branches"][name]
+        assert branch["termination"] == rec["termination"] == "lambda-limit"
+        folds = _fold_indices([p["lambda"] for p in branch["points"]])
+        turns = _fold_indices(rec["lambda"])
+        assert len(folds) == len(turns)
+        *kept, last = [p for i, p in enumerate(branch["points"]) if i not in folds]
+        assert len(kept) == len(rec["lambda"]) - 1
+        morse = _expand(rec["block_morse_index"])[:-1]
+        assert [p["block_morse_index"] for p in kept] == morse
+        for field in ("lambda", "sup_norm", "min_offsym_singular"):
+            pairs = zip([p[field] for p in kept], rec[field])
+            assert all(abs(v - x) <= 1e-9 * (1.0 + abs(x)) for v, x in pairs)
+        before, past = rec["lambda"][-2:]
+        assert min(before, past) < last["lambda"] < max(before, past)
+
+
+def _branch_records(report):
+    levels = report["levels"] if "levels" in report else report["candidates"]
+    return [rec["branch"] for rec in levels if "branch" in rec]
+
+
+def _assert_same_ends(report, reference):
+    """The verdict, detected levels and per branch the termination of
+    reference, and lambda_range and max_sup_norm within 1e-8 relative."""
+    assert report["verdict"] == reference["verdict"]
+    assert report["detected"] == reference["detected"]
+    records, expected = _branch_records(report), _branch_records(reference)
+    assert len(records) == len(expected) > 0
+    for rec, ref in zip(records, expected):
+        assert rec["captured"] and ref["captured"]
+        assert rec["termination"] == ref["termination"]
+        for x, y in zip([*rec["lambda_range"], rec["max_sup_norm"]],
+                        [*ref["lambda_range"], ref["max_sup_norm"]]):
+            assert abs(x - y) <= 1e-8 * abs(y)
 
 
 class TestVerifyGoldenDigests:
@@ -939,9 +1046,85 @@ class TestVerifyGoldenDigests:
     and terminations unchanged).  Every digest was re-recorded when the
     corrector's steps on a reused matrix took good-Broyden updates, which
     moves branch values by at most 7.2e-10 (1 + |x|); the outputs of the
-    chord corrector before them are kept as CHORD_BRANCHES and checked."""
+    chord corrector before them are kept as CHORD_BRANCHES and checked.
+
+    Every digest was re-recorded again when each branch came to end on its
+    limit, with its folds located, and verify followed it at
+    continue_branch's default step instead of ds_max 0.05 for at most 80
+    steps.  The digests before that are kept as OLD_STEP_DIGESTS, and
+    verify still writes those bytes with the old step and without the
+    located ends.  At the old step with the located ends every recorded
+    sample is kept but the last, and the ends of every branch agree with
+    the ones at the default step."""
+
+    SPHERE_OPTIONS = ["--domain", "sphere", "--dim", "3", "--window", "0.5:8"]
+    PLANE_OPTIONS = {
+        "circle": ["--domain", "sphere", "--dim", "2", "--beta-cutoff", "10",
+                   "--window", "0.5:9.5"],
+        "disk": ["--domain", "ball", "--dim", "2", "--window", "0.5:10"],
+    }
 
     DIGESTS = {
+        ("pitchfork-scalar", "12"): {
+            "r": "f60cb73f54bc5d8f89a51b9c45a9cfe7a7f4591d085d3f3f1e13f0447174b5c3",
+            "r.branch-2.csv": "46e1f43b16fb9d65079e6ea7a28633afdf60bdbda028d9983474584acb31a099",
+            "r.branch-2.json": "cda26800543afbb9ca283ff3515322c5ac7015e7bd5b77da5234744dd412622f",
+            "r.branch-6.csv": "bf532d00be0628e076a82528b1bc353ab3f799d9875a3b50554645f554beeba5",
+            "r.branch-6.json": "2655ab1d5bb6cd2e965d90f079059cb3a34d12a556836b8c3f666dbb0f9bfd85",
+        },
+        ("so2-ring", "12"): {
+            "r": "85c8310f5ba3c7362797620539938a0532755acbad89b14faf1e8314e3a211ff",
+            "r.branch-2.csv": "320fc4ae4f61e501437170eedfc6eaa57231a6ea69959aa92e7f9c69452a4921",
+            "r.branch-2.json": "a6ad72a2fcf8051de90303ab418424b45b30ec55eab57764c0119c25dedc486e",
+            "r.branch-6.csv": "77fb5b569cb14428a131080cb3983c10496528c2d7d7a2772e63e540c902dca7",
+            "r.branch-6.json": "d5842e14fa16c7d0303da568e2aa519e5c9aa7f74105314247d45eb446a79d2a",
+        },
+        ("so2-ring", "24"): {
+            "r": "54e57186757940bd33b16c70ea00f43603e6049ebaceaa7b82193c013361f6d4",
+            "r.branch-2.csv": "4469138ae586bee3e96d1e921cebff5b2ef4a1e83aedd95526618668d5479d35",
+            "r.branch-2.json": "33fdc7c1712b668be22add1207764c8ccd905315b84c2b208fb2e04db684fa4f",
+            "r.branch-6.csv": "0ba15bf7e1939e85e9bbf505a0d83c7f5f0f7960b2ecf6ff9f5619cae9a6cc9a",
+            "r.branch-6.json": "3db9418542313f0f67461a36b1f002b716235f62a0d452e6b58708b91e831357",
+        },
+    }
+    PLANE_DIGESTS = {
+        ("pitchfork-scalar", "circle"): {
+            "r": "065ae4cb8759d008a1efb20b76fa8a48d24d1a811d54cc4f0f8e25e12637cdb9",
+            "r.branch-1.csv": "dd910ab7b98fe9b3e4f072f50210e0aa5a72ff91da06b7fc8940701a9dc9185d",
+            "r.branch-1.json": "30250e7862ca8c807aa54a3230575d95e0b40579ad4e9135e57d1149f1436248",
+            "r.branch-4.csv": "f0806dda3aad2e561ffec90fa8f5f1417b58678a1f980225d52e328d0ae0b867",
+            "r.branch-4.json": "e207fa6d311e7da810cf8fad0650a32141e543c9944988a9301a2992471e7efc",
+            "r.branch-9.csv": "418c29100409e8d4fb0489a9ef72b3f11744d8956ef7476314d2f0f769a3f202",
+            "r.branch-9.json": "27ef457ec2ae9552da20ca8400a77bb64e5d81025bea71592668c44b82f04e7d",
+        },
+        ("so2-ring", "circle"): {
+            "r": "c10a0917ccb50d98fe66270fe8409f5776a69f2a2a3d9399f3421c900dc52250",
+            "r.branch-1.csv": "d183886d1faa4065ef3b6ae7cb1f3cf30bc1ab32b37266795fa5aa6e08c81da9",
+            "r.branch-1.json": "9ec5d8c673d0f8755e0395daf1399d64ba381b74279b5df8dbdc952a1ce51c83",
+            "r.branch-4.csv": "fc6167c702edad2e6852d008dfc4707714af9ea1ae0b0fb5025cacd2cec42805",
+            "r.branch-4.json": "17f1ccdcc727f35e6bfcf4d6d4d6eed10c789f30db9cee62582cd683f63baa79",
+            "r.branch-9.csv": "4252c706d832c687247a53a0cbc1689590a0a46f1607f8ad5785dae97fac3d0a",
+            "r.branch-9.json": "e5678013ec598c5ff74bc9dfa2aff95f0d9247d9410014f4ceeb363ca8645eda",
+        },
+        ("pitchfork-scalar", "disk"): {
+            "r": "fcb208ca6e980311d48c9d43ecb2c3064293dfc96fe12fa27fa7ecae3b248427",
+            "r.branch-3.38996.csv": "b9f949a77c47fbcaa1e490ab47d4f3d8a8fde8d6ee2e40c45248714616ef4c39",
+            "r.branch-3.38996.json": "26e46c3201b05f55117d6bf5c29a260711417b6abd95accdf8bb0641890fb670",
+            "r.branch-9.32836.csv": "99141176a29d9b9833c31fa1e632ede4c18d543bd7b5676c71b6ceb0250aaaa6",
+            "r.branch-9.32836.json": "ee60e31f812359aa3e8e7bfe6909491542610d417c2ab40778e36363495b9192",
+        },
+        ("so2-ring", "disk"): {
+            "r": "f9f03c20690db55432a1d9568b7fa59158889f17e269191968c55734cd7f608a",
+            "r.branch-3.38996.csv": "9c3dc2879d97bcc3db7fc11c2425ea5ab6eff45ac0142324d13a6b472efdcc46",
+            "r.branch-3.38996.json": "abef2a74dffce8c597bd17b9a146860f18c3a71ed415ff1b839a0ff07980622e",
+            "r.branch-9.32836.csv": "6021b733b13266eff5c03e6fe333b55a2fd55f41f288ad471267d12a3325b2de",
+            "r.branch-9.32836.json": "97d5125e489104e9d65dc0f3cfbdc7506d4c5f7f52d246d5d89b900415b872c2",
+        },
+    }
+
+    # the digests recorded before the ends of a branch were located, with
+    # every branch followed at ds_max 0.05 for at most 80 steps
+    OLD_STEP_DIGESTS = {
         ("pitchfork-scalar", "12"): {
             "r": "0d48830edf5cc0b654b3312112cba889f91ea7e7f536a96d6068d8a37d5f7710",
             "r.branch-2.csv": "706438ca0b4f4b9ffbff28a461147d5225fcfeeeb0afc0b60af1640430675adc",
@@ -963,14 +1146,6 @@ class TestVerifyGoldenDigests:
             "r.branch-6.csv": "27b53def4db6b893b0534ddc5b06b7a5c1f4234530a8e1ae81980dbcc5fdb23e",
             "r.branch-6.json": "5e79b75ec1ebdd3881d21f0adbcbf0fca6dcf02fe73b4b73843de75ed5437962",
         },
-    }
-
-    PLANE_OPTIONS = {
-        "circle": ["--domain", "sphere", "--dim", "2", "--beta-cutoff", "10",
-                   "--window", "0.5:9.5"],
-        "disk": ["--domain", "ball", "--dim", "2", "--window", "0.5:10"],
-    }
-    PLANE_DIGESTS = {
         ("pitchfork-scalar", "circle"): {
             "r": "00c33f96ff8a940a5c240ea9bd2e4496ff25b1beadd62e74e9affd3df7a3eb9d",
             "r.branch-1.csv": "533fa7dbb5157f3c40960924d5a5e96c710a832405eb825e5f1647adceba7491",
@@ -1005,26 +1180,148 @@ class TestVerifyGoldenDigests:
         },
     }
 
+    @classmethod
+    def argv(cls, case):
+        potential, where = case
+        options = cls.PLANE_OPTIONS.get(where) or [*cls.SPHERE_OPTIONS, "--truncation", where]
+        return ["--potential", potential, *options, "--branch-coefficients"]
+
+    @pytest.fixture(scope="class")
+    def outputs(self, tmp_path_factory):
+        """outputs(case, threads, prelude): the files of verify on case, each
+        run once."""
+        cache = {}
+
+        def get(case, threads, prelude=""):
+            key = (case, threads, prelude)
+            if key not in cache:
+                out_dir = tmp_path_factory.mktemp("verify") / threads
+                cache[key] = _verify_outputs(self.argv(case), out_dir, threads, prelude)
+            return cache[key]
+
+        return get
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("case", list(DIGESTS), ids=lambda case: "-".join(case))
-    def test_sphere_outputs_match_recorded_digests(self, case, threads, tmp_path):
-        potential, truncation = case
-        argv = ["--potential", potential, "--domain", "sphere", "--dim", "3",
-                "--truncation", truncation, "--window", "0.5:8", "--branch-coefficients"]
-        outputs = _verify_outputs(argv, tmp_path / threads, threads)
-        _assert_near_chord_branches(outputs, "/".join(case))
-        digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+    def test_sphere_outputs_match_recorded_digests(self, case, threads, outputs):
+        digests = {name: _sha256(data) for name, data in outputs(case, threads).items()}
         assert digests == self.DIGESTS[case]
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("case", list(PLANE_DIGESTS), ids=lambda case: "-".join(case))
-    def test_circle_and_disk_outputs_match_recorded_digests(self, case, threads, tmp_path):
-        potential, domain = case
-        argv = ["--potential", potential, *self.PLANE_OPTIONS[domain], "--branch-coefficients"]
-        outputs = _verify_outputs(argv, tmp_path / threads, threads)
-        _assert_near_chord_branches(outputs, "/".join(case))
-        digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+    def test_circle_and_disk_outputs_match_recorded_digests(self, case, threads, outputs):
+        digests = {name: _sha256(data) for name, data in outputs(case, threads).items()}
         assert digests == self.PLANE_DIGESTS[case]
+
+    @pytest.mark.parametrize("case", list(OLD_STEP_DIGESTS), ids=lambda case: "-".join(case))
+    def test_old_step_without_located_ends_writes_the_old_digests(self, case, outputs):
+        # the located ends replace the last point and insert the folds, and
+        # change no point that continue_branch accepts, bit for bit
+        old = outputs(case, "1", AT_OLD_STEP_AND_ENDS)
+        _assert_near_chord_branches(old, "/".join(case))
+        assert {name: _sha256(data) for name, data in old.items()} == self.OLD_STEP_DIGESTS[case]
+
+    @pytest.mark.parametrize("case", list(OLD_STEP_DIGESTS), ids=lambda case: "-".join(case))
+    def test_old_step_keeps_the_recorded_samples_and_the_ends(self, case, outputs):
+        # at the old step every recorded sample is kept but the last, which
+        # lies past its limit, and the verdict, terminations and ends of
+        # every branch are those of the default step, to 1e-8
+        at_old_step = outputs(case, "1", AT_OLD_STEP)
+        _assert_keeps_chord_samples(at_old_step, "/".join(case))
+        _assert_same_ends(json.loads(outputs(case, "1")["r"]), json.loads(at_old_step["r"]))
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+# every builtin branch domain: options of build_problem and verify's window
+STEP_CASES = {
+    "sphere2-12": (spectral.sphere(3), {"truncation": 12}, (0.5, 8.0)),
+    "circle": (spectral.sphere(2), {}, (0.5, 9.5)),
+    "disk": (spectral.ball(2), {}, (0.5, 10.0)),
+}
+# the folds that verify's builtin branches pass, by (domain, potential,
+# level rounded): so2-ring's branches from lambda* = 6 on S^2 and 9.33 on
+# the disk turn down before they rise to their upper limits
+FOLDS = {("sphere2-12", "so2-ring", 6): 5.4814092, ("disk", "so2-ring", 9): 9.2892198}
+
+
+def _fold_points(branch):
+    """The points of branch whose lambda lies beyond both neighbours'."""
+    return [branch.points[i] for i in _fold_indices([bp.lam for bp in branch.points])]
+
+
+class TestStepIndependence:
+    """A verify branch record does not depend on the step: on every builtin
+    branch the ends of lambda_range, the fold and max_sup_norm at the
+    default step agree with those at ds_max 0.05 for at most 80 steps to
+    1e-8 relative, with the same termination, and every point at the
+    default step lies on the branch followed at 0.05."""
+
+    @pytest.fixture(scope="class", params=list(STEP_CASES))
+    def branches(self, request):
+        """(domain, potential, level, problem, (record, branch) at the
+        default step, (record, branch) at ds_max 0.05) per detected level."""
+        domain, options, window = STEP_CASES[request.param]
+        follow = continuation.continue_branch
+        out = []
+        for name in ("pitchfork-scalar", "so2-ring"):
+            prob = continuation.build_problem(domain, potentials.builtin(name), **options)
+            for lam in continuation.detect_bifurcation(prob, window):
+                default = cli._verify_branch(prob, lam, window)
+                with pytest.MonkeyPatch.context() as m:
+                    m.setattr(continuation, "continue_branch",
+                              lambda *args: follow(*args, max_steps=80, ds_max=0.05))
+                    dense = cli._verify_branch(prob, lam, window)
+                out.append((request.param, name, lam, prob, default, dense))
+        return out
+
+    def test_ends_agree(self, branches):
+        for *_, (rec, branch), (ref, dense) in branches:
+            assert rec["termination"] == ref["termination"] == "lambda-limit"
+            assert len(dense.points) > rec["points"]
+            for x, y in zip([*rec["lambda_range"], rec["max_sup_norm"]],
+                            [*ref["lambda_range"], ref["max_sup_norm"]]):
+                assert abs(x - y) <= 1e-8 * abs(y)
+
+    def test_folds_are_located_at_every_step(self, branches):
+        for where, name, lam, _, (_, branch), (_, dense) in branches:
+            folds, dense_folds = _fold_points(branch), _fold_points(dense)
+            expected = FOLDS.get((where, name, round(lam)))
+            if expected is None:
+                assert folds == dense_folds == []
+                continue
+            (fold,), (dense_fold,) = folds, dense_folds
+            assert abs(fold.lam - expected) < 1e-6
+            assert abs(fold.lam - dense_fold.lam) <= 1e-8 * dense_fold.lam
+            assert fold.lam == min(bp.lam for bp in branch.points)
+
+    def test_points_lie_on_the_dense_branch(self, branches):
+        # each point at the default step, away from the folds, against the
+        # point at its lambda that Newton with the natural border finds from
+        # the nearest point at ds_max 0.05
+        checked = 0
+        for *_, prob, (_, branch), (_, dense) in branches:
+            space = continuation._subspace(prob)
+            sub, n = space.problem, space.problem.n_dof
+            folds = [bp.lam for bp in _fold_points(dense)]
+            border = np.zeros(n + 1)
+            border[n] = 1.0
+            reference = np.array([np.append(bp.c[space.idx], bp.lam) for bp in dense.points])
+            for bp in branch.points:
+                if any(abs(bp.lam - lam) < 0.05 for lam in folds):
+                    continue
+                x = np.append(bp.c[space.idx], bp.lam)
+                start = reference[np.argmin(np.linalg.norm(reference - x, axis=1))]
+                c, lam, _ = continuation._bordered_newton(
+                    sub, start[:n], bp.lam, border, np.zeros(n + 1), bp.lam, 0.0, 20
+                )
+                assert lam == bp.lam
+                assert np.max(np.abs(c - x[:n])) <= 1e-8
+                assert abs(sub.sup_deviation(c) - bp.sup_norm) <= 1e-8
+                checked += 1
+        assert checked > 20
 
 
 class TestSweepGoldenBits:

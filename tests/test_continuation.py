@@ -17,7 +17,7 @@ from symbif.continuation import (
     jacobian,
     switch_branch,
 )
-from symbif.polynomial import parse_polynomial
+from symbif.polynomial import Evaluator, parse_polynomial
 from symbif.potentials import builtin, from_config_dict
 from symbif.spectral import ball, sphere
 
@@ -103,7 +103,7 @@ def discrete_energy(problem, c, lam):
     dirichlet = 0.5 * float(np.sum(problem.beta[:, None] * C * C))
     names = [f"u{i + 1}" for i in range(problem.p)] + ["lambda"]
     F = parse_polynomial(potentials._BUILTINS[problem.spec.name]["f"], names)
-    Fv = np.asarray(F(*problem.evaluate(c).T, lam), float)
+    Fv = np.asarray(Evaluator([F])(*problem.evaluate(c).T, lam)[0], float)
     return dirichlet - float(np.dot(problem.quad.weights, Fv))
 
 
@@ -530,7 +530,9 @@ class TestJacobianReuse:
 # the detected level by the amplitude-pinned solve from the zonal (axial)
 # seed and continued to (1.7, 2.6) with ds_max = 0.05: lambda and sup_norm
 # per point (33 points, terminated at the lambda limit); every point is
-# zonal, T_z C = 0, with residual norm at most 1e-10
+# zonal, T_z C = 0, with residual norm at most 1e-10.  The last point is the
+# first one past the limit, as recorded before continue_branch replaced it
+# by the point on the limit
 RECORDED_S2_LAMBDA = [
     2.00309285171, 2.00439460974, 2.00659754546, 2.01042304544, 2.01654532073,
     2.02403937157, 2.03287945923, 2.0430367729, 2.05448012316, 2.06717660722,
@@ -597,12 +599,13 @@ class TestBorderedSolves:
         det = detect_bifurcation(prob, (1.0, 7.0), steps=60)
         seed = switch_branch(prob, det[0])
         branch = continue_branch(prob, seed, (1.7, 2.6), max_steps=80, ds_max=0.05)
-        assert branch.termination == "lambda-limit"
+        _assert_ends_on_limit(branch, RECORDED_S2_LAMBDA[-1], (1.7, 2.6))
         assert len(branch.points) == len(RECORDED_S2_LAMBDA)
         Tz = prob.rotation_generators[0]
-        for bp, lam, sup in zip(branch.points, RECORDED_S2_LAMBDA, RECORDED_S2_SUP):
+        for bp, lam, sup in zip(branch.points[:-1], RECORDED_S2_LAMBDA, RECORDED_S2_SUP):
             assert abs(bp.lam - lam) <= 1e-9
             assert abs(bp.sup_norm - sup) <= 1e-9
+        for bp in branch.points:
             C = bp.c.reshape(prob.n_funcs, prob.p)
             assert np.max(np.abs(Tz @ C)) <= 1e-14 * np.max(np.abs(C))
             assert bp.residual_norm <= 1e-10
@@ -636,7 +639,8 @@ class TestBorderedSolves:
 # max_steps=40 and the amplitude-pinned switch from the cos-mode seed, as full
 # Newton correctors on the reflection-even rows compute them with no chord
 # attempt (12 points each, terminated at the lambda limit), on the half-turn
-# of the angular rule
+# of the angular rule.  The last point of each branch here is the first one
+# past the limit, which continue_branch now replaces by the point on it
 RECORDED_NEWTON_HEX = {
     "circle_pitchfork": [
         "0x1.007aded2c7b2dp+0", "0x1.00b881175071fp+0", "0x1.0123afe410b30p+0",
@@ -681,12 +685,6 @@ FULL_RULE_NEWTON_HEX = {
 }
 
 
-def _assert_near_full_rule(branch, full_rule_hex):
-    """The half-turn rule moves every point of a recorded branch by at most
-    1e-11 |lambda| from its full-rule value, and keeps the point count."""
-    _assert_near_recorded([bp.lam for bp in branch.points], full_rule_hex, 1e-11)
-
-
 def _assert_near_recorded(lams, recorded_hex, rtol):
     """Every lambda within rtol |lambda| of its recorded value, and as many
     lambdas as recorded."""
@@ -694,6 +692,18 @@ def _assert_near_recorded(lams, recorded_hex, rtol):
     assert len(lams) == len(recorded)
     for lam, rec in zip(lams, recorded):
         assert abs(lam - rec) <= rtol * abs(rec)
+
+
+def _assert_ends_on_limit(branch, recorded_last, limits=None):
+    """The branch ends on a lambda limit (on one of limits, bit for bit, when
+    given) between its last point but one and recorded_last, the last point
+    recorded before continue_branch replaced the first point past a limit by
+    the point on it."""
+    assert branch.termination == "lambda-limit"
+    before, last = branch.points[-2].lam, branch.points[-1].lam
+    assert min(before, recorded_last) < last < max(before, recorded_last)
+    if limits is not None:
+        assert last in limits
 
 
 def _first_level_branch(prob, window, limits=None, **kwargs):
@@ -738,13 +748,14 @@ class TestChordCorrector:
         monkeypatch.setattr(continuation, "_CHORD_BAR", 0.0)
         monkeypatch.setattr(continuation, "_bordered_newton", spy)
         branch = _first_level_branch(prob, window, limits, max_steps=40)
-        assert branch.termination == "lambda-limit"
+        recorded = RECORDED_NEWTON_HEX[fixture]
+        _assert_ends_on_limit(branch, float.fromhex(recorded[-1]), limits)
         assert len(chords) >= len(branch.points) - 1
-        _assert_near_full_rule(branch, FULL_RULE_NEWTON_HEX[fixture])
+        lams = [bp.lam for bp in branch.points[:-1]]
+        _assert_near_recorded(lams, FULL_RULE_NEWTON_HEX[fixture][:-1], 1e-11)
         if fixture in BISECTION_NEWTON_HEX:
-            lams = [bp.lam for bp in branch.points]
-            _assert_near_recorded(lams, BISECTION_NEWTON_HEX[fixture], 1e-11)
-        assert [bp.lam.hex() for bp in branch.points] == RECORDED_NEWTON_HEX[fixture]
+            _assert_near_recorded(lams, BISECTION_NEWTON_HEX[fixture][:-1], 1e-11)
+        assert [lam.hex() for lam in lams] == recorded[:-1]
 
     @staticmethod
     def _corrector_steps(prob, ds, monkeypatch):
@@ -1042,6 +1053,126 @@ class TestChordCorrector:
         assert accepted >= 10
         assert len(systems) == accepted
         assert len(hessians) <= accepted + 1
+
+
+def _corrector_offsets(monkeypatch):
+    """List that collects the arclength of every continuation corrector
+    solve from now on: the offset of each _bordered_newton call given the
+    tangent's matrix."""
+    offsets = []
+    bordered = continuation._bordered_newton
+
+    def spy(*args):
+        if len(args) > 8 and args[8] is not None and args[6] > 0:
+            offsets.append(args[5])
+        return bordered(*args)
+
+    monkeypatch.setattr(continuation, "_bordered_newton", spy)
+    return offsets
+
+
+class TestBranchEnds:
+    """The ends of a branch do not depend on the step: a branch ends on its
+    lambda limit bit for bit, and a fold between two points is located and
+    inserted between them."""
+
+    @pytest.mark.parametrize(
+        "kwargs,name",
+        [
+            ({"ds_max": 0.0}, "ds_max"),
+            ({"ds_max": -0.1}, "ds_max"),
+            ({"ds_max": math.inf}, "ds_max"),
+            ({"ds_max": math.nan}, "ds_max"),
+            ({"max_steps": 0}, "max_steps"),
+        ],
+    )
+    def test_bad_step_settings_raise(self, circle_pitchfork, kwargs, name):
+        # they used to end in a silent step-underflow or return the seed alone
+        seed = switch_branch(circle_pitchfork, 1.0)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            continue_branch(circle_pitchfork, seed, (0.9, 1.3), **kwargs)
+
+    def test_first_step_is_at_most_ds_max(self, circle_pitchfork, monkeypatch):
+        # the first step was _DS0 = 0.02 whatever ds_max, which clamped only
+        # the steps after it
+        seed = switch_branch(circle_pitchfork, 1.0)
+        offsets = _corrector_offsets(monkeypatch)
+        continue_branch(circle_pitchfork, seed, (0.9, 1.3), max_steps=3, ds_max=0.005)
+        assert offsets == [0.005] * 3
+
+    @pytest.mark.parametrize(
+        "fixture,lam_star,limits,end",
+        [
+            ("circle_pitchfork", 1.0, (0.9, 1.3), 1),
+            ("disk_ring", None, (3.0, 3.6), 1),
+            # the level-6 branch turns down to its fold near 5.49 and crosses
+            # the lower limit first
+            ("sphere_ring", 6.0, (5.6, 7.0), 0),
+        ],
+    )
+    def test_last_point_lies_on_the_limit(self, fixture, lam_star, limits, end, request):
+        prob = request.getfixturevalue(fixture)
+        if lam_star is None:
+            lam_star = detect_bifurcation(prob, (0.5, 4.0), steps=60)[0]
+        branch = continue_branch(prob, switch_branch(prob, lam_star), limits, max_steps=80)
+        assert branch.termination == "lambda-limit"
+        last = branch.points[-1]
+        assert last.lam == limits[end]
+        assert all(limits[0] < bp.lam < limits[1] for bp in branch.points[:-1])
+        assert last.residual_norm <= continuation.NEWTON_TOL
+        r = assemble_residual(prob, last.c, last.lam)
+        assert np.linalg.norm(r) <= 10 * continuation.NEWTON_TOL
+
+    def test_failed_limit_solve_halves_the_step(self, circle_pitchfork, monkeypatch):
+        # a limit solve that fails is a failed step: the step halves and the
+        # corrector runs again from the same point
+        seed = switch_branch(circle_pitchfork, 1.0)
+        end_on_limit = continuation._end_on_limit
+        failures = []
+
+        def fail_once(*args):
+            if not failures:
+                failures.append(len(offsets))
+                raise NewtonError("limit solve failed")
+            return end_on_limit(*args)
+
+        offsets = _corrector_offsets(monkeypatch)
+        monkeypatch.setattr(continuation, "_end_on_limit", fail_once)
+        branch = continue_branch(circle_pitchfork, seed, (0.9, 1.3), max_steps=80)
+        assert branch.termination == "lambda-limit" and branch.points[-1].lam == 1.3
+        (k,) = failures
+        assert offsets[k] == 0.5 * offsets[k - 1]
+
+    def test_fold_is_located_between_the_accepted_points(self, sphere_ring, monkeypatch):
+        # the so2-ring branch from lambda* = 6 on S^2 at truncation 6 turns
+        # at lambda 5.4895; the fold point is inserted between the two points
+        # whose tangents' lambda components differ in sign, where the
+        # tangent's lambda component is 0, and the accepted points are bit
+        # for bit those of a run that locates no fold
+        prob = sphere_ring
+        limits = (4.5, 7.5)
+        branch = continue_branch(prob, switch_branch(prob, 6.0), limits, max_steps=80)
+        lams = [bp.lam for bp in branch.points]
+        k = int(np.argmin(lams))
+        assert 0 < k < len(lams) - 1 and abs(lams[k] - 5.4895388) < 1e-6
+        fold = branch.points[k]
+        space = continuation._subspace(prob)
+        sub, c = space.problem, fold.c[space.idx]
+        t, _ = continuation._tangent(
+            sub, c, fold.lam, jacobian(sub, c, fold.lam), np.append(c, 0.0) / np.linalg.norm(c)
+        )
+        assert abs(t[-1]) <= continuation._FOLD_TOL
+        assert fold.residual_norm <= continuation.NEWTON_TOL
+
+        def no_fold(*args):
+            raise NewtonError("fold not located")
+
+        monkeypatch.setattr(continuation, "_locate_fold", no_fold)
+        bare = continue_branch(prob, switch_branch(prob, 6.0), limits, max_steps=80)
+        assert len(bare.points) == len(branch.points) - 1
+        for a, b in zip(bare.points, branch.points[:k] + branch.points[k + 1 :]):
+            assert a.lam == b.lam and np.array_equal(a.c, b.c)
+            assert a.block_morse_index == b.block_morse_index
 
 
 class TestSwitchAndContinue:
@@ -1884,7 +2015,9 @@ class TestDiskBuild:
     def test_so2_ring_beta_200_branch_matches_recorded_bits(self):
         # the disk workload's so2-ring pipeline at beta <= 200: the level
         # detected in (0.5, 6.25), then the branch from it to lambda* -/+
-        # lambda*/4 (11 points, terminated at the lambda limit), as float.hex:
+        # lambda*/4 (11 points, terminated at the lambda limit), as float.hex,
+        # its last point the first past the limit, which continue_branch now
+        # replaces by the point on the limit:
         # the level as recorded with one bisection level per Bessel call and
         # one Bessel call per basis function, the branch on the half-turn rule
         # with the Broyden-updated corrector and the Newton-refined Neumann
@@ -1898,14 +2031,16 @@ class TestDiskBuild:
         lam = detected[0]
         limits = (lam - 0.25 * lam, lam + 0.25 * lam)
         branch = continue_branch(prob, switch_branch(prob, lam), limits)
-        assert branch.termination == "lambda-limit"
-        _assert_near_recorded([bp.lam for bp in branch.points], CHORD_DISK200_BRANCH_HEX, 1e-9)
-        _assert_near_recorded([bp.lam for bp in branch.points], RESTART_DISK200_BRANCH_HEX, 1e-9)
+        recorded = RECORDED_DISK200_HEX["branch"]
+        _assert_ends_on_limit(branch, float.fromhex(recorded[-1]), limits)
+        lams = [bp.lam for bp in branch.points[:-1]]
+        _assert_near_recorded(lams, CHORD_DISK200_BRANCH_HEX[:-1], 1e-9)
+        _assert_near_recorded(lams, RESTART_DISK200_BRANCH_HEX[:-1], 1e-9)
         chord = [float.fromhex(h) for h in CHORD_DISK200_BRANCH_HEX]
         _assert_near_recorded(chord, BISECTION_DISK200_BRANCH_HEX, 1e-11)
         restart = [float.fromhex(h) for h in RESTART_DISK200_BRANCH_HEX]
         _assert_near_recorded(restart, FULL_RULE_DISK200_BRANCH_HEX, 1e-11)
-        assert [bp.lam.hex() for bp in branch.points] == RECORDED_DISK200_HEX["branch"]
+        assert [lam.hex() for lam in lams] == recorded[:-1]
 
 
 class TestProblemQuadrature:

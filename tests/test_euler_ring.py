@@ -25,6 +25,10 @@ SO2_TABLE = er.MultiplicationTable.from_json(
 )
 
 
+def coefficient_sum(e):
+    return sum(c for _, c in e.coefficients)
+
+
 def random_element(context, labels, rng):
     coeffs = {lab: int(rng.integers(-5, 6)) for lab in labels}
     return er.element(context, coeffs)
@@ -111,7 +115,7 @@ class TestPushForward:
         h = er.element("H", {"e": 2, "Z2": 1})
         g = er.push_forward(h, {"e": "e", "Z2": "Z2"}, "G", admissible=True)
         assert g == er.element("G", {"e": 2, "Z2": 1})
-        assert g.coefficient_sum == h.coefficient_sum == 3
+        assert coefficient_sum(g) == coefficient_sum(h) == 3
 
     def test_collision_cancels(self):
         h = er.element("H", {"K1": 2, "K2": -2})
@@ -138,7 +142,7 @@ class TestPushForward:
             h = random_element("H", labels, RNG)
             cmap = {lab: targets[int(RNG.integers(3))] for lab in labels}
             g = er.push_forward(h, cmap, "G")
-            assert g.coefficient_sum == h.coefficient_sum
+            assert coefficient_sum(g) == coefficient_sum(h)
 
     def test_injective_map_is_injective_on_elements(self):
         labels = ["K1", "K2", "K3"]
@@ -178,7 +182,8 @@ class TestDegMinusId:
     def test_nontrivial_atom(self):
         deg = er.deg_minus_id(descriptor([(2, True)]))
         assert deg.exact_value is None
-        assert not deg.scalar_unit
+        # a degree with an unevaluated atom is never a scalar unit
+        assert not deg.is_exact
         atom = deg.factors[0]
         assert atom.invertible and not atom.scalar_unit
 

@@ -387,11 +387,12 @@ class TestActions:
                 assert np.max(np.abs(g.T @ g - np.eye(action.p))) < 1e-12
 
     def test_continuous_dimension(self):
-        assert trivial_action(3).continuous_dimension == 0
-        assert so2_action(2).continuous_dimension == 1
-        assert cyclic_action(2, 5).continuous_dimension == 0
+        # one infinitesimal generator per so2 factor
+        assert len(trivial_action(3).generators()) == 0
+        assert len(so2_action(2).generators()) == 1
+        assert len(cyclic_action(2, 5).generators()) == 0
         prod = product_action(4, [so2_action(4, (0, 1)), cyclic_action(4, 3, (2, 3))])
-        assert prod.continuous_dimension == 1
+        assert len(prod.generators()) == 1
 
     def test_disjoint_planes_required(self):
         with pytest.raises(ValueError):

@@ -95,7 +95,7 @@ class TestDegreeJump:
         for lam, got in ((0.5, cand.b_minus), (1.5, cand.b_plus)):
             f = lambda t: lam * t - t**3
             assert got == int(np.sign(f(0.5)) - np.sign(f(-0.5))) // 2
-        assert cand.V.is_nontrivial
+        assert any(b.nontrivial for b in cand.V.blocks)
         assert cand.jump
         assert isinstance(cand.guarantee, SphereGlobal)
         assert cand.witnesses == ((1.0, 1.0),)
@@ -146,7 +146,8 @@ class TestPredict:
         assert all(c.jump for c in cands)
         # the proof-side invariant: jump follows from a nonzero side degree
         for c in cands:
-            assert (c.b_plus != 0 or c.b_minus != 0) and c.V.is_nontrivial
+            assert c.b_plus != 0 or c.b_minus != 0
+            assert any(b.nontrivial for b in c.V.blocks)
             assert c.jump
 
     def test_candidates_subset_of_lambda_set(self):
