@@ -97,7 +97,7 @@ jacobian assembles the p(p+1)/2 blocks i <= j from the symmetrized nodal
 Hessian and copies block (i, j) into (j, i).  Continuation evaluates the
 nodal Hessian once per accepted point (_make_point), whose first block is
 the J of the next tangent, and once at its start point; a fold location
-evaluates it once at each trial point and again at the fold.  One corrector,
+evaluates it once at each trial point, the fold included.  One corrector,
 _bordered_newton, serves the switch and the continuation.  It reuses its
 bordered matrix for quasi-Newton steps, one residual and one LU solve
 each: the error-oriented good-Broyden method QNERR of Deuflhard (Newton
@@ -111,9 +111,17 @@ than 2; one that does not is retaken from the iterate before it on a
 matrix built there, and a step on a fresh matrix is kept.  The
 continuation's first matrix is the tangent's, with the J, r_lambda and B
 of the last accepted point and the new tangent as border row (Allgower &
-Georg 2003, ch. 6); the switch builds its first at the seed.  On the
-benchmark branches at ds_max 0.2 no step is retaken, so each accepted
-point costs one bordered matrix, its tangent's.
+Georg 2003, ch. 6); the switch builds its first at the seed.  The
+corrector also reports its first contraction theta0, the length ratio of
+the first two steps kept on its first matrix, and the continuation scales
+its next step by it (_step_factor), after the adaptive pathfollowing of
+Deuflhard (2004, ch. 5).  His Theta_0 takes the second step as the raw
+solve on the first matrix; theta0 takes it after its QNERR update and the
+1 / (1 - alpha) stretch, which on the builtin verify branches needs fewer
+points (188 against 207 at the same target).  The tangent's matrix is the
+last point's, so theta0 grows about linearly with the step: the step stays
+small near the switch point and near a fold, and grows where the branch is
+straight.
 
 The ends of a branch are properties of the branch, not of the step
 (Allgower & Georg 2003, ch. 9; Govaerts 2000).  The step whose point would
@@ -189,11 +197,15 @@ _PIN_RANK_TOL = 1e-6
 # iterate; a bar of 0 makes the corrector full Newton
 _CHORD_BAR = 0.5
 # switch_branch seeds at this multiple of the unit axial kernel direction;
-# continue_branch starts at step min(_DS0, ds_max) and stops when the step
-# halves below _DS_MIN
+# continue_branch starts at step min(_DS0, ds_max), scales each next step by
+# _THETA_BAR / theta0 within [1/2, _DS_GROWTH] (_step_factor), at most
+# ds_max, and stops when the step halves below _DS_MIN; _THETA_BAR lies
+# below _CHORD_BAR, so a step at the target contraction keeps its matrix
 _SEED_AMPLITUDE = 0.05
 _DS0 = 0.02
 _DS_MIN = 1e-4
+_THETA_BAR = 0.4
+_DS_GROWTH = 4.0
 # a fold is located when the lambda component of the unit tangent is at most
 # _FOLD_TOL, within _FOLD_MAXIT trial points
 _FOLD_TOL = 1e-8
@@ -327,8 +339,14 @@ def assemble_residual(problem: GalerkinProblem, c, lam: float) -> np.ndarray:
 
 
 def jacobian(problem: GalerkinProblem, c, lam: float) -> np.ndarray:
+    return _jacobian_and_hessian(problem, c, lam)[0]
+
+
+def _jacobian_and_hessian(problem, c, lam):
+    """(J, H): the Jacobian at (c, lam) and the nodal Hessian it is built
+    from."""
     H = _nodal_hessian(problem, c, lam)
-    return _assemble_jacobian(problem.E, problem.quad.weights, problem.beta, H)
+    return _assemble_jacobian(problem.E, problem.quad.weights, problem.beta, H), H
 
 
 def _nodal_hessian(problem, c, lam):
@@ -613,11 +631,12 @@ class Branch:
     termination: Optional[str] = None
 
 
-def _make_point(space, c, lam, residual_norm):
+def _make_point(space, c, lam, residual_norm, H=None):
     """Branch point at the coefficients c of space.problem, and the Jacobian
     of space.problem there: its first isotypic block.  Every block is
     assembled from its table (_Subspace) and the nodal Hessian H at c on
-    space.problem's rule, evaluated once, unless Weyl's bound certifies it.
+    space.problem's rule, evaluated once (a caller that has it passes it),
+    unless Weyl's bound certifies it.
 
     Block k is J_k = diag(beta_k) kron I - sum_x w_x e_k(x) e_k(x)^T kron
     H(x), so with h = max_x |H(x)|_F and g_k its table's Gram norm every
@@ -631,7 +650,8 @@ def _make_point(space, c, lam, residual_norm):
     is, bit for bit."""
     full, lifted = space.full, space.lift(c)
     pins = _pinning_rows(full, lifted)
-    H = _nodal_hessian(space.problem, c, lam)
+    if H is None:
+        H = _nodal_hessian(space.problem, c, lam)
     Hf = H.reshape(H.shape[0], -1)
     # max_x |H(x)|_F
     h = math.sqrt(float(np.max(np.einsum("xi,xi->x", Hf, Hf))))
@@ -691,10 +711,14 @@ def _solve(A, b, lam):
 def _bordered_newton(problem, c, lam, border, base, offset, border_tol, maxit, A=None):
     """Newton with lambda free on [J r_lambda B^T; B 0 0; border 0] that holds
     border . ((c, lam) - base) - offset at zero.  Returns (c, lam, residual
-    norm) once the residual norm is at most NEWTON_TOL and the border residual
-    at most border_tol; raises NewtonError, naming lambda, on a non-finite
-    residual or step or a singular matrix, or after maxit steps, retaken ones
-    included.
+    norm, theta0) once the residual norm is at most NEWTON_TOL and the border
+    residual at most border_tol; raises NewtonError, naming lambda, on a
+    non-finite residual or step or a singular matrix, or after maxit steps,
+    retaken ones included.  theta0 = |s_1| / |s_0| is the first contraction,
+    from the first two steps kept on the first matrix, s_1 after its update
+    (not Deuflhard's simplified correction, the raw solve): 0 when the solve
+    ends before a second step, inf when that matrix is left for a retake
+    first.
 
     Each step solves with the current matrix A of that form (a given A is
     the first), built at the iterate when there is none, and is the
@@ -719,13 +743,13 @@ def _bordered_newton(problem, c, lam, border, base, offset, border_tol, maxit, A
 
     lam = float(lam)
     r, rn = residual(c, lam)
-    steps = []
+    steps, theta0 = [], None
     for _ in range(maxit):
         # the c part and the lambda term are summed apart, so the rounding does
         # not depend on how the BLAS dot kernel splits n + 1 terms
         g = float(np.dot(border[:n], c - base[:n]) + border[n] * (lam - base[n]) - offset)
         if rn <= NEWTON_TOL and abs(g) <= border_tol:
-            return c, lam, rn
+            return c, lam, rn, 0.0 if theta0 is None else theta0
         fresh = A is None
         if fresh:
             A, steps = _newton_system(problem, c, lam, jacobian(problem, c, lam), border), []
@@ -738,15 +762,19 @@ def _bordered_newton(problem, c, lam, border, base, offset, border_tol, maxit, A
             alpha = np.dot(steps[-1], v) / np.dot(steps[-1], steps[-1])
             if not alpha < 0.5:  # 1 / (1 - alpha) would be 2 or more
                 A = None  # retake the step from (c, lam)
+                theta0 = math.inf if theta0 is None else theta0
                 continue
             v /= 1.0 - alpha
         c_new, lam_new = c + v[:n], lam + v[n]
         r_new, rn_new = residual(c_new, lam_new)
         if fresh or rn_new <= _CHORD_BAR * rn:
             steps.append(v)
+            if len(steps) == 2 and theta0 is None:
+                theta0 = float(np.linalg.norm(steps[1]) / np.linalg.norm(steps[0]))
             c, lam, r, rn = c_new, lam_new, r_new, rn_new
         else:
             A = None  # a stall: retake the step from (c, lam)
+            theta0 = math.inf if theta0 is None else theta0
     raise NewtonError(f"bordered Newton did not converge near lambda={lam}")
 
 
@@ -882,7 +910,7 @@ def switch_branch(problem: GalerkinProblem, lam_star: float) -> Branch:
     target = float(np.dot(vhat, seed))
     fail = f"no branch captured at lambda_star={lam_star}"
     try:
-        c, lam, rn = _bordered_newton(
+        c, lam, rn, _ = _bordered_newton(
             space.problem, seed, lam_star, border, np.zeros_like(border), target, NEWTON_TOL, 30
         )
     except NewtonError as err:
@@ -918,11 +946,12 @@ def _tangent(problem, c, lam, J, t_prev):
 
 
 def _end_on_limit(problem, A, start, end, limit):
-    """(c, lam, residual norm) of the branch point at lam = limit, between
-    the accepted point start = (c, lam) and the corrector's point end past
-    the limit: one bordered solve with the natural border (0, ..., 0, 1)
-    from the secant between them at lam = limit, begun on A with that border
-    row.  Its border tolerance is 0, so lam is the limit bit for bit."""
+    """(c, lam, residual norm, theta0) of the branch point at lam = limit,
+    between the accepted point start = (c, lam) and the corrector's point
+    end past the limit: one bordered solve with the natural border (0, ...,
+    0, 1) from the secant between them at lam = limit, begun on A with that
+    border row.  Its border tolerance is 0, so lam is the limit bit for
+    bit."""
     n = problem.n_dof
     (c0, lam0), (c1, lam1) = start, end
     border = np.zeros(n + 1)
@@ -952,10 +981,11 @@ def _locate_fold(space, start, t0, step, f1, A):
     for _ in range(_FOLD_MAXIT):
         s = (a * fb - b * fa) / (fb - fa)
         pred = (c0 + s * t0[:n], lam0 + s * t0[n])
-        c, lam, rn = _bordered_newton(sub, *pred, t0, base, s, 10 * NEWTON_TOL, 20, A)
-        t, A = _tangent(sub, c, lam, jacobian(sub, c, lam), t0)
+        c, lam, rn, _ = _bordered_newton(sub, *pred, t0, base, s, 10 * NEWTON_TOL, 20, A)
+        J, H = _jacobian_and_hessian(sub, c, lam)
+        t, A = _tangent(sub, c, lam, J, t0)
         if abs(t[n]) <= _FOLD_TOL:
-            return _make_point(space, c, lam, rn)[0]
+            return _make_point(space, c, lam, rn, H)[0]
         if t[n] * fb < 0:
             a, fa = b, fb
         else:
@@ -964,12 +994,22 @@ def _locate_fold(space, start, t0, step, f1, A):
     raise NewtonError(f"fold not located near lambda={lam0}")
 
 
+def _step_factor(theta0):
+    """Factor of the next arclength step from the corrector's first
+    contraction theta0 (_bordered_newton): _THETA_BAR / theta0 within [1/2,
+    _DS_GROWTH], which aims the next step at theta0 = _THETA_BAR while
+    theta0 grows linearly with the step, and _DS_GROWTH when theta0 = 0
+    (after Deuflhard, Newton Methods for Nonlinear Problems, 2004, ch. 5,
+    adaptive pathfollowing, with theta0 measured on the kept QNERR steps)."""
+    return _DS_GROWTH if theta0 == 0.0 else min(max(_THETA_BAR / theta0, 0.5), _DS_GROWTH)
+
+
 def continue_branch(
     problem: GalerkinProblem,
     seed: Branch,
     lam_limits,
     max_steps: int = 200,
-    ds_max: float = 0.2,
+    ds_max: float = 1.0,
 ) -> Branch:
     """Pseudo-arclength continuation from a seed branch of switch_branch.
 
@@ -981,11 +1021,17 @@ def continue_branch(
     finite and a max_steps below 1.  The corrector starts on the tangent's
     matrix and may take 20 steps, retaken ones included, so that steps
     contracting just within _CHORD_BAR can finish.  The step starts at
-    min(_DS0, ds_max), halves when the corrector fails and grows by 1.4
-    after every accepted step, up to ds_max; the run stops at the lambda
-    limits, on step underflow, after max_steps, or when the branch returns
-    to the trivial family away from its origin level
-    ("reconnects-to-trivial").
+    min(_DS0, ds_max) and halves when the corrector fails.  After every
+    accepted step it is scaled by 0.4 / theta0 (_THETA_BAR), clamped to
+    [1/2, 4] (_DS_GROWTH), with theta0 the corrector's first contraction
+    (_step_factor): fourfold when the corrector converges in one step, by
+    half when it leaves the tangent's matrix for a retake (theta0 = inf).
+    ds_max caps it.  The default cap 1.0 binds on the builtin verify
+    branches only on two steps of the S^2 so2-ring branch from lambda* = 6,
+    which takes 12 points under it and 11 without; every other step is at
+    most 0.94.  The run stops at the lambda limits, on step underflow, after
+    max_steps, or when the branch returns to the trivial family away from
+    its origin level ("reconnects-to-trivial").
 
     The ends of the branch do not depend on the step.  A step whose point
     lies past a lambda limit is replaced by the point on the limit
@@ -1045,12 +1091,12 @@ def continue_branch(
             # the border t holds the arclength from (c, lam) at ds
             pred = (c + ds * t[:n], lam + ds * t[n])
             try:
-                c_new, lam_new, rn = _bordered_newton(
+                c_new, lam_new, rn, theta0 = _bordered_newton(
                     sub, *pred, t, np.append(c, lam), ds, 10 * NEWTON_TOL, 20, A
                 )
                 limit = lo if lam_new < lo else hi if lam_new > hi else None
                 if limit is not None and lo <= lam <= hi:
-                    c_new, lam_new, rn = _end_on_limit(sub, A, (c, lam), (c_new, lam_new), limit)
+                    c_new, lam_new, rn, _ = _end_on_limit(sub, A, (c, lam), (c_new, lam_new), limit)
                 break
             except NewtonError:
                 ds *= 0.5
@@ -1063,7 +1109,7 @@ def continue_branch(
         A = None
         bp, J = _make_point(space, c, lam, rn)
         branch.points.append(bp)
-        ds = min(ds * 1.4, ds_max)
+        ds = min(ds * _step_factor(theta0), ds_max)
         if limit is not None:
             branch.termination = "lambda-limit"
             return branch

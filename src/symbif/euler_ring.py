@@ -236,8 +236,6 @@ class MinusIdAtom:
     """
 
     dimension: int
-    scalar_unit: bool = False
-    invertible: bool = True
 
 
 @dataclass(frozen=True)

@@ -471,7 +471,8 @@ class TestVerifyCommand:
     def test_double_resonance_branch_from_4_ends_on_its_limit(self, capsys, tmp_path):
         # followed at ds_max 0.05 for at most 80 steps, the branch from the
         # level 4 ended on max-steps at lambda 4.91; at the default step it
-        # reaches its limit lambda* + lambda*/4, bit for bit
+        # reaches its limit lambda* + lambda*/4, bit for bit (27 points when
+        # the step grew by 1.4 up to 0.2, 14 with the contraction rule)
         pot = tmp_path / "double.cfg"
         pot.write_text(self.DOUBLE_RESONANCE)
         code, out, _ = run(capsys, "verify", "--potential-file", str(pot), "--domain", "sphere",
@@ -479,7 +480,7 @@ class TestVerifyCommand:
         assert code == 0
         (rec,) = [rec for rec in json.loads(out)["levels"] if abs(rec["lambda0"] - 4.0) < 1e-9]
         level, branch = rec["detected_match"], rec["branch"]
-        assert branch["termination"] == "lambda-limit" and branch["points"] == 27
+        assert branch["termination"] == "lambda-limit" and branch["points"] == 14
         assert branch["lambda_range"][1] == level + 0.25 * level
         assert abs(branch["lambda_range"][1] - 5.0) < 1e-9
 
@@ -929,18 +930,30 @@ CHORD_BRANCHES = json.loads((Path(__file__).parent / "chord_corrector_branches.j
 
 # Python run before `symbif verify`: follow every branch at the step verify
 # took before it took continue_branch's default, ds_max 0.05 for at most 80
-# steps
+# steps, growing by 1.4 after every accepted point as the step did before it
+# came from the corrector's contraction
 AT_OLD_STEP = (
     "from symbif import continuation\n"
     "follow = continuation.continue_branch\n"
     "continuation.continue_branch = lambda *args: follow(*args, max_steps=80, ds_max=0.05)\n"
+    "continuation._step_factor = lambda theta0: 1.4\n"
+)
+# Python run before `symbif verify`: follow every branch as verify did
+# before the step came from the corrector's contraction, growing by 1.4 after
+# every accepted point up to ds_max 0.2, then the library default
+AT_FIXED_GROWTH = (
+    "from symbif import continuation\n"
+    "follow = continuation.continue_branch\n"
+    "continuation.continue_branch = lambda *args: follow(*args, ds_max=0.2)\n"
+    "continuation._step_factor = lambda theta0: 1.4\n"
 )
 # ... and end every branch, as verify did before the ends of a branch were
 # located, at its first point past a lambda limit, with no fold inserted
 AT_OLD_STEP_AND_ENDS = AT_OLD_STEP + (
     "import numpy as np\n"
     "def past_limit(problem, A, start, end, limit):\n"
-    "    return (*end, float(np.linalg.norm(continuation.assemble_residual(problem, *end))))\n"
+    "    r = continuation.assemble_residual(problem, *end)\n"
+    "    return (*end, float(np.linalg.norm(r)), 0.0)\n"
     "def no_fold(*args):\n"
     "    raise continuation.NewtonError('no fold located')\n"
     "continuation._end_on_limit = past_limit\n"
@@ -1055,7 +1068,14 @@ class TestVerifyGoldenDigests:
     verify still writes those bytes with the old step and without the
     located ends.  At the old step with the located ends every recorded
     sample is kept but the last, and the ends of every branch agree with
-    the ones at the default step."""
+    the ones at the default step.
+
+    Every digest was re-recorded again when each step came from the
+    corrector's first contraction instead of growing by 1.4 up to ds_max
+    0.2 (fewer points; verdicts, detected levels, terminations, the ends of
+    lambda_range and max_sup_norm unchanged to 1e-8).  The digests before
+    that are kept as FIXED_GROWTH_DIGESTS, and verify still writes those
+    bytes with the fixed growth."""
 
     SPHERE_OPTIONS = ["--domain", "sphere", "--dim", "3", "--window", "0.5:8"]
     PLANE_OPTIONS = {
@@ -1065,6 +1085,66 @@ class TestVerifyGoldenDigests:
     }
 
     DIGESTS = {
+        ("pitchfork-scalar", "12"): {
+            "r": "52834673538d8a5e8a0166c3f40e7b7abd7b5b49d3857d946d1dffd9c22a1f6a",
+            "r.branch-2.csv": "4dbd56f30773c365ab8d3d9ed2dc56f4f853ae53d4b51f3f3b70cce29dbe0197",
+            "r.branch-2.json": "ddc9f7ae4eaae698d67fe3a6fc870f34f74b99ff90cf1add0f13b093563f40cb",
+            "r.branch-6.csv": "f6f4bad80fb1da4d027f85e69d5bbd34dd3e666a8e42b36577a830d0c7731b18",
+            "r.branch-6.json": "e3ff757a0a7b615df7f24757b34393d635a3b6686a9292e35adfb0d1da6ab475",
+        },
+        ("so2-ring", "12"): {
+            "r": "611eb74cbc40896b2c02f312a4a99fbc2573c0f1809cf05b3b9043c3bf6110ee",
+            "r.branch-2.csv": "3d09e3059f95178eb1dbbfce82c95af1608184b9781dfbc0554a119632fbb434",
+            "r.branch-2.json": "ef6fc7dadc253c3eb4a63c217febe94d5bad5766a6e00f7f7ff21019f89f62b7",
+            "r.branch-6.csv": "7dbbaf6427fb86638a3df840e658b4db146d89b4e2a1202aec05271382929067",
+            "r.branch-6.json": "0a48e371e32bf447cdb27daf0da79b0e85df33ae45a49765e6f0f60ca5275d65",
+        },
+        ("so2-ring", "24"): {
+            "r": "5ccfc90764333051dc8791e4597b2b8a0a3bd29d9d83217b5d32d22a1f659e19",
+            "r.branch-2.csv": "04804e0769f1583c9b05e90fc9cf2ab7e872804ea5da3f548e4acf8ade4390d0",
+            "r.branch-2.json": "f81eba49ffc316746db2c3d4de81398acaa7942fe4b8110be972610e72f4bc92",
+            "r.branch-6.csv": "b7a59a2f9853cbc678e324b777f01ecbe6dbeaa208b0adca8dc4c6014095be16",
+            "r.branch-6.json": "12a09c4514d73c52f444759d672c81bbcf8736106a193cf42c9042f5188d3716",
+        },
+    }
+    PLANE_DIGESTS = {
+        ("pitchfork-scalar", "circle"): {
+            "r": "3e80150bb992f4603242c41a1161f1b328b90b9a28e6c905f8f8734dd7724191",
+            "r.branch-1.csv": "428cd69278a758d5ed4976f9fb45a50e8400c079886826a80d3e52fc5cd0c344",
+            "r.branch-1.json": "40995aaabc7ea3494c5b9f9b5122e38ef52c57095e68b0beab945675c0c1847b",
+            "r.branch-4.csv": "b82fefb9e9085589028e75dfdeeb847dc7664e2e41f52d67e9327d08a3025ca4",
+            "r.branch-4.json": "37e2672bf5b65b1441dee0fc9fadc751366e842e57e42cd224ddc2e5844c123d",
+            "r.branch-9.csv": "68c2fdf91ca97807eb2cffe0ce83db8d1d412b59732870dffc1a0b79994dbe83",
+            "r.branch-9.json": "ee9b056d45f7d8c36789ac97e80e899ff91736686fdc4f05b035a18f872a9978",
+        },
+        ("so2-ring", "circle"): {
+            "r": "ec46343cb395d2a4f36935d377ce9f36a9d67c8da061c11298b275615d1eaed4",
+            "r.branch-1.csv": "88d2d615a06b75db6721c1d9fd3e9cd188131c4d05275bcbd52d40a0991cebe8",
+            "r.branch-1.json": "c260ad965fa4d4eab321c372cbe78646bb36def740eae65cc90decf96cfc561a",
+            "r.branch-4.csv": "f1cf380e0a4fbfa095a738e8dde90ce7105f191abce746f234cee0a957605f1a",
+            "r.branch-4.json": "111c1b5e9f5c5359b82f536987a139e873911f103443f53f36d8a21fc162a660",
+            "r.branch-9.csv": "dcd559804328f22d71cc30e31171e889f9e37c5c9f04b022db00fb69b2e9169f",
+            "r.branch-9.json": "5ea6926bade6b6bf0f5b49e11c5e62df3107fbe70e7cd506c5b7fc3ea18f5bb1",
+        },
+        ("pitchfork-scalar", "disk"): {
+            "r": "561cb4e7833f6a13032756f1a6247f5d043826d31e956b89e4a5ff3cc5d171bd",
+            "r.branch-3.38996.csv": "25e51d72996102711dc5b334a0c90acc32d8ab77fe90b161a71edaf11109f489",
+            "r.branch-3.38996.json": "a49ab621300a2eb0fa1357612ebef1ba4187ed9b11f96b254c79968a52378bcd",
+            "r.branch-9.32836.csv": "72f2e04bcacce5cb07b3113a10a57f3993f7358c9f0c53c0671f325281987a76",
+            "r.branch-9.32836.json": "6208cbfbc91997f045c84f36ae6d5dd0aed2936dac0f58f3ac4c7353cc5932b6",
+        },
+        ("so2-ring", "disk"): {
+            "r": "cf9e5a7c0e7a11234e857e3d51dc47e2cd46dd37bdf17c2e02dc4ded4145042a",
+            "r.branch-3.38996.csv": "eb9c9029ebaccef24a5163609120d272e93a70999d9a9084089cf4a7a83c1df7",
+            "r.branch-3.38996.json": "a5ade8cf09dceb306f48b971a9485a517c2d32012762cc18db8a8809c1a416a9",
+            "r.branch-9.32836.csv": "726f9df824c710dce1efa1859a835d6c8ea00c27e792ec1e30fe86dbd86761e6",
+            "r.branch-9.32836.json": "68e307557e9c1f172defcec20198f15e044ab9b39569ee856f7966cf479ee8d3",
+        },
+    }
+
+    # the digests recorded while every step grew by 1.4 up to the library
+    # default ds_max 0.2, before it came from the corrector's contraction
+    FIXED_GROWTH_DIGESTS = {
         ("pitchfork-scalar", "12"): {
             "r": "f60cb73f54bc5d8f89a51b9c45a9cfe7a7f4591d085d3f3f1e13f0447174b5c3",
             "r.branch-2.csv": "46e1f43b16fb9d65079e6ea7a28633afdf60bdbda028d9983474584acb31a099",
@@ -1086,8 +1166,6 @@ class TestVerifyGoldenDigests:
             "r.branch-6.csv": "0ba15bf7e1939e85e9bbf505a0d83c7f5f0f7960b2ecf6ff9f5619cae9a6cc9a",
             "r.branch-6.json": "3db9418542313f0f67461a36b1f002b716235f62a0d452e6b58708b91e831357",
         },
-    }
-    PLANE_DIGESTS = {
         ("pitchfork-scalar", "circle"): {
             "r": "065ae4cb8759d008a1efb20b76fa8a48d24d1a811d54cc4f0f8e25e12637cdb9",
             "r.branch-1.csv": "dd910ab7b98fe9b3e4f072f50210e0aa5a72ff91da06b7fc8940701a9dc9185d",
@@ -1213,6 +1291,17 @@ class TestVerifyGoldenDigests:
         digests = {name: _sha256(data) for name, data in outputs(case, threads).items()}
         assert digests == self.PLANE_DIGESTS[case]
 
+    @pytest.mark.parametrize("case", list(FIXED_GROWTH_DIGESTS), ids=lambda case: "-".join(case))
+    def test_fixed_growth_writes_the_previous_digests(self, case, outputs):
+        # the step rule changes which points are taken, not how a point is
+        # corrected or reported: with the fixed growth verify writes the
+        # previous bytes, and the verdict, terminations and ends of every
+        # branch are those of the default step, to 1e-8
+        fixed = outputs(case, "1", AT_FIXED_GROWTH)
+        digests = {name: _sha256(data) for name, data in fixed.items()}
+        assert digests == self.FIXED_GROWTH_DIGESTS[case]
+        _assert_same_ends(json.loads(outputs(case, "1")["r"]), json.loads(fixed["r"]))
+
     @pytest.mark.parametrize("case", list(OLD_STEP_DIGESTS), ids=lambda case: "-".join(case))
     def test_old_step_without_located_ends_writes_the_old_digests(self, case, outputs):
         # the located ends replace the last point and insert the folds, and
@@ -1314,7 +1403,7 @@ class TestStepIndependence:
                     continue
                 x = np.append(bp.c[space.idx], bp.lam)
                 start = reference[np.argmin(np.linalg.norm(reference - x, axis=1))]
-                c, lam, _ = continuation._bordered_newton(
+                c, lam, _, _ = continuation._bordered_newton(
                     sub, start[:n], bp.lam, border, np.zeros(n + 1), bp.lam, 0.0, 20
                 )
                 assert lam == bp.lam

@@ -67,6 +67,14 @@ def sphere12_ring():
     return build_problem(sphere(3), builtin("so2-ring"), truncation=12)
 
 
+def _fixed_growth(monkeypatch):
+    """The step schedule under which the recorded branches below were taken,
+    before each step came from the corrector's contraction: min(_DS0,
+    ds_max) at first, then 1.4 times the last step after every accepted
+    point, up to ds_max (then 0.2 by default)."""
+    monkeypatch.setattr(continuation, "_step_factor", lambda theta0: 1.4)
+
+
 def _block_loop_jacobian(prob, c, lam):
     """Reference Jacobian: all p^2 component blocks, each a negated product."""
     U = prob.evaluate(c)
@@ -489,6 +497,28 @@ class TestJacobianReuse:
         for bp in branch.points:
             assert seen.count((bp.c[space.idx].tobytes(), bp.lam)) == 1
 
+    def test_fold_location_evaluates_one_hessian_per_point(self, sphere12_ring, monkeypatch):
+        # so2-ring on S^2 at truncation 12 from lambda* = 6 to (4.5, 7.5)
+        # passes the fold near 5.48; each trial point's tangent and, at the
+        # fold, the point's diagnostics share one nodal Hessian (the fold's
+        # was evaluated twice: 28 evaluations at 27 distinct points)
+        prob = sphere12_ring
+        seed = switch_branch(prob, 6.0)
+        seen = []
+        hessian = continuation._nodal_hessian
+
+        def spy(problem, c, lam):
+            seen.append((np.asarray(c, float).tobytes(), float(lam)))
+            return hessian(problem, c, lam)
+
+        monkeypatch.setattr(continuation, "_nodal_hessian", spy)
+        branch = continue_branch(prob, seed, (4.5, 7.5))
+        assert branch.termination == "lambda-limit"
+        fold = min(branch.points, key=lambda bp: bp.lam)
+        assert abs(fold.lam - 5.481409214087) < 1e-9
+        assert len(seen) > len(branch.points)
+        assert len(seen) == len(set(seen))
+
     @pytest.mark.parametrize("fixture", ["circle_pitchfork", "disk_ring", "sphere12_ring"])
     def test_switch_and_continue_build_one_subspace_each(self, fixture, request, monkeypatch):
         # switch_branch builds the subspace once for the kernel direction,
@@ -528,7 +558,8 @@ class TestJacobianReuse:
 
 # the level-2 so2-ring branch on the 2-sphere at truncation 6, switched at
 # the detected level by the amplitude-pinned solve from the zonal (axial)
-# seed and continued to (1.7, 2.6) with ds_max = 0.05: lambda and sup_norm
+# seed and continued to (1.7, 2.6) with ds_max = 0.05 on the fixed growth
+# (_fixed_growth): lambda and sup_norm
 # per point (33 points, terminated at the lambda limit); every point is
 # zonal, T_z C = 0, with residual norm at most 1e-10.  The last point is the
 # first one past the limit, as recorded before continue_branch replaced it
@@ -594,8 +625,9 @@ class TestBorderedSolves:
         step = self._step(prob, c, bp.lam, border)
         assert np.max(np.abs(step - reference)) > 1e-3 * np.linalg.norm(reference)
 
-    def test_sphere_branch_matches_recorded_values(self, sphere_ring):
+    def test_sphere_branch_matches_recorded_values(self, sphere_ring, monkeypatch):
         prob = sphere_ring
+        _fixed_growth(monkeypatch)
         det = detect_bifurcation(prob, (1.0, 7.0), steps=60)
         seed = switch_branch(prob, det[0])
         branch = continue_branch(prob, seed, (1.7, 2.6), max_steps=80, ds_max=0.05)
@@ -636,9 +668,10 @@ class TestBorderedSolves:
 # lambda of every point, as float.hex, of the circle pitchfork branch from
 # lambda* = 1 to (0.9, 1.3) and of the disk (beta <= 60) pitchfork branch
 # from the first detected level to (lambda* - 0.3, lambda* + 0.6), both with
-# max_steps=40 and the amplitude-pinned switch from the cos-mode seed, as full
-# Newton correctors on the reflection-even rows compute them with no chord
-# attempt (12 points each, terminated at the lambda limit), on the half-turn
+# max_steps=40 and ds_max=0.2 on the fixed growth (_fixed_growth) and the
+# amplitude-pinned switch from the cos-mode seed, as full Newton correctors
+# on the reflection-even rows compute them with no chord attempt (12 points
+# each, terminated at the lambda limit), on the half-turn
 # of the angular rule.  The last point of each branch here is the first one
 # past the limit, which continue_branch now replaces by the point on it
 RECORDED_NEWTON_HEX = {
@@ -747,7 +780,8 @@ class TestChordCorrector:
 
         monkeypatch.setattr(continuation, "_CHORD_BAR", 0.0)
         monkeypatch.setattr(continuation, "_bordered_newton", spy)
-        branch = _first_level_branch(prob, window, limits, max_steps=40)
+        _fixed_growth(monkeypatch)
+        branch = _first_level_branch(prob, window, limits, max_steps=40, ds_max=0.2)
         recorded = RECORDED_NEWTON_HEX[fixture]
         _assert_ends_on_limit(branch, float.fromhex(recorded[-1]), limits)
         assert len(chords) >= len(branch.points) - 1
@@ -767,7 +801,7 @@ class TestChordCorrector:
         evaluated next (None when the step was retaken before that), whether
         its matrix was built at its start, and the (c, lambda) part of the
         solution.  The iterates are (c, lambda, residual norm), the returned
-        point last."""
+        point last.  Last comes the theta0 the corrector returned."""
         space = continuation._subspace(prob)
         sub, n = space.problem, space.problem.n_dof
         bp = switch_branch(prob, 1.0).points[0]
@@ -807,7 +841,7 @@ class TestChordCorrector:
             m.setattr(continuation, "assemble_residual", residual_spy)
             m.setattr(continuation, "_newton_system", system_spy)
             m.setattr(continuation, "_solve", solve_spy)
-            c, lam, rn = continuation._bordered_newton(
+            c, lam, rn, theta0 = continuation._bordered_newton(
                 sub, *pred, t, np.append(c0, lam0), ds, 10 * continuation.NEWTON_TOL, 20, A
             )
         assert rn <= continuation.NEWTON_TOL
@@ -819,7 +853,7 @@ class TestChordCorrector:
             c_s, lam_s, _ = iterates[start]
             fresh = any(M is B and np.array_equal(x, c_s) and y == lam_s for B, x, y in builds)
             steps.append((start, count if following > count else None, fresh, raw))
-        return steps, iterates + [(c, lam, rn)]
+        return steps, iterates + [(c, lam, rn)], theta0
 
     @staticmethod
     def _kept(steps, iterates):
@@ -862,7 +896,7 @@ class TestChordCorrector:
         # 0.5 the first step stalls, and three updated steps on the matrix
         # built at the predictor follow
         prob = request.getfixturevalue(fixture)
-        steps, iterates = self._corrector_steps(prob, ds, monkeypatch)
+        steps, iterates, theta0 = self._corrector_steps(prob, ds, monkeypatch)
         kept = self._kept(steps, iterates)
         bar = continuation._CHORD_BAR
         assert [k for k, keep in enumerate(kept) if not keep] == retaken
@@ -891,17 +925,29 @@ class TestChordCorrector:
         # than 1e-3 of its length
         assert not steps[0][2]
         assert moved == updated
+        # theta0 is the ratio of the first two steps kept on the tangent's
+        # matrix, and inf when a retake leaves it before them
+        if retaken and retaken[0] <= 1:
+            assert theta0 == math.inf
+        else:
+            first = steps[0][3]
+            second = self._qnerr(steps[1][3], [first])[0]
+            ratio = np.linalg.norm(second) / np.linalg.norm(first)
+            assert theta0 == pytest.approx(ratio, rel=1e-12)
+            assert 0 < theta0 < bar
 
     @pytest.mark.parametrize("ds", [0.024, 0.5])
     def test_bar_zero_keeps_only_newton_steps(self, circle_pitchfork, ds, monkeypatch):
         # with a bar of 0 every kept step is a Newton step from its own
         # iterate, and every step on a reused matrix is retaken
         monkeypatch.setattr(continuation, "_CHORD_BAR", 0.0)
-        steps, iterates = self._corrector_steps(circle_pitchfork, ds, monkeypatch)
+        steps, iterates, theta0 = self._corrector_steps(circle_pitchfork, ds, monkeypatch)
         kept = self._kept(steps, iterates)
         assert len(steps) > sum(kept) >= 2
         for keep, (_, _, fresh, _) in zip(kept, steps):
             assert keep == fresh
+        # the first step stalls on the tangent's matrix, which is left
+        assert theta0 == math.inf
 
     @staticmethod
     def _affine_corrector(K, f, A, monkeypatch):
@@ -942,10 +988,23 @@ class TestChordCorrector:
         A[0, 0] = 5.0
         chord = np.eye(3) - np.linalg.solve(A, np.block([[K, np.zeros((2, 1))], [A[2:]]]))
         assert np.max(np.abs(np.linalg.eigvals(chord))) > 0.6
-        _, norms, builds = self._affine_corrector(K, np.array([3.0, 3.0]), A, monkeypatch)
+        out, norms, builds = self._affine_corrector(K, np.array([3.0, 3.0]), A, monkeypatch)
         assert builds == []
         assert len(norms) == 4
         assert all(b <= continuation._CHORD_BAR * a for a, b in zip(norms, norms[1:]))
+        # the first contraction, the length ratio of the first two steps on
+        # the given matrix, is measured
+        assert 0 < out[3] < math.inf
+
+    def test_one_step_reports_no_contraction(self, monkeypatch):
+        # on the exact matrix of an affine residual the first step ends the
+        # solve, and no second step measures a contraction: theta0 = 0, on
+        # which the continuation grows its step by _DS_GROWTH
+        K = np.array([[2.0, -1.0], [-1.0, 10.0]])
+        A = np.block([[K, np.zeros((2, 1))], [np.array([[0.0, 0.0, 1.0]])]])
+        out, norms, builds = self._affine_corrector(K, np.array([3.0, 3.0]), A, monkeypatch)
+        assert builds == [] and len(norms) == 2
+        assert out[3] == 0.0
 
     def test_alpha_guard_retakes_before_the_residual(self, monkeypatch):
         # on the reused matrix diag(7, 2) the first step cuts the residual to
@@ -970,7 +1029,10 @@ class TestChordCorrector:
     def test_chord_moves_points_only_within_tolerance(
         self, fixture, window, limits, request, monkeypatch
     ):
+        # on one step schedule: with a bar of 0 the tangent's matrix is
+        # always left, and the contraction rule would halve every step
         prob = request.getfixturevalue(fixture)
+        _fixed_growth(monkeypatch)
         kwargs = dict(max_steps=80, ds_max=0.05)
         chord = _first_level_branch(prob, window, limits, **kwargs)
         monkeypatch.setattr(continuation, "_CHORD_BAR", 0.0)
@@ -996,16 +1058,19 @@ class TestChordCorrector:
                 SimpleNamespace(n_dof=2), np.zeros(2), 0.25, A[2], np.zeros(3), 0.25, 1e-12, 20, A
             )
 
-    def test_one_bordered_matrix_per_accepted_point(self, sphere_ring, monkeypatch):
+    def test_one_bordered_matrix_per_accepted_point_on_the_fixed_growth(
+        self, sphere_ring, monkeypatch
+    ):
         # the branch of test_sphere_branch_matches_recorded_values; full
         # Newton correctors assembled 96 Jacobians for its 32 accepted points
         # (3.0 per point), the chord corrector 36; with the Broyden updates
         # no step is retaken, so every accepted point's one bordered matrix
         # is its tangent's, and its diagnostic blocks share that Jacobian's
-        # nodal Hessian
+        # nodal Hessian; on the fixed growth that branch was recorded with
         prob = sphere_ring
         det = detect_bifurcation(prob, (1.0, 7.0), steps=60)
         seed = switch_branch(prob, det[0])
+        _fixed_growth(monkeypatch)
         hessians, systems = self._count_builds(monkeypatch)
         branch = continue_branch(prob, seed, (1.7, 2.6), max_steps=80, ds_max=0.05)
         accepted = len(branch.points) - 1
@@ -1033,26 +1098,54 @@ class TestChordCorrector:
         return hessians, systems
 
     @pytest.mark.parametrize("fixture", ["disk200_pitchfork", "disk200_ring"])
-    def test_disk_jacobians_per_accepted_point_at_default_ds_max(
+    def test_disk_one_bordered_matrix_per_accepted_point_on_the_fixed_growth(
         self, fixture, request, monkeypatch
     ):
         # the disk workload's branches from the level in (0.5, 6.25) to
-        # lambda* -/+ lambda*/4 under the library default ds_max = 0.2;
-        # restarting full Newton from the predictor on a stall took 3.46
-        # (pitchfork-scalar) and 3.80 (so2-ring) Jacobians per accepted
-        # point, retaking the stalled chord step 1.85 and 2.10; with the
-        # Broyden updates no step is retaken: one bordered matrix per
-        # accepted point, and one nodal Hessian per point and at the start
+        # lambda* -/+ lambda*/4 at ds_max = 0.2, the library default of the
+        # fixed growth; restarting full Newton from the predictor on a
+        # stall took 3.46 (pitchfork-scalar) and 3.80 (so2-ring) Jacobians
+        # per accepted point, retaking the stalled chord step 1.85 and 2.10;
+        # with the Broyden updates no step is retaken: one bordered matrix
+        # per accepted point, and one nodal Hessian per point and at the start
         prob = request.getfixturevalue(fixture)
         lam = detect_bifurcation(prob, (0.5, 6.25))[0]
         seed = switch_branch(prob, lam)
+        _fixed_growth(monkeypatch)
         hessians, systems = self._count_builds(monkeypatch)
-        branch = continue_branch(prob, seed, (lam - 0.25 * lam, lam + 0.25 * lam))
+        branch = continue_branch(prob, seed, (lam - 0.25 * lam, lam + 0.25 * lam), ds_max=0.2)
         assert branch.termination == "lambda-limit"
         accepted = len(branch.points) - 1
         assert accepted >= 10
         assert len(systems) == accepted
         assert len(hessians) <= accepted + 1
+
+    @pytest.mark.parametrize("fixture", ["sphere_ring", "disk200_pitchfork", "disk200_ring"])
+    def test_bordered_matrices_per_accepted_point_at_the_default_step(
+        self, fixture, request, monkeypatch
+    ):
+        # the branches of the two tests above at the library's step: the
+        # contraction rule lets the step grow until the tangent's matrix is
+        # sometimes left, for a retake on a matrix built at its start, so
+        # sphere_ring takes 10 bordered matrices for 8 accepted points, the
+        # disk pitchfork 11 for 11 and the disk so2-ring 10 for 8; every
+        # Hessian is a point's or a retake's, and a tangent's matrix reuses
+        # its point's
+        prob = request.getfixturevalue(fixture)
+        if fixture == "sphere_ring":
+            lam = detect_bifurcation(prob, (1.0, 7.0), steps=60)[0]
+            limits = (1.7, 2.6)
+        else:
+            lam = detect_bifurcation(prob, (0.5, 6.25))[0]
+            limits = (lam - 0.25 * lam, lam + 0.25 * lam)
+        seed = switch_branch(prob, lam)
+        hessians, systems = self._count_builds(monkeypatch)
+        branch = continue_branch(prob, seed, limits)
+        assert branch.termination == "lambda-limit"
+        accepted = len(branch.points) - 1
+        assert accepted >= 8
+        assert accepted <= len(systems) <= 1.25 * accepted
+        assert len(hessians) == len(systems) + 1
 
 
 def _corrector_offsets(monkeypatch):
@@ -1069,6 +1162,95 @@ def _corrector_offsets(monkeypatch):
 
     monkeypatch.setattr(continuation, "_bordered_newton", spy)
     return offsets
+
+
+class TestStepRule:
+    """After every accepted point the step is ds * clamp(_THETA_BAR /
+    theta0, 1/2, _DS_GROWTH), at most ds_max, with theta0 the first
+    contraction the corrector reports; it starts at min(_DS0, ds_max) and
+    halves when the corrector fails."""
+
+    @staticmethod
+    def _steps(prob, monkeypatch, theta0, ds_max=1.0, max_steps=5, fail=()):
+        """The arclength of every corrector solve of the continuation of the
+        circle pitchfork branch from lambda* = 1 to (0.5, 3.0), with the real
+        corrector's theta0 replaced by the given one and the solves whose
+        index is in fail raising NewtonError."""
+        seed = switch_branch(prob, 1.0)
+        offsets = []
+        bordered = continuation._bordered_newton
+
+        def stub(*args):
+            if len(args) > 8 and args[8] is not None and args[6] > 0:
+                offsets.append(args[5])
+                if len(offsets) - 1 in fail:
+                    raise NewtonError("stubbed failure")
+                return (*bordered(*args)[:3], theta0)
+            return bordered(*args)
+
+        monkeypatch.setattr(continuation, "_bordered_newton", stub)
+        branch = continue_branch(prob, seed, (0.5, 3.0), max_steps=max_steps, ds_max=ds_max)
+        assert branch.termination == "max-steps"
+        return offsets
+
+    def test_constants(self):
+        # the target contraction keeps the tangent's matrix
+        assert 0 < continuation._THETA_BAR < continuation._CHORD_BAR
+        assert continuation._DS_GROWTH > 1
+
+    @pytest.mark.parametrize(
+        "theta0,factor",
+        [(0.0, 4.0), (0.05, 4.0), (0.2, 2.0), (0.4, 1.0), (0.5, 0.8), (0.8, 0.5), (math.inf, 0.5)],
+    )
+    def test_factor(self, circle_pitchfork, theta0, factor, monkeypatch):
+        # theta0 = 0, a corrector that converged in one step, grows the step
+        # by _DS_GROWTH = 4; a contraction above _THETA_BAR = 0.4 shrinks it,
+        # by at most half
+        assert continuation._step_factor(theta0) == pytest.approx(factor, rel=1e-15)
+        offsets = self._steps(circle_pitchfork, monkeypatch, theta0, ds_max=0.5)
+        assert offsets[0] == continuation._DS0 == 0.02
+        for ds, following in zip(offsets, offsets[1:]):
+            assert following == pytest.approx(min(ds * factor, 0.5), rel=1e-15)
+
+    @pytest.mark.parametrize("ds_max", [0.005, 0.05, 0.3])
+    def test_step_never_exceeds_ds_max(self, circle_pitchfork, ds_max, monkeypatch):
+        offsets = self._steps(circle_pitchfork, monkeypatch, 0.0, ds_max=ds_max)
+        assert offsets[0] == min(continuation._DS0, ds_max)
+        assert max(offsets) == ds_max
+        assert offsets[-1] == ds_max
+
+    @pytest.mark.parametrize("fixture", ["disk200_pitchfork", "disk200_ring"])
+    def test_disk_branches_take_fewer_points(self, fixture, request, monkeypatch):
+        # the disk workload's branches from the level in (0.5, 6.25) to
+        # lambda* -/+ lambda*/4: at the default step 11 and 8 accepted
+        # points, against 13 and 10 for the fixed growth to ds_max 0.2, for
+        # 11 and 10 bordered matrices against 13 and 10 (so2-ring retakes
+        # two steps); the same ends, to 1e-8
+        prob = request.getfixturevalue(fixture)
+        lam = detect_bifurcation(prob, (0.5, 6.25))[0]
+        seed = switch_branch(prob, lam)
+        limits = (lam - 0.25 * lam, lam + 0.25 * lam)
+        runs = []
+        for fixed in (False, True):
+            with monkeypatch.context() as m:
+                if fixed:
+                    _fixed_growth(m)
+                _, systems = TestChordCorrector._count_builds(m)
+                branch = continue_branch(prob, seed, limits, ds_max=0.2 if fixed else 1.0)
+            assert branch.termination == "lambda-limit"
+            runs.append((branch, len(systems)))
+        (branch, systems), (fixed, fixed_systems) = runs
+        assert len(branch.points) < len(fixed.points)
+        assert systems <= fixed_systems
+        assert branch.points[-1].lam == fixed.points[-1].lam
+        sups = [max(bp.sup_norm for bp in b.points) for b in (branch, fixed)]
+        assert abs(sups[0] - sups[1]) <= 1e-8 * sups[1]
+
+    def test_failed_corrector_halves_the_step(self, circle_pitchfork, monkeypatch):
+        # the second solve fails at 4 x 0.02 and is retried at half of it;
+        # the next step grows from the step accepted
+        offsets = self._steps(circle_pitchfork, monkeypatch, 0.0, max_steps=3, fail={1})
+        assert offsets == pytest.approx([0.02, 0.08, 0.04, 0.16], rel=1e-15)
 
 
 class TestBranchEnds:
@@ -1243,7 +1425,7 @@ class TestSwitchAndContinue:
                 m.setattr(continuation, "_bordered_newton", spy)
                 seed = switch_branch(prob, det[0])
             assert len(solves) == 1
-            args, (c, lam, _) = solves[0]
+            args, (c, lam, _, _) = solves[0]
             bp = seed.points[0]
             # the solve runs on the zonal rows, and the point is its lift
             idx = continuation._subspace(prob).idx
@@ -1517,9 +1699,9 @@ def _record_blocks(monkeypatch):
         tables.append(E)
         return assemble(E, weights, beta, H)
 
-    def spy_make(space, c, lam, residual_norm):
+    def spy_make(space, c, lam, residual_norm, H=None):
         tables.clear()
-        bp, J = make(space, c, lam, residual_norm)
+        bp, J = make(space, c, lam, residual_norm, H)
         assembled = {k for k, block in enumerate(space.blocks) if any(E is block[1] for E in tables)}
         records.append((space, c, lam, bp, assembled))
         return bp, J
@@ -1606,11 +1788,13 @@ class TestBlockSkip:
         # blocks have beta = 2, 6, 12 < lambda and negative eigenvalues, so
         # the bound cannot certify them; every block with a dense off-symmetry
         # eigenvalue below zero is assembled, and the counts match the
-        # full-space Jacobian block by block and in the weighted sum
+        # full-space Jacobian block by block and in the weighted sum; at
+        # ds_max 0.2, which takes more than 20 points to the limit
         prob = build_problem(sphere(3), builtin("pitchfork-scalar"), truncation=12)
         records = _record_blocks(monkeypatch)
         (lam_star,) = detect_bifurcation(prob, (11.0, 13.0))
-        branch = continue_branch(prob, switch_branch(prob, lam_star), (9.0, 15.0), max_steps=40)
+        seed = switch_branch(prob, lam_star)
+        branch = continue_branch(prob, seed, (9.0, 15.0), max_steps=40, ds_max=0.2)
         assert branch.termination == "lambda-limit" and branch.points[-1].lam > 14.5
         weights = _block_weights(prob)
         assert len(records) == len(branch.points) > 20
@@ -2012,10 +2196,11 @@ class TestDiskBuild:
         # then one for the basis norms and one for the radial table
         assert calls["besselj"] == 1 + 3 + 2
 
-    def test_so2_ring_beta_200_branch_matches_recorded_bits(self):
+    def test_so2_ring_beta_200_branch_matches_recorded_bits(self, monkeypatch):
         # the disk workload's so2-ring pipeline at beta <= 200: the level
         # detected in (0.5, 6.25), then the branch from it to lambda* -/+
-        # lambda*/4 (11 points, terminated at the lambda limit), as float.hex,
+        # lambda*/4 at ds_max = 0.2 on the fixed growth (_fixed_growth; 11
+        # points, terminated at the lambda limit), as float.hex,
         # its last point the first past the limit, which continue_branch now
         # replaces by the point on the limit:
         # the level as recorded with one bisection level per Bessel call and
@@ -2030,7 +2215,8 @@ class TestDiskBuild:
         assert [d.hex() for d in detected] == RECORDED_DISK200_HEX["level"]
         lam = detected[0]
         limits = (lam - 0.25 * lam, lam + 0.25 * lam)
-        branch = continue_branch(prob, switch_branch(prob, lam), limits)
+        _fixed_growth(monkeypatch)
+        branch = continue_branch(prob, switch_branch(prob, lam), limits, ds_max=0.2)
         recorded = RECORDED_DISK200_HEX["branch"]
         _assert_ends_on_limit(branch, float.fromhex(recorded[-1]), limits)
         lams = [bp.lam for bp in branch.points[:-1]]

@@ -184,8 +184,7 @@ class TestDegMinusId:
         assert deg.exact_value is None
         # a degree with an unevaluated atom is never a scalar unit
         assert not deg.is_exact
-        atom = deg.factors[0]
-        assert atom.invertible and not atom.scalar_unit
+        assert deg.factors == (er.MinusIdAtom(dimension=2),)
 
     def test_signs_through_dimension_six(self):
         for d in range(0, 7):
