@@ -3,6 +3,14 @@ circle, the 2-sphere, and the disk, with Newton solves, pseudo-arclength
 continuation, bifurcation detection on the trivial branch, and branch
 switching.
 
+A domain's basis rows, quadrature and default catalog are its entry in the
+Galerkin table of spectral, which build_problem looks up once.  The symmetry
+machinery depends only on the group acting on the angular sphere S^{N-1},
+and reads it from domain.dim: S^1 for N = 2 (the circle and the disk), S^2
+for N = 3 (the 2-sphere, and B^3 once it has its entry and an (r, theta)
+column rule).  Every eigenspace's rows are its zonal row when its
+multiplicity is odd, then its (cos, sin) pairs (_angular_pairs).
+
 The residual lives in L2-orthonormal coordinates: for basis function e_b with
 eigenvalue beta_b and component i,
 
@@ -32,15 +40,15 @@ the previous tangent for the pseudo-arclength tangent and the new tangent
 in the corrector.  _newton_system builds the matrix and every system is
 solved by LU (np.linalg.solve); a singular factorization raises
 NewtonError.  The domain-rotation tangents are T C for exact generator
-matrices T: T_z from the (cos, sin) pairs, and on the 2-sphere T_x and T_y
-from the ladder relations, so the residual is orthogonal to every tangent
+matrices T: T_z from the (cos, sin) pairs, and for N = 3 T_x and T_y from
+the ladder relations, so the residual is orthogonal to every tangent
 to rounding.  One cutoff, _PIN_RANK_TOL = 1e-6 on the singular values of
 the unit pinning rows, sets the rank of both the pin basis B and the
 off-symmetry complement Q.
 
 Branches are followed in a fixed-point subspace.  Every branch seed lies in
-Fix(Sigma) of an axial subgroup Sigma (_kernel_direction): the zonal rows on
-the 2-sphere, every row but the sin rows on the circle and the disk.  The
+Fix(Sigma) of an axial subgroup Sigma (_kernel_direction): the zonal rows
+for N = 3, every row but the sin rows for N = 2.  The
 residual maps Fix(Sigma) into itself, so switch_branch and continue_branch
 solve on the Galerkin problem restricted to those rows (Healey, Comput.
 Methods Appl. Mech. Eng. 67, 1988; Gatermann & Hohmann, IMPACT Comput. Sci.
@@ -62,9 +70,9 @@ beta <= 200), with the full rule's sup deviation to rounding.
 
 At a Sigma-fixed point the full-space J commutes with Sigma and is
 block-diagonal by isotypic component (Faessler & Stiefel, Group Theoretical
-Methods and Their Applications, 1992): on the 2-sphere one block per
-azimuthal index m, the cos and the sin rows of m giving equal blocks; on the
-circle and the disk the reflection-even rows and the sin rows.  Each symmetry
+Methods and Their Applications, 1992): for N = 3 one block per azimuthal
+index m, the cos and the sin rows of m giving equal blocks; for N = 2 the
+reflection-even rows and the sin rows.  Each symmetry
 tangent lies in one block (the component generators in the first, T_x C and
 T_y C in the m = 1 sin and cos blocks, T_z C in the sin rows of the circle
 and the disk, while T_z C = 0 on the 2-sphere), so the full-space
@@ -80,18 +88,12 @@ n_phi / 2 while 2m < n_phi, which default_quadrature keeps (n_phi >= 2L + 8
 at degree L).
 This is the Fourier-in-phi block-diagonalization of the cited references.
 A point's min_offsym_singular is the smallest modulus over the blocks, and
-block_morse_index counts each block's negative eigenvalues.  A block need
-not be assembled to know that it adds to neither: block k is diag(beta_k)
-kron I minus a Gram-weighted sum of the nodal Hessians H(x), so by Weyl's
-inequality, and by Cauchy interlacing off the tangents, its eigenvalues are
-at least L_k = min beta_k - h g_k, with h = max_x |H(x)|_F and g_k the
-largest eigenvalue of its table's Gram matrix, computed once per table
-(Parlett, The Symmetric Eigenvalue Problem, 1998, ch. 10 and 15).  The
-first block is always computed; block k >= 1 is skipped when L_k - tau_k
-exceeds max(0, mu), with mu the smallest modulus of the blocks computed so
-far and tau_k = 1e-9 (1 + max beta_k + h g_k) for rounding.  On the
-2-sphere that certifies most blocks of large m, where beta >= m(m + 1)
-exceeds the Hessian's reach; the diagnostics do not change by a bit.
+block_morse_index counts each block's negative eigenvalues.  A block k >= 1
+is not assembled when Weyl's inequality bounds its eigenvalues above both 0
+and the smallest modulus so far (_make_point; Parlett, The Symmetric
+Eigenvalue Problem, 1998, ch. 10 and 15): on the 2-sphere most blocks of
+large m, where beta >= m(m + 1) exceeds the Hessian's reach.  The
+diagnostics do not change by a bit.
 
 jacobian assembles the p(p+1)/2 blocks i <= j from the symmetrized nodal
 Hessian and copies block (i, j) into (j, i).  Continuation evaluates the
@@ -231,20 +233,17 @@ class GalerkinProblem:
     components innermost.  rotation_generators hold the exact n_funcs x
     n_funcs generators of the domain rotations acting on the rows of C,
     built from eigens alone: T_z about the reference axis on every domain,
-    then T_x and T_y on the 2-sphere (the circle's and the disk's full
-    rotation group is the reference axis).  Their tangents T C are pinned at
-    the one rank cutoff _PIN_RANK_TOL.
+    then T_x and T_y where the angular group is S^2 (domain.dim 3; on S^1
+    the reference axis is the whole group).  Their tangents T C are pinned
+    at the one rank cutoff _PIN_RANK_TOL.
 
     Branch switching and continuation solve on a private copy restricted to
-    the rows of an axial fixed-point subspace (_subspace): E and beta are
-    row subsets, rotation_generators is empty and eigens is the full
-    problem's.  E and quad are also cut to a reduced rule, the nodes that
-    evaluate and sup_deviation see: on the 2-sphere one longitude column,
-    weights summed over phi; on the circle and the disk the half-turn theta
-    in [0, pi], inner weights doubled for their mirrors.  The full problem's
-    Jacobian at a point of that subspace is block-diagonal by isotypic
-    component (_isotypic_rows), and the diagnostics of every branch point
-    come from those blocks.
+    the rows of an axial fixed-point subspace and cut to a reduced rule
+    (_Subspace): E, beta and quad are subsets, rotation_generators is empty
+    and eigens is the full problem's.  The full problem's Jacobian at a
+    point of that subspace is block-diagonal by isotypic component
+    (_isotypic_rows), and the diagnostics of every branch point come from
+    those blocks.
     """
 
     domain: DomainId
@@ -287,31 +286,20 @@ def build_problem(
 ) -> GalerkinProblem:
     """Assemble basis and quadrature for a domain/potential pair.
 
-    Defaults: 16 distinct eigenvalues on the circle, spherical-harmonic degree
-    8 on the 2-sphere, beta <= 60 on the disk.  A truncation below 1 or above
-    the disk catalog's entry count, or a beta_cutoff that is not positive and
-    finite, raises ValueError.
+    Defaults (spectral's Galerkin table): 16 distinct eigenvalues on the
+    circle, spherical-harmonic degree 8 on the 2-sphere, beta <= 60 on the
+    disk.  A domain off the table, a truncation below 1 or above the disk
+    catalog's entry count, a beta_cutoff that is not positive and finite,
+    or one on a sphere, where it sets nothing, raises ValueError.
     """
+    galerkin = spectral._galerkin(domain)
     if truncation is not None and truncation < 1:
         raise ValueError(f"truncation must be at least 1, got {truncation}")
     if beta_cutoff is not None and not 0 < beta_cutoff < math.inf:
         raise ValueError(f"beta_cutoff must be positive and finite, got {beta_cutoff}")
-    gd = spec.grad_degree or 3
-    if domain.kind == "sphere" and domain.dim == 2:
-        eigens = spectral.sphere_spectrum(2, 16 if truncation is None else truncation)
-    elif domain.kind == "sphere" and domain.dim == 3:
-        eigens = spectral.sphere_spectrum(3, 9 if truncation is None else truncation)
-    elif domain.kind == "ball" and domain.dim == 2:
-        cutoff = 60.0 if beta_cutoff is None else beta_cutoff
-        eigens = spectral.ball_neumann_spectrum(2, cutoff)
-        if truncation is not None and truncation > len(eigens):
-            most = f"at most {len(eigens)}, the entries of the disk catalog beta <= {cutoff:g}"
-            raise ValueError(f"truncation must be {most}, got {truncation}")
-        eigens = eigens[:truncation]
-    else:
-        raise ValueError(f"no Galerkin support on {domain.label}")
+    eigens = galerkin.catalog(truncation, beta_cutoff)
     max_l = max(e.angular_degree for e in eigens)
-    quad = spectral.default_quadrature(domain, (gd + 1) * max_l)
+    quad = spectral.default_quadrature(domain, ((spec.grad_degree or 3) + 1) * max_l)
     return GalerkinProblem(
         domain=domain,
         spec=spec,
@@ -388,38 +376,35 @@ def _residual_lambda_derivative(problem, c, lam):
 # symmetry machinery
 
 
-def _angular_pairs(domain, eigens):
+def _angular_pairs(eigens):
     """(cos_row, sin_row, frequency) triples of basis functions that rotate
-    into each other under the domain rotation about the reference axis."""
+    into each other under the domain rotation about the reference axis, read
+    from each eigenspace's layout: its zonal row when its multiplicity is
+    odd, then the (cos, sin) pairs of the k = multiplicity // 2 orders
+    l - k + 1, ..., l (so k = 1 for N = 2, the orders 1, ..., l for N = 3)."""
     pairs = []
     row = 0
     for eig in eigens:
-        l = eig.angular_degree
-        if domain.kind == "ball" or domain.dim == 2:
-            # circle and disk: one (cos, sin) pair per eigenvalue
-            if l > 0:
-                pairs.append((row, row + 1, l))
-        else:  # 2-sphere: ordering m = 0, (1, cos), (1, sin), (2, cos), ...
-            base = row + 1
-            for m in range(1, l + 1):
-                pairs.append((base, base + 1, m))
-                base += 2
+        k, base = eig.multiplicity // 2, row + eig.multiplicity % 2
+        for i in range(k):
+            pairs.append((base + 2 * i, base + 2 * i + 1, eig.angular_degree - k + 1 + i))
         row += eig.multiplicity
     return pairs
 
 
 def _rotation_generators(domain, eigens):
     """Exact rotation generators on the basis rows: T_z from the angular
-    pairs on every domain, and on the 2-sphere T_x and T_y from the ladder
-    relations in the real basis (zonal, (1, cos), (1, sin), ... with the
-    Condon-Shortley phase).  Each is antisymmetric and keeps every
-    eigenspace, and on the 2-sphere [T_x, T_y] = T_z cyclically."""
+    pairs on every domain, and where the angular sphere is S^2 (domain.dim
+    3) T_x and T_y from the ladder relations in the real basis (zonal, (1,
+    cos), (1, sin), ... with the Condon-Shortley phase).  Each is
+    antisymmetric and keeps every eigenspace, and [T_x, T_y] = T_z
+    cyclically."""
     n = sum(e.multiplicity for e in eigens)
     Tz = np.zeros((n, n))
-    for cos_row, sin_row, freq in _angular_pairs(domain, eigens):
+    for cos_row, sin_row, freq in _angular_pairs(eigens):
         Tz[cos_row, sin_row] = -freq
         Tz[sin_row, cos_row] = freq
-    if domain.kind != "sphere" or domain.dim != 3:
+    if domain.dim == 2:
         return (Tz,)
     # upper triangles; row z is Y_l^0 and rows z + 2m - 1, z + 2m are the
     # (m, cos), (m, sin) pair
@@ -493,11 +478,12 @@ def _offsym_eigenvalues(rows, J):
 def _isotypic_rows(problem):
     """Basis rows of the isotypic blocks of the Jacobian at a point fixed by
     the axial subgroup of _kernel_direction, first the rows it fixes.  On
-    the 2-sphere: the zonal rows, then the cos rows of m = 1, 2, ..., each
-    block equal to that of the sin rows of the same m.  On the circle and
-    the disk: the reflection-even rows, then the sin rows."""
-    pairs = _angular_pairs(problem.domain, problem.eigens)
-    if problem.domain.kind == "sphere" and problem.domain.dim == 3:
+    the 2-sphere (domain.dim 3): the zonal rows, then the cos rows of m = 1,
+    2, ..., each block equal to that of the sin rows of the same m.  On the
+    circle and the disk (domain.dim 2): the reflection-even rows, then the
+    sin rows."""
+    pairs = _angular_pairs(problem.eigens)
+    if problem.domain.dim == 3:
         moved = {row for cos_row, sin_row, _ in pairs for row in (cos_row, sin_row)}
         orders = sorted({m for _, _, m in pairs})
         others = [[cos_row for cos_row, _, m in pairs if m == order] for order in orders]
@@ -521,10 +507,11 @@ class _Subspace:
     g of its Gram matrix E diag(|w|) E^T, which bounds how far the nodal
     Hessian can move the block's spectrum.
 
-    On the 2-sphere every table is on the longitude-column rule
-    (_longitude_column), with the theta-rule weights for the zonal rows and
-    half of them for the cos rows of m >= 1, exact while 2m < n_phi; on the
-    circle and the disk on the half-turn rule (_half_turn) (module docstring)."""
+    Every table is on the reduced rule that evaluate and sup_deviation see:
+    for domain.dim 3 the longitude column (_longitude_column), the zonal
+    rows with the theta-rule weights and the cos rows of m >= 1 with half of
+    them, exact while 2m < n_phi; for domain.dim 2 the half-turn theta in
+    [0, pi] (_half_turn) (module docstring)."""
 
     full: GalerkinProblem
     problem: GalerkinProblem
@@ -553,7 +540,7 @@ def _longitude_column(quad):
     n_phi = int(np.count_nonzero(theta == theta[0]))
     cols = np.arange(0, theta.size, n_phi)
     weights = quad.weights.reshape(-1, n_phi).sum(axis=1)
-    return cols, Quadrature(quad.domain, (theta[cols], phi[cols]), weights)
+    return cols, Quadrature((theta[cols], phi[cols]), weights)
 
 
 def _half_turn(quad):
@@ -565,18 +552,16 @@ def _half_turn(quad):
     j = np.arange(theta.size) % n
     cols = np.flatnonzero(j <= n // 2)
     weights = np.where(j[cols] % (n // 2) == 0, 1.0, 2.0) * quad.weights[cols]
-    return cols, Quadrature(quad.domain, tuple(x[cols] for x in quad.points), weights)
+    return cols, Quadrature(tuple(x[cols] for x in quad.points), weights)
 
 
 def _subspace(problem):
-    """The _Subspace of problem's isotypic blocks (_isotypic_rows): on the
-    2-sphere on the longitude-column rule, on the circle and the disk on the
-    half-turn."""
+    """The _Subspace of problem's isotypic blocks (_isotypic_rows)."""
     rows, *others = _isotypic_rows(problem)
     idx = _coefficient_indices(rows, problem.p)
-    sphere2 = problem.domain.kind == "sphere" and problem.domain.dim == 3
-    cols, quad = (_longitude_column if sphere2 else _half_turn)(problem.quad)
-    block_weights = 0.5 * quad.weights if sphere2 else quad.weights
+    angular_s2 = problem.domain.dim == 3
+    cols, quad = (_longitude_column if angular_s2 else _half_turn)(problem.quad)
+    block_weights = 0.5 * quad.weights if angular_s2 else quad.weights
     sub = dataclasses.replace(
         problem,
         E=problem.E[rows][:, cols],

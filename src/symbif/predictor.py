@@ -113,14 +113,6 @@ def eigen_catalog(domain: DomainId, beta_cutoff: float) -> list[LaplaceEigenvalu
     return spectral.ball_neumann_spectrum(domain.dim, beta_cutoff)
 
 
-def _block_nontrivial(domain: DomainId, eig: LaplaceEigenvalue) -> bool:
-    # sphere: every nonzero eigenvalue has a nontrivial rotation action;
-    # ball: multiplicity one means radial, hence trivial
-    if domain.kind == "sphere":
-        return eig.value != 0.0
-    return eig.multiplicity > 1
-
-
 def _alpha_groups(spec: PotentialSpec):
     ms = potentials.matrix_spectrum(spec.A)
     return [(g.value, g.multiplicity) for g in ms.eigenpairs]
@@ -135,18 +127,14 @@ def lambda_set(spec: PotentialSpec, domain: DomainId, beta_cutoff: float) -> lis
 # built once by their caller
 
 
+def _quotients(entries, groups):
+    """Sorted beta / alpha over the catalog entries and the nonzero alpha."""
+    return sorted(e.value / a for e in entries for a, _ in groups if abs(a) > RESONANCE_TOL)
+
+
 def _levels(catalog, groups):
-    levels = []
-    for eig in catalog:
-        if eig.value == 0.0:
-            continue
-        for alpha, _ in groups:
-            if abs(alpha) <= RESONANCE_TOL:
-                continue
-            levels.append(eig.value / alpha)
-    levels.sort()
     out = []
-    for lv in levels:
+    for lv in _quotients([e for e in catalog if e.value != 0.0], groups):
         if not out or abs(lv - out[-1]) > RESONANCE_TOL * max(1.0, abs(lv)):
             out.append(lv)
     return out
@@ -164,13 +152,14 @@ def _resonant_blocks(catalog, groups, predicate):
     return hits
 
 
-def _descriptor(domain, hits) -> RepresentationDescriptor:
+def _descriptor(hits) -> RepresentationDescriptor:
+    # rotations act trivially on an eigenspace exactly when its l is 0
     blocks = [
         RepresentationBlock(
             beta=eig.value,
             copies=mult,
             dimension=eig.multiplicity,
-            nontrivial=_block_nontrivial(domain, eig),
+            nontrivial=eig.angular_degree > 0,
         )
         for _, mult, eig in sorted(hits, key=lambda h: (h[2].value, h[0]))
     ]
@@ -243,7 +232,8 @@ def _check_window(lam0, eps):
 
 def _degree_jump(spec, domain, lam0, eps, catalog, groups, levels):
     """degree_jump on a catalog with its alpha groups and candidate levels."""
-    if domain.kind == "sphere":
+    sphere = domain.kind == "sphere"  # an exact level, not an interval
+    if sphere:
         inside = [
             lv
             for lv in levels
@@ -257,11 +247,8 @@ def _degree_jump(spec, domain, lam0, eps, catalog, groups, levels):
     witnesses = _witnesses(catalog, groups, lam0)
     if not witnesses:
         raise ValueError(f"no resonant eigenvalue blocks at lambda0={lam0}")
-    if domain.kind == "sphere":
-        hit = _resonant_at(lam0)
-    else:
-        hit = _in_window(lam0 - eps, lam0 + eps)
-    V = _descriptor(domain, _resonant_blocks(catalog, groups, hit))
+    hit = _resonant_at(lam0) if sphere else _in_window(lam0 - eps, lam0 + eps)
+    V = _descriptor(_resonant_blocks(catalog, groups, hit))
     b_minus, _ = potentials.slice_brouwer_degree(spec, lam0 - eps)
     b_plus, _ = potentials.slice_brouwer_degree(spec, lam0 + eps)
     D = euler_ring.deg_minus_id(V)
@@ -269,10 +256,7 @@ def _degree_jump(spec, domain, lam0, eps, catalog, groups, levels):
     jump = euler_ring.product_decision(b_plus, b_minus, D, side)
     guarantee = None
     if jump:
-        if domain.kind == "sphere":
-            guarantee = SphereGlobal()
-        else:
-            guarantee = BallAlternative(lo=lam0 - eps, hi=lam0 + eps)
+        guarantee = SphereGlobal() if sphere else BallAlternative(lo=lam0 - eps, hi=lam0 + eps)
     return BifurcationCandidate(
         lambda0=lam0,
         witnesses=witnesses,
@@ -309,7 +293,8 @@ def predict(
 
     Sphere: one candidate per level in the quotient set (no bifurcation can
     occur outside it).  Ball: one candidate per (alpha, beta) pair whose
-    eigenspace has dimension greater than one, with an interval guarantee.
+    eigenspace is not radial (angular degree l > 0), with an interval
+    guarantee.
     """
     _validate_basics(spec)
     catalog = eigen_catalog(domain, beta_cutoff)
@@ -317,16 +302,8 @@ def predict(
     levels = _levels(catalog, groups)
     if domain.kind == "sphere":
         lams = levels
-    else:
-        pairs = []
-        for eig in catalog:
-            if eig.value == 0.0 or eig.multiplicity <= 1:
-                continue
-            for alpha, _ in groups:
-                if abs(alpha) <= RESONANCE_TOL:
-                    continue
-                pairs.append((eig.value / alpha, alpha, eig.value))
-        lams = [lam0 for lam0, _, _ in sorted(pairs)]
+    else:  # every quotient off the radial entries (l = 0), the constant included
+        lams = _quotients([e for e in catalog if e.angular_degree > 0], groups)
     out = []
     for lam0 in lams:
         eps = epsilon if epsilon is not None else default_epsilon(lam0, levels)

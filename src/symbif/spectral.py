@@ -1,15 +1,22 @@
 """Laplacian spectra and eigenfunction bases on round domains.
 
-Supported domains: the sphere S^{N-1} for any N >= 2 (closed-form spectrum,
-basis evaluation for N in {2, 3}) and the Neumann problem on the unit ball
-B^N for N in {2, 3} (Bessel-root spectrum, basis evaluation on the disk).
-Distinct eigenvalues are indexed from 1 with beta_1 = 0.
+Supported domains: the sphere S^{N-1} for any N >= 2 (closed-form spectrum)
+and the Neumann problem on the unit ball B^N for N in {2, 3} (Bessel-root
+spectrum).  Distinct eigenvalues are indexed from 1 with beta_1 = 0.
+
+Verify's domains (circle, S^2, disk) are the entries of _GALERKIN: basis
+rows, quadrature sizing and default catalog, looked up by basis,
+default_quadrature and continuation.build_problem; the angular group is read
+from domain.dim (continuation).  B^3 needs its rows j_l(k r) Y_lm, a radial
+rule with weight r^2 times the S^2 rule, and its entry.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -89,7 +96,6 @@ class LaplaceEigenvalue:
     multiplicity: int
     angular_degree: int
     radial_index: Optional[int] = None
-    is_radial: Optional[bool] = None
 
 
 def harmonic_dimension(ambient_dim: int, degree: int) -> int:
@@ -153,7 +159,6 @@ def ball_neumann_spectrum(ambient_dim: int, beta_cutoff: float) -> list[LaplaceE
                 multiplicity=harmonic_dimension(ambient_dim, deg),
                 angular_degree=deg,
                 radial_index=ridx,
-                is_radial=(deg == 0),
             )
         )
     return out
@@ -175,16 +180,9 @@ def basis(domain: DomainId, eigens: list[LaplaceEigenvalue], points) -> np.ndarr
     Bessel call over the distinct radii, the polar factors P_l^m(cos theta)
     from one recurrence over the distinct cos(theta).
     """
+    rows = _galerkin(domain).rows
     if any(e.index < 1 for e in eigens):
         raise ValueError("eigenvalue index must be positive")
-    if domain.kind == "sphere" and domain.dim == 2:
-        rows = _circle_rows
-    elif domain.kind == "sphere" and domain.dim == 3:
-        rows = _sphere2_rows
-    elif domain.kind == "ball" and domain.dim == 2:
-        rows = _disk_rows
-    else:
-        raise ValueError(f"basis evaluation is not supported on {domain.label}")
     points = [np.asarray(x, float) for x in points]
     E = np.empty((sum(e.multiplicity for e in eigens), points[0].size))
     for i, row in enumerate(rows(eigens, *points)):
@@ -272,7 +270,6 @@ def _disk_rows(eigens, r, theta):
 class Quadrature:
     """Nodes (per-coordinate arrays) and weights for a domain."""
 
-    domain: DomainId
     points: tuple
     weights: np.ndarray
 
@@ -281,7 +278,7 @@ def circle_quadrature(n: int) -> Quadrature:
     """Trapezoid rule; exact for trigonometric polynomials of degree < n."""
     theta = 2.0 * math.pi * np.arange(n) / n
     w = np.full(n, 2.0 * math.pi / n)
-    return Quadrature(sphere(2), (theta,), w)
+    return Quadrature((theta,), w)
 
 
 def sphere2_quadrature(n_theta: int, n_phi: int) -> Quadrature:
@@ -291,7 +288,7 @@ def sphere2_quadrature(n_theta: int, n_phi: int) -> Quadrature:
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
     tg, pg = np.meshgrid(theta, phi, indexing="ij")
     wg = np.repeat(wx, n_phi) * (2.0 * math.pi / n_phi)
-    return Quadrature(sphere(3), (tg.ravel(), pg.ravel()), wg)
+    return Quadrature((tg.ravel(), pg.ravel()), wg)
 
 
 def disk_quadrature(n_r: int, n_theta: int) -> Quadrature:
@@ -302,23 +299,60 @@ def disk_quadrature(n_r: int, n_theta: int) -> Quadrature:
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
     rg, tg = np.meshgrid(r, theta, indexing="ij")
     wg = np.repeat(wr, n_theta) * (2.0 * math.pi / n_theta)
-    return Quadrature(ball(2), (rg.ravel(), tg.ravel()), wg)
+    return Quadrature((rg.ravel(), tg.ravel()), wg)
 
 
 def default_quadrature(domain: DomainId, max_degree: int) -> Quadrature:
     """A quadrature integrating products of basis functions up to the given
     total angular degree exactly (radially: to spectral accuracy on the disk)."""
-    if domain.kind == "sphere" and domain.dim == 2:
-        n = max(32, 8 * ((max_degree + 4) // 8 + 1))
-        return circle_quadrature(n)
-    if domain.kind == "sphere" and domain.dim == 3:
-        n_theta = max_degree // 2 + 4
-        n_phi = max(16, 2 * ((max_degree + 6) // 2 + 1))
-        return sphere2_quadrature(n_theta, n_phi)
-    if domain.kind == "ball" and domain.dim == 2:
-        n_theta = max(32, 8 * ((max_degree + 4) // 8 + 1))
-        return disk_quadrature(64, n_theta)
-    raise ValueError(f"no quadrature available on {domain.label}")
+    return _galerkin(domain).quadrature(max_degree)
+
+
+# --------------------------------------------------------------------------
+# Galerkin domains
+
+# a domain's basis rows(eigens, *points), quadrature(L) for products of total
+# angular degree L, and catalog(truncation, beta_cutoff): the default catalog
+# or its first `truncation` entries
+_Galerkin = namedtuple("_Galerkin", "rows quadrature catalog")
+
+
+def _galerkin(domain):
+    if domain not in _GALERKIN:
+        raise ValueError(f"no Galerkin support on {domain.label}")
+    return _GALERKIN[domain]
+
+
+def _sphere_catalog(dim, count, truncation, beta_cutoff):
+    if beta_cutoff is not None:
+        raise ValueError(f"beta_cutoff sets only the disk catalog, not the one on sphere{dim}")
+    return sphere_spectrum(dim, count if truncation is None else truncation)
+
+
+def _disk_catalog(truncation, beta_cutoff):
+    cutoff = 60.0 if beta_cutoff is None else beta_cutoff
+    eigens = ball_neumann_spectrum(2, cutoff)
+    if truncation is not None and truncation > len(eigens):
+        most = f"at most {len(eigens)}, the entries of the disk catalog beta <= {cutoff:g}"
+        raise ValueError(f"truncation must be {most}, got {truncation}")
+    return eigens[:truncation]
+
+
+def _angles(L):
+    return max(32, 8 * ((L + 4) // 8 + 1))
+
+
+_GALERKIN = {
+    sphere(2): _Galerkin(
+        _circle_rows, lambda L: circle_quadrature(_angles(L)), partial(_sphere_catalog, 2, 16)
+    ),
+    sphere(3): _Galerkin(
+        _sphere2_rows,
+        lambda L: sphere2_quadrature(L // 2 + 4, max(16, 2 * (L // 2 + 4))),
+        partial(_sphere_catalog, 3, 9),
+    ),
+    ball(2): _Galerkin(_disk_rows, lambda L: disk_quadrature(64, _angles(L)), _disk_catalog),
+}
 
 
 def spectrum_to_json(entries: list[LaplaceEigenvalue]) -> list[dict]:

@@ -25,7 +25,7 @@ def apply_group_element(
     C = np.asarray(c, float).reshape(problem.n_funcs, problem.p).copy()
     if domain_angle != 0.0:
         out = C.copy()
-        for cos_row, sin_row, freq in _angular_pairs(problem.domain, problem.eigens):
+        for cos_row, sin_row, freq in _angular_pairs(problem.eigens):
             ang = freq * domain_angle
             ca, sa = math.cos(ang), math.sin(ang)
             out[cos_row, :] = ca * C[cos_row, :] - sa * C[sin_row, :]

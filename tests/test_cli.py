@@ -1324,6 +1324,77 @@ def _sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
+class TestPredictGoldenDigests:
+    """sha256 of what `symbif levels` and `symbif jump` write (stdout, then
+    stderr) for every builtin on S^1, S^2, the disk and the 3-ball, with
+    the exit code.  levels runs at --beta-cutoff 30; jump at a level of
+    alpha = 1 with the default epsilon and cutoff: l = 2 on the spheres, the
+    first radial level beta = x^2 > 0 (l = 0) on the balls.  A = 0 has no
+    level, so so2-ring-degenerate's jump exits 2 with its error."""
+
+    DOMAINS = {
+        "sphere2": ("sphere", "2", "4"),
+        "sphere3": ("sphere", "3", "6"),
+        "ball2": ("ball", "2", "14.681970642123892"),
+        "ball3": ("ball", "3", "20.19072855642663"),
+    }
+    LEVELS_DIGESTS = {
+        ("pitchfork-scalar", "sphere2"): "8460c4f2d39fd23d7b89b7579af9aeff13c6b60d609dbb98e41d1afaf9de6329",
+        ("pitchfork-degenerate", "sphere2"): "99f7b78b9578a5012ae623d1802e6e55e1ba42064a62a164c8c429dcc2346717",
+        ("so2-ring", "sphere2"): "67325046dade1d62108b2e3854d72fef491f45fecd4af9b1d6567491a4d14b49",
+        ("so2-ring-degenerate", "sphere2"): "6c3a6f0cec1fb97510e12616ccb414ffb1c7b94af03fce6db4d7e9bafb852b1a",
+        ("pitchfork-scalar", "sphere3"): "45411f8728542ebb1bd68fb9b275db4eaaccca94f82e22fc07e5c8f666e1e059",
+        ("pitchfork-degenerate", "sphere3"): "e14ff66b448be8891d0051ccaa6b5927e4fa640a51e61057fe579b09a7b014ec",
+        ("so2-ring", "sphere3"): "6a2a6fc9fa91689f7ce9f816897c0e71e11c1f33b21211c7d2d4937ebdbecc59",
+        ("so2-ring-degenerate", "sphere3"): "5ed07645364495983493b9a758419ca20da36a0afbea400c7e7abad276d68daf",
+        ("pitchfork-scalar", "ball2"): "05e47049992d59c928264c0fea49c18dcfb453521b248b46053a9ff60a5d1c8f",
+        ("pitchfork-degenerate", "ball2"): "e8bb5ea2f934bf07e5f085ae5e44f69e5108c4d2b9e7efcafa20a3964c9f5b43",
+        ("so2-ring", "ball2"): "8c37bde0f23731fed7439cd34daea8917afe1dccacfaf626c1e7c0d1aed8a63c",
+        ("so2-ring-degenerate", "ball2"): "07a531fd1aca73f16543a0d8d923adb2fbc0759c9adbd8b359c340e097778c29",
+        ("pitchfork-scalar", "ball3"): "a7065c1b4779f4ae905ec25fbec30e534ee5824af2d95ff9295dc489675341d2",
+        ("pitchfork-degenerate", "ball3"): "bbb3620c3c2c89735658878a02186536b6a1ff9715e982ac43964337889b0984",
+        ("so2-ring", "ball3"): "2d71645b2e421cb05163e39327f079f39b34668263aecaa27e13213e2fe1f614",
+        ("so2-ring-degenerate", "ball3"): "60c2685baa9dd048df92e523a898fb360a8258d6f1006dba02ca1c9464fa7da2",
+    }
+    JUMP_DIGESTS = {
+        ("pitchfork-scalar", "sphere2"): "1fe7b86c6fbe709af246a3c62957ae43178cb1940d0ea0103909fe2610cb23d0",
+        ("pitchfork-degenerate", "sphere2"): "694e19dab02a5fd262c379773662c88aa08440bf9dbfa94935e9a6b86ebc2eb8",
+        ("so2-ring", "sphere2"): "8519ef69b30cd27e5811743fd18eb49710992f44746c2f4ca5bdfe4a33c7dc30",
+        ("so2-ring-degenerate", "sphere2"): "446a87afaf60369157d0215202d97e4d1b97e18aaecf491640d8d8bc8ed16002",
+        ("pitchfork-scalar", "sphere3"): "537d904ed97b9715aaaa4a6842bda96d43d50ab7ce189cfdd70ca526a4bd5057",
+        ("pitchfork-degenerate", "sphere3"): "2e5f90f0ea76a0d25f4bd4a0a67bb6f10dda55ae5e0d052a292bd1f774828e25",
+        ("so2-ring", "sphere3"): "c84210b3a09115a6f3d3ba6aad1010cd61aad3e41e52992cf96e7ab54eaa156c",
+        ("so2-ring-degenerate", "sphere3"): "0d199c8b3a778ba4bafa05dbf25193b75163820dc7cc1459c98839f41a08bd1c",
+        ("pitchfork-scalar", "ball2"): "773b13bc86727d82c837c97cfb06a5045191cf207b195515b30547bd681261ca",
+        ("pitchfork-degenerate", "ball2"): "c2f5b335208ef6f85b487fef97f0a40c824113e6384ccece46ed8d5d0d4623b9",
+        ("so2-ring", "ball2"): "6c28a83b872bd827f42c710ad5057026fe110d1acff92bb74bb177bc9c16aac7",
+        ("so2-ring-degenerate", "ball2"): "f73abd66e38e7c5bb2e25d7ebb9b52c5dacef4b7b48317388e490b12f592995d",
+        ("pitchfork-scalar", "ball3"): "c15f2e87b369ddb8c61f2bec30ff596e911916493179a790c08f58ed2d945d7f",
+        ("pitchfork-degenerate", "ball3"): "67c274d1321b72daa4813078a779cfdbb373831b150db43a307e1efef160e607",
+        ("so2-ring", "ball3"): "3546ce3f106f53bfeb11b7cabd90119a5178c3d46c65e422ac28f7194f0f4075",
+        ("so2-ring-degenerate", "ball3"): "83d610c920e5e0f6b6e2d98fbd9a8bb4f5eac7d911d9e5d1bebd7258f1e1f6ff",
+    }
+
+    def written(self, capsys, command, case, *options):
+        potential, where = case
+        kind, dim, _ = self.DOMAINS[where]
+        code, out, err = run(
+            capsys, command, "--potential", potential, "--domain", kind, "--dim", dim, *options
+        )
+        return code, _sha256((out + err).encode())
+
+    @pytest.mark.parametrize("case", list(LEVELS_DIGESTS), ids=lambda case: "-".join(case))
+    def test_levels_match_recorded_digests(self, capsys, case):
+        written = self.written(capsys, "levels", case, "--beta-cutoff", "30")
+        assert written == (0, self.LEVELS_DIGESTS[case])
+
+    @pytest.mark.parametrize("case", list(JUMP_DIGESTS), ids=lambda case: "-".join(case))
+    def test_jump_matches_recorded_digests(self, capsys, case):
+        written = self.written(capsys, "jump", case, "--lambda0", self.DOMAINS[case[1]][2])
+        code = 2 if case[0] == "so2-ring-degenerate" else 0
+        assert written == (code, self.JUMP_DIGESTS[case])
+
+
 # every builtin branch domain: options of build_problem and verify's window
 STEP_CASES = {
     "sphere2-12": (spectral.sphere(3), {"truncation": 12}, (0.5, 8.0)),

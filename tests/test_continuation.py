@@ -1518,7 +1518,7 @@ class TestAxialSeed:
     def test_seed_is_fixed_by_the_axial_subgroup(self, seed_case):
         for prob, levels in seed_case:
             assert levels
-            sin_rows = [s for _, s, _ in continuation._angular_pairs(prob.domain, prob.eigens)]
+            sin_rows = [s for _, s, _ in continuation._angular_pairs(prob.eigens)]
             Tz = prob.rotation_generators[0]
             for lam in levels:
                 v = continuation._kernel_direction(continuation._subspace(prob), lam)
@@ -1989,6 +1989,45 @@ class TestRotationGenerators:
         for A, Bm, C in ((Tx, Ty, Tz), (Ty, Tz, Tx), (Tz, Tx, Ty)):
             assert np.max(np.abs(A @ Bm - Bm @ A - C)) <= 1e-12
 
+    def test_ball3_generators_are_an_exact_so3_representation(self):
+        # the angular group of B^3 is that of S^2, read from domain.dim
+        eigens = spectral.ball_neumann_spectrum(3, 30.0)
+        generators = continuation._rotation_generators(ball(3), eigens)
+        assert len(generators) == 3
+        Tz, Tx, Ty = generators
+        B = np.diag(np.repeat([e.value for e in eigens], [e.multiplicity for e in eigens]))
+        for T in (Tz, Tx, Ty):
+            assert np.array_equal(T, -T.T)
+            assert np.array_equal(T @ B, B @ T)
+        for A, Bm, C in ((Tx, Ty, Tz), (Ty, Tz, Tx), (Tz, Tx, Ty)):
+            assert np.max(np.abs(A @ Bm - Bm @ A - C)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "domain,eigens",
+        [
+            (sphere(2), spectral.sphere_spectrum(2, 16)),
+            (sphere(3), spectral.sphere_spectrum(3, 12)),
+            (ball(2), spectral.ball_neumann_spectrum(2, 200.0)),
+            (ball(3), spectral.ball_neumann_spectrum(3, 30.0)),
+        ],
+        ids=["circle", "sphere2-12", "disk-200", "ball3-30"],
+    )
+    def test_angular_pairs_follow_the_angular_group(self, domain, eigens):
+        # the pairs read from the eigenspace layout are those of the angular
+        # group: for N = 2 one (cos, sin) pair of order l per eigenspace, for
+        # N = 3 the zonal row, then the pairs of m = 1, ..., l
+        expected, row = [], 0
+        for e in eigens:
+            l = e.angular_degree
+            if domain.dim == 2 and l > 0:
+                expected.append((row, row + 1, l))
+            if domain.dim == 3:
+                expected += [(row + 2 * m - 1, row + 2 * m, m) for m in range(1, l + 1)]
+            row += e.multiplicity
+        assert continuation._angular_pairs(eigens) == expected
+        if domain == ball(3):
+            assert len(expected) == 6 and expected[0] == (2, 3, 1)
+
     @pytest.mark.parametrize("name", ["so2-ring", "pitchfork-scalar"])
     def test_residual_is_orthogonal_to_every_tangent(self, name):
         # the functional is invariant under every rotation and the quadrature
@@ -2083,6 +2122,13 @@ class TestExport:
         # neither falls back to a default nor trims the basis from its top
         with pytest.raises(ValueError, match=f"^{name} must"):
             build_problem(domain, builtin("pitchfork-scalar"), **options)
+
+    @pytest.mark.parametrize("domain", [sphere(2), sphere(3)], ids=lambda d: d.label)
+    def test_beta_cutoff_on_a_sphere_is_rejected(self, domain):
+        # the cutoff sets only the disk catalog; on a sphere it was ignored
+        message = f"^beta_cutoff sets only the disk catalog, not the one on {domain.label}$"
+        with pytest.raises(ValueError, match=message):
+            build_problem(domain, builtin("pitchfork-scalar"), beta_cutoff=500.0)
 
     @pytest.mark.parametrize("domain", [sphere(2), sphere(3), ball(2)], ids=lambda d: d.label)
     def test_build_problem_smallest_truncation(self, domain):

@@ -6,6 +6,8 @@ import pytest
 from scipy import optimize, special
 
 from symbif import bessel, spectral
+from symbif.continuation import build_problem
+from symbif.potentials import builtin
 from symbif.spectral import ball, sphere
 
 
@@ -166,7 +168,7 @@ class TestBallSpectrum:
         assert len(entries) == 1
         assert entries[0].value == 0.0
         assert entries[0].multiplicity == 1
-        assert entries[0].is_radial
+        assert entries[0].angular_degree == 0
 
     def test_roots_match_scipy_oracle(self):
         roots = bessel.neumann_roots(2, 12.0)
@@ -247,7 +249,8 @@ class TestBallSpectrum:
         vals = [e.value for e in entries]
         assert all(b > a for a, b in zip(vals, vals[1:]))
         assert all(e.multiplicity >= 1 for e in entries)
-        assert all((e.angular_degree == 0) == e.is_radial for e in entries)
+        radial = [e.radial_index for e in entries if e.angular_degree == 0]
+        assert radial == list(range(1, len(radial) + 1))  # the constant first
         assert all((e.multiplicity == 1) == (e.angular_degree == 0) for e in entries)
 
 
@@ -480,13 +483,26 @@ class TestBases:
         )
         np.testing.assert_allclose(-lap, eig.value * f(th, ph), atol=1e-3 * (1 + eig.value))
 
-    def test_unsupported_domains(self):
+    def test_unsupported_domains(self, monkeypatch):
+        # off the Galerkin table basis, default_quadrature and build_problem
+        # raise one message, before any catalog is computed
         points = (np.full(2, 0.5), np.zeros(2))
-        with pytest.raises(ValueError):
-            spectral.basis(ball(3), [entry(ball(3), 2)], points)
-        with pytest.raises(ValueError):
-            spectral.basis(sphere(4), [entry(sphere(4), 2)], points)
-        with pytest.raises(ValueError):
+        entries = {domain: [entry(domain, 2)] for domain in (ball(3), sphere(4))}
+
+        def no_catalog(*args):
+            raise AssertionError("a catalog was computed")
+
+        monkeypatch.setattr(spectral, "sphere_spectrum", no_catalog)
+        monkeypatch.setattr(spectral, "ball_neumann_spectrum", no_catalog)
+        for domain, eigens in entries.items():
+            message = f"^no Galerkin support on {domain.label}$"
+            with pytest.raises(ValueError, match=message):
+                spectral.basis(domain, eigens, points)
+            with pytest.raises(ValueError, match=message):
+                spectral.default_quadrature(domain, 8)
+            with pytest.raises(ValueError, match=message):
+                build_problem(domain, builtin("pitchfork-scalar"))
+        with pytest.raises(ValueError, match="index must be positive"):
             spectral.basis(sphere(2), [spectral.LaplaceEigenvalue(0, 0.0, 1, 0)], points[:1])
 
 
