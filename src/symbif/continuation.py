@@ -28,7 +28,10 @@ square and bordered (Keller 1977; Govaerts, Numerical Methods for
 Bifurcations of Dynamical Equilibria, 2000).  B holds orthonormal rows
 spanning the symmetry tangents P, and each row of B brings one Lagrange
 multiplier mu, which is zero at a solution.  Every solve frees lambda: it
-adds the lambda column r_lambda and one border row b over (c, lambda):
+adds the lambda column r_lambda and one border row b over (c, lambda).  The
+column is exact, r_lambda[b, i] = -int (d/dlambda grad F(u(x), lambda))_i
+e_b(x) dx, one projection of the potential's grad_lambda at the nodes, so a
+bordered matrix costs a Jacobian and no residual:
 
     [J  r_lambda  B^T] [dc     ]
     [B  0         0  ] [dlambda]
@@ -299,7 +302,7 @@ def build_problem(
         raise ValueError(f"beta_cutoff must be positive and finite, got {beta_cutoff}")
     eigens = galerkin.catalog(truncation, beta_cutoff)
     max_l = max(e.angular_degree for e in eigens)
-    quad = spectral.default_quadrature(domain, ((spec.grad_degree or 3) + 1) * max_l)
+    quad = spectral.default_quadrature(domain, (spec.grad_degree + 1) * max_l)
     return GalerkinProblem(
         domain=domain,
         spec=spec,
@@ -320,10 +323,14 @@ def assemble_residual(problem: GalerkinProblem, c, lam: float) -> np.ndarray:
     if c.size != problem.n_dof:
         raise ValueError(f"coefficient vector must have {problem.n_dof} entries")
     C = c.reshape(problem.n_funcs, problem.p)
-    U = problem.evaluate(c)
-    G = np.asarray(problem.spec.grad(U, lam), float).reshape(U.shape)
-    proj = problem.E @ (problem.quad.weights[:, None] * G)
-    return (problem.beta[:, None] * C - proj).ravel()
+    G = problem.spec.grad(problem.evaluate(c), lam)
+    return (problem.beta[:, None] * C - _project(problem, G)).ravel()
+
+
+def _project(problem, values):
+    """int values(x) e_b(x) dx for every basis row b, from values (nq, p) at
+    the quadrature nodes: (n_funcs, p)."""
+    return problem.E @ (problem.quad.weights[:, None] * values)
 
 
 def jacobian(problem: GalerkinProblem, c, lam: float) -> np.ndarray:
@@ -339,8 +346,7 @@ def _jacobian_and_hessian(problem, c, lam):
 
 def _nodal_hessian(problem, c, lam):
     """Hessian of F at the quadrature nodes, (nq, p, p)."""
-    U = problem.evaluate(c)
-    return np.asarray(problem.spec.hess(U, lam), float).reshape(U.shape[0], problem.p, problem.p)
+    return problem.spec.hess(problem.evaluate(c), lam)
 
 
 def _assemble_jacobian(E, weights, beta, H):
@@ -365,11 +371,11 @@ def _assemble_jacobian(E, weights, beta, H):
     return J
 
 
-def _residual_lambda_derivative(problem, c, lam):
-    h = 1e-6 * (1.0 + abs(lam))
-    rp = assemble_residual(problem, c, lam + h)
-    rm = assemble_residual(problem, c, lam - h)
-    return (rp - rm) / (2.0 * h)
+def _lambda_column(problem, c, lam):
+    """r_lambda, the lambda derivative of the residual at (c, lam): exactly
+    -int (d/dlambda grad F(u(x), lambda))_i e_b(x) dx, one projection of
+    the spec's grad_lambda at the nodes."""
+    return (-_project(problem, problem.spec.grad_lambda(problem.evaluate(c), lam))).ravel()
 
 
 # --------------------------------------------------------------------------
@@ -668,12 +674,14 @@ def _make_point(space, c, lam, residual_norm, H=None):
 def _newton_system(problem, c, lam, J, border):
     """Square Newton matrix at (c, lam) from the Jacobian J there and a
     border row over (c, lam): [J r_lambda B^T; B 0 0; border 0] with B an
-    orthonormal basis of the pinning rows' span.  The unknowns are the step
-    in c, then in lambda, followed by one multiplier per row of B."""
+    orthonormal basis of the pinning rows' span and r_lambda the exact
+    lambda column (_lambda_column), which evaluates no residual.  The
+    unknowns are the step in c, then in lambda, followed by one multiplier
+    per row of B."""
     _, s, vt = np.linalg.svd(_pinning_rows(problem, c), full_matrices=False)
     B = vt[: int(np.sum(s > _PIN_RANK_TOL))]
     k = B.shape[0]
-    rl = _residual_lambda_derivative(problem, c, lam)
+    rl = _lambda_column(problem, c, lam)
     return np.block(
         [
             [J, rl[:, None], B.T],
@@ -780,8 +788,7 @@ def _trivial_morse_index(problem, theta, lam):
     """Morse index of J(0, lam) from the discrete spectrum theta and the p
     eigenvalues mu_k of the symmetrized H0(lam): the number of pairs with
     theta_b - mu_k < -_MORSE_ZERO_TOL (module docstring)."""
-    p = problem.p
-    H0 = np.asarray(problem.spec.hess(problem.spec.u0, lam), float).reshape(p, p)
+    H0 = problem.spec.hess(problem.spec.u0, lam)
     mu = np.linalg.eigvalsh(0.5 * (H0 + H0.T))
     return int(np.count_nonzero(theta[None, :] - mu[:, None] < -_MORSE_ZERO_TOL))
 

@@ -3,10 +3,11 @@ base critical point u0, the linearization matrix A, and a checker for the
 standing assumptions on these objects.
 
 Every potential is a polynomial F in u1..up and lambda, given as config
-data (a [potential] section or the same mapping): its gradient, its Hessian
+data (a [potential] section or the same mapping), and a PotentialSpec holds
+F itself: its gradient, its Hessian, the lambda derivative of its gradient
 and the degree that sizes the Galerkin quadrature come from exact symbolic
-differentiation, and one evaluator computes them.  The builtins are such
-mappings too, parsed when requested: the scalar pitchfork, a
+differentiation of F, each group computed by one evaluator.  The builtins
+are such mappings too, parsed when requested: the scalar pitchfork, a
 rotation-invariant ring minimum, and degenerate variants of both.
 """
 
@@ -14,13 +15,13 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import brouwer
-from .polynomial import Evaluator, parse_polynomial
+from .polynomial import Evaluator, Polynomial, parse_polynomial
 
 __all__ = [
     "GroupAction",
@@ -45,8 +46,7 @@ _GROUP_TOL = 1e-9
 # slice_brouwer_degree's starting box half-width and its number of halvings
 _SLICE_HALF_WIDTH = 0.5
 _SLICE_MAX_HALVINGS = 6
-# check_assumptions passes B3 when grad(u0) and hess(u0) - lambda A are
-# within this of zero
+# B3 passes when grad(u0) and hess(u0) - lambda A are within this of zero
 _B3_TOL = 1e-10
 
 
@@ -122,30 +122,85 @@ class GroupAction:
         return elems
 
 
+def _vector(polys, p):
+    """(u, lam) -> the values of polys in u1..up and lambda, stacked on the
+    last axis of a float array of u's shape (..., p)."""
+    values = Evaluator(polys)
+
+    def vector(u, lam):
+        u = np.asarray(u, float)
+        out = np.empty(u.shape)
+        for i, v in enumerate(values(*[u[..., k] for k in range(p)], lam)):
+            out[..., i] = v
+        return out
+
+    return vector
+
+
+def _hessian(grads, p):
+    """(u, lam) -> the Jacobian of grads, of shape (..., p, p): the upper
+    triangle is evaluated and mirrored, bitwise symmetric at half the cost."""
+    upper = [(i, j) for i in range(p) for j in range(i, p)]
+    values = Evaluator([grads[i].diff(j) for i, j in upper])
+
+    def hess(u, lam):
+        u = np.asarray(u, float)
+        H = np.empty(u.shape + (p,))
+        for (i, j), h in zip(upper, values(*[u[..., k] for k in range(p)], lam)):
+            H[..., i, j] = H[..., j, i] = h
+        return H
+
+    return hess
+
+
 @dataclass
 class PotentialSpec:
-    """The potential, its symmetry, the base point, and the matrix A with
+    """The potential F, its symmetry, the base point u0 and the matrix A with
     Hessian(u0, lambda) = lambda * A.
 
-    grad/hess broadcast over batches at a scalar lambda: u of shape
-    (..., p) yields grad of shape (..., p) and hess of shape (..., p, p).  growth_exponent is metadata
-    only; grad_degree (max polynomial degree of the gradient in u) sizes the
-    dealiased quadrature for the Galerkin solver.
+    F is a Polynomial in u1, ..., up, lambda (in that order) and the one
+    source of every derivative.  Derived from it, and not settable: p,
+    grad_degree (the largest degree in u of the gradient, which sizes the
+    dealiased quadrature of the Galerkin solver) and grad_lambda, the lambda
+    derivative of the gradient.  grad and hess default to F's exact
+    gradient and Hessian; they stay fields so that a wrapper with the same
+    values, a counting one say, can replace them (dataclasses.replace).  All
+    three broadcast over batches at a scalar lambda: u of shape (..., p)
+    yields float arrays of shape (..., p), (..., p, p) and (..., p).
+    growth_exponent is metadata only.  A u0 of other than p entries, or an A
+    that is not p x p, raises ValueError.
     """
 
     name: str
-    p: int
     action: GroupAction
     u0: np.ndarray
-    grad: Callable
-    hess: Callable
     A: np.ndarray
+    F: Polynomial
+    grad: Optional[Callable] = None
+    hess: Optional[Callable] = None
     growth_exponent: Optional[float] = None
-    grad_degree: Optional[int] = None
+    grad_lambda: Callable = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.u0 = np.asarray(self.u0, float).reshape(self.p)
-        self.A = np.asarray(self.A, float).reshape(self.p, self.p)
+        p = self.p
+        self.u0 = np.asarray(self.u0, float)
+        if self.u0.shape != (p,):
+            raise ValueError(f"u0 must have {p} entries")
+        self.A = np.asarray(self.A, float)
+        if self.A.shape != (p, p):
+            raise ValueError(f"matrix must be {p}x{p}, got {self.A.shape}")
+        grads = [self.F.diff(i) for i in range(p)]
+        self.grad = self.grad or _vector(grads, p)
+        self.hess = self.hess or _hessian(grads, p)
+        self.grad_lambda = _vector([g.diff(p) for g in grads], p)
+
+    @property
+    def p(self) -> int:
+        return self.F.nvars - 1
+
+    @property
+    def grad_degree(self) -> int:
+        return max(self.F.degree(variables=range(self.p)) - 1, 0)
 
 
 @dataclass(frozen=True)
@@ -324,7 +379,7 @@ def slice_brouwer_degree(spec: PotentialSpec, lam: float):
 
     def f(v):
         v = np.asarray(v, float)
-        return S.T @ np.asarray(spec.grad(spec.u0 + S @ v, lam), float)
+        return S.T @ spec.grad(spec.u0 + S @ v, lam)
 
     w = _SLICE_HALF_WIDTH
     last_error = None
@@ -341,6 +396,21 @@ def slice_brouwer_degree(spec: PotentialSpec, lam: float):
     raise brouwer.InconclusiveDegreeError(
         f"slice degree at lambda={lam} failed after {_SLICE_MAX_HALVINGS} shrinks: {last_error}"
     )
+
+
+def _base_point_residuals(spec: PotentialSpec, lambda_samples, elements):
+    """The evidence of B3 and B4 at u0: the largest |grad(u0, l)| and
+    |hess(u0, l) - l A| over the lambda samples l, each within _B3_TOL when
+    B3 holds, and the numbers of the sampled group elements that fix u0
+    (|g u0 - u0| <= 1e-9 (1 + |u0|)) and of the identities among them
+    (within 1e-12 entrywise), equal when B4 holds."""
+    u0 = spec.u0
+    grad_res = max(float(np.max(np.abs(spec.grad(u0, l)))) for l in lambda_samples)
+    hess_res = max(float(np.max(np.abs(spec.hess(u0, l) - l * spec.A))) for l in lambda_samples)
+    tol = 1e-9 * (1 + np.linalg.norm(u0))
+    fixing = sum(1 for g in elements if np.linalg.norm(g @ u0 - u0) <= tol)
+    identity_count = sum(1 for g in elements if np.max(np.abs(g - np.eye(spec.p))) <= 1e-12)
+    return grad_res, hess_res, fixing, identity_count
 
 
 def check_assumptions(
@@ -381,8 +451,7 @@ def check_assumptions(
     hnorm = []
     for r in radii:
         pts = r * dirs
-        h = np.asarray(spec.hess(pts, lam0), float)
-        hnorm.append(float(np.max(np.abs(h))))
+        hnorm.append(float(np.max(np.abs(spec.hess(pts, lam0)))))
     logs_r = np.log(radii[-6:])
     logs_h = np.log(np.maximum(1e-300, hnorm[-6:]))
     slope = float(np.polyfit(logs_r, logs_h, 1)[0])
@@ -396,12 +465,8 @@ def check_assumptions(
     )
 
     # B3: grad(u0) = 0 and hess(u0, lambda) = lambda * A
-    grad_res = max(
-        float(np.max(np.abs(np.asarray(spec.grad(spec.u0, l), float)))) for l in lambda_samples
-    )
-    hess_res = max(
-        float(np.max(np.abs(np.asarray(spec.hess(spec.u0, l), float) - l * spec.A)))
-        for l in lambda_samples
+    grad_res, hess_res, fixing, identity_count = _base_point_residuals(
+        spec, lambda_samples, elements
     )
     results["B3"] = AssumptionResult(
         "pass" if grad_res <= _B3_TOL and hess_res <= _B3_TOL else "fail",
@@ -409,10 +474,6 @@ def check_assumptions(
     )
 
     # B4: only the identity fixes u0 among sampled elements
-    fixing = sum(
-        1 for g in elements if np.linalg.norm(g @ spec.u0 - spec.u0) <= 1e-9 * (1 + np.linalg.norm(spec.u0))
-    )
-    identity_count = sum(1 for g in elements if np.max(np.abs(g - np.eye(spec.p))) <= 1e-12)
     results["B4"] = AssumptionResult(
         "pass" if fixing == identity_count else "fail",
         {"fixing_elements": fixing, "identity_elements": identity_count},
@@ -431,7 +492,7 @@ def check_assumptions(
     dists = np.min(np.linalg.norm(pts[:, None, :] - orbit[None, :, :], axis=2), axis=1)
     keep = dists > 0.02 * scale
     lam_scan = max(lambda_samples, key=abs)
-    gvals = np.linalg.norm(np.asarray(spec.grad(pts[keep], lam_scan), float), axis=-1)
+    gvals = np.linalg.norm(spec.grad(pts[keep], lam_scan), axis=-1)
     near_zero = int(np.sum(gvals <= 1e-6))
     results["B5"] = AssumptionResult(
         "undecidable",
@@ -486,13 +547,9 @@ def _parse_action(text: str, p: int) -> GroupAction:
     return GroupAction(p, tuple(factors))
 
 
-def _parse_matrix(text: str, p: int) -> np.ndarray:
+def _parse_matrix(text: str) -> np.ndarray:
     rows = [row.strip() for row in text.split(";") if row.strip()]
-    data = [[float(x) for x in row.replace(",", " ").split()] for row in rows]
-    A = np.array(data, float)
-    if A.shape != (p, p):
-        raise ValueError(f"matrix must be {p}x{p}, got {A.shape}")
-    return A
+    return np.array([[float(x) for x in row.replace(",", " ").split()] for row in rows], float)
 
 
 def from_config_dict(cfg: dict) -> PotentialSpec:
@@ -500,50 +557,19 @@ def from_config_dict(cfg: dict) -> PotentialSpec:
     try:
         p = int(cfg["p"])
         action = _parse_action(cfg.get("action", "trivial"), p)
-        u0 = np.array([float(x) for x in cfg["u0"].replace(",", " ").split()], float)
-        A = _parse_matrix(cfg["a"], p)
-        f_text = cfg["f"]
+        u0 = [float(x) for x in cfg["u0"].replace(",", " ").split()]
+        A = _parse_matrix(cfg["a"])
+        F = parse_polynomial(cfg["f"], [f"u{i + 1}" for i in range(p)] + ["lambda"])
     except KeyError as err:
         raise ValueError(f"potential config is missing key {err.args[0]!r}") from err
-    if u0.shape != (p,):
-        raise ValueError(f"u0 must have {p} entries")
-    names = [f"u{i + 1}" for i in range(p)] + ["lambda"]
-    F = parse_polynomial(f_text, names)
-    grads = [F.diff(i) for i in range(p)]
-    # the upper triangle; hess mirrors it, bitwise symmetric at half the cost
-    upper = [(i, j) for i in range(p) for j in range(i, p)]
-    grad_values = Evaluator(grads)
-    hess_values = Evaluator([grads[i].diff(j) for i, j in upper])
-
-    def split(u):
-        return [u[..., i] for i in range(p)]
-
-    def grad(u, lam):
-        u = np.asarray(u, float)
-        G = np.empty(u.shape)
-        for i, g in enumerate(grad_values(*split(u), lam)):
-            G[..., i] = g
-        return G
-
-    def hess(u, lam):
-        u = np.asarray(u, float)
-        H = np.empty(u.shape + (p,))
-        for (i, j), h in zip(upper, hess_values(*split(u), lam)):
-            H[..., i, j] = H[..., j, i] = h
-        return H
-
-    grad_degree = max((g.degree(variables=range(p)) for g in grads), default=0)
     growth = cfg.get("growth_exponent")
     return PotentialSpec(
         name=cfg.get("name", "user"),
-        p=p,
         action=action,
         u0=u0,
-        grad=grad,
-        hess=hess,
         A=A,
+        F=F,
         growth_exponent=float(growth) if growth is not None else None,
-        grad_degree=grad_degree,
     )
 
 

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from . import euler_ring, potentials, spectral
 from .euler_ring import ATOM_ON_MINUS, ATOM_ON_PLUS
 from .potentials import PotentialSpec
@@ -270,17 +268,17 @@ def _degree_jump(spec, domain, lam0, eps, catalog, groups, levels):
 
 
 def _validate_basics(spec: PotentialSpec):
-    for lam in (-1.0, 0.5):
-        g = np.asarray(spec.grad(spec.u0, lam), float)
-        if np.max(np.abs(g)) > 1e-9:
-            raise ValueError("u0 is not a critical point of the potential")
-        h = np.asarray(spec.hess(spec.u0, lam), float)
-        if np.max(np.abs(h - lam * spec.A)) > 1e-9:
-            raise ValueError("Hessian at u0 does not equal lambda * A")
-    for g in spec.action.sample_elements(16):
-        if np.max(np.abs(g - np.eye(spec.p))) > 1e-12:
-            if np.linalg.norm(g @ spec.u0 - spec.u0) <= 1e-12:
-                raise ValueError("a nonidentity sampled group element fixes u0")
+    """B3 and B4 of check_assumptions, to its tolerances, at lambda -1 and
+    0.5 and on 16 sampled elements per factor; ValueError when one fails."""
+    grad_res, hess_res, fixing, identity_count = potentials._base_point_residuals(
+        spec, (-1.0, 0.5), spec.action.sample_elements(16)
+    )
+    if grad_res > potentials._B3_TOL:
+        raise ValueError("u0 is not a critical point of the potential")
+    if hess_res > potentials._B3_TOL:
+        raise ValueError("Hessian at u0 does not equal lambda * A")
+    if fixing != identity_count:
+        raise ValueError("a nonidentity sampled group element fixes u0")
 
 
 def predict(

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -12,6 +13,8 @@ import pytest
 
 from symbif import cli, continuation, potentials, spectral
 from symbif.cli import main
+
+import lambda_column
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -928,20 +931,29 @@ class TestVerifyDeterminism:
 # min_offsym_singular per point, to 12 significant digits
 CHORD_BRANCHES = json.loads((Path(__file__).parent / "chord_corrector_branches.json").read_text())
 
-# Python run before `symbif verify`: follow every branch at the step verify
-# took before it took continue_branch's default, ds_max 0.05 for at most 80
-# steps, growing by 1.4 after every accepted point as the step did before it
-# came from the corrector's contraction
-AT_OLD_STEP = (
+# Python run before `symbif verify`: take every lambda column of a bordered
+# matrix as the central difference of two residuals (lambda_column), as
+# verify did before the column was exact; every recorded digest and branch
+# below was written with it
+AT_CENTRAL_DIFFERENCE = (
+    inspect.getsource(lambda_column)
+    + "continuation._lambda_column = central_difference\n"
+)
+# ... and follow every branch at the step verify took before it took
+# continue_branch's default, ds_max 0.05 for at most 80 steps, growing by
+# 1.4 after every accepted point as the step did before it came from the
+# corrector's contraction
+AT_OLD_STEP = AT_CENTRAL_DIFFERENCE + (
     "from symbif import continuation\n"
     "follow = continuation.continue_branch\n"
     "continuation.continue_branch = lambda *args: follow(*args, max_steps=80, ds_max=0.05)\n"
     "continuation._step_factor = lambda theta0: 1.4\n"
 )
-# Python run before `symbif verify`: follow every branch as verify did
-# before the step came from the corrector's contraction, growing by 1.4 after
-# every accepted point up to ds_max 0.2, then the library default
-AT_FIXED_GROWTH = (
+# Python run before `symbif verify`: the central difference, and follow
+# every branch as verify did before the step came from the corrector's
+# contraction, growing by 1.4 after every accepted point up to ds_max 0.2,
+# then the library default
+AT_FIXED_GROWTH = AT_CENTRAL_DIFFERENCE + (
     "from symbif import continuation\n"
     "follow = continuation.continue_branch\n"
     "continuation.continue_branch = lambda *args: follow(*args, ds_max=0.2)\n"
@@ -1075,13 +1087,78 @@ class TestVerifyGoldenDigests:
     0.2 (fewer points; verdicts, detected levels, terminations, the ends of
     lambda_range and max_sup_norm unchanged to 1e-8).  The digests before
     that are kept as FIXED_GROWTH_DIGESTS, and verify still writes those
-    bytes with the fixed growth."""
+    bytes with the fixed growth.
+
+    Every digest above was recorded with the lambda column of each bordered
+    matrix taken as a central difference of two residuals, and verify still
+    writes them with it (AT_CENTRAL_DIFFERENCE, in every prelude).  By
+    default the column is exact, and verify writes EXACT_COLUMN_DIGESTS:
+    the same verdicts, detected levels, point counts, terminations, folds
+    and block Morse indices, the ends of every branch to 1e-12 and its
+    other points moved by at most 1.0e-8 (1 + |x|), as theta0 sets each
+    next step."""
 
     SPHERE_OPTIONS = ["--domain", "sphere", "--dim", "3", "--window", "0.5:8"]
     PLANE_OPTIONS = {
         "circle": ["--domain", "sphere", "--dim", "2", "--beta-cutoff", "10",
                    "--window", "0.5:9.5"],
         "disk": ["--domain", "ball", "--dim", "2", "--window", "0.5:10"],
+    }
+
+    EXACT_COLUMN_DIGESTS = {
+        ("pitchfork-scalar", "12"): {
+            "r": "2897a4b1cd1c08f021fad2c41d42cb45d6e0d3c3e0eb9f8548ed9ce8b4f9b507",
+            "r.branch-2.csv": "35359d1a2727c83d19ac717fc185aecc36642e3eb2642b9c9dbe440df5b35f4d",
+            "r.branch-2.json": "aabdd87fe02137273c507c256f85aff75636a47f1dd0c0ca9d6f1e9831e64fc1",
+            "r.branch-6.csv": "f87dda0fe34b06ddf2e68a46dc1cb5189bd62b651b4e4f5d2350e60ddcffd86e",
+            "r.branch-6.json": "7f789a4a8152b5134c649912df03745538e6311c69af75fbcdb15c164a574502",
+        },
+        ("so2-ring", "12"): {
+            "r": "70995d66539ef80756201d4e0382c88cfd760b7ddb9998365b402702263c7984",
+            "r.branch-2.csv": "c1b8dd8c45f13114ef542df4b72f99c52e7511b1208ec2309f4634176c8eb605",
+            "r.branch-2.json": "6994d3d211ba71caaa7d131a942001ae7ef9087ec9c46c39e9f3aa18261fc486",
+            "r.branch-6.csv": "98612b9d90156600255c3358209e53605bbdb87a8ba009306d1bb8fc7274c15e",
+            "r.branch-6.json": "b6d703dbe4edda941d29e7c8a030b224d787547082a85ba0f03a0c10805df2a8",
+        },
+        ("so2-ring", "24"): {
+            "r": "01c0a486a84a4b43f7834353c0a339d5024ef8479c74ad56b5f23058641d967a",
+            "r.branch-2.csv": "4d959d9a50bfdff342b8022158f2c7ef26e020ade859f7b620770e7e4e5d880a",
+            "r.branch-2.json": "e53d67aa64b51eaa2b3b7b5caaf1c4553a48579e4c4d9b66bb877f5835dacac1",
+            "r.branch-6.csv": "f7ceb61d6ef9907f6e972e234c389139e89b0f55ee6f72e81f540018d475ba76",
+            "r.branch-6.json": "6f676065fcc58eb1e418bb612501eca36257f1393a152834502a24635c8e02a2",
+        },
+        ("pitchfork-scalar", "circle"): {
+            "r": "39536e522bcbeca91ba97916c793a8d22bc27860ad2db21c950fa94cc5606ec4",
+            "r.branch-1.csv": "e828778aa7a8809ce4302e4a3cca2b6632916cba8af6b8c838d58968d09f76fe",
+            "r.branch-1.json": "9ca530dfd5fa3ee822943391fdf7be4ca886da62907fb20faf04134d61fee959",
+            "r.branch-4.csv": "00c13d6422e0f6632293160ca672377610ab14635a72868e5ed2c5525cea75ae",
+            "r.branch-4.json": "0d82a6c6eb327a219f4cb100d68a150d5a91ea7865297f24d902dc4f2d59c4c2",
+            "r.branch-9.csv": "54592edaf49e6c081af8acc91c4dcbc83b8abc5f88bfaf7c31aea799234b3848",
+            "r.branch-9.json": "bac18afdd0f2d46275ad6e4e59955db2ffed4cb0498976fe0dee5a008cc16257",
+        },
+        ("so2-ring", "circle"): {
+            "r": "29ec4cdd080ac7c9a0ad8bb7d28fb87c296df53e84ce96fe3ad42857357fbe70",
+            "r.branch-1.csv": "84163875ff0630b1bf0fce23b6001b81faf9e5ad80c08325d2fc9b91fa940efb",
+            "r.branch-1.json": "82d1b5d8c2778bcc1ce34728d009cfe2b8493a062c5e1f5ffea26c6693cf71c9",
+            "r.branch-4.csv": "2085d58dc8af4871c20c747611ea4590410ae72c0422ec054fb65b3de825d423",
+            "r.branch-4.json": "090f85124b3dd4cbaad8f3f3244b514f5b86ef001aa3a13e551c4b0c5e986251",
+            "r.branch-9.csv": "03f7ebff0c34f851de717bf73cbea7442fa8cdeb636078d74e6e552cb6bc8fbb",
+            "r.branch-9.json": "0c885e1bfa3a71008221770aa8fcc030c61fcfd3296b0d39cd833eb00e88cbe8",
+        },
+        ("pitchfork-scalar", "disk"): {
+            "r": "7ffe47dbc4297c704222380439cb8e0dad81aa0353fd270abd39a43ca4c1ac2b",
+            "r.branch-3.38996.csv": "350cdc767d2c26cef5cccc3ad8c66400983b261a312392d50f2086e9302d34e9",
+            "r.branch-3.38996.json": "d31f54fb0bb986c8e5390019cdb19c5381974ed4ad42172938bd72081f9b909a",
+            "r.branch-9.32836.csv": "780ed720fd5c41fb5076f6c29499d27e52e7858670401cbcec0daffa36ff32cb",
+            "r.branch-9.32836.json": "b474cbf21fd7b18f58d311f8ceb5511c125910488ca57de594da11417edfafe2",
+        },
+        ("so2-ring", "disk"): {
+            "r": "ab9bc20f8c1eb1393f7b2cf7daffa6221b9cb90bb18dfc250ca02e010dcde080",
+            "r.branch-3.38996.csv": "4177208c1bd9f62f67d39fc3efe77dc5618aa725bb65f9b1d53df9d9582fdc66",
+            "r.branch-3.38996.json": "e850f36d4a9ef6abbbf84323e802710ad0cab9eb467bf0c26d1c8d5b93974d36",
+            "r.branch-9.32836.csv": "8e9dfff7a0c23a933beb1d80d4ee510a7da3fccab1c07b97aac4b5a74c852555",
+            "r.branch-9.32836.json": "fd91f6f63cab6cd359a6adcaab6a38ea42e9961aa76bb2243cd2f0f568cf944b",
+        },
     }
 
     DIGESTS = {
@@ -1282,14 +1359,55 @@ class TestVerifyGoldenDigests:
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("case", list(DIGESTS), ids=lambda case: "-".join(case))
     def test_sphere_outputs_match_recorded_digests(self, case, threads, outputs):
-        digests = {name: _sha256(data) for name, data in outputs(case, threads).items()}
+        digests = {
+            name: _sha256(data)
+            for name, data in outputs(case, threads, AT_CENTRAL_DIFFERENCE).items()
+        }
         assert digests == self.DIGESTS[case]
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("case", list(PLANE_DIGESTS), ids=lambda case: "-".join(case))
     def test_circle_and_disk_outputs_match_recorded_digests(self, case, threads, outputs):
-        digests = {name: _sha256(data) for name, data in outputs(case, threads).items()}
+        digests = {
+            name: _sha256(data)
+            for name, data in outputs(case, threads, AT_CENTRAL_DIFFERENCE).items()
+        }
         assert digests == self.PLANE_DIGESTS[case]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("case", list(EXACT_COLUMN_DIGESTS), ids=lambda case: "-".join(case))
+    def test_exact_column_outputs_match_recorded_digests(self, case, threads, outputs):
+        digests = {name: _sha256(data) for name, data in outputs(case, threads).items()}
+        assert digests == self.EXACT_COLUMN_DIGESTS[case]
+
+    @pytest.mark.parametrize("case", list(EXACT_COLUMN_DIGESTS), ids=lambda case: "-".join(case))
+    def test_exact_column_keeps_every_count_and_every_end(self, case, outputs):
+        # the column changes no decision of verify: the verdict, the
+        # detected levels bit for bit, and per branch its termination, point
+        # count, folds and block Morse indices are those of the central
+        # difference, the ends agree to 1e-12 and every other point moves
+        # by at most 1e-7 (1 + |x|) (measured: 1.0e-8)
+        exact, difference = outputs(case, "1"), outputs(case, "1", AT_CENTRAL_DIFFERENCE)
+        report, reference = json.loads(exact["r"]), json.loads(difference["r"])
+        assert report["verdict"] == reference["verdict"]
+        assert report["detected"] == reference["detected"]
+        for rec, ref in zip(_branch_records(report), _branch_records(reference), strict=True):
+            assert rec["termination"] == ref["termination"]
+            for x, y in zip([*rec["lambda_range"], rec["max_sup_norm"]],
+                            [*ref["lambda_range"], ref["max_sup_norm"]]):
+                assert abs(x - y) <= 1e-12 * abs(y)
+        names = _branch_files(exact)
+        assert names == _branch_files(difference)
+        for name in names:
+            branch, ref = json.loads(exact[name]), json.loads(difference[name])
+            assert branch["termination"] == ref["termination"]
+            assert len(branch["points"]) == len(ref["points"])
+            lams = [p["lambda"] for p in branch["points"]]
+            assert _fold_indices(lams) == _fold_indices([p["lambda"] for p in ref["points"]])
+            for p, q in zip(branch["points"], ref["points"]):
+                assert p["block_morse_index"] == q["block_morse_index"]
+                for field in ("lambda", "sup_norm", "min_offsym_singular"):
+                    assert abs(p[field] - q[field]) <= 1e-7 * (1.0 + abs(q[field]))
 
     @pytest.mark.parametrize("case", list(FIXED_GROWTH_DIGESTS), ids=lambda case: "-".join(case))
     def test_fixed_growth_writes_the_previous_digests(self, case, outputs):

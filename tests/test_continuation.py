@@ -22,6 +22,7 @@ from symbif.potentials import builtin, from_config_dict
 from symbif.spectral import ball, sphere
 
 from group_action import apply_group_element
+from lambda_column import central_difference
 
 RNG = np.random.default_rng(17)
 
@@ -71,8 +72,11 @@ def _fixed_growth(monkeypatch):
     """The step schedule under which the recorded branches below were taken,
     before each step came from the corrector's contraction: min(_DS0,
     ds_max) at first, then 1.4 times the last step after every accepted
-    point, up to ds_max (then 0.2 by default)."""
+    point, up to ds_max (then 0.2 by default); and the lambda column they
+    were taken with, before it was exact: the central difference of two
+    residuals (lambda_column)."""
     monkeypatch.setattr(continuation, "_step_factor", lambda theta0: 1.4)
+    monkeypatch.setattr(continuation, "_lambda_column", central_difference)
 
 
 def _block_loop_jacobian(prob, c, lam):
@@ -665,6 +669,59 @@ class TestBorderedSolves:
         assert isinstance(info.value.__cause__.__cause__, np.linalg.LinAlgError)
 
 
+class TestLambdaColumn:
+    """r_lambda of the bordered matrix is exact: one projection of the
+    potential's grad_lambda, with no residual evaluated."""
+
+    # lambda*u1^2/2 - u1^4/4 + lambda^3*u1^4/24: nonlinear in lambda, with
+    # d/dlambda of grad F = u1 + lambda^2 u1^3 / 2 written out below
+    CUBIC = {
+        "name": "lambda-cubic", "p": "1", "action": "trivial", "u0": "0", "a": "1",
+        "f": "lambda*u1^2/2 - u1^4/4 + lambda^3*u1^4/24",
+    }
+
+    @pytest.mark.parametrize(
+        "domain", [sphere(2), sphere(3), ball(2)], ids=["circle", "s2", "disk"]
+    )
+    def test_column_is_exact_where_the_difference_is_not(self, domain):
+        prob = build_problem(domain, from_config_dict(self.CUBIC), truncation=6)
+        rng = np.random.default_rng(37)
+        n = prob.n_dof
+        for lam in (-1.3, 0.7, 2.9):
+            c = 0.3 * rng.normal(size=n) / np.sqrt(n)
+            u = prob.evaluate(c)[:, 0]
+            expected = -(prob.E @ (prob.quad.weights * (u + lam**2 * u**3 / 2)))
+            scale = np.max(np.abs(expected))
+            column = continuation._lambda_column(prob, c, lam)
+            assert np.max(np.abs(column - expected)) <= 1e-13 * scale
+            border = np.append(c, 1.0)
+            A = continuation._newton_system(prob, c, lam, jacobian(prob, c, lam), border)
+            assert np.array_equal(A[:n, n], column)
+            # the central difference the column replaced misses by far more
+            assert np.max(np.abs(central_difference(prob, c, lam) - expected)) > 1e-13 * scale
+
+    def test_a_bordered_matrix_evaluates_no_residual(self, circle_ring, monkeypatch):
+        space = continuation._subspace(circle_ring)
+        sub, n = space.problem, space.problem.n_dof
+        bp = switch_branch(circle_ring, 1.0).points[0]
+        c, lam = bp.c[space.idx], bp.lam
+        J = jacobian(sub, c, lam)
+        t_prev = np.append(c, lam - 1.0)
+        t_prev /= np.linalg.norm(t_prev)
+        calls = []
+
+        def residual_spy(*args):
+            calls.append(args)
+            return assemble_residual(*args)
+
+        monkeypatch.setattr(continuation, "assemble_residual", residual_spy)
+        A = continuation._newton_system(sub, c, lam, J, t_prev)
+        t, B = continuation._tangent(sub, c, lam, J, t_prev)
+        assert calls == []
+        assert A.shape == B.shape and np.linalg.norm(t) == pytest.approx(1.0, rel=1e-15)
+        assert np.array_equal(A[:n, n], continuation._lambda_column(sub, c, lam))
+
+
 # lambda of every point, as float.hex, of the circle pitchfork branch from
 # lambda* = 1 to (0.9, 1.3) and of the disk (beta <= 60) pitchfork branch
 # from the first detected level to (lambda* - 0.3, lambda* + 0.6), both with
@@ -810,7 +867,7 @@ class TestChordCorrector:
         t_prev /= np.linalg.norm(t_prev)
         t, A = continuation._tangent(sub, c0, lam0, jacobian(sub, c0, lam0), t_prev)
         A[-1, : n + 1] = t
-        iterates, residuals, builds, solves, building = [], [], [], [], []
+        iterates, residuals, builds, solves = [], [], [], []
         residual, system, solve = (
             continuation.assemble_residual,
             continuation._newton_system,
@@ -819,15 +876,12 @@ class TestChordCorrector:
 
         def residual_spy(problem, c, lam):
             r = residual(problem, c, lam)
-            if not building:  # not the lambda difference of a build
-                iterates.append((np.array(c), float(lam), float(np.linalg.norm(r))))
-                residuals.append(r)
+            iterates.append((np.array(c), float(lam), float(np.linalg.norm(r))))
+            residuals.append(r)
             return r
 
         def system_spy(problem, c, lam, J, border):
-            building.append(True)
             M = system(problem, c, lam, J, border)
-            building.pop()
             builds.append((M, np.array(c), float(lam)))
             return M
 

@@ -1,11 +1,14 @@
+import dataclasses
 import gc
 
 import numpy as np
 import pytest
 
 from symbif import potentials
+from symbif.polynomial import parse_polynomial
 from symbif.potentials import (
     NormalSlice,
+    PotentialSpec,
     builtin,
     builtin_names,
     check_assumptions,
@@ -125,6 +128,108 @@ CLOSED_FORMS = {
 }
 
 
+# a potential nonlinear in lambda that still satisfies B3: the lambda^3 term
+# has no Hessian at u0 = 0
+LAMBDA_CUBIC = {
+    "name": "lambda-cubic",
+    "p": "1",
+    "action": "trivial",
+    "u0": "0",
+    "a": "1",
+    "f": "lambda*u1^2/2 - u1^4/4 + lambda^3*u1^4/24",
+}
+
+
+def _spec(name):
+    return from_config_dict(LAMBDA_CUBIC) if name == "lambda-cubic" else builtin(name)
+
+
+class TestDerivedFromF:
+    """Every derivative of a PotentialSpec comes from its polynomial F: hess
+    and grad_lambda against central differences of grad, and p and
+    grad_degree from F."""
+
+    @pytest.mark.parametrize("name", [*builtin_names(), "lambda-cubic"])
+    def test_derivatives_match_central_differences_of_grad(self, name):
+        # to 1e-6 of the largest value over the seeded points: near the ring
+        # a point's own value is a cancellation of F's expanded terms
+        spec = _spec(name)
+        rng = np.random.default_rng(29)
+        h = 1e-5
+        exact, differences = [], []
+        for _ in range(10):
+            u = spec.u0 + rng.uniform(-1.2, 1.2, size=spec.p)
+            lam = rng.uniform(-2.5, 2.5)
+            H, dl = spec.hess(u, lam), spec.grad_lambda(u, lam)
+            assert H.shape == (spec.p, spec.p) and dl.shape == (spec.p,)
+            fd = (spec.grad(u, lam + h) - spec.grad(u, lam - h)) / (2 * h)
+            exact.append((H, dl))
+            differences.append((fd_hessian(spec.grad, u, lam, h), fd))
+        for k in range(2):
+            got = np.array([x[k] for x in exact])
+            ref = np.array([x[k] for x in differences])
+            assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(np.abs(ref))
+        U = spec.u0 + rng.uniform(-1, 1, size=(7, 3, spec.p))
+        assert spec.grad_lambda(U, 0.4).shape == (7, 3, spec.p)
+
+    def test_lambda_cubic_closed_form(self):
+        # d/dlambda of grad F = u1 + lambda^2 u1^3 / 2
+        spec = from_config_dict(LAMBDA_CUBIC)
+        u = np.linspace(-1.5, 1.5, 13)[:, None]
+        got = spec.grad_lambda(u, 1.7)
+        assert np.max(np.abs(got - (u + 1.7**2 * u**3 / 2))) <= 1e-14 * np.max(np.abs(got))
+
+    @pytest.mark.parametrize("name", [*builtin_names(), "lambda-cubic"])
+    def test_constructor_from_f_matches_config(self, name):
+        cfg = LAMBDA_CUBIC if name == "lambda-cubic" else potentials._BUILTINS[name]
+        p = int(cfg["p"])
+        F = parse_polynomial(cfg["f"], [f"u{i + 1}" for i in range(p)] + ["lambda"])
+        config = _spec(name)
+        direct = PotentialSpec(name=name, action=config.action, u0=config.u0, A=config.A, F=F)
+        assert (direct.p, direct.grad_degree) == (config.p, config.grad_degree)
+        rng = np.random.default_rng(31)
+        U = direct.u0 + rng.normal(size=(40, p))
+        for lam in (-1.1, 0.0, 2.3):
+            for fn in ("grad", "hess", "grad_lambda"):
+                a, b = getattr(direct, fn)(U, lam), getattr(config, fn)(U, lam)
+                assert a.dtype == b.dtype == np.float64
+                assert np.array_equal(a, b), fn
+
+    def test_derived_values_are_not_settable(self):
+        spec = builtin("so2-ring")
+        fields = {f.name for f in dataclasses.fields(PotentialSpec) if f.init}
+        assert fields == {"name", "action", "u0", "A", "F", "grad", "hess", "growth_exponent"}
+        with pytest.raises(TypeError):
+            PotentialSpec(name="x", action=spec.action, u0=spec.u0, A=spec.A, F=spec.F, p=2)
+        with pytest.raises(ValueError):
+            dataclasses.replace(spec, grad_lambda=spec.grad)
+
+    def test_replaced_grad_keeps_the_other_derivatives(self):
+        # a wrapper swapped in through dataclasses.replace, as a counting
+        # tracer does, is kept, and the rest still comes from F
+        spec = builtin("so2-ring")
+        calls = []
+
+        def counted(u, lam):
+            calls.append(lam)
+            return spec.grad(u, lam)
+
+        wrapped = dataclasses.replace(spec, grad=counted)
+        u = np.array([0.3, -0.8])
+        assert np.array_equal(wrapped.grad(u, 1.5), spec.grad(u, 1.5)) and calls == [1.5]
+        assert np.array_equal(wrapped.hess(u, 1.5), spec.hess(u, 1.5))
+        assert np.array_equal(wrapped.grad_lambda(u, 1.5), spec.grad_lambda(u, 1.5))
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [("u0", "1 0 0", "u0 must have 2 entries"), ("a", "1 0 0; 0 0 0", "matrix must be 2x2")],
+    )
+    def test_shapes_are_checked_against_f(self, key, value, message):
+        cfg = {**potentials._BUILTINS["so2-ring"], key: value}
+        with pytest.raises(ValueError, match=message):
+            from_config_dict(cfg)
+
+
 class TestBuiltinData:
     """The builtins are config data on the symbolic path: their gradients
     and Hessians against closed forms written out here."""
@@ -145,6 +250,10 @@ class TestBuiltinData:
     def test_gradient_degrees(self):
         names = ["pitchfork-scalar", "pitchfork-degenerate", "so2-ring", "so2-ring-degenerate"]
         assert [builtin(n).grad_degree for n in names] == [3, 5, 3, 7]
+        # p and grad_degree come from F; the lambda^3 term adds no degree in u
+        assert [builtin(n).p for n in names] == [1, 1, 2, 2]
+        spec = from_config_dict(LAMBDA_CUBIC)
+        assert (spec.p, spec.grad_degree) == (1, 3)
 
     @pytest.mark.parametrize("name", builtin_names())
     def test_hessian_at_u0_is_lambda_a(self, name):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from symbif import predictor, spectral
+from symbif import potentials, predictor, spectral
 from symbif.potentials import builtin, from_config_dict
 from symbif.predictor import (
     BallAlternative,
@@ -225,6 +225,48 @@ class TestPredict:
         base = spec.grad
         spec.grad = lambda u, lam: base(u, lam) + 0.3
         with pytest.raises(ValueError):
+            predict(spec, sphere(2), 10.0)
+
+    def test_one_base_point_check_with_check_assumptions(self, monkeypatch):
+        # predict and check_assumptions ask the same B3/B4 helper, each with
+        # its own lambda samples and element count
+        calls = []
+        helper = potentials._base_point_residuals
+
+        def spy(spec, samples, elements):
+            calls.append((tuple(samples), len(elements)))
+            return helper(spec, samples, elements)
+
+        monkeypatch.setattr(potentials, "_base_point_residuals", spy)
+        spec = builtin("so2-ring")
+        predict(spec, sphere(2), 5.0)
+        potentials.check_assumptions(spec)
+        assert calls == [((-1.0, 0.5), 16), ((-0.1, 0.1), 64)]
+
+    @pytest.mark.parametrize(
+        "cfg,assumption,message",
+        [
+            # grad(u0) = 5e-10: above B3's 1e-10
+            (
+                {"p": "1", "u0": "0", "a": "1", "f": "lambda*u1^2/2 - u1^4/4 + u1/2000000000"},
+                "B3",
+                "not a critical point",
+            ),
+            # |u0| = 1e-10: every sampled rotation moves u0 by less than
+            # B4's 1e-9 (1 + |u0|)
+            (
+                {"p": "2", "action": "so2(1,2)", "u0": "1e-10 0", "a": "0 0; 0 0",
+                 "f": "lambda*(u1^2 + u2^2 - 0.00000000000000000001)^2/8"},
+                "B4",
+                "fixes u0",
+            ),
+        ],
+        ids=["B3", "B4"],
+    )
+    def test_predict_rejects_what_check_fails(self, cfg, assumption, message):
+        spec = from_config_dict({"name": "near", **cfg})
+        assert potentials.check_assumptions(spec).results[assumption].status == "fail"
+        with pytest.raises(ValueError, match=message):
             predict(spec, sphere(2), 10.0)
 
 
