@@ -63,9 +63,12 @@ def _window(opts):
     raw = opts.get("window")
     if raw is None:
         raise ValueError("need --window a:b")
-    lo, hi = (float(x) for x in str(raw).split(":"))
-    if not hi > lo:
-        raise ValueError("window must satisfy a < b")
+    try:
+        lo, hi = (float(x) for x in str(raw).split(":"))
+    except ValueError:
+        lo = hi = math.nan
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"window must be a:b with finite a < b, got {str(raw)!r}")
     return lo, hi
 
 
@@ -474,16 +477,12 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         doc = args.fn(args)
-    except _COMPUTATIONAL as err:
+    except (*_COMPUTATIONAL, argparse.ArgumentError, ValueError, KeyError, OSError) as err:
+        # exit 1 for a computational failure, 2 for a configuration error
         sys.stderr.write(
             json.dumps({"error": {"type": type(err).__name__, "message": str(err)}}) + "\n"
         )
-        return 1
-    except (argparse.ArgumentError, ValueError, KeyError, OSError, json.JSONDecodeError) as err:
-        sys.stderr.write(
-            json.dumps({"error": {"type": type(err).__name__, "message": str(err)}}) + "\n"
-        )
-        return 2
+        return 1 if isinstance(err, _COMPUTATIONAL) else 2
     _emit(doc, args)
     return 0
 

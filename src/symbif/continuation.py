@@ -144,17 +144,18 @@ one p x p matrix H0(lambda) = hess(u0, lambda) and, in the layout above,
 
     J(0, lambda) = diag(beta) - G kron H0(lambda),   G = (E w) E^T,
 
-with G the assembled quadrature Gram matrix.  With sym(H0) = V diag(mu) V^T,
-J(0, lambda) is orthogonally similar (by I kron V) to the direct sum over k
-of diag(beta) - mu_k G, and with G = L L^T each block is congruent to
-diag(theta) - mu_k I, where theta are the eigenvalues of L^-1 diag(beta)
-L^-T.  By Sylvester's law of inertia the Morse index of J(0, lambda) is
-sum_k #{b : theta_b < mu_k} (Parlett, The Symmetric Eigenvalue Problem,
-1998, ch. 15), and lambda enters only through the p values mu_k.  The
-pinning rows at c = 0 are e_0 kron g u0 for the component generators g,
-with beta_0 = 0 and H0 g u0 = 0: zero modes of J(0, lambda) that never
-enter the count, so the Morse sweep needs no off-symmetry complement.  It
-computes theta once, from G, and assembles no Jacobian.
+with G the assembled quadrature Gram matrix, block-diagonal by isotypic
+block (_isotypic_rows, the sin rows of each m apart on the 2-sphere).  With
+sym(H0) = V diag(mu) V^T, J(0, lambda) is orthogonally similar (by I kron
+V) to the direct sum over k of diag(beta) - mu_k G, and with a block of G =
+L L^T the block of diag(beta) - mu_k G is congruent to diag(theta) - mu_k
+I, theta the eigenvalues of L^-1 diag(beta) L^-T.  By Sylvester's law of
+inertia the Morse index of J(0, lambda) is sum_k #{b : theta_b < mu_k} over
+every block's theta (Parlett 1998, ch. 15): lambda enters only through the
+p values mu_k.  The pinning rows at c = 0 are e_0 kron g u0 for the
+component generators g, with beta_0 = 0 and H0 g u0 = 0: zero modes of
+J(0, lambda) outside the count, so the Morse sweep needs no off-symmetry
+complement.  It computes theta once per block and assembles no Jacobian.
 """
 
 from __future__ import annotations
@@ -190,9 +191,11 @@ __all__ = [
 
 NEWTON_TOL = 1e-10
 # off-symmetry eigenvalues below -_MORSE_ZERO_TOL count in the Morse index;
-# crossings are bisected to brackets narrower than _REFINE_TOL
+# crossings are bisected to brackets narrower than _REFINE_TOL; the sweep
+# counts at most _MORSE_CHUNK lambda per call, which bounds its temporaries
 _MORSE_ZERO_TOL = 1e-10
 _REFINE_TOL = 1e-9
+_MORSE_CHUNK = 256
 # singular values of the unit pinning rows at most this are dependencies
 # among the rows, not symmetry directions; the one rank cutoff for both the
 # pin basis and the off-symmetry complement of every block (module docstring)
@@ -776,21 +779,33 @@ def _bordered_newton(problem, c, lam, border, base, offset, border_tol, maxit, A
 
 
 def _trivial_spectrum(problem):
-    """Sorted generalized eigenvalues theta of (diag(beta), G), with the
-    quadrature Gram matrix G = (E w) E^T = L L^T: the eigenvalues of
-    L^-1 diag(beta) L^-T, the discrete Laplacian spectrum of the basis."""
-    G = (problem.E * problem.quad.weights[None, :]) @ problem.E.T
-    Linv = np.linalg.inv(np.linalg.cholesky(G))
-    return np.linalg.eigvalsh((Linv * problem.beta[None, :]) @ Linv.T)
+    """Generalized eigenvalues theta of (diag(beta), G) for each isotypic
+    block of the quadrature Gram matrix G = (E w) E^T (_isotypic_rows, on the
+    2-sphere the sin rows of each m apart from its cos rows): with the block
+    G_b = L L^T, the eigenvalues of L^-1 diag(beta_b) L^-T."""
+    blocks = _isotypic_rows(problem)
+    blocks += [rows + 1 for rows in blocks[1:]] if problem.domain.dim == 3 else []
+    thetas = []
+    for rows in blocks:
+        E = problem.E[rows]
+        Linv = np.linalg.inv(np.linalg.cholesky((E * problem.quad.weights[None, :]) @ E.T))
+        thetas.append(np.linalg.eigvalsh((Linv * problem.beta[rows][None, :]) @ Linv.T))
+    return thetas
 
 
-def _trivial_morse_index(problem, theta, lam):
-    """Morse index of J(0, lam) from the discrete spectrum theta and the p
-    eigenvalues mu_k of the symmetrized H0(lam): the number of pairs with
-    theta_b - mu_k < -_MORSE_ZERO_TOL (module docstring)."""
-    H0 = problem.spec.hess(problem.spec.u0, lam)
-    mu = np.linalg.eigvalsh(0.5 * (H0 + H0.T))
-    return int(np.count_nonzero(theta[None, :] - mu[:, None] < -_MORSE_ZERO_TOL))
+def _morse_counts(problem, theta, lams):
+    """Morse index of J(0, lam) for each lam in lams: the number of pairs
+    with theta_b - mu_k < -_MORSE_ZERO_TOL, mu_k the eigenvalues of the
+    symmetrized H0(lam) (module docstring), from one hess call with an array
+    lambda and one stacked eigvalsh per _MORSE_CHUNK values."""
+    spec, counts = problem.spec, []
+    for i in range(0, len(lams), _MORSE_CHUNK):
+        lam = np.asarray(lams[i : i + _MORSE_CHUNK], float)
+        H0 = spec.hess(np.broadcast_to(spec.u0, (lam.size, problem.p)), lam)
+        mu = np.linalg.eigvalsh(0.5 * (H0 + H0.transpose(0, 2, 1)))
+        below = theta[:, None, None] - mu < -_MORSE_ZERO_TOL
+        counts.extend(np.count_nonzero(below, axis=(0, 2)).tolist())
+    return counts
 
 
 def detect_bifurcation(problem: GalerkinProblem, window, steps: int = 200) -> list[float]:
@@ -798,49 +813,43 @@ def detect_bifurcation(problem: GalerkinProblem, window, steps: int = 200) -> li
     trivial-branch Jacobian crosses zero, refined by bisection.
 
     The crossing test is a change of the Morse index of J(0, lambda), which
-    is robust for even-multiplicity crossings.  It is counted from the
-    discrete spectrum theta, computed once, and the p eigenvalues mu_k of
-    the symmetrized H0(lambda): sum_k #{b : theta_b - mu_k < -tol} (module
-    docstring), so no Jacobian is assembled and the persistent zero modes
-    of the pinning directions stay outside the count.  Crossings at
-    lambda = 0 are not bifurcation levels and are dropped.  A window that
-    is not finite or not of positive length raises ValueError.
+    is robust for even-multiplicity crossings.  It is counted in batches of
+    lambda (_morse_counts: the grid, then every open bracket's midpoint per
+    bisection round) from the discrete spectrum theta, computed once per
+    isotypic block, and the p eigenvalues mu_k of the symmetrized
+    H0(lambda): no Jacobian is assembled and the persistent zero modes of
+    the pinning directions stay outside the count.  Crossings at lambda = 0
+    are dropped.  A window not finite or not of positive length raises
+    ValueError.
     """
     lo, hi = float(window[0]), float(window[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         raise ValueError(f"window must be finite and of positive length, got ({lo}, {hi})")
     if steps < 2:
         raise ValueError("need at least 2 steps")
-    grid = list(np.linspace(lo, hi, steps + 1))
-    grid = [g if abs(g) > 1e-12 else 1e-12 for g in grid]
-    theta = _trivial_spectrum(problem)
-    morse = [_trivial_morse_index(problem, theta, g) for g in grid]
-
-    # brackets of a count change, bisected until narrower than _REFINE_TOL;
-    # a stack rather than a recursive closure, whose reference cycle would
-    # keep the sweep's arrays alive until the next garbage collection
-    brackets = [
-        (grid[i], morse[i], grid[i + 1], morse[i + 1])
-        for i in range(len(grid) - 1)
-        if morse[i + 1] != morse[i]
-    ]
+    grid = np.linspace(lo, hi, steps + 1)
+    grid[np.abs(grid) <= 1e-12] = 1e-12
+    theta = np.concatenate(_trivial_spectrum(problem))
+    morse = _morse_counts(problem, theta, grid)
+    # brackets of a count change; each round halves every open bracket,
+    # counting all their midpoints in one call, until narrower than _REFINE_TOL
+    changes = [i for i in range(steps) if morse[i + 1] != morse[i]]
+    brackets = [(grid[i], morse[i], grid[i + 1], morse[i + 1]) for i in changes]
     found = []
     while brackets:
-        a, ma, b, mb = brackets.pop()
-        if b - a < _REFINE_TOL:
-            found.append(0.5 * (a + b))
-            continue
-        mid = 0.5 * (a + b)
-        mm = _trivial_morse_index(problem, theta, mid)
-        if mm != ma:
-            brackets.append((a, ma, mid, mm))
-        if mb != mm:
-            brackets.append((mid, mm, b, mb))
+        found += [0.5 * (a + b) for a, _, b, _ in brackets if b - a < _REFINE_TOL]
+        brackets = [(a, ma, b, mb) for a, ma, b, mb in brackets if b - a >= _REFINE_TOL]
+        mids = [0.5 * (a + b) for a, _, b, _ in brackets]
+        halves = []
+        for (a, ma, b, mb), mid, mm in zip(brackets, mids, _morse_counts(problem, theta, mids)):
+            if mm != ma:
+                halves.append((a, ma, mid, mm))
+            if mb != mm:
+                halves.append((mid, mm, b, mb))
+        brackets = halves
 
     out = []
-    for lam in sorted(found):
-        if abs(lam) < 1e-6:
-            continue
+    for lam in sorted(lam for lam in found if abs(lam) >= 1e-6):
         if not out or abs(lam - out[-1]) > 1e-8:
             out.append(lam)
     return out

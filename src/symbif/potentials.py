@@ -165,8 +165,10 @@ class PotentialSpec:
     derivative of the gradient.  grad and hess default to F's exact
     gradient and Hessian; they stay fields so that a wrapper with the same
     values, a counting one say, can replace them (dataclasses.replace).  All
-    three broadcast over batches at a scalar lambda: u of shape (..., p)
-    yields float arrays of shape (..., p), (..., p, p) and (..., p).
+    three broadcast over batches: u of shape (..., p) with lambda a scalar or
+    an array of u's batch shape (...) yields float arrays of shape (..., p),
+    (..., p, p) and (..., p); with an array lambda each entry is bit for bit
+    that of the single point u[i] at the scalar lambda[i].
     growth_exponent is metadata only.  A u0 of other than p entries, or an A
     that is not p x p, raises ValueError.
     """
@@ -448,10 +450,7 @@ def check_assumptions(
     dirs = rng.normal(size=(8, spec.p))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     lam0 = max(lambda_samples, key=abs)
-    hnorm = []
-    for r in radii:
-        pts = r * dirs
-        hnorm.append(float(np.max(np.abs(spec.hess(pts, lam0)))))
+    hnorm = np.max(np.abs(spec.hess(radii[:, None, None] * dirs, lam0)), axis=(1, 2, 3))
     logs_r = np.log(radii[-6:])
     logs_h = np.log(np.maximum(1e-300, hnorm[-6:]))
     slope = float(np.polyfit(logs_r, logs_h, 1)[0])
@@ -485,14 +484,12 @@ def check_assumptions(
     pts = rng.normal(size=(n_pts, spec.p))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     pts *= (0.02 + 0.23 * rng.random((n_pts, 1))) * scale
-    base = spec.u0 if np.linalg.norm(spec.u0) > 0 else np.zeros(spec.p)
-    pts += base
+    pts += spec.u0
     # dense orbit sampling so the tube exclusion tracks the true orbit
     orbit = np.stack([g @ spec.u0 for g in spec.action.sample_elements(1024)])
     dists = np.min(np.linalg.norm(pts[:, None, :] - orbit[None, :, :], axis=2), axis=1)
     keep = dists > 0.02 * scale
-    lam_scan = max(lambda_samples, key=abs)
-    gvals = np.linalg.norm(spec.grad(pts[keep], lam_scan), axis=-1)
+    gvals = np.linalg.norm(spec.grad(pts[keep], lam0), axis=-1)
     near_zero = int(np.sum(gvals <= 1e-6))
     results["B5"] = AssumptionResult(
         "undecidable",

@@ -173,9 +173,7 @@ def _resonant_at(lam0):
 
 def _in_window(lo, hi):
     def hit(beta, alpha):
-        if abs(alpha) <= RESONANCE_TOL:
-            return False
-        return lo < beta / alpha < hi
+        return abs(alpha) > RESONANCE_TOL and lo < beta / alpha < hi
 
     return hit
 

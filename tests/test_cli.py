@@ -811,26 +811,31 @@ class TestNonFiniteSettings:
     """A non-finite numeric setting is a configuration error: exit 2 with
     the JSON error document, never a hang or a traceback.  Each case runs in
     a subprocess with a timeout, so a hang fails the test instead of the
-    suite."""
+    suite.  A window that is malformed or not finite is named as the window,
+    with its raw text, not reported by what it would break downstream."""
+
+    VERIFY = ["verify", "--domain", "sphere", "--dim", "2", "--potential", "pitchfork-scalar"]
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,words",
         [
-            ["verify", "--domain", "sphere", "--dim", "2", "--potential", "pitchfork-scalar",
-             "--window", "0:inf"],
-            ["verify", "--domain", "sphere", "--dim", "2", "--potential", "pitchfork-scalar",
-             "--window=-inf:3"],
-            ["levels", "--domain", "sphere", "--dim", "2", "--potential", "pitchfork-scalar",
-             "--beta-cutoff", "inf"],
-            ["jump", "--domain", "sphere", "--dim", "2", "--potential", "pitchfork-scalar",
-             "--lambda0", "inf"],
-            ["spectrum", "--domain", "ball", "--dim", "2", "--beta-cutoff", "inf"],
-            ["check", "--potential", "pitchfork-scalar", "--lambda-samples=nan,0.1"],
+            (VERIFY + ["--window", "0:inf"], ("window", "finite", "'0:inf'")),
+            (VERIFY + ["--window=-inf:3"], ("window", "finite", "'-inf:3'")),
+            (VERIFY + ["--window", "1:2:3"], ("window", "'1:2:3'")),
+            (VERIFY + ["--window", "0.5"], ("window", "'0.5'")),
+            (VERIFY + ["--window", "nan:8"], ("window", "finite", "'nan:8'")),
+            (["levels", "--domain", "sphere", "--dim", "2", "--potential", "pitchfork-scalar",
+              "--beta-cutoff", "inf"], ("finite",)),
+            (["jump", "--domain", "sphere", "--dim", "2", "--potential", "pitchfork-scalar",
+              "--lambda0", "inf"], ("finite",)),
+            (["spectrum", "--domain", "ball", "--dim", "2", "--beta-cutoff", "inf"], ("finite",)),
+            (["check", "--potential", "pitchfork-scalar", "--lambda-samples=nan,0.1"], ("finite",)),
         ],
-        ids=["verify-window-inf", "verify-window-minus-inf", "levels-cutoff", "jump-lambda0",
+        ids=["verify-window-inf", "verify-window-minus-inf", "verify-window-three-values",
+             "verify-window-one-value", "verify-window-nan", "levels-cutoff", "jump-lambda0",
              "spectrum-ball-cutoff", "check-lambda-samples"],
     )
-    def test_exits_2_with_json_error(self, argv):
+    def test_exits_2_with_json_error(self, argv, words):
         env = dict(os.environ, PYTHONPATH=str(SRC))
         proc = subprocess.run(
             [sys.executable, "-m", "symbif.cli", *argv],
@@ -842,7 +847,8 @@ class TestNonFiniteSettings:
         assert proc.returncode == 2, proc.stderr[-2000:]
         assert proc.stdout == ""
         error = json.loads(proc.stderr)["error"]
-        assert error["type"] == "ValueError" and "finite" in error["message"]
+        assert error["type"] == "ValueError"
+        assert all(word in error["message"] for word in words), error["message"]
 
 
 def _verify_outputs(argv, out_dir, threads, prelude=""):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -312,6 +313,25 @@ def coupled_potential():
     )
 
 
+class TestArrayLambda:
+    """The Morse sweep evaluates hess at u0 with an array lambda: grad, hess
+    and grad_lambda at an array lambda of the batch shape equal the
+    per-point calls at scalar lambda, bit for bit."""
+
+    @pytest.mark.parametrize("name", [*potentials.builtin_names(), "coupled"])
+    def test_array_lambda_matches_scalar_calls_bitwise(self, name):
+        spec = coupled_potential() if name == "coupled" else builtin(name)
+        rng = np.random.default_rng(37)
+        lams = np.concatenate([[-2.5, -1e-12, 0.0, 1e-12, 1.0, 6.0], rng.uniform(-8.0, 8.0, 26)])
+        U = spec.u0 + rng.uniform(-1.2, 1.2, size=(lams.size, spec.p))
+        for u in (U, np.broadcast_to(spec.u0, U.shape)):
+            for fn in (spec.grad, spec.hess, spec.grad_lambda):
+                batch = fn(u, lams)
+                single = np.array([fn(u[i], float(lams[i])) for i in range(lams.size)])
+                assert batch.dtype == np.float64 and batch.shape == single.shape
+                assert np.array_equal(batch.view(np.int64), single.view(np.int64))
+
+
 def _assembled_trivial_block(prob, lam):
     zero = np.zeros(prob.n_dof)
     Q = _dense_offsym_complement(prob, zero)
@@ -376,6 +396,34 @@ def _dense_detect(prob, window, steps):
     return out
 
 
+def _isotypic_labels(prob):
+    """Each basis row's isotypic block, read from the basis layout
+    (spectral.basis): on the 2-sphere (m, "cos") or (m, "sin"), the zonal
+    row being (0, "cos"); on the circle and the disk "sin" for the sin rows
+    and "even" for the others."""
+    labels = []
+    for eig in prob.eigens:
+        if prob.domain.dim == 3:
+            orders = range(1, eig.angular_degree + 1)
+            labels += [(0, "cos")] + [(m, kind) for m in orders for kind in ("cos", "sin")]
+        else:
+            labels += ["even", "sin"][: eig.multiplicity]
+    return labels
+
+
+def _block_sizes(prob):
+    labels = _isotypic_labels(prob)
+    return sorted(labels.count(label) for label in set(labels))
+
+
+def _whole_gram_spectrum(prob):
+    """Sorted theta from the whole quadrature Gram matrix in one Cholesky
+    factorization, as the sweep computed it before factoring per block."""
+    G = (prob.E * prob.quad.weights[None, :]) @ prob.E.T
+    Linv = np.linalg.inv(np.linalg.cholesky(G))
+    return np.linalg.eigvalsh((Linv * prob.beta[None, :]) @ Linv.T)
+
+
 class TestTrivialBranchBlock:
     """The Morse sweep's count from the discrete spectrum theta against the
     assembled Jacobian at c = 0, and its levels against a dense sweep."""
@@ -383,12 +431,12 @@ class TestTrivialBranchBlock:
     def test_morse_counts_match_assembled_path(self, trivial_case):
         problems, (lo, hi) = trivial_case
         for prob in problems:
-            theta = continuation._trivial_spectrum(prob)
+            theta = np.concatenate(continuation._trivial_spectrum(prob))
             levels = detect_bifurcation(prob, (lo, hi), steps=120)
             near = [lv + d for lv in levels for d in (-1e-9, -1e-11, 1e-11, 1e-9)]
-            counts, dense = [], []
-            for lam in list(np.linspace(lo, hi, 41)) + near:
-                counts.append(continuation._trivial_morse_index(prob, theta, lam))
+            lams = list(np.linspace(lo, hi, 41)) + near
+            counts, dense = continuation._morse_counts(prob, theta, lams), []
+            for lam in lams:
                 M = _assembled_trivial_block(prob, lam)
                 vals = np.linalg.eigvalsh(0.5 * (M + M.T))
                 dense.append(int(np.sum(vals < -continuation._MORSE_ZERO_TOL)))
@@ -424,9 +472,34 @@ class TestTrivialBranchBlock:
         # the dealiased quadrature keeps the basis orthonormal, so the
         # generalized eigenvalues of (diag(beta), G) are the betas
         prob = build_problem(domain, builtin("pitchfork-scalar"), **options)
-        theta = continuation._trivial_spectrum(prob)
+        theta = np.sort(np.concatenate(continuation._trivial_spectrum(prob)))
         beta = np.sort(prob.beta)
         assert np.max(np.abs(theta - beta)) <= tol * np.max(beta)
+
+    @pytest.mark.parametrize(
+        "domain,options",
+        [
+            (sphere(2), {}),
+            (sphere(3), {}),
+            (sphere(3), {"truncation": 12}),
+            (ball(2), {"beta_cutoff": 60.0}),
+            (ball(2), {"beta_cutoff": 200.0}),
+        ],
+        ids=["circle", "sphere2", "sphere2-12", "disk-60", "disk-200"],
+    )
+    def test_gram_matrix_is_block_diagonal_by_isotypic_block(self, domain, options):
+        # _trivial_spectrum factors G one isotypic block at a time: its
+        # off-block entries are rounding, and the union of the block spectra
+        # is the spectrum of the whole G
+        prob = build_problem(domain, builtin("so2-ring"), **options)
+        G = (prob.E * prob.quad.weights[None, :]) @ prob.E.T
+        labels = _isotypic_labels(prob)
+        off_block = np.array([[a != b for b in labels] for a in labels])
+        assert np.max(np.abs(G[off_block])) <= 1e-13
+        blocks = continuation._trivial_spectrum(prob)
+        assert sorted(theta.size for theta in blocks) == _block_sizes(prob)
+        theta = np.sort(np.concatenate(blocks))
+        assert np.max(np.abs(theta - _whole_gram_spectrum(prob))) <= 1e-12 * np.max(prob.beta)
 
 
 class TestJacobianReuse:
@@ -448,22 +521,60 @@ class TestJacobianReuse:
         np.testing.assert_allclose(det, [1.0, 4.0], atol=1e-7)
         assert calls == {"jacobian": 0, "complement": 0}
 
+    @pytest.mark.parametrize(
+        "fixture,window,levels",
+        [
+            ("circle_ring", (0.5, 4.5), [1.0, 4.0]),
+            ("circle_ring", (0.5, 60.5), [1.0, 4.0, 9.0, 16.0, 25.0, 36.0, 49.0]),
+            ("sphere12_ring", (0.5, 8.0), [2.0, 6.0]),
+        ],
+        ids=["circle-2-levels", "circle-7-levels", "sphere2-12"],
+    )
     @pytest.mark.parametrize("steps", [40, 400])
-    def test_morse_sweep_runs_one_large_eigensolve(self, circle_ring, steps, monkeypatch):
-        # the discrete spectrum is computed once; every grid and bisection
-        # point solves only the p x p eigenproblem of H0
-        eigvalsh = np.linalg.eigvalsh
-        sizes = []
+    def test_morse_sweep_factors_each_block_once_and_batches_lambda(
+        self, fixture, window, levels, steps, request, monkeypatch
+    ):
+        # one Gram eigensolve per isotypic block, of that block's size; one
+        # hess call and one stacked eigvalsh per chunk of the grid and per
+        # bisection round, however many levels the window holds
+        prob = request.getfixturevalue(fixture)
+        eigvalsh, hess = np.linalg.eigvalsh, prob.spec.hess
+        shapes, batches = [], []
 
         def spy(a, *args, **kwargs):
-            sizes.append(np.shape(a)[0])
+            shapes.append(np.shape(a))
             return eigvalsh(a, *args, **kwargs)
 
+        def counting(u, lam):
+            batches.append(np.size(lam))
+            return hess(u, lam)
+
+        counted = dataclasses.replace(prob, spec=dataclasses.replace(prob.spec, hess=counting))
         monkeypatch.setattr(continuation.np.linalg, "eigvalsh", spy)
-        det = detect_bifurcation(circle_ring, (0.5, 4.5), steps=steps)
-        np.testing.assert_allclose(det, [1.0, 4.0], atol=1e-7)
-        assert sum(n > circle_ring.p for n in sizes) == 1
-        assert len(sizes) > steps
+        det = detect_bifurcation(counted, window, steps=steps)
+        np.testing.assert_allclose(det, levels, atol=1e-7)
+        grams = [shape for shape in shapes if len(shape) == 2]
+        assert all(n == m for n, m in grams)
+        assert sorted(n for n, _ in grams) == _block_sizes(prob)
+        assert [shape for shape in shapes if len(shape) == 3] == [(n, prob.p, prob.p) for n in batches]
+        chunk = continuation._MORSE_CHUNK
+        h = (window[1] - window[0]) / steps
+        rounds = math.ceil(math.log2(h / continuation._REFINE_TOL))
+        assert len(batches) <= math.ceil((steps + 1) / chunk) + rounds + 1
+        assert max(batches) <= chunk
+
+    def test_morse_sweep_memory_does_not_grow_with_steps(self):
+        # the sweep counts the grid in chunks of _MORSE_CHUNK lambda, so
+        # 20001 grid points keep its temporaries small
+        prob = build_problem(sphere(3), builtin("so2-ring"), truncation=12)
+        tracemalloc.start()
+        try:
+            levels = detect_bifurcation(prob, (0.5, 8.0), steps=20000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [x.hex() for x in levels] == ["0x1.00000000c49bap+1", "0x1.8000000020c4bp+2"]
+        assert peak <= 8 * 2**20
 
     @pytest.mark.parametrize(
         "fixture,lam_star,limits",
