@@ -114,12 +114,8 @@ def cmd_check(args):
     opts = _merged(args)
     spec = _potential(opts)
     samples = opts.get("lambda_samples")
-    if samples:
-        samples = tuple(float(x) for x in str(samples).split(","))
-    else:
-        samples = (-0.1, 0.1)
-    rng = np.random.default_rng(_seed(opts))
-    report = potentials.check_assumptions(spec, lambda_samples=samples, rng=rng)
+    kwargs = {"lambda_samples": tuple(float(x) for x in str(samples).split(","))} if samples else {}
+    report = potentials.check_assumptions(spec, rng=np.random.default_rng(_seed(opts)), **kwargs)
     return {"command": "check", "seed": _seed(opts), **report.to_json()}
 
 

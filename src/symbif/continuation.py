@@ -16,8 +16,9 @@ eigenvalue beta_b and component i,
 
     residual[b, i] = beta_b c[b, i] - int (grad F(u(x), lambda))_i e_b(x) dx,
 
-with u = u0 + sum c[b, :] e_b.  Nonlinear terms are evaluated pseudo-
-spectrally on a quadrature dense enough to kill aliasing for the declared
+with u = u0 + v, v = sum c[b, :] e_b.  Nonlinear terms are evaluated pseudo-
+spectrally, from v at the nodes (the spec's derivatives are F's centred at
+u0), on a quadrature dense enough to kill aliasing for the declared
 polynomial degree of the gradient.
 
 Solutions come in orbits of the continuous symmetries (component rotations
@@ -140,7 +141,7 @@ tangent taken from one Jacobian and one bordered matrix there, and inserted
 between the two points, from which the continuation goes on unchanged.
 
 On the trivial branch c = 0 every quadrature node sees u0, so the Hessian is
-one p x p matrix H0(lambda) = hess(u0, lambda) and, in the layout above,
+one p x p matrix H0(lambda) = hess(0, lambda) and, in the layout above,
 
     J(0, lambda) = diag(beta) - G kron H0(lambda),   G = (E w) E^T,
 
@@ -273,14 +274,13 @@ class GalerkinProblem:
         return self.n_funcs * self.p
 
     def evaluate(self, c) -> np.ndarray:
-        """Values of u = u0 + expansion(c) at the quadrature nodes, (nq, p)."""
-        C = np.asarray(c, float).reshape(self.n_funcs, self.p)
-        return self.spec.u0[None, :] + self.E.T @ C
+        """Values of the deviation v = u - u0 = expansion(c) at the
+        quadrature nodes, (nq, p): what the spec's derivatives take."""
+        return self.E.T @ np.asarray(c, float).reshape(self.n_funcs, self.p)
 
     def sup_deviation(self, c) -> float:
         """Max euclidean deviation |u(x) - u0| over quadrature nodes."""
-        C = np.asarray(c, float).reshape(self.n_funcs, self.p)
-        dev = self.E.T @ C
+        dev = self.evaluate(c)
         return float(np.max(np.linalg.norm(dev, axis=1))) if dev.size else 0.0
 
 
@@ -801,7 +801,7 @@ def _morse_counts(problem, theta, lams):
     spec, counts = problem.spec, []
     for i in range(0, len(lams), _MORSE_CHUNK):
         lam = np.asarray(lams[i : i + _MORSE_CHUNK], float)
-        H0 = spec.hess(np.broadcast_to(spec.u0, (lam.size, problem.p)), lam)
+        H0 = spec.hess(np.zeros((lam.size, problem.p)), lam)
         mu = np.linalg.eigvalsh(0.5 * (H0 + H0.transpose(0, 2, 1)))
         below = theta[:, None, None] - mu < -_MORSE_ZERO_TOL
         counts.extend(np.count_nonzero(below, axis=(0, 2)).tolist())

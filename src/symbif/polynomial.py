@@ -131,6 +131,24 @@ class Polynomial:
                 terms[m[:i] + (e - 1,) + m[i + 1 :]] = c * e
         return Polynomial._exact(self.nvars, terms)
 
+    def shift(self, offsets):
+        """x -> self(x + offsets), exact, with one offset per variable.  Only
+        the variables with a nonzero offset are substituted, each power of
+        x_i + offset_i expanded once, so with no offset the result is self,
+        its terms in its order."""
+        subs = {i: Polynomial.variable(self.nvars, i) + o for i, o in enumerate(offsets) if o}
+        if not subs:
+            return self
+        powers = {(i, e): s**e for i, s in subs.items() for e in range(self.degree([i]) + 1)}
+        out = Polynomial(self.nvars)
+        for m, c in self.terms.items():
+            kept = tuple(0 if i in subs else e for i, e in enumerate(m))
+            term = Polynomial._exact(self.nvars, {kept: c})
+            for i in subs:
+                term = term * powers[i, m[i]]
+            out = out + term
+        return out
+
     def degree(self, variables=None):
         """Max total degree; `variables` restricts which exponents count."""
         if not self.terms:

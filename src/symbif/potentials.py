@@ -3,12 +3,12 @@ base critical point u0, the linearization matrix A, and a checker for the
 standing assumptions on these objects.
 
 Every potential is a polynomial F in u1..up and lambda, given as config
-data (a [potential] section or the same mapping), and a PotentialSpec holds
-F itself: its gradient, its Hessian, the lambda derivative of its gradient
-and the degree that sizes the Galerkin quadrature come from exact symbolic
-differentiation of F, each group computed by one evaluator.  The builtins
-are such mappings too, parsed when requested: the scalar pitchfork, a
-rotation-invariant ring minimum, and degenerate variants of both.
+data (a [potential] section or the same mapping), that a PotentialSpec
+centres at u0 once, exactly: F~(v, lambda) = F(u0 + v, lambda) gives the
+gradient, Hessian and lambda derivative of the gradient, which take the
+deviation v, as well as A and B3.  The builtins are such mappings too,
+parsed when requested: the scalar pitchfork, a rotation-invariant ring
+minimum, and degenerate variants of both.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ _GROUP_TOL = 1e-9
 # slice_brouwer_degree's starting box half-width and its number of halvings
 _SLICE_HALF_WIDTH = 0.5
 _SLICE_MAX_HALVINGS = 6
-# B3 passes when grad(u0) and hess(u0) - lambda A are within this of zero
+# B3 passes when the coefficients of F~ that _base_point reads are within this
 _B3_TOL = 1e-10
 
 
@@ -123,30 +123,30 @@ class GroupAction:
 
 
 def _vector(polys, p):
-    """(u, lam) -> the values of polys in u1..up and lambda, stacked on the
-    last axis of a float array of u's shape (..., p)."""
+    """(v, lam) -> the values of polys in v1..vp and lambda, stacked on the
+    last axis of a float array of v's shape (..., p)."""
     values = Evaluator(polys)
 
-    def vector(u, lam):
-        u = np.asarray(u, float)
-        out = np.empty(u.shape)
-        for i, v in enumerate(values(*[u[..., k] for k in range(p)], lam)):
-            out[..., i] = v
+    def vector(v, lam):
+        v = np.asarray(v, float)
+        out = np.empty(v.shape)
+        for i, value in enumerate(values(*[v[..., k] for k in range(p)], lam)):
+            out[..., i] = value
         return out
 
     return vector
 
 
 def _hessian(grads, p):
-    """(u, lam) -> the Jacobian of grads, of shape (..., p, p): the upper
+    """(v, lam) -> the Jacobian of grads, of shape (..., p, p): the upper
     triangle is evaluated and mirrored, bitwise symmetric at half the cost."""
     upper = [(i, j) for i in range(p) for j in range(i, p)]
     values = Evaluator([grads[i].diff(j) for i, j in upper])
 
-    def hess(u, lam):
-        u = np.asarray(u, float)
-        H = np.empty(u.shape + (p,))
-        for (i, j), h in zip(upper, values(*[u[..., k] for k in range(p)], lam)):
+    def hess(v, lam):
+        v = np.asarray(v, float)
+        H = np.empty(v.shape + (p,))
+        for (i, j), h in zip(upper, values(*[v[..., k] for k in range(p)], lam)):
             H[..., i, j] = H[..., j, i] = h
         return H
 
@@ -155,32 +155,33 @@ def _hessian(grads, p):
 
 @dataclass
 class PotentialSpec:
-    """The potential F, its symmetry, the base point u0 and the matrix A with
-    Hessian(u0, lambda) = lambda * A.
+    """The potential F, a Polynomial in u1, ..., up, lambda (in that
+    order), its symmetry and its base point u0.
 
-    F is a Polynomial in u1, ..., up, lambda (in that order) and the one
-    source of every derivative.  Derived from it, and not settable: p,
-    grad_degree (the largest degree in u of the gradient, which sizes the
-    dealiased quadrature of the Galerkin solver) and grad_lambda, the lambda
-    derivative of the gradient.  grad and hess default to F's exact
-    gradient and Hessian; they stay fields so that a wrapper with the same
-    values, a counting one say, can replace them (dataclasses.replace).  All
-    three broadcast over batches: u of shape (..., p) with lambda a scalar or
-    an array of u's batch shape (...) yields float arrays of shape (..., p),
-    (..., p, p) and (..., p); with an array lambda each entry is bit for bit
-    that of the single point u[i] at the scalar lambda[i].
-    growth_exponent is metadata only.  A u0 of other than p entries, or an A
-    that is not p x p, raises ValueError.
+    Derived, and not settable: p, grad_degree (the largest degree in u of
+    the gradient, which sizes the dealiased quadrature of the Galerkin
+    solver), centred, F~(v, lambda) = F(u0 + v, lambda) in exact arithmetic
+    (F itself when u0 = 0), A with Hess F(u0, lambda) = lambda A from F~'s
+    lambda v_i v_j coefficients, and grad_lambda.  grad, hess and
+    grad_lambda are F~'s and take the deviation v = u - u0, so no digit is
+    lost near u0; grad and hess stay fields so that a wrapper with the same
+    values, a counting one say, can replace them (dataclasses.replace).
+    All three broadcast: v of shape (..., p) with lambda a scalar or an
+    array of v's batch shape (...) yields arrays of shape (..., p), (..., p,
+    p) and (..., p), each entry at an array lambda bit for bit the single
+    point v[i] at lambda[i].  growth_exponent is metadata only.  A u0 of
+    other than p entries raises ValueError.
     """
 
     name: str
     action: GroupAction
     u0: np.ndarray
-    A: np.ndarray
     F: Polynomial
     grad: Optional[Callable] = None
     hess: Optional[Callable] = None
     growth_exponent: Optional[float] = None
+    centred: Polynomial = field(init=False, repr=False)
+    A: np.ndarray = field(init=False, repr=False)
     grad_lambda: Callable = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -188,13 +189,14 @@ class PotentialSpec:
         self.u0 = np.asarray(self.u0, float)
         if self.u0.shape != (p,):
             raise ValueError(f"u0 must have {p} entries")
-        self.A = np.asarray(self.A, float)
-        if self.A.shape != (p, p):
-            raise ValueError(f"matrix must be {p}x{p}, got {self.A.shape}")
-        grads = [self.F.diff(i) for i in range(p)]
+        self.centred = self.F.shift([*self.u0, 0])
+        grads = [self.centred.diff(i) for i in range(p)]
+        slopes, origin = [g.diff(p) for g in grads], (0,) * (p + 1)
+        # A_ij = d^3 F~ / dlambda dv_i dv_j at 0: F~'s lambda v_i v_j coefficients
+        self.A = np.array([[float(s.diff(j).terms.get(origin, 0)) for j in range(p)] for s in slopes])
         self.grad = self.grad or _vector(grads, p)
         self.hess = self.hess or _hessian(grads, p)
-        self.grad_lambda = _vector([g.diff(p) for g in grads], p)
+        self.grad_lambda = _vector(slopes, p)
 
     @property
     def p(self) -> int:
@@ -305,19 +307,13 @@ def matrix_spectrum(A, slice: Optional[NormalSlice] = None) -> MatrixSpectrum:
 # parses it with from_config_dict when called, so builtin and user potentials
 # share one symbolic path.
 _BUILTINS = {
-    "pitchfork-scalar": dict(
-        p="1", u0="0", a="1", f="lambda*u1^2/2 - u1^4/4", growth_exponent="3"
-    ),
-    "pitchfork-degenerate": dict(
-        p="1", u0="0", a="1", f="lambda*u1^2/2 - u1^6/6", growth_exponent="5"
-    ),
+    "pitchfork-scalar": dict(p="1", u0="0", f="lambda*u1^2/2 - u1^4/4", growth_exponent="3"),
+    "pitchfork-degenerate": dict(p="1", u0="0", f="lambda*u1^2/2 - u1^6/6", growth_exponent="5"),
     "so2-ring": dict(
-        p="2", action="so2(1,2)", u0="1 0", a="1 0; 0 0",
-        f="lambda*(u1^2 + u2^2 - 1)^2/8", growth_exponent="3",
+        p="2", action="so2(1,2)", u0="1 0", f="lambda*(u1^2 + u2^2 - 1)^2/8", growth_exponent="3"
     ),
     "so2-ring-degenerate": dict(
-        p="2", action="so2(1,2)", u0="1 0", a="0 0; 0 0",
-        f="lambda*(u1^2 + u2^2 - 1)^4/16", growth_exponent="7",
+        p="2", action="so2(1,2)", u0="1 0", f="lambda*(u1^2 + u2^2 - 1)^4/16", growth_exponent="7"
     ),
 }
 
@@ -381,7 +377,7 @@ def slice_brouwer_degree(spec: PotentialSpec, lam: float):
 
     def f(v):
         v = np.asarray(v, float)
-        return S.T @ spec.grad(spec.u0 + S @ v, lam)
+        return S.T @ spec.grad(S @ v, lam)
 
     w = _SLICE_HALF_WIDTH
     last_error = None
@@ -400,19 +396,32 @@ def slice_brouwer_degree(spec: PotentialSpec, lam: float):
     )
 
 
-def _base_point_residuals(spec: PotentialSpec, lambda_samples, elements):
-    """The evidence of B3 and B4 at u0: the largest |grad(u0, l)| and
-    |hess(u0, l) - l A| over the lambda samples l, each within _B3_TOL when
-    B3 holds, and the numbers of the sampled group elements that fix u0
-    (|g u0 - u0| <= 1e-9 (1 + |u0|)) and of the identities among them
-    (within 1e-12 entrywise), equal when B4 holds."""
-    u0 = spec.u0
-    grad_res = max(float(np.max(np.abs(spec.grad(u0, l)))) for l in lambda_samples)
-    hess_res = max(float(np.max(np.abs(spec.hess(u0, l) - l * spec.A))) for l in lambda_samples)
-    tol = 1e-9 * (1 + np.linalg.norm(u0))
-    fixing = sum(1 for g in elements if np.linalg.norm(g @ u0 - u0) <= tol)
-    identity_count = sum(1 for g in elements if np.max(np.abs(g - np.eye(spec.p))) <= 1e-12)
-    return grad_res, hess_res, fixing, identity_count
+def _base_point(spec: PotentialSpec) -> dict:
+    """{"B3": AssumptionResult, "B4": ...} for check_assumptions and predict,
+    with no evaluation of F.  B3 (grad F(u0, l) = 0, Hess F(u0, l) = l A):
+    F~'s v-linear coefficients, and its v-quadratic ones of lambda-degree
+    other than 1, are at most _B3_TOL in modulus.  B4 (only the identity
+    fixes u0): u0's component in each so2 or zn plane has norm > 1e-9 (1 +
+    |u0|)."""
+    p, linear, quadratic = spec.p, 0.0, 0.0
+    for m, c in spec.centred.terms.items():
+        if sum(m[:p]) == 1:
+            linear = max(linear, abs(float(c)))
+        elif sum(m[:p]) == 2 and m[p] != 1:
+            quadratic = max(quadratic, abs(float(c)))
+    tol = 1e-9 * (1 + float(np.linalg.norm(spec.u0)))
+    planes = [f[-2:] for f in spec.action.factors if f[0] != "trivial"]
+    norms = [float(np.hypot(spec.u0[i], spec.u0[j])) for i, j in planes]
+    return {
+        "B3": AssumptionResult(
+            "pass" if max(linear, quadratic) <= _B3_TOL else "fail",
+            {"max_linear_coefficient": linear, "max_quadratic_coefficient": quadratic},
+        ),
+        "B4": AssumptionResult(
+            "pass" if all(n > tol for n in norms) else "fail",
+            {"plane_norms": norms, "tolerance": tol},
+        ),
+    }
 
 
 def check_assumptions(
@@ -422,12 +431,14 @@ def check_assumptions(
 ) -> AssumptionReport:
     """Check the standing assumptions on a potential, to the extent decidable.
 
-    Orthogonality of the action and triviality of the isotropy of u0 are
-    sampled; the Hessian-at-u0 linearity in lambda is a residual test; the
-    growth bound and the global isolation of the critical orbit are not
-    decidable from point samples and come back "undecidable" with evidence;
-    the slice-degree condition is evaluated at every nonzero lambda sample.
-    Samples must be finite, and one must be nonzero; otherwise ValueError.
+    Orthogonality of the action is sampled; B3 (u0 critical, with Hessian
+    lambda A) and B4 (trivial isotropy of u0) are read from F~'s
+    coefficients and u0's planes (_base_point); the growth bound and the
+    global isolation of the critical orbit are not decidable from point
+    samples and come back "undecidable" with evidence from scans about u0 at
+    the largest lambda sample; the slice-degree condition is evaluated at
+    every nonzero lambda sample.  Samples must be finite, and one must be
+    nonzero; otherwise ValueError.
     """
     if not all(np.isfinite(lambda_samples)):
         raise ValueError(f"lambda samples must be finite, got {tuple(lambda_samples)}")
@@ -463,33 +474,21 @@ def check_assumptions(
         },
     )
 
-    # B3: grad(u0) = 0 and hess(u0, lambda) = lambda * A
-    grad_res, hess_res, fixing, identity_count = _base_point_residuals(
-        spec, lambda_samples, elements
-    )
-    results["B3"] = AssumptionResult(
-        "pass" if grad_res <= _B3_TOL and hess_res <= _B3_TOL else "fail",
-        {"max_grad_residual": grad_res, "max_hessian_residual": hess_res},
-    )
-
-    # B4: only the identity fixes u0 among sampled elements
-    results["B4"] = AssumptionResult(
-        "pass" if fixing == identity_count else "fail",
-        {"fixing_elements": fixing, "identity_elements": identity_count},
-    )
+    # B3: grad F(u0) = 0 and Hess F(u0, lambda) = lambda A; B4: only the
+    # identity fixes u0
+    results.update(_base_point(spec))
 
     # B5: local annulus scan around the orbit; global isolation is undecidable
     scale = max(1.0, float(np.linalg.norm(spec.u0)))
     n_pts = 10_000
-    pts = rng.normal(size=(n_pts, spec.p))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    pts *= (0.02 + 0.23 * rng.random((n_pts, 1))) * scale
-    pts += spec.u0
+    v = rng.normal(size=(n_pts, spec.p))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    v *= (0.02 + 0.23 * rng.random((n_pts, 1))) * scale
     # dense orbit sampling so the tube exclusion tracks the true orbit
     orbit = np.stack([g @ spec.u0 for g in spec.action.sample_elements(1024)])
-    dists = np.min(np.linalg.norm(pts[:, None, :] - orbit[None, :, :], axis=2), axis=1)
+    dists = np.min(np.linalg.norm((spec.u0 + v)[:, None, :] - orbit[None, :, :], axis=2), axis=1)
     keep = dists > 0.02 * scale
-    gvals = np.linalg.norm(spec.grad(pts[keep], lam0), axis=-1)
+    gvals = np.linalg.norm(spec.grad(v[keep], lam0), axis=-1)
     near_zero = int(np.sum(gvals <= 1e-6))
     results["B5"] = AssumptionResult(
         "undecidable",
@@ -544,18 +543,15 @@ def _parse_action(text: str, p: int) -> GroupAction:
     return GroupAction(p, tuple(factors))
 
 
-def _parse_matrix(text: str) -> np.ndarray:
-    rows = [row.strip() for row in text.split(";") if row.strip()]
-    return np.array([[float(x) for x in row.replace(",", " ").split()] for row in rows], float)
-
-
 def from_config_dict(cfg: dict) -> PotentialSpec:
-    """Build a PotentialSpec from a flat mapping of string settings."""
+    """Build a PotentialSpec from a flat mapping of string settings: p, u0
+    and f, with action, name and growth_exponent optional.  A is derived
+    from f, and any other key, such as the a of older configs, is not
+    read."""
     try:
         p = int(cfg["p"])
         action = _parse_action(cfg.get("action", "trivial"), p)
         u0 = [float(x) for x in cfg["u0"].replace(",", " ").split()]
-        A = _parse_matrix(cfg["a"])
         F = parse_polynomial(cfg["f"], [f"u{i + 1}" for i in range(p)] + ["lambda"])
     except KeyError as err:
         raise ValueError(f"potential config is missing key {err.args[0]!r}") from err
@@ -564,14 +560,13 @@ def from_config_dict(cfg: dict) -> PotentialSpec:
         name=cfg.get("name", "user"),
         action=action,
         u0=u0,
-        A=A,
         F=F,
         growth_exponent=float(growth) if growth is not None else None,
     )
 
 
 def from_config_file(path) -> PotentialSpec:
-    """Read a [potential] section: p, action, u0, A, F, optional metadata."""
+    """Read a [potential] section: p, action, u0, f, optional metadata."""
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:

@@ -265,20 +265,6 @@ def _degree_jump(spec, domain, lam0, eps, catalog, groups, levels):
     )
 
 
-def _validate_basics(spec: PotentialSpec):
-    """B3 and B4 of check_assumptions, to its tolerances, at lambda -1 and
-    0.5 and on 16 sampled elements per factor; ValueError when one fails."""
-    grad_res, hess_res, fixing, identity_count = potentials._base_point_residuals(
-        spec, (-1.0, 0.5), spec.action.sample_elements(16)
-    )
-    if grad_res > potentials._B3_TOL:
-        raise ValueError("u0 is not a critical point of the potential")
-    if hess_res > potentials._B3_TOL:
-        raise ValueError("Hessian at u0 does not equal lambda * A")
-    if fixing != identity_count:
-        raise ValueError("a nonidentity sampled group element fixes u0")
-
-
 def predict(
     spec: PotentialSpec,
     domain: DomainId,
@@ -290,9 +276,14 @@ def predict(
     Sphere: one candidate per level in the quotient set (no bifurcation can
     occur outside it).  Ball: one candidate per (alpha, beta) pair whose
     eigenspace is not radial (angular degree l > 0), with an interval
-    guarantee.
+    guarantee.  A spec that fails B3 or B4 of check_assumptions raises
+    ValueError.
     """
-    _validate_basics(spec)
+    base = potentials._base_point(spec)
+    if base["B3"].status == "fail":
+        raise ValueError("u0 is not a critical point of the potential with Hessian lambda A")
+    if base["B4"].status == "fail":
+        raise ValueError("a nonidentity group element fixes u0")
     catalog = eigen_catalog(domain, beta_cutoff)
     groups = _alpha_groups(spec)
     levels = _levels(catalog, groups)

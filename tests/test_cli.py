@@ -1,7 +1,6 @@
 import argparse
 import csv
 import hashlib
-import inspect
 import json
 import os
 import subprocess
@@ -14,7 +13,7 @@ import pytest
 from symbif import cli, continuation, potentials, spectral
 from symbif.cli import main
 
-import lambda_column
+from replays import AT_CENTRAL_DIFFERENCE, AT_FIXED_GROWTH, AT_OLD_STEP, AT_OLD_STEP_AND_ENDS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -229,7 +228,7 @@ class TestCheckCommand:
         cfg = tmp_path / "ring.cfg"
         cfg.write_text(
             "[potential]\nname = user-ring\np = 2\naction = so2(1,2)\nu0 = 1, 0\n"
-            "a = 1 0; 0 0\nf = lambda*(u1^2 + u2^2 - 1)^2 / 8\n"
+            "f = lambda*(u1^2 + u2^2 - 1)^2 / 8\n"
         )
         code, out, _ = run(capsys, "check", "--potential-file", str(cfg))
         assert code == 0
@@ -238,9 +237,30 @@ class TestCheckCommand:
         assert doc["assumptions"]["B3"]["status"] == "pass"
         assert doc["assumptions"]["B4"]["status"] == "pass"
 
+    def test_default_samples_are_check_assumptions_own(self, capsys, monkeypatch):
+        # without --lambda-samples the command passes no samples, so the
+        # default lives in check_assumptions alone
+        check = potentials.check_assumptions
+        monkeypatch.setattr(check, "__defaults__", ((-0.25, 0.75), None))
+        code, out, _ = run(capsys, "check", "--potential", "so2-ring")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["lambda_samples"] == [-0.25, 0.75]
+        assert set(doc["assumptions"]["B6"]["degrees"]) == {"-0.25", "0.75"}
+
+    def test_coefficient_evidence_of_b3_and_b4(self, capsys):
+        # B3 and B4 report F~'s largest offending coefficients and u0's norm
+        # in each rotation plane, not sampled residuals
+        code, out, _ = run(capsys, "check", "--potential", "so2-ring")
+        assert code == 0
+        doc = json.loads(out)["assumptions"]
+        assert doc["B3"] == {"status": "pass", "max_linear_coefficient": 0.0,
+                             "max_quadratic_coefficient": 0.0}
+        assert doc["B4"] == {"status": "pass", "plane_norms": [1.0], "tolerance": 2e-9}
+
     def test_division_by_zero_in_potential_file(self, capsys, tmp_path):
         cfg = tmp_path / "z.cfg"
-        cfg.write_text("[potential]\np = 1\nu0 = 0\na = 1\nf = lambda*u1^2/2 - u1^4/(2-2)\n")
+        cfg.write_text("[potential]\np = 1\nu0 = 0\nf = lambda*u1^2/2 - u1^4/(2-2)\n")
         code, out, err = run(capsys, "check", "--potential-file", str(cfg))
         assert code == 2 and out == ""
         error = json.loads(err)["error"]
@@ -440,7 +460,7 @@ class TestVerifyCommand:
     # 20/3, and 4 = 12/3 and 20/3 need beta up to 20 = 7 * 3
     DOUBLE_RESONANCE = (
         "[potential]\nname = double-resonance\np = 2\naction = trivial\nu0 = 0, 0\n"
-        "a = 1 0; 0 3\nf = lambda*(u1^2/2 + 3*u2^2/2) - u1^4/4 - u2^4/4\n"
+        "f = lambda*(u1^2/2 + 3*u2^2/2) - u1^4/4 - u2^4/4\n"
     )
 
     @pytest.mark.parametrize(
@@ -489,7 +509,7 @@ class TestVerifyCommand:
 
     RING_TIMES_QUARTIC = (
         "[potential]\nname = ring-times-quartic\np = 3\naction = so2(1,2)\nu0 = 1, 0, 0\n"
-        "a = 1 0 0; 0 0 0; 0 0 0\nf = lambda*(u1^2 + u2^2 - 1)^2 / 8 - u3^4 / 4\n"
+        "f = lambda*(u1^2 + u2^2 - 1)^2 / 8 - u3^4 / 4\n"
     )
 
     def test_degenerate_orbit_on_the_disk_fails_its_switch_without_warnings(
@@ -936,48 +956,15 @@ class TestVerifyDeterminism:
 # its block Morse indices (run-length encoded) and its lambda, sup_norm and
 # min_offsym_singular per point, to 12 significant digits
 CHORD_BRANCHES = json.loads((Path(__file__).parent / "chord_corrector_branches.json").read_text())
-
-# Python run before `symbif verify`: take every lambda column of a bordered
-# matrix as the central difference of two residuals (lambda_column), as
-# verify did before the column was exact; every recorded digest and branch
-# below was written with it
-AT_CENTRAL_DIFFERENCE = (
-    inspect.getsource(lambda_column)
-    + "continuation._lambda_column = central_difference\n"
+# verify's so2-ring output as written before the potential was centred at
+# u0, when every derivative was evaluated from F's own monomials at u0 + v:
+# at the default step with the exact column, and under AT_CENTRAL_DIFFERENCE
+# and AT_FIXED_GROWTH; the verdict and the detected levels, and per branch
+# file its termination, its block Morse indices (run-length encoded) and its
+# lambda, sup_norm and min_offsym_singular per point, in full
+UNCENTRED_BRANCHES = json.loads(
+    (Path(__file__).parent / "uncentred_so2_ring_branches.json").read_text()
 )
-# ... and follow every branch at the step verify took before it took
-# continue_branch's default, ds_max 0.05 for at most 80 steps, growing by
-# 1.4 after every accepted point as the step did before it came from the
-# corrector's contraction
-AT_OLD_STEP = AT_CENTRAL_DIFFERENCE + (
-    "from symbif import continuation\n"
-    "follow = continuation.continue_branch\n"
-    "continuation.continue_branch = lambda *args: follow(*args, max_steps=80, ds_max=0.05)\n"
-    "continuation._step_factor = lambda theta0: 1.4\n"
-)
-# Python run before `symbif verify`: the central difference, and follow
-# every branch as verify did before the step came from the corrector's
-# contraction, growing by 1.4 after every accepted point up to ds_max 0.2,
-# then the library default
-AT_FIXED_GROWTH = AT_CENTRAL_DIFFERENCE + (
-    "from symbif import continuation\n"
-    "follow = continuation.continue_branch\n"
-    "continuation.continue_branch = lambda *args: follow(*args, ds_max=0.2)\n"
-    "continuation._step_factor = lambda theta0: 1.4\n"
-)
-# ... and end every branch, as verify did before the ends of a branch were
-# located, at its first point past a lambda limit, with no fold inserted
-AT_OLD_STEP_AND_ENDS = AT_OLD_STEP + (
-    "import numpy as np\n"
-    "def past_limit(problem, A, start, end, limit):\n"
-    "    r = continuation.assemble_residual(problem, *end)\n"
-    "    return (*end, float(np.linalg.norm(r)), 0.0)\n"
-    "def no_fold(*args):\n"
-    "    raise continuation.NewtonError('no fold located')\n"
-    "continuation._end_on_limit = past_limit\n"
-    "continuation._locate_fold = no_fold\n"
-)
-
 
 def _branch_files(outputs):
     return sorted(name for name in outputs if name.endswith(".json"))
@@ -987,11 +974,11 @@ def _expand(run_length):
     return [index for count, index in run_length for _ in range(count)]
 
 
-def _assert_near_chord_branches(outputs, key):
+def _assert_near_recorded(outputs, recorded, bound=1e-9):
     """The verdict, detected levels, branch files, terminations, point
-    counts and block Morse indices of CHORD_BRANCHES[key], and every lambda,
-    sup_norm and min_offsym_singular within 1e-9 (1 + |x|) of its x there."""
-    recorded = CHORD_BRANCHES[key]
+    counts and block Morse indices of recorded (an entry of CHORD_BRANCHES
+    or UNCENTRED_BRANCHES), and every lambda, sup_norm and
+    min_offsym_singular within bound (1 + |x|) of its x there."""
     report = json.loads(outputs["r"])
     assert report["verdict"] == recorded["verdict"]
     assert report["detected"] == recorded["detected"]
@@ -1005,7 +992,7 @@ def _assert_near_chord_branches(outputs, key):
         for field in ("lambda", "sup_norm", "min_offsym_singular"):
             values = [p[field] for p in branch["points"]]
             assert len(values) == len(rec[field])
-            assert all(abs(v - x) <= 1e-9 * (1.0 + abs(x)) for v, x in zip(values, rec[field]))
+            assert all(abs(v - x) <= bound * (1.0 + abs(x)) for v, x in zip(values, rec[field]))
 
 
 def _fold_indices(lams):
@@ -1102,7 +1089,13 @@ class TestVerifyGoldenDigests:
     the same verdicts, detected levels, point counts, terminations, folds
     and block Morse indices, the ends of every branch to 1e-12 and its
     other points moved by at most 1.0e-8 (1 + |x|), as theta0 sets each
-    next step."""
+    next step.
+
+    The so2-ring digests of every generation were re-recorded when the
+    potential was centred at u0, its derivatives evaluated at the deviation
+    v = u - u0 from F(u0 + v) expanded once; the values before are kept as
+    UNCENTRED_BRANCHES and checked.  The pitchfork digests, where u0 = 0 and
+    nothing changed, were not."""
 
     SPHERE_OPTIONS = ["--domain", "sphere", "--dim", "3", "--window", "0.5:8"]
     PLANE_OPTIONS = {
@@ -1120,18 +1113,18 @@ class TestVerifyGoldenDigests:
             "r.branch-6.json": "7f789a4a8152b5134c649912df03745538e6311c69af75fbcdb15c164a574502",
         },
         ("so2-ring", "12"): {
-            "r": "70995d66539ef80756201d4e0382c88cfd760b7ddb9998365b402702263c7984",
-            "r.branch-2.csv": "c1b8dd8c45f13114ef542df4b72f99c52e7511b1208ec2309f4634176c8eb605",
-            "r.branch-2.json": "6994d3d211ba71caaa7d131a942001ae7ef9087ec9c46c39e9f3aa18261fc486",
-            "r.branch-6.csv": "98612b9d90156600255c3358209e53605bbdb87a8ba009306d1bb8fc7274c15e",
-            "r.branch-6.json": "b6d703dbe4edda941d29e7c8a030b224d787547082a85ba0f03a0c10805df2a8",
+            "r": "e31e99c12917a7f08a9e9d3da9643a4d2d48cad11ae452d0af7ddf45b6162113",
+            "r.branch-2.csv": "c3cc219c4e4be0285e405449ea934e1eff3ab02d470885f3b42207efbcc4c63a",
+            "r.branch-2.json": "66ff5e9250360b1d4faae4c291206269e933c6c8d50f29fb11f41ec9727dca9d",
+            "r.branch-6.csv": "ac3ef8b4d304eee226f759a3adabf629347aa9bc396aaa3e3a6bd958e72d690f",
+            "r.branch-6.json": "e111fafc7e0780ecbba0ae4d6639a61698e142d943bf2556e24a51ef927bd60b",
         },
         ("so2-ring", "24"): {
-            "r": "01c0a486a84a4b43f7834353c0a339d5024ef8479c74ad56b5f23058641d967a",
-            "r.branch-2.csv": "4d959d9a50bfdff342b8022158f2c7ef26e020ade859f7b620770e7e4e5d880a",
-            "r.branch-2.json": "e53d67aa64b51eaa2b3b7b5caaf1c4553a48579e4c4d9b66bb877f5835dacac1",
-            "r.branch-6.csv": "f7ceb61d6ef9907f6e972e234c389139e89b0f55ee6f72e81f540018d475ba76",
-            "r.branch-6.json": "6f676065fcc58eb1e418bb612501eca36257f1393a152834502a24635c8e02a2",
+            "r": "88716ef8973c8af7ec00c81a6c956d757c4273efb79d7db0f33118304ebdbaee",
+            "r.branch-2.csv": "54dc0c2e56cbf80fd4a0c81830a4a7b385663e673e363a7a7b0f139c9fa57620",
+            "r.branch-2.json": "54f45ca1c787c6f4e69aa1d855c98895dcb6d2aa130cc1c6331bfe69e1c8cf23",
+            "r.branch-6.csv": "8e96209b4f6360c643cda67c6d9bed21eb747c06938aa42f2cd52f0b587d73ac",
+            "r.branch-6.json": "1177d2740323ab93ae878ec91898eb57b9bbd865b8fe5b64f5a23587cf91e255",
         },
         ("pitchfork-scalar", "circle"): {
             "r": "39536e522bcbeca91ba97916c793a8d22bc27860ad2db21c950fa94cc5606ec4",
@@ -1143,13 +1136,13 @@ class TestVerifyGoldenDigests:
             "r.branch-9.json": "bac18afdd0f2d46275ad6e4e59955db2ffed4cb0498976fe0dee5a008cc16257",
         },
         ("so2-ring", "circle"): {
-            "r": "29ec4cdd080ac7c9a0ad8bb7d28fb87c296df53e84ce96fe3ad42857357fbe70",
-            "r.branch-1.csv": "84163875ff0630b1bf0fce23b6001b81faf9e5ad80c08325d2fc9b91fa940efb",
-            "r.branch-1.json": "82d1b5d8c2778bcc1ce34728d009cfe2b8493a062c5e1f5ffea26c6693cf71c9",
-            "r.branch-4.csv": "2085d58dc8af4871c20c747611ea4590410ae72c0422ec054fb65b3de825d423",
-            "r.branch-4.json": "090f85124b3dd4cbaad8f3f3244b514f5b86ef001aa3a13e551c4b0c5e986251",
-            "r.branch-9.csv": "03f7ebff0c34f851de717bf73cbea7442fa8cdeb636078d74e6e552cb6bc8fbb",
-            "r.branch-9.json": "0c885e1bfa3a71008221770aa8fcc030c61fcfd3296b0d39cd833eb00e88cbe8",
+            "r": "89eced5b56e83b8c7b0c9d0aa3bb61fbb0d4523a2b1200d0a3cb7e27f846dba2",
+            "r.branch-1.csv": "b09e4f34db70b36645da6c580d6b90a10fb4b217531c5adf16cfc1d73b57181f",
+            "r.branch-1.json": "bda1296d0ad530fed7ee5930d0a5e3a9fd4729c4b96fbffcb95cef2a253ad79d",
+            "r.branch-4.csv": "2e5c01333ae7e9e30e42d17cc6839c6890de12576138c5105118af44add23b59",
+            "r.branch-4.json": "65011acca48c5c90a2b26677d1894b15d281660fd890eb97b64b0795a84a91e9",
+            "r.branch-9.csv": "bdc703da807e02e1cddff5296d30590f7672781a128d917cc37d7fc8152216a9",
+            "r.branch-9.json": "71dbb762cc150398ea6f76e28f552818d8221b61d17d4cb6f20140c2e75c0ff4",
         },
         ("pitchfork-scalar", "disk"): {
             "r": "7ffe47dbc4297c704222380439cb8e0dad81aa0353fd270abd39a43ca4c1ac2b",
@@ -1159,11 +1152,11 @@ class TestVerifyGoldenDigests:
             "r.branch-9.32836.json": "b474cbf21fd7b18f58d311f8ceb5511c125910488ca57de594da11417edfafe2",
         },
         ("so2-ring", "disk"): {
-            "r": "ab9bc20f8c1eb1393f7b2cf7daffa6221b9cb90bb18dfc250ca02e010dcde080",
-            "r.branch-3.38996.csv": "4177208c1bd9f62f67d39fc3efe77dc5618aa725bb65f9b1d53df9d9582fdc66",
-            "r.branch-3.38996.json": "e850f36d4a9ef6abbbf84323e802710ad0cab9eb467bf0c26d1c8d5b93974d36",
-            "r.branch-9.32836.csv": "8e9dfff7a0c23a933beb1d80d4ee510a7da3fccab1c07b97aac4b5a74c852555",
-            "r.branch-9.32836.json": "fd91f6f63cab6cd359a6adcaab6a38ea42e9961aa76bb2243cd2f0f568cf944b",
+            "r": "cc7e09e3b9d93fb3620f6f98b21c6465819aff2f17a121d33ca05aff663fd8ba",
+            "r.branch-3.38996.csv": "2e9c8e36e347aff5b319d07c082ab30e8bb29be8cf3d3a9d6f75e8c9c4fcbac5",
+            "r.branch-3.38996.json": "d7748c55ca2b6e52e1be4f47be49ef722e6e26445b69a93d2af181e425e49d1a",
+            "r.branch-9.32836.csv": "3b6aca5d4b237588e2454fcc81f944a52a87b8badbfefc3946b6d5490c9975ab",
+            "r.branch-9.32836.json": "b5422ee22f311a2d1a374a5645fbbb2b8556798cf0ba77a39b33cc7427cd046c",
         },
     }
 
@@ -1176,18 +1169,18 @@ class TestVerifyGoldenDigests:
             "r.branch-6.json": "e3ff757a0a7b615df7f24757b34393d635a3b6686a9292e35adfb0d1da6ab475",
         },
         ("so2-ring", "12"): {
-            "r": "611eb74cbc40896b2c02f312a4a99fbc2573c0f1809cf05b3b9043c3bf6110ee",
-            "r.branch-2.csv": "3d09e3059f95178eb1dbbfce82c95af1608184b9781dfbc0554a119632fbb434",
-            "r.branch-2.json": "ef6fc7dadc253c3eb4a63c217febe94d5bad5766a6e00f7f7ff21019f89f62b7",
-            "r.branch-6.csv": "7dbbaf6427fb86638a3df840e658b4db146d89b4e2a1202aec05271382929067",
-            "r.branch-6.json": "0a48e371e32bf447cdb27daf0da79b0e85df33ae45a49765e6f0f60ca5275d65",
+            "r": "823b7051df6ef885144e4f081774a69329c26440398a495658988d3e65eec80a",
+            "r.branch-2.csv": "4a8cba53a34f18c9cff09d5f25824b534b99947dea6881e6873424dc8820c494",
+            "r.branch-2.json": "ea13bb970546e17751cab91348b5b9c47087ee00a3a6a528c98edfcde2fba7bf",
+            "r.branch-6.csv": "157cd6e5f555a45f025153dd9e9612ad8c43aafec89c7dad50a47594a4e1bb7f",
+            "r.branch-6.json": "79067a2ed1c97391d857b3d5f4b6062ea7b94880f505d201d3392f1c85c108e0",
         },
         ("so2-ring", "24"): {
-            "r": "5ccfc90764333051dc8791e4597b2b8a0a3bd29d9d83217b5d32d22a1f659e19",
-            "r.branch-2.csv": "04804e0769f1583c9b05e90fc9cf2ab7e872804ea5da3f548e4acf8ade4390d0",
-            "r.branch-2.json": "f81eba49ffc316746db2c3d4de81398acaa7942fe4b8110be972610e72f4bc92",
-            "r.branch-6.csv": "b7a59a2f9853cbc678e324b777f01ecbe6dbeaa208b0adca8dc4c6014095be16",
-            "r.branch-6.json": "12a09c4514d73c52f444759d672c81bbcf8736106a193cf42c9042f5188d3716",
+            "r": "ebb058640902e8b21e2db7ba0f4a1ec8f0a86c5986bfa3174cf9b1206de0abcb",
+            "r.branch-2.csv": "269ba4ffd2b777410c82b4688ba9dd868d8d9fa9b3346864d0b635412d1436c0",
+            "r.branch-2.json": "a3eec75851e20d66f2ddf3ce2bcd9d71d46e00c89fc5062d3120a7a765b88092",
+            "r.branch-6.csv": "e3833ff22077461352967bb5a2f5d0ac2c720fe5b78c84d85d8757f2178abb33",
+            "r.branch-6.json": "f97c104453d43f16d51327f6ab037c2e031ffef94b87290cc5d9319843adecfd",
         },
     }
     PLANE_DIGESTS = {
@@ -1201,13 +1194,13 @@ class TestVerifyGoldenDigests:
             "r.branch-9.json": "ee9b056d45f7d8c36789ac97e80e899ff91736686fdc4f05b035a18f872a9978",
         },
         ("so2-ring", "circle"): {
-            "r": "ec46343cb395d2a4f36935d377ce9f36a9d67c8da061c11298b275615d1eaed4",
-            "r.branch-1.csv": "88d2d615a06b75db6721c1d9fd3e9cd188131c4d05275bcbd52d40a0991cebe8",
-            "r.branch-1.json": "c260ad965fa4d4eab321c372cbe78646bb36def740eae65cc90decf96cfc561a",
-            "r.branch-4.csv": "f1cf380e0a4fbfa095a738e8dde90ce7105f191abce746f234cee0a957605f1a",
-            "r.branch-4.json": "111c1b5e9f5c5359b82f536987a139e873911f103443f53f36d8a21fc162a660",
-            "r.branch-9.csv": "dcd559804328f22d71cc30e31171e889f9e37c5c9f04b022db00fb69b2e9169f",
-            "r.branch-9.json": "5ea6926bade6b6bf0f5b49e11c5e62df3107fbe70e7cd506c5b7fc3ea18f5bb1",
+            "r": "eb170d04f604b7b1c21d11e76d155099618145eeb3bcdca9d43cc36c3c676750",
+            "r.branch-1.csv": "f49eae9c050c04bac82045c1b02a2ed45fe464bc2233a2b275b4ea34e0fe0f32",
+            "r.branch-1.json": "039cfdfcb8d187892865db6b124097f480347ab2741746523f4d2053f615e4b9",
+            "r.branch-4.csv": "e5b61b460508b41f229d105a36cd65d9d0cbe6d38aafe8289044097ed00d3243",
+            "r.branch-4.json": "b22cc7e8fec1e87b98330abd643994d04955dfa37877fdf0f7e73e15d7aaab34",
+            "r.branch-9.csv": "f1665f5e65acf0f4ba47746d49fe1b3b5b237826db24483a424668c00f0b4529",
+            "r.branch-9.json": "389062f38e1479a023d24707ccaee4f41fab732bc4349ca5a1e83d9de2a80ffb",
         },
         ("pitchfork-scalar", "disk"): {
             "r": "561cb4e7833f6a13032756f1a6247f5d043826d31e956b89e4a5ff3cc5d171bd",
@@ -1217,11 +1210,11 @@ class TestVerifyGoldenDigests:
             "r.branch-9.32836.json": "6208cbfbc91997f045c84f36ae6d5dd0aed2936dac0f58f3ac4c7353cc5932b6",
         },
         ("so2-ring", "disk"): {
-            "r": "cf9e5a7c0e7a11234e857e3d51dc47e2cd46dd37bdf17c2e02dc4ded4145042a",
-            "r.branch-3.38996.csv": "eb9c9029ebaccef24a5163609120d272e93a70999d9a9084089cf4a7a83c1df7",
-            "r.branch-3.38996.json": "a5ade8cf09dceb306f48b971a9485a517c2d32012762cc18db8a8809c1a416a9",
-            "r.branch-9.32836.csv": "726f9df824c710dce1efa1859a835d6c8ea00c27e792ec1e30fe86dbd86761e6",
-            "r.branch-9.32836.json": "68e307557e9c1f172defcec20198f15e044ab9b39569ee856f7966cf479ee8d3",
+            "r": "1382d8e9e012472b6c3d95d031d27926ff5426f7aa7d73fb7361a491c4f494b0",
+            "r.branch-3.38996.csv": "b777dde0be8ed05aae4d20e3408dbf6d78fdc3d2e3a934c7a95bab59edb615b8",
+            "r.branch-3.38996.json": "b2a9d49ad40ba60b29be50cba942bffa83ee18ffcbc08ad61225af0d0b0395d1",
+            "r.branch-9.32836.csv": "4ed326e1a9c88f7890267acf8411682776cb481f31daae6135206262ed4ccdd9",
+            "r.branch-9.32836.json": "16a26030f3352e26b48bf6e853a0f08d19357313ed5b1615dea1575380826787",
         },
     }
 
@@ -1236,18 +1229,18 @@ class TestVerifyGoldenDigests:
             "r.branch-6.json": "2655ab1d5bb6cd2e965d90f079059cb3a34d12a556836b8c3f666dbb0f9bfd85",
         },
         ("so2-ring", "12"): {
-            "r": "85c8310f5ba3c7362797620539938a0532755acbad89b14faf1e8314e3a211ff",
-            "r.branch-2.csv": "320fc4ae4f61e501437170eedfc6eaa57231a6ea69959aa92e7f9c69452a4921",
-            "r.branch-2.json": "a6ad72a2fcf8051de90303ab418424b45b30ec55eab57764c0119c25dedc486e",
-            "r.branch-6.csv": "77fb5b569cb14428a131080cb3983c10496528c2d7d7a2772e63e540c902dca7",
-            "r.branch-6.json": "d5842e14fa16c7d0303da568e2aa519e5c9aa7f74105314247d45eb446a79d2a",
+            "r": "9bb71775e49660d98bef0f695d74bbe68afee208fa278b24e15e6798c5d9966b",
+            "r.branch-2.csv": "f17cb21b10c1710b41ae0857c84736b279dfd0f64b932d35a3154aedd64dfacd",
+            "r.branch-2.json": "47ce05e5acb3bfe2be2dc1722328b9be0356515d849fa90ff5f8046d45607e70",
+            "r.branch-6.csv": "07eb92c290ba8b8f3d60a611e727b4a029b9207856a9ec49a1da9c85eab6b569",
+            "r.branch-6.json": "6ddec981d9f26826edc736ccc9157a9b1a933701aeef0d6f05e3e872e7efd4a1",
         },
         ("so2-ring", "24"): {
-            "r": "54e57186757940bd33b16c70ea00f43603e6049ebaceaa7b82193c013361f6d4",
-            "r.branch-2.csv": "4469138ae586bee3e96d1e921cebff5b2ef4a1e83aedd95526618668d5479d35",
-            "r.branch-2.json": "33fdc7c1712b668be22add1207764c8ccd905315b84c2b208fb2e04db684fa4f",
-            "r.branch-6.csv": "0ba15bf7e1939e85e9bbf505a0d83c7f5f0f7960b2ecf6ff9f5619cae9a6cc9a",
-            "r.branch-6.json": "3db9418542313f0f67461a36b1f002b716235f62a0d452e6b58708b91e831357",
+            "r": "fa20808eedcf5a70d7b4f471523eaf2b8bfe29db0227b4cbc9d480c8dbbedfed",
+            "r.branch-2.csv": "88347fc6239fa2d208e061828fc7a217837505958bee41c65f363e1be76c4eff",
+            "r.branch-2.json": "5239ef6a9f390397a4adca1b32be09fd852ee074afaec173ddf0f47ae01803d2",
+            "r.branch-6.csv": "ea3083a612f1753b9c9bdc4b2d4271cf40185a101fa2cbeadcf8702d2a491f20",
+            "r.branch-6.json": "6fe0bdca229c55e4f561cd0795884748fb50b46a1851187f60c63d1ef0d89f46",
         },
         ("pitchfork-scalar", "circle"): {
             "r": "065ae4cb8759d008a1efb20b76fa8a48d24d1a811d54cc4f0f8e25e12637cdb9",
@@ -1259,13 +1252,13 @@ class TestVerifyGoldenDigests:
             "r.branch-9.json": "27ef457ec2ae9552da20ca8400a77bb64e5d81025bea71592668c44b82f04e7d",
         },
         ("so2-ring", "circle"): {
-            "r": "c10a0917ccb50d98fe66270fe8409f5776a69f2a2a3d9399f3421c900dc52250",
-            "r.branch-1.csv": "d183886d1faa4065ef3b6ae7cb1f3cf30bc1ab32b37266795fa5aa6e08c81da9",
-            "r.branch-1.json": "9ec5d8c673d0f8755e0395daf1399d64ba381b74279b5df8dbdc952a1ce51c83",
-            "r.branch-4.csv": "fc6167c702edad2e6852d008dfc4707714af9ea1ae0b0fb5025cacd2cec42805",
-            "r.branch-4.json": "17f1ccdcc727f35e6bfcf4d6d4d6eed10c789f30db9cee62582cd683f63baa79",
-            "r.branch-9.csv": "4252c706d832c687247a53a0cbc1689590a0a46f1607f8ad5785dae97fac3d0a",
-            "r.branch-9.json": "e5678013ec598c5ff74bc9dfa2aff95f0d9247d9410014f4ceeb363ca8645eda",
+            "r": "a0ef8acbad23150472c4293fb6f2f71a6b5bfe78c682d67ac33b96e3651104ba",
+            "r.branch-1.csv": "53911127062b58dfe8cda1bb9b0875c71078703bb9763a6d02a92d2bb2dfbf4f",
+            "r.branch-1.json": "beae6df46246c99b8cd23e6243d3e65d2cfc7b18bb44611f43fe5178ba6df55c",
+            "r.branch-4.csv": "af2791d647ea1a9ac1a1c43348a339c14b293265f3b40f390f34a5d37297ce46",
+            "r.branch-4.json": "55ade238d8d2f827932c99efbb467513be13bb2fbed6868b579cb7cb48dccbe5",
+            "r.branch-9.csv": "4b29a30af9eadc0553659b4e60013c9a8c508b831fc74db9ccd37af8e88e11ea",
+            "r.branch-9.json": "2f6f0709599291b11d21fb9f34eb573b966228b57767b1607593ce4617d4ccde",
         },
         ("pitchfork-scalar", "disk"): {
             "r": "fcb208ca6e980311d48c9d43ecb2c3064293dfc96fe12fa27fa7ecae3b248427",
@@ -1275,11 +1268,11 @@ class TestVerifyGoldenDigests:
             "r.branch-9.32836.json": "ee60e31f812359aa3e8e7bfe6909491542610d417c2ab40778e36363495b9192",
         },
         ("so2-ring", "disk"): {
-            "r": "f9f03c20690db55432a1d9568b7fa59158889f17e269191968c55734cd7f608a",
-            "r.branch-3.38996.csv": "9c3dc2879d97bcc3db7fc11c2425ea5ab6eff45ac0142324d13a6b472efdcc46",
-            "r.branch-3.38996.json": "abef2a74dffce8c597bd17b9a146860f18c3a71ed415ff1b839a0ff07980622e",
-            "r.branch-9.32836.csv": "6021b733b13266eff5c03e6fe333b55a2fd55f41f288ad471267d12a3325b2de",
-            "r.branch-9.32836.json": "97d5125e489104e9d65dc0f3cfbdc7506d4c5f7f52d246d5d89b900415b872c2",
+            "r": "c283ec647b0e1011fde7d134125fbce79f35d80023edce7616e725e7c1adb77d",
+            "r.branch-3.38996.csv": "074f44e3471b195da6ad5eba94fdf6988bb33b81b72ec4f088ad17d031f4ee7d",
+            "r.branch-3.38996.json": "e370433c81464ebfcee24ec246de29e5af2532ba11e30c38ebdaa287d8978cd0",
+            "r.branch-9.32836.csv": "6c939f52e1cd1016f2318c70f13e401a0aeb28f1b9cbb472c4a7084444a55486",
+            "r.branch-9.32836.json": "64a450ba8f77bdcd9ad66a55e61c8d4de706c110f553de300ec63627a7d1c9c8",
         },
     }
 
@@ -1294,18 +1287,18 @@ class TestVerifyGoldenDigests:
             "r.branch-6.json": "c31f9791ff579e752061d3b7b1c7b0292ad8bdc338c45dd0997397726caef6d1",
         },
         ("so2-ring", "12"): {
-            "r": "66946330760cb5027e082e065101076637e0bfdaa53725d680b0024afd84a456",
-            "r.branch-2.csv": "643dbfcfe3d632e404100dc424fd4123025d2f5cb5170baa80b44a3722f1bfc5",
-            "r.branch-2.json": "92b6daf7d53337f886bd6cd3793e3746fd5bc27bfc3fff028600dde61da99d91",
-            "r.branch-6.csv": "3d633ffc721fa1a8284aa4ec394a5b35e392965924de31c2f84bac054c8722a4",
-            "r.branch-6.json": "fd8659a032eff43aa8dc957824142516fc802deb159134809478c1424737cf8e",
+            "r": "0b2140f05f1ce4d86322022b26301e6a732d2fe639b9778fbb32d73aac568676",
+            "r.branch-2.csv": "f2a862cddc2c3cd2584e5939f7e8c98b2038c447378ff45649769fe1c9c9b903",
+            "r.branch-2.json": "97df0168a26593498a3d38796de9f292a0e16904ed23b2a4b0af40f51b19f82c",
+            "r.branch-6.csv": "15ceb3688ee1df16aa2bff651d95bb570e8b76d0512afdef3114660fd5140cfd",
+            "r.branch-6.json": "152fe95d77b9fa8124b8748075365e148cc960b9fb1a3436cc16e19768c4d404",
         },
         ("so2-ring", "24"): {
-            "r": "3e6a1a4eaf4ba7b3937148b1fffc04576891bcf999e79af03d3fbe815f3a407b",
-            "r.branch-2.csv": "2946853c18fbd818b99d44836a0b0a963e1f6bd28b00350849ed5bc5dc120f06",
-            "r.branch-2.json": "8528b032fbd365e01951eabf567dcd1b2f5a97800241d93f2d397e62c1c265b2",
-            "r.branch-6.csv": "27b53def4db6b893b0534ddc5b06b7a5c1f4234530a8e1ae81980dbcc5fdb23e",
-            "r.branch-6.json": "5e79b75ec1ebdd3881d21f0adbcbf0fca6dcf02fe73b4b73843de75ed5437962",
+            "r": "29fd7a05b3b7f631abe71d2a582265df02087806f5ae3ced735cd36f68785748",
+            "r.branch-2.csv": "bd30dbbb17fbee1a7dfc11eb0e47e2de2427cb5946e25064e36f32daab27625c",
+            "r.branch-2.json": "f147793266cf8bd6b8321c30fa2efbb5082f69ce6433b2e6e7672ead23ba5d72",
+            "r.branch-6.csv": "f290bb510df36fcd1690f44a126b9bbb405b733bbd90a97934ce6294c46dc793",
+            "r.branch-6.json": "1c078ba2dcab8205b1b4e30ef2032913259e9e06737a4c05d5dc3580f90cd567",
         },
         ("pitchfork-scalar", "circle"): {
             "r": "00c33f96ff8a940a5c240ea9bd2e4496ff25b1beadd62e74e9affd3df7a3eb9d",
@@ -1317,13 +1310,13 @@ class TestVerifyGoldenDigests:
             "r.branch-9.json": "3397f159442656e1880b37ed66112410e0c6d6e064b31adf7db468eee63d3239",
         },
         ("so2-ring", "circle"): {
-            "r": "e86afb235a196056c6461510fdeb6d538223456ae312829e8454c38bd6ac6467",
-            "r.branch-1.csv": "306231774801af9750ad305f9cb779a83704f99e93a4a100701cd5cb0103db1e",
-            "r.branch-1.json": "a5dba49777a9f0f90d19b2ed91bd833e663b5de050600ad0074d201c9cf85968",
-            "r.branch-4.csv": "0ee12811cb017081e9f455ca38ad6d8a6ec3126bcc3d6164ec2e2383caba992a",
-            "r.branch-4.json": "afefb67c2af1a2de85a7bef41508ed888b39e07ef4d30117b2a247b1bae828ed",
-            "r.branch-9.csv": "3ae0b4d6f4ec41be62478c30bd80db78be8d1a989fd5af7df584d910e9e1594d",
-            "r.branch-9.json": "b87800661b6fcdfd7e24cc8bfb45cb275c6190d3b0b6332550dce554aba144c0",
+            "r": "e644e9757369c0c5c2f9978e5f4b4077bd7f5980d0f79bd8d2771d6086e2c02c",
+            "r.branch-1.csv": "c30d32d5b800581aac18d302c28253111b31baa2d5cccb60e1361599a339cc44",
+            "r.branch-1.json": "03c32ba607293f42d4ba3014427a856719d0f182aa7a4fda459a6f9470ebd10e",
+            "r.branch-4.csv": "245d0170cfd25d84484d8fd50954091c75f8020548d8358dea9fcc248b897a85",
+            "r.branch-4.json": "1b3d8c73595d5393ff79d8bb7287cebb5bb1102c2b7891286b27f9df1b760398",
+            "r.branch-9.csv": "d44896c4b3fbba6714dad5fea6d2ab2674e0ffba8ab38cbf9bd88fca85a73858",
+            "r.branch-9.json": "35e3b99ce2be5d76c8e1f966a9348559808fb176cf53a4910c0e5dae0f574be3",
         },
         ("pitchfork-scalar", "disk"): {
             "r": "54e84d4dab7d953649da12c9433aa3533b53e9769790714a5218125dcaf4c16f",
@@ -1333,11 +1326,11 @@ class TestVerifyGoldenDigests:
             "r.branch-9.32836.json": "0915106f8c25965c50b5fdf308dd1307932e68bab43720e2fa78b63d67acc72e",
         },
         ("so2-ring", "disk"): {
-            "r": "57c6e283138809d0c4cc1615b5938b9e99a0a163566787557d2f7c0b7a9cb92e",
-            "r.branch-3.38996.csv": "5375ebcab0d2e301db66634da2216ba47a4bf53527934505374709238f84484e",
-            "r.branch-3.38996.json": "2fdeb642ada683b5d98b118b09453060e036041118e710e9bf651ad161d5421d",
-            "r.branch-9.32836.csv": "a2703cb2d8459a9300420a1b92c56c1d80aeff98a33b16dfb448adb1482dd20c",
-            "r.branch-9.32836.json": "609bf06b2c8344ad6d24cf33399d2193c379696c728442062496c21eee171b17",
+            "r": "f7253745a7a34b4aae2907a9866e85570b0c5a206fe0d1bf23084b57b75134a1",
+            "r.branch-3.38996.csv": "be2e357f2de65334752153815a015e9b0285c6ea62ee094a8d941662529c6042",
+            "r.branch-3.38996.json": "4c8a5f3897236c6226a90719ed80f7df1bf501432564d65e217898c17d147a9f",
+            "r.branch-9.32836.csv": "4cb6975e8945cd72a6c20329f1daf67cda89339ce163965f84442565b93b1b09",
+            "r.branch-9.32836.json": "94d2ec069db90a6420490ad51ddfc7a93a62812f60d3c07d2d02f671aee7e406",
         },
     }
 
@@ -1431,8 +1424,32 @@ class TestVerifyGoldenDigests:
         # the located ends replace the last point and insert the folds, and
         # change no point that continue_branch accepts, bit for bit
         old = outputs(case, "1", AT_OLD_STEP_AND_ENDS)
-        _assert_near_chord_branches(old, "/".join(case))
+        _assert_near_recorded(old, CHORD_BRANCHES["/".join(case)])
         assert {name: _sha256(data) for name, data in old.items()} == self.OLD_STEP_DIGESTS[case]
+
+    # the prelude and bound of each generation in UNCENTRED_BRANCHES: the
+    # central difference divides the rounding of two residuals by 2e-6 (1 +
+    # |lambda|), so there the corrector stops up to 9.0e-9 (1 + |x|) away
+    UNCENTRED_REPLAYS = {
+        "exact-column": ("", 1e-9),
+        "central-difference": (AT_CENTRAL_DIFFERENCE, 1e-8),
+        "fixed-growth": (AT_FIXED_GROWTH, 1e-9),
+    }
+
+    @pytest.mark.parametrize("key", list(UNCENTRED_BRANCHES))
+    def test_so2_ring_stays_near_the_uncentred_branches(self, key, outputs):
+        # centring F at u0 moves the so2-ring branches in their last bits:
+        # the verdict, the detected levels bit for bit, and per branch its
+        # termination, point count, folds and block Morse indices are kept
+        # (measured at the default step: 2.0e-10 (1 + |x|) on the disk,
+        # 2.6e-12 on the 2-sphere)
+        generation, where = key.split("/")
+        prelude, bound = self.UNCENTRED_REPLAYS[generation]
+        out = outputs(("so2-ring", where), "1", prelude)
+        _assert_near_recorded(out, UNCENTRED_BRANCHES[key], bound)
+        for name, rec in UNCENTRED_BRANCHES[key]["branches"].items():
+            lams = [p["lambda"] for p in json.loads(out[name])["points"]]
+            assert _fold_indices(lams) == _fold_indices(rec["lambda"])
 
     @pytest.mark.parametrize("case", list(OLD_STEP_DIGESTS), ids=lambda case: "-".join(case))
     def test_old_step_keeps_the_recorded_samples_and_the_ends(self, case, outputs):

@@ -24,6 +24,7 @@ from symbif.spectral import ball, sphere
 
 from group_action import apply_group_element
 from lambda_column import central_difference
+from replays import fixed_growth
 
 RNG = np.random.default_rng(17)
 
@@ -69,17 +70,6 @@ def sphere12_ring():
     return build_problem(sphere(3), builtin("so2-ring"), truncation=12)
 
 
-def _fixed_growth(monkeypatch):
-    """The step schedule under which the recorded branches below were taken,
-    before each step came from the corrector's contraction: min(_DS0,
-    ds_max) at first, then 1.4 times the last step after every accepted
-    point, up to ds_max (then 0.2 by default); and the lambda column they
-    were taken with, before it was exact: the central difference of two
-    residuals (lambda_column)."""
-    monkeypatch.setattr(continuation, "_step_factor", lambda theta0: 1.4)
-    monkeypatch.setattr(continuation, "_lambda_column", central_difference)
-
-
 def _block_loop_jacobian(prob, c, lam):
     """Reference Jacobian: all p^2 component blocks, each a negated product."""
     U = prob.evaluate(c)
@@ -116,13 +106,13 @@ def discrete_energy(problem, c, lam):
     dirichlet = 0.5 * float(np.sum(problem.beta[:, None] * C * C))
     names = [f"u{i + 1}" for i in range(problem.p)] + ["lambda"]
     F = parse_polynomial(potentials._BUILTINS[problem.spec.name]["f"], names)
-    Fv = np.asarray(Evaluator([F])(*problem.evaluate(c).T, lam)[0], float)
+    Fv = np.asarray(Evaluator([F])(*(problem.spec.u0 + problem.evaluate(c)).T, lam)[0], float)
     return dirichlet - float(np.dot(problem.quad.weights, Fv))
 
 
 def linear_potential():
     return from_config_dict(
-        {"name": "linear", "p": "1", "action": "trivial", "u0": "0", "a": "1", "f": "lambda*u1^2/2"}
+        {"name": "linear", "p": "1", "action": "trivial", "u0": "0", "f": "lambda*u1^2/2"}
     )
 
 
@@ -133,7 +123,6 @@ def subcritical_potential():
             "p": "1",
             "action": "trivial",
             "u0": "0",
-            "a": "1",
             "f": "lambda*u1^2/2 + u1^4/4",
         }
     )
@@ -306,7 +295,6 @@ def coupled_potential():
             "p": "2",
             "action": "trivial",
             "u0": "0, 0",
-            "a": "2 1; 1 3",
             "f": "lambda*(2*u1^2 + 2*u1*u2 + 3*u2^2)/2 + lambda^2*u1*u2/4"
             " - (u1^4 + u2^4)/4 + u1^2*u2",
         }
@@ -314,8 +302,8 @@ def coupled_potential():
 
 
 class TestArrayLambda:
-    """The Morse sweep evaluates hess at u0 with an array lambda: grad, hess
-    and grad_lambda at an array lambda of the batch shape equal the
+    """The Morse sweep evaluates hess at v = 0 with an array lambda: grad,
+    hess and grad_lambda at an array lambda of the batch shape equal the
     per-point calls at scalar lambda, bit for bit."""
 
     @pytest.mark.parametrize("name", [*potentials.builtin_names(), "coupled"])
@@ -323,11 +311,11 @@ class TestArrayLambda:
         spec = coupled_potential() if name == "coupled" else builtin(name)
         rng = np.random.default_rng(37)
         lams = np.concatenate([[-2.5, -1e-12, 0.0, 1e-12, 1.0, 6.0], rng.uniform(-8.0, 8.0, 26)])
-        U = spec.u0 + rng.uniform(-1.2, 1.2, size=(lams.size, spec.p))
-        for u in (U, np.broadcast_to(spec.u0, U.shape)):
+        V = rng.uniform(-1.2, 1.2, size=(lams.size, spec.p))
+        for v in (V, np.broadcast_to(np.zeros(spec.p), V.shape)):
             for fn in (spec.grad, spec.hess, spec.grad_lambda):
-                batch = fn(u, lams)
-                single = np.array([fn(u[i], float(lams[i])) for i in range(lams.size)])
+                batch = fn(v, lams)
+                single = np.array([fn(v[i], float(lams[i])) for i in range(lams.size)])
                 assert batch.dtype == np.float64 and batch.shape == single.shape
                 assert np.array_equal(batch.view(np.int64), single.view(np.int64))
 
@@ -361,10 +349,10 @@ def _dense_detect(prob, window, steps):
     G = (prob.E * prob.quad.weights[None, :]) @ prob.E.T
     Q = _dense_offsym_complement(prob, np.zeros(prob.n_dof))
     diag = np.repeat(prob.beta, prob.p)
-    u0 = prob.spec.u0[None, :]
+    v0 = np.zeros((1, prob.p))
 
     def morse(lam):
-        H0 = np.asarray(prob.spec.hess(u0, lam), float).reshape(prob.p, prob.p)
+        H0 = np.asarray(prob.spec.hess(v0, lam), float).reshape(prob.p, prob.p)
         J = -np.kron(G, H0)
         J[np.diag_indices_from(J)] += diag
         M = Q.T @ J @ Q
@@ -674,7 +662,7 @@ class TestJacobianReuse:
 # the level-2 so2-ring branch on the 2-sphere at truncation 6, switched at
 # the detected level by the amplitude-pinned solve from the zonal (axial)
 # seed and continued to (1.7, 2.6) with ds_max = 0.05 on the fixed growth
-# (_fixed_growth): lambda and sup_norm
+# (fixed_growth): lambda and sup_norm
 # per point (33 points, terminated at the lambda limit); every point is
 # zonal, T_z C = 0, with residual norm at most 1e-10.  The last point is the
 # first one past the limit, as recorded before continue_branch replaced it
@@ -742,7 +730,7 @@ class TestBorderedSolves:
 
     def test_sphere_branch_matches_recorded_values(self, sphere_ring, monkeypatch):
         prob = sphere_ring
-        _fixed_growth(monkeypatch)
+        fixed_growth(monkeypatch)
         det = detect_bifurcation(prob, (1.0, 7.0), steps=60)
         seed = switch_branch(prob, det[0])
         branch = continue_branch(prob, seed, (1.7, 2.6), max_steps=80, ds_max=0.05)
@@ -787,7 +775,7 @@ class TestLambdaColumn:
     # lambda*u1^2/2 - u1^4/4 + lambda^3*u1^4/24: nonlinear in lambda, with
     # d/dlambda of grad F = u1 + lambda^2 u1^3 / 2 written out below
     CUBIC = {
-        "name": "lambda-cubic", "p": "1", "action": "trivial", "u0": "0", "a": "1",
+        "name": "lambda-cubic", "p": "1", "action": "trivial", "u0": "0",
         "f": "lambda*u1^2/2 - u1^4/4 + lambda^3*u1^4/24",
     }
 
@@ -836,7 +824,7 @@ class TestLambdaColumn:
 # lambda of every point, as float.hex, of the circle pitchfork branch from
 # lambda* = 1 to (0.9, 1.3) and of the disk (beta <= 60) pitchfork branch
 # from the first detected level to (lambda* - 0.3, lambda* + 0.6), both with
-# max_steps=40 and ds_max=0.2 on the fixed growth (_fixed_growth) and the
+# max_steps=40 and ds_max=0.2 on the fixed growth (fixed_growth) and the
 # amplitude-pinned switch from the cos-mode seed, as full Newton correctors
 # on the reflection-even rows compute them with no chord attempt (12 points
 # each, terminated at the lambda limit), on the half-turn
@@ -948,7 +936,7 @@ class TestChordCorrector:
 
         monkeypatch.setattr(continuation, "_CHORD_BAR", 0.0)
         monkeypatch.setattr(continuation, "_bordered_newton", spy)
-        _fixed_growth(monkeypatch)
+        fixed_growth(monkeypatch)
         branch = _first_level_branch(prob, window, limits, max_steps=40, ds_max=0.2)
         recorded = RECORDED_NEWTON_HEX[fixture]
         _assert_ends_on_limit(branch, float.fromhex(recorded[-1]), limits)
@@ -1197,7 +1185,7 @@ class TestChordCorrector:
         # on one step schedule: with a bar of 0 the tangent's matrix is
         # always left, and the contraction rule would halve every step
         prob = request.getfixturevalue(fixture)
-        _fixed_growth(monkeypatch)
+        fixed_growth(monkeypatch)
         kwargs = dict(max_steps=80, ds_max=0.05)
         chord = _first_level_branch(prob, window, limits, **kwargs)
         monkeypatch.setattr(continuation, "_CHORD_BAR", 0.0)
@@ -1235,7 +1223,7 @@ class TestChordCorrector:
         prob = sphere_ring
         det = detect_bifurcation(prob, (1.0, 7.0), steps=60)
         seed = switch_branch(prob, det[0])
-        _fixed_growth(monkeypatch)
+        fixed_growth(monkeypatch)
         hessians, systems = self._count_builds(monkeypatch)
         branch = continue_branch(prob, seed, (1.7, 2.6), max_steps=80, ds_max=0.05)
         accepted = len(branch.points) - 1
@@ -1276,7 +1264,7 @@ class TestChordCorrector:
         prob = request.getfixturevalue(fixture)
         lam = detect_bifurcation(prob, (0.5, 6.25))[0]
         seed = switch_branch(prob, lam)
-        _fixed_growth(monkeypatch)
+        fixed_growth(monkeypatch)
         hessians, systems = self._count_builds(monkeypatch)
         branch = continue_branch(prob, seed, (lam - 0.25 * lam, lam + 0.25 * lam), ds_max=0.2)
         assert branch.termination == "lambda-limit"
@@ -1399,7 +1387,7 @@ class TestStepRule:
         for fixed in (False, True):
             with monkeypatch.context() as m:
                 if fixed:
-                    _fixed_growth(m)
+                    fixed_growth(m)
                 _, systems = TestChordCorrector._count_builds(m)
                 branch = continue_branch(prob, seed, limits, ds_max=0.2 if fixed else 1.0)
             assert branch.termination == "lambda-limit"
@@ -2340,12 +2328,21 @@ class TestExport:
 RECORDED_DISK200_HEX = {
     "level": ["0x1.b1ea226b51ebap+1"],
     "branch": [
-        "0x1.b2a459223baaap+1", "0x1.b346934e04b8ep+1", "0x1.b475492f02754p+1",
-        "0x1.b69de301b5dc3p+1", "0x1.ba6bf5152bca7p+1", "0x1.c0d505572bdc8p+1",
-        "0x1.cb21af21f7b35p+1", "0x1.db034148e9680p+1", "0x1.f180e8fecb590p+1",
-        "0x1.046e07cfd1e56p+2", "0x1.105f41fd23c20p+2",
+        "0x1.b2a459223baa1p+1", "0x1.b346934e04b44p+1", "0x1.b475492f0261ap+1",
+        "0x1.b69de301b5a37p+1", "0x1.ba6bf5152b068p+1", "0x1.c0d5055729f0fp+1",
+        "0x1.cb21af21f68b0p+1", "0x1.db034148e7b1cp+1", "0x1.f180e8feca91dp+1",
+        "0x1.046e07cfd1a3ep+2", "0x1.105f41fd23c20p+2",
     ],
 }
+
+# the branch as recorded before the potential was centred at u0, when its
+# derivatives were evaluated from F's own monomials at u0 + v
+UNCENTRED_DISK200_BRANCH_HEX = [
+    "0x1.b2a459223baaap+1", "0x1.b346934e04b8ep+1", "0x1.b475492f02754p+1",
+    "0x1.b69de301b5dc3p+1", "0x1.ba6bf5152bca7p+1", "0x1.c0d505572bdc8p+1",
+    "0x1.cb21af21f7b35p+1", "0x1.db034148e9680p+1", "0x1.f180e8fecb590p+1",
+    "0x1.046e07cfd1e56p+2", "0x1.105f41fd23c20p+2",
+]
 
 # the branch as recorded when the corrector took plain chord steps on its
 # reused matrix, each cutting the residual norm fourfold
@@ -2410,27 +2407,30 @@ class TestDiskBuild:
     def test_so2_ring_beta_200_branch_matches_recorded_bits(self, monkeypatch):
         # the disk workload's so2-ring pipeline at beta <= 200: the level
         # detected in (0.5, 6.25), then the branch from it to lambda* -/+
-        # lambda*/4 at ds_max = 0.2 on the fixed growth (_fixed_growth; 11
+        # lambda*/4 at ds_max = 0.2 on the fixed growth (fixed_growth; 11
         # points, terminated at the lambda limit), as float.hex,
         # its last point the first past the limit, which continue_branch now
         # replaces by the point on the limit:
         # the level as recorded with one bisection level per Bessel call and
         # one Bessel call per basis function, the branch on the half-turn rule
         # with the Broyden-updated corrector and the Newton-refined Neumann
-        # roots, within 1e-9 |lambda| of the branch the chord corrector
-        # computed and of the one its restarting predecessor computed; the
-        # chord branch was within 1e-11 |lambda| of the branch on the bisected
-        # roots, the restarting one within 1e-11 |lambda| of the full rule's
+        # roots and the potential centred at u0, within 1e-11 |lambda| of the
+        # branch before the centring (measured: 1.0e-12) and within 1e-9
+        # |lambda| of the branch the chord corrector computed and of the one
+        # its restarting predecessor computed; the chord branch was within
+        # 1e-11 |lambda| of the branch on the bisected roots, the restarting
+        # one within 1e-11 |lambda| of the full rule's
         prob = build_problem(ball(2), builtin("so2-ring"), beta_cutoff=200.0)
         detected = detect_bifurcation(prob, (0.5, 6.25))
         assert [d.hex() for d in detected] == RECORDED_DISK200_HEX["level"]
         lam = detected[0]
         limits = (lam - 0.25 * lam, lam + 0.25 * lam)
-        _fixed_growth(monkeypatch)
+        fixed_growth(monkeypatch)
         branch = continue_branch(prob, switch_branch(prob, lam), limits, ds_max=0.2)
         recorded = RECORDED_DISK200_HEX["branch"]
         _assert_ends_on_limit(branch, float.fromhex(recorded[-1]), limits)
         lams = [bp.lam for bp in branch.points[:-1]]
+        _assert_near_recorded(lams, UNCENTRED_DISK200_BRANCH_HEX[:-1], 1e-11)
         _assert_near_recorded(lams, CHORD_DISK200_BRANCH_HEX[:-1], 1e-9)
         _assert_near_recorded(lams, RESTART_DISK200_BRANCH_HEX[:-1], 1e-9)
         chord = [float.fromhex(h) for h in CHORD_DISK200_BRANCH_HEX]

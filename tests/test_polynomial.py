@@ -202,16 +202,35 @@ def test_terms_keep_their_values_and_order():
         assert got == digests[name], name
 
 
-def _frozen_grad_hess(text, p, u, lam):
-    """grad and hess as from_config_dict assembled them from one frozen
-    evaluation per component and per upper-triangle entry."""
+def test_centred_terms_keep_their_values_and_order():
+    """sha256 of F centred at u0, its terms in dict order, for every
+    builtin: F itself where u0 = 0, and the expansion in v = u - u0 of the
+    rings, whose order evaluation keeps."""
+    digests = {
+        "so2-ring": "8f0c79ff94b8505a34b9dc3bf0e55c8c75d9ce2bf19281c7c90b38130ffef7cb",
+        "so2-ring-degenerate": "d1528a644164d9528a67d5ac3b712f035d0f6ce204db4bf405126739d406f28a",
+    }
+    for name in potentials.builtin_names():
+        spec = potentials.builtin(name)
+        if name in digests:
+            got = hashlib.sha256(repr(list(spec.centred.terms.items())).encode()).hexdigest()
+            assert got == digests[name], name
+        else:
+            assert spec.centred is spec.F, name
+
+
+def _frozen_grad_hess(text, u0, v, lam):
+    """grad and hess as from_config_dict assembles them, from F centred at
+    u0: one frozen evaluation at v per component and per upper-triangle
+    entry."""
+    p = len(u0)
     F = parse_polynomial(text, [f"u{i + 1}" for i in range(p)] + ["lambda"])
-    grads = [F.diff(i) for i in range(p)]
-    args = [u[..., i] for i in range(p)] + [lam]
-    G = np.empty(u.shape)
+    grads = [F.shift([*u0, 0]).diff(i) for i in range(p)]
+    args = [v[..., i] for i in range(p)] + [lam]
+    G = np.empty(v.shape)
     for i, g in enumerate(grads):
         G[..., i] = _frozen_call(g, *args)
-    H = np.empty(u.shape + (p,))
+    H = np.empty(v.shape + (p,))
     for i in range(p):
         for j in range(i, p):
             H[..., i, j] = H[..., j, i] = _frozen_call(grads[i].diff(j), *args)
@@ -221,19 +240,56 @@ def _frozen_grad_hess(text, p, u, lam):
 @pytest.mark.parametrize("name", potentials.builtin_names() + ["seed-1 quartic"])
 def test_gradient_and_hessian_match_frozen_reference_bitwise(name):
     if name == "seed-1 quartic":
-        cfg = {"name": name, "p": "3", "u0": "0 0 0", "a": "1 0 0; 0 1 0; 0 0 1",
+        cfg = {"name": name, "p": "3", "u0": "0 0 0",
                "f": SEED1_QUARTIC}
     else:
         cfg = potentials._BUILTINS[name]
     spec = potentials.from_config_dict(cfg)
     rng = np.random.default_rng(23)
-    points = [spec.u0, rng.normal(size=spec.p), rng.normal(size=(26, spec.p)),
+    points = [np.zeros(spec.p), rng.normal(size=spec.p), rng.normal(size=(26, spec.p)),
               rng.normal(size=(2, 3, spec.p))]
-    for u in points:
+    for v in points:
         for lam in (4.0, -0.7):
-            G, H = _frozen_grad_hess(cfg["f"], spec.p, u, lam)
-            assert_same_bits(spec.grad(u, lam), G)
-            assert_same_bits(spec.hess(u, lam), H)
+            G, H = _frozen_grad_hess(cfg["f"], spec.u0, v, lam)
+            assert_same_bits(spec.grad(v, lam), G)
+            assert_same_bits(spec.hess(v, lam), H)
+
+
+def _exact_value(poly, point):
+    """poly at a point of Fractions, exactly."""
+    total = Fraction(0)
+    for m, c in poly.terms.items():
+        for x, e in zip(point, m):
+            c *= x**e
+        total += c
+    return total
+
+
+def test_shift_is_exact():
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        terms = {}
+        for _ in range(int(rng.integers(1, 10))):
+            mono = tuple(int(e) for e in rng.integers(0, 5, size=3))
+            terms[mono] = Fraction(int(rng.integers(-99, 100)), int(rng.integers(1, 13)))
+        poly = Polynomial(3, terms)
+        # float offsets, some zero; Fraction(float) is the float exactly
+        offsets = [float(x) * int(rng.integers(0, 2)) for x in rng.normal(size=3)]
+        shifted = poly.shift(offsets)
+        for _ in range(3):
+            x = [Fraction(int(rng.integers(-50, 51)), int(rng.integers(1, 9))) for _ in range(3)]
+            moved = [xi + Fraction(o) for xi, o in zip(x, offsets)]
+            assert _exact_value(shifted, x) == _exact_value(poly, moved)
+        assert shifted.degree() == poly.degree()
+
+
+def test_shift_by_zero_is_the_polynomial_itself():
+    poly = parse_polynomial("lambda*(u1^2 + u2^2 - 1)^2/8", ["u1", "u2", "lambda"])
+    assert poly.shift([0.0, 0.0, 0.0]) is poly
+    # an unshifted variable keeps its exponents: u2 -> u2, u1 -> u1 + 1
+    shifted = poly.shift([1.0, 0.0, 0.0])
+    assert all(m[2] == 1 for m in shifted.terms)
+    assert shifted.terms[(2, 0, 1)] == Fraction(1, 2) and (1, 0, 1) not in shifted.terms
 
 
 def test_power_squares_only_while_bits_remain(monkeypatch):

@@ -50,11 +50,11 @@ class TestBuiltins:
         for _ in range(20):
             u = RNG.uniform(-1.5, 1.5, size=spec.p)
             lam = RNG.uniform(-2, 2)
-            g = np.asarray(spec.grad(u, lam), float)
+            g = np.asarray(spec.grad(u - spec.u0, lam), float)
             value = lambda u, lam: CLOSED_FORMS[name](u, lam)[0]
             np.testing.assert_allclose(g, fd_gradient(value, u, lam), atol=1e-6)
-            H = np.asarray(spec.hess(u, lam), float)
-            np.testing.assert_allclose(H, fd_hessian(spec.grad, u, lam), atol=1e-6)
+            H = np.asarray(spec.hess(u - spec.u0, lam), float)
+            np.testing.assert_allclose(H, fd_hessian(spec.grad, u - spec.u0, lam), atol=1e-6)
 
     @pytest.mark.parametrize("name", builtin_names())
     def test_equivariance(self, name):
@@ -64,8 +64,8 @@ class TestBuiltins:
             u = RNG.uniform(-2, 2, size=spec.p)
             lam = RNG.uniform(-3, 3)
             g = elements[RNG.integers(len(elements))]
-            lhs = np.asarray(spec.grad(g @ u, lam), float)
-            rhs = g @ np.asarray(spec.grad(u, lam), float)
+            lhs = np.asarray(spec.grad(g @ u - spec.u0, lam), float)
+            rhs = g @ np.asarray(spec.grad(u - spec.u0, lam), float)
             assert np.max(np.abs(lhs - rhs)) <= 1e-9
 
     @pytest.mark.parametrize("name", builtin_names())
@@ -73,7 +73,7 @@ class TestBuiltins:
         spec = builtin(name)
         for g in spec.action.sample_elements(32):
             for lam in (-1.3, 0.4, 2.0):
-                assert np.max(np.abs(spec.grad(g @ spec.u0, lam))) < 1e-12
+                assert np.max(np.abs(spec.grad(g @ spec.u0 - spec.u0, lam))) < 1e-12
 
     def test_pitchfork_forms(self):
         spec = builtin("pitchfork-scalar")
@@ -85,9 +85,9 @@ class TestBuiltins:
         spec = builtin("so2-ring")
         u = np.array([0.6, -0.2])
         s = u @ u - 1.0
-        np.testing.assert_allclose(spec.grad(u, 2.0), 2.0 * s * u / 2.0, atol=1e-14)
+        np.testing.assert_allclose(spec.grad(u - spec.u0, 2.0), 2.0 * s * u / 2.0, atol=1e-14)
         np.testing.assert_allclose(
-            spec.hess(spec.u0, 2.0), 2.0 * np.outer(spec.u0, spec.u0), atol=1e-14
+            spec.hess(np.zeros(2), 2.0), 2.0 * np.outer(spec.u0, spec.u0), atol=1e-14
         )
 
     def test_degenerate_ring_has_zero_linearization(self):
@@ -95,6 +95,30 @@ class TestBuiltins:
         assert np.all(spec.A == 0)
         ms = matrix_spectrum(spec.A)
         assert ms.values == (0.0,)
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+    def test_degenerate_ring_gradient_keeps_its_digits_near_u0(self, delta):
+        # at u0 + v the terms of F's own monomials cancel (26.8 relative off
+        # at delta = 1e-6 when u0 + v was evaluated); F centred at u0 keeps
+        # every digit: grad F = lam s^3 (u0 + v) / 2, s = 2 delta + |v|^2
+        spec = builtin("so2-ring-degenerate")
+        v = np.array([delta, 0.3 * delta])
+        for lam in (-1.3, 0.7, 2.0):
+            s = 2.0 * delta + v @ v
+            closed = lam * s**3 * (spec.u0 + v) / 2.0
+            got = spec.grad(v, lam)
+            assert np.max(np.abs(got - closed)) <= 1e-13 * np.max(np.abs(closed))
+
+    def test_linearizations_are_derived_from_f(self):
+        # the matrices the builtins declared before A was derived, bit for bit
+        declared = {
+            "pitchfork-scalar": [[1.0]],
+            "pitchfork-degenerate": [[1.0]],
+            "so2-ring": [[1.0, 0.0], [0.0, 0.0]],
+            "so2-ring-degenerate": [[0.0, 0.0], [0.0, 0.0]],
+        }
+        for name, A in declared.items():
+            assert np.array_equal(builtin(name).A, np.array(A)), name
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -135,7 +159,6 @@ LAMBDA_CUBIC = {
     "p": "1",
     "action": "trivial",
     "u0": "0",
-    "a": "1",
     "f": "lambda*u1^2/2 - u1^4/4 + lambda^3*u1^4/24",
 }
 
@@ -158,19 +181,19 @@ class TestDerivedFromF:
         h = 1e-5
         exact, differences = [], []
         for _ in range(10):
-            u = spec.u0 + rng.uniform(-1.2, 1.2, size=spec.p)
+            v = rng.uniform(-1.2, 1.2, size=spec.p)
             lam = rng.uniform(-2.5, 2.5)
-            H, dl = spec.hess(u, lam), spec.grad_lambda(u, lam)
+            H, dl = spec.hess(v, lam), spec.grad_lambda(v, lam)
             assert H.shape == (spec.p, spec.p) and dl.shape == (spec.p,)
-            fd = (spec.grad(u, lam + h) - spec.grad(u, lam - h)) / (2 * h)
+            fd = (spec.grad(v, lam + h) - spec.grad(v, lam - h)) / (2 * h)
             exact.append((H, dl))
-            differences.append((fd_hessian(spec.grad, u, lam, h), fd))
+            differences.append((fd_hessian(spec.grad, v, lam, h), fd))
         for k in range(2):
             got = np.array([x[k] for x in exact])
             ref = np.array([x[k] for x in differences])
             assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(np.abs(ref))
-        U = spec.u0 + rng.uniform(-1, 1, size=(7, 3, spec.p))
-        assert spec.grad_lambda(U, 0.4).shape == (7, 3, spec.p)
+        V = rng.uniform(-1, 1, size=(7, 3, spec.p))
+        assert spec.grad_lambda(V, 0.4).shape == (7, 3, spec.p)
 
     def test_lambda_cubic_closed_form(self):
         # d/dlambda of grad F = u1 + lambda^2 u1^3 / 2
@@ -185,10 +208,11 @@ class TestDerivedFromF:
         p = int(cfg["p"])
         F = parse_polynomial(cfg["f"], [f"u{i + 1}" for i in range(p)] + ["lambda"])
         config = _spec(name)
-        direct = PotentialSpec(name=name, action=config.action, u0=config.u0, A=config.A, F=F)
+        direct = PotentialSpec(name=name, action=config.action, u0=config.u0, F=F)
         assert (direct.p, direct.grad_degree) == (config.p, config.grad_degree)
+        assert np.array_equal(direct.A, config.A)
         rng = np.random.default_rng(31)
-        U = direct.u0 + rng.normal(size=(40, p))
+        U = rng.normal(size=(40, p))
         for lam in (-1.1, 0.0, 2.3):
             for fn in ("grad", "hess", "grad_lambda"):
                 a, b = getattr(direct, fn)(U, lam), getattr(config, fn)(U, lam)
@@ -198,11 +222,12 @@ class TestDerivedFromF:
     def test_derived_values_are_not_settable(self):
         spec = builtin("so2-ring")
         fields = {f.name for f in dataclasses.fields(PotentialSpec) if f.init}
-        assert fields == {"name", "action", "u0", "A", "F", "grad", "hess", "growth_exponent"}
+        assert fields == {"name", "action", "u0", "F", "grad", "hess", "growth_exponent"}
         with pytest.raises(TypeError):
-            PotentialSpec(name="x", action=spec.action, u0=spec.u0, A=spec.A, F=spec.F, p=2)
-        with pytest.raises(ValueError):
-            dataclasses.replace(spec, grad_lambda=spec.grad)
+            PotentialSpec(name="x", action=spec.action, u0=spec.u0, F=spec.F, p=2)
+        for derived in ("A", "centred", "grad_lambda"):
+            with pytest.raises(ValueError):
+                dataclasses.replace(spec, **{derived: getattr(spec, derived)})
 
     def test_replaced_grad_keeps_the_other_derivatives(self):
         # a wrapper swapped in through dataclasses.replace, as a counting
@@ -220,14 +245,17 @@ class TestDerivedFromF:
         assert np.array_equal(wrapped.hess(u, 1.5), spec.hess(u, 1.5))
         assert np.array_equal(wrapped.grad_lambda(u, 1.5), spec.grad_lambda(u, 1.5))
 
-    @pytest.mark.parametrize(
-        "key,value,message",
-        [("u0", "1 0 0", "u0 must have 2 entries"), ("a", "1 0 0; 0 0 0", "matrix must be 2x2")],
-    )
-    def test_shapes_are_checked_against_f(self, key, value, message):
-        cfg = {**potentials._BUILTINS["so2-ring"], key: value}
-        with pytest.raises(ValueError, match=message):
+    def test_u0_shape_is_checked_against_f(self):
+        cfg = {**potentials._BUILTINS["so2-ring"], "u0": "1 0 0"}
+        with pytest.raises(ValueError, match="u0 must have 2 entries"):
             from_config_dict(cfg)
+
+    def test_a_key_of_older_configs_is_not_read(self):
+        # a config that still carries a parses as before; A comes from f
+        ring = builtin("so2-ring")
+        for a in ("1 0; 0 0", "5 0 0; 0 0 0", "not a matrix"):
+            spec = from_config_dict({**potentials._BUILTINS["so2-ring"], "a": a})
+            assert np.array_equal(spec.A, ring.A)
 
 
 class TestBuiltinData:
@@ -242,7 +270,7 @@ class TestBuiltinData:
         d *= (4.0 * rng.random((400, 1))) / np.linalg.norm(d, axis=1, keepdims=True)
         u = spec.u0 + d
         for lam in (-2.7, 0.3, 1.9):
-            got = (spec.grad(u, lam), spec.hess(u, lam))
+            got = (spec.grad(d, lam), spec.hess(d, lam))
             for a, b in zip(got, CLOSED_FORMS[name](u, lam)[1:]):
                 assert a.shape == b.shape
                 assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b)), name
@@ -259,7 +287,7 @@ class TestBuiltinData:
     def test_hessian_at_u0_is_lambda_a(self, name):
         spec = builtin(name)
         for lam in (-2.7, 0.3, 1.0, 1.9, 6.0):
-            H = spec.hess(spec.u0, lam)
+            H = spec.hess(np.zeros(spec.p), lam)
             assert np.max(np.abs(H - lam * spec.A)) <= 1e-15 * max(1.0, abs(lam))
 
     def test_gradient_calls_leave_no_reference_cycles(self):
@@ -303,7 +331,6 @@ class TestNormalSlice:
                 "p": "3",
                 "action": "so2(1,2)",
                 "u0": "1 0 0",
-                "a": "1 0 0; 0 0 0; 0 0 0",
                 "f": "lambda*(u1^2 + u2^2 - 1)^2/8",
             }
         )
@@ -387,12 +414,22 @@ class TestAssumptionChecks:
         assert degs[repr(0.5)]["degree"] == 1
 
     def test_b3_failure_detected(self):
-        spec = builtin("pitchfork-scalar")
-        base_hess = spec.hess
-        spec.hess = lambda u, lam: base_hess(u, lam) + 0.25
-        report = check_assumptions(spec)
+        # a lambda-free v^2 term: Hess F(u0, lambda) = lambda + 1/4 is not
+        # lambda A for any A
+        cfg = {**potentials._BUILTINS["pitchfork-scalar"], "f": "lambda*u1^2/2 + u1^2/8 - u1^4/4"}
+        report = check_assumptions(from_config_dict(cfg))
         assert report.results["B3"].status == "fail"
+        assert report.results["B3"].details["max_quadratic_coefficient"] == 0.125
         assert not report.ok
+
+    def test_ring_off_the_axes_passes_b3_and_b4(self):
+        # Fraction(0.6)^2 + Fraction(0.8)^2 is not 1: F~ keeps a v-linear
+        # coefficient of 1.8e-17, inside _B3_TOL
+        cfg = {**potentials._BUILTINS["so2-ring"], "u0": "0.6 0.8"}
+        results = check_assumptions(from_config_dict(cfg)).results
+        assert results["B3"].status == results["B4"].status == "pass"
+        assert 0 < results["B3"].details["max_linear_coefficient"] <= potentials._B3_TOL
+        assert results["B4"].details["plane_norms"] == [1.0]
 
     def test_b5_scan_is_clean_for_builtins(self):
         report = check_assumptions(builtin("so2-ring"))
@@ -429,7 +466,6 @@ class TestSliceDegree:
                 "p": "2",
                 "action": "trivial",
                 "u0": "0, 0",
-                "a": "1 0; 0 1",
                 "f": "lambda*(u1^2 + u2^2)/2 - (u1^4 + u2^4)/4",
             }
         )
@@ -449,7 +485,6 @@ class TestSliceDegree:
                 "p": "3",
                 "action": "trivial",
                 "u0": "0, 0, 0",
-                "a": "1 0 0; 0 1 0; 0 0 1",
                 "f": "lambda*(u1^2 + u2^2 + u3^2)/2 - (u1^4 + u2^4 + u3^4)/4",
             }
         )
@@ -465,7 +500,6 @@ class TestSliceDegree:
                 "p": "4",
                 "action": "trivial",
                 "u0": "0, 0, 0, 0",
-                "a": "1 0 0 0; 0 1 0 0; 0 0 1 0; 0 0 0 1",
                 "f": "lambda*(u1^2 + u2^2 + u3^2 + u4^2)/2",
             }
         )
@@ -520,7 +554,6 @@ class TestUserPotentials:
         "p": "2",
         "action": "so2(1,2)",
         "u0": "1.0, 0.0",
-        "a": "1 0; 0 0",
         "f": "lambda*(u1^2 + u2^2 - 1)^2 / 8",
     }
 

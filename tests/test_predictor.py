@@ -46,7 +46,6 @@ class TestLambdaSet:
                     "p": "1",
                     "action": "trivial",
                     "u0": "0",
-                    "a": f"{c}",
                     "f": f"{c}*lambda*u1^2/2 - u1^4/4",
                 }
             )
@@ -185,7 +184,6 @@ class TestPredict:
                 "p": "1",
                 "action": "trivial",
                 "u0": "0",
-                "a": "-1",
                 "f": "-lambda*u1^2/2 - u1^4/4",
             }
         )
@@ -221,27 +219,26 @@ class TestPredict:
         assert len(calls) == 1
 
     def test_invalid_spec_rejected(self):
-        spec = builtin("pitchfork-scalar")
-        base = spec.grad
-        spec.grad = lambda u, lam: base(u, lam) + 0.3
-        with pytest.raises(ValueError):
-            predict(spec, sphere(2), 10.0)
+        # grad F(u0) = 0.3: u0 is not a critical point
+        cfg = {**potentials._BUILTINS["pitchfork-scalar"], "f": "lambda*u1^2/2 - u1^4/4 + 0.3*u1"}
+        with pytest.raises(ValueError, match="not a critical point"):
+            predict(from_config_dict(cfg), sphere(2), 10.0)
 
     def test_one_base_point_check_with_check_assumptions(self, monkeypatch):
-        # predict and check_assumptions ask the same B3/B4 helper, each with
-        # its own lambda samples and element count
+        # predict and check_assumptions ask the same B3/B4 helper, once each
         calls = []
-        helper = potentials._base_point_residuals
+        helper = potentials._base_point
 
-        def spy(spec, samples, elements):
-            calls.append((tuple(samples), len(elements)))
-            return helper(spec, samples, elements)
+        def spy(spec):
+            calls.append(spec.name)
+            return helper(spec)
 
-        monkeypatch.setattr(potentials, "_base_point_residuals", spy)
+        monkeypatch.setattr(potentials, "_base_point", spy)
         spec = builtin("so2-ring")
         predict(spec, sphere(2), 5.0)
-        potentials.check_assumptions(spec)
-        assert calls == [((-1.0, 0.5), 16), ((-0.1, 0.1), 64)]
+        report = potentials.check_assumptions(spec)
+        assert calls == ["so2-ring", "so2-ring"]
+        assert {k: report.results[k] for k in ("B3", "B4")} == helper(spec)
 
     @pytest.mark.parametrize(
         "cfg,assumption,message",
