@@ -8,8 +8,10 @@ a boundary mesh refined where image simplices have vertices pi/2 or more
 apart, and accepted when one more refinement of every cell gives the same
 integer.  A simplex is a segment in 2-D, measured by its signed angle, and a
 triangle in 3-D, measured by the solid-angle formula of Van Oosterom &
-Strackee (IEEE TBME 1983).  Every degree here is deterministic.  Inconclusive
-outcomes raise; they are never silently reported as 0.
+Strackee (IEEE TBME 1983).  The map takes points as rows, and each mesh's
+new vertices are evaluated in one call.  Every degree here is
+deterministic.  Inconclusive outcomes raise; they are never silently
+reported as 0.
 """
 
 from __future__ import annotations
@@ -191,30 +193,36 @@ def _surface_points(box, t):
     return lo + (np.asarray(box.hi, float) - lo) * t
 
 
-def _mesh_degree(f, region, cells, images):
+def _mesh_degree(f, region, cells, index, images):
     """Degree on the mesh of the given cells.
 
-    Returns (degree, failing) where failing lists the cells having an image
-    simplex with two vertices at least pi/2 apart; degree is None unless
-    failing is empty.  images caches normalized values of f by vertex, so
-    successive meshes evaluate a shared vertex once.
+    Returns (degree, failing, images) where failing lists the cells having
+    an image simplex with two vertices at least pi/2 apart; degree is None
+    unless failing is empty.  images holds the normalized values of f by
+    row, and index maps each vertex evaluated so far to its row: the mesh's
+    new vertices are evaluated in one call of f, their rows appended to the
+    returned images and added to index, so successive meshes evaluate a
+    shared vertex once.
     """
     simplices, owner = (_segments if region.dim == 2 else _triangles)(cells)
-    verts = list({p for simplex in simplices for p in simplex})
+    verts = {p for simplex in simplices for p in simplex}
     if len(verts) > _MAX_POINTS_ND:
         raise InconclusiveDegreeError(
             f"boundary mesh would need more than {_MAX_POINTS_ND} vertices"
         )
-    new = [p for p in verts if p not in images]
+    new = [p for p in verts if p not in index]
     if new:
         points = _surface_points(region, np.array(new, float) / _SCALE)
-        for p, x in zip(new, points):
-            v = np.asarray(f(x), float)
-            n = float(np.linalg.norm(v))
-            if n == 0.0:
-                raise AdmissibilityError(f"map vanishes on the boundary (x={x})")
-            images[p] = v / n
-    u = np.array([[images[p] for p in simplex] for simplex in simplices])
+        values = np.asarray(f(points), float)
+        if values.shape != points.shape:
+            raise ValueError(f"f maps points of shape {points.shape} to shape {values.shape}")
+        norms = np.linalg.norm(values, axis=1)
+        zero = np.flatnonzero(norms == 0.0)
+        if zero.size:
+            raise AdmissibilityError(f"map vanishes on the boundary (x={points[zero[0]]})")
+        index.update(zip(new, range(len(images), len(images) + len(new))))
+        images = np.concatenate([images, values / norms[:, None]])
+    u = images[np.array([[index[p] for p in simplex] for simplex in simplices])]
     a, b = u[:, 0], u[:, 1]
     ab = np.sum(a * b, axis=1)
     if region.dim == 2:  # signed angle of each image segment
@@ -230,11 +238,11 @@ def _mesh_degree(f, region, cells, images):
         angles = 2.0 * np.arctan2(triple, 1.0 + ab + bc + ca)
         full = 4.0 * math.pi
     if bad.any():
-        return None, sorted(set(owner[bad].tolist()))
+        return None, sorted(set(owner[bad].tolist())), images
     total = float(np.sum(angles)) / full
     if not math.isfinite(total) or abs(total - round(total)) > 1e-6:
         raise InconclusiveDegreeError(f"boundary degree {total} is not close to an integer")
-    return int(round(total)), []
+    return int(round(total)), [], images
 
 
 def degree_nd(f, region) -> int:
@@ -243,7 +251,8 @@ def degree_nd(f, region) -> int:
     The boundary of the box is cut into cells, starting from 16 per side in
     2-D and 2 x 2 per face in 3-D.
     A 2-D cell is one counterclockwise segment; a 3-D cell is a square cut
-    into outward-oriented triangles.  f is evaluated once at each vertex.
+    into outward-oriented triangles.  Each mesh's new vertices are evaluated
+    in one call of f, so f is evaluated once at each vertex.
     On a mesh whose image simplices have vertices pairwise less than pi/2
     apart (positive dot products), the degree is the sum of the signed
     measures of the image simplices over that of the unit sphere (Stenger,
@@ -257,8 +266,9 @@ def degree_nd(f, region) -> int:
     vertices of finer neighbours on its sides, so the image surface stays
     closed.
 
-    f takes a point of shape (dim,) and returns a vector of the same shape.
-    Raises AdmissibilityError when f vanishes at a mesh vertex and
+    f maps points as rows: an array of shape (k, dim) to the k values, of
+    the same shape; ValueError when a value array has another shape.
+    Raises AdmissibilityError naming the first vertex where f vanishes and
     InconclusiveDegreeError when the mesh would need more than 1 << 16
     vertices or cells finer than the dyadic limit, or a sum is not within
     1e-6 of an integer.  The result is deterministic.
@@ -269,10 +279,10 @@ def degree_nd(f, region) -> int:
         raise ValueError("degree_nd supports dimensions 2 and 3 only")
 
     cells = _uniform_cells(region.dim, _START_CELLS[region.dim])
-    images = {}
+    index, images = {}, np.empty((0, region.dim))
     previous = None  # degree of the mesh whose cells were all just split
     while True:
-        degree, failing = _mesh_degree(f, region, cells, images)
+        degree, failing, images = _mesh_degree(f, region, cells, index, images)
         if degree is not None and degree == previous:
             return degree
         previous = degree

@@ -445,14 +445,16 @@ class _Parser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
-def build_parser():
+def build_parser(names=tuple(_COMMANDS)):
+    """The parser of the named commands, all of them by default."""
     parser = _Parser(
         prog="symbif",
         description="Symmetry-breaking bifurcation levels for elliptic systems "
         "on spheres and balls, with numerical branch verification.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-    for name, (fn, keys) in _COMMANDS.items():
+    for name in names:
+        fn, keys = _COMMANDS[name]
         sp = sub.add_parser(name)
         sp.set_defaults(fn=fn)
         for key in (*_SHARED, *keys):
@@ -470,8 +472,13 @@ _COMPUTATIONAL = (
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command line that starts with a command parses with that command's
+    # subparser alone; any other (help, a typo, none) needs all of them for
+    # its usage and error texts
+    named = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(named).parse_args(argv)
         doc = args.fn(args)
     except (*_COMPUTATIONAL, argparse.ArgumentError, ValueError, KeyError, OSError) as err:
         # exit 1 for a computational failure, 2 for a configuration error

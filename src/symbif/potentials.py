@@ -153,7 +153,7 @@ def _hessian(grads, p):
     return hess
 
 
-@dataclass
+@dataclass(frozen=True)
 class PotentialSpec:
     """The potential F, a Polynomial in u1, ..., up, lambda (in that
     order), its symmetry and its base point u0.
@@ -166,6 +166,8 @@ class PotentialSpec:
     grad_lambda are F~'s and take the deviation v = u - u0, so no digit is
     lost near u0; grad and hess stay fields so that a wrapper with the same
     values, a counting one say, can replace them (dataclasses.replace).
+    The spec is frozen, and dataclasses.replace keeps grad and hess as
+    given, so a new u0 or F needs a new spec, not a replaced one.
     All three broadcast: v of shape (..., p) with lambda a scalar or an
     array of v's batch shape (...) yields arrays of shape (..., p), (..., p,
     p) and (..., p), each entry at an array lambda bit for bit the single
@@ -185,18 +187,23 @@ class PotentialSpec:
     grad_lambda: Callable = field(init=False, repr=False)
 
     def __post_init__(self):
-        p = self.p
-        self.u0 = np.asarray(self.u0, float)
-        if self.u0.shape != (p,):
+        p, u0 = self.p, np.asarray(self.u0, float)
+        if u0.shape != (p,):
             raise ValueError(f"u0 must have {p} entries")
-        self.centred = self.F.shift([*self.u0, 0])
-        grads = [self.centred.diff(i) for i in range(p)]
+        centred = self.F.shift([*u0, 0])
+        grads = [centred.diff(i) for i in range(p)]
         slopes, origin = [g.diff(p) for g in grads], (0,) * (p + 1)
-        # A_ij = d^3 F~ / dlambda dv_i dv_j at 0: F~'s lambda v_i v_j coefficients
-        self.A = np.array([[float(s.diff(j).terms.get(origin, 0)) for j in range(p)] for s in slopes])
-        self.grad = self.grad or _vector(grads, p)
-        self.hess = self.hess or _hessian(grads, p)
-        self.grad_lambda = _vector(slopes, p)
+        derived = dict(
+            u0=u0,
+            centred=centred,
+            # A_ij = d^3 F~ / dlambda dv_i dv_j at 0: F~'s lambda v_i v_j coefficients
+            A=np.array([[float(s.diff(j).terms.get(origin, 0)) for j in range(p)] for s in slopes]),
+            grad=self.grad or _vector(grads, p),
+            hess=self.hess or _hessian(grads, p),
+            grad_lambda=_vector(slopes, p),
+        )
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def p(self) -> int:
@@ -364,8 +371,10 @@ def slice_brouwer_degree(spec: PotentialSpec, lam: float):
     """Brouwer degree of the gradient restricted to the normal slice at u0.
 
     The region is a box of half-width _SLICE_HALF_WIDTH in slice coordinates,
-    halved on admissibility failures at most _SLICE_MAX_HALVINGS times.
-    Returns (degree, half_width_used).
+    halved on admissibility failures at most _SLICE_MAX_HALVINGS times.  The
+    slice map takes slice points as rows, V -> grad(V S^T, lambda) S for the
+    slice basis S, so each mesh level of degree_nd is one gradient call (and
+    each endpoint of the 1-D degree one).  Returns (degree, half_width_used).
     """
     sl = normal_slice(spec)
     d = sl.dimension
@@ -375,16 +384,17 @@ def slice_brouwer_degree(spec: PotentialSpec, lam: float):
         raise ValueError(f"slice dimension {d} exceeds the supported maximum 3")
     S = sl.basis
 
-    def f(v):
-        v = np.asarray(v, float)
-        return S.T @ spec.grad(S @ v, lam)
+    def f(V):
+        return spec.grad(V @ S.T, lam) @ S
 
     w = _SLICE_HALF_WIDTH
     last_error = None
     for _ in range(_SLICE_MAX_HALVINGS + 1):
         try:
             if d == 1:
-                deg = brouwer.degree_1d(lambda t: float(f(np.array([t]))[0]), brouwer.Interval(-w, w))
+                deg = brouwer.degree_1d(
+                    lambda t: float(f(np.array([[t]]))[0, 0]), brouwer.Interval(-w, w)
+                )
             else:
                 deg = brouwer.degree_nd(f, brouwer.Box((-w,) * d, (w,) * d))
             return deg, w

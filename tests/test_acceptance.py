@@ -19,7 +19,7 @@ from symbif.predictor import BallAlternative, RepresentationBlock, Representatio
 from symbif.spectral import ball, sphere
 
 from group_action import apply_group_element
-from unit_ball import unit_ball
+from unit_ball import pointwise, unit_ball
 
 
 @contextmanager
@@ -167,11 +167,11 @@ def test_criterion_5_degree_properties():
         assert degree_nd(*unit_ball(lambda x: x, 2)) == 1
         assert degree_nd(*unit_ball(lambda x: -x, 2)) == 1
         sq = lambda x: np.array([x[0] ** 2 - x[1] ** 2, 2 * x[0] * x[1]])
-        assert degree_nd(*unit_ball(sq, 2)) == 2
+        assert degree_nd(*unit_ball(pointwise(sq), 2)) == 2
         assert degree_nd(lambda x: x, Box((-1,) * 3, (1,) * 3)) == 1
         assert degree_nd(lambda x: -x, Box((-1,) * 3, (1,) * 3)) == -1
         prod = lambda x: np.array([0.5 * x[0] - x[0] ** 3, x[1], x[2]])
-        assert degree_nd(prod, Box((-2,) * 3, (2,) * 3)) == -1
+        assert degree_nd(pointwise(prod), Box((-2,) * 3, (2,) * 3)) == -1
 
         # 2-D vs 3-D cross-checks on random polynomial maps
         done = 0
@@ -192,11 +192,11 @@ def test_criterion_5_degree_properties():
             if margin < 0.2:
                 continue
             try:
-                d2 = degree_nd(*unit_ball(f, 2))
+                d2 = degree_nd(*unit_ball(pointwise(f), 2))
             except InconclusiveDegreeError:
                 continue
             g = lambda x, f=f: np.array([*f(x[:2]), x[2]])
-            d3 = degree_nd(*unit_ball(g, 3))
+            d3 = degree_nd(*unit_ball(pointwise(g), 3))
             assert d2 == d3
             done += 1
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 
@@ -14,7 +15,7 @@ from symbif.brouwer import (
     degree_nd,
 )
 
-from unit_ball import unit_ball
+from unit_ball import pointwise, unit_ball
 
 RNG = np.random.default_rng(3)
 
@@ -60,7 +61,7 @@ class TestDegree2D:
 
     def test_squaring_map(self):
         f = lambda x: np.array([x[0] ** 2 - x[1] ** 2, 2 * x[0] * x[1]])
-        assert degree_nd(*unit_ball(f, 2)) == 2
+        assert degree_nd(*unit_ball(pointwise(f), 2)) == 2
         assert brute_force_winding(f) == 2
 
     def test_minus_identity(self):
@@ -73,10 +74,10 @@ class TestDegree2D:
         f = lambda x: np.array(
             [x[0] ** 3 - 3 * x[0] * x[1] ** 2, 3 * x[0] ** 2 * x[1] - x[1] ** 3]
         )
-        assert degree_nd(*unit_ball(f, 2)) == 3 == brute_force_winding(f)
+        assert degree_nd(*unit_ball(pointwise(f), 2)) == 3 == brute_force_winding(f)
 
     def test_boundary_zero_rejected(self):
-        f = lambda x: np.array([x[0] - 1.0, x[1]])
+        f = lambda x: x - np.array([1.0, 0.0])
         with pytest.raises((AdmissibilityError, InconclusiveDegreeError)):
             degree_nd(*unit_ball(f, 2))
 
@@ -92,7 +93,7 @@ class TestDegree2D:
             w = np.prod(complex(x[0], x[1]) - roots)
             return np.array([w.real, w.imag])
 
-        assert degree_nd(p, Box((-1, -1), (1, 1))) == inside == 4
+        assert degree_nd(pointwise(p), Box((-1, -1), (1, 1))) == inside == 4
 
 
 class TestDegreeND:
@@ -105,7 +106,7 @@ class TestDegreeND:
     def test_product_with_pitchfork(self):
         lam = 1.0
         f = lambda x: np.array([lam * x[0] - x[0] ** 3, x[1], x[2]])
-        deg3 = degree_nd(f, Box((-2,) * 3, (2,) * 3))
+        deg3 = degree_nd(pointwise(f), Box((-2,) * 3, (2,) * 3))
         deg1 = degree_1d(lambda t: lam * t - t**3, Interval(-2, 2))
         assert deg3 == deg1 == -1
 
@@ -115,7 +116,7 @@ class TestDegreeND:
                 A = RNG.normal(size=(3, 3))
                 if abs(np.linalg.det(A)) > 0.3:
                     break
-            deg = degree_nd(lambda x: A @ x, Box((-1,) * 3, (1,) * 3))
+            deg = degree_nd(lambda X: X @ A.T, Box((-1,) * 3, (1,) * 3))
             assert deg == (1 if np.linalg.det(A) > 0 else -1)
 
     def test_rejects_wrong_dimension(self):
@@ -143,7 +144,7 @@ class TestDegreeND:
         ids=["box", "ball"],
     )
     def test_degrees_beyond_plus_minus_one(self, f, expected, region):
-        assert degree_nd(*region(f)) == expected
+        assert degree_nd(*region(pointwise(f))) == expected
 
     @pytest.mark.parametrize(
         "region",
@@ -159,15 +160,15 @@ class TestDegreeND:
     def test_zero_on_boundary_between_vertices_is_inconclusive(self, dim):
         # refinement closes in on (1, 1/3, ...) but no dyadic vertex reaches it
         p = np.array([1.0] + [1.0 / 3.0] * (dim - 1))
-        calls = []
+        points = []
         with pytest.raises(InconclusiveDegreeError):
-            degree_nd(lambda x: calls.append(1) or x - p, Box((-1,) * dim, (1,) * dim))
-        assert len(calls) < 1000
+            degree_nd(lambda X: points.append(len(X)) or X - p, Box((-1,) * dim, (1,) * dim))
+        assert sum(points) < 1000
 
     def test_inconclusive_past_max_points(self, monkeypatch):
         # z^2 passes the angle test on the 98-vertex mesh, not on the 26-vertex
         # one, so the pair (26, 98) disagrees and no larger mesh is allowed
-        f = lambda x: np.array([x[0] ** 2 - x[1] ** 2, 2 * x[0] * x[1], x[2]])
+        f = pointwise(lambda x: np.array([x[0] ** 2 - x[1] ** 2, 2 * x[0] * x[1], x[2]]))
         monkeypatch.setattr(brouwer, "_MAX_POINTS_ND", 100)
         with pytest.raises(InconclusiveDegreeError):
             degree_nd(f, Box((-1,) * 3, (1,) * 3))
@@ -180,9 +181,10 @@ class TestDegreeND:
         # less than pi/2 apart on every triangle, yet sum to degree 0.
         f = random_poly_map_2d(np.random.default_rng(125))
         g = lambda x: np.array([*f(x[:2]), x[2]])
-        ball = unit_ball(g, 3)
-        assert degree_nd(*unit_ball(f, 2)) == 1
-        assert brouwer._mesh_degree(*ball, brouwer._uniform_cells(3, 1), {}) == (0, [])
+        ball = unit_ball(pointwise(g), 3)
+        assert degree_nd(*unit_ball(pointwise(f), 2)) == 1
+        coarsest = brouwer._mesh_degree(*ball, brouwer._uniform_cells(3, 1), {}, np.empty((0, 3)))
+        assert coarsest[:2] == (0, [])
         assert degree_nd(*ball) == 1
 
     @pytest.mark.parametrize(
@@ -198,10 +200,10 @@ class TestDegreeND:
         # only the cells near the zero are refined: in 3-D a uniform mesh
         # would need well over 1 << 16 vertices here
         dim = len(p)
-        calls = []
-        f = lambda x: calls.append(1) or x - np.array(p)
+        points = []
+        f = lambda X: points.append(len(X)) or X - np.array(p)
         assert degree_nd(f, Box((-1,) * dim, (1,) * dim)) == expected
-        assert len(calls) < 1000
+        assert sum(points) < 1000
 
     @pytest.mark.xfail(
         strict=True,
@@ -218,7 +220,7 @@ class TestDegreeND:
             return np.array([w.real, w.imag, x[2]])
 
         assert inside == 5
-        assert degree_nd(f, Box((-1,) * 3, (1,) * 3)) == inside
+        assert degree_nd(pointwise(f), Box((-1,) * 3, (1,) * 3)) == inside
 
     def test_mixed_cell_sizes_close_the_surface(self):
         cells = brouwer._uniform_cells(3, 2)
@@ -229,16 +231,17 @@ class TestDegreeND:
         edges = Counter((t[i], t[(i + 1) % 3]) for t in tris for i in range(3))
         assert set(edges.values()) == {1}
         assert all(edges[(q, p)] == 1 for p, q in edges)
-        assert brouwer._mesh_degree(lambda x: x, Box((-1,) * 3, (1,) * 3), cells, {}) == (1, [])
+        mesh = brouwer._mesh_degree(lambda x: x, Box((-1,) * 3, (1,) * 3), cells, {}, np.empty((0, 3)))
+        assert mesh[:2] == (1, [])
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_deterministic_evaluation_count(self, dim):
         A = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, -1.0], [1.0, 0.0, 3.0]])[:dim, :dim]
         results = []
         for _ in range(2):
-            calls = []
-            f = lambda x: calls.append(1) or A @ x
-            results.append((degree_nd(f, Box((-1,) * dim, (1,) * dim)), len(calls)))
+            points = []
+            f = lambda X: points.append(len(X)) or X @ A.T
+            results.append((degree_nd(f, Box((-1,) * dim, (1,) * dim)), points))
         assert results[0] == results[1]
         assert results[0][0] == 1
 
@@ -246,10 +249,61 @@ class TestDegreeND:
     def test_identity_within_evaluation_budget(self, dim, budget):
         # meshes of 64 and 128 vertices in 2-D, 26 and 98 in 3-D, each
         # vertex evaluated once
-        calls = []
-        f = lambda x: calls.append(1) or x
+        points = []
+        f = lambda X: points.append(len(X)) or X
         assert degree_nd(f, Box((-1,) * dim, (1,) * dim)) == 1
-        assert len(calls) <= budget
+        assert sum(points) <= budget
+
+
+class TestRowContract:
+    """degree_nd evaluates each mesh level's new vertices in one call of f,
+    a map of rows."""
+
+    @staticmethod
+    def _boundary_grid(dim, m):
+        """The points of {-1, -1 + 2/m, ..., 1}^dim with a coordinate +-1."""
+        ticks = [-1.0 + 2.0 * k / m for k in range(m + 1)]
+        return {p for p in itertools.product(ticks, repeat=dim) if max(map(abs, p)) == 1.0}
+
+    @pytest.mark.parametrize("dim, m", [(2, 16), (3, 2)])
+    def test_one_call_per_mesh_level(self, dim, m):
+        # the identity passes on the start mesh and on its refinement: 64 +
+        # 64 vertices in 2-D, 26 + 72 in 3-D
+        calls = []
+        assert degree_nd(lambda X: calls.append(X.copy()) or X, Box((-1,) * dim, (1,) * dim)) == 1
+        start, finer = self._boundary_grid(dim, m), self._boundary_grid(dim, 2 * m)
+        assert [len(X) for X in calls] == [len(start), len(finer - start)]
+        assert [{tuple(x) for x in X} for X in calls] == [start, finer - start]
+
+    @pytest.mark.parametrize("cap, sizes", [(25, []), (97, [26])])
+    def test_cap_raises_before_any_call_past_it(self, monkeypatch, cap, sizes):
+        # the start mesh has 26 vertices and the next 98
+        monkeypatch.setattr(brouwer, "_MAX_POINTS_ND", cap)
+        calls = []
+        with pytest.raises(InconclusiveDegreeError):
+            degree_nd(lambda X: calls.append(len(X)) or X, Box((-1,) * 3, (1,) * 3))
+        assert calls == sizes
+
+    def test_admissibility_error_names_the_first_zero_vertex(self):
+        zeros = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0]])
+        calls = []
+
+        def f(X):
+            calls.append(X)
+            return X * np.min(np.linalg.norm(X[:, None] - zeros, axis=2), axis=1)[:, None]
+
+        with pytest.raises(AdmissibilityError) as info:
+            degree_nd(f, Box((-1,) * 3, (1,) * 3))
+        (X,) = calls
+        first = next(x for x in X if np.any(np.all(x == zeros, axis=1)))
+        assert str(info.value) == f"map vanishes on the boundary (x={first})"
+
+    def test_map_of_one_point_is_refused(self):
+        # given 64 rows, this one-point map returns the 2 x 2 values of its
+        # first two rows
+        f = lambda x: np.array([x[0] ** 2 - x[1] ** 2, 2 * x[0] * x[1]])
+        with pytest.raises(ValueError, match=r"shape \(64, 2\) to shape \(2, 2\)"):
+            degree_nd(f, Box((-1, -1), (1, 1)))
 
 
 def random_poly_map_2d(rng):
@@ -278,11 +332,11 @@ class TestCrossChecks:
             if margin < 0.2:
                 continue
             try:
-                d2 = degree_nd(*unit_ball(f, 2))
+                d2 = degree_nd(*unit_ball(pointwise(f), 2))
             except InconclusiveDegreeError:
                 continue
             g = lambda x: np.array([*f(x[:2]), x[2]])
-            d3 = degree_nd(*unit_ball(g, 3))
+            d3 = degree_nd(*unit_ball(pointwise(g), 3))
             assert d2 == d3
             found += 1
         assert found == 20
@@ -309,8 +363,8 @@ class TestCrossChecks:
                 if margin < 0.2:
                     continue
                 try:
-                    base = degree_nd(*unit_ball(f, 2))
-                    scaled = degree_nd(*unit_ball(lambda x: c * f(x), 2))
+                    base = degree_nd(*unit_ball(pointwise(f), 2))
+                    scaled = degree_nd(*unit_ball(pointwise(lambda x: c * f(x)), 2))
                 except InconclusiveDegreeError:
                     continue
                 assert scaled == base
@@ -327,7 +381,7 @@ class TestCrossChecks:
                 continue
             pair = lambda x: np.array([f(x[0]), g(x[1])])
             try:
-                d2 = degree_nd(pair, Box((-1.5, -1.5), (1.5, 1.5)))
+                d2 = degree_nd(pointwise(pair), Box((-1.5, -1.5), (1.5, 1.5)))
             except (InconclusiveDegreeError, AdmissibilityError):
                 continue
             d1a = degree_1d(f, Interval(-1.5, 1.5))

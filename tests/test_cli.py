@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -826,6 +827,37 @@ class TestFlagTable:
         assert info.value.code == 0
         assert "--branch-coefficients" in capsys.readouterr().out
 
+    @staticmethod
+    def _full_parser_text(capsys, argv):
+        """What the parser of all six commands writes for argv: its help
+        text, or the message of the ArgumentError it raises."""
+        try:
+            cli.build_parser().parse_args(argv)
+        except argparse.ArgumentError as err:
+            return str(err)
+        except SystemExit:
+            return capsys.readouterr().out
+        pytest.fail(f"{argv} parsed")
+
+    @pytest.mark.parametrize("argv", [[name, "--help"] for name in cli._COMMANDS] + [["--help"]],
+                             ids=lambda argv: " ".join(argv))
+    def test_help_matches_the_full_parser(self, capsys, argv):
+        # main builds only the named command's subparser, or all six when
+        # the first argument names none
+        full = self._full_parser_text(capsys, argv)
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        assert capsys.readouterr().out == full
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["jum", "--dim", "2"]],
+                             ids=["none", "unknown", "prefix"])
+    def test_command_errors_match_the_full_parser(self, capsys, argv):
+        full = self._full_parser_text(capsys, argv)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == {"type": "ArgumentError", "message": full}
+
 
 class TestNonFiniteSettings:
     """A non-finite numeric setting is a configuration error: exit 2 with
@@ -1534,6 +1566,91 @@ class TestPredictGoldenDigests:
         written = self.written(capsys, "jump", case, "--lambda0", self.DOMAINS[case[1]][2])
         code = 2 if case[0] == "so2-ring-degenerate" else 0
         assert written == (code, self.JUMP_DIGESTS[case])
+
+
+# a p = 3 quartic with the trivial action, so its normal slice is all of R^3:
+# F = lambda sum a_i y_i^2 / 2 - sum y_i^4 / 4, y = R^T u for a rational
+# rotation R and a = (1, 5/4, 7/4): perfbench/inputs.py's slice3-degree input
+# at seed 1
+ROTATED_QUARTIC = (
+    "[potential]\nname = rotated-quartic\np = 3\naction = trivial\nu0 = 0, 0, 0\n"
+    "f = lambda*((1)*((739/1261)*u1 + (-60/1261)*u2 + (1020/1261)*u3)^2"
+    " + (5/4)*((660/1261)*u1 + (989/1261)*u2 + (-420/1261)*u3)^2"
+    " + (7/4)*((-60/97)*u1 + (60/97)*u2 + (47/97)*u3)^2)/2"
+    " - (((739/1261)*u1 + (-60/1261)*u2 + (1020/1261)*u3)^4"
+    " + ((660/1261)*u1 + (989/1261)*u2 + (-420/1261)*u3)^4"
+    " + ((-60/97)*u1 + (60/97)*u2 + (47/97)*u3)^4)/4\n"
+)
+
+
+class TestSliceDegreeGoldenDigests:
+    """sha256 of what `symbif levels` and `symbif jump` write (stdout, then
+    stderr), with the exit code, for configs whose normal slice has 2 or 3
+    dimensions, so that their degrees come from brouwer.degree_nd: levels at
+    --beta-cutoff 30, jump at the given lambda0 with the default epsilon
+    (the rotated quartic's at 0.2028)."""
+
+    CONFIGS = {
+        "double-resonance": TestVerifyCommand.DOUBLE_RESONANCE,
+        "ring-times-quartic": TestVerifyCommand.RING_TIMES_QUARTIC,
+        "rotated-quartic": ROTATED_QUARTIC,
+    }
+    # (config, sphere dim) -> (lambda0, extra jump options)
+    CASES = {
+        ("double-resonance", "2"): ("4", ()),
+        ("double-resonance", "3"): ("2", ()),
+        ("ring-times-quartic", "3"): ("2", ()),
+        ("rotated-quartic", "2"): ("4", ("--epsilon", "0.2028")),
+    }
+    LEVELS_DIGESTS = {
+        ("double-resonance", "2"): (0, "ed6630ec01d64a5efe0bb078dbd212146e29a4909d0368f64993efd1abbe3dc0"),
+        ("double-resonance", "3"): (0, "eb0a70181f4f1b86cdd3abf294ee0e0e89116aa217b3d00ba7772c23df8044c7"),
+        ("ring-times-quartic", "3"): (0, "91617722f874fd25bbabc0bd99ede2d99a8c54963e9ad2642422bac69ed35e8f"),
+        ("rotated-quartic", "2"): (0, "9b33e1a9d48d75655d84ffd84c7cbc698bf3ce2c318e523bfa073389de3fb855"),
+    }
+    JUMP_DIGESTS = {
+        ("double-resonance", "2"): (0, "e8153cc663d2cb289e87ba5e4c8aa172f0f31431efa3bab30237f4dae47bf4e1"),
+        ("double-resonance", "3"): (0, "6f366bd3152c3fe34bc52ef6e4e2d1df69ccbbcb2855d3c591f20fd8f2a18ffd"),
+        ("ring-times-quartic", "3"): (0, "32bba6acfea9bb4f61426a71b63a479d50e65a0f8641259a0237cf3e57d7da1b"),
+        ("rotated-quartic", "2"): (0, "36329934ec9aa7c298f34f0ad927d3156f6cb2b196c4cb3c3589f8c35cc4dc93"),
+    }
+
+    def written(self, capsys, tmp_path, command, case, *options):
+        pot = tmp_path / "potential.cfg"
+        pot.write_text(self.CONFIGS[case[0]])
+        code, out, err = run(capsys, command, "--potential-file", str(pot),
+                             "--domain", "sphere", "--dim", case[1], *options)
+        return code, _sha256((out + err).encode())
+
+    @pytest.mark.parametrize("case", list(CASES), ids=lambda case: "-".join(case))
+    def test_levels_match_recorded_digests(self, capsys, tmp_path, case):
+        written = self.written(capsys, tmp_path, "levels", case, "--beta-cutoff", "30")
+        assert written == self.LEVELS_DIGESTS[case]
+
+    @pytest.mark.parametrize("case", list(CASES), ids=lambda case: "-".join(case))
+    def test_jump_matches_recorded_digests(self, capsys, tmp_path, case):
+        lam0, options = self.CASES[case]
+        written = self.written(capsys, tmp_path, "jump", case, "--lambda0", lam0, *options)
+        assert written == self.JUMP_DIGESTS[case]
+
+    def test_jump_evaluates_each_mesh_level_in_one_gradient_call(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # the two 3-D slice degrees at lambda0 -/+ epsilon each pass on
+        # meshes of 26 and 98 vertices: 2 x (26 + 72) points in 4 calls
+        calls, read = [], potentials.from_config_file
+
+        def counted(path):
+            spec = read(path)
+            grad = lambda v, lam: calls.append(len(v)) or spec.grad(v, lam)
+            return dataclasses.replace(spec, grad=grad)
+
+        monkeypatch.setattr(potentials, "from_config_file", counted)
+        case = ("rotated-quartic", "2")
+        lam0, options = self.CASES[case]
+        code, _ = self.written(capsys, tmp_path, "jump", case, "--lambda0", lam0, *options)
+        assert code == 0
+        assert calls == [26, 72, 26, 72]
 
 
 # every builtin branch domain: options of build_problem and verify's window

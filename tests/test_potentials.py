@@ -341,10 +341,15 @@ class TestNormalSlice:
         assert (0.0, 0.0, 1.0) in cols
 
     def test_degenerate_orbit_rejected(self):
-        spec = builtin("so2-ring")
-        spec.u0 = np.zeros(2)
+        spec = from_config_dict({**potentials._BUILTINS["so2-ring"], "u0": "0 0"})
         with pytest.raises(ValueError):
             normal_slice(spec)
+
+    def test_spec_is_frozen(self):
+        # every derived field is centred at u0, so u0 cannot be reassigned
+        spec = builtin("so2-ring")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.u0 = np.zeros(2)
 
     def test_slice_orthogonality_invariants(self):
         spec = builtin("so2-ring")
