@@ -178,7 +178,9 @@ def basis(domain: DomainId, eigens: list[LaplaceEigenvalue], points) -> np.ndarr
     cos before sin, and on the 2-sphere the zonal function first, then the cos
     and sin of each order m = 1..l.  The radial factors J_l(x r) come from one
     Bessel call over the distinct radii, the polar factors P_l^m(cos theta)
-    from one recurrence over the distinct cos(theta).
+    from one recurrence over the distinct cos(theta), and the angular factors
+    cos(m phi), sin(m phi) and cos(k theta), sin(k theta) from the distinct
+    angles.
     """
     rows = _galerkin(domain).rows
     if any(e.index < 1 for e in eigens):
@@ -199,6 +201,15 @@ def _circle_rows(eigens, theta):
             c = 1.0 / math.sqrt(math.pi)
             yield c * np.cos(freq * theta)
             yield c * np.sin(freq * theta)
+
+
+def _angular_factors(orders, angle):
+    """{k: (cos(k angle), sin(k angle))} at every node for each order k,
+    evaluated once per distinct angle and indexed back to the nodes."""
+    angles, inverse = np.unique(angle, return_inverse=True)
+    return {
+        k: (np.cos(k * angles)[inverse], np.sin(k * angles)[inverse]) for k in orders
+    }
 
 
 def _assoc_legendre(l_max, x):
@@ -226,7 +237,7 @@ def _sphere2_rows(eigens, theta, phi):
     x, inverse = np.unique(np.cos(theta), return_inverse=True)
     l_max = max(e.angular_degree for e in eigens)
     legendre = _assoc_legendre(l_max, x)
-    trig = {m: (np.cos(m * phi), np.sin(m * phi)) for m in range(1, l_max + 1)}
+    trig = _angular_factors(range(1, l_max + 1), phi)
     for e in eigens:
         l = e.angular_degree
         for m in range(l + 1):
@@ -250,7 +261,7 @@ def _disk_rows(eigens, r, theta):
     radial_norm = 0.5 * (1.0 - l * l / (x * x)) * jl * jl
     c = 1.0 / np.sqrt(np.where(l == 0, 2.0, 1.0) * math.pi * radial_norm)
     radial = iter(c[:, None] * bessel.besselj(l[:, None], x[:, None] * radii[None, :]))
-    trig = {k: (np.cos(k * theta), np.sin(k * theta)) for k in set(l.tolist()) - {0}}
+    trig = _angular_factors(set(l.tolist()) - {0}, theta)
     for e in eigens:
         if e.value == 0.0:
             yield np.full_like(r, 1.0 / math.sqrt(math.pi))

@@ -408,6 +408,27 @@ class TestBases:
         np.testing.assert_array_equal(E, alone)
 
     @pytest.mark.parametrize(
+        "domain,options",
+        [
+            (ball(2), {"beta_cutoff": 60.0}),
+            (ball(2), {"beta_cutoff": 200.0}),
+            (sphere(3), {"truncation": 12}),
+        ],
+        ids=["disk-60", "disk-200", "sphere2-12"],
+    )
+    def test_angular_factors_of_the_distinct_angles(self, domain, options, monkeypatch):
+        # cos and sin of each order are taken on the distinct angles and
+        # indexed to the nodes: the problem's table equals the one with
+        # both taken at every node, bit for bit
+        E = build_problem(domain, builtin("so2-ring"), **options).E
+
+        def at_every_node(orders, angle):
+            return {k: (np.cos(k * angle), np.sin(k * angle)) for k in orders}
+
+        monkeypatch.setattr(spectral, "_angular_factors", at_every_node)
+        np.testing.assert_array_equal(E, build_problem(domain, builtin("so2-ring"), **options).E)
+
+    @pytest.mark.parametrize(
         "domain,k_max,quad",
         [
             (sphere(2), 8, spectral.circle_quadrature(128)),
