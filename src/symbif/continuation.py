@@ -93,32 +93,34 @@ at degree L).
 This is the Fourier-in-phi block-diagonalization of the cited references.
 A point's min_offsym_singular is the smallest modulus over the blocks, and
 block_morse_index counts each block's negative eigenvalues.  A block k >= 1
-is skipped, neither assembled dense nor solved, when Weyl's inequality
-bounds its eigenvalues above both 0 and the smallest modulus so far
-(_make_point; Parlett, The Symmetric
+is not assembled when Weyl's inequality bounds its eigenvalues above both 0
+and the smallest modulus so far (_make_point; Parlett, The Symmetric
 Eigenvalue Problem, 1998, ch. 10 and 15): on the 2-sphere most blocks of
 large m, where beta >= m(m + 1) exceeds the Hessian's reach.  The
 diagnostics do not change by a bit.
 
 jacobian assembles the p(p+1)/2 blocks i <= j from the symmetrized nodal
-Hessian and copies block (i, j) into (j, i), dense over the quadrature: it
-is the reference the branch solves are tested against.  They assemble
-every Jacobian of a branch subspace through _branch_jacobians, one kernel
-for the tangent, the corrector, the seed and the branch points alike.  On
-the 2-sphere that is the same dense product on the longitude column, a 1-D
-rule with nothing to factor.  On the circle and the disk the half-turn rule
-is a product of n_r radii and n_t angles and every row is R_a(r) cos(l_a
-theta) or R_a(r) sin(l_a theta), so both isotypic blocks come from one
-sum-factorized kernel call (_factored_blocks; Orszag, J. Comput. Phys. 37,
-1980): per Hessian entry a weighted cosine transform over theta at each
-radius, one product with a table of cos(m theta), m <= 2 max l, then one
-radial sum per row pair, in O(n_r n_t m + n_r n_f^2) for m = 2 max l + 1 and
-n_f rows against O(n_r n_t n_f^2) dense (on the disk at beta <= 200 about
-115 thousand multiply-adds per entry against 3.25 million).  Continuation
-evaluates the nodal Hessian once per accepted point (_make_point), whose
-first block is the J of the next tangent, and once at its start point; a
-fold location evaluates it once at each trial point, the fold included.
-One corrector, _bordered_newton, serves the switch and the continuation.  It reuses its
+Hessian and copies block (i, j) into (j, i), dense over the quadrature in
+O(n_x n_f^2) for n_x nodes and n_f rows; it is the reference the blocks
+are tested against.  The first block of a branch subspace, which the
+tangent, the corrector and the seed solve with, is that dense product on
+the reduced rule, so every branch point stays bit for bit what the dense
+assembly computes.  On the disk the half-turn rule is a product of n_r
+radii and n_t angles and every sin row is R_a(r) sin(l_a theta), so the
+sin rows' block of a branch point comes from a sum-factorized kernel
+(_sin_block; Orszag, J. Comput. Phys. 37, 1980): per Hessian entry a
+weighted cosine transform over theta at each radius, one product with a
+table of cos(m theta), m <= 2 max l, then one radial sum per row pair, in
+O(n_r n_t m + n_r n_f^2) for m = 2 max l + 1 against O(n_r n_t n_f^2)
+dense (at beta <= 200 about 0.1 ms against 0.3 ms for one Hessian
+entry).  The circle has one radius and the 2-sphere's column one angle:
+nothing to factor, every block there is dense.  Continuation evaluates the
+nodal Hessian once per accepted point (_make_point), whose first block is
+the J of the next tangent; a seed from switch_branch holds its subspace
+and the J at its point, which continue_branch starts from, and any other
+seed costs one more evaluation there.  A fold location evaluates it once
+at each trial point, the fold included.  One corrector,
+_bordered_newton, serves the switch and the continuation.  It reuses its
 bordered matrix for quasi-Newton steps, one residual and one LU solve
 each: the error-oriented good-Broyden method QNERR of Deuflhard (Newton
 Methods for Nonlinear Problems, 2004, sec. 2.1.4; Allgower & Georg,
@@ -351,11 +353,14 @@ def _project(problem, values):
 
 
 def jacobian(problem: GalerkinProblem, c, lam: float) -> np.ndarray:
-    """The Jacobian at (c, lam), assembled dense on problem's whole rule:
-    the reference for the blocks the branch solves assemble
-    (_branch_jacobians)."""
+    return _jacobian_and_hessian(problem, c, lam)[0]
+
+
+def _jacobian_and_hessian(problem, c, lam):
+    """(J, H): the Jacobian at (c, lam) and the nodal Hessian it is built
+    from."""
     H = _nodal_hessian(problem, c, lam)
-    return _assemble_jacobian(problem.E, problem.quad.weights, problem.beta, H)
+    return _assemble_jacobian(problem.E, problem.quad.weights, problem.beta, H), H
 
 
 def _nodal_hessian(problem, c, lam):
@@ -533,19 +538,16 @@ class _Subspace:
     them, exact while 2m < n_phi; for domain.dim 2 the half-turn theta in
     [0, pi] (_half_turn) (module docstring).
 
-    factors is None for domain.dim 3.  For domain.dim 2 it holds what the
-    sum-factorized kernel (_factored_blocks) reads instead of the tables,
-    built once from them (_factors): the half-turn rule is a product of n_r
-    radii (one on the circle) and n_t angles, and every row of the first
-    block is R_a(r) cos(l_a theta), every sin row R_a(r) sin(l_a theta)
-    with the R_a of its partner cos row.  The dense tables stay for the Weyl
-    constants and as the reference the kernel is tested against."""
+    sin_factors holds, on the disk alone, what the sum-factorized kernel
+    (_sin_block) reads in place of the sin rows' table (_SinFactors); it is
+    None on the circle, whose rule has one radius, and on the 2-sphere,
+    where every block is assembled dense from its table."""
 
     full: GalerkinProblem
     problem: GalerkinProblem
     blocks: tuple
     weyl: tuple
-    factors: Optional[_Factors]
+    sin_factors: Optional[_SinFactors]
 
     @property
     def idx(self) -> np.ndarray:
@@ -558,28 +560,27 @@ class _Subspace:
 
 
 @dataclass(frozen=True)
-class _Factors:
-    """Sum-factorization data of a circle or disk subspace (_factors), on the
-    upper-triangle pairs (a, b), a <= b, of the n reflection-even rows, l_a
-    the angular order of row a and R_a its radial factor, read from the
-    theta = 0 node of each radius, where cos(l_a theta) = 1.
+class _SinFactors:
+    """What the sum-factorized kernel (_sin_block) reads to assemble the sin
+    rows' block of a disk subspace, built once (_sin_factors), on the
+    upper-triangle pairs (a, b), a <= b, of its n sin rows, row a being
+    R_a(r) sin(l_a theta) on the half-turn rule of n_r radii and n_t angles.
 
-    radial: P = w_r R_a R_b, (n_r, pairs), w_r the rule's radial weights;
-    cos: w_theta cos(m theta) for m = 0, ..., 2 max l, (n_t, 2 max l + 1),
-    w_theta the angular weights; diff, total: |l_a - l_b| and l_a + l_b per
-    pair; components: the component pairs (i, j), i <= j, of the Hessian
-    entries; even: (flat indices a n + b and b n + a of the pairs, beta) of
-    the reflection-even block; odd: the same of the sin rows' block, with
-    the index of each of its pairs' partner cos-row pair last, or None when
-    there are no sin rows."""
+    radial: P = w_r R_a R_b, (pairs, n_r), w_r the weight of the theta = 0
+    node of radius r; cos: w_theta cos(m theta) / 2 for m = 0, ..., 2 max l,
+    (2 max l + 1, n_t), w_theta the weights of radius r over w_r; diff,
+    total: |l_a - l_b| and l_a + l_b per pair; components: the component
+    pairs (i, j), i <= j, of the Hessian entries; upper, lower: the flat
+    indices a n + b and b n + a of the pairs; beta: beta on the sin rows."""
 
     radial: np.ndarray
     cos: np.ndarray
     diff: np.ndarray
     total: np.ndarray
     components: tuple
-    even: tuple
-    odd: Optional[tuple]
+    upper: np.ndarray
+    lower: np.ndarray
+    beta: np.ndarray
 
 
 def _coefficient_indices(rows, p):
@@ -609,48 +610,6 @@ def _half_turn(quad):
     return cols, Quadrature(tuple(x[cols] for x in quad.points), weights)
 
 
-def _mirror_pairs(n):
-    """Rows a and b of the upper-triangle pairs a <= b of an n x n matrix,
-    and the flat indices a n + b and b n + a of each."""
-    a, b = np.triu_indices(n)
-    return a, b, a * n + b, b * n + a
-
-
-def _factors(problem, sub, rows, sin_rows):
-    """The _Factors of the circle's or the disk's subspace sub, on the
-    reflection-even rows of problem that sub keeps and the sin rows of
-    problem, both sorted (sin_rows possibly empty)."""
-    theta = sub.quad.points[-1]
-    n_r = int(np.count_nonzero(theta == 0.0))
-    n_t = theta.size // n_r
-    weights = sub.quad.weights.reshape(n_r, n_t)
-    orders = np.repeat(
-        [e.angular_degree for e in problem.eigens], [e.multiplicity for e in problem.eigens]
-    )[rows]
-    # each radius's first node is theta = 0: cos(l theta) = 1, weight w_r
-    R = sub.E.reshape(rows.size, n_r, n_t)[:, :, 0]
-    a, b, upper, lower = _mirror_pairs(rows.size)
-    m = np.arange(2 * int(orders.max()) + 1)
-    cos = (weights[0] / weights[0, 0])[:, None] * np.cos(theta[:n_t, None] * m[None, :])
-    odd = None
-    if sin_rows.size:
-        partner = {sin_row: cos_row for cos_row, sin_row, _ in _angular_pairs(problem.eigens)}
-        at = np.searchsorted(rows, [partner[row] for row in sin_rows.tolist()])
-        pair = np.zeros((rows.size, rows.size), int)
-        pair[a, b] = np.arange(a.size)
-        a1, b1, upper1, lower1 = _mirror_pairs(sin_rows.size)
-        odd = (upper1, lower1, problem.beta[sin_rows], pair[at[a1], at[b1]])
-    return _Factors(
-        radial=weights[:, :1] * R[a].T * R[b].T,
-        cos=cos,
-        diff=np.abs(orders[a] - orders[b]),
-        total=orders[a] + orders[b],
-        components=np.triu_indices(problem.p),
-        even=(upper, lower, sub.beta),
-        odd=odd,
-    )
-
-
 def _subspace(problem):
     """The _Subspace of problem's isotypic blocks (_isotypic_rows)."""
     rows, *others = _isotypic_rows(problem)
@@ -667,70 +626,81 @@ def _subspace(problem):
     )
     tables = [(idx, sub.E, quad.weights, sub.beta)]
     weyl = []
-    for moved in others:
-        E, beta = problem.E[moved][:, cols], problem.beta[moved]
-        tables.append((_coefficient_indices(moved, problem.p), E, block_weights, beta))
+    for rows in others:
+        E, beta = problem.E[rows][:, cols], problem.beta[rows]
+        tables.append((_coefficient_indices(rows, problem.p), E, block_weights, beta))
         gram = (E * np.abs(block_weights)[None, :]) @ E.T
         weyl.append((float(beta.min()), float(beta.max()), float(np.linalg.eigvalsh(gram)[-1])))
-    sin_rows = others[0] if others else np.zeros(0, int)
-    factors = None if angular_s2 else _factors(problem, sub, rows, sin_rows)
-    return _Subspace(problem, sub, tuple(tables), tuple(weyl), factors)
+    sin_factors = None if angular_s2 or not others else _sin_factors(problem, cols, quad)
+    return _Subspace(problem, sub, tuple(tables), tuple(weyl), sin_factors)
 
 
-def _factored_blocks(factors, H):
-    """Every isotypic block of a circle or disk subspace, the reflection-even
-    rows and the sin rows, at the nodal Hessian H on its half-turn rule, by
-    sum factorization (_Factors; Orszag, J. Comput. Phys. 37, 1980).  With
-    cos(l_a t) cos(l_b t) and sin(l_a t) sin(l_b t) = (cos(d t) +/- cos(s t))
-    / 2, d = |l_a - l_b| and s = l_a + l_b, entry (a, b) of component block
-    (i, j) is beta_a delta_ab - (D +/- S) / 2, where D and S are sum_r P_ab(r)
-    hhat(r, d) and hhat(r, s), and hhat(r, m) = sum_theta w_theta cos(m theta)
-    h(r, theta) is one product with the weighted cosine table for each entry
-    h of the symmetrized Hessian.  Each value fills (a, b) and (b, a) of
-    blocks (i, j) and (j, i), so every block is bitwise symmetric."""
+def _sin_factors(problem, cols, quad):
+    """The _SinFactors of the sin rows on the circle's or the disk's
+    half-turn rule cols, quad, whose nodes run over n_t angles from theta =
+    0 at each radius, or None on the circle: its rule has one radius, and
+    nothing to factor.  A sin row's radial factor is that of its partner cos
+    row, read at theta = 0, where cos(l theta) = 1."""
+    theta = quad.points[-1]
+    n_r = int(np.count_nonzero(theta == 0.0))
+    if n_r == 1:
+        return None
+    n_t = theta.size // n_r
+    weights = quad.weights.reshape(n_r, n_t)
+    cos_rows, sin_rows, orders = (np.array(x) for x in zip(*_angular_pairs(problem.eigens)))
+    R = problem.E[np.ix_(cos_rows, cols[::n_t])]
+    a, b = np.triu_indices(sin_rows.size)
+    m = np.arange(2 * int(orders.max()) + 1)
+    cos = np.cos(m[:, None] * theta[None, :n_t]) * (0.5 * weights[0] / weights[0, 0])[None, :]
+    return _SinFactors(
+        radial=weights[:, 0][None, :] * R[a] * R[b],
+        cos=cos,
+        diff=np.abs(orders[a] - orders[b]),
+        total=orders[a] + orders[b],
+        components=np.triu_indices(problem.p),
+        upper=a * sin_rows.size + b,
+        lower=b * sin_rows.size + a,
+        beta=problem.beta[sin_rows],
+    )
+
+
+def _block(space, k, H):
+    """Isotypic block k of space's Jacobian at the nodal Hessian H, as a
+    branch point takes it: the disk's sin rows from the sum-factorized
+    kernel (_sin_block), every other block dense from its table."""
+    if k and space.sin_factors is not None:
+        return _sin_block(space.sin_factors, H)
+    return _assemble_jacobian(*space.blocks[k][1:], H)
+
+
+def _sin_block(factors, H):
+    """The sin rows' block of a disk subspace's Jacobian at the nodal Hessian
+    H on its half-turn rule, by sum factorization (_SinFactors; Orszag, J.
+    Comput. Phys. 37, 1980).  With sin(l_a t) sin(l_b t) = (cos(d t) -
+    cos(s t)) / 2, d = |l_a - l_b| and s = l_a + l_b, entry (a, b) of
+    component block (i, j) is beta_a delta_ab + sum_r P_ab(r) (hhat(s, r) -
+    hhat(d, r)), where hhat(m, r) = sum_theta w_theta cos(m theta) h(r,
+    theta) / 2 is one product with the cosine table for every entry h of
+    the symmetrized Hessian.  Each value fills (a, b) and (b, a) of blocks
+    (i, j) and (j, i), so the block is bitwise symmetric."""
     i, j = factors.components
     h = 0.5 * (H[:, i, j] + H[:, j, i])
-    n_t, n_m = factors.cos.shape
-    hhat = (h.T.reshape(-1, n_t) @ factors.cos).reshape(i.size, -1, n_m)
-    D = np.einsum("rk,hrk->hk", factors.radial, hhat[:, :, factors.diff])
-    S = np.einsum("rk,hrk->hk", factors.radial, hhat[:, :, factors.total])
-    p = H.shape[1]
-    blocks = [_mirrored(-0.5 * (D + S), factors.even, i, j, p)]
-    if factors.odd is not None:
-        pairs = factors.odd[-1]
-        blocks.append(_mirrored(-0.5 * (D[:, pairs] - S[:, pairs]), factors.odd, i, j, p))
-    return tuple(blocks)
-
-
-def _mirrored(values, block, rows, cols, p):
-    """The Jacobian block (upper, lower, beta, ...) in the coefficient
-    layout with p components: values[q] on the upper-triangle pairs and
-    their mirrors of the component blocks (rows[q], cols[q]) and (cols[q],
-    rows[q]), plus diag(beta) kron I."""
-    upper, lower, beta = block[:3]
-    n = beta.size
-    J = np.zeros((n, p, n, p))
-    M = np.empty(n * n)
-    for v, i, j in zip(values, rows, cols):
-        M[upper] = v
-        M[lower] = v
-        J[:, i, :, j] = J[:, j, :, i] = M.reshape(n, n)
+    pairs, n_r = factors.radial.shape
+    n_t = factors.cos.shape[1]
+    # hhat[m, (r, entry)]
+    hhat = factors.cos @ h.reshape(n_r, n_t, -1).transpose(1, 0, 2).reshape(n_t, -1)
+    gap = (hhat[factors.total] - hhat[factors.diff]).reshape(pairs, n_r, -1)
+    values = np.matmul(factors.radial[:, None, :], gap)[:, 0]
+    n, p = factors.beta.size, H.shape[1]
+    M = np.empty((n * n, i.size))
+    M[factors.upper] = values
+    M[factors.lower] = values
+    # every component block is (i, j) or (j, i) of an entry
+    J = np.empty((n, p, n, p))
+    J[:, i, :, j] = J[:, j, :, i] = M.T.reshape(-1, n, n)
     J = J.reshape(n * p, n * p)
-    J.reshape(-1)[:: n * p + 1] += np.repeat(beta, p)
+    J.reshape(-1)[:: n * p + 1] += np.repeat(factors.beta, p)
     return J
-
-
-def _branch_jacobians(space, c, lam):
-    """(Js, H): the nodal Hessian H of space.problem at (c, lam) and the
-    blocks of the full problem's Jacobian assembled from it, Js[0] the
-    Jacobian of space.problem.  On the circle and the disk every isotypic
-    block, from one call of the sum-factorized kernel (_factored_blocks);
-    on the 2-sphere the first block alone, dense from its table."""
-    H = _nodal_hessian(space.problem, c, lam)
-    if space.factors is not None:
-        return _factored_blocks(space.factors, H), H
-    _, E, weights, beta = space.blocks[0]
-    return (_assemble_jacobian(E, weights, beta, H),), H
 
 
 # --------------------------------------------------------------------------
@@ -750,8 +720,8 @@ class BranchPoint:
     block counts twice in the full-space index (its cos and sin rows); on
     the circle and the disk the reflection-even rows, then the sin rows.
     A block k >= 1 whose Weyl bound min beta_k - h g_k (_make_point) lies
-    above max(0, the smallest modulus so far) by a rounding margin is
-    skipped: it counts 0 and cannot lower min_offsym_singular."""
+    above max(0, the smallest modulus so far) by a rounding margin is not
+    assembled: it counts 0 and cannot lower min_offsym_singular."""
 
     lam: float
     c: np.ndarray
@@ -763,25 +733,28 @@ class BranchPoint:
 
 @dataclass
 class Branch:
-    """A continuation path with its origin and the observed stopping reason."""
+    """A continuation path with its origin and the observed stopping reason.
+    A branch that switch_branch returns also holds the subspace it solved on
+    and the Jacobian of that subspace at its point, which continue_branch
+    starts from instead of building both again."""
 
     points: list
     origin: tuple  # ("bifurcated", lambda_star), the level switch_branch seeded it at
     termination: Optional[str] = None
+    # (subspace, point, Jacobian at the point), set by switch_branch
+    _start: Optional[tuple] = dataclasses.field(default=None, repr=False, compare=False)
 
 
-def _make_point(space, c, lam, residual_norm, jacobians=None):
+def _make_point(space, c, lam, residual_norm, H=None):
     """Branch point at the coefficients c of space.problem, and the Jacobian
     of space.problem there: its first isotypic block.  Every block comes
-    from the nodal Hessian H at c on space.problem's rule, evaluated once,
-    with the blocks _branch_jacobians assembles from it (a caller that has
-    them passes both as jacobians): on the circle and the disk every block
-    from one call of the sum-factorized kernel, in O(n_r n_t m + n_r n_f^2)
-    for n_r radii, n_t angles, m = 2 max l + 1 cosines and n_f rows against
-    O(n_r n_t n_f^2) dense; on the 2-sphere the first block, and every
-    other block dense from its table (_Subspace).  A block k >= 1 that
-    Weyl's bound certifies is skipped: not assembled, where it is not yet,
-    and not solved.
+    from the nodal Hessian H at c on space.problem's rule, evaluated once (a
+    caller that has it passes it), unless Weyl's bound certifies it
+    (_block): the first block and every block on the circle and the
+    2-sphere dense from its table (_Subspace), in O(n_x n_f^2) for n_x
+    nodes and n_f rows; the disk's sin rows from the sum-factorized kernel
+    (_sin_block), in O(n_r n_t m + n_r n_f^2) for n_r radii, n_t angles and
+    m = 2 max l + 1 cosines.
 
     Block k is J_k = diag(beta_k) kron I - sum_x w_x e_k(x) e_k(x)^T kron
     H(x), so with h = max_x |H(x)|_F and g_k its table's Gram norm every
@@ -795,20 +768,23 @@ def _make_point(space, c, lam, residual_norm, jacobians=None):
     is, bit for bit."""
     full, lifted = space.full, space.lift(c)
     pins = _pinning_rows(full, lifted)
-    Js, H = _branch_jacobians(space, c, lam) if jacobians is None else jacobians
+    if H is None:
+        H = _nodal_hessian(space.problem, c, lam)
     Hf = H.reshape(H.shape[0], -1)
     # max_x |H(x)|_F
     h = math.sqrt(float(np.max(np.einsum("xi,xi->x", Hf, Hf))))
     # the first block has no bound (min beta = -inf): it is always assembled
     bounds = ((-math.inf, 0.0, 0.0), *space.weyl)
-    counts, mu = [], math.inf
-    for k, (table, (beta_min, beta_max, g)) in enumerate(zip(space.blocks, bounds)):
+    counts, mu, J0 = [], math.inf, None
+    for k, (beta_min, beta_max, g) in enumerate(bounds):
         spread = h * g
         if beta_min - spread - 1e-9 * (1.0 + beta_max + spread) > max(0.0, mu):
             counts.append(0)
             continue
-        J = Js[k] if k < len(Js) else _assemble_jacobian(*table[1:], H)
-        ev = _offsym_eigenvalues(pins[:, table[0]], J)
+        J = _block(space, k, H)
+        if J0 is None:
+            J0 = J
+        ev = _offsym_eigenvalues(pins[:, space.blocks[k][0]], J)
         counts.append(int(np.count_nonzero(ev < -_MORSE_ZERO_TOL)))
         if ev.size:
             mu = min(mu, float(np.min(np.abs(ev))))
@@ -819,7 +795,7 @@ def _make_point(space, c, lam, residual_norm, jacobians=None):
         min_offsym_singular=mu if mu < math.inf else 0.0,
         sup_norm=space.problem.sup_deviation(c),
         block_morse_index=tuple(counts),
-    ), Js[0]
+    ), J0
 
 
 def _newton_system(problem, c, lam, J, border):
@@ -852,9 +828,8 @@ def _solve(A, b, lam):
 
 # an overflow ends the solve by the finiteness tests, not with a warning
 @np.errstate(all="ignore")
-def _bordered_newton(space, c, lam, border, base, offset, border_tol, maxit, A=None):
-    """Newton on space.problem (a _Subspace), with lambda free on [J r_lambda
-    B^T; B 0 0; border 0], J from _branch_jacobians, that holds
+def _bordered_newton(problem, c, lam, border, base, offset, border_tol, maxit, A=None):
+    """Newton with lambda free on [J r_lambda B^T; B 0 0; border 0] that holds
     border . ((c, lam) - base) - offset at zero.  Returns (c, lam, residual
     norm, theta0) once the residual norm is at most NEWTON_TOL and the border
     residual at most border_tol; raises NewtonError, naming lambda, on a
@@ -877,7 +852,6 @@ def _bordered_newton(space, c, lam, border, base, offset, border_tol, maxit, A=N
     alpha >= 1/2 (a guard on 1 - alpha, which QNERR's bound |alpha| <=
     |v| / |s| < 1/2 keeps above 1/2) or when it cuts the residual norm by
     less than _CHORD_BAR; a step on a fresh A is kept."""
-    problem = space.problem
     n = problem.n_dof
 
     def residual(c, lam):
@@ -898,8 +872,7 @@ def _bordered_newton(space, c, lam, border, base, offset, border_tol, maxit, A=N
             return c, lam, rn, 0.0 if theta0 is None else theta0
         fresh = A is None
         if fresh:
-            J = _branch_jacobians(space, c, lam)[0][0]
-            A, steps = _newton_system(problem, c, lam, J, border), []
+            A, steps = _newton_system(problem, c, lam, jacobian(problem, c, lam), border), []
         v = _solve(A, np.concatenate([-r, np.zeros(A.shape[0] - n - 1), [-g]]), lam)[: n + 1]
         if not np.all(np.isfinite(v)):
             raise NewtonError(f"bordered Newton step diverged at lambda={lam}")
@@ -1018,13 +991,13 @@ def _kernel_direction(space, lam_star):
     fixed by the reflection y -> -y.  When exactly one eigenvalue mu of A,
     a simple one, puts lam_star mu on the Laplacian spectrum (as for every
     builtin), the kernel there is simple, so the seed does not depend on the
-    last bits of J.  J is assembled on those rows alone, space.problem, by
-    _branch_jacobians, and the seed is lifted to every row of space.full."""
+    last bits of J.  J is assembled on those rows alone, space.problem, and
+    the seed is lifted to every row of space.full."""
     zero = np.zeros(space.problem.n_dof)
     # at c = 0 the pinning rows are the component generators on the constant
     # row, which lies in the subspace
     Q = _complement(_pinning_rows(space.problem, zero))
-    M = Q.T @ _branch_jacobians(space, zero, lam_star)[0][0] @ Q
+    M = Q.T @ jacobian(space.problem, zero, lam_star) @ Q
     vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
     v = space.lift(Q @ vecs[:, int(np.argmin(np.abs(vals)))])
     if v[np.argmax(np.abs(v))] < 0:
@@ -1063,18 +1036,18 @@ def switch_branch(problem: GalerkinProblem, lam_star: float) -> Branch:
     fail = f"no branch captured at lambda_star={lam_star}"
     try:
         c, lam, rn, _ = _bordered_newton(
-            space, seed, lam_star, border, np.zeros_like(border), target, NEWTON_TOL, 30
+            space.problem, seed, lam_star, border, np.zeros_like(border), target, NEWTON_TOL, 30
         )
     except NewtonError as err:
         raise NoBranchError(f"{fail}: {err}") from err
-    bp, _ = _make_point(space, c, lam, rn)
+    bp, J = _make_point(space, c, lam, rn)
     drift = abs(bp.lam - lam_star)
     max_drift = 0.5 * max(1.0, abs(lam_star))
     if not bp.sup_norm > 0.05 * _SEED_AMPLITUDE:
         raise NoBranchError(f"{fail}: sup_norm {bp.sup_norm:.3e} <= 0.05 * amplitude")
     if not 1e-13 < drift <= max_drift:
         raise NoBranchError(f"{fail}: lambda drift {drift:.3e} outside (1e-13, {max_drift}]")
-    return Branch(points=[bp], origin=("bifurcated", float(lam_star)))
+    return Branch(points=[bp], origin=("bifurcated", float(lam_star)), _start=(space, bp, J))
 
 
 # --------------------------------------------------------------------------
@@ -1097,21 +1070,21 @@ def _tangent(problem, c, lam, J, t_prev):
     return t, A
 
 
-def _end_on_limit(space, A, start, end, limit):
+def _end_on_limit(problem, A, start, end, limit):
     """(c, lam, residual norm, theta0) of the branch point at lam = limit,
     between the accepted point start = (c, lam) and the corrector's point
     end past the limit: one bordered solve with the natural border (0, ...,
     0, 1) from the secant between them at lam = limit, begun on A with that
     border row.  Its border tolerance is 0, so lam is the limit bit for
     bit."""
-    n = space.problem.n_dof
+    n = problem.n_dof
     (c0, lam0), (c1, lam1) = start, end
     border = np.zeros(n + 1)
     border[n] = 1.0
     A = A.copy()
     A[-1, : n + 1] = border
     c = c0 + ((limit - lam0) / (lam1 - lam0)) * (c1 - c0)
-    return _bordered_newton(space, c, limit, border, np.zeros(n + 1), limit, 0.0, 20, A)
+    return _bordered_newton(problem, c, limit, border, np.zeros(n + 1), limit, 0.0, 20, A)
 
 
 def _locate_fold(space, start, t0, step, f1, A):
@@ -1133,11 +1106,11 @@ def _locate_fold(space, start, t0, step, f1, A):
     for _ in range(_FOLD_MAXIT):
         s = (a * fb - b * fa) / (fb - fa)
         pred = (c0 + s * t0[:n], lam0 + s * t0[n])
-        c, lam, rn, _ = _bordered_newton(space, *pred, t0, base, s, 10 * NEWTON_TOL, 20, A)
-        jacobians = _branch_jacobians(space, c, lam)
-        t, A = _tangent(sub, c, lam, jacobians[0][0], t0)
+        c, lam, rn, _ = _bordered_newton(sub, *pred, t0, base, s, 10 * NEWTON_TOL, 20, A)
+        J, H = _jacobian_and_hessian(sub, c, lam)
+        t, A = _tangent(sub, c, lam, J, t0)
         if abs(t[n]) <= _FOLD_TOL:
-            return _make_point(space, c, lam, rn, jacobians)[0]
+            return _make_point(space, c, lam, rn, H)[0]
         if t[n] * fb < 0:
             a, fa = b, fb
         else:
@@ -1206,7 +1179,13 @@ def continue_branch(
     kind, lam_star = seed.origin
     if kind != "bifurcated" or lam_star is None:
         raise ValueError(f"seed origin must be ('bifurcated', lambda_star), got {seed.origin}")
-    space = _subspace(problem)
+    start = seed._start
+    # switch_branch's subspace and Jacobian, while the seed ends on its point
+    # and is continued on its problem
+    if start is not None and start[0].full is problem and start[1] is points[-1]:
+        space, _, J = start
+    else:
+        space, J = _subspace(problem), None
     if np.any(np.delete(points[-1].c, space.idx) != 0):
         raise ValueError("seed point has coefficients off the axial fixed-point subspace")
     branch = Branch(points=points, origin=seed.origin)
@@ -1224,7 +1203,8 @@ def continue_branch(
     # the Jacobian at the last accepted point gives the next tangent, and is
     # dropped before the corrector runs, which keeps only the tangent's
     # bordered matrix; at every accepted point it is the point's first block
-    J = _branch_jacobians(space, c, lam)[0][0]
+    if J is None:
+        J = jacobian(sub, c, lam)
     for _ in range(max_steps):
         try:
             t, A = _tangent(sub, c, lam, J, t_prev)
@@ -1244,12 +1224,11 @@ def continue_branch(
             pred = (c + ds * t[:n], lam + ds * t[n])
             try:
                 c_new, lam_new, rn, theta0 = _bordered_newton(
-                    space, *pred, t, np.append(c, lam), ds, 10 * NEWTON_TOL, 20, A
+                    sub, *pred, t, np.append(c, lam), ds, 10 * NEWTON_TOL, 20, A
                 )
                 limit = lo if lam_new < lo else hi if lam_new > hi else None
                 if limit is not None and lo <= lam <= hi:
-                    end = (c_new, lam_new)
-                    c_new, lam_new, rn, _ = _end_on_limit(space, A, (c, lam), end, limit)
+                    c_new, lam_new, rn, _ = _end_on_limit(sub, A, (c, lam), (c_new, lam_new), limit)
                 break
             except NewtonError:
                 ds *= 0.5

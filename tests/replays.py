@@ -5,19 +5,16 @@ Each AT_* string is Python run before `symbif verify` in a fresh
 interpreter (tests/test_cli.py); fixed_growth installs the fixed step
 growth and the central-difference column in the running process
 (tests/test_continuation.py).  They replace private names of
-symbif.continuation: _lambda_column, _step_factor, _end_on_limit,
-_locate_fold and _branch_jacobians, and wrap continue_branch.  A change
-that renames one of those, or changes its signature, is carried here and
-nowhere else.
+symbif.continuation: _lambda_column, _step_factor, _end_on_limit and
+_locate_fold, and wrap continue_branch.  A change that renames one of
+those, or changes its signature, is carried here and nowhere else.
 """
 
 import inspect
 
 from symbif import continuation
 
-import dense_blocks as dense_blocks_source
 import lambda_column
-from dense_blocks import dense_branch_jacobians
 from lambda_column import central_difference
 
 # take every lambda column of a bordered matrix as the central difference
@@ -46,21 +43,13 @@ AT_FIXED_GROWTH = AT_CENTRAL_DIFFERENCE + (
     "continuation.continue_branch = lambda *args: follow(*args, ds_max=0.2)\n"
     "continuation._step_factor = lambda theta0: 1.4\n"
 )
-# assemble every Jacobian block of a branch subspace dense from its table
-# (dense_blocks.py), as verify did on the circle and the disk before the
-# sum-factorized kernel; appended to a prelude, it replays that generation
-# as it was recorded then
-AT_DENSE_BLOCKS = (
-    inspect.getsource(dense_blocks_source)
-    + "continuation._branch_jacobians = dense_branch_jacobians\n"
-)
 # AT_OLD_STEP, and end every branch, as verify did before the ends of a
 # branch were located, at its first point past a lambda limit, with no fold
 # inserted
 AT_OLD_STEP_AND_ENDS = AT_OLD_STEP + (
     "import numpy as np\n"
-    "def past_limit(space, A, start, end, limit):\n"
-    "    r = continuation.assemble_residual(space.problem, *end)\n"
+    "def past_limit(problem, A, start, end, limit):\n"
+    "    r = continuation.assemble_residual(problem, *end)\n"
     "    return (*end, float(np.linalg.norm(r)), 0.0)\n"
     "def no_fold(*args):\n"
     "    raise continuation.NewtonError('no fold located')\n"
@@ -78,9 +67,3 @@ def fixed_growth(monkeypatch):
     exact: the central difference of two residuals (lambda_column)."""
     monkeypatch.setattr(continuation, "_step_factor", lambda theta0: 1.4)
     monkeypatch.setattr(continuation, "_lambda_column", central_difference)
-
-
-def dense_blocks(monkeypatch):
-    """The Jacobian blocks as every domain assembled them before the circle
-    and the disk took the sum-factorized kernel (dense_blocks.py)."""
-    monkeypatch.setattr(continuation, "_branch_jacobians", dense_branch_jacobians)

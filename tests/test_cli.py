@@ -14,13 +14,7 @@ import pytest
 from symbif import cli, continuation, potentials, spectral
 from symbif.cli import main
 
-from replays import (
-    AT_CENTRAL_DIFFERENCE,
-    AT_DENSE_BLOCKS,
-    AT_FIXED_GROWTH,
-    AT_OLD_STEP,
-    AT_OLD_STEP_AND_ENDS,
-)
+from replays import AT_CENTRAL_DIFFERENCE, AT_FIXED_GROWTH, AT_OLD_STEP, AT_OLD_STEP_AND_ENDS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -564,30 +558,36 @@ class TestVerifyCommand:
 
 
 class TestDiskVerifyKernel:
-    def test_every_jacobian_comes_from_one_kernel_call_per_hessian(self, capsys, monkeypatch):
-        # verify on the disk (beta <= 60) assembles no Jacobian block dense:
-        # every nodal Hessian it evaluates feeds one sum-factorized kernel
-        # call, so a fallback to the dense assembly fails here, with no
-        # timing
-        calls = {"_assemble_jacobian": 0, "_nodal_hessian": 0, "_factored_blocks": 0}
+    def test_sin_blocks_come_from_the_kernel(self, capsys, monkeypatch):
+        # verify on the disk (beta <= 60) assembles no sin-row block dense:
+        # every sin block a branch point solves comes from one call of the
+        # sum-factorized kernel, so a fallback to the dense assembly fails
+        # here, with no timing
+        prob = continuation.build_problem(
+            spectral.ball(2), potentials.builtin("pitchfork-scalar"), beta_cutoff=60.0
+        )
+        n_even, n_sin = (rows.size for rows in continuation._isotypic_rows(prob))
+        assert n_even != n_sin
+        dense, kernel, solved = [], [], []
 
-        def count(name):
+        def spy(name, record, size):
             fn = getattr(continuation, name)
 
             def wrapped(*args):
-                calls[name] += 1
+                record.append(size(*args))
                 return fn(*args)
 
             monkeypatch.setattr(continuation, name, wrapped)
 
-        for name in calls:
-            count(name)
-        for potential in ("pitchfork-scalar", "so2-ring"):
+        spy("_assemble_jacobian", dense, lambda E, *_: E.shape[0])
+        spy("_sin_block", kernel, lambda factors, H: H.shape[1])
+        spy("_offsym_eigenvalues", solved, lambda pins, J: J.shape[0])
+        for potential, p in (("pitchfork-scalar", 1), ("so2-ring", 2)):
             options = ["--domain", "ball", "--dim", "2", "--window", "0.5:10"]
             code, out, _ = run(capsys, "verify", "--potential", potential, *options)
             assert code == 0 and json.loads(out)["verdict"] == "CONSISTENT"
-        assert calls["_assemble_jacobian"] == 0
-        assert calls["_factored_blocks"] == calls["_nodal_hessian"] > 0
+            assert kernel.count(p) == solved.count(n_sin * p) > 0
+        assert n_sin not in dense
 
 
 class TestEulerCommand:
@@ -1030,13 +1030,6 @@ CHORD_BRANCHES = json.loads((Path(__file__).parent / "chord_corrector_branches.j
 UNCENTRED_BRANCHES = json.loads(
     (Path(__file__).parent / "uncentred_so2_ring_branches.json").read_text()
 )
-# verify's circle and disk output as written before the sum-factorized
-# Jacobian kernel, with every block of a branch subspace assembled dense
-# from its table, keyed by generation/potential/domain: the verdict and the
-# detected levels, and per branch file its termination, its block Morse
-# indices (run-length encoded) and its lambda, sup_norm and
-# min_offsym_singular per point, in full
-DENSE_BLOCK_BRANCHES = json.loads((Path(__file__).parent / "dense_block_branches.json").read_text())
 
 def _branch_files(outputs):
     return sorted(name for name in outputs if name.endswith(".json"))
@@ -1048,9 +1041,9 @@ def _expand(run_length):
 
 def _assert_near_recorded(outputs, recorded, bound=1e-9):
     """The verdict, detected levels, branch files, terminations, point
-    counts and block Morse indices of recorded (an entry of CHORD_BRANCHES,
-    UNCENTRED_BRANCHES or DENSE_BLOCK_BRANCHES), and every lambda, sup_norm
-    and min_offsym_singular within bound (1 + |x|) of its x there."""
+    counts and block Morse indices of recorded (an entry of CHORD_BRANCHES
+    or UNCENTRED_BRANCHES), and every lambda, sup_norm and
+    min_offsym_singular within bound (1 + |x|) of its x there."""
     report = json.loads(outputs["r"])
     assert report["verdict"] == recorded["verdict"]
     assert report["detected"] == recorded["detected"]
@@ -1167,16 +1160,7 @@ class TestVerifyGoldenDigests:
     potential was centred at u0, its derivatives evaluated at the deviation
     v = u - u0 from F(u0 + v) expanded once; the values before are kept as
     UNCENTRED_BRANCHES and checked.  The pitchfork digests, where u0 = 0 and
-    nothing changed, were not.
-
-    The circle and disk digests of every generation were re-recorded when
-    every Jacobian block of a branch subspace there came from the
-    sum-factorized kernel instead of a dense product over the half-turn
-    rule, which rounds apart: Newton iterates follow the last bits of their
-    Jacobian.  The values before are kept as DENSE_BLOCK_BRANCHES and
-    checked, and verify still writes them bit for bit with the blocks
-    assembled dense (AT_DENSE_BLOCKS).  The 2-sphere digests did not
-    change."""
+    nothing changed, were not."""
 
     SPHERE_OPTIONS = ["--domain", "sphere", "--dim", "3", "--window", "0.5:8"]
     PLANE_OPTIONS = {
@@ -1208,36 +1192,36 @@ class TestVerifyGoldenDigests:
             "r.branch-6.json": "1177d2740323ab93ae878ec91898eb57b9bbd865b8fe5b64f5a23587cf91e255",
         },
         ("pitchfork-scalar", "circle"): {
-            "r": "783654d8ce143ad9b65241bd3174a5a50f8a5f3c97cdbd0aad4d702c861dddbb",
-            "r.branch-1.csv": "3929e88df68ece00db92a45e618d1f96c4303a0f856332c0dc97e9b3c1a2e11d",
-            "r.branch-1.json": "6525ef6d3e7ed0be997d002924108a264bfe184fc4b57348eb818aadff3943d0",
-            "r.branch-4.csv": "28b63be2ee9c559c27d3a79bddc5f435fd472b7101ebd5942defb6036fbf83b6",
-            "r.branch-4.json": "c5a183adc7460f8f545bc2602f33dd51cd71604b8fc963642ed22b8ec8698d88",
-            "r.branch-9.csv": "2b31d4e41a45f8bd428e65e9500f2e4d0de5df533fd1473850bc048705d6a92d",
-            "r.branch-9.json": "33c0a6952721a5655549d07389643491d625de8cf9a00e632bbe4cc883fac6bc",
+            "r": "39536e522bcbeca91ba97916c793a8d22bc27860ad2db21c950fa94cc5606ec4",
+            "r.branch-1.csv": "e828778aa7a8809ce4302e4a3cca2b6632916cba8af6b8c838d58968d09f76fe",
+            "r.branch-1.json": "9ca530dfd5fa3ee822943391fdf7be4ca886da62907fb20faf04134d61fee959",
+            "r.branch-4.csv": "00c13d6422e0f6632293160ca672377610ab14635a72868e5ed2c5525cea75ae",
+            "r.branch-4.json": "0d82a6c6eb327a219f4cb100d68a150d5a91ea7865297f24d902dc4f2d59c4c2",
+            "r.branch-9.csv": "54592edaf49e6c081af8acc91c4dcbc83b8abc5f88bfaf7c31aea799234b3848",
+            "r.branch-9.json": "bac18afdd0f2d46275ad6e4e59955db2ffed4cb0498976fe0dee5a008cc16257",
         },
         ("so2-ring", "circle"): {
-            "r": "453b9b37dc24319736f841b9b85477dce4d1847c4ba7888e4b906a6b3c4b57de",
-            "r.branch-1.csv": "ca9ef0c8e703d67dc8df1379700dc090ec60e2a466da2e873b5d3425cbf881a1",
-            "r.branch-1.json": "5a6c1d7677e239b3f0b36bce2d925c689adea5917467539c2d34c820b779ffb3",
-            "r.branch-4.csv": "509941e981b6b17c7bb9999ce5b83c078d863839dcba8e1eb6fcae4b280419e8",
-            "r.branch-4.json": "8f946d322ecd9cab9e71877d7f121d2b00c388898b1e08ef763fe7a6e5d7cc01",
-            "r.branch-9.csv": "7efc261f1dba1b7decae385bd2f289d299c012c62cbba6acdad053d8eb636a44",
-            "r.branch-9.json": "d9c1989058e5aa94524cefc15bf4b0a0e28752ed69ff13d76ef963146462a1c3",
+            "r": "89eced5b56e83b8c7b0c9d0aa3bb61fbb0d4523a2b1200d0a3cb7e27f846dba2",
+            "r.branch-1.csv": "b09e4f34db70b36645da6c580d6b90a10fb4b217531c5adf16cfc1d73b57181f",
+            "r.branch-1.json": "bda1296d0ad530fed7ee5930d0a5e3a9fd4729c4b96fbffcb95cef2a253ad79d",
+            "r.branch-4.csv": "2e5c01333ae7e9e30e42d17cc6839c6890de12576138c5105118af44add23b59",
+            "r.branch-4.json": "65011acca48c5c90a2b26677d1894b15d281660fd890eb97b64b0795a84a91e9",
+            "r.branch-9.csv": "bdc703da807e02e1cddff5296d30590f7672781a128d917cc37d7fc8152216a9",
+            "r.branch-9.json": "71dbb762cc150398ea6f76e28f552818d8221b61d17d4cb6f20140c2e75c0ff4",
         },
         ("pitchfork-scalar", "disk"): {
-            "r": "0c82b9153487979000ba69b7bce80353cc4f8c759307a44dfd5cb941cb4944d8",
-            "r.branch-3.38996.csv": "516aab8c3881473919e0898cc070a7fae99bfc25ff4ac682e04ad46fa3613973",
-            "r.branch-3.38996.json": "394fe141cb00c98d16580b5c588e19f2fd8f77ac6755f24f2ad0a546ff9d0c32",
-            "r.branch-9.32836.csv": "c2a0dce68c5f0580367afd7951ee3b32b7f0b8ea2962090fe2494cc1daa42312",
-            "r.branch-9.32836.json": "a8fedbddd7a34608ab4a2448d91c31a6021b440b653f869c3bfe7f67e132b62d",
+            "r": "7ffe47dbc4297c704222380439cb8e0dad81aa0353fd270abd39a43ca4c1ac2b",
+            "r.branch-3.38996.csv": "350cdc767d2c26cef5cccc3ad8c66400983b261a312392d50f2086e9302d34e9",
+            "r.branch-3.38996.json": "d31f54fb0bb986c8e5390019cdb19c5381974ed4ad42172938bd72081f9b909a",
+            "r.branch-9.32836.csv": "780ed720fd5c41fb5076f6c29499d27e52e7858670401cbcec0daffa36ff32cb",
+            "r.branch-9.32836.json": "b474cbf21fd7b18f58d311f8ceb5511c125910488ca57de594da11417edfafe2",
         },
         ("so2-ring", "disk"): {
-            "r": "eb07f17dbf72336b388a90dc2c2dc0668a785a7930eef34033ffcd8a8bdc4639",
-            "r.branch-3.38996.csv": "6b3ffce4a9582a2e4f3f46850ffa16916108e2943f4dcfbaf6f9bd93bc24ede1",
-            "r.branch-3.38996.json": "2883c3b5569ed36f17d006df5a3fcd584c8fc4d1906e7a9f63138930512ae845",
-            "r.branch-9.32836.csv": "bd9adc668bf031f9d601c7bde5d541e56fdc61cdbe71e32184039076b145525d",
-            "r.branch-9.32836.json": "a374448573abc7b97def5870b8b37ba78108a358d41d9d0dc5ed028d0b15ebeb",
+            "r": "cc7e09e3b9d93fb3620f6f98b21c6465819aff2f17a121d33ca05aff663fd8ba",
+            "r.branch-3.38996.csv": "2e9c8e36e347aff5b319d07c082ab30e8bb29be8cf3d3a9d6f75e8c9c4fcbac5",
+            "r.branch-3.38996.json": "d7748c55ca2b6e52e1be4f47be49ef722e6e26445b69a93d2af181e425e49d1a",
+            "r.branch-9.32836.csv": "3b6aca5d4b237588e2454fcc81f944a52a87b8badbfefc3946b6d5490c9975ab",
+            "r.branch-9.32836.json": "b5422ee22f311a2d1a374a5645fbbb2b8556798cf0ba77a39b33cc7427cd046c",
         },
     }
 
@@ -1266,36 +1250,36 @@ class TestVerifyGoldenDigests:
     }
     PLANE_DIGESTS = {
         ("pitchfork-scalar", "circle"): {
-            "r": "bce5b0a9103cbdfe688ef37750773b6720e956802bd567fce9e4765dda965d4d",
-            "r.branch-1.csv": "ade455cb844bba5017c940254a52ae976b28fad5f2fa7cc90fbd6b19546ea56f",
-            "r.branch-1.json": "c08fe51ffe2180fb3b9319447fb645c322fce6d147706e052c2d70eb669071f9",
-            "r.branch-4.csv": "7084018409349cac4a766284841fc53c152e61969e6b58aeee2d5473ed19920e",
-            "r.branch-4.json": "d757282793c50fbb21ddaa21aa77807976e8fc832a5fb892288fcf55faeedf8a",
-            "r.branch-9.csv": "3712c16a8e164cc37e14439abe3c794e6cf2264092ef5678cc891972c883b4e5",
-            "r.branch-9.json": "1b2aca2494919f3c2b56456fcda1c4c53abc4e4cf5f468ac1ef0ccfdd2e66c41",
+            "r": "3e80150bb992f4603242c41a1161f1b328b90b9a28e6c905f8f8734dd7724191",
+            "r.branch-1.csv": "428cd69278a758d5ed4976f9fb45a50e8400c079886826a80d3e52fc5cd0c344",
+            "r.branch-1.json": "40995aaabc7ea3494c5b9f9b5122e38ef52c57095e68b0beab945675c0c1847b",
+            "r.branch-4.csv": "b82fefb9e9085589028e75dfdeeb847dc7664e2e41f52d67e9327d08a3025ca4",
+            "r.branch-4.json": "37e2672bf5b65b1441dee0fc9fadc751366e842e57e42cd224ddc2e5844c123d",
+            "r.branch-9.csv": "68c2fdf91ca97807eb2cffe0ce83db8d1d412b59732870dffc1a0b79994dbe83",
+            "r.branch-9.json": "ee9b056d45f7d8c36789ac97e80e899ff91736686fdc4f05b035a18f872a9978",
         },
         ("so2-ring", "circle"): {
-            "r": "07f4cee9681ac07736af8d4a385ba81858b2b9ceaeb12a751c11aade02a07688",
-            "r.branch-1.csv": "e8a38f13b68d01fd79f8714eedff4b5285c01804a56607daa1d5a6bb165168d8",
-            "r.branch-1.json": "c56976032aaf95f719f63aa538943fa3a6a8a10359ef489833ba9d3985ca262e",
-            "r.branch-4.csv": "bd10250211502a949903b1fc35d8c99f33e99ef6776ef005b03f7ac2400c8bfa",
-            "r.branch-4.json": "e76b722b5fc71ac3988c189b4a09e89293df9bba4852d5deafb4ca9efc6d72e8",
-            "r.branch-9.csv": "45261a8a29bd328d2f6e4c4d7b66cabf71862c74c117ec36caf514c5fb0bd46f",
-            "r.branch-9.json": "cf1a34b2c19f4116c247e10aa1c7c08e5bc0ff4e8dd6f7f13272fb0038141a34",
+            "r": "eb170d04f604b7b1c21d11e76d155099618145eeb3bcdca9d43cc36c3c676750",
+            "r.branch-1.csv": "f49eae9c050c04bac82045c1b02a2ed45fe464bc2233a2b275b4ea34e0fe0f32",
+            "r.branch-1.json": "039cfdfcb8d187892865db6b124097f480347ab2741746523f4d2053f615e4b9",
+            "r.branch-4.csv": "e5b61b460508b41f229d105a36cd65d9d0cbe6d38aafe8289044097ed00d3243",
+            "r.branch-4.json": "b22cc7e8fec1e87b98330abd643994d04955dfa37877fdf0f7e73e15d7aaab34",
+            "r.branch-9.csv": "f1665f5e65acf0f4ba47746d49fe1b3b5b237826db24483a424668c00f0b4529",
+            "r.branch-9.json": "389062f38e1479a023d24707ccaee4f41fab732bc4349ca5a1e83d9de2a80ffb",
         },
         ("pitchfork-scalar", "disk"): {
-            "r": "9f08940ab1fc533a8185f90c6aab6383bb1c082d1ce6bee063f2f383d4efe211",
-            "r.branch-3.38996.csv": "a5e9cc4a8d51405d4356ab398c4372d1c3be5b51d9853ef045140702a1af160a",
-            "r.branch-3.38996.json": "ef53ff69d62064d4b4f5aa8370b43891ecfa105246aef200ccb896b2e1ded358",
-            "r.branch-9.32836.csv": "1410e656945e9d283dcfd74df4fc5da4560170fe9ee1b8d5b04e958a961f40ab",
-            "r.branch-9.32836.json": "b8fe3760ed076d39def8b04191224d1617192c6dd6159af80250d234a2b3ac26",
+            "r": "561cb4e7833f6a13032756f1a6247f5d043826d31e956b89e4a5ff3cc5d171bd",
+            "r.branch-3.38996.csv": "25e51d72996102711dc5b334a0c90acc32d8ab77fe90b161a71edaf11109f489",
+            "r.branch-3.38996.json": "a49ab621300a2eb0fa1357612ebef1ba4187ed9b11f96b254c79968a52378bcd",
+            "r.branch-9.32836.csv": "72f2e04bcacce5cb07b3113a10a57f3993f7358c9f0c53c0671f325281987a76",
+            "r.branch-9.32836.json": "6208cbfbc91997f045c84f36ae6d5dd0aed2936dac0f58f3ac4c7353cc5932b6",
         },
         ("so2-ring", "disk"): {
-            "r": "161e0fec4c7752b0aa44086cc0718de1215cfd5061ee90f9be1387f5f5e0bce9",
-            "r.branch-3.38996.csv": "6dd15abd4140f0deb68fae0ed74c41a63b18f61e401b5dd8f3d4a668a3ddc336",
-            "r.branch-3.38996.json": "97f0d5437c9e53f66e5c720f19769f43376e3d324c3cd3f02dc44dcba1d74341",
-            "r.branch-9.32836.csv": "a334a21cd2b33aeb4b9317afb71b4e1301bedcc63335d62eed44a1f427f2cab2",
-            "r.branch-9.32836.json": "fa54d250ab0adbe3fc3e8f3cc4449a7bdce9d497a1366cfacb1e1934daaa88db",
+            "r": "1382d8e9e012472b6c3d95d031d27926ff5426f7aa7d73fb7361a491c4f494b0",
+            "r.branch-3.38996.csv": "b777dde0be8ed05aae4d20e3408dbf6d78fdc3d2e3a934c7a95bab59edb615b8",
+            "r.branch-3.38996.json": "b2a9d49ad40ba60b29be50cba942bffa83ee18ffcbc08ad61225af0d0b0395d1",
+            "r.branch-9.32836.csv": "4ed326e1a9c88f7890267acf8411682776cb481f31daae6135206262ed4ccdd9",
+            "r.branch-9.32836.json": "16a26030f3352e26b48bf6e853a0f08d19357313ed5b1615dea1575380826787",
         },
     }
 
@@ -1324,36 +1308,36 @@ class TestVerifyGoldenDigests:
             "r.branch-6.json": "6fe0bdca229c55e4f561cd0795884748fb50b46a1851187f60c63d1ef0d89f46",
         },
         ("pitchfork-scalar", "circle"): {
-            "r": "891530ed60d0d2baf88e6db5e999583c7bf188be3577548bd5395259add99bdb",
-            "r.branch-1.csv": "6b5838fbf888d7663bafe664ec7b4d9ee2a2463fde5d9cd4b3da2dbe88f85545",
-            "r.branch-1.json": "f795b6e1ccb8061c7195479121f2aea5daf8aa19e566ef60a3fe06af35e4830f",
-            "r.branch-4.csv": "fc028d847ff8ee1e57b323fbcec1c9ffc4ac3700e55c0263c5b8a9e1ce9cbae1",
-            "r.branch-4.json": "9b2acec7a1e04803192c0511961b55d6580c8a81fc5ff781d0d677f3a5ddd7ee",
-            "r.branch-9.csv": "e51b46f2bd0053441354c3fed78ebc3e5ff2de0a22436d27aaae2bd2a92d4ec5",
-            "r.branch-9.json": "0cc89f65b03490f71bf5f50c956dbc468604b1c17080df5ee5066d8b1d6cb7a2",
+            "r": "065ae4cb8759d008a1efb20b76fa8a48d24d1a811d54cc4f0f8e25e12637cdb9",
+            "r.branch-1.csv": "dd910ab7b98fe9b3e4f072f50210e0aa5a72ff91da06b7fc8940701a9dc9185d",
+            "r.branch-1.json": "30250e7862ca8c807aa54a3230575d95e0b40579ad4e9135e57d1149f1436248",
+            "r.branch-4.csv": "f0806dda3aad2e561ffec90fa8f5f1417b58678a1f980225d52e328d0ae0b867",
+            "r.branch-4.json": "e207fa6d311e7da810cf8fad0650a32141e543c9944988a9301a2992471e7efc",
+            "r.branch-9.csv": "418c29100409e8d4fb0489a9ef72b3f11744d8956ef7476314d2f0f769a3f202",
+            "r.branch-9.json": "27ef457ec2ae9552da20ca8400a77bb64e5d81025bea71592668c44b82f04e7d",
         },
         ("so2-ring", "circle"): {
-            "r": "506187e2ea668a747b574af836bbf322abe4f3fe1146013a6cbdcd1677c4d90d",
-            "r.branch-1.csv": "15a4fa5f7eb106e02935e28bd6e00ad448a28cb8c82e0f905411531c88b8eff7",
-            "r.branch-1.json": "96820d1ac64e7a5bead66083f30bd489d54335ec1cd31d64647f3f3f460aaf9c",
-            "r.branch-4.csv": "3a4ccdf79619dd4de66633ef701857876de30f21c7621a7dc325a53dc5929103",
-            "r.branch-4.json": "5cf2a68565e36906eec0401faa1240f3b50ac206b388766d4061c442ca462fb1",
-            "r.branch-9.csv": "f323c01ab075359b4bf0beaa573b5380455c7d24bf747ea1551a9732c255125e",
-            "r.branch-9.json": "b1583b2898e2cbbb0a43e2af0f689685817226e1bae12c2fb1b34fd118fd1069",
+            "r": "a0ef8acbad23150472c4293fb6f2f71a6b5bfe78c682d67ac33b96e3651104ba",
+            "r.branch-1.csv": "53911127062b58dfe8cda1bb9b0875c71078703bb9763a6d02a92d2bb2dfbf4f",
+            "r.branch-1.json": "beae6df46246c99b8cd23e6243d3e65d2cfc7b18bb44611f43fe5178ba6df55c",
+            "r.branch-4.csv": "af2791d647ea1a9ac1a1c43348a339c14b293265f3b40f390f34a5d37297ce46",
+            "r.branch-4.json": "55ade238d8d2f827932c99efbb467513be13bb2fbed6868b579cb7cb48dccbe5",
+            "r.branch-9.csv": "4b29a30af9eadc0553659b4e60013c9a8c508b831fc74db9ccd37af8e88e11ea",
+            "r.branch-9.json": "2f6f0709599291b11d21fb9f34eb573b966228b57767b1607593ce4617d4ccde",
         },
         ("pitchfork-scalar", "disk"): {
-            "r": "18164a8691b4ba65decd7bcc3a7299640142928e98c2263eba60cd0d030be86e",
-            "r.branch-3.38996.csv": "188ad482410f9fb9ea00fe2ff4400b134c03a9b93007080d02d47f5098a9cb0c",
-            "r.branch-3.38996.json": "095741ae01ee9c3ddc50879bc1251ed827bf26a9fa658f56b3084ab9cb0db8e9",
-            "r.branch-9.32836.csv": "6e53bdd1143a488c46d764b11e23c20cf80ef39ead5f17bdf448289f89a4a7a4",
-            "r.branch-9.32836.json": "2abb6abf7cf1e9b6f5740c074218598ab4b741a9cc81c5d09a074d14bd564c69",
+            "r": "fcb208ca6e980311d48c9d43ecb2c3064293dfc96fe12fa27fa7ecae3b248427",
+            "r.branch-3.38996.csv": "b9f949a77c47fbcaa1e490ab47d4f3d8a8fde8d6ee2e40c45248714616ef4c39",
+            "r.branch-3.38996.json": "26e46c3201b05f55117d6bf5c29a260711417b6abd95accdf8bb0641890fb670",
+            "r.branch-9.32836.csv": "99141176a29d9b9833c31fa1e632ede4c18d543bd7b5676c71b6ceb0250aaaa6",
+            "r.branch-9.32836.json": "ee60e31f812359aa3e8e7bfe6909491542610d417c2ab40778e36363495b9192",
         },
         ("so2-ring", "disk"): {
-            "r": "8dd248cf0395435df14ede7698d752d7b01b0d01af69329ef02be7bb1e7427c7",
-            "r.branch-3.38996.csv": "e7efc03a919f9faa579ef47398e69e129022232faf4a3454ea06a65971e7c4ab",
-            "r.branch-3.38996.json": "4a8489453ada9546f180f8f148a0132fa02587b54e7990618bb09c6b031f1fc4",
-            "r.branch-9.32836.csv": "9b32ba1cdf0b60724223a284ff4e411f40689d1d44bfb24b7566e90d1a77302b",
-            "r.branch-9.32836.json": "c85cf7ee1c213a7ebad2372dd444c6cedad945ba9b0da9ab69fce2cd62862151",
+            "r": "c283ec647b0e1011fde7d134125fbce79f35d80023edce7616e725e7c1adb77d",
+            "r.branch-3.38996.csv": "074f44e3471b195da6ad5eba94fdf6988bb33b81b72ec4f088ad17d031f4ee7d",
+            "r.branch-3.38996.json": "e370433c81464ebfcee24ec246de29e5af2532ba11e30c38ebdaa287d8978cd0",
+            "r.branch-9.32836.csv": "6c939f52e1cd1016f2318c70f13e401a0aeb28f1b9cbb472c4a7084444a55486",
+            "r.branch-9.32836.json": "64a450ba8f77bdcd9ad66a55e61c8d4de706c110f553de300ec63627a7d1c9c8",
         },
     }
 
@@ -1382,36 +1366,36 @@ class TestVerifyGoldenDigests:
             "r.branch-6.json": "1c078ba2dcab8205b1b4e30ef2032913259e9e06737a4c05d5dc3580f90cd567",
         },
         ("pitchfork-scalar", "circle"): {
-            "r": "e99dff06ef04f2a3fc37e8269b38cfb2f3d3a329949a5bc7e488c4986fac3e12",
-            "r.branch-1.csv": "a88f47cae05be53532d935cea7539006eb58cc3826dd9c4beb1ed78ba2d7c43b",
-            "r.branch-1.json": "b73246482e08668764adb48dff06d6d576d88af5c3d03708f7ce6f0875b5d68d",
-            "r.branch-4.csv": "b38490390ae02a27ffd0838ebd578936209b8fcca17885f2c5fca559bd28908a",
-            "r.branch-4.json": "6244ea8a09f4bdc28fbca386a8b2e54698a9a8905c789d3c7167a47464b5106d",
-            "r.branch-9.csv": "7697fa74ff45a2d262070ae568bf7c934d45623e1a147205d1be4c833f73ec7b",
-            "r.branch-9.json": "774f64971275877eebc2c2d2f8b3ddc0524b8165bf50aa0dc4a3f487ce61fe2d",
+            "r": "00c33f96ff8a940a5c240ea9bd2e4496ff25b1beadd62e74e9affd3df7a3eb9d",
+            "r.branch-1.csv": "533fa7dbb5157f3c40960924d5a5e96c710a832405eb825e5f1647adceba7491",
+            "r.branch-1.json": "f393f3cb9bea296708297d3ce2daaaa9ea9ff24a2d20a1de1920ff524562db0a",
+            "r.branch-4.csv": "b8865fbada11a94b964c7d1be535b4ba2a8311439a732b6ec7dde66673fcfe12",
+            "r.branch-4.json": "54e429a13125ab36d46a6ea2cc14a1270f20d53a8d0151a0e3135751e91769b5",
+            "r.branch-9.csv": "a1fcafec6667401174c2669e2052a171d18f2831e505a31b9ea37ae417a61e2e",
+            "r.branch-9.json": "3397f159442656e1880b37ed66112410e0c6d6e064b31adf7db468eee63d3239",
         },
         ("so2-ring", "circle"): {
-            "r": "722866a2f55d9294cb390172bfd6f3336c58eb227e8b2da602f204dd2fea7163",
-            "r.branch-1.csv": "ffbbd243d3fa78392c76b98c34a90827f4f5aa2eddb825fe81866136f03195f1",
-            "r.branch-1.json": "958cc0edfe52439bea6d2284c1f7ef1ef35935b8480e1c7d1bb7c81c0d313dc7",
-            "r.branch-4.csv": "3f49c6f79e7537790a4b9d79c361399508698c4ec51b958c9a6a9dc52beba84f",
-            "r.branch-4.json": "a07bfc3d60f203f5aca2da52f40f55a019b0ee173914950007d2f44132d8aa1f",
-            "r.branch-9.csv": "0a25ca7401c281f077f00386f08fa66afe67b4d159126046a2bc0ff34b40f13b",
-            "r.branch-9.json": "7bf965cfc539d9f11c4e081f7f6c26d3e353f124f58b87a0f5c3dc57abde22b3",
+            "r": "e644e9757369c0c5c2f9978e5f4b4077bd7f5980d0f79bd8d2771d6086e2c02c",
+            "r.branch-1.csv": "c30d32d5b800581aac18d302c28253111b31baa2d5cccb60e1361599a339cc44",
+            "r.branch-1.json": "03c32ba607293f42d4ba3014427a856719d0f182aa7a4fda459a6f9470ebd10e",
+            "r.branch-4.csv": "245d0170cfd25d84484d8fd50954091c75f8020548d8358dea9fcc248b897a85",
+            "r.branch-4.json": "1b3d8c73595d5393ff79d8bb7287cebb5bb1102c2b7891286b27f9df1b760398",
+            "r.branch-9.csv": "d44896c4b3fbba6714dad5fea6d2ab2674e0ffba8ab38cbf9bd88fca85a73858",
+            "r.branch-9.json": "35e3b99ce2be5d76c8e1f966a9348559808fb176cf53a4910c0e5dae0f574be3",
         },
         ("pitchfork-scalar", "disk"): {
-            "r": "03e13b7d163fb229d773983e501732355ae83525dd50de4bb6f7087f007c6dd4",
-            "r.branch-3.38996.csv": "ec00394467dc985f320a348eb66e394b03190fe9ffc61c98e1419b5ebd16873f",
-            "r.branch-3.38996.json": "2c8582ddf5d3d6e1d594225921aec3018529a5f152a914bef226986ec51c5f9b",
-            "r.branch-9.32836.csv": "5dff2ee60e43ec8eeae62b07043df7c4f08816d95e49f76a47882495a925fff4",
-            "r.branch-9.32836.json": "e98c31e74e839c593d3dc657da141ceada924a644ca2ffb5e5b2f22983650f29",
+            "r": "54e84d4dab7d953649da12c9433aa3533b53e9769790714a5218125dcaf4c16f",
+            "r.branch-3.38996.csv": "9b8d4216e2c6039ec1850cd3f481996bec1d3366e974a953901870b975c61bdb",
+            "r.branch-3.38996.json": "d67f31a7023ddddb0b600b0b90d19852b96a785ab60fb2eaf536b6f2935bc1a2",
+            "r.branch-9.32836.csv": "b2ba8f1db78d6c293f7db4980b8b85f33478b2b03beb509400a9b40fa7323426",
+            "r.branch-9.32836.json": "0915106f8c25965c50b5fdf308dd1307932e68bab43720e2fa78b63d67acc72e",
         },
         ("so2-ring", "disk"): {
-            "r": "ade4d118e6fd5a23701c45ed42d12a368e16a88e90a500d7138be61bbc7b90c7",
-            "r.branch-3.38996.csv": "00f6b3af28982fb734d68a6e97af5622e9c23f89b83291f09c250d063d2ab30c",
-            "r.branch-3.38996.json": "e3a21e1ff77ddbf1f99aa57f44475c5826c49c74f03eed244ab40d1ee50c3e6b",
-            "r.branch-9.32836.csv": "2d450d60311deee761742765ea0401e88694fd6a1c21821a22777309f44d8aad",
-            "r.branch-9.32836.json": "2c36335effbed40d8a9ef36505d497c551dc480d5cae12b96272483fae8ef2a2",
+            "r": "f7253745a7a34b4aae2907a9866e85570b0c5a206fe0d1bf23084b57b75134a1",
+            "r.branch-3.38996.csv": "be2e357f2de65334752153815a015e9b0285c6ea62ee094a8d941662529c6042",
+            "r.branch-3.38996.json": "4c8a5f3897236c6226a90719ed80f7df1bf501432564d65e217898c17d147a9f",
+            "r.branch-9.32836.csv": "4cb6975e8945cd72a6c20329f1daf67cda89339ce163965f84442565b93b1b09",
+            "r.branch-9.32836.json": "94d2ec069db90a6420490ad51ddfc7a93a62812f60d3c07d2d02f671aee7e406",
         },
     }
 
@@ -1523,53 +1507,14 @@ class TestVerifyGoldenDigests:
         # the verdict, the detected levels bit for bit, and per branch its
         # termination, point count, folds and block Morse indices are kept
         # (measured at the default step: 2.0e-10 (1 + |x|) on the disk,
-        # 2.6e-12 on the 2-sphere); on the circle and the disk they are
-        # replayed on the dense blocks they were recorded with, and the
-        # kernel's values are checked against those
-        # (test_kernel_stays_near_the_dense_blocks)
+        # 2.6e-12 on the 2-sphere)
         generation, where = key.split("/")
         prelude, bound = self.UNCENTRED_REPLAYS[generation]
-        if where in self.PLANE_OPTIONS:
-            # the circle and disk values were recorded on dense blocks
-            prelude += AT_DENSE_BLOCKS
         out = outputs(("so2-ring", where), "1", prelude)
         _assert_near_recorded(out, UNCENTRED_BRANCHES[key], bound)
         for name, rec in UNCENTRED_BRANCHES[key]["branches"].items():
             lams = [p["lambda"] for p in json.loads(out[name])["points"]]
             assert _fold_indices(lams) == _fold_indices(rec["lambda"])
-
-    # the prelude of each generation in DENSE_BLOCK_BRANCHES and how far the
-    # kernel may move its values: where the column is exact, to rounding
-    # (measured: 1.2e-10 (1 + |x|)); the central difference divides the
-    # rounding of two residuals by 2e-6 (1 + |lambda|) and moves them up to
-    # 1.5e-8 (1 + |x|) (min_offsym_singular of the disk so2-ring branch from
-    # 9.33 near its limit)
-    DENSE_REPLAYS = {
-        "exact-column": ("", 1e-9),
-        "central-difference": (AT_CENTRAL_DIFFERENCE, 2e-8),
-        "fixed-growth": (AT_FIXED_GROWTH, 1e-9),
-        "old-step": (AT_OLD_STEP_AND_ENDS, 1e-9),
-    }
-
-    @staticmethod
-    def _dense_case(key):
-        generation, potential, where = key.split("/")
-        return generation, (potential, where)
-
-    @pytest.mark.parametrize("key", list(DENSE_BLOCK_BRANCHES))
-    def test_kernel_stays_near_the_dense_blocks(self, key, outputs):
-        # the kernel rounds apart from the dense assembly and moves no
-        # decision: the verdict, the detected levels bit for bit, and per
-        # branch its termination, point count and block Morse indices
-        generation, case = self._dense_case(key)
-        prelude, bound = self.DENSE_REPLAYS[generation]
-        _assert_near_recorded(outputs(case, "1", prelude), DENSE_BLOCK_BRANCHES[key], bound)
-
-    @pytest.mark.parametrize("key", list(DENSE_BLOCK_BRANCHES))
-    def test_dense_blocks_write_the_dense_branches(self, key, outputs):
-        generation, case = self._dense_case(key)
-        prelude = self.DENSE_REPLAYS[generation][0] + AT_DENSE_BLOCKS
-        _assert_near_recorded(outputs(case, "1", prelude), DENSE_BLOCK_BRANCHES[key], 0.0)
 
     @pytest.mark.parametrize("case", list(OLD_STEP_DIGESTS), ids=lambda case: "-".join(case))
     def test_old_step_keeps_the_recorded_samples_and_the_ends(self, case, outputs):
@@ -1821,7 +1766,7 @@ class TestStepIndependence:
                 x = np.append(bp.c[space.idx], bp.lam)
                 start = reference[np.argmin(np.linalg.norm(reference - x, axis=1))]
                 c, lam, _, _ = continuation._bordered_newton(
-                    space, start[:n], bp.lam, border, np.zeros(n + 1), bp.lam, 0.0, 20
+                    sub, start[:n], bp.lam, border, np.zeros(n + 1), bp.lam, 0.0, 20
                 )
                 assert lam == bp.lam
                 assert np.max(np.abs(c - x[:n])) <= 1e-8

@@ -24,7 +24,7 @@ from symbif.spectral import ball, sphere
 
 from group_action import apply_group_element
 from lambda_column import central_difference
-from replays import dense_blocks, fixed_growth
+from replays import fixed_growth
 
 RNG = np.random.default_rng(17)
 
@@ -577,9 +577,11 @@ class TestJacobianReuse:
         self, fixture, lam_star, limits, request, monkeypatch
     ):
         # continue_branch evaluates the nodal Hessian of the fixed-point
-        # subspace once at its start point (the seed) and once at every point
-        # it accepts, for the point's blocks and the next tangent alike, never
-        # twice at one (c, lambda), and never on the full space
+        # subspace once at every point it accepts, for the point's blocks and
+        # the next tangent alike, never twice at one (c, lambda), and never on
+        # the full space; at its start point (the seed) once, or not at all
+        # when the seed comes from switch_branch, whose Jacobian there it
+        # takes: the branch is the same bit for bit
         prob = request.getfixturevalue(fixture)
         seed = switch_branch(prob, lam_star)
         space = continuation._subspace(prob)
@@ -593,12 +595,18 @@ class TestJacobianReuse:
             return hessian(problem, c, lam)
 
         monkeypatch.setattr(continuation, "_nodal_hessian", spy)
-        branch = continue_branch(prob, seed, limits, max_steps=40)
-        assert len(branch.points) > 5
-        assert branch.points[0] is seed.points[0]
-        assert len(seen) == len(set(seen))
-        for bp in branch.points:
-            assert seen.count((bp.c[space.idx].tobytes(), bp.lam)) == 1
+        branches = []
+        for start, at_seed in ((seed, 0), (Branch(points=seed.points, origin=seed.origin), 1)):
+            seen.clear()
+            branch = continue_branch(prob, start, limits, max_steps=40)
+            assert len(branch.points) > 5
+            assert branch.points[0] is seed.points[0]
+            assert len(seen) == len(set(seen))
+            for k, bp in enumerate(branch.points):
+                expected = at_seed if k == 0 else 1
+                assert seen.count((bp.c[space.idx].tobytes(), bp.lam)) == expected
+            branches.append([(bp.lam, bp.c.tobytes()) for bp in branch.points])
+        assert branches[0] == branches[1]
 
     def test_fold_location_evaluates_one_hessian_per_point(self, sphere12_ring, monkeypatch):
         # so2-ring on S^2 at truncation 12 from lambda* = 6 to (4.5, 7.5)
@@ -625,7 +633,7 @@ class TestJacobianReuse:
     @pytest.mark.parametrize("fixture", ["circle_pitchfork", "disk_ring", "sphere12_ring"])
     def test_switch_and_continue_build_one_subspace_each(self, fixture, request, monkeypatch):
         # switch_branch builds the subspace once for the kernel direction,
-        # the solve and the point, and continue_branch once for the branch
+        # the solve and the point, and continue_branch takes it from the seed
         prob = request.getfixturevalue(fixture)
         lam_star = detect_bifurcation(prob, (0.5, 4.0), steps=60)[0]
         builds = []
@@ -638,7 +646,7 @@ class TestJacobianReuse:
         monkeypatch.setattr(continuation, "_subspace", spy)
         seed = switch_branch(prob, lam_star)
         continue_branch(prob, seed, (lam_star - 0.3, lam_star + 0.3), max_steps=4)
-        assert len(builds) == 2 and all(problem is prob for problem in builds)
+        assert builds == [prob]
 
     @pytest.mark.parametrize(
         "fixture,lam_star,limits",
@@ -828,30 +836,9 @@ class TestLambdaColumn:
 # amplitude-pinned switch from the cos-mode seed, as full Newton correctors
 # on the reflection-even rows compute them with no chord attempt (12 points
 # each, terminated at the lambda limit), on the half-turn
-# of the angular rule, with every Jacobian block from the sum-factorized
-# kernel.  The last point of each branch here is the first one past the
-# limit, which continue_branch now replaces by the point on it; it is kept
-# from DENSE_NEWTON_HEX, as it only brackets the point on the limit
+# of the angular rule.  The last point of each branch here is the first one
+# past the limit, which continue_branch now replaces by the point on it
 RECORDED_NEWTON_HEX = {
-    "circle_pitchfork": [
-        "0x1.007aded2c7b2ep+0", "0x1.00b8811750720p+0", "0x1.0123afe410b32p+0",
-        "0x1.01e28bfe3011fp+0", "0x1.033d339ee4a0fp+0", "0x1.05bc664e55917p+0",
-        "0x1.0a6263df3380cp+0", "0x1.1310351c1006fp+0", "0x1.223d274449833p+0",
-        "0x1.352707d14b967p+0", "0x1.4b55f77bd6c51p+0", "0x1.645836b6a3af2p+0",
-    ],
-    "disk_pitchfork": [
-        "0x1.b21cbae002860p+1", "0x1.b24a5f875fd2ap+1", "0x1.b2a27c502ffd7p+1",
-        "0x1.b34cae8d8ca8cp+1", "0x1.b4947e9c6ae6cp+1", "0x1.b706d7a81278dp+1",
-        "0x1.bba0965081900p+1", "0x1.c40bab55ba1b4p+1", "0x1.d203dde913747p+1",
-        "0x1.e2480c5acb34bp+1", "0x1.f42dbf8dbbdccp+1", "0x1.03a1735e6f9ebp+2",
-    ],
-}
-
-# the same branches as recorded when every Jacobian block was assembled
-# dense from its table (dense_blocks replays it bit for bit); a Newton
-# iterate's last bits follow those of its Jacobian, so the kernel's branches
-# lie within 1e-12 |lambda| of these (measured: 3.5e-13)
-DENSE_NEWTON_HEX = {
     "circle_pitchfork": [
         "0x1.007aded2c7b2dp+0", "0x1.00b881175071fp+0", "0x1.0123afe410b30p+0",
         "0x1.01e28bfe3011fp+0", "0x1.033d339ee4a12p+0", "0x1.05bc664e55920p+0",
@@ -926,12 +913,6 @@ def _first_level_branch(prob, window, limits=None, **kwargs):
     return continue_branch(prob, switch_branch(prob, lam_star), limits, **kwargs)
 
 
-def _stub_space():
-    """A stand-in _Subspace for _bordered_newton on a residual of two
-    unknowns, with every Jacobian and residual patched."""
-    return SimpleNamespace(problem=SimpleNamespace(n_dof=2))
-
-
 class TestChordCorrector:
     """One corrector: good-Broyden (QNERR) steps on a reused bordered matrix
     while each cuts the residual norm by _CHORD_BAR and has alpha < 1/2; a
@@ -969,33 +950,10 @@ class TestChordCorrector:
         _assert_ends_on_limit(branch, float.fromhex(recorded[-1]), limits)
         assert len(chords) >= len(branch.points) - 1
         lams = [bp.lam for bp in branch.points[:-1]]
-        _assert_near_recorded(lams, DENSE_NEWTON_HEX[fixture][:-1], 1e-12)
         _assert_near_recorded(lams, FULL_RULE_NEWTON_HEX[fixture][:-1], 1e-11)
         if fixture in BISECTION_NEWTON_HEX:
             _assert_near_recorded(lams, BISECTION_NEWTON_HEX[fixture][:-1], 1e-11)
         assert [lam.hex() for lam in lams] == recorded[:-1]
-
-    @pytest.mark.parametrize(
-        "fixture,window,limits",
-        [
-            ("circle_pitchfork", None, (0.9, 1.3)),
-            ("disk_pitchfork", (0.5, 12.0), None),
-        ],
-    )
-    def test_dense_blocks_replay_the_dense_full_newton_branch(
-        self, fixture, window, limits, request, monkeypatch
-    ):
-        # the full Newton corrector on blocks assembled dense from their
-        # tables, as before the sum-factorized kernel, computes the branch
-        # recorded then, bit for bit
-        prob = request.getfixturevalue(fixture)
-        monkeypatch.setattr(continuation, "_CHORD_BAR", 0.0)
-        fixed_growth(monkeypatch)
-        dense_blocks(monkeypatch)
-        branch = _first_level_branch(prob, window, limits, max_steps=40, ds_max=0.2)
-        recorded = DENSE_NEWTON_HEX[fixture]
-        _assert_ends_on_limit(branch, float.fromhex(recorded[-1]), limits)
-        assert [bp.lam.hex() for bp in branch.points[:-1]] == recorded[:-1]
 
     @staticmethod
     def _corrector_steps(prob, ds, monkeypatch):
@@ -1014,8 +972,7 @@ class TestChordCorrector:
         c0, lam0 = bp.c[space.idx], bp.lam
         t_prev = np.append(c0, lam0 - 1.0)
         t_prev /= np.linalg.norm(t_prev)
-        J = continuation._branch_jacobians(space, c0, lam0)[0][0]
-        t, A = continuation._tangent(sub, c0, lam0, J, t_prev)
+        t, A = continuation._tangent(sub, c0, lam0, jacobian(sub, c0, lam0), t_prev)
         A[-1, : n + 1] = t
         iterates, residuals, builds, solves = [], [], [], []
         residual, system, solve = (
@@ -1046,7 +1003,7 @@ class TestChordCorrector:
             m.setattr(continuation, "_newton_system", system_spy)
             m.setattr(continuation, "_solve", solve_spy)
             c, lam, rn, theta0 = continuation._bordered_newton(
-                space, *pred, t, np.append(c0, lam0), ds, 10 * continuation.NEWTON_TOL, 20, A
+                sub, *pred, t, np.append(c0, lam0), ds, 10 * continuation.NEWTON_TOL, 20, A
             )
         assert rn <= continuation.NEWTON_TOL
         steps = []
@@ -1171,11 +1128,11 @@ class TestChordCorrector:
             return np.block([[K, np.zeros((2, 1))], [border[None, :]]])
 
         monkeypatch.setattr(continuation, "assemble_residual", residual)
-        monkeypatch.setattr(continuation, "_branch_jacobians", lambda space, c, lam: ((None,), None))
+        monkeypatch.setattr(continuation, "jacobian", lambda problem, c, lam: None)
         monkeypatch.setattr(continuation, "_newton_system", system)
         border = np.array([0.0, 0.0, 1.0])
         out = continuation._bordered_newton(
-            _stub_space(), np.zeros(2), 0.0, border, np.zeros(3), 0.0, 1e-12, 20, A
+            SimpleNamespace(n_dof=2), np.zeros(2), 0.0, border, np.zeros(3), 0.0, 1e-12, 20, A
         )
         np.testing.assert_allclose(out[0], np.linalg.solve(K, f), rtol=1e-14)
         assert out[1] == 0.0 and out[2] <= continuation.NEWTON_TOL
@@ -1259,7 +1216,7 @@ class TestChordCorrector:
         A = np.block([[K, np.zeros((2, 1))], [np.array([[0.0, 0.0, 1.0]])]])
         with pytest.raises(NewtonError, match=r"not finite at lambda=0\.25$"):
             continuation._bordered_newton(
-                _stub_space(), np.zeros(2), 0.25, A[2], np.zeros(3), 0.25, 1e-12, 20, A
+                SimpleNamespace(n_dof=2), np.zeros(2), 0.25, A[2], np.zeros(3), 0.25, 1e-12, 20, A
             )
 
     def test_one_bordered_matrix_per_accepted_point_on_the_fixed_growth(
@@ -1270,7 +1227,9 @@ class TestChordCorrector:
         # (3.0 per point), the chord corrector 36; with the Broyden updates
         # no step is retaken, so every accepted point's one bordered matrix
         # is its tangent's, and its diagnostic blocks share that Jacobian's
-        # nodal Hessian; on the fixed growth that branch was recorded with
+        # nodal Hessian; on the fixed growth that branch was recorded with.
+        # The seed's Hessian is switch_branch's, whose Jacobian there
+        # continue_branch takes
         prob = sphere_ring
         det = detect_bifurcation(prob, (1.0, 7.0), steps=60)
         seed = switch_branch(prob, det[0])
@@ -1280,7 +1239,7 @@ class TestChordCorrector:
         accepted = len(branch.points) - 1
         assert accepted == 32
         assert len(systems) == accepted
-        assert len(hessians) == accepted + 1
+        assert len(hessians) == accepted
 
     @staticmethod
     def _count_builds(monkeypatch):
@@ -1311,7 +1270,8 @@ class TestChordCorrector:
         # stall took 3.46 (pitchfork-scalar) and 3.80 (so2-ring) Jacobians
         # per accepted point, retaking the stalled chord step 1.85 and 2.10;
         # with the Broyden updates no step is retaken: one bordered matrix
-        # per accepted point, and one nodal Hessian per point and at the start
+        # and one nodal Hessian per accepted point (the seed's Jacobian is
+        # switch_branch's)
         prob = request.getfixturevalue(fixture)
         lam = detect_bifurcation(prob, (0.5, 6.25))[0]
         seed = switch_branch(prob, lam)
@@ -1322,7 +1282,7 @@ class TestChordCorrector:
         accepted = len(branch.points) - 1
         assert accepted >= 10
         assert len(systems) == accepted
-        assert len(hessians) <= accepted + 1
+        assert len(hessians) <= accepted
 
     @pytest.mark.parametrize("fixture", ["sphere_ring", "disk200_pitchfork", "disk200_ring"])
     def test_bordered_matrices_per_accepted_point_at_the_default_step(
@@ -1334,7 +1294,7 @@ class TestChordCorrector:
         # sphere_ring takes 10 bordered matrices for 8 accepted points, the
         # disk pitchfork 11 for 11 and the disk so2-ring 10 for 8; every
         # Hessian is a point's or a retake's, and a tangent's matrix reuses
-        # its point's
+        # its point's (the seed's Jacobian is switch_branch's)
         prob = request.getfixturevalue(fixture)
         if fixture == "sphere_ring":
             lam = detect_bifurcation(prob, (1.0, 7.0), steps=60)[0]
@@ -1349,7 +1309,7 @@ class TestChordCorrector:
         accepted = len(branch.points) - 1
         assert accepted >= 8
         assert accepted <= len(systems) <= 1.25 * accepted
-        assert len(hessians) == len(systems) + 1
+        assert len(hessians) == len(systems)
 
 
 def _corrector_offsets(monkeypatch):
@@ -1633,7 +1593,7 @@ class TestSwitchAndContinue:
             bp = seed.points[0]
             # the solve runs on the zonal rows, and the point is its lift
             idx = continuation._subspace(prob).idx
-            assert args[0].problem.n_dof == idx.size < prob.n_dof
+            assert args[0].n_dof == idx.size < prob.n_dof
             assert bp.lam == lam and np.array_equal(bp.c[idx], c)
             assert np.count_nonzero(bp.c) == np.count_nonzero(c)
             assert bp.sup_norm > 1e-3
@@ -1903,9 +1863,9 @@ def _record_blocks(monkeypatch):
         tables.append(E)
         return assemble(E, weights, beta, H)
 
-    def spy_make(space, c, lam, residual_norm, jacobians=None):
+    def spy_make(space, c, lam, residual_norm, H=None):
         tables.clear()
-        bp, J = make(space, c, lam, residual_norm, jacobians)
+        bp, J = make(space, c, lam, residual_norm, H)
         assembled = {k for k, block in enumerate(space.blocks) if any(E is block[1] for E in tables)}
         records.append((space, c, lam, bp, assembled))
         return bp, J
@@ -1915,21 +1875,12 @@ def _record_blocks(monkeypatch):
     return records
 
 
-def _assembled_blocks(space, c, lam):
-    """Every isotypic block at the coefficients c of space.problem as a
-    branch point assembles it with no Weyl test: the blocks of
-    _branch_jacobians (on the circle and the disk all of them, from the
-    sum-factorized kernel), the others dense from their tables."""
-    Js, H = continuation._branch_jacobians(space, c, lam)
-    dense = [continuation._assemble_jacobian(*table[1:], H) for table in space.blocks[len(Js) :]]
-    return [*Js, *dense]
-
-
 def _block_spectrum(space, c, lam, k):
     """Off-symmetry eigenvalues of isotypic block k at the coefficients c of
-    space.problem, assembled as a branch point assembles it."""
+    space.problem, assembled as a branch point assembles it (_block)."""
+    H = continuation._nodal_hessian(space.problem, c, lam)
     pins = continuation._pinning_rows(space.full, space.lift(c))
-    J = _assembled_blocks(space, c, lam)[k]
+    J = continuation._block(space, k, H)
     return continuation._offsym_eigenvalues(pins[:, space.blocks[k][0]], J)
 
 
@@ -2034,10 +1985,9 @@ def _assert_reduced_rule_matches_the_full_rule(prob, branch, sup_rtol):
     """At every point of a branch and at a perturbed point of the same
     fixed-point rows, the restricted problem on its reduced rule against the
     same rows on the full rule: residual, Jacobian and sup deviation, and
-    every other isotypic block against the full-space Jacobian on its rows;
-    every Jacobian block assembled as the branch solves assemble it
-    (_assembled_blocks: on the circle and the disk the sum-factorized
-    kernel)."""
+    every other isotypic block as a branch point assembles it (_block: the
+    disk's sin rows by the sum-factorized kernel) against the full-space
+    Jacobian on its rows."""
     space = continuation._subspace(prob)
     sub = space.problem
     fixed = continuation._isotypic_rows(prob)[0]
@@ -2049,119 +1999,111 @@ def _assert_reduced_rule_matches_the_full_rule(prob, branch, sup_rtol):
         for x in (c, c + 0.05 * rng.normal(size=c.size)):
             r = assemble_residual(sub, x, bp.lam)
             assert np.max(np.abs(r - assemble_residual(ref, x, bp.lam))) <= 1e-13
-            J = _assembled_blocks(space, x, bp.lam)[0]
+            J = jacobian(sub, x, bp.lam)
             J_ref = jacobian(ref, x, bp.lam)
             assert np.max(np.abs(J - J_ref)) <= 1e-12 * np.linalg.norm(J_ref, 1)
             sup = ref.sup_deviation(x)
             assert abs(sub.sup_deviation(x) - sup) <= sup_rtol * sup
+        H = continuation._nodal_hessian(sub, c, bp.lam)
         J_full = jacobian(prob, bp.c, bp.lam)
         assert len(space.blocks) > 1
-        blocks = _assembled_blocks(space, c, bp.lam)
-        for (idx, E, _, _), block in zip(space.blocks[1:], blocks[1:], strict=True):
+        for k, (idx, E, _, _) in enumerate(space.blocks[1:], 1):
             assert E.shape[1] == sub.quad.weights.size
+            block = continuation._block(space, k, H)
             dense = J_full[np.ix_(idx, idx)]
             assert np.max(np.abs(block - dense)) <= 1e-12 * np.linalg.norm(J_full, 1)
 
 
-# the domains of the sum-factorized kernel: domain, build options
-KERNEL_CASES = {
-    "circle": (sphere(2), {}),
-    "disk-60": (ball(2), {"beta_cutoff": 60.0}),
-    "disk-200": (ball(2), {"beta_cutoff": 200.0}),
-}
-
-
 @pytest.fixture(
     scope="module",
-    params=[(where, name) for where in KERNEL_CASES for name in ("pitchfork-scalar", "so2-ring")],
-    ids="-".join,
+    params=[(cut, name) for cut in (60.0, 200.0) for name in ("pitchfork-scalar", "so2-ring")],
+    ids=lambda param: f"disk-{param[0]:g}-{param[1]}",
 )
-def kernel_case(request):
-    """(problem, subspace) on a domain of the sum-factorized kernel."""
-    where, name = request.param
-    domain, options = KERNEL_CASES[where]
-    prob = build_problem(domain, builtin(name), **options)
+def disk_case(request):
+    """(problem, subspace) on the disk, where the sum-factorized kernel
+    assembles the sin rows' block."""
+    cutoff, name = request.param
+    prob = build_problem(ball(2), builtin(name), beta_cutoff=cutoff)
     return prob, continuation._subspace(prob)
 
 
-class TestFactoredBlocks:
-    """On the circle and the disk both isotypic blocks of a branch subspace
-    come from one call of the sum-factorized kernel per nodal Hessian
-    (_factored_blocks); the dense assembly on each block's table and the
-    dense full-space jacobian are the references."""
+class TestSinBlock:
+    """On the disk a branch point's sin-row block comes from the
+    sum-factorized kernel (_sin_block); the dense assembly on the block's
+    table and the dense full-space jacobian are its references."""
 
-    def test_blocks_match_the_dense_assembly(self, kernel_case):
-        # at c = 0 and at a random c of the subspace, at two lambda: both
-        # blocks within 1e-13 |J|_1 of the dense ones (measured: 8e-16),
-        # and bitwise symmetric
-        prob, space = kernel_case
+    def test_sin_block_matches_the_dense_assembly(self, disk_case):
+        # at c = 0 and at a random c of the subspace, at two lambda: within
+        # 1e-13 |J|_1 of the dense blocks (measured: 1.4e-16) and bitwise
+        # symmetric; the first block, which the tangent and the corrector
+        # take, stays the dense one, bit for bit
+        prob, space = disk_case
         sub = space.problem
         rng = np.random.default_rng(11)
         for c in (np.zeros(sub.n_dof), 0.3 * rng.normal(size=sub.n_dof) / np.sqrt(sub.n_dof)):
             for lam in (1.5, 7.5):
-                Js, H = continuation._branch_jacobians(space, c, lam)
-                assert len(Js) == len(space.blocks) == 2
+                H = continuation._nodal_hessian(sub, c, lam)
+                J = continuation._sin_block(space.sin_factors, H)
+                assert np.array_equal(continuation._block(space, 1, H), J)
+                assert np.array_equal(J, J.T)
+                idx, E, weights, beta = space.blocks[1]
+                dense = continuation._assemble_jacobian(E, weights, beta, H)
                 J_full = jacobian(prob, space.lift(c), lam)
-                for (idx, E, weights, beta), J in zip(space.blocks, Js):
-                    dense = continuation._assemble_jacobian(E, weights, beta, H)
-                    bound = 1e-13 * np.linalg.norm(dense, 1)
-                    assert np.array_equal(J, J.T)
-                    assert np.max(np.abs(J - dense)) <= bound
-                    assert np.max(np.abs(J - J_full[np.ix_(idx, idx)])) <= bound
+                bound = 1e-13 * np.linalg.norm(dense, 1)
+                assert np.max(np.abs(J - dense)) <= bound
+                assert np.max(np.abs(J - J_full[np.ix_(idx, idx)])) <= bound
+                assert np.array_equal(continuation._block(space, 0, H), jacobian(sub, c, lam))
 
-    def test_rows_are_radial_times_angular_factors(self, kernel_case):
-        # what the kernel reads, bit for bit: on the half-turn rule each
-        # reflection-even row is R_a(r) cos(l_a theta) with R_a its values at
-        # theta = 0, each sin row R_a(r) sin(l_a theta) with the R_a of its
-        # partner cos row, and the weights are w_r w_theta; a basis or rule
-        # that is not separable fails here
-        prob, space = kernel_case
+    def test_rows_are_radial_times_angular_factors(self, disk_case):
+        # what the kernel reads, bit for bit: on the half-turn rule the cos
+        # and sin rows of order l are R(r) cos(l theta) and R(r) sin(l theta)
+        # with R the cos row at theta = 0, and the weights are w_r w_theta;
+        # a basis or rule that is not separable fails here
+        prob, space = disk_case
         sub = space.problem
         theta = sub.quad.points[-1]
         n_r = int(np.count_nonzero(theta == 0.0))
         n_t = theta.size // n_r
         angles = theta[:n_t]
-        assert np.array_equal(theta.reshape(n_r, n_t), np.tile(angles, (n_r, 1)))
+        assert n_r > 1 and np.array_equal(theta.reshape(n_r, n_t), np.tile(angles, (n_r, 1)))
         weights = sub.quad.weights.reshape(n_r, n_t)
         assert np.array_equal(weights, weights[:, :1] * (weights[0] / weights[0, 0])[None, :])
-        orders = np.repeat(
-            [e.angular_degree for e in prob.eigens], [e.multiplicity for e in prob.eigens]
-        )
-        rows, sin_rows = continuation._isotypic_rows(prob)
-        even = sub.E.reshape(rows.size, n_r, n_t)
-        R = even[:, :, 0]
-        for a, row in enumerate(rows):
-            assert np.array_equal(even[a], R[a][:, None] * np.cos(orders[row] * angles)[None, :])
-        partner = {sin_row: cos_row for cos_row, sin_row, _ in continuation._angular_pairs(prob.eigens)}
-        odd = space.blocks[1][1].reshape(sin_rows.size, n_r, n_t)
-        for a, row in enumerate(sin_rows):
-            R_a = R[np.searchsorted(rows, partner[row])]
-            assert np.array_equal(odd[a], R_a[:, None] * np.sin(orders[row] * angles)[None, :])
+        cols = continuation._half_turn(prob.quad)[0]
+        sin_rows = continuation._isotypic_rows(prob)[1]
+        pairs = continuation._angular_pairs(prob.eigens)
+        assert [sin_row for _, sin_row, _ in pairs] == sin_rows.tolist()
+        sin_table = space.blocks[1][1].reshape(sin_rows.size, n_r, n_t)
+        for k, (cos_row, _, l) in enumerate(pairs):
+            cos_values = prob.E[cos_row, cols].reshape(n_r, n_t)
+            R = cos_values[:, :1]
+            assert np.array_equal(cos_values, R * np.cos(l * angles)[None, :])
+            assert np.array_equal(sin_table[k], R * np.sin(l * angles)[None, :])
 
-    @pytest.mark.parametrize("fixture", ["circle_ring", "disk_pitchfork"])
-    def test_tangent_and_corrector_share_the_kernel(self, fixture, request, monkeypatch):
-        # the Jacobian of a bordered matrix built fresh in the corrector is
-        # the one a branch point, and so the tangent, takes at the same
-        # point, bit for bit: here at a point off the branch
-        prob = request.getfixturevalue(fixture)
-        lam_star = detect_bifurcation(prob, (0.5, 12.0), steps=60)[0]
+    def test_branch_points_match_the_dense_full_space(self, disk_ring):
+        # so2-ring from 9.33, where the sin rows hold the smallest modulus
+        # at some points: each point's value is the dense full-space one to
+        # rounding (measured: 4.8e-14 relative to the dense blocks)
+        prob = disk_ring
+        lam_star = detect_bifurcation(prob, (8.0, 10.0), steps=60)[0]
+        assert abs(lam_star - 9.3284) < 1e-3
+        limits = (0.7 * lam_star, 1.3 * lam_star)
+        branch = continue_branch(prob, switch_branch(prob, lam_star), limits, max_steps=20)
         space = continuation._subspace(prob)
-        seed = switch_branch(prob, lam_star)
-        c, lam = 1.01 * seed.points[0].c[space.idx], seed.points[0].lam
-        _, J = continuation._make_point(space, c, lam, 0.0)
-        systems = []
-        system = continuation._newton_system
+        in_sin_rows = 0
+        for bp in branch.points:
+            J = jacobian(prob, bp.c, bp.lam)
+            dense = _dense_min_offsym_singular(prob, bp.c, J)
+            assert abs(bp.min_offsym_singular - dense) <= 1e-12 * np.linalg.norm(J, 1)
+            ev = _block_spectrum(space, bp.c[space.idx], bp.lam, 1)
+            in_sin_rows += bool(ev.size) and np.min(np.abs(ev)) == bp.min_offsym_singular
+        assert in_sin_rows > 0
 
-        def spy(problem, c_, lam_, J_, border):
-            systems.append(J_)
-            return system(problem, c_, lam_, J_, border)
-
-        monkeypatch.setattr(continuation, "_newton_system", spy)
-        border = np.zeros(space.problem.n_dof + 1)
-        border[-1] = 1.0
-        base = np.zeros_like(border)
-        continuation._bordered_newton(space, c, lam, border, base, lam, 0.0, 5)
-        assert systems and np.array_equal(systems[0], J)
+    @pytest.mark.parametrize("fixture", ["circle_ring", "circle_pitchfork", "sphere12_ring"])
+    def test_one_radius_or_the_sphere_keeps_the_dense_blocks(self, fixture, request):
+        # the circle's rule has one radius and the 2-sphere's column one
+        # angle: nothing to factor, every block dense from its table
+        space = continuation._subspace(request.getfixturevalue(fixture))
+        assert space.sin_factors is None and len(space.blocks) > 1
 
 
 class TestReducedRule:
@@ -2490,22 +2432,12 @@ class TestExport:
 RECORDED_DISK200_HEX = {
     "level": ["0x1.b1ea226b51ebap+1"],
     "branch": [
-        "0x1.b2a459223ba96p+1", "0x1.b346934e04b45p+1", "0x1.b475492f0270bp+1",
-        "0x1.b69de301b5abep+1", "0x1.ba6bf5152b08dp+1", "0x1.c0d505572afc2p+1",
-        "0x1.cb21af21f6b04p+1", "0x1.db034148e88e2p+1", "0x1.f180e8feca555p+1",
-        "0x1.046e07cfd18b1p+2", "0x1.105f41fd23c20p+2",
+        "0x1.b2a459223baa1p+1", "0x1.b346934e04b44p+1", "0x1.b475492f0261ap+1",
+        "0x1.b69de301b5a37p+1", "0x1.ba6bf5152b068p+1", "0x1.c0d5055729f0fp+1",
+        "0x1.cb21af21f68b0p+1", "0x1.db034148e7b1cp+1", "0x1.f180e8feca91dp+1",
+        "0x1.046e07cfd1a3ep+2", "0x1.105f41fd23c20p+2",
     ],
 }
-
-# the branch as recorded when every Jacobian block was assembled dense from
-# its table (dense_blocks replays it bit for bit), before the sum-factorized
-# kernel; the last point, past the limit, is kept in RECORDED_DISK200_HEX
-DENSE_DISK200_BRANCH_HEX = [
-    "0x1.b2a459223baa1p+1", "0x1.b346934e04b44p+1", "0x1.b475492f0261ap+1",
-    "0x1.b69de301b5a37p+1", "0x1.ba6bf5152b068p+1", "0x1.c0d5055729f0fp+1",
-    "0x1.cb21af21f68b0p+1", "0x1.db034148e7b1cp+1", "0x1.f180e8feca91dp+1",
-    "0x1.046e07cfd1a3ep+2", "0x1.105f41fd23c20p+2",
-]
 
 # the branch as recorded before the potential was centred at u0, when its
 # derivatives were evaluated from F's own monomials at u0 + v
@@ -2586,10 +2518,8 @@ class TestDiskBuild:
         # the level as recorded with one bisection level per Bessel call and
         # one Bessel call per basis function, the branch on the half-turn rule
         # with the Broyden-updated corrector and the Newton-refined Neumann
-        # roots and the potential centred at u0 and every Jacobian block from
-        # the sum-factorized kernel, within 1e-11 |lambda| of the dense
-        # blocks' branch (measured: 5.4e-13) and of the branch before the
-        # centring (measured: 1.0e-12 before the kernel) and within 1e-9
+        # roots and the potential centred at u0, within 1e-11 |lambda| of the
+        # branch before the centring (measured: 1.0e-12) and within 1e-9
         # |lambda| of the branch the chord corrector computed and of the one
         # its restarting predecessor computed; the chord branch was within
         # 1e-11 |lambda| of the branch on the bisected roots, the restarting
@@ -2604,7 +2534,6 @@ class TestDiskBuild:
         recorded = RECORDED_DISK200_HEX["branch"]
         _assert_ends_on_limit(branch, float.fromhex(recorded[-1]), limits)
         lams = [bp.lam for bp in branch.points[:-1]]
-        _assert_near_recorded(lams, DENSE_DISK200_BRANCH_HEX[:-1], 1e-11)
         _assert_near_recorded(lams, UNCENTRED_DISK200_BRANCH_HEX[:-1], 1e-11)
         _assert_near_recorded(lams, CHORD_DISK200_BRANCH_HEX[:-1], 1e-9)
         _assert_near_recorded(lams, RESTART_DISK200_BRANCH_HEX[:-1], 1e-9)
@@ -2613,21 +2542,6 @@ class TestDiskBuild:
         restart = [float.fromhex(h) for h in RESTART_DISK200_BRANCH_HEX]
         _assert_near_recorded(restart, FULL_RULE_DISK200_BRANCH_HEX, 1e-11)
         assert [lam.hex() for lam in lams] == recorded[:-1]
-
-
-    def test_dense_blocks_replay_the_recorded_beta_200_branch(self, monkeypatch):
-        # the same pipeline on blocks assembled dense from their tables, as
-        # before the sum-factorized kernel, computes the branch recorded
-        # then, bit for bit
-        prob = build_problem(ball(2), builtin("so2-ring"), beta_cutoff=200.0)
-        (lam,) = detect_bifurcation(prob, (0.5, 6.25))
-        limits = (lam - 0.25 * lam, lam + 0.25 * lam)
-        fixed_growth(monkeypatch)
-        dense_blocks(monkeypatch)
-        branch = continue_branch(prob, switch_branch(prob, lam), limits, ds_max=0.2)
-        _assert_ends_on_limit(branch, float.fromhex(DENSE_DISK200_BRANCH_HEX[-1]), limits)
-        lams = [bp.lam.hex() for bp in branch.points[:-1]]
-        assert lams == DENSE_DISK200_BRANCH_HEX[:-1]
 
 
 class TestProblemQuadrature:
