@@ -102,24 +102,31 @@ diagnostics do not change by a bit.
 jacobian assembles the p(p+1)/2 blocks i <= j from the symmetrized nodal
 Hessian and copies block (i, j) into (j, i), dense over the quadrature in
 O(n_x n_f^2) for n_x nodes and n_f rows; it is the reference the blocks
-are tested against.  The first block of a branch subspace, which the
-tangent, the corrector and the seed solve with, is that dense product on
-the reduced rule, so every branch point stays bit for bit what the dense
-assembly computes.  On the disk the half-turn rule is a product of n_r
-radii and n_t angles and every sin row is R_a(r) sin(l_a theta), so the
-sin rows' block of a branch point comes from a sum-factorized kernel
-(_sin_block; Orszag, J. Comput. Phys. 37, 1980): per Hessian entry a
-weighted cosine transform over theta at each radius, one product with a
-table of cos(m theta), m <= 2 max l, then one radial sum per row pair, in
-O(n_r n_t m + n_r n_f^2) for m = 2 max l + 1 against O(n_r n_t n_f^2)
-dense (at beta <= 200 about 0.1 ms against 0.3 ms for one Hessian
-entry).  The circle has one radius and the 2-sphere's column one angle:
-nothing to factor, every block there is dense.  Continuation evaluates the
-nodal Hessian once per accepted point (_make_point), whose first block is
-the J of the next tangent; a seed from switch_branch holds its subspace
-and the J at its point, which continue_branch starts from, and any other
-seed costs one more evaluation there.  A fold location evaluates it once
-at each trial point, the fold included.  One corrector,
+are tested against.  The branch path takes every Jacobian of the branch
+subspace from its blocks (_block): the first block is the J of the
+tangent, the corrector, the seed and the fold.  On the circle and the
+2-sphere each block is that dense product over its table, so there the
+first block is jacobian on the reduced rule bit for bit.  On the disk the
+half-turn rule is a product of n_r radii and n_t angles, every
+reflection-even row is R_a(r) cos(l_a theta) and every sin row R_a(r)
+sin(l_a theta), so every block comes from a sum-factorized kernel
+(_factored_block; Orszag, J. Comput. Phys. 37, 1980; Deville, Fischer &
+Mund, High-Order Methods for Incompressible Fluid Flow, 2002, ch. 4):
+per Hessian entry one weighted cosine transform over theta at each radius
+for every order pair (l_a, l_b) of the block's rows, then one radial sum
+per row pair, in O(n_r n_t n_q + n_r n_f^2) for n_q order pairs against
+O(n_r n_t n_f^2) dense.  At beta <= 200 (one BLAS thread) the first block
+takes about 0.05 ms against 0.3 ms for one Hessian entry (pitchfork-scalar)
+and 0.13 ms against 0.75 ms for three (so2-ring).  It is bitwise
+symmetric and lies within 4e-16 |J|_1 of the dense product, so a disk
+branch agrees with the dense assembly to rounding, not bit for bit.  The
+circle has one radius and the 2-sphere's column one angle: nothing to
+factor, every block there is dense.  Continuation evaluates the nodal
+Hessian once per accepted point (_make_point), whose first block is the J
+of the next tangent; a seed from switch_branch holds its subspace and the
+J at its point, which continue_branch starts from, and any other seed
+costs one more evaluation there.  A fold location evaluates it and the
+first block once at each trial point, the fold included.  One corrector,
 _bordered_newton, serves the switch and the continuation.  It reuses its
 bordered matrix for quasi-Newton steps, one residual and one LU solve
 each: the error-oriented good-Broyden method QNERR of Deuflhard (Newton
@@ -353,14 +360,10 @@ def _project(problem, values):
 
 
 def jacobian(problem: GalerkinProblem, c, lam: float) -> np.ndarray:
-    return _jacobian_and_hessian(problem, c, lam)[0]
-
-
-def _jacobian_and_hessian(problem, c, lam):
-    """(J, H): the Jacobian at (c, lam) and the nodal Hessian it is built
-    from."""
+    """The Jacobian at (c, lam), assembled dense over problem's rule: the
+    reference every branch Jacobian is tested against."""
     H = _nodal_hessian(problem, c, lam)
-    return _assemble_jacobian(problem.E, problem.quad.weights, problem.beta, H), H
+    return _assemble_jacobian(problem.E, problem.quad.weights, problem.beta, H)
 
 
 def _nodal_hessian(problem, c, lam):
@@ -538,16 +541,16 @@ class _Subspace:
     them, exact while 2m < n_phi; for domain.dim 2 the half-turn theta in
     [0, pi] (_half_turn) (module docstring).
 
-    sin_factors holds, on the disk alone, what the sum-factorized kernel
-    (_sin_block) reads in place of the sin rows' table (_SinFactors); it is
-    None on the circle, whose rule has one radius, and on the 2-sphere,
-    where every block is assembled dense from its table."""
+    factors holds, on the disk alone, what the sum-factorized kernel
+    (_factored_block) reads in place of each table, one _BlockFactors per
+    block; it is None on the circle, whose rule has one radius, and on the
+    2-sphere, where every block is assembled dense from its table."""
 
     full: GalerkinProblem
     problem: GalerkinProblem
     blocks: tuple
     weyl: tuple
-    sin_factors: Optional[_SinFactors]
+    factors: Optional[tuple]
 
     @property
     def idx(self) -> np.ndarray:
@@ -560,26 +563,30 @@ class _Subspace:
 
 
 @dataclass(frozen=True)
-class _SinFactors:
-    """What the sum-factorized kernel (_sin_block) reads to assemble the sin
-    rows' block of a disk subspace, built once (_sin_factors), on the
-    upper-triangle pairs (a, b), a <= b, of its n sin rows, row a being
-    R_a(r) sin(l_a theta) on the half-turn rule of n_r radii and n_t angles.
+class _BlockFactors:
+    """What the sum-factorized kernel (_factored_block) reads to assemble
+    one isotypic block of a disk subspace, built once (_block_factors).  The
+    block's n rows are R_a(r) cos(l_a theta) (the reflection-even rows, l_a
+    = 0 for a zonal row) or R_a(r) sin(l_a theta) (the sin rows) on the
+    half-turn rule of n_r radii and n_t angles, and the kernel takes the
+    upper-triangle row pairs (a, b), a <= b, grouped by their order pair
+    (l_a, l_b).  With d = |l_a - l_b| and s = l_a + l_b the angular factors
+    multiply to (cos(d theta) + sign cos(s theta)) / 2, sign 1 for cos rows
+    and -1 for sin rows.
 
-    radial: P = w_r R_a R_b, (pairs, n_r), w_r the weight of the theta = 0
-    node of radius r; cos: w_theta cos(m theta) / 2 for m = 0, ..., 2 max l,
-    (2 max l + 1, n_t), w_theta the weights of radius r over w_r; diff,
-    total: |l_a - l_b| and l_a + l_b per pair; components: the component
-    pairs (i, j), i <= j, of the Hessian entries; upper, lower: the flat
-    indices a n + b and b n + a of the pairs; beta: beta on the sin rows."""
+    angular: -w_theta (cos(d theta) + sign cos(s theta)) / 2 per order
+    pair, (order pairs, n_t), w_theta the weights of radius r over w_r;
+    radial: P = w_r R_a R_b of the row pairs of each order pair, zero
+    where an order pair has fewer pairs than the longest, (order pairs,
+    longest, n_r), w_r the weight of the theta = 0 node of radius r;
+    entries: for each (a, b) of the block the flat index of its row pair
+    among the order pairs' slots, (n^2,); components: the component pairs
+    (i, j), i <= j, of the Hessian entries; beta: beta on the rows."""
 
+    angular: np.ndarray
     radial: np.ndarray
-    cos: np.ndarray
-    diff: np.ndarray
-    total: np.ndarray
+    entries: np.ndarray
     components: tuple
-    upper: np.ndarray
-    lower: np.ndarray
     beta: np.ndarray
 
 
@@ -612,7 +619,8 @@ def _half_turn(quad):
 
 def _subspace(problem):
     """The _Subspace of problem's isotypic blocks (_isotypic_rows)."""
-    rows, *others = _isotypic_rows(problem)
+    blocks = _isotypic_rows(problem)
+    rows, *others = blocks
     idx = _coefficient_indices(rows, problem.p)
     angular_s2 = problem.domain.dim == 3
     cols, quad = (_longitude_column if angular_s2 else _half_turn)(problem.quad)
@@ -631,73 +639,103 @@ def _subspace(problem):
         tables.append((_coefficient_indices(rows, problem.p), E, block_weights, beta))
         gram = (E * np.abs(block_weights)[None, :]) @ E.T
         weyl.append((float(beta.min()), float(beta.max()), float(np.linalg.eigvalsh(gram)[-1])))
-    sin_factors = None if angular_s2 or not others else _sin_factors(problem, cols, quad)
-    return _Subspace(problem, sub, tuple(tables), tuple(weyl), sin_factors)
+    factors = None if angular_s2 else _block_factors(problem, blocks, cols, quad)
+    return _Subspace(problem, sub, tuple(tables), tuple(weyl), factors)
 
 
-def _sin_factors(problem, cols, quad):
-    """The _SinFactors of the sin rows on the circle's or the disk's
-    half-turn rule cols, quad, whose nodes run over n_t angles from theta =
-    0 at each radius, or None on the circle: its rule has one radius, and
-    nothing to factor.  A sin row's radial factor is that of its partner cos
-    row, read at theta = 0, where cos(l theta) = 1."""
+def _block_factors(problem, blocks, cols, quad):
+    """The _BlockFactors of each block of rows in blocks, the reflection-even
+    rows and then the sin rows (_isotypic_rows), on the circle's or the
+    disk's half-turn rule cols, quad, whose nodes run over n_t angles from
+    theta = 0 at each radius; None on the circle, whose rule has one radius
+    and nothing to factor.  A row's radial factor is read at theta = 0,
+    where cos(l theta) = 1: a cos row's from itself, a sin row's from its
+    partner cos row."""
     theta = quad.points[-1]
     n_r = int(np.count_nonzero(theta == 0.0))
     if n_r == 1:
         return None
     n_t = theta.size // n_r
     weights = quad.weights.reshape(n_r, n_t)
-    cos_rows, sin_rows, orders = (np.array(x) for x in zip(*_angular_pairs(problem.eigens)))
-    R = problem.E[np.ix_(cos_rows, cols[::n_t])]
-    a, b = np.triu_indices(sin_rows.size)
-    m = np.arange(2 * int(orders.max()) + 1)
-    cos = np.cos(m[:, None] * theta[None, :n_t]) * (0.5 * weights[0] / weights[0, 0])[None, :]
-    return _SinFactors(
-        radial=weights[:, 0][None, :] * R[a] * R[b],
-        cos=cos,
-        diff=np.abs(orders[a] - orders[b]),
-        total=orders[a] + orders[b],
-        components=np.triu_indices(problem.p),
-        upper=a * sin_rows.size + b,
-        lower=b * sin_rows.size + a,
-        beta=problem.beta[sin_rows],
-    )
+    angles, w_theta = theta[:n_t], 0.5 * weights[0] / weights[0, 0]
+    eigens = problem.eigens
+    orders = np.repeat([e.angular_degree for e in eigens], [e.multiplicity for e in eigens])
+    radial_rows = np.arange(problem.n_funcs)
+    for cos_row, sin_row, _ in _angular_pairs(eigens):
+        radial_rows[sin_row] = cos_row
+    R = problem.E[np.ix_(radial_rows, cols[::n_t])]
+    base = int(orders.max()) + 1
+    factors = []
+    for rows, sign in zip(blocks, (1.0, -1.0)):
+        n = rows.size
+        a, b = np.triu_indices(n)
+        low, high = np.sort([orders[rows[a]], orders[rows[b]]], axis=0)
+        # each row pair's order pair q, and its slot: q times the most row
+        # pairs of one order pair (longest), plus its rank among those of q
+        keys, q = np.unique(low * base + high, return_inverse=True)
+        by_q = np.argsort(q, kind="stable")
+        rank = np.empty_like(q)
+        rank[by_q] = np.arange(q.size) - np.searchsorted(q[by_q], q[by_q])
+        longest = int(rank.max()) + 1
+        slot = q * longest + rank
+        radial = np.zeros((keys.size * longest, n_r))
+        radial[slot] = weights[:, 0][None, :] * R[rows[a]] * R[rows[b]]
+        entries = np.empty((n, n), int)
+        entries[a, b] = entries[b, a] = slot
+        low, high = keys // base, keys % base
+        cosines = np.cos(np.outer(high - low, angles)) + sign * np.cos(np.outer(high + low, angles))
+        factors.append(
+            _BlockFactors(
+                angular=-cosines * w_theta[None, :],
+                radial=radial.reshape(keys.size, longest, n_r),
+                entries=entries.ravel(),
+                components=np.triu_indices(problem.p),
+                beta=problem.beta[rows],
+            )
+        )
+    return tuple(factors)
 
 
 def _block(space, k, H):
-    """Isotypic block k of space's Jacobian at the nodal Hessian H, as a
-    branch point takes it: the disk's sin rows from the sum-factorized
-    kernel (_sin_block), every other block dense from its table."""
-    if k and space.sin_factors is not None:
-        return _sin_block(space.sin_factors, H)
+    """Isotypic block k of space's Jacobian at the nodal Hessian H, as the
+    branch path takes it: on the disk from the sum-factorized kernel
+    (_factored_block), on the circle and the 2-sphere dense from its
+    table."""
+    if space.factors is not None:
+        return _factored_block(space.factors[k], H)
     return _assemble_jacobian(*space.blocks[k][1:], H)
 
 
-def _sin_block(factors, H):
-    """The sin rows' block of a disk subspace's Jacobian at the nodal Hessian
-    H on its half-turn rule, by sum factorization (_SinFactors; Orszag, J.
-    Comput. Phys. 37, 1980).  With sin(l_a t) sin(l_b t) = (cos(d t) -
+def _branch_jacobian(space, c, lam):
+    """The Jacobian of space.problem at its coefficients c: the first block
+    (_block) at a nodal Hessian evaluated there."""
+    return _block(space, 0, _nodal_hessian(space.problem, c, lam))
+
+
+def _factored_block(factors, H):
+    """Block of a disk subspace's Jacobian at the nodal Hessian H on its
+    half-turn rule, by sum factorization (_BlockFactors; Orszag, J. Comput.
+    Phys. 37, 1980; Deville, Fischer & Mund, High-Order Methods for
+    Incompressible Fluid Flow, 2002, ch. 4).  With cos(l_a t) cos(l_b t) =
+    (cos(d t) + cos(s t)) / 2 and sin(l_a t) sin(l_b t) = (cos(d t) -
     cos(s t)) / 2, d = |l_a - l_b| and s = l_a + l_b, entry (a, b) of
-    component block (i, j) is beta_a delta_ab + sum_r P_ab(r) (hhat(s, r) -
-    hhat(d, r)), where hhat(m, r) = sum_theta w_theta cos(m theta) h(r,
-    theta) / 2 is one product with the cosine table for every entry h of
-    the symmetrized Hessian.  Each value fills (a, b) and (b, a) of blocks
-    (i, j) and (j, i), so the block is bitwise symmetric."""
+    component block (i, j) is beta_a delta_ab - sum_r P_ab(r) hhat(q, r),
+    where hhat(q, r) = sum_theta w_theta (cos(d theta) +- cos(s theta)) h(r,
+    theta) / 2 is one product with the angular table for every entry h of
+    the symmetrized Hessian, and the radial sums of all row pairs of one
+    order pair q are one product with their P.  Each value fills (a, b) and
+    (b, a) of blocks (i, j) and (j, i), so the block is bitwise symmetric."""
     i, j = factors.components
     h = 0.5 * (H[:, i, j] + H[:, j, i])
-    pairs, n_r = factors.radial.shape
-    n_t = factors.cos.shape[1]
-    # hhat[m, (r, entry)]
-    hhat = factors.cos @ h.reshape(n_r, n_t, -1).transpose(1, 0, 2).reshape(n_t, -1)
-    gap = (hhat[factors.total] - hhat[factors.diff]).reshape(pairs, n_r, -1)
-    values = np.matmul(factors.radial[:, None, :], gap)[:, 0]
+    n_q, _, n_r = factors.radial.shape
+    n_t = factors.angular.shape[1]
+    # hhat[q, r, entry]
+    hhat = factors.angular @ h.reshape(n_r, n_t, -1).transpose(1, 0, 2).reshape(n_t, -1)
+    values = np.matmul(factors.radial, hhat.reshape(n_q, n_r, -1)).reshape(-1, i.size)
     n, p = factors.beta.size, H.shape[1]
-    M = np.empty((n * n, i.size))
-    M[factors.upper] = values
-    M[factors.lower] = values
     # every component block is (i, j) or (j, i) of an entry
     J = np.empty((n, p, n, p))
-    J[:, i, :, j] = J[:, j, :, i] = M.T.reshape(-1, n, n)
+    J[:, i, :, j] = J[:, j, :, i] = values[factors.entries].T.reshape(-1, n, n)
     J = J.reshape(n * p, n * p)
     J.reshape(-1)[:: n * p + 1] += np.repeat(factors.beta, p)
     return J
@@ -745,16 +783,16 @@ class Branch:
     _start: Optional[tuple] = dataclasses.field(default=None, repr=False, compare=False)
 
 
-def _make_point(space, c, lam, residual_norm, H=None):
+def _make_point(space, c, lam, residual_norm, H=None, J0=None):
     """Branch point at the coefficients c of space.problem, and the Jacobian
     of space.problem there: its first isotypic block.  Every block comes
     from the nodal Hessian H at c on space.problem's rule, evaluated once (a
-    caller that has it passes it), unless Weyl's bound certifies it
-    (_block): the first block and every block on the circle and the
+    caller that has it passes it, and the first block J0 when it has that
+    too), unless Weyl's bound certifies it (_block): on the circle and the
     2-sphere dense from its table (_Subspace), in O(n_x n_f^2) for n_x
-    nodes and n_f rows; the disk's sin rows from the sum-factorized kernel
-    (_sin_block), in O(n_r n_t m + n_r n_f^2) for n_r radii, n_t angles and
-    m = 2 max l + 1 cosines.
+    nodes and n_f rows; on the disk from the sum-factorized kernel
+    (_factored_block), in O(n_r n_t n_q + n_r n_f^2) for n_r radii, n_t
+    angles and n_q order pairs of its rows.
 
     Block k is J_k = diag(beta_k) kron I - sum_x w_x e_k(x) e_k(x)^T kron
     H(x), so with h = max_x |H(x)|_F and g_k its table's Gram norm every
@@ -773,17 +811,17 @@ def _make_point(space, c, lam, residual_norm, H=None):
     Hf = H.reshape(H.shape[0], -1)
     # max_x |H(x)|_F
     h = math.sqrt(float(np.max(np.einsum("xi,xi->x", Hf, Hf))))
-    # the first block has no bound (min beta = -inf): it is always assembled
+    # the first block has no bound (min beta = -inf): it is always computed
+    if J0 is None:
+        J0 = _block(space, 0, H)
     bounds = ((-math.inf, 0.0, 0.0), *space.weyl)
-    counts, mu, J0 = [], math.inf, None
+    counts, mu = [], math.inf
     for k, (beta_min, beta_max, g) in enumerate(bounds):
         spread = h * g
         if beta_min - spread - 1e-9 * (1.0 + beta_max + spread) > max(0.0, mu):
             counts.append(0)
             continue
-        J = _block(space, k, H)
-        if J0 is None:
-            J0 = J
+        J = J0 if k == 0 else _block(space, k, H)
         ev = _offsym_eigenvalues(pins[:, space.blocks[k][0]], J)
         counts.append(int(np.count_nonzero(ev < -_MORSE_ZERO_TOL)))
         if ev.size:
@@ -828,17 +866,18 @@ def _solve(A, b, lam):
 
 # an overflow ends the solve by the finiteness tests, not with a warning
 @np.errstate(all="ignore")
-def _bordered_newton(problem, c, lam, border, base, offset, border_tol, maxit, A=None):
+def _bordered_newton(space, c, lam, border, base, offset, border_tol, maxit, A=None):
     """Newton with lambda free on [J r_lambda B^T; B 0 0; border 0] that holds
-    border . ((c, lam) - base) - offset at zero.  Returns (c, lam, residual
-    norm, theta0) once the residual norm is at most NEWTON_TOL and the border
-    residual at most border_tol; raises NewtonError, naming lambda, on a
-    non-finite residual or step or a singular matrix, or after maxit steps,
-    retaken ones included.  theta0 = |s_1| / |s_0| is the first contraction,
-    from the first two steps kept on the first matrix, s_1 after its update
-    (not Deuflhard's simplified correction, the raw solve): 0 when the solve
-    ends before a second step, inf when that matrix is left for a retake
-    first.
+    border . ((c, lam) - base) - offset at zero, at the coefficients c of
+    space.problem, with J its Jacobian (_branch_jacobian).  Returns (c, lam,
+    residual norm, theta0) once the residual norm is at most NEWTON_TOL and
+    the border residual at most border_tol; raises NewtonError, naming
+    lambda, on a non-finite residual or step or a singular matrix, or after
+    maxit steps, retaken ones included.  theta0 = |s_1| / |s_0| is the first
+    contraction, from the first two steps kept on the first matrix, s_1
+    after its update (not Deuflhard's simplified correction, the raw solve):
+    0 when the solve ends before a second step, inf when that matrix is left
+    for a retake first.
 
     Each step solves with the current matrix A of that form (a given A is
     the first), built at the iterate when there is none, and is the
@@ -852,6 +891,7 @@ def _bordered_newton(problem, c, lam, border, base, offset, border_tol, maxit, A
     alpha >= 1/2 (a guard on 1 - alpha, which QNERR's bound |alpha| <=
     |v| / |s| < 1/2 keeps above 1/2) or when it cuts the residual norm by
     less than _CHORD_BAR; a step on a fresh A is kept."""
+    problem = space.problem
     n = problem.n_dof
 
     def residual(c, lam):
@@ -872,7 +912,7 @@ def _bordered_newton(problem, c, lam, border, base, offset, border_tol, maxit, A
             return c, lam, rn, 0.0 if theta0 is None else theta0
         fresh = A is None
         if fresh:
-            A, steps = _newton_system(problem, c, lam, jacobian(problem, c, lam), border), []
+            A, steps = _newton_system(problem, c, lam, _branch_jacobian(space, c, lam), border), []
         v = _solve(A, np.concatenate([-r, np.zeros(A.shape[0] - n - 1), [-g]]), lam)[: n + 1]
         if not np.all(np.isfinite(v)):
             raise NewtonError(f"bordered Newton step diverged at lambda={lam}")
@@ -991,13 +1031,13 @@ def _kernel_direction(space, lam_star):
     fixed by the reflection y -> -y.  When exactly one eigenvalue mu of A,
     a simple one, puts lam_star mu on the Laplacian spectrum (as for every
     builtin), the kernel there is simple, so the seed does not depend on the
-    last bits of J.  J is assembled on those rows alone, space.problem, and
-    the seed is lifted to every row of space.full."""
+    last bits of J.  J is space.problem's, on those rows alone
+    (_branch_jacobian), and the seed is lifted to every row of space.full."""
     zero = np.zeros(space.problem.n_dof)
     # at c = 0 the pinning rows are the component generators on the constant
     # row, which lies in the subspace
     Q = _complement(_pinning_rows(space.problem, zero))
-    M = Q.T @ jacobian(space.problem, zero, lam_star) @ Q
+    M = Q.T @ _branch_jacobian(space, zero, lam_star) @ Q
     vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
     v = space.lift(Q @ vecs[:, int(np.argmin(np.abs(vals)))])
     if v[np.argmax(np.abs(v))] < 0:
@@ -1036,7 +1076,7 @@ def switch_branch(problem: GalerkinProblem, lam_star: float) -> Branch:
     fail = f"no branch captured at lambda_star={lam_star}"
     try:
         c, lam, rn, _ = _bordered_newton(
-            space.problem, seed, lam_star, border, np.zeros_like(border), target, NEWTON_TOL, 30
+            space, seed, lam_star, border, np.zeros_like(border), target, NEWTON_TOL, 30
         )
     except NewtonError as err:
         raise NoBranchError(f"{fail}: {err}") from err
@@ -1070,21 +1110,21 @@ def _tangent(problem, c, lam, J, t_prev):
     return t, A
 
 
-def _end_on_limit(problem, A, start, end, limit):
-    """(c, lam, residual norm, theta0) of the branch point at lam = limit,
-    between the accepted point start = (c, lam) and the corrector's point
-    end past the limit: one bordered solve with the natural border (0, ...,
+def _end_on_limit(space, A, start, end, limit):
+    """(c, lam, residual norm, theta0) of the branch point of space.problem
+    at lam = limit, between the accepted point start = (c, lam) and the
+    corrector's point end past the limit: one bordered solve with the natural border (0, ...,
     0, 1) from the secant between them at lam = limit, begun on A with that
     border row.  Its border tolerance is 0, so lam is the limit bit for
     bit."""
-    n = problem.n_dof
+    n = space.problem.n_dof
     (c0, lam0), (c1, lam1) = start, end
     border = np.zeros(n + 1)
     border[n] = 1.0
     A = A.copy()
     A[-1, : n + 1] = border
     c = c0 + ((limit - lam0) / (lam1 - lam0)) * (c1 - c0)
-    return _bordered_newton(problem, c, limit, border, np.zeros(n + 1), limit, 0.0, 20, A)
+    return _bordered_newton(space, c, limit, border, np.zeros(n + 1), limit, 0.0, 20, A)
 
 
 def _locate_fold(space, start, t0, step, f1, A):
@@ -1106,11 +1146,12 @@ def _locate_fold(space, start, t0, step, f1, A):
     for _ in range(_FOLD_MAXIT):
         s = (a * fb - b * fa) / (fb - fa)
         pred = (c0 + s * t0[:n], lam0 + s * t0[n])
-        c, lam, rn, _ = _bordered_newton(sub, *pred, t0, base, s, 10 * NEWTON_TOL, 20, A)
-        J, H = _jacobian_and_hessian(sub, c, lam)
+        c, lam, rn, _ = _bordered_newton(space, *pred, t0, base, s, 10 * NEWTON_TOL, 20, A)
+        H = _nodal_hessian(sub, c, lam)
+        J = _block(space, 0, H)
         t, A = _tangent(sub, c, lam, J, t0)
         if abs(t[n]) <= _FOLD_TOL:
-            return _make_point(space, c, lam, rn, H)[0]
+            return _make_point(space, c, lam, rn, H, J)[0]
         if t[n] * fb < 0:
             a, fa = b, fb
         else:
@@ -1204,7 +1245,7 @@ def continue_branch(
     # dropped before the corrector runs, which keeps only the tangent's
     # bordered matrix; at every accepted point it is the point's first block
     if J is None:
-        J = jacobian(sub, c, lam)
+        J = _branch_jacobian(space, c, lam)
     for _ in range(max_steps):
         try:
             t, A = _tangent(sub, c, lam, J, t_prev)
@@ -1224,11 +1265,12 @@ def continue_branch(
             pred = (c + ds * t[:n], lam + ds * t[n])
             try:
                 c_new, lam_new, rn, theta0 = _bordered_newton(
-                    sub, *pred, t, np.append(c, lam), ds, 10 * NEWTON_TOL, 20, A
+                    space, *pred, t, np.append(c, lam), ds, 10 * NEWTON_TOL, 20, A
                 )
                 limit = lo if lam_new < lo else hi if lam_new > hi else None
                 if limit is not None and lo <= lam <= hi:
-                    c_new, lam_new, rn, _ = _end_on_limit(sub, A, (c, lam), (c_new, lam_new), limit)
+                    end = (c_new, lam_new)
+                    c_new, lam_new, rn, _ = _end_on_limit(space, A, (c, lam), end, limit)
                 break
             except NewtonError:
                 ds *= 0.5

@@ -48,8 +48,8 @@ AT_FIXED_GROWTH = AT_CENTRAL_DIFFERENCE + (
 # inserted
 AT_OLD_STEP_AND_ENDS = AT_OLD_STEP + (
     "import numpy as np\n"
-    "def past_limit(problem, A, start, end, limit):\n"
-    "    r = continuation.assemble_residual(problem, *end)\n"
+    "def past_limit(space, A, start, end, limit):\n"
+    "    r = continuation.assemble_residual(space.problem, *end)\n"
     "    return (*end, float(np.linalg.norm(r)), 0.0)\n"
     "def no_fold(*args):\n"
     "    raise continuation.NewtonError('no fold located')\n"

@@ -558,36 +558,48 @@ class TestVerifyCommand:
 
 
 class TestDiskVerifyKernel:
-    def test_sin_blocks_come_from_the_kernel(self, capsys, monkeypatch):
-        # verify on the disk (beta <= 60) assembles no sin-row block dense:
-        # every sin block a branch point solves comes from one call of the
-        # sum-factorized kernel, so a fallback to the dense assembly fails
-        # here, with no timing
-        prob = continuation.build_problem(
-            spectral.ball(2), potentials.builtin("pitchfork-scalar"), beta_cutoff=60.0
-        )
-        n_even, n_sin = (rows.size for rows in continuation._isotypic_rows(prob))
-        assert n_even != n_sin
-        dense, kernel, solved = [], [], []
+    def test_every_branch_jacobian_comes_from_the_kernel(self, capsys, monkeypatch):
+        # verify on the disk (beta <= 60) assembles no Jacobian dense: every
+        # block a branch point solves and the Jacobian of every bordered
+        # matrix come from the sum-factorized kernel, one call each, and
+        # every other call is the Jacobian of a branch seed's kernel
+        # direction, one per switch; a fallback to the dense assembly, or a
+        # block assembled twice, fails here with no timing
+        made, taken, dense = [], [], []
+        kernel = continuation._factored_block
 
-        def spy(name, record, size):
+        def kernel_spy(factors, H):
+            made.append(kernel(factors, H))
+            return made[-1]
+
+        def spy(name, record, pick):
             fn = getattr(continuation, name)
 
             def wrapped(*args):
-                record.append(size(*args))
+                record.append(pick(*args))
                 return fn(*args)
 
             monkeypatch.setattr(continuation, name, wrapped)
 
-        spy("_assemble_jacobian", dense, lambda E, *_: E.shape[0])
-        spy("_sin_block", kernel, lambda factors, H: H.shape[1])
-        spy("_offsym_eigenvalues", solved, lambda pins, J: J.shape[0])
-        for potential, p in (("pitchfork-scalar", 1), ("so2-ring", 2)):
+        monkeypatch.setattr(continuation, "_factored_block", kernel_spy)
+        spy("_assemble_jacobian", dense, lambda *args: args)
+        spy("jacobian", dense, lambda *args: args)
+        spy("_offsym_eigenvalues", taken, lambda pins, J: J)
+        spy("_newton_system", taken, lambda problem, c, lam, J, border: J)
+        switches = 0
+        for potential in ("pitchfork-scalar", "so2-ring"):
             options = ["--domain", "ball", "--dim", "2", "--window", "0.5:10"]
             code, out, _ = run(capsys, "verify", "--potential", potential, *options)
-            assert code == 0 and json.loads(out)["verdict"] == "CONSISTENT"
-            assert kernel.count(p) == solved.count(n_sin * p) > 0
-        assert n_sin not in dense
+            report = json.loads(out)
+            assert code == 0 and report["verdict"] == "CONSISTENT"
+            switches += len(_branch_records(report))
+        assert dense == []
+        assert switches > 0 and len(taken) > len(made) > 0
+        # made keeps every block alive, so their ids are distinct
+        made_ids = {id(J) for J in made}
+        assert len(made_ids) == len(made)
+        assert all(id(J) in made_ids for J in taken)
+        assert len(made) == len({id(J) for J in taken}) + switches
 
 
 class TestEulerCommand:
@@ -966,12 +978,16 @@ class TestVerifyDeterminism:
         [
             ("pitchfork-scalar", "--domain sphere --dim 2 --beta-cutoff 10 --window 0.5:9.5"),
             ("so2-ring", "--domain ball --dim 2 --beta-cutoff 10 --window 0.5:10"),
+            ("pitchfork-scalar", "--domain ball --dim 2 --window 0.5:10"),
+            ("so2-ring", "--domain ball --dim 2 --window 0.5:10"),
             ("pitchfork-scalar", "--domain sphere --dim 3 --truncation 12 --window 0.5:8"),
             ("so2-ring", "--domain sphere --dim 3 --truncation 12 --window 0.5:8"),
         ],
         ids=[
             "circle-pitchfork-scalar",
             "disk-so2-ring",
+            "disk-60-pitchfork-scalar",
+            "disk-60-so2-ring",
             "sphere2-12-pitchfork-scalar",
             "sphere2-12-so2-ring",
         ],
@@ -1029,6 +1045,16 @@ CHORD_BRANCHES = json.loads((Path(__file__).parent / "chord_corrector_branches.j
 # lambda, sup_norm and min_offsym_singular per point, in full
 UNCENTRED_BRANCHES = json.loads(
     (Path(__file__).parent / "uncentred_so2_ring_branches.json").read_text()
+)
+# verify's disk output (beta <= 60, both builtins) as written when the first
+# block of every disk branch Jacobian was assembled dense over the half-turn
+# rule, before it came from the sum-factorized kernel: keyed by generation
+# (exact-column, central-difference, fixed-growth, old-step) and potential;
+# the verdict and the detected levels, and per branch file its termination,
+# its block Morse indices (run-length encoded) and its lambda, sup_norm and
+# min_offsym_singular per point, in full
+DENSE_FIRST_BLOCK_BRANCHES = json.loads(
+    (Path(__file__).parent / "dense_first_block_disk_branches.json").read_text()
 )
 
 def _branch_files(outputs):
@@ -1160,7 +1186,13 @@ class TestVerifyGoldenDigests:
     potential was centred at u0, its derivatives evaluated at the deviation
     v = u - u0 from F(u0 + v) expanded once; the values before are kept as
     UNCENTRED_BRANCHES and checked.  The pitchfork digests, where u0 = 0 and
-    nothing changed, were not."""
+    nothing changed, were not.
+
+    The disk digests of every generation were re-recorded when every
+    Jacobian of a disk branch, its first block included, came from the
+    sum-factorized kernel instead of the dense assembly; the values before
+    are kept as DENSE_FIRST_BLOCK_BRANCHES and checked.  The circle and
+    2-sphere digests did not change."""
 
     SPHERE_OPTIONS = ["--domain", "sphere", "--dim", "3", "--window", "0.5:8"]
     PLANE_OPTIONS = {
@@ -1210,18 +1242,18 @@ class TestVerifyGoldenDigests:
             "r.branch-9.json": "71dbb762cc150398ea6f76e28f552818d8221b61d17d4cb6f20140c2e75c0ff4",
         },
         ("pitchfork-scalar", "disk"): {
-            "r": "7ffe47dbc4297c704222380439cb8e0dad81aa0353fd270abd39a43ca4c1ac2b",
-            "r.branch-3.38996.csv": "350cdc767d2c26cef5cccc3ad8c66400983b261a312392d50f2086e9302d34e9",
-            "r.branch-3.38996.json": "d31f54fb0bb986c8e5390019cdb19c5381974ed4ad42172938bd72081f9b909a",
-            "r.branch-9.32836.csv": "780ed720fd5c41fb5076f6c29499d27e52e7858670401cbcec0daffa36ff32cb",
-            "r.branch-9.32836.json": "b474cbf21fd7b18f58d311f8ceb5511c125910488ca57de594da11417edfafe2",
+            "r": "b1db976dcb192722f3ecc460ca5d1a83295269c6df169814e2eefb912b1cce69",
+            "r.branch-3.38996.csv": "ec639e0be5d2fc48c95558e97af533b7549fc355ed5864fd43b7d1b9576a4670",
+            "r.branch-3.38996.json": "ffb78fadc8204c4719252452f8f95a2defd63c4de94b6fecd888bf6a31e22570",
+            "r.branch-9.32836.csv": "2974c5da66eb86cdb2bc1ce0d87e4fc300ae976d25e32b0a30e6e06d04da8e4a",
+            "r.branch-9.32836.json": "6e3017059b4236fd7477cf9200a7c3243b08e5f77bb80491120288018cd2e2c3",
         },
         ("so2-ring", "disk"): {
-            "r": "cc7e09e3b9d93fb3620f6f98b21c6465819aff2f17a121d33ca05aff663fd8ba",
-            "r.branch-3.38996.csv": "2e9c8e36e347aff5b319d07c082ab30e8bb29be8cf3d3a9d6f75e8c9c4fcbac5",
-            "r.branch-3.38996.json": "d7748c55ca2b6e52e1be4f47be49ef722e6e26445b69a93d2af181e425e49d1a",
-            "r.branch-9.32836.csv": "3b6aca5d4b237588e2454fcc81f944a52a87b8badbfefc3946b6d5490c9975ab",
-            "r.branch-9.32836.json": "b5422ee22f311a2d1a374a5645fbbb2b8556798cf0ba77a39b33cc7427cd046c",
+            "r": "e72f72c92c76cf02b7b56758d96444db3f1acc49bf8163b1c3461a88792d8ef3",
+            "r.branch-3.38996.csv": "40fbd8dc4a411750ca709318134a4a5330de0eb998ecad497864ab281a4431af",
+            "r.branch-3.38996.json": "6de15272f5a5c59542ac76f62c96901fa93cfb648b2e0e04e57d108f1485a400",
+            "r.branch-9.32836.csv": "d86fe1d95dbb91626b8e0ca6ef5eb4441ac9c78945f9c1abff23b1b5dbbe8506",
+            "r.branch-9.32836.json": "b61e0b612a0488403dff23d580203d63e658b31b84e13ee34c3fc2efe17e971c",
         },
     }
 
@@ -1268,18 +1300,18 @@ class TestVerifyGoldenDigests:
             "r.branch-9.json": "389062f38e1479a023d24707ccaee4f41fab732bc4349ca5a1e83d9de2a80ffb",
         },
         ("pitchfork-scalar", "disk"): {
-            "r": "561cb4e7833f6a13032756f1a6247f5d043826d31e956b89e4a5ff3cc5d171bd",
-            "r.branch-3.38996.csv": "25e51d72996102711dc5b334a0c90acc32d8ab77fe90b161a71edaf11109f489",
-            "r.branch-3.38996.json": "a49ab621300a2eb0fa1357612ebef1ba4187ed9b11f96b254c79968a52378bcd",
-            "r.branch-9.32836.csv": "72f2e04bcacce5cb07b3113a10a57f3993f7358c9f0c53c0671f325281987a76",
-            "r.branch-9.32836.json": "6208cbfbc91997f045c84f36ae6d5dd0aed2936dac0f58f3ac4c7353cc5932b6",
+            "r": "f1ab4614f17c76fb58b30b5470957d7f2d866fac2049930f11d04ab9de9f7e88",
+            "r.branch-3.38996.csv": "cb375d73a721b2b56316532953c80729638b3b7fabba97af0dd6d722f9324501",
+            "r.branch-3.38996.json": "553d3be6ca92cc90d2db8f8b918fadc6b642ce7e713db50eff27fa56008b1613",
+            "r.branch-9.32836.csv": "99d29a6ea170647997594b77af2cc4ac9ead34c0ac16970108094a6235b83038",
+            "r.branch-9.32836.json": "87fcf3510f674e324b5815e9726069967475736fb7af00a0a5777fe614633f4f",
         },
         ("so2-ring", "disk"): {
-            "r": "1382d8e9e012472b6c3d95d031d27926ff5426f7aa7d73fb7361a491c4f494b0",
-            "r.branch-3.38996.csv": "b777dde0be8ed05aae4d20e3408dbf6d78fdc3d2e3a934c7a95bab59edb615b8",
-            "r.branch-3.38996.json": "b2a9d49ad40ba60b29be50cba942bffa83ee18ffcbc08ad61225af0d0b0395d1",
-            "r.branch-9.32836.csv": "4ed326e1a9c88f7890267acf8411682776cb481f31daae6135206262ed4ccdd9",
-            "r.branch-9.32836.json": "16a26030f3352e26b48bf6e853a0f08d19357313ed5b1615dea1575380826787",
+            "r": "44870c40d2b9b6d70da785a9453a98aea64143d919a60208c8ce82396454cf6b",
+            "r.branch-3.38996.csv": "0072b59c49af79caf8a8223f7eeacbdb6c30600d8c9c4185416902b265ce6669",
+            "r.branch-3.38996.json": "28a31625c25a6c940333626b3b492f44138e6391f89ddeae8433df783fea58cb",
+            "r.branch-9.32836.csv": "53526c70a2d7fb2da7c4144762efbb40e25fd9924fbbfc92251028765b1480f2",
+            "r.branch-9.32836.json": "8a2c0afb52f3de02de13351fe999e01ba271f85a78d60662f110c59e4cb5182a",
         },
     }
 
@@ -1326,18 +1358,18 @@ class TestVerifyGoldenDigests:
             "r.branch-9.json": "2f6f0709599291b11d21fb9f34eb573b966228b57767b1607593ce4617d4ccde",
         },
         ("pitchfork-scalar", "disk"): {
-            "r": "fcb208ca6e980311d48c9d43ecb2c3064293dfc96fe12fa27fa7ecae3b248427",
-            "r.branch-3.38996.csv": "b9f949a77c47fbcaa1e490ab47d4f3d8a8fde8d6ee2e40c45248714616ef4c39",
-            "r.branch-3.38996.json": "26e46c3201b05f55117d6bf5c29a260711417b6abd95accdf8bb0641890fb670",
-            "r.branch-9.32836.csv": "99141176a29d9b9833c31fa1e632ede4c18d543bd7b5676c71b6ceb0250aaaa6",
-            "r.branch-9.32836.json": "ee60e31f812359aa3e8e7bfe6909491542610d417c2ab40778e36363495b9192",
+            "r": "60e51269dc02e6e1a77c7a65be4d857414e1c69f1f1a341e74db3b96cf61c356",
+            "r.branch-3.38996.csv": "ed8597564121127f140fa5e6b8446280e70e2d10d655751189b2da3db772b9a8",
+            "r.branch-3.38996.json": "70fb6b697e4c53931ee4654a5e77d59369ead1b582346347e79091890f12324d",
+            "r.branch-9.32836.csv": "2d541c37f3d53915a3340fb730c196f764dd541251db16d01dc09ed61fdff4b8",
+            "r.branch-9.32836.json": "abb4a382f9feadf27d98bbd0796cef598b5453254de99cf0a459aa0ffd915e24",
         },
         ("so2-ring", "disk"): {
-            "r": "c283ec647b0e1011fde7d134125fbce79f35d80023edce7616e725e7c1adb77d",
-            "r.branch-3.38996.csv": "074f44e3471b195da6ad5eba94fdf6988bb33b81b72ec4f088ad17d031f4ee7d",
-            "r.branch-3.38996.json": "e370433c81464ebfcee24ec246de29e5af2532ba11e30c38ebdaa287d8978cd0",
-            "r.branch-9.32836.csv": "6c939f52e1cd1016f2318c70f13e401a0aeb28f1b9cbb472c4a7084444a55486",
-            "r.branch-9.32836.json": "64a450ba8f77bdcd9ad66a55e61c8d4de706c110f553de300ec63627a7d1c9c8",
+            "r": "1d9a827830863eff5636cc1d039ff2df8a6b7c3efd0e5e13510441bafedd97d2",
+            "r.branch-3.38996.csv": "3b59557704d9843c2164bcf1810e98c1849dc42a43f32f6efef03d3cf93c015f",
+            "r.branch-3.38996.json": "dc873d42e8d720653144c01d11c0c489f3a19dfef9f98bb4d9154d5afb1fdc7c",
+            "r.branch-9.32836.csv": "a84b68d8b26365b776b1faaaa54c112faeb0cf09ea775511b04aef76dee53d13",
+            "r.branch-9.32836.json": "d22b4b0fd075f096c68f50d7b7432ca53a635deb739a5484e5ea76365d4cac16",
         },
     }
 
@@ -1384,18 +1416,18 @@ class TestVerifyGoldenDigests:
             "r.branch-9.json": "35e3b99ce2be5d76c8e1f966a9348559808fb176cf53a4910c0e5dae0f574be3",
         },
         ("pitchfork-scalar", "disk"): {
-            "r": "54e84d4dab7d953649da12c9433aa3533b53e9769790714a5218125dcaf4c16f",
-            "r.branch-3.38996.csv": "9b8d4216e2c6039ec1850cd3f481996bec1d3366e974a953901870b975c61bdb",
-            "r.branch-3.38996.json": "d67f31a7023ddddb0b600b0b90d19852b96a785ab60fb2eaf536b6f2935bc1a2",
-            "r.branch-9.32836.csv": "b2ba8f1db78d6c293f7db4980b8b85f33478b2b03beb509400a9b40fa7323426",
-            "r.branch-9.32836.json": "0915106f8c25965c50b5fdf308dd1307932e68bab43720e2fa78b63d67acc72e",
+            "r": "e2b1d8b526476eefdb13b5228060dc2a3ae3dac87764843cd79d14ac3ff8ead0",
+            "r.branch-3.38996.csv": "6c0233a11da0204d117cfdb07efc0664af473779511fca520a05f6bf43a34a95",
+            "r.branch-3.38996.json": "78f393734e387b422054a5121835fc8ae70bf5e0d16419d2bfb51d367f8ea84c",
+            "r.branch-9.32836.csv": "662ea82bcda20924421afc70d47b29644ba66ca0ab041baaaff502e1858aebaf",
+            "r.branch-9.32836.json": "a1fad9893a17bccaa18b4fa3ceef68147522b3e1813d6d5dce1531cb00cc50ee",
         },
         ("so2-ring", "disk"): {
-            "r": "f7253745a7a34b4aae2907a9866e85570b0c5a206fe0d1bf23084b57b75134a1",
-            "r.branch-3.38996.csv": "be2e357f2de65334752153815a015e9b0285c6ea62ee094a8d941662529c6042",
-            "r.branch-3.38996.json": "4c8a5f3897236c6226a90719ed80f7df1bf501432564d65e217898c17d147a9f",
-            "r.branch-9.32836.csv": "4cb6975e8945cd72a6c20329f1daf67cda89339ce163965f84442565b93b1b09",
-            "r.branch-9.32836.json": "94d2ec069db90a6420490ad51ddfc7a93a62812f60d3c07d2d02f671aee7e406",
+            "r": "656049cc7c2ef2abf41a2e1c2a64c5c67eeb129d2ee412cc60a1bd66583308b8",
+            "r.branch-3.38996.csv": "fe1c2052e71723d12bf2c2af3aff01659802c947114ad2a9b591f85ccd5ae82d",
+            "r.branch-3.38996.json": "0d75c1ebbc4c3ede2ca84ae54fd53b4a3018ac5ac6cbc62cb0c265bd59edb175",
+            "r.branch-9.32836.csv": "9dd2d67b67b41851246bce12057048c19b0afb4592cf0297643648a9b07791b5",
+            "r.branch-9.32836.json": "0c7bcec510ae71d1c0559bdbb549276daf520a7f33a1774fed7186b5f4602e77",
         },
     }
 
@@ -1513,6 +1545,29 @@ class TestVerifyGoldenDigests:
         out = outputs(("so2-ring", where), "1", prelude)
         _assert_near_recorded(out, UNCENTRED_BRANCHES[key], bound)
         for name, rec in UNCENTRED_BRANCHES[key]["branches"].items():
+            lams = [p["lambda"] for p in json.loads(out[name])["points"]]
+            assert _fold_indices(lams) == _fold_indices(rec["lambda"])
+
+    # the prelude and bound of each generation in DENSE_FIRST_BLOCK_BRANCHES;
+    # the central difference keeps its bound of UNCENTRED_REPLAYS
+    DENSE_FIRST_BLOCK_REPLAYS = {
+        **UNCENTRED_REPLAYS,
+        "old-step": (AT_OLD_STEP_AND_ENDS, 1e-9),
+    }
+
+    @pytest.mark.parametrize("key", list(DENSE_FIRST_BLOCK_BRANCHES))
+    def test_disk_stays_near_the_dense_first_block_branches(self, key, outputs):
+        # the kernel's first block moves the disk branches in their last
+        # bits: the verdict, the detected levels bit for bit, and per branch
+        # its termination, point count, folds and block Morse indices are
+        # kept (measured: 2.6e-10 (1 + |x|) at the default step, the so2-ring
+        # branch from 9.33; 3.1e-9 under the central difference, where the
+        # corrector stops up to 9.0e-9 away)
+        generation, potential = key.split("/")
+        prelude, bound = self.DENSE_FIRST_BLOCK_REPLAYS[generation]
+        out = outputs((potential, "disk"), "1", prelude)
+        _assert_near_recorded(out, DENSE_FIRST_BLOCK_BRANCHES[key], bound)
+        for name, rec in DENSE_FIRST_BLOCK_BRANCHES[key]["branches"].items():
             lams = [p["lambda"] for p in json.loads(out[name])["points"]]
             assert _fold_indices(lams) == _fold_indices(rec["lambda"])
 
@@ -1766,7 +1821,7 @@ class TestStepIndependence:
                 x = np.append(bp.c[space.idx], bp.lam)
                 start = reference[np.argmin(np.linalg.norm(reference - x, axis=1))]
                 c, lam, _, _ = continuation._bordered_newton(
-                    sub, start[:n], bp.lam, border, np.zeros(n + 1), bp.lam, 0.0, 20
+                    space, start[:n], bp.lam, border, np.zeros(n + 1), bp.lam, 0.0, 20
                 )
                 assert lam == bp.lam
                 assert np.max(np.abs(c - x[:n])) <= 1e-8

@@ -608,27 +608,48 @@ class TestJacobianReuse:
             branches.append([(bp.lam, bp.c.tobytes()) for bp in branch.points])
         assert branches[0] == branches[1]
 
-    def test_fold_location_evaluates_one_hessian_per_point(self, sphere12_ring, monkeypatch):
-        # so2-ring on S^2 at truncation 12 from lambda* = 6 to (4.5, 7.5)
-        # passes the fold near 5.48; each trial point's tangent and, at the
-        # fold, the point's diagnostics share one nodal Hessian (the fold's
-        # was evaluated twice: 28 evaluations at 27 distinct points)
-        prob = sphere12_ring
-        seed = switch_branch(prob, 6.0)
-        seen = []
-        hessian = continuation._nodal_hessian
+    @pytest.mark.parametrize(
+        "fixture,lam_star,limits,fold_lam",
+        [
+            ("sphere12_ring", 6.0, (4.5, 7.5), 5.481409214087),
+            ("disk_ring", 9.328363213439783, (8.5, 10.0), 9.289219848450),
+        ],
+        ids=["sphere2-12", "disk"],
+    )
+    def test_fold_location_evaluates_one_hessian_per_point(
+        self, fixture, lam_star, limits, fold_lam, request, monkeypatch
+    ):
+        # so2-ring on S^2 at truncation 12 from lambda* = 6 passes the fold
+        # near 5.48, and on the disk (beta <= 60) from 9.33 the fold near
+        # 9.289; each trial point's tangent and, at the fold, the point's
+        # diagnostics share one nodal Hessian and one first block (the fold's
+        # Hessian was evaluated twice, 28 evaluations at 27 distinct points
+        # on S^2, and then its first block assembled twice from one Hessian)
+        prob = request.getfixturevalue(fixture)
+        seed = switch_branch(prob, lam_star)
+        seen, firsts = [], []
+        hessian, block = continuation._nodal_hessian, continuation._block
 
         def spy(problem, c, lam):
             seen.append((np.asarray(c, float).tobytes(), float(lam)))
             return hessian(problem, c, lam)
 
+        def block_spy(space, k, H):
+            if k == 0:
+                firsts.append(H)
+            return block(space, k, H)
+
         monkeypatch.setattr(continuation, "_nodal_hessian", spy)
-        branch = continue_branch(prob, seed, (4.5, 7.5))
+        monkeypatch.setattr(continuation, "_block", block_spy)
+        branch = continue_branch(prob, seed, limits)
         assert branch.termination == "lambda-limit"
         fold = min(branch.points, key=lambda bp: bp.lam)
-        assert abs(fold.lam - 5.481409214087) < 1e-9
+        assert 0 < branch.points.index(fold) < len(branch.points) - 1
+        assert abs(fold.lam - fold_lam) < 1e-9
         assert len(seen) > len(branch.points)
         assert len(seen) == len(set(seen))
+        # firsts keeps every Hessian alive, so their ids are distinct
+        assert len(firsts) == len({id(H) for H in firsts}) == len(seen)
 
     @pytest.mark.parametrize("fixture", ["circle_pitchfork", "disk_ring", "sphere12_ring"])
     def test_switch_and_continue_build_one_subspace_each(self, fixture, request, monkeypatch):
@@ -836,8 +857,9 @@ class TestLambdaColumn:
 # amplitude-pinned switch from the cos-mode seed, as full Newton correctors
 # on the reflection-even rows compute them with no chord attempt (12 points
 # each, terminated at the lambda limit), on the half-turn
-# of the angular rule.  The last point of each branch here is the first one
-# past the limit, which continue_branch now replaces by the point on it
+# of the angular rule, the disk's with every Jacobian from the
+# sum-factorized kernel.  The last point of each branch here is the first
+# one past the limit, which continue_branch now replaces by the point on it
 RECORDED_NEWTON_HEX = {
     "circle_pitchfork": [
         "0x1.007aded2c7b2dp+0", "0x1.00b881175071fp+0", "0x1.0123afe410b30p+0",
@@ -845,6 +867,17 @@ RECORDED_NEWTON_HEX = {
         "0x1.0a6263df337fap+0", "0x1.1310351c1009dp+0", "0x1.223d2744497ddp+0",
         "0x1.352707d14b900p+0", "0x1.4b55f77bd6e07p+0", "0x1.645836b6a3af2p+0",
     ],
+    "disk_pitchfork": [
+        "0x1.b21cbae002867p+1", "0x1.b24a5f875fd26p+1", "0x1.b2a27c502ffd9p+1",
+        "0x1.b34cae8d8ca8bp+1", "0x1.b4947e9c6ae49p+1", "0x1.b706d7a812745p+1",
+        "0x1.bba096508164cp+1", "0x1.c40bab55b9b63p+1", "0x1.d203dde912ccdp+1",
+        "0x1.e2480c5acafc2p+1", "0x1.f42dbf8dbbe2dp+1", "0x1.03a1735e6f9ebp+2",
+    ],
+}
+
+# the disk branch as recorded when its first block, the Jacobian of every
+# tangent, corrector and seed, was assembled dense over the half-turn rule
+DENSE_FIRST_BLOCK_NEWTON_HEX = {
     "disk_pitchfork": [
         "0x1.b21cbae002863p+1", "0x1.b24a5f875fd2cp+1", "0x1.b2a27c502ffd6p+1",
         "0x1.b34cae8d8ca88p+1", "0x1.b4947e9c6ae46p+1", "0x1.b706d7a8126f5p+1",
@@ -932,7 +965,8 @@ class TestChordCorrector:
         # with a bar of 0 every step on a reused matrix stalls and is retaken
         # on one built at its iterate, the first step on the tangent's matrix
         # too, so every kept step is a Newton step and the branch is bit for
-        # bit what full Newton correctors computed
+        # bit what full Newton correctors computed; the disk's within 1e-11
+        # |lambda| of the branch on its dense first block (measured: 5.4e-13)
         prob = request.getfixturevalue(fixture)
         chords = []
         bordered = continuation._bordered_newton
@@ -953,6 +987,8 @@ class TestChordCorrector:
         _assert_near_recorded(lams, FULL_RULE_NEWTON_HEX[fixture][:-1], 1e-11)
         if fixture in BISECTION_NEWTON_HEX:
             _assert_near_recorded(lams, BISECTION_NEWTON_HEX[fixture][:-1], 1e-11)
+        if fixture in DENSE_FIRST_BLOCK_NEWTON_HEX:
+            _assert_near_recorded(lams, DENSE_FIRST_BLOCK_NEWTON_HEX[fixture][:-1], 1e-11)
         assert [lam.hex() for lam in lams] == recorded[:-1]
 
     @staticmethod
@@ -1003,7 +1039,7 @@ class TestChordCorrector:
             m.setattr(continuation, "_newton_system", system_spy)
             m.setattr(continuation, "_solve", solve_spy)
             c, lam, rn, theta0 = continuation._bordered_newton(
-                sub, *pred, t, np.append(c0, lam0), ds, 10 * continuation.NEWTON_TOL, 20, A
+                space, *pred, t, np.append(c0, lam0), ds, 10 * continuation.NEWTON_TOL, 20, A
             )
         assert rn <= continuation.NEWTON_TOL
         steps = []
@@ -1128,11 +1164,12 @@ class TestChordCorrector:
             return np.block([[K, np.zeros((2, 1))], [border[None, :]]])
 
         monkeypatch.setattr(continuation, "assemble_residual", residual)
-        monkeypatch.setattr(continuation, "jacobian", lambda problem, c, lam: None)
+        monkeypatch.setattr(continuation, "_branch_jacobian", lambda space, c, lam: None)
         monkeypatch.setattr(continuation, "_newton_system", system)
         border = np.array([0.0, 0.0, 1.0])
+        space = SimpleNamespace(problem=SimpleNamespace(n_dof=2))
         out = continuation._bordered_newton(
-            SimpleNamespace(n_dof=2), np.zeros(2), 0.0, border, np.zeros(3), 0.0, 1e-12, 20, A
+            space, np.zeros(2), 0.0, border, np.zeros(3), 0.0, 1e-12, 20, A
         )
         np.testing.assert_allclose(out[0], np.linalg.solve(K, f), rtol=1e-14)
         assert out[1] == 0.0 and out[2] <= continuation.NEWTON_TOL
@@ -1214,9 +1251,10 @@ class TestChordCorrector:
             continuation, "assemble_residual", lambda problem, c, lam: K @ c - np.exp(1e4 * c)
         )
         A = np.block([[K, np.zeros((2, 1))], [np.array([[0.0, 0.0, 1.0]])]])
+        space = SimpleNamespace(problem=SimpleNamespace(n_dof=2))
         with pytest.raises(NewtonError, match=r"not finite at lambda=0\.25$"):
             continuation._bordered_newton(
-                SimpleNamespace(n_dof=2), np.zeros(2), 0.25, A[2], np.zeros(3), 0.25, 1e-12, 20, A
+                space, np.zeros(2), 0.25, A[2], np.zeros(3), 0.25, 1e-12, 20, A
             )
 
     def test_one_bordered_matrix_per_accepted_point_on_the_fixed_growth(
@@ -1593,7 +1631,7 @@ class TestSwitchAndContinue:
             bp = seed.points[0]
             # the solve runs on the zonal rows, and the point is its lift
             idx = continuation._subspace(prob).idx
-            assert args[0].n_dof == idx.size < prob.n_dof
+            assert args[0].problem.n_dof == idx.size < prob.n_dof
             assert bp.lam == lam and np.array_equal(bp.c[idx], c)
             assert np.count_nonzero(bp.c) == np.count_nonzero(c)
             assert bp.sup_norm > 1e-3
@@ -1863,11 +1901,11 @@ def _record_blocks(monkeypatch):
         tables.append(E)
         return assemble(E, weights, beta, H)
 
-    def spy_make(space, c, lam, residual_norm, H=None):
+    def spy_make(space, *args):
         tables.clear()
-        bp, J = make(space, c, lam, residual_norm, H)
+        bp, J = make(space, *args)
         assembled = {k for k, block in enumerate(space.blocks) if any(E is block[1] for E in tables)}
-        records.append((space, c, lam, bp, assembled))
+        records.append((space, *args[:2], bp, assembled))
         return bp, J
 
     monkeypatch.setattr(continuation, "_assemble_jacobian", spy_assemble)
@@ -1985,9 +2023,9 @@ def _assert_reduced_rule_matches_the_full_rule(prob, branch, sup_rtol):
     """At every point of a branch and at a perturbed point of the same
     fixed-point rows, the restricted problem on its reduced rule against the
     same rows on the full rule: residual, Jacobian and sup deviation, and
-    every other isotypic block as a branch point assembles it (_block: the
-    disk's sin rows by the sum-factorized kernel) against the full-space
-    Jacobian on its rows."""
+    every isotypic block as the branch path assembles it (_block: on the
+    disk by the sum-factorized kernel) against the full-space Jacobian on
+    its rows."""
     space = continuation._subspace(prob)
     sub = space.problem
     fixed = continuation._isotypic_rows(prob)[0]
@@ -2007,7 +2045,7 @@ def _assert_reduced_rule_matches_the_full_rule(prob, branch, sup_rtol):
         H = continuation._nodal_hessian(sub, c, bp.lam)
         J_full = jacobian(prob, bp.c, bp.lam)
         assert len(space.blocks) > 1
-        for k, (idx, E, _, _) in enumerate(space.blocks[1:], 1):
+        for k, (idx, E, _, _) in enumerate(space.blocks):
             assert E.shape[1] == sub.quad.weights.size
             block = continuation._block(space, k, H)
             dense = J_full[np.ix_(idx, idx)]
@@ -2021,44 +2059,50 @@ def _assert_reduced_rule_matches_the_full_rule(prob, branch, sup_rtol):
 )
 def disk_case(request):
     """(problem, subspace) on the disk, where the sum-factorized kernel
-    assembles the sin rows' block."""
+    assembles every block."""
     cutoff, name = request.param
     prob = build_problem(ball(2), builtin(name), beta_cutoff=cutoff)
     return prob, continuation._subspace(prob)
 
 
-class TestSinBlock:
-    """On the disk a branch point's sin-row block comes from the
-    sum-factorized kernel (_sin_block); the dense assembly on the block's
-    table and the dense full-space jacobian are its references."""
+class TestBlockKernel:
+    """On the disk every block of a branch Jacobian, the reflection-even
+    rows' and the sin rows', comes from the sum-factorized kernel
+    (_factored_block); the dense assembly on the block's table and the dense
+    full-space jacobian are its references."""
 
-    def test_sin_block_matches_the_dense_assembly(self, disk_case):
-        # at c = 0 and at a random c of the subspace, at two lambda: within
-        # 1e-13 |J|_1 of the dense blocks (measured: 1.4e-16) and bitwise
-        # symmetric; the first block, which the tangent and the corrector
-        # take, stays the dense one, bit for bit
+    def test_blocks_match_the_dense_assembly(self, disk_case):
+        # at c = 0 and at a random c of the subspace, at two lambda: each
+        # block is what _block returns, bitwise symmetric, and within 1e-13
+        # |J|_1 of the dense block on its table and of the full-space
+        # Jacobian on its rows (measured: 4.0e-16)
         prob, space = disk_case
         sub = space.problem
         rng = np.random.default_rng(11)
+        assert len(space.factors) == len(space.blocks) == 2
         for c in (np.zeros(sub.n_dof), 0.3 * rng.normal(size=sub.n_dof) / np.sqrt(sub.n_dof)):
             for lam in (1.5, 7.5):
                 H = continuation._nodal_hessian(sub, c, lam)
-                J = continuation._sin_block(space.sin_factors, H)
-                assert np.array_equal(continuation._block(space, 1, H), J)
-                assert np.array_equal(J, J.T)
-                idx, E, weights, beta = space.blocks[1]
-                dense = continuation._assemble_jacobian(E, weights, beta, H)
                 J_full = jacobian(prob, space.lift(c), lam)
-                bound = 1e-13 * np.linalg.norm(dense, 1)
-                assert np.max(np.abs(J - dense)) <= bound
-                assert np.max(np.abs(J - J_full[np.ix_(idx, idx)])) <= bound
-                assert np.array_equal(continuation._block(space, 0, H), jacobian(sub, c, lam))
+                for k, (idx, E, weights, beta) in enumerate(space.blocks):
+                    J = continuation._factored_block(space.factors[k], H)
+                    assert np.array_equal(continuation._block(space, k, H), J)
+                    assert np.array_equal(J, J.T)
+                    dense = continuation._assemble_jacobian(E, weights, beta, H)
+                    bound = 1e-13 * np.linalg.norm(dense, 1)
+                    assert np.max(np.abs(J - dense)) <= bound
+                    assert np.max(np.abs(J - J_full[np.ix_(idx, idx)])) <= bound
+                first = jacobian(sub, c, lam)
+                bound = 1e-13 * np.linalg.norm(first, 1)
+                assert np.max(np.abs(continuation._branch_jacobian(space, c, lam) - first)) <= bound
 
     def test_rows_are_radial_times_angular_factors(self, disk_case):
         # what the kernel reads, bit for bit: on the half-turn rule the cos
         # and sin rows of order l are R(r) cos(l theta) and R(r) sin(l theta)
-        # with R the cos row at theta = 0, and the weights are w_r w_theta;
-        # a basis or rule that is not separable fails here
+        # with R the cos row at theta = 0, every reflection-even row of the
+        # first block (l = 0 for a zonal row) is R(r) cos(l theta) with R
+        # its value at theta = 0, and the weights are w_r w_theta; a basis or
+        # rule that is not separable fails here
         prob, space = disk_case
         sub = space.problem
         theta = sub.quad.points[-1]
@@ -2078,6 +2122,14 @@ class TestSinBlock:
             R = cos_values[:, :1]
             assert np.array_equal(cos_values, R * np.cos(l * angles)[None, :])
             assert np.array_equal(sin_table[k], R * np.sin(l * angles)[None, :])
+        even_rows = continuation._isotypic_rows(prob)[0]
+        orders = np.repeat([e.angular_degree for e in prob.eigens],
+                           [e.multiplicity for e in prob.eigens])[even_rows]
+        assert set(orders.tolist()) >= {0, 1}
+        even_table = space.blocks[0][1].reshape(even_rows.size, n_r, n_t)
+        for values, l in zip(even_table, orders):
+            R = values[:, :1]
+            assert np.array_equal(values, R * np.cos(l * angles)[None, :])
 
     def test_branch_points_match_the_dense_full_space(self, disk_ring):
         # so2-ring from 9.33, where the sin rows hold the smallest modulus
@@ -2101,9 +2153,14 @@ class TestSinBlock:
     @pytest.mark.parametrize("fixture", ["circle_ring", "circle_pitchfork", "sphere12_ring"])
     def test_one_radius_or_the_sphere_keeps_the_dense_blocks(self, fixture, request):
         # the circle's rule has one radius and the 2-sphere's column one
-        # angle: nothing to factor, every block dense from its table
+        # angle: nothing to factor, every block dense from its table, and
+        # the first block is the dense jacobian of the branch problem, bit
+        # for bit
         space = continuation._subspace(request.getfixturevalue(fixture))
-        assert space.sin_factors is None and len(space.blocks) > 1
+        assert space.factors is None and len(space.blocks) > 1
+        sub = space.problem
+        c = 0.1 * np.random.default_rng(3).normal(size=sub.n_dof)
+        assert np.array_equal(continuation._branch_jacobian(space, c, 1.5), jacobian(sub, c, 1.5))
 
 
 class TestReducedRule:
@@ -2432,12 +2489,21 @@ class TestExport:
 RECORDED_DISK200_HEX = {
     "level": ["0x1.b1ea226b51ebap+1"],
     "branch": [
-        "0x1.b2a459223baa1p+1", "0x1.b346934e04b44p+1", "0x1.b475492f0261ap+1",
-        "0x1.b69de301b5a37p+1", "0x1.ba6bf5152b068p+1", "0x1.c0d5055729f0fp+1",
-        "0x1.cb21af21f68b0p+1", "0x1.db034148e7b1cp+1", "0x1.f180e8feca91dp+1",
-        "0x1.046e07cfd1a3ep+2", "0x1.105f41fd23c20p+2",
+        "0x1.b2a459223ba94p+1", "0x1.b346934e04b91p+1", "0x1.b475492f027f9p+1",
+        "0x1.b69de301b6210p+1", "0x1.ba6bf5152bb15p+1", "0x1.c0d505572c31ap+1",
+        "0x1.cb21af21f7e3ep+1", "0x1.db034148e92cap+1", "0x1.f180e8fecd5fcp+1",
+        "0x1.046e07cfd2d2dp+2", "0x1.105f41fd23c20p+2",
     ],
 }
+
+# the branch as recorded when its first block, the Jacobian of every
+# tangent, corrector and seed, was assembled dense over the half-turn rule
+DENSE_FIRST_BLOCK_DISK200_BRANCH_HEX = [
+    "0x1.b2a459223baa1p+1", "0x1.b346934e04b44p+1", "0x1.b475492f0261ap+1",
+    "0x1.b69de301b5a37p+1", "0x1.ba6bf5152b068p+1", "0x1.c0d5055729f0fp+1",
+    "0x1.cb21af21f68b0p+1", "0x1.db034148e7b1cp+1", "0x1.f180e8feca91dp+1",
+    "0x1.046e07cfd1a3ep+2", "0x1.105f41fd23c20p+2",
+]
 
 # the branch as recorded before the potential was centred at u0, when its
 # derivatives were evaluated from F's own monomials at u0 + v
@@ -2518,8 +2584,10 @@ class TestDiskBuild:
         # the level as recorded with one bisection level per Bessel call and
         # one Bessel call per basis function, the branch on the half-turn rule
         # with the Broyden-updated corrector and the Newton-refined Neumann
-        # roots and the potential centred at u0, within 1e-11 |lambda| of the
-        # branch before the centring (measured: 1.0e-12) and within 1e-9
+        # roots and the potential centred at u0 and every Jacobian from the
+        # sum-factorized kernel, within 1e-11 |lambda| of the branch on the
+        # dense first block (measured: 1.3e-12) and of the branch before the
+        # centring (measured: 9.5e-13) and within 1e-9
         # |lambda| of the branch the chord corrector computed and of the one
         # its restarting predecessor computed; the chord branch was within
         # 1e-11 |lambda| of the branch on the bisected roots, the restarting
@@ -2534,6 +2602,7 @@ class TestDiskBuild:
         recorded = RECORDED_DISK200_HEX["branch"]
         _assert_ends_on_limit(branch, float.fromhex(recorded[-1]), limits)
         lams = [bp.lam for bp in branch.points[:-1]]
+        _assert_near_recorded(lams, DENSE_FIRST_BLOCK_DISK200_BRANCH_HEX[:-1], 1e-11)
         _assert_near_recorded(lams, UNCENTRED_DISK200_BRANCH_HEX[:-1], 1e-11)
         _assert_near_recorded(lams, CHORD_DISK200_BRANCH_HEX[:-1], 1e-9)
         _assert_near_recorded(lams, RESTART_DISK200_BRANCH_HEX[:-1], 1e-9)
