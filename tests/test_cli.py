@@ -1057,6 +1057,56 @@ DENSE_FIRST_BLOCK_BRANCHES = json.loads(
     (Path(__file__).parent / "dense_first_block_disk_branches.json").read_text()
 )
 
+
+class BranchDrift(AssertionError):
+    """A branch value moved further from its record than its bound."""
+
+
+def _near_recorded_cases():
+    """(recorded, generation, case, bound) for every entry of
+    UNCENTRED_BRANCHES and DENSE_FIRST_BLOCK_BRANCHES.
+
+    Centring F at u0 moved the so2-ring branches by at most 2.0e-10
+    (1 + |x|) on the disk and 2.6e-12 on the 2-sphere at the default step.
+    Under the central difference, which divides the rounding of two
+    residuals by 2e-6 (1 + |lambda|), the corrector stopped up to 9.0e-9
+    away, so that generation of UNCENTRED_BRANCHES keeps 1e-8.
+
+    The kernel's first block moved the disk branches by at most 2.6e-10 at
+    the default step (so2-ring from 9.33), 8.1e-12 under the fixed growth
+    and at the old step, and 6.1e-10 for pitchfork-scalar under the central
+    difference: every generation is held to 1e-9.  so2-ring under the
+    central difference misses it (BranchDrift, 3.2e-9 in
+    min_offsym_singular on the branch from 3.39).  There each step comes
+    from the corrector's first contraction theta0 = |s_1| / |s_0|, and the
+    column's rounding dominates s_1: J's last bits move theta0 by up to
+    3.4e-8 there against 1.7e-9 with the exact column.  Gathering the
+    kernel's angular sums per row pair instead of per order pair misses it
+    as well (2.9e-9)."""
+    cases = []
+    for key in UNCENTRED_BRANCHES:
+        generation, where = key.split("/")
+        bound = 1e-8 if generation == "central-difference" else 1e-9
+        cases.append(pytest.param(UNCENTRED_BRANCHES[key], generation, ("so2-ring", where),
+                                  bound, id=f"uncentred/{key}"))
+    for key in DENSE_FIRST_BLOCK_BRANCHES:
+        generation, potential = key.split("/")
+        marks = ()
+        if key == "central-difference/so2-ring":
+            marks = pytest.mark.xfail(
+                strict=True, raises=BranchDrift,
+                reason="theta0 under the central difference moves the so2-ring disk "
+                "branches by 3.2e-9 (1 + |x|) from the dense first block's",
+            )
+        cases.append(pytest.param(DENSE_FIRST_BLOCK_BRANCHES[key], generation,
+                                  (potential, "disk"), 1e-9, marks=marks,
+                                  id=f"dense-first-block/{key}"))
+    return cases
+
+
+NEAR_RECORDED_CASES = _near_recorded_cases()
+
+
 def _branch_files(outputs):
     return sorted(name for name in outputs if name.endswith(".json"))
 
@@ -1067,9 +1117,10 @@ def _expand(run_length):
 
 def _assert_near_recorded(outputs, recorded, bound=1e-9):
     """The verdict, detected levels, branch files, terminations, point
-    counts and block Morse indices of recorded (an entry of CHORD_BRANCHES
-    or UNCENTRED_BRANCHES), and every lambda, sup_norm and
-    min_offsym_singular within bound (1 + |x|) of its x there."""
+    counts and block Morse indices of recorded (an entry of CHORD_BRANCHES,
+    UNCENTRED_BRANCHES or DENSE_FIRST_BLOCK_BRANCHES), and every lambda,
+    sup_norm and min_offsym_singular within bound (1 + |x|) of its x there,
+    or BranchDrift."""
     report = json.loads(outputs["r"])
     assert report["verdict"] == recorded["verdict"]
     assert report["detected"] == recorded["detected"]
@@ -1083,7 +1134,9 @@ def _assert_near_recorded(outputs, recorded, bound=1e-9):
         for field in ("lambda", "sup_norm", "min_offsym_singular"):
             values = [p[field] for p in branch["points"]]
             assert len(values) == len(rec[field])
-            assert all(abs(v - x) <= bound * (1.0 + abs(x)) for v, x in zip(values, rec[field]))
+            drift = max(abs(v - x) / (1.0 + abs(x)) for v, x in zip(values, rec[field]))
+            if drift > bound:
+                raise BranchDrift(f"{name} {field}: {drift:.2e} (1 + |x|) > {bound:g}")
 
 
 def _fold_indices(lams):
@@ -1524,50 +1577,23 @@ class TestVerifyGoldenDigests:
         _assert_near_recorded(old, CHORD_BRANCHES["/".join(case)])
         assert {name: _sha256(data) for name, data in old.items()} == self.OLD_STEP_DIGESTS[case]
 
-    # the prelude and bound of each generation in UNCENTRED_BRANCHES: the
-    # central difference divides the rounding of two residuals by 2e-6 (1 +
-    # |lambda|), so there the corrector stops up to 9.0e-9 (1 + |x|) away
-    UNCENTRED_REPLAYS = {
-        "exact-column": ("", 1e-9),
-        "central-difference": (AT_CENTRAL_DIFFERENCE, 1e-8),
-        "fixed-growth": (AT_FIXED_GROWTH, 1e-9),
+    # the prelude that replays each generation of recorded branches
+    REPLAYS = {
+        "exact-column": "",
+        "central-difference": AT_CENTRAL_DIFFERENCE,
+        "fixed-growth": AT_FIXED_GROWTH,
+        "old-step": AT_OLD_STEP_AND_ENDS,
     }
 
-    @pytest.mark.parametrize("key", list(UNCENTRED_BRANCHES))
-    def test_so2_ring_stays_near_the_uncentred_branches(self, key, outputs):
-        # centring F at u0 moves the so2-ring branches in their last bits:
-        # the verdict, the detected levels bit for bit, and per branch its
-        # termination, point count, folds and block Morse indices are kept
-        # (measured at the default step: 2.0e-10 (1 + |x|) on the disk,
-        # 2.6e-12 on the 2-sphere)
-        generation, where = key.split("/")
-        prelude, bound = self.UNCENTRED_REPLAYS[generation]
-        out = outputs(("so2-ring", where), "1", prelude)
-        _assert_near_recorded(out, UNCENTRED_BRANCHES[key], bound)
-        for name, rec in UNCENTRED_BRANCHES[key]["branches"].items():
-            lams = [p["lambda"] for p in json.loads(out[name])["points"]]
-            assert _fold_indices(lams) == _fold_indices(rec["lambda"])
-
-    # the prelude and bound of each generation in DENSE_FIRST_BLOCK_BRANCHES;
-    # the central difference keeps its bound of UNCENTRED_REPLAYS
-    DENSE_FIRST_BLOCK_REPLAYS = {
-        **UNCENTRED_REPLAYS,
-        "old-step": (AT_OLD_STEP_AND_ENDS, 1e-9),
-    }
-
-    @pytest.mark.parametrize("key", list(DENSE_FIRST_BLOCK_BRANCHES))
-    def test_disk_stays_near_the_dense_first_block_branches(self, key, outputs):
-        # the kernel's first block moves the disk branches in their last
-        # bits: the verdict, the detected levels bit for bit, and per branch
-        # its termination, point count, folds and block Morse indices are
-        # kept (measured: 2.6e-10 (1 + |x|) at the default step, the so2-ring
-        # branch from 9.33; 3.1e-9 under the central difference, where the
-        # corrector stops up to 9.0e-9 away)
-        generation, potential = key.split("/")
-        prelude, bound = self.DENSE_FIRST_BLOCK_REPLAYS[generation]
-        out = outputs((potential, "disk"), "1", prelude)
-        _assert_near_recorded(out, DENSE_FIRST_BLOCK_BRANCHES[key], bound)
-        for name, rec in DENSE_FIRST_BLOCK_BRANCHES[key]["branches"].items():
+    @pytest.mark.parametrize("recorded, generation, case, bound", NEAR_RECORDED_CASES)
+    def test_branches_stay_near_their_records(self, recorded, generation, case, bound, outputs):
+        # a change that moves branches in their last bits keeps the
+        # verdict, the detected levels bit for bit, and per branch its
+        # termination, point count, folds and block Morse indices, and
+        # every value within bound (1 + |x|) of its record (NEAR_RECORDED_CASES)
+        out = outputs(case, "1", self.REPLAYS[generation])
+        _assert_near_recorded(out, recorded, bound)
+        for name, rec in recorded["branches"].items():
             lams = [p["lambda"] for p in json.loads(out[name])["points"]]
             assert _fold_indices(lams) == _fold_indices(rec["lambda"])
 
