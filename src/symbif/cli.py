@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import brouwer, continuation, euler_ring, potentials, predictor, spectral
+from . import bessel, brouwer, continuation, euler_ring, potentials, predictor, spectral
 
 def _load_config(path):
     import configparser
@@ -463,6 +463,7 @@ def build_parser(names=tuple(_COMMANDS)):
 
 
 _COMPUTATIONAL = (
+    bessel.NeumannRootError,
     brouwer.InconclusiveDegreeError,
     brouwer.AdmissibilityError,
     continuation.NewtonError,

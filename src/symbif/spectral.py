@@ -176,8 +176,9 @@ def basis(domain: DomainId, eigens: list[LaplaceEigenvalue], points) -> np.ndarr
 
     One row per function, eigenvalue-major with `multiplicity` rows per entry:
     cos before sin, and on the 2-sphere the zonal function first, then the cos
-    and sin of each order m = 1..l.  The radial factors J_l(x r) come from one
-    Bessel call over the distinct radii, the polar factors P_l^m(cos theta)
+    and sin of each order m = 1..l.  The radial factors J_l(x r) at the
+    distinct radii and the norms' J_l(x) come from one Bessel call, one sweep
+    of Miller's recurrence (bessel), the polar factors P_l^m(cos theta)
     from one recurrence over the distinct cos(theta), and the angular factors
     cos(m phi), sin(m phi) and cos(k theta), sin(k theta) from the distinct
     angles.
@@ -256,11 +257,13 @@ def _disk_rows(eigens, r, theta):
     waves = [e for e in eigens if e.value != 0.0]
     l = np.array([e.angular_degree for e in waves], int)
     x = np.sqrt([e.value for e in waves])
-    jl = bessel.besselj(l, x)
+    # J_l(x) for the norm in the first column, J_l(x r) at the radii after it
+    table = bessel.besselj(l[:, None], x[:, None] * np.r_[1.0, radii][None, :])
+    jl = table[:, 0]
     # at a Neumann root, int_0^1 J_l(x r)^2 r dr = (1 - l^2/x^2) J_l(x)^2 / 2
     radial_norm = 0.5 * (1.0 - l * l / (x * x)) * jl * jl
     c = 1.0 / np.sqrt(np.where(l == 0, 2.0, 1.0) * math.pi * radial_norm)
-    radial = iter(c[:, None] * bessel.besselj(l[:, None], x[:, None] * radii[None, :]))
+    radial = iter(c[:, None] * table[:, 1:])
     trig = _angular_factors(set(l.tolist()) - {0}, theta)
     for e in eigens:
         if e.value == 0.0:

@@ -858,8 +858,9 @@ class TestLambdaColumn:
 # on the reflection-even rows compute them with no chord attempt (12 points
 # each, terminated at the lambda limit), on the half-turn
 # of the angular rule, the disk's with every Jacobian from the
-# sum-factorized kernel.  The last point of each branch here is the first
-# one past the limit, which continue_branch now replaces by the point on it
+# sum-factorized kernel and every Bessel value from one Miller sweep.  The
+# last point of each branch here is the first one past the limit, which
+# continue_branch now replaces by the point on it
 RECORDED_NEWTON_HEX = {
     "circle_pitchfork": [
         "0x1.007aded2c7b2dp+0", "0x1.00b881175071fp+0", "0x1.0123afe410b30p+0",
@@ -867,6 +868,17 @@ RECORDED_NEWTON_HEX = {
         "0x1.0a6263df337fap+0", "0x1.1310351c1009dp+0", "0x1.223d2744497ddp+0",
         "0x1.352707d14b900p+0", "0x1.4b55f77bd6e07p+0", "0x1.645836b6a3af2p+0",
     ],
+    "disk_pitchfork": [
+        "0x1.b21cbae002860p+1", "0x1.b24a5f875fd29p+1", "0x1.b2a27c502ffd9p+1",
+        "0x1.b34cae8d8ca81p+1", "0x1.b4947e9c6ae36p+1", "0x1.b706d7a81272fp+1",
+        "0x1.bba096508165dp+1", "0x1.c40bab55b9e5cp+1", "0x1.d203dde91334ep+1",
+        "0x1.e2480c5aca6a9p+1", "0x1.f42dbf8dbad61p+1", "0x1.03a1735e6f9ebp+2",
+    ],
+}
+
+# the disk branch as recorded when the Bessel values below x = 12 came from
+# the ascending series, each entry summed on its own
+SERIES_BESSEL_NEWTON_HEX = {
     "disk_pitchfork": [
         "0x1.b21cbae002867p+1", "0x1.b24a5f875fd26p+1", "0x1.b2a27c502ffd9p+1",
         "0x1.b34cae8d8ca8bp+1", "0x1.b4947e9c6ae49p+1", "0x1.b706d7a812745p+1",
@@ -966,7 +978,8 @@ class TestChordCorrector:
         # on one built at its iterate, the first step on the tangent's matrix
         # too, so every kept step is a Newton step and the branch is bit for
         # bit what full Newton correctors computed; the disk's within 1e-11
-        # |lambda| of the branch on its dense first block (measured: 5.4e-13)
+        # |lambda| of the branch on its dense first block (measured: 8.2e-13)
+        # and of the branch on the series Bessel values (measured: 4.9e-13)
         prob = request.getfixturevalue(fixture)
         chords = []
         bordered = continuation._bordered_newton
@@ -989,6 +1002,8 @@ class TestChordCorrector:
             _assert_near_recorded(lams, BISECTION_NEWTON_HEX[fixture][:-1], 1e-11)
         if fixture in DENSE_FIRST_BLOCK_NEWTON_HEX:
             _assert_near_recorded(lams, DENSE_FIRST_BLOCK_NEWTON_HEX[fixture][:-1], 1e-11)
+        if fixture in SERIES_BESSEL_NEWTON_HEX:
+            _assert_near_recorded(lams, SERIES_BESSEL_NEWTON_HEX[fixture][:-1], 1e-11)
         assert [lam.hex() for lam in lams] == recorded[:-1]
 
     @staticmethod
@@ -2489,12 +2504,21 @@ class TestExport:
 RECORDED_DISK200_HEX = {
     "level": ["0x1.b1ea226b51ebap+1"],
     "branch": [
-        "0x1.b2a459223ba94p+1", "0x1.b346934e04b91p+1", "0x1.b475492f027f9p+1",
-        "0x1.b69de301b6210p+1", "0x1.ba6bf5152bb15p+1", "0x1.c0d505572c31ap+1",
-        "0x1.cb21af21f7e3ep+1", "0x1.db034148e92cap+1", "0x1.f180e8fecd5fcp+1",
-        "0x1.046e07cfd2d2dp+2", "0x1.105f41fd23c20p+2",
+        "0x1.b2a459223baa2p+1", "0x1.b346934e04b58p+1", "0x1.b475492f02700p+1",
+        "0x1.b69de301b5f30p+1", "0x1.ba6bf5152b125p+1", "0x1.c0d505572bc5dp+1",
+        "0x1.cb21af21f808fp+1", "0x1.db034148eac83p+1", "0x1.f180e8fed0d92p+1",
+        "0x1.046e07cfd545cp+2", "0x1.105f41fd23c20p+2",
     ],
 }
+
+# the branch as recorded when the Bessel values below x = 12 came from the
+# ascending series, each entry summed on its own
+SERIES_BESSEL_DISK200_BRANCH_HEX = [
+    "0x1.b2a459223ba94p+1", "0x1.b346934e04b91p+1", "0x1.b475492f027f9p+1",
+    "0x1.b69de301b6210p+1", "0x1.ba6bf5152bb15p+1", "0x1.c0d505572c31ap+1",
+    "0x1.cb21af21f7e3ep+1", "0x1.db034148e92cap+1", "0x1.f180e8fecd5fcp+1",
+    "0x1.046e07cfd2d2dp+2", "0x1.105f41fd23c20p+2",
+]
 
 # the branch as recorded when its first block, the Jacobian of every
 # tangent, corrector and seed, was assembled dense over the half-turn rule
@@ -2552,7 +2576,7 @@ FULL_RULE_DISK200_BRANCH_HEX = [
 
 class TestDiskBuild:
     def test_one_catalog_and_no_per_node_bessel_calls(self, monkeypatch):
-        calls = {"ball_neumann_spectrum": 0, "neumann_roots": 0, "besselj": 0}
+        calls = {"ball_neumann_spectrum": 0, "neumann_roots": 0, "_sweep": 0}
 
         def count(module, name):
             fn = getattr(module, name)
@@ -2565,14 +2589,20 @@ class TestDiskBuild:
 
         count(spectral, "ball_neumann_spectrum")
         count(bessel, "neumann_roots")
-        count(bessel, "besselj")
+        count(bessel, "_sweep")
         build_problem(ball(2), builtin("so2-ring"), beta_cutoff=200.0)
         assert calls["ball_neumann_spectrum"] == 1
         assert calls["neumann_roots"] == 1
-        # one call on the root grid, one per Newton step of the roots (three
-        # from the regula-falsi points; a bisection to 1e-12 takes 37 levels),
-        # then one for the basis norms and one for the radial table
-        assert calls["besselj"] == 1 + 3 + 2
+        # one sweep of Miller's recurrence for the table on the root grid,
+        assert calls["_sweep"] == (
+            1
+            # one per Newton step of the roots (three from the regula-falsi
+            # points; a bisection to 1e-12 takes 37 levels),
+            + 3
+            # and one for the basis: the norms J_l(x) and the radial rows
+            # J_l(x r) in one call
+            + 1
+        )
 
     def test_so2_ring_beta_200_branch_matches_recorded_bits(self, monkeypatch):
         # the disk workload's so2-ring pipeline at beta <= 200: the level
@@ -2585,9 +2615,11 @@ class TestDiskBuild:
         # one Bessel call per basis function, the branch on the half-turn rule
         # with the Broyden-updated corrector and the Newton-refined Neumann
         # roots and the potential centred at u0 and every Jacobian from the
-        # sum-factorized kernel, within 1e-11 |lambda| of the branch on the
-        # dense first block (measured: 1.3e-12) and of the branch before the
-        # centring (measured: 9.5e-13) and within 1e-9
+        # sum-factorized kernel and every Bessel value from one Miller sweep,
+        # within 1e-11 |lambda| of the branch on the series Bessel values
+        # (measured: 2.2e-12), of the branch on the dense first block
+        # (measured: 3.3e-12) and of the branch before the centring
+        # (measured: 3.0e-12) and within 1e-9
         # |lambda| of the branch the chord corrector computed and of the one
         # its restarting predecessor computed; the chord branch was within
         # 1e-11 |lambda| of the branch on the bisected roots, the restarting
@@ -2602,6 +2634,7 @@ class TestDiskBuild:
         recorded = RECORDED_DISK200_HEX["branch"]
         _assert_ends_on_limit(branch, float.fromhex(recorded[-1]), limits)
         lams = [bp.lam for bp in branch.points[:-1]]
+        _assert_near_recorded(lams, SERIES_BESSEL_DISK200_BRANCH_HEX[:-1], 1e-11)
         _assert_near_recorded(lams, DENSE_FIRST_BLOCK_DISK200_BRANCH_HEX[:-1], 1e-11)
         _assert_near_recorded(lams, UNCENTRED_DISK200_BRANCH_HEX[:-1], 1e-11)
         _assert_near_recorded(lams, CHORD_DISK200_BRANCH_HEX[:-1], 1e-9)

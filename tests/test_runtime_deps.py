@@ -1,6 +1,7 @@
 """The library runs on numpy alone; scipy is a test oracle only.  A fresh
 interpreter runs the disk pipeline (build, predict, detect, switch,
-continue) and must not have imported scipy."""
+continue), the 3-ball's spectrum and predict, which evaluate j_l, and must
+not have imported scipy."""
 
 import os
 import subprocess
@@ -11,7 +12,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 SCRIPT = """
 import sys
-from symbif import cli, continuation, potentials, predictor
+from symbif import cli, continuation, potentials, predictor, spectral
 from symbif.spectral import ball
 
 spec = potentials.builtin("pitchfork-scalar")
@@ -21,6 +22,9 @@ predictor.predict(spec, ball(2), 10.0)
 seed = continuation.switch_branch(problem, lam)
 branch = continuation.continue_branch(problem, seed, (0.9 * lam, 1.1 * lam))
 assert len(branch.points) > 1, branch.termination
+spectrum = spectral.ball_neumann_spectrum(3, 200.0)
+assert len(spectrum) > 1
+predictor.predict(spec, ball(3), 20.0)
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
 """
