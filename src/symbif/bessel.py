@@ -56,7 +56,10 @@ def _radial(ambient_dim, order, x, table=None):
     """g = J_order' (N = 2) or j_order' (N = 3) from the orders (l - 1, l + 1) or
     (l - 1, l), (1, 0) at l = 0, read off one lane per entry or, given, off the
     columns of table (_table over x), and g' from x^2 f'' + (N - 1) x f'
-    + (x^2 - l (l + N - 2)) f = 0 for f = J_l = x (J_{l-1} + J_{l+1}) / 2l or j_l."""
+    + (x^2 - l (l + N - 2)) f = 0 for f = J_l = x (J_{l-1} + J_{l+1}) / 2l or j_l.
+    Below |x| = 1e-300 g is the first term of its series: for N = 2 the first
+    terms of J read off _at give it, and for N = 3 it is -x / 3, 1/3, 2 x / 15
+    at l = 0, 1, 2 and 0 above, where (l + 1) / x may overflow."""
     zero = order == 0
     pair = np.stack([np.where(zero, 1, order - 1), np.where(zero, 0, order + 3 - ambient_dim)])
     if table is None:
@@ -67,10 +70,11 @@ def _radial(ambient_dim, order, x, table=None):
         g = np.where(zero, -vals[0], 0.5 * (vals[0] - vals[1]))
         f = np.where(zero, vals[1], x * (vals[0] + vals[1]) / (2 * np.maximum(order, 1)))
     else:
-        with np.errstate(divide="ignore", invalid="ignore"):  # j_l'(0) is its limit
+        with np.errstate(all="ignore"):  # not taken below 1e-300
             g = np.where(zero, -vals[0], vals[0] - (order + 1.0) / x * vals[1])
-        g, f = np.where(x == 0.0, (order == 1) / 3.0, g), vals[1]
-    with np.errstate(divide="ignore", invalid="ignore"):  # g' is not wanted at x = 0
+        first = np.select([zero, order == 1, order == 2], [-x / 3.0, 1.0 / 3.0, 2.0 * x / 15.0])
+        g, f = np.where(np.abs(x) < 1e-300, first, g), vals[1]
+    with np.errstate(all="ignore"):  # g' is not wanted below 1e-300
         curvature = 1.0 - order * (order + ambient_dim - 2.0) / (x * x)
         return g, -(ambient_dim - 1.0) * g / x - curvature * f
 

@@ -81,29 +81,36 @@ tangent lies in one block (the component generators in the first, T_x C and
 T_y C in the m = 1 sin and cos blocks, T_z C in the sin rows of the circle
 and the disk, while T_z C = 0 on the 2-sphere), so the full-space
 off-symmetry spectrum is the union of the block spectra, each taken off the
-tangents that fall in the block.  Every block comes from one nodal Hessian
-per point, each from a table of its rows built once per subspace (the sin
-rows on the half-turn too, sin * sin * h being even in theta), and the first
-block is the Jacobian the continuation takes its next tangent from.  On the
-2-sphere the Hessian at a zonal point depends on theta alone, and a cos-row
-block of m >= 1 is assembled on the column rule with half the summed
-weights: the uniform rule sums cos^2(m phi) over n_phi longitudes to
+tangents that fall in the block.  One list of blocks (_isotypic_rows) holds
+each block once with its multiplicity, how often it occurs in the full
+space: 2 for an m >= 1 block of the 2-sphere, whose cos rows stand for its
+sin rows, and 1 otherwise.  The branch subspace holds one record per block
+(_Block), built once: its coefficient indices, its table on the reduced
+rule (the sin rows on the half-turn too, sin * sin * h being even in
+theta), the rule's weights over its multiplicity, its beta, its Weyl
+constants and, on the disk, the tables of the sum-factorized kernel.  Every
+block comes from one nodal Hessian per point, and the first block is the
+Jacobian the continuation takes its next tangent from.  On the 2-sphere the
+Hessian at a zonal point depends on theta alone, so a cos-row block of
+m >= 1 is assembled on the column rule with the summed weights over its
+multiplicity 2: the uniform rule sums cos^2(m phi) over n_phi longitudes to
 n_phi / 2 while 2m < n_phi, which default_quadrature keeps (n_phi >= 2L + 8
 at degree L).
 This is the Fourier-in-phi block-diagonalization of the cited references.
 A point's min_offsym_singular is the smallest modulus over the blocks, and
-block_morse_index counts each block's negative eigenvalues.  A block k >= 1
-is not assembled when Weyl's inequality bounds its eigenvalues above both 0
-and the smallest modulus so far (_make_point; Parlett, The Symmetric
-Eigenvalue Problem, 1998, ch. 10 and 15): on the 2-sphere most blocks of
-large m, where beta >= m(m + 1) exceeds the Hessian's reach.  The
-diagnostics do not change by a bit.
+block_morse_index counts each block's negative eigenvalues, once per block:
+the full-space Morse index is their sum, each times its multiplicity.  A
+block k >= 1 is not assembled when Weyl's inequality bounds its
+eigenvalues above both 0 and the smallest modulus so far (_make_point;
+Parlett, The Symmetric Eigenvalue Problem, 1998, ch. 10 and 15): on the
+2-sphere most blocks of large m, where beta >= m(m + 1) exceeds the
+Hessian's reach.  The diagnostics do not change by a bit.
 
 jacobian assembles the p(p+1)/2 blocks i <= j from the symmetrized nodal
 Hessian and copies block (i, j) into (j, i), dense over the quadrature in
 O(n_x n_f^2) for n_x nodes and n_f rows; it is the reference the blocks
 are tested against.  The branch path takes every Jacobian of the branch
-subspace from its blocks (_block): the first block is the J of the
+subspace from its blocks (_Block.jacobian): the first block is the J of the
 tangent, the corrector, the seed and the fold.  On the circle and the
 2-sphere each block is that dense product over its table, so there the
 first block is jacobian on the reduced rule bit for bit.  On the disk the
@@ -169,17 +176,19 @@ one p x p matrix H0(lambda) = hess(0, lambda) and, in the layout above,
     J(0, lambda) = diag(beta) - G kron H0(lambda),   G = (E w) E^T,
 
 with G the assembled quadrature Gram matrix, block-diagonal by isotypic
-block (_isotypic_rows, the sin rows of each m apart on the 2-sphere).  With
+block (_isotypic_rows).  With
 sym(H0) = V diag(mu) V^T, J(0, lambda) is orthogonally similar (by I kron
 V) to the direct sum over k of diag(beta) - mu_k G, and with a block of G =
 L L^T the block of diag(beta) - mu_k G is congruent to diag(theta) - mu_k
 I, theta the eigenvalues of L^-1 diag(beta) L^-T.  By Sylvester's law of
 inertia the Morse index of J(0, lambda) is sum_k #{b : theta_b < mu_k} over
-every block's theta (Parlett 1998, ch. 15): lambda enters only through the
+every block's theta, each block as often as its multiplicity (Parlett 1998,
+ch. 15): lambda enters only through the
 p values mu_k.  The pinning rows at c = 0 are e_0 kron g u0 for the
 component generators g, with beta_0 = 0 and H0 g u0 = 0: zero modes of
 J(0, lambda) outside the count, so the Morse sweep needs no off-symmetry
-complement.  It computes theta once per block and assembles no Jacobian.
+complement.  It computes theta once per distinct block, repeats it the
+block's multiplicity times, and assembles no Jacobian.
 """
 
 from __future__ import annotations
@@ -504,90 +513,72 @@ def _offsym_eigenvalues(rows, J):
 
 
 def _isotypic_rows(problem):
-    """Basis rows of the isotypic blocks of the Jacobian at a point fixed by
-    the axial subgroup of _kernel_direction, first the rows it fixes.  On
-    the 2-sphere (domain.dim 3): the zonal rows, then the cos rows of m = 1,
-    2, ..., each block equal to that of the sin rows of the same m.  On the
-    circle and the disk (domain.dim 2): the reflection-even rows, then the
-    sin rows."""
+    """(rows, multiplicity) of each isotypic block of the Jacobian at a point
+    fixed by the axial subgroup of _kernel_direction, first the rows it
+    fixes; multiplicity is how often the block occurs in the full space.  On
+    the 2-sphere (domain.dim 3): the zonal rows once, then the cos rows of
+    m = 1, 2, ... twice, each block standing for the equal one of the sin
+    rows of the same m too.  On the circle and the disk (domain.dim 2): the
+    reflection-even rows, then the sin rows, once each."""
     pairs = _angular_pairs(problem.eigens)
     if problem.domain.dim == 3:
         moved = {row for cos_row, sin_row, _ in pairs for row in (cos_row, sin_row)}
         orders = sorted({m for _, _, m in pairs})
-        others = [[cos_row for cos_row, _, m in pairs if m == order] for order in orders]
+        others = [([cos_row for cos_row, _, m in pairs if m == order], 2) for order in orders]
     else:
         moved = {sin_row for _, sin_row, _ in pairs}
-        others = [sorted(moved)] if moved else []
+        others = [(sorted(moved), 1)] if moved else []
     fixed = [r for r in range(problem.n_funcs) if r not in moved]
-    return [np.array(rows) for rows in [fixed, *others]]
+    return [(np.array(rows), multiplicity) for rows, multiplicity in [(fixed, 1), *others]]
+
+
+@dataclass(frozen=True)
+class _Block:
+    """One isotypic block (_isotypic_rows) of the full problem's Jacobian at
+    the points a branch is followed at, built once on the reduced rule
+    (_subspace).  idx: its coefficient indices in the full problem; E and
+    beta: the basis at the rule's nodes and beta, on its rows; weights: the
+    rule's over the block's multiplicity (module docstring); weyl: min
+    beta, max beta and the largest eigenvalue g of E diag(|weights|) E^T,
+    the constants of its Weyl bound (_make_point), None for the first block,
+    which is always assembled; kernel: on the disk the tables of the
+    sum-factorized kernel (_kernel_tables), None where the block is
+    assembled dense."""
+
+    idx: np.ndarray
+    E: np.ndarray
+    weights: np.ndarray
+    beta: np.ndarray
+    weyl: Optional[tuple]
+    kernel: Optional[tuple]
+
+    def jacobian(self, H) -> np.ndarray:
+        """The block at the nodal Hessian H on the rule: from the
+        sum-factorized kernel on the disk, dense from E elsewhere."""
+        if self.kernel is None:
+            return _assemble_jacobian(self.E, self.weights, self.beta, H)
+        return _factored_block(self, H)
 
 
 @dataclass(frozen=True)
 class _Subspace:
     """The rows of full that a branch is followed on: problem is full
-    restricted to the rows of the first isotypic block, and blocks the
-    isotypic blocks of full's Jacobian at the points followed
-    (_isotypic_rows), each as the table it is assembled from, built once:
-    (coefficient indices of its rows in full, E on its rows, quadrature
-    weights, beta on its rows).  The first table is problem's own.
-    weyl holds, for each table after the first, the constants of its
-    Weyl bound (_make_point): min beta, max beta and the largest eigenvalue
-    g of its Gram matrix E diag(|w|) E^T, which bounds how far the nodal
-    Hessian can move the block's spectrum.
-
-    Every table is on the reduced rule that evaluate and sup_deviation see:
-    for domain.dim 3 the longitude column (_longitude_column), the zonal
-    rows with the theta-rule weights and the cos rows of m >= 1 with half of
-    them, exact while 2m < n_phi; for domain.dim 2 the half-turn theta in
-    [0, pi] (_half_turn) (module docstring).
-
-    factors holds, on the disk alone, what the sum-factorized kernel
-    (_factored_block) reads in place of each table, one _BlockFactors per
-    block; it is None on the circle, whose rule has one radius, and on the
-    2-sphere, where every block is assembled dense from its table."""
+    restricted to the rows of the first isotypic block, on the reduced rule
+    (_longitude_column for domain.dim 3, _half_turn for domain.dim 2), and
+    blocks one _Block per isotypic block, the first on problem's rows."""
 
     full: GalerkinProblem
     problem: GalerkinProblem
     blocks: tuple
-    weyl: tuple
-    factors: Optional[tuple]
 
     @property
     def idx(self) -> np.ndarray:
-        return self.blocks[0][0]
+        return self.blocks[0].idx
 
     def lift(self, c) -> np.ndarray:
         out = np.zeros(self.full.n_dof)
         out[self.idx] = c
         return out
-
-
-@dataclass(frozen=True)
-class _BlockFactors:
-    """What the sum-factorized kernel (_factored_block) reads to assemble
-    one isotypic block of a disk subspace, built once (_block_factors).  The
-    block's n rows are R_a(r) cos(l_a theta) (the reflection-even rows, l_a
-    = 0 for a zonal row) or R_a(r) sin(l_a theta) (the sin rows) on the
-    half-turn rule of n_r radii and n_t angles, and the kernel takes the
-    upper-triangle row pairs (a, b), a <= b, grouped by their order pair
-    (l_a, l_b).  With d = |l_a - l_b| and s = l_a + l_b the angular factors
-    multiply to (cos(d theta) + sign cos(s theta)) / 2, sign 1 for cos rows
-    and -1 for sin rows.
-
-    angular: -w_theta (cos(d theta) + sign cos(s theta)) / 2 per order
-    pair, (order pairs, n_t), w_theta the weights of radius r over w_r;
-    radial: P = w_r R_a R_b of the row pairs of each order pair, zero
-    where an order pair has fewer pairs than the longest, (order pairs,
-    longest, n_r), w_r the weight of the theta = 0 node of radius r;
-    entries: for each (a, b) of the block the flat index of its row pair
-    among the order pairs' slots, (n^2,); components: the component pairs
-    (i, j), i <= j, of the Hessian entries; beta: beta on the rows."""
-
-    angular: np.ndarray
-    radial: np.ndarray
-    entries: np.ndarray
-    components: tuple
-    beta: np.ndarray
 
 
 def _coefficient_indices(rows, p):
@@ -620,42 +611,56 @@ def _half_turn(quad):
 def _subspace(problem):
     """The _Subspace of problem's isotypic blocks (_isotypic_rows)."""
     blocks = _isotypic_rows(problem)
-    rows, *others = blocks
-    idx = _coefficient_indices(rows, problem.p)
-    angular_s2 = problem.domain.dim == 3
-    cols, quad = (_longitude_column if angular_s2 else _half_turn)(problem.quad)
-    block_weights = 0.5 * quad.weights if angular_s2 else quad.weights
+    cols, quad = (_longitude_column if problem.domain.dim == 3 else _half_turn)(problem.quad)
+    records = []
+    for (rows, multiplicity), kernel in zip(blocks, _kernel_tables(problem, blocks, cols, quad)):
+        # E[rows][:, cols] is Fortran-ordered, and the recorded bits of every
+        # dense block rest on the products taken in that order
+        E, beta, weights = problem.E[rows][:, cols], problem.beta[rows], quad.weights / multiplicity
+        weyl = None
+        if records:
+            gram = (E * np.abs(weights)[None, :]) @ E.T
+            weyl = (float(beta.min()), float(beta.max()), float(np.linalg.eigvalsh(gram)[-1]))
+        idx = _coefficient_indices(rows, problem.p)
+        records.append(_Block(idx, E, weights, beta, weyl, kernel))
+    first = records[0]
     sub = dataclasses.replace(
-        problem,
-        E=problem.E[rows][:, cols],
-        beta=problem.beta[rows],
-        quad=quad,
-        rotation_generators=(),
+        problem, E=first.E, beta=first.beta, quad=quad, rotation_generators=()
     )
-    tables = [(idx, sub.E, quad.weights, sub.beta)]
-    weyl = []
-    for rows in others:
-        E, beta = problem.E[rows][:, cols], problem.beta[rows]
-        tables.append((_coefficient_indices(rows, problem.p), E, block_weights, beta))
-        gram = (E * np.abs(block_weights)[None, :]) @ E.T
-        weyl.append((float(beta.min()), float(beta.max()), float(np.linalg.eigvalsh(gram)[-1])))
-    factors = None if angular_s2 else _block_factors(problem, blocks, cols, quad)
-    return _Subspace(problem, sub, tuple(tables), tuple(weyl), factors)
+    return _Subspace(problem, sub, tuple(records))
 
 
-def _block_factors(problem, blocks, cols, quad):
-    """The _BlockFactors of each block of rows in blocks, the reflection-even
-    rows and then the sin rows (_isotypic_rows), on the circle's or the
-    disk's half-turn rule cols, quad, whose nodes run over n_t angles from
-    theta = 0 at each radius; None on the circle, whose rule has one radius
-    and nothing to factor.  A row's radial factor is read at theta = 0,
-    where cos(l theta) = 1: a cos row's from itself, a sin row's from its
-    partner cos row."""
+def _kernel_tables(problem, blocks, cols, quad):
+    """What the sum-factorized kernel (_factored_block) reads to assemble
+    each block of rows in blocks, the reflection-even rows and then the sin
+    rows (_isotypic_rows), on the disk's half-turn rule cols, quad, whose
+    nodes run over n_t angles from theta = 0 at each of n_r radii; None for
+    every block of a rule with one radius (the circle) or one angle (the
+    2-sphere's column, at phi = 0): nothing to factor.
+
+    A block's n rows are R_a(r) cos(l_a theta) (the reflection-even rows,
+    l_a = 0 for a zonal row) or R_a(r) sin(l_a theta) (the sin rows), and
+    the kernel takes the upper-triangle row pairs (a, b), a <= b, grouped
+    by their order pair (l_a, l_b).  With d = |l_a - l_b| and s = l_a + l_b
+    the angular factors multiply to (cos(d theta) + sign cos(s theta)) / 2,
+    sign 1 for cos rows and -1 for sin rows.  A row's radial factor is read
+    at theta = 0, where cos(l theta) = 1: a cos row's from itself, a sin
+    row's from its partner cos row.  Each block's tables are (angular,
+    radial, entries, components):
+
+    angular: -w_theta (cos(d theta) + sign cos(s theta)) / 2 per order
+    pair, (order pairs, n_t), w_theta the weights of radius r over w_r;
+    radial: P = w_r R_a R_b of the row pairs of each order pair, zero
+    where an order pair has fewer pairs than the longest, (order pairs,
+    longest, n_r), w_r the weight of the theta = 0 node of radius r;
+    entries: for each (a, b) of the block the flat index of its row pair
+    among the order pairs' slots, (n^2,); components: the component pairs
+    (i, j), i <= j, of the Hessian entries."""
     theta = quad.points[-1]
     n_r = int(np.count_nonzero(theta == 0.0))
-    if n_r == 1:
-        return None
     n_t = theta.size // n_r
+    if n_r == 1 or n_t == 1:
+        return [None] * len(blocks)
     weights = quad.weights.reshape(n_r, n_t)
     angles, w_theta = theta[:n_t], 0.5 * weights[0] / weights[0, 0]
     eigens = problem.eigens
@@ -665,8 +670,9 @@ def _block_factors(problem, blocks, cols, quad):
         radial_rows[sin_row] = cos_row
     R = problem.E[np.ix_(radial_rows, cols[::n_t])]
     base = int(orders.max()) + 1
-    factors = []
-    for rows, sign in zip(blocks, (1.0, -1.0)):
+    components = np.triu_indices(problem.p)
+    tables = []
+    for (rows, _), sign in zip(blocks, (1.0, -1.0)):
         n = rows.size
         a, b = np.triu_indices(n)
         low, high = np.sort([orders[rows[a]], orders[rows[b]]], axis=0)
@@ -684,37 +690,20 @@ def _block_factors(problem, blocks, cols, quad):
         entries[a, b] = entries[b, a] = slot
         low, high = keys // base, keys % base
         cosines = np.cos(np.outer(high - low, angles)) + sign * np.cos(np.outer(high + low, angles))
-        factors.append(
-            _BlockFactors(
-                angular=-cosines * w_theta[None, :],
-                radial=radial.reshape(keys.size, longest, n_r),
-                entries=entries.ravel(),
-                components=np.triu_indices(problem.p),
-                beta=problem.beta[rows],
-            )
-        )
-    return tuple(factors)
-
-
-def _block(space, k, H):
-    """Isotypic block k of space's Jacobian at the nodal Hessian H, as the
-    branch path takes it: on the disk from the sum-factorized kernel
-    (_factored_block), on the circle and the 2-sphere dense from its
-    table."""
-    if space.factors is not None:
-        return _factored_block(space.factors[k], H)
-    return _assemble_jacobian(*space.blocks[k][1:], H)
+        radial = radial.reshape(keys.size, longest, n_r)
+        tables.append((-cosines * w_theta[None, :], radial, entries.ravel(), components))
+    return tables
 
 
 def _branch_jacobian(space, c, lam):
     """The Jacobian of space.problem at its coefficients c: the first block
-    (_block) at a nodal Hessian evaluated there."""
-    return _block(space, 0, _nodal_hessian(space.problem, c, lam))
+    at a nodal Hessian evaluated there."""
+    return space.blocks[0].jacobian(_nodal_hessian(space.problem, c, lam))
 
 
-def _factored_block(factors, H):
-    """Block of a disk subspace's Jacobian at the nodal Hessian H on its
-    half-turn rule, by sum factorization (_BlockFactors; Orszag, J. Comput.
+def _factored_block(block, H):
+    """A _Block of a disk subspace's Jacobian at the nodal Hessian H on its
+    half-turn rule, by sum factorization (_kernel_tables; Orszag, J. Comput.
     Phys. 37, 1980; Deville, Fischer & Mund, High-Order Methods for
     Incompressible Fluid Flow, 2002, ch. 4).  With cos(l_a t) cos(l_b t) =
     (cos(d t) + cos(s t)) / 2 and sin(l_a t) sin(l_b t) = (cos(d t) -
@@ -725,19 +714,19 @@ def _factored_block(factors, H):
     the symmetrized Hessian, and the radial sums of all row pairs of one
     order pair q are one product with their P.  Each value fills (a, b) and
     (b, a) of blocks (i, j) and (j, i), so the block is bitwise symmetric."""
-    i, j = factors.components
+    angular, radial, entries, (i, j) = block.kernel
     h = 0.5 * (H[:, i, j] + H[:, j, i])
-    n_q, _, n_r = factors.radial.shape
-    n_t = factors.angular.shape[1]
+    n_q, _, n_r = radial.shape
+    n_t = angular.shape[1]
     # hhat[q, r, entry]
-    hhat = factors.angular @ h.reshape(n_r, n_t, -1).transpose(1, 0, 2).reshape(n_t, -1)
-    values = np.matmul(factors.radial, hhat.reshape(n_q, n_r, -1)).reshape(-1, i.size)
-    n, p = factors.beta.size, H.shape[1]
+    hhat = angular @ h.reshape(n_r, n_t, -1).transpose(1, 0, 2).reshape(n_t, -1)
+    values = np.matmul(radial, hhat.reshape(n_q, n_r, -1)).reshape(-1, i.size)
+    n, p = block.beta.size, H.shape[1]
     # every component block is (i, j) or (j, i) of an entry
     J = np.empty((n, p, n, p))
-    J[:, i, :, j] = J[:, j, :, i] = values[factors.entries].T.reshape(-1, n, n)
+    J[:, i, :, j] = J[:, j, :, i] = values[entries].T.reshape(-1, n, n)
     J = J.reshape(n * p, n * p)
-    J.reshape(-1)[:: n * p + 1] += np.repeat(factors.beta, p)
+    J.reshape(-1)[:: n * p + 1] += np.repeat(block.beta, p)
     return J
 
 
@@ -753,10 +742,12 @@ class BranchPoint:
 
     min_offsym_singular is the smallest singular value of the full-space J
     off the symmetry tangents, and block_morse_index the number of its
-    off-symmetry eigenvalues below -_MORSE_ZERO_TOL per isotypic block
-    (_isotypic_rows): on the 2-sphere m = 0, 1, ..., where each m >= 1
-    block counts twice in the full-space index (its cos and sin rows); on
+    off-symmetry eigenvalues below -_MORSE_ZERO_TOL per isotypic block, in
+    the one block list (_isotypic_rows): on the 2-sphere m = 0, 1, ...; on
     the circle and the disk the reflection-even rows, then the sin rows.
+    Each entry counts once per block; the full-space Morse index is their
+    sum, each times its block's multiplicity (2 for an m >= 1 block of the
+    2-sphere, whose cos rows stand for its sin rows, 1 otherwise).
     A block k >= 1 whose Weyl bound min beta_k - h g_k (_make_point) lies
     above max(0, the smallest modulus so far) by a rounding margin is not
     assembled: it counts 0 and cannot lower min_offsym_singular."""
@@ -785,12 +776,13 @@ class Branch:
 
 def _make_point(space, c, lam, residual_norm, H=None, J0=None):
     """Branch point at the coefficients c of space.problem, and the Jacobian
-    of space.problem there: its first isotypic block.  Every block comes
-    from the nodal Hessian H at c on space.problem's rule, evaluated once (a
-    caller that has it passes it, and the first block J0 when it has that
-    too), unless Weyl's bound certifies it (_block): on the circle and the
-    2-sphere dense from its table (_Subspace), in O(n_x n_f^2) for n_x
-    nodes and n_f rows; on the disk from the sum-factorized kernel
+    of space.problem there: its first isotypic block.  Every block of
+    space.blocks (_Block.jacobian) comes from the nodal Hessian H at c on
+    space.problem's rule, evaluated once (a caller that has it passes it,
+    and the first block J0 when it has that too), unless the Weyl bound of
+    its weyl constants certifies it: on the circle and the 2-sphere dense
+    from its table, in O(n_x n_f^2) for n_x nodes and n_f rows; on the
+    disk from the sum-factorized kernel
     (_factored_block), in O(n_r n_t n_q + n_r n_f^2) for n_r radii, n_t
     angles and n_q order pairs of its rows.
 
@@ -811,18 +803,19 @@ def _make_point(space, c, lam, residual_norm, H=None, J0=None):
     Hf = H.reshape(H.shape[0], -1)
     # max_x |H(x)|_F
     h = math.sqrt(float(np.max(np.einsum("xi,xi->x", Hf, Hf))))
-    # the first block has no bound (min beta = -inf): it is always computed
+    first = space.blocks[0]
     if J0 is None:
-        J0 = _block(space, 0, H)
-    bounds = ((-math.inf, 0.0, 0.0), *space.weyl)
+        J0 = first.jacobian(H)
     counts, mu = [], math.inf
-    for k, (beta_min, beta_max, g) in enumerate(bounds):
-        spread = h * g
-        if beta_min - spread - 1e-9 * (1.0 + beta_max + spread) > max(0.0, mu):
-            counts.append(0)
-            continue
-        J = J0 if k == 0 else _block(space, k, H)
-        ev = _offsym_eigenvalues(pins[:, space.blocks[k][0]], J)
+    for block in space.blocks:
+        if block.weyl is not None:
+            beta_min, beta_max, g = block.weyl
+            spread = h * g
+            if beta_min - spread - 1e-9 * (1.0 + beta_max + spread) > max(0.0, mu):
+                counts.append(0)
+                continue
+        J = J0 if block is first else block.jacobian(H)
+        ev = _offsym_eigenvalues(pins[:, block.idx], J)
         counts.append(int(np.count_nonzero(ev < -_MORSE_ZERO_TOL)))
         if ev.size:
             mu = min(mu, float(np.min(np.abs(ev))))
@@ -944,16 +937,15 @@ def _bordered_newton(space, c, lam, border, base, offset, border_tol, maxit, A=N
 
 def _trivial_spectrum(problem):
     """Generalized eigenvalues theta of (diag(beta), G) for each isotypic
-    block of the quadrature Gram matrix G = (E w) E^T (_isotypic_rows, on the
-    2-sphere the sin rows of each m apart from its cos rows): with the block
-    G_b = L L^T, the eigenvalues of L^-1 diag(beta_b) L^-T."""
-    blocks = _isotypic_rows(problem)
-    blocks += [rows + 1 for rows in blocks[1:]] if problem.domain.dim == 3 else []
+    block of the quadrature Gram matrix G = (E w) E^T (_isotypic_rows), once
+    per occurrence of the block in the full space: with the block G_b =
+    L L^T, the eigenvalues of L^-1 diag(beta_b) L^-T, computed once and
+    repeated its multiplicity times."""
     thetas = []
-    for rows in blocks:
+    for rows, multiplicity in _isotypic_rows(problem):
         E = problem.E[rows]
         Linv = np.linalg.inv(np.linalg.cholesky((E * problem.quad.weights[None, :]) @ E.T))
-        thetas.append(np.linalg.eigvalsh((Linv * problem.beta[rows][None, :]) @ Linv.T))
+        thetas += [np.linalg.eigvalsh((Linv * problem.beta[rows][None, :]) @ Linv.T)] * multiplicity
     return thetas
 
 
@@ -1148,7 +1140,7 @@ def _locate_fold(space, start, t0, step, f1, A):
         pred = (c0 + s * t0[:n], lam0 + s * t0[n])
         c, lam, rn, _ = _bordered_newton(space, *pred, t0, base, s, 10 * NEWTON_TOL, 20, A)
         H = _nodal_hessian(sub, c, lam)
-        J = _block(space, 0, H)
+        J = space.blocks[0].jacobian(H)
         t, A = _tangent(sub, c, lam, J, t0)
         if abs(t[n]) <= _FOLD_TOL:
             return _make_point(space, c, lam, rn, H, J)[0]

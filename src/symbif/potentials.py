@@ -46,6 +46,9 @@ _GROUP_TOL = 1e-9
 # slice_brouwer_degree's starting box half-width and its number of halvings
 _SLICE_HALF_WIDTH = 0.5
 _SLICE_MAX_HALVINGS = 6
+# check_assumptions' B5 scan takes its points' distances to the sampled orbit
+# this many points at a time, which bounds the points x orbit x p differences
+_B5_CHUNK = 256
 # B3 passes when the coefficients of F~ that _base_point reads are within this
 _B3_TOL = 1e-10
 
@@ -496,7 +499,13 @@ def check_assumptions(
     v *= (0.02 + 0.23 * rng.random((n_pts, 1))) * scale
     # dense orbit sampling so the tube exclusion tracks the true orbit
     orbit = np.stack([g @ spec.u0 for g in spec.action.sample_elements(1024)])
-    dists = np.min(np.linalg.norm((spec.u0 + v)[:, None, :] - orbit[None, :, :], axis=2), axis=1)
+    points = spec.u0 + v
+    dists = np.concatenate(
+        [
+            np.min(np.linalg.norm(points[i : i + _B5_CHUNK, None, :] - orbit[None], axis=2), axis=1)
+            for i in range(0, n_pts, _B5_CHUNK)
+        ]
+    )
     keep = dists > 0.02 * scale
     gvals = np.linalg.norm(spec.grad(v[keep], lam0), axis=-1)
     near_zero = int(np.sum(gvals <= 1e-6))

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +273,35 @@ class TestCheckCommand:
         assert doc["B3"] == {"status": "pass", "max_linear_coefficient": 0.0,
                              "max_quadratic_coefficient": 0.0}
         assert doc["B4"] == {"status": "pass", "plane_norms": [1.0], "tolerance": 2e-9}
+
+    # sha256 of what `symbif check` writes (stdout, then stderr), recorded
+    # when B5 took the distance of all 10 000 scan points to the 1024
+    # orbit samples in one tensor
+    DIGESTS = {
+        ("pitchfork-scalar", ()): "6195a0ecfaa000ef6f4693e551b7a6c19cdc6493bd26db91200b54d8ffedd47a",
+        ("pitchfork-scalar", ("--lambda-samples", "-0.5,0.5")):
+            "2b4bf7f0d18b745bfb8bc3bbb1fe782c931aa969d421b4ab357491d060c5c1ef",
+        ("so2-ring", ()): "2f4c5a3d8217b7623ea66b839f9c1c6c8d165c9293effa33049d66fff81803ea",
+        ("so2-ring", ("--lambda-samples", "-0.5,0.5")):
+            "27bff524dcfce9fe639f93e7f281fbf151a33567437e4ac7a431b2794a407647",
+    }
+
+    @pytest.mark.parametrize("case", list(DIGESTS), ids=lambda case: "-".join([case[0], *case[1]]))
+    def test_output_matches_recorded_digests(self, capsys, case):
+        potential, options = case
+        code, out, err = run(capsys, "check", "--potential", potential, *options)
+        assert (code, _sha256((out + err).encode())) == (0, self.DIGESTS[case])
+
+    def test_isolation_scan_memory_is_bounded(self):
+        # B5 takes the orbit distances a chunk of scan points at a time; in
+        # one 10 000 x 1024 x p tensor check_assumptions peaked at 470 MiB
+        tracemalloc.start()
+        try:
+            potentials.check_assumptions(potentials.builtin("so2-ring"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
 
     def test_division_by_zero_in_potential_file(self, capsys, tmp_path):
         cfg = tmp_path / "z.cfg"
@@ -582,8 +612,8 @@ class TestDiskVerifyKernel:
         made, taken, dense = [], [], []
         kernel = continuation._factored_block
 
-        def kernel_spy(factors, H):
-            made.append(kernel(factors, H))
+        def kernel_spy(block, H):
+            made.append(kernel(block, H))
             return made[-1]
 
         def spy(name, record, pick):

@@ -399,8 +399,13 @@ def _isotypic_labels(prob):
     return labels
 
 
-def _block_sizes(prob):
+def _block_sizes(prob, distinct=False):
+    """Sorted row counts of the isotypic blocks; with distinct, each block
+    once whose rows stand for an equal block (on the 2-sphere the sin rows
+    of each m have the block of its cos rows)."""
     labels = _isotypic_labels(prob)
+    if distinct and prob.domain.dim == 3:
+        labels = [label for label in labels if label[1] == "cos"]
     return sorted(labels.count(label) for label in set(labels))
 
 
@@ -490,6 +495,55 @@ class TestTrivialBranchBlock:
         assert np.max(np.abs(theta - _whole_gram_spectrum(prob))) <= 1e-12 * np.max(prob.beta)
 
 
+MORSE_JUMP_CASES = {
+    # domain, build options, window, the jumps on the sphere
+    "circle": (sphere(2), {}, (0.5, 30.0), [2] * 5),
+    "sphere2-8": (sphere(3), {"truncation": 8}, (0.5, 31.0), [3, 5, 7, 9, 11]),
+    "sphere2-12": (sphere(3), {"truncation": 12}, (0.5, 31.0), [3, 5, 7, 9, 11]),
+    "disk-60": (ball(2), {"beta_cutoff": 60.0}, (0.5, 30.0), None),
+    "disk-200": (ball(2), {"beta_cutoff": 200.0}, (0.5, 30.0), None),
+}
+
+
+class TestMorseJumpsMatchPredict:
+    """The cross-check at every level: across a level Verify detects, the
+    Morse index of J(0, lambda), counted over its isotypic blocks each as
+    often as it occurs (_isotypic_rows), jumps by Predict's V.dim, the
+    dimension of the resonant eigenspace counted from harmonic_dimension."""
+
+    @pytest.mark.parametrize("name", ["pitchfork-scalar", "so2-ring"])
+    @pytest.mark.parametrize("case", list(MORSE_JUMP_CASES))
+    def test_morse_index_jumps_by_the_predicted_dimension(self, case, name):
+        domain, options, (lo, hi), sphere_jumps = MORSE_JUMP_CASES[case]
+        spec = builtin(name)
+        prob = build_problem(domain, spec, **options)
+        theta = np.concatenate(continuation._trivial_spectrum(prob))
+        levels = detect_bifurcation(prob, (lo, hi))
+
+        def jump(lam):
+            d = 1e-6 * max(1.0, abs(lam))
+            below, above = continuation._morse_counts(prob, theta, [lam - d, lam + d])
+            return above - below
+
+        candidates = predictor.predict(spec, domain, 2.0 * hi)
+        if domain.kind == "sphere":
+            # one candidate at each detected level
+            in_window = [c for c in candidates if lo <= c.lambda0 <= hi]
+            assert len(in_window) == len(levels)
+            assert all(abs(c.lambda0 - lam) <= 1e-6 for c, lam in zip(in_window, levels))
+            jumps = [jump(lam) for lam in levels]
+            assert jumps == [c.V.total_dimension for c in in_window] == sphere_jumps
+        else:
+            # the levels inside each candidate interval the window covers
+            covered = [
+                c for c in candidates if lo <= c.lambda0 - c.epsilon and c.lambda0 + c.epsilon <= hi
+            ]
+            assert len(covered) >= 4
+            for c in covered:
+                inside = [lam for lam in levels if abs(lam - c.lambda0) < c.epsilon]
+                assert inside and sum(jump(lam) for lam in inside) == c.V.total_dimension == 2
+
+
 class TestJacobianReuse:
     def test_morse_sweep_assembles_no_jacobian(self, circle_ring, monkeypatch):
         calls = {"jacobian": 0, "complement": 0}
@@ -522,7 +576,8 @@ class TestJacobianReuse:
     def test_morse_sweep_factors_each_block_once_and_batches_lambda(
         self, fixture, window, levels, steps, request, monkeypatch
     ):
-        # one Gram eigensolve per isotypic block, of that block's size; one
+        # one Gram eigensolve per distinct isotypic block, of that block's
+        # size (on the 2-sphere at truncation 12, 12 for its 23 blocks); one
         # hess call and one stacked eigvalsh per chunk of the grid and per
         # bisection round, however many levels the window holds
         prob = request.getfixturevalue(fixture)
@@ -543,7 +598,9 @@ class TestJacobianReuse:
         np.testing.assert_allclose(det, levels, atol=1e-7)
         grams = [shape for shape in shapes if len(shape) == 2]
         assert all(n == m for n, m in grams)
-        assert sorted(n for n, _ in grams) == _block_sizes(prob)
+        assert sorted(n for n, _ in grams) == _block_sizes(prob, distinct=True)
+        if prob.domain.dim == 3:
+            assert (len(grams), len(_block_sizes(prob))) == (12, 23)
         assert [shape for shape in shapes if len(shape) == 3] == [(n, prob.p, prob.p) for n in batches]
         chunk = continuation._MORSE_CHUNK
         h = (window[1] - window[0]) / steps
@@ -628,19 +685,20 @@ class TestJacobianReuse:
         prob = request.getfixturevalue(fixture)
         seed = switch_branch(prob, lam_star)
         seen, firsts = [], []
-        hessian, block = continuation._nodal_hessian, continuation._block
+        hessian, block_jacobian = continuation._nodal_hessian, continuation._Block.jacobian
 
         def spy(problem, c, lam):
             seen.append((np.asarray(c, float).tobytes(), float(lam)))
             return hessian(problem, c, lam)
 
-        def block_spy(space, k, H):
-            if k == 0:
+        def block_spy(block, H):
+            # the first block, the only one without a Weyl bound
+            if block.weyl is None:
                 firsts.append(H)
-            return block(space, k, H)
+            return block_jacobian(block, H)
 
         monkeypatch.setattr(continuation, "_nodal_hessian", spy)
-        monkeypatch.setattr(continuation, "_block", block_spy)
+        monkeypatch.setattr(continuation._Block, "jacobian", block_spy)
         branch = continue_branch(prob, seed, limits)
         assert branch.termination == "lambda-limit"
         fold = min(branch.points, key=lambda bp: bp.lam)
@@ -1818,21 +1876,13 @@ def branch_case(request):
     return cases
 
 
-def _block_weights(prob):
-    """How often each isotypic block occurs in the full space: twice for the
-    m >= 1 blocks of the 2-sphere (cos and sin rows), once otherwise."""
-    blocks = continuation._isotypic_rows(prob)
-    twice = prob.domain.kind == "sphere" and prob.domain.dim == 3
-    return [1] + [2 if twice else 1] * (len(blocks) - 1)
-
-
 class TestFixedSpace:
     """Branches are followed on the rows of the axial fixed-point subspace,
     and their full-space diagnostics come from the isotypic blocks."""
 
     def test_block_diagnostics_match_the_dense_jacobian(self, branch_case):
         for prob, branch in branch_case:
-            weights = _block_weights(prob)
+            weights = [multiplicity for _, multiplicity in continuation._isotypic_rows(prob)]
             assert len(branch.points) > 5
             for bp in branch.points:
                 J = jacobian(prob, bp.c, bp.lam)
@@ -1848,7 +1898,7 @@ class TestFixedSpace:
 
     def test_points_solve_the_full_problem_off_the_subspace(self, branch_case):
         for prob, branch in branch_case:
-            fixed = continuation._isotypic_rows(prob)[0]
+            fixed = continuation._isotypic_rows(prob)[0][0]
             off = np.ones(prob.n_funcs, bool)
             off[fixed] = False
             for bp in branch.points:
@@ -1860,7 +1910,7 @@ class TestFixedSpace:
     def test_no_full_space_matrix_in_switch_or_continue(self, sphere12_ring, monkeypatch):
         prob = sphere12_ring
         levels = detect_bifurcation(prob, (0.5, 8.0))
-        largest = max(rows.size for rows in continuation._isotypic_rows(prob)) * prob.p
+        largest = max(rows.size for rows, _ in continuation._isotypic_rows(prob)) * prob.p
         assert largest == 24 < prob.n_dof == 288
         widths = {"jacobian": [], "solve": [], "svd": [], "eigvalsh": [], "eigh": []}
 
@@ -1908,7 +1958,7 @@ class TestFixedSpace:
 def _record_blocks(monkeypatch):
     """Spy on _make_point: one record (space, c, lam, point, assembled) per
     branch point, with assembled the indices k >= 1 of the isotypic blocks
-    it assembled from their tables (_Subspace.blocks)."""
+    it assembled from their tables (_Block.E)."""
     records, tables = [], []
     make, assemble = continuation._make_point, continuation._assemble_jacobian
 
@@ -1919,7 +1969,7 @@ def _record_blocks(monkeypatch):
     def spy_make(space, *args):
         tables.clear()
         bp, J = make(space, *args)
-        assembled = {k for k, block in enumerate(space.blocks) if any(E is block[1] for E in tables)}
+        assembled = {k for k, block in enumerate(space.blocks) if any(E is block.E for E in tables)}
         records.append((space, *args[:2], bp, assembled))
         return bp, J
 
@@ -1930,11 +1980,11 @@ def _record_blocks(monkeypatch):
 
 def _block_spectrum(space, c, lam, k):
     """Off-symmetry eigenvalues of isotypic block k at the coefficients c of
-    space.problem, assembled as a branch point assembles it (_block)."""
+    space.problem, assembled as a branch point assembles it (_Block.jacobian)."""
     H = continuation._nodal_hessian(space.problem, c, lam)
     pins = continuation._pinning_rows(space.full, space.lift(c))
-    J = continuation._block(space, k, H)
-    return continuation._offsym_eigenvalues(pins[:, space.blocks[k][0]], J)
+    block = space.blocks[k]
+    return continuation._offsym_eigenvalues(pins[:, block.idx], block.jacobian(H))
 
 
 class TestBlockSkip:
@@ -1983,7 +2033,7 @@ class TestBlockSkip:
 
         def shifted(E, weights, beta, H):
             J = assemble(E, weights, beta, H)
-            return J + shift * np.eye(J.shape[0]) if E is space.blocks[0][1] else J
+            return J + shift * np.eye(J.shape[0]) if E is space.blocks[0].E else J
 
         for bp in branch.points[:: len(branch.points) // 4]:
             c = bp.c[space.idx]
@@ -2013,13 +2063,14 @@ class TestBlockSkip:
         seed = switch_branch(prob, lam_star)
         branch = continue_branch(prob, seed, (9.0, 15.0), max_steps=40, ds_max=0.2)
         assert branch.termination == "lambda-limit" and branch.points[-1].lam > 14.5
-        weights = _block_weights(prob)
+        weights = [multiplicity for _, multiplicity in continuation._isotypic_rows(prob)]
         assert len(records) == len(branch.points) > 20
         for space, c, lam, bp, assembled in records:
             J = jacobian(prob, bp.c, bp.lam)
             pins = continuation._pinning_rows(prob, bp.c)
             dense = []
-            for idx, *_ in space.blocks:
+            for block in space.blocks:
+                idx = block.idx
                 ev = continuation._offsym_eigenvalues(pins[:, idx], J[np.ix_(idx, idx)])
                 dense.append(int(np.count_nonzero(ev < -continuation._MORSE_ZERO_TOL)))
             assert dense[1:4] == [2, 1, 1] and not any(dense[4:])
@@ -2038,12 +2089,12 @@ def _assert_reduced_rule_matches_the_full_rule(prob, branch, sup_rtol):
     """At every point of a branch and at a perturbed point of the same
     fixed-point rows, the restricted problem on its reduced rule against the
     same rows on the full rule: residual, Jacobian and sup deviation, and
-    every isotypic block as the branch path assembles it (_block: on the
-    disk by the sum-factorized kernel) against the full-space Jacobian on
-    its rows."""
+    every isotypic block as the branch path assembles it (_Block.jacobian:
+    on the disk by the sum-factorized kernel) against the full-space
+    Jacobian on its rows."""
     space = continuation._subspace(prob)
     sub = space.problem
-    fixed = continuation._isotypic_rows(prob)[0]
+    fixed = continuation._isotypic_rows(prob)[0][0]
     ref = dataclasses.replace(prob, E=prob.E[fixed], beta=prob.beta[fixed], rotation_generators=())
     rng = np.random.default_rng(5)
     assert len(branch.points) > 5
@@ -2060,11 +2111,10 @@ def _assert_reduced_rule_matches_the_full_rule(prob, branch, sup_rtol):
         H = continuation._nodal_hessian(sub, c, bp.lam)
         J_full = jacobian(prob, bp.c, bp.lam)
         assert len(space.blocks) > 1
-        for k, (idx, E, _, _) in enumerate(space.blocks):
-            assert E.shape[1] == sub.quad.weights.size
-            block = continuation._block(space, k, H)
-            dense = J_full[np.ix_(idx, idx)]
-            assert np.max(np.abs(block - dense)) <= 1e-12 * np.linalg.norm(J_full, 1)
+        for block in space.blocks:
+            assert block.E.shape[1] == sub.quad.weights.size
+            dense = J_full[np.ix_(block.idx, block.idx)]
+            assert np.max(np.abs(block.jacobian(H) - dense)) <= 1e-12 * np.linalg.norm(J_full, 1)
 
 
 @pytest.fixture(
@@ -2088,25 +2138,26 @@ class TestBlockKernel:
 
     def test_blocks_match_the_dense_assembly(self, disk_case):
         # at c = 0 and at a random c of the subspace, at two lambda: each
-        # block is what _block returns, bitwise symmetric, and within 1e-13
+        # block is what _Block.jacobian returns, bitwise symmetric, and within 1e-13
         # |J|_1 of the dense block on its table and of the full-space
         # Jacobian on its rows (measured: 4.0e-16)
         prob, space = disk_case
         sub = space.problem
         rng = np.random.default_rng(11)
-        assert len(space.factors) == len(space.blocks) == 2
+        assert len(space.blocks) == 2
+        assert all(block.kernel is not None for block in space.blocks)
         for c in (np.zeros(sub.n_dof), 0.3 * rng.normal(size=sub.n_dof) / np.sqrt(sub.n_dof)):
             for lam in (1.5, 7.5):
                 H = continuation._nodal_hessian(sub, c, lam)
                 J_full = jacobian(prob, space.lift(c), lam)
-                for k, (idx, E, weights, beta) in enumerate(space.blocks):
-                    J = continuation._factored_block(space.factors[k], H)
-                    assert np.array_equal(continuation._block(space, k, H), J)
+                for block in space.blocks:
+                    J = continuation._factored_block(block, H)
+                    assert np.array_equal(block.jacobian(H), J)
                     assert np.array_equal(J, J.T)
-                    dense = continuation._assemble_jacobian(E, weights, beta, H)
+                    dense = continuation._assemble_jacobian(block.E, block.weights, block.beta, H)
                     bound = 1e-13 * np.linalg.norm(dense, 1)
                     assert np.max(np.abs(J - dense)) <= bound
-                    assert np.max(np.abs(J - J_full[np.ix_(idx, idx)])) <= bound
+                    assert np.max(np.abs(J - J_full[np.ix_(block.idx, block.idx)])) <= bound
                 first = jacobian(sub, c, lam)
                 bound = 1e-13 * np.linalg.norm(first, 1)
                 assert np.max(np.abs(continuation._branch_jacobian(space, c, lam) - first)) <= bound
@@ -2128,20 +2179,20 @@ class TestBlockKernel:
         weights = sub.quad.weights.reshape(n_r, n_t)
         assert np.array_equal(weights, weights[:, :1] * (weights[0] / weights[0, 0])[None, :])
         cols = continuation._half_turn(prob.quad)[0]
-        sin_rows = continuation._isotypic_rows(prob)[1]
+        sin_rows = continuation._isotypic_rows(prob)[1][0]
         pairs = continuation._angular_pairs(prob.eigens)
         assert [sin_row for _, sin_row, _ in pairs] == sin_rows.tolist()
-        sin_table = space.blocks[1][1].reshape(sin_rows.size, n_r, n_t)
+        sin_table = space.blocks[1].E.reshape(sin_rows.size, n_r, n_t)
         for k, (cos_row, _, l) in enumerate(pairs):
             cos_values = prob.E[cos_row, cols].reshape(n_r, n_t)
             R = cos_values[:, :1]
             assert np.array_equal(cos_values, R * np.cos(l * angles)[None, :])
             assert np.array_equal(sin_table[k], R * np.sin(l * angles)[None, :])
-        even_rows = continuation._isotypic_rows(prob)[0]
+        even_rows = continuation._isotypic_rows(prob)[0][0]
         orders = np.repeat([e.angular_degree for e in prob.eigens],
                            [e.multiplicity for e in prob.eigens])[even_rows]
         assert set(orders.tolist()) >= {0, 1}
-        even_table = space.blocks[0][1].reshape(even_rows.size, n_r, n_t)
+        even_table = space.blocks[0].E.reshape(even_rows.size, n_r, n_t)
         for values, l in zip(even_table, orders):
             R = values[:, :1]
             assert np.array_equal(values, R * np.cos(l * angles)[None, :])
@@ -2172,7 +2223,7 @@ class TestBlockKernel:
         # the first block is the dense jacobian of the branch problem, bit
         # for bit
         space = continuation._subspace(request.getfixturevalue(fixture))
-        assert space.factors is None and len(space.blocks) > 1
+        assert len(space.blocks) > 1 and all(block.kernel is None for block in space.blocks)
         sub = space.problem
         c = 0.1 * np.random.default_rng(3).normal(size=sub.n_dof)
         assert np.array_equal(continuation._branch_jacobian(space, c, 1.5), jacobian(sub, c, 1.5))

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -68,6 +69,52 @@ class TestHarmonicDimension:
         for n in range(2, 6):
             for l in range(0, 8):
                 assert spectral.harmonic_dimension(n, l) == harmonic_dim_by_enumeration(n, l)
+
+    def test_against_the_kernel_of_the_laplacian(self):
+        # Predict's multiplicity (V.dim), not from the closed form: the
+        # harmonic polynomials of degree l in N variables are the kernel of
+        # the Laplacian onto degree l - 2, whose rank is taken exactly over
+        # the rationals; Verify counts its blocks from the basis layout alone
+        for n in range(2, 7):
+            for l in range(7):
+                assert spectral.harmonic_dimension(n, l) == laplacian_kernel_dimension(n, l)
+
+
+def _exponents(n, degree):
+    """The exponent tuples of the monomials of a degree in n variables."""
+    return [
+        tuple(c.count(i) for i in range(n))
+        for c in itertools.combinations_with_replacement(range(n), degree)
+    ]
+
+
+def laplacian_kernel_dimension(n, l):
+    """dim ker (Laplace: degree-l to degree-(l - 2) homogeneous polynomials in
+    n variables), as the monomial count less the exact rank: Gaussian
+    elimination in Fractions on the rows of the transposed matrix, each row
+    the image of one monomial, x^a -> sum_i a_i (a_i - 1) x^(a - 2 e_i)."""
+    rows = []
+    for a in _exponents(n, l):
+        row = {}
+        for i in range(n):
+            if a[i] >= 2:
+                row[a[:i] + (a[i] - 2,) + a[i + 1 :]] = Fraction(a[i] * (a[i] - 1))
+        rows.append(row)
+    rank, rows = 0, [row for row in rows if row]
+    while rows:
+        pivot = min(rows, key=len)
+        rows.remove(pivot)
+        col, value = next(iter(pivot.items()))
+        rank += 1
+        for row in rows:
+            if col in row:
+                factor = row[col] / value
+                for k, v in pivot.items():
+                    row[k] = row.get(k, 0) - factor * v
+                    if row[k] == 0:
+                        del row[k]
+        rows = [row for row in rows if row]
+    return len(_exponents(n, l)) - rank
 
 
 def scipy_neumann_roots(ambient_dim, l, x_max):
@@ -316,6 +363,32 @@ class TestBesselArrays:
         np.testing.assert_array_equal(bessel.sphericaljp(orders, 0.0), expected)
         assert [bessel.sphericaljp(l, 0.0) for l in orders] == list(expected)
         np.testing.assert_array_equal(bessel.besseljp(orders, 0.0), special.jvp(orders, 0.0))
+
+    def test_derivatives_at_tiny_arguments(self):
+        # down to the smallest double the first terms of the series, -x/2 and
+        # l x^(l-1) / (2^l l!) for J, -x/3 and l x^(l-1) / (2l + 1)!! for j,
+        # finite and with no RuntimeWarning (an error under this suite's
+        # filters); j_1'(1e-308) was -inf, j_2'(1e-308) and j_1'(5e-324) nan
+        orders = np.arange(4)
+        # 2^l l! and (2l + 1)!! for l = 0, ..., 3
+        for fn, d in ((bessel.besseljp, [1, 2, 8, 48]), (bessel.sphericaljp, [1, 3, 15, 105])):
+            for x in (1e-300, 1e-305, 1e-308, 5e-324):
+                first = [-x / d[1]] + [l * x ** (l - 1) / d[l] for l in orders[1:]]
+                values = fn(orders, x)
+                assert np.all(np.isfinite(values))
+                np.testing.assert_allclose(values, first, rtol=1e-15, atol=1e-300)
+                assert [fn(int(l), x) for l in orders] == values.tolist()
+
+    def test_tiny_arguments_leave_the_others_alone(self):
+        # tiny and normal x in one call: each normal entry bit for bit its
+        # value alone, each tiny one that of the tiny x alone
+        x = np.array([5e-324, 0.05, 1e-308, 3.0, -1e-305, 1e-300, 17.5])
+        orders = np.arange(4)[:, None]
+        for fn in (bessel.besseljp, bessel.sphericaljp):
+            mixed = fn(orders, x)
+            alone = np.array([[fn(int(l), xk) for xk in x] for l in orders[:, 0]])
+            assert np.all(np.isfinite(mixed))
+            np.testing.assert_array_equal(mixed, alone)
 
     def test_negative_argument_parity(self):
         x = np.linspace(0.1, 30.0, 60)
